@@ -65,7 +65,7 @@ from .lpv import (
     make_lti,
     output_matrix,
 )
-from .polynomials import Monomial, PolynomialMap, eval_poly, poly_jacobian
+from .polynomials import Monomial, PolynomialMap
 from .quadrature import QuadratureSpec, integrate_unit, unit_gauss_legendre
 from .sim import (
     ErrorReport,

@@ -165,9 +165,16 @@ def error_trajectory(
         n_steps = inputs.shape[0] - 1
     selector = list(exact.dictionary.state_selector)
     A, factored = exact.A, exact.factored_input
+    # B(x_k, u_k) of each exact step, reused by the error recurrence below
+    input_matrices = []
+
+    def exact_step(k, z, u):
+        Bk = factored(z[selector], u)
+        input_matrices.append(Bk)
+        return A @ z + Bk @ u
 
     exact_traj = dt_simulate(
-        lambda k, z, u: A @ z + factored(z[selector], u) @ u,
+        exact_step,
         z0,
         inputs,
         n_steps=n_steps,
@@ -185,9 +192,7 @@ def error_trajectory(
 
     rec = np.zeros(n_steps + 1)
     e = np.zeros(z0.shape[0])
-    for k in range(n_steps):
-        z = exact_traj.states[k]
-        Bk = factored(z[selector], inputs[k])
+    for k, Bk in enumerate(input_matrices):
         e = A @ e + (Bk - approx.B) @ inputs[k]
         rec[k + 1] = np.linalg.norm(e)
     return ErrorEvolution(
@@ -243,6 +248,9 @@ class BoundReport:
     timevarying_bound: np.ndarray
     error_norm: np.ndarray
     beta_mode: str = "trajectory"
+    # the (x, u) point where the scan found beta, when a scan produced it
+    beta_argmax_state: Optional[np.ndarray] = None
+    beta_argmax_input: Optional[np.ndarray] = None
 
     @property
     def absolute_applicable(self) -> bool:
@@ -263,6 +271,12 @@ class BoundReport:
             "sigma_A": self.sigma,
             "beta": self.beta,
             "beta_mode": self.beta_mode,
+            "beta_argmax_state": None
+            if self.beta_argmax_state is None
+            else [float(v) for v in self.beta_argmax_state],
+            "beta_argmax_input": None
+            if self.beta_argmax_input is None
+            else [float(v) for v in self.beta_argmax_input],
             "u_linf": self.u_linf,
             "absolute_bound": self.absolute_bound
             if self.absolute_bound is not None
@@ -321,4 +335,6 @@ def build_bound_report(
         timevarying_bound=tv,
         error_norm=evolution.norms,
         beta_mode=beta_scan.mode,
+        beta_argmax_state=beta_scan.argmax_state,
+        beta_argmax_input=beta_scan.argmax_input,
     )

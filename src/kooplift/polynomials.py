@@ -10,6 +10,24 @@ up to floating-point arithmetic on the coefficients themselves.
 Terms are kept in graded order (total degree, then reverse-lexicographic
 exponents) so evaluation order, serialisation and reported residuals are
 deterministic.
+
+Evaluation has two forms, chosen per map by its term count. A map with
+fewer than ``KERNEL_MIN_TERMS`` terms keeps a flat ``(coeff, ((i, e), ...))``
+tuple per term and is evaluated by a Python loop. A larger map is compiled
+once into arrays: per term, its coefficient ``c``, its gather indices into a
+power table ``P[i, e] = x_i ** e`` and its slot in a zero-padded
+``(n_out, width)`` layout, ``width`` being the longest row. The term values
+``c * P[0, e_0] * P[1, e_1] * ...`` are scattered into that layout and each
+row is summed with ``np.cumsum``.
+
+Both forms give the bits of a term-by-term loop. Each term multiplies its
+powers onto its coefficient in variable order (a zero exponent contributes
+an exact 1.0), and each row is summed sequentially in term order starting
+from 0.0; ``np.sum`` and ``np.add.reduceat`` sum pairwise and would not.
+``evaluate`` takes its powers with Python's ``float(x_i) ** e`` and
+``evaluate_batch`` with numpy's ``pts[:, i] ** e``. These two power
+functions can differ in the last bit, so ``evaluate`` and ``evaluate_batch``
+agree only to rounding, while each matches its own loop exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +40,16 @@ from .errors import DimensionError
 
 Exponents = Tuple[int, ...]
 TermDict = Dict[Exponents, float]
+
+# Maps with at least this many terms are evaluated by the array kernel. A
+# single-point evaluate of a 4-row, 3-variable map took 16.2 us in the tuple
+# loop and 17.1 us in the kernel at 32 terms, 24.0 and 17.6 us at 48, and
+# 2.6 and 15.2 us at 3 terms (Python 3.11, numpy 2.4, one x86-64 core).
+KERNEL_MIN_TERMS = 32
+
+# evaluate_batch takes as many points at a time as keep the padded
+# (points, n_out, width) block near 1 MB of float64
+_BATCH_BLOCK_FLOATS = 1 << 17
 
 
 def _term_order_key(exponents: Exponents):
@@ -144,6 +172,65 @@ def constant_term(n_vars: int, value: float = 1.0) -> TermDict:
     return {tuple(0 for _ in range(n_vars)): value} if value != 0.0 else {}
 
 
+class _Kernel:
+    """Array form of a polynomial map's terms, in row-major term order.
+
+    ``index[i]`` holds each term's column in the flat power table for
+    variable ``i`` (offset past the columns of earlier variables),
+    ``coeffs`` the coefficients and ``slots`` each term's position in the
+    zero-padded ``(n_out, width)`` row layout.
+    """
+
+    __slots__ = ("max_exp", "index", "coeffs", "slots", "n_out", "width")
+
+    def __init__(self, rows: Sequence[TermDict], n_vars: int):
+        self.n_out = len(rows)
+        self.width = max(len(row) for row in rows)
+        self.coeffs = np.array([c for row in rows for c in row.values()])
+        exps = np.array(
+            [e for row in rows for e in row], dtype=np.intp
+        ).reshape(self.coeffs.shape[0], n_vars)
+        self.slots = np.array(
+            [r * self.width + j for r, row in enumerate(rows) for j in range(len(row))],
+            dtype=np.intp,
+        )
+        self.max_exp = tuple(int(m) for m in exps.max(axis=0))
+        offsets = np.cumsum((0,) + tuple(m + 1 for m in self.max_exp[:-1]))
+        self.index = tuple(np.ascontiguousarray((exps + offsets).T))
+
+    def _sum_terms(self, table: np.ndarray) -> np.ndarray:
+        """Row values from a power table of shape (..., columns)."""
+        lead = table.shape[:-1]
+        vals = np.broadcast_to(self.coeffs, lead + self.coeffs.shape).copy()
+        for index in self.index:
+            vals *= table[..., index]
+        padded = np.zeros(lead + (self.n_out * self.width,))
+        padded[..., self.slots] = vals
+        sums = np.cumsum(padded.reshape(lead + (self.n_out, self.width)), axis=-1)
+        # the loop starts each row from 0.0, which turns an all -0.0 row into
+        # +0.0; adding 0.0 does the same and leaves every other value alone
+        return sums[..., -1] + 0.0
+
+    def evaluate(self, x: Sequence[float]) -> np.ndarray:
+        return self._sum_terms(
+            np.array(
+                [xi ** e for xi, m in zip(map(float, x), self.max_exp) for e in range(m + 1)]
+            )
+        )
+
+    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
+        out = np.empty((pts.shape[0], self.n_out))
+        step = max(1, _BATCH_BLOCK_FLOATS // (self.n_out * self.width))
+        for start in range(0, pts.shape[0], step):
+            block = pts[start : start + step]
+            table = np.stack(
+                [block[:, i] ** e for i, m in enumerate(self.max_exp) for e in range(m + 1)],
+                axis=1,
+            )
+            out[start : start + step] = self._sum_terms(table)
+        return out
+
+
 class PolynomialMap:
     """Vector-valued sparse polynomial over a shared variable set.
 
@@ -167,14 +254,19 @@ class PolynomialMap:
                 _add_term(terms, exps, float(coeff))
             canon.append(_sorted_terms(terms))
         self.rows: Tuple[TermDict, ...] = tuple(canon)
-        # flat term list per row for the scalar evaluation path
-        self._compiled = tuple(
-            tuple(
-                (c, tuple((i, e) for i, e in enumerate(exps) if e))
-                for exps, c in row.items()
+        # one evaluation form per map: arrays for large maps, else a flat
+        # term list per row for the scalar loop
+        self._kernel = self._terms = None
+        if sum(len(row) for row in self.rows) >= KERNEL_MIN_TERMS:
+            self._kernel = _Kernel(self.rows, self.n_vars)
+        else:
+            self._terms = tuple(
+                tuple(
+                    (c, tuple((i, e) for i, e in enumerate(exps) if e))
+                    for exps, c in row.items()
+                )
+                for row in self.rows
             )
-            for row in self.rows
-        )
 
     @property
     def n_out(self) -> int:
@@ -188,8 +280,10 @@ class PolynomialMap:
             raise DimensionError(
                 f"map over {self.n_vars} variables evaluated at point of length {len(x)}"
             )
+        if self._kernel is not None:
+            return self._kernel.evaluate(x)
         out = np.empty(self.n_out)
-        for r, terms in enumerate(self._compiled):
+        for r, terms in enumerate(self._terms):
             acc = 0.0
             for coeff, nz in terms:
                 v = coeff
@@ -208,6 +302,8 @@ class PolynomialMap:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_vars}), got {pts.shape}"
             )
+        if self._kernel is not None:
+            return self._kernel.evaluate_batch(pts)
         out = np.zeros((pts.shape[0], self.n_out))
         for r, row in enumerate(self.rows):
             for exps, coeff in row.items():
@@ -266,16 +362,6 @@ class PolynomialMap:
 
     def __repr__(self):
         return f"PolynomialMap(n_vars={self.n_vars}, n_out={self.n_out})"
-
-
-def eval_poly(p: PolynomialMap, x: Sequence[float]) -> np.ndarray:
-    """Evaluate a polynomial map; alias for :meth:`PolynomialMap.evaluate`."""
-    return p.evaluate(x)
-
-
-def poly_jacobian(p: PolynomialMap) -> PolynomialMap:
-    """Symbolic Jacobian of a polynomial map; see :meth:`PolynomialMap.jacobian`."""
-    return p.jacobian()
 
 
 def compose_monomial(

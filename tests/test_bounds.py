@@ -264,6 +264,28 @@ class TestBoundReport:
             report.timevarying_bound[-1] - report.timevarying_bound[-5] < 1e-9
         )
 
+    @pytest.mark.parametrize("mode", ["trajectory", "grid"])
+    def test_beta_argmax_reproduces_beta(self, mode):
+        bundle, lpv, lti, inputs, _ = _dt_setup()
+        z0 = bundle.dictionary.evaluate([1.0, 1.0])
+        scan = None
+        if mode == "grid":
+            scan = beta_grid(
+                lpv,
+                lti.B,
+                DomainBox([-1.5, -1.5], [1.5, 1.5]),
+                DomainBox([-1.0], [1.0]),
+                grid_density=9,
+            )
+        report = build_bound_report(lpv, lti, z0, inputs, beta_scan=scan)
+        x_star, u_star = report.beta_argmax_state, report.beta_argmax_input
+        gap = lpv.input_matrix_from_state(x_star, u_star) - lti.B
+        assert report.beta_mode == mode
+        assert np.linalg.norm(gap, 2) == pytest.approx(report.beta, rel=1e-12, abs=0)
+        doc = report.to_document()
+        assert doc["beta_argmax_state"] == [float(v) for v in x_star]
+        assert doc["beta_argmax_input"] == [float(v) for v in u_star]
+
     def test_document_shape(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])

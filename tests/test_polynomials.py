@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from kooplift import Monomial, PolynomialMap, eval_poly, poly_jacobian
+from kooplift import Monomial, ObservableDictionary, PolynomialMap, dt_example
 from kooplift.errors import DimensionError
+from kooplift.lifting import _symbolic_dt_input
 from kooplift.polynomials import (
+    KERNEL_MIN_TERMS,
     compose_monomial,
     fresh_power_caches,
     poly_mul,
@@ -40,6 +42,56 @@ def _naive_eval(p, x):
     return np.array(out)
 
 
+def _naive_eval_batch(p, X):
+    # the same loop over numpy columns: numpy's power can differ from
+    # python's in the last bit, so the batch path has its own oracle
+    out = np.zeros((X.shape[0], p.n_out))
+    for r, row in enumerate(p.rows):
+        for exps, coeff in row.items():
+            v = np.full(X.shape[0], coeff)
+            for i, e in enumerate(exps):
+                v *= X[:, i] ** e
+            out[:, r] += v
+    return out
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_matches_oracles(p, X):
+    for x in X:
+        _assert_bits_equal(p.evaluate(x), _naive_eval(p, x))
+    _assert_bits_equal(p.evaluate_batch(X), _naive_eval_batch(p, X))
+
+
+def _map_with_terms(rng, n_vars, n_out, degree, n_terms):
+    # exactly n_terms distinct terms dealt round-robin over the rows
+    terms = {}
+    while len(terms) < n_terms:
+        exps = tuple(int(e) for e in rng.integers(0, degree + 1, n_vars))
+        terms[exps] = float(rng.normal())
+    rows = [{} for _ in range(n_out)]
+    for j, (exps, coeff) in enumerate(terms.items()):
+        rows[j % n_out][exps] = coeff
+    return PolynomialMap(n_vars, rows)
+
+
+def _weighted_input_column(degree):
+    # dt-example's input column over (x1, x2, u) for the exact dictionary
+    # {x1^a x2^b : 0 < a + 2b <= degree}
+    exponents = [
+        (a, b)
+        for b in range(degree // 2 + 1)
+        for a in range(degree - 2 * b + 1)
+        if a + b
+    ]
+    dictionary = ObservableDictionary(2, [Monomial(e) for e in exponents])
+    _, columns, _ = _symbolic_dt_input(dt_example().decomposition, dictionary)
+    return dictionary, columns[0]
+
+
 class TestEvaluation:
     def test_benchmark_autonomous_map_at_ones(self):
         # x+ = [a1 x1, a2 x2 - a3 x1^2] with a1 = a2 = 0.7, a3 = 0.5;
@@ -54,13 +106,42 @@ class TestEvaluation:
         np.testing.assert_array_equal(p.evaluate([1.0, -2.0, 3.0]), [0.0, 0.0])
 
     def test_random_map_matches_term_oracle(self):
+        # bit for bit, on maps below and at or above the array-kernel threshold
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            p = _random_poly_map(rng, 3, 2, 3, 6)
-            x = rng.normal(size=3)
-            got = p.evaluate(x)
-            want = _naive_eval(p, x)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1 + np.abs(want).max()))
+        for n_terms in (1, 6, KERNEL_MIN_TERMS - 1, KERNEL_MIN_TERMS, 4 * KERNEL_MIN_TERMS):
+            for _ in range(5):
+                p = _map_with_terms(rng, 3, 4, 9, n_terms)
+                X = rng.normal(size=(7, 3))
+                X[0] = 0.0  # zero powers and signed-zero terms
+                _assert_matches_oracles(p, X)
+
+    def test_empty_rows_match_term_oracle(self):
+        rng = np.random.default_rng(9)
+        big = _map_with_terms(rng, 2, 3, 12, 2 * KERNEL_MIN_TERMS)
+        # at x = 0 every term of this row is -0.0, and the row sums to +0.0
+        negative = {(e, 0): -1.0 for e in range(1, KERNEL_MIN_TERMS + 1)}
+        X = rng.normal(size=(5, 2))
+        X[0] = 0.0
+        for rows in (
+            [{}] + list(big.rows) + [{}],
+            [negative, {}],
+            [{(1, 0): 2.0}, {}, {(0, 3): -1.0}],
+            [{}, {}, {}],
+        ):
+            _assert_matches_oracles(PolynomialMap(2, rows), X)
+
+    def test_weighted_degree_input_column_matches_term_oracle(self):
+        # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u);
+        # its padded 120 x 245 block gives 4 points per 2**17-float chunk, so
+        # the 30-point batch takes 8 chunks with a short last one
+        dictionary, column = _weighted_input_column(20)
+        assert dictionary.n_f == 120
+        assert sum(len(row) for row in column.rows) == 8503
+        rng = np.random.default_rng(3)
+        X = np.hstack([rng.uniform(-1.5, 1.5, (30, 2)), rng.uniform(-1.0, 1.0, (30, 1))])
+        for x in X[:3]:
+            _assert_bits_equal(column.evaluate(x), _naive_eval(column, x))
+        _assert_bits_equal(column.evaluate_batch(X), _naive_eval_batch(column, X))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
@@ -75,9 +156,9 @@ class TestEvaluation:
         with pytest.raises(DimensionError):
             p.evaluate([1.0, 2.0, 3.0])
 
-    def test_eval_poly_alias(self):
+    def test_single_term_value(self):
         p = PolynomialMap(1, [{(2,): 3.0}])
-        np.testing.assert_array_equal(eval_poly(p, [2.0]), [12.0])
+        np.testing.assert_array_equal(p.evaluate([2.0]), [12.0])
 
 
 class TestJacobian:
@@ -89,7 +170,7 @@ class TestJacobian:
 
     def test_constant_polynomial_has_zero_jacobian(self):
         p = PolynomialMap(2, [{(0, 0): 4.2}])
-        assert poly_jacobian(p).rows == ({}, {})
+        assert p.jacobian().rows == ({}, {})
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
