@@ -179,6 +179,7 @@ def error_trajectory(
         inputs,
         n_steps=n_steps,
         label="exact-lpv",
+        state_selector=selector,
     )
     approx_traj = dt_simulate(
         lambda k, z, u: approx.A @ z + approx.B @ u,

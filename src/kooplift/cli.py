@@ -377,8 +377,8 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, sim_ts, 
         result = alpha_grid_search(
             data,
             default_alpha_grid(),
-            _make_alpha_objective(
-                nonlinear, dictionary, C, bundle, z0, inputs, sim_ts, limit
+            _alpha_objective(
+                nonlinear, C, bundle.time_domain, z0, inputs, sim_ts, limit, {}
             ),
         )
         alpha = result.best_alpha
@@ -388,14 +388,23 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, sim_ts, 
     )
 
 
-def _make_alpha_objective(nonlinear, dictionary, C, bundle, z0, inputs, sim_ts, limit):
+def _alpha_objective(nonlinear, C, time_domain, z0, inputs, ts, limit, reports):
+    """Summed l2 output error of the LTI model simulated from a fitted (A, B).
+
+    Each candidate's ErrorReport is recorded in ``reports`` under its
+    alpha, or None when its simulation diverged, so callers can reuse the
+    simulation instead of repeating it.
+    """
+
     def objective(alpha, fit):
         A_hat, B_hat = fit
-        lti = make_lti(A_hat, B_hat, C, time_domain=bundle.time_domain)
-        _, output = simulate_lti(
-            lti, z0, inputs, ts=sim_ts, divergence_limit=limit
-        )
-        report = error_metrics(nonlinear, output)
+        lti = make_lti(A_hat, B_hat, C, time_domain=time_domain)
+        try:
+            _, output = simulate_lti(lti, z0, inputs, ts=ts, divergence_limit=limit)
+        except DivergenceError:
+            reports[alpha] = None
+            raise
+        report = reports[alpha] = error_metrics(nonlinear, output)
         return float(np.sum(report.l2))
 
     return objective
@@ -452,28 +461,26 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
         data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(x0)
-
-        def evaluate(alpha):
-            A_hat, B_hat = edmd_tikhonov(data, alpha)
-            lti = make_lti(A_hat, B_hat, C, time_domain=DISCRETE)
-            try:
-                _, output = simulate_lti(
-                    lti, z0, inputs, divergence_limit=limit
-                )
-            except DivergenceError:
-                return None
-            return error_metrics(nonlinear, output)
-
-        report = evaluate(0.0)
-        rows.append(_sweep_row(degree, 0.0, report))
-        if alpha_search:
-            objective = _sweep_objective(evaluate)
-            try:
+        reports = {}
+        objective = _alpha_objective(
+            nonlinear, C, DISCRETE, z0, inputs, None, limit, reports
+        )
+        best_alpha = None
+        try:
+            if alpha_search:
+                # the default grid starts at alpha = 0, which fills that row too
                 search = alpha_grid_search(data, default_alpha_grid(), objective)
-                report_alpha = evaluate(search.best_alpha)
-                rows.append(_sweep_row(degree, search.best_alpha, report_alpha))
-            except DivergenceError:
+                best_alpha = search.best_alpha
+            else:
+                objective(0.0, edmd_tikhonov(data, 0.0))
+        except DivergenceError:
+            pass  # the objective has recorded the diverged candidates as None
+        rows.append(_sweep_row(degree, 0.0, reports[0.0]))
+        if alpha_search:
+            if best_alpha is None:
                 rows.append(_sweep_row(degree, float("nan"), None))
+            else:
+                rows.append(_sweep_row(degree, best_alpha, reports[best_alpha]))
     baselines = []
     base_degree = max(sum(o.exponents) for o in bundle.dictionary.observables)
     lpv_report = base["reports"]["koopman_lpv"]
@@ -486,16 +493,6 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
             ["edmdc_exact_A", base_degree, 0.0, edmdc_report.l2[0], edmdc_report.l2[1], 0]
         )
     return rows, baselines
-
-
-def _sweep_objective(evaluate):
-    def objective(alpha, fit):
-        report = evaluate(alpha)
-        if report is None:
-            raise DivergenceError("simulation diverged", step=None)
-        return float(np.sum(report.l2))
-
-    return objective
 
 
 def _sweep_row(degree, alpha, report):

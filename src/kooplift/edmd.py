@@ -14,6 +14,16 @@ and its Tikhonov-regularised variant
     [A B] = Z+ Y^T (Y Y^T + alpha I)^-1,
 
 with a grid search helper that picks alpha by a simulation-error cost.
+For alpha > 0 the Tikhonov fit is read off one thin SVD Y = U_Y S V_Y^T,
+computed on the first such fit and cached on the snapshot set, through
+the filter factors s / (s^2 + alpha) (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, 1998):
+
+    [A B] = (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T,
+
+so a whole alpha grid costs one factorisation and a matrix product per
+grid point, and never forms the squared-conditioned Gramian. alpha = 0
+stays the pseudoinverse of the normal equations, as in the full fit.
 Pseudoinverses use an SVD cutoff of max(m, n) * eps relative to the largest
 singular value.
 """
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,16 +47,20 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass
 class SnapshotData:
-    """Aligned lifted snapshots: Z holds Phi(x_k), Zp holds Phi(x_{k+1})."""
+    """Aligned lifted snapshots: Z holds Phi(x_k), Zp holds Phi(x_{k+1}).
+
+    The matrices are private read-only copies, so the SVD that Tikhonov
+    fits cache on the instance always describes the data it holds.
+    """
 
     Z: np.ndarray
     Zp: np.ndarray
     U: np.ndarray
 
     def __post_init__(self):
-        self.Z = np.asarray(self.Z, dtype=float)
-        self.Zp = np.asarray(self.Zp, dtype=float)
-        self.U = np.atleast_2d(np.asarray(self.U, dtype=float))
+        self.Z = _frozen(self.Z)
+        self.Zp = _frozen(self.Zp)
+        self.U = _frozen(np.atleast_2d(np.asarray(self.U, dtype=float)))
         if not (self.Z.shape[1] == self.Zp.shape[1] == self.U.shape[1]):
             raise DimensionError(
                 "snapshot matrices must share the column count, got "
@@ -54,6 +68,7 @@ class SnapshotData:
             )
         if self.Z.shape[0] != self.Zp.shape[0]:
             raise DimensionError("Z and Z+ must have the same lifted dimension")
+        self._svd: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def n_f(self) -> int:
@@ -66,6 +81,25 @@ class SnapshotData:
     @property
     def n_samples(self) -> int:
         return self.Z.shape[1]
+
+    def tikhonov_svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U_Y, s, Z+ V_Y) of the thin SVD Y = U_Y diag(s) V_Y^T, Y = [Z; U].
+
+        Computed on the first call and cached.
+        """
+        if self._svd is None:
+            U_Y, s, Vt_Y = np.linalg.svd(
+                np.vstack([self.Z, self.U]), full_matrices=False
+            )
+            self._svd = (U_Y, s, self.Zp @ Vt_Y.T)
+        return self._svd
+
+
+def _frozen(M) -> np.ndarray:
+    """A read-only float copy of ``M``."""
+    M = np.array(M, dtype=float)
+    M.setflags(write=False)
+    return M
 
 
 def build_snapshots(
@@ -85,15 +119,6 @@ def build_snapshots(
         Z=lifted[:-1].T,
         Zp=lifted[1:].T,
         U=trajectory.inputs[:-1].T,
-    )
-
-
-def concatenate_snapshots(parts: Sequence[SnapshotData]) -> SnapshotData:
-    """Column-concatenate snapshot sets from several trajectories."""
-    return SnapshotData(
-        Z=np.hstack([p.Z for p in parts]),
-        Zp=np.hstack([p.Zp for p in parts]),
-        U=np.hstack([p.U for p in parts]),
     )
 
 
@@ -155,16 +180,16 @@ def edmd_tikhonov(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tikhonov-regularised fit: [A B] = Z+ Y^T (Y Y^T + alpha I)^-1.
 
-    alpha = 0 reduces to :func:`edmd_full`; with a singular Gramian the
-    inverse is then a pseudoinverse.
+    For alpha > 0 the fit is (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T from
+    the snapshot set's cached SVD. alpha = 0 reduces to :func:`edmd_full`;
+    with a singular Gramian the inverse is then a pseudoinverse.
     """
     if alpha < 0:
         raise ValueError(f"regularisation weight must be non-negative, got {alpha}")
     if alpha == 0.0:
         return edmd_full(data)
-    Y = np.vstack([data.Z, data.U])
-    G = Y @ Y.T + alpha * np.eye(Y.shape[0])
-    AB = np.linalg.solve(G, Y @ data.Zp.T).T
+    U_Y, s, W = data.tikhonov_svd()
+    AB = (W * (s / (s * s + alpha))) @ U_Y.T
     return AB[:, : data.n_f], AB[:, data.n_f :]
 
 

@@ -145,9 +145,19 @@ class ErrorReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_state(x: np.ndarray, step: int, limit: float, label: str) -> None:
+def _check_state(
+    x: np.ndarray, step: int, limit: float, label: str, selector=None
+) -> None:
     # NaN fails the comparison too, so one check covers overflow and NaN
-    if not np.all(np.abs(x) <= limit):
+    if np.all(np.abs(x) <= limit):
+        return
+    # with a selector only x[selector] is held to the limit; the other
+    # coordinates need only stay finite
+    if (
+        selector is None
+        or not np.all(np.isfinite(x))
+        or not np.all(np.abs(x[selector]) <= limit)
+    ):
         raise DivergenceError(
             f"simulation {label!r} diverged at step {step} "
             f"(|state| exceeded {limit:g} or became non-finite)",
@@ -192,12 +202,14 @@ def simulate_ct(
     ts: float,
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
     label: str = "ct",
+    state_selector: Optional[Sequence[int]] = None,
 ) -> Trajectory:
     """RK4 with zero-order-held inputs.
 
     ``inputs`` has one row per grid point; row k is held over the whole
     macro step [t_k, t_{k+1}) including the RK4 sub-stages. The final row
-    is recorded but never applied.
+    is recorded but never applied. ``state_selector`` restricts the
+    divergence limit to those coordinates; the rest must stay finite.
     """
     if ts <= 0:
         raise ValueError(f"step size must be positive, got {ts}")
@@ -217,7 +229,7 @@ def simulate_ct(
         k3 = rhs(x + half * k2, u)
         k4 = rhs(x + ts * k3, u)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, k + 1, divergence_limit, label)
+        _check_state(x, k + 1, divergence_limit, label, state_selector)
         states[k + 1] = x
     times = np.arange(n_steps + 1) * ts
     return Trajectory(times, states, inputs=inputs, label=label)
@@ -230,8 +242,13 @@ def dt_simulate(
     n_steps: Optional[int] = None,
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
     label: str = "dt",
+    state_selector: Optional[Sequence[int]] = None,
 ) -> Trajectory:
-    """Iterate a discrete-time map under recorded inputs."""
+    """Iterate a discrete-time map under recorded inputs.
+
+    ``state_selector`` restricts the divergence limit to those coordinates;
+    the rest must stay finite.
+    """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if n_steps is None:
         n_steps = inputs.shape[0] - 1
@@ -244,7 +261,7 @@ def dt_simulate(
     states[0] = x
     for k in range(n_steps):
         x = np.asarray(step(k, x, inputs[k]), dtype=float)
-        _check_state(x, k + 1, divergence_limit, label)
+        _check_state(x, k + 1, divergence_limit, label, state_selector)
         states[k + 1] = x
     times = np.arange(n_steps + 1, dtype=float)
     return Trajectory(times, states, inputs=inputs[: n_steps + 1], label=label)
@@ -366,7 +383,9 @@ def simulate_lpv(
     """Simulate the LPV model in lifted coordinates.
 
     Returns (lifted trajectory, output trajectory); the output trajectory
-    gathers the identity observables, i.e. x = C z.
+    gathers the identity observables, i.e. x = C z. The divergence limit
+    applies to those state coordinates: higher-degree observables of a
+    bounded state may exceed it, so they need only stay finite.
     """
     if z0 is None:
         if x0 is None:
@@ -384,7 +403,13 @@ def simulate_lpv(
             return A @ z + factored(z[selector], u) @ u
 
         lifted = simulate_ct(
-            rhs, z0, inputs, ts, divergence_limit=divergence_limit, label=label
+            rhs,
+            z0,
+            inputs,
+            ts,
+            divergence_limit=divergence_limit,
+            label=label,
+            state_selector=selector,
         )
     else:
 
@@ -392,7 +417,12 @@ def simulate_lpv(
             return A @ z + factored(z[selector], u) @ u
 
         lifted = dt_simulate(
-            step, z0, inputs, divergence_limit=divergence_limit, label=label
+            step,
+            z0,
+            inputs,
+            divergence_limit=divergence_limit,
+            label=label,
+            state_selector=selector,
         )
     output = lifted.with_states(lifted.states[:, selector], label=f"{label}_output")
     return lifted, output

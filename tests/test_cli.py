@@ -4,7 +4,17 @@ import json
 
 import numpy as np
 
-from kooplift.cli import main, preset_runs, run_simulate
+from kooplift import cli
+from kooplift.cli import (
+    main,
+    preset_runs,
+    resolve_system,
+    resolve_x0,
+    run_edmd,
+    run_simulate,
+)
+from kooplift.errors import DivergenceError
+from kooplift.lpv import output_matrix
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -228,6 +238,58 @@ class TestEdmdCommand:
         assert baselines[0] == "method,degree,alpha,l2_e1,l2_e2,diverged"
         methods = {line.split(",")[0] for line in baselines[1:]}
         assert {"exact_lpv", "edmdc_exact_A"} <= methods
+
+    def test_sweep_without_search_matches_searched_zero_rows(self):
+        rows = {}
+        for search in (True, False):
+            cfg = dict(DT_CFG, sweep={"degrees": [2, 3], "alpha_search": search})
+            rows[search] = run_edmd(cfg)["sweep_rows"]
+        assert [row[:2] for row in rows[False]] == [[2, 0.0], [3, 0.0]]
+        assert rows[False] == rows[True][::2]
+
+    def test_sweep_rows_when_every_candidate_diverges(self, monkeypatch):
+        cfg = dict(DT_CFG, fits=["edmdc"])
+        base = run_simulate(cfg)
+        bundle = resolve_system(cfg)
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("diverged", step=1)
+
+        monkeypatch.setattr(cli, "simulate_lti", diverge)
+        rows, _ = cli._degree_sweep(
+            bundle,
+            base,
+            base["trajectories"]["nonlinear"],
+            base["inputs"],
+            resolve_x0(cfg, bundle),
+            2,
+            2,
+            True,
+            1e12,
+        )
+        assert rows[0] == [2, 0.0, float("inf"), float("inf"), 1]
+        assert rows[1][0] == 2 and np.isnan(rows[1][1]) and rows[1][2:] == [
+            float("inf"), float("inf"), 1
+        ]
+
+    def test_alpha_objective_simulates_the_fit_it_receives(self):
+        # a zero model outputs x0 and then zeros; a refit would not
+        cfg = dict(DT_CFG, fits=["edmdc"])
+        base = run_simulate(cfg)
+        bundle = resolve_system(cfg)
+        nonlinear = base["trajectories"]["nonlinear"]
+        dictionary = bundle.dictionary
+        C = output_matrix(dictionary)
+        z0 = dictionary.evaluate(resolve_x0(cfg, bundle))
+        reports = {}
+        objective = cli._alpha_objective(
+            nonlinear, C, "discrete", z0, base["inputs"], None, 1e12, reports
+        )
+        n_f = dictionary.n_f
+        cost = objective(0.5, (np.zeros((n_f, n_f)), np.zeros((n_f, 1))))
+        expected = np.sqrt(np.sum(nonlinear.states[1:] ** 2, axis=0))
+        np.testing.assert_array_equal(reports[0.5].l2, expected)
+        assert cost == float(np.sum(expected))
 
     def test_alpha_grid_span(self):
         from kooplift import default_alpha_grid

@@ -15,6 +15,7 @@ from kooplift import (
     edmd_full,
     edmd_tikhonov,
     edmdc_input_fit,
+    monomial_dictionary,
     simulate_nonlinear,
 )
 from kooplift.errors import DimensionError, DivergenceError
@@ -26,6 +27,10 @@ def _dt_run(n_steps=100, seed=21, variance=0.5):
     inputs = build_inputs([spec], 1.0, n_steps)
     traj = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
     return bundle, traj
+
+
+def _relative_gap(fit, reference):
+    return np.linalg.norm(np.hstack(fit) - reference) / np.linalg.norm(reference)
 
 
 def _random_lti_data(rng, n_f=3, n_u=1, n=60):
@@ -66,6 +71,15 @@ class TestBuildSnapshots:
             np.testing.assert_array_equal(
                 data.Zp[:, k], bundle.dictionary.evaluate(traj.states[k + 1])
             )
+
+    def test_matrices_are_read_only_copies(self):
+        Z = np.ones((2, 3))
+        data = SnapshotData(Z=Z, Zp=Z, U=np.ones(3))
+        Z[0, 0] = 5.0
+        assert data.Z[0, 0] == 1.0
+        for matrix in (data.Z, data.Zp, data.U):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
 
     def test_too_short_rejected(self):
         bundle, _ = _dt_run()
@@ -172,6 +186,42 @@ class TestTikhonov:
         np.testing.assert_array_equal(A0, A1)
         np.testing.assert_array_equal(B0, B1)
 
+    def test_matches_solve_reference_over_grid(self):
+        # well-conditioned data: the filter-factor fit and a direct solve
+        # of the regularised normal equations agree to rounding
+        rng = np.random.default_rng(11)
+        data = SnapshotData(
+            Z=rng.normal(size=(6, 80)),
+            Zp=rng.normal(size=(6, 80)),
+            U=rng.normal(size=(2, 80)),
+        )
+        Y = np.vstack([data.Z, data.U])
+        grid = [a for a in default_alpha_grid() if 1e-6 <= a <= 1e6]
+        assert len(grid) == 13
+        for alpha in grid:
+            reference = np.linalg.solve(
+                Y @ Y.T + alpha * np.eye(Y.shape[0]), Y @ data.Zp.T
+            ).T
+            fit = edmd_tikhonov(data, alpha)
+            assert _relative_gap(fit, reference) <= 1e-9, alpha
+
+    def test_matches_augmented_least_squares_at_degree_six(self):
+        # the whitenoise preset's snapshots (seed 715) on a degree-6
+        # dictionary; the reference solves min ||[Y^T; sqrt(alpha) I] X - [Z+^T; 0]||
+        bundle = dt_example()
+        spec = SignalSpec(kind="white_noise", variance=0.5, seed=(715, 0))
+        inputs = build_inputs([spec], 1.0, 100)
+        traj = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
+        data = build_snapshots(traj, monomial_dictionary(2, 6))
+        Y = np.vstack([data.Z, data.U])
+        p = Y.shape[0]
+        for alpha in (1e-10, 1.0, 1e5):
+            augmented = np.vstack([Y.T, np.sqrt(alpha) * np.eye(p)])
+            target = np.vstack([data.Zp.T, np.zeros((p, data.n_f))])
+            reference = np.linalg.lstsq(augmented, target, rcond=None)[0].T
+            fit = edmd_tikhonov(data, alpha)
+            assert _relative_gap(fit, reference) <= 1e-10, alpha
+
     def test_small_alpha_converges_to_full(self):
         rng = np.random.default_rng(4)
         _, _, data = _random_lti_data(rng, n=80)
@@ -212,6 +262,23 @@ class TestAlphaSearch:
         _, _, data = _random_lti_data(rng)
         result = alpha_grid_search(data, [1e-3, 0.0, 10.0], lambda a, fit: 1.0)
         assert result.best_alpha == 0.0
+
+    def test_objective_receives_the_tikhonov_fit(self):
+        rng = np.random.default_rng(12)
+        _, _, data = _random_lti_data(rng)
+        received = {}
+
+        def objective(alpha, fit):
+            received[alpha] = fit
+            return 1.0
+
+        grid = default_alpha_grid()
+        alpha_grid_search(data, grid, objective)
+        assert sorted(received) == list(grid)
+        for alpha, (A_hat, B_hat) in received.items():
+            A_ref, B_ref = edmd_tikhonov(data, alpha)
+            np.testing.assert_array_equal(A_hat, A_ref)
+            np.testing.assert_array_equal(B_hat, B_ref)
 
     def test_single_element_grid(self):
         rng = np.random.default_rng(8)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kooplift import (
+    Monomial,
+    ObservableDictionary,
     SignalSpec,
     Trajectory,
     build_inputs,
@@ -113,6 +115,43 @@ class TestDtSimulate:
         with pytest.raises(DivergenceError) as exc:
             dt_simulate(step, [1.0], np.zeros((10, 1)))
         assert exc.value.step == 2
+
+    def test_exact_lift_limit_applies_to_state_not_observables(self):
+        # x1^20 and x2^10 pass the 1e12 limit while the state stays below 18
+        bundle = dt_example()
+        dictionary = ObservableDictionary(
+            2,
+            [
+                Monomial((a, b))
+                for b in range(11)
+                for a in range(21 - 2 * b)
+                if a + b > 0
+            ],
+        )
+        model = make_lpv(build_lifted_model(bundle.decomposition, dictionary))
+        spec = SignalSpec(kind="white_noise", variance=0.5, seed=2)
+        inputs = build_inputs([spec], ts=1.0, n_steps=100)
+        nonlinear = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
+        lifted, output = simulate_lpv(model, x0=[1.0, 1.0], inputs=inputs)
+        assert np.abs(lifted.states).max() > 1e12
+        assert np.abs(nonlinear.states).max() < 18.0
+        report = error_metrics(nonlinear, output)
+        assert report.linf[0] == 0.0
+        assert report.linf[1] <= 1e-12
+
+    def test_selector_still_rejects_non_finite_observables(self):
+        # the input row is written into the second coordinate
+        step = lambda k, x, u: np.array([x[0], u[0]])
+        inputs = np.array([[1e200], [np.inf], [0.0]])
+        traj = dt_simulate(step, [1.0, 1.0], inputs, n_steps=1, state_selector=[0])
+        assert traj.states[-1, 1] == 1e200
+        with pytest.raises(DivergenceError) as exc:
+            dt_simulate(step, [1.0, 1.0], inputs, state_selector=[0])
+        assert exc.value.step == 2
+        with pytest.raises(DivergenceError):
+            dt_simulate(
+                lambda k, x, u: 2.0 * x, [1e12, 1.0], np.zeros((2, 1)), state_selector=[0]
+            )
 
 
 class TestMultisine:
