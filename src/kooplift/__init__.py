@@ -44,7 +44,7 @@ from .errors import (
     NumericEvaluationError,
     SpanViolation,
 )
-from .examples import SystemBundle, builtin_names, builtin_system, ct_example, dt_example
+from .examples import SystemBundle, builtin_system, ct_example, dt_example
 from .lifting import (
     BilinearModel,
     LiftedModel,
@@ -66,7 +66,7 @@ from .lpv import (
     output_matrix,
 )
 from .polynomials import Monomial, PolynomialMap
-from .quadrature import QuadratureSpec, integrate_unit, unit_gauss_legendre
+from .quadrature import QuadratureSpec, unit_gauss_legendre
 from .sim import (
     ErrorReport,
     SignalSpec,

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError
-from .lpv import LPVKoopmanModel, LTIKoopmanModel
+from .lpv import LPVKoopmanModel, LTIKoopmanModel, lifted_step, lti_step
 from .sim import dt_simulate
 from .systems import DISCRETE, DomainBox
 
@@ -168,13 +168,12 @@ def error_trajectory(
     # B(x_k, u_k) of each exact step, reused by the error recurrence below
     input_matrices = []
 
-    def exact_step(k, z, u):
-        Bk = factored(z[selector], u)
-        input_matrices.append(Bk)
-        return A @ z + Bk @ u
+    def recorded(x, u):
+        input_matrices.append(factored(x, u))
+        return input_matrices[-1]
 
     exact_traj = dt_simulate(
-        exact_step,
+        lifted_step(A, recorded, selector),
         z0,
         inputs,
         n_steps=n_steps,
@@ -182,7 +181,7 @@ def error_trajectory(
         state_selector=selector,
     )
     approx_traj = dt_simulate(
-        lambda k, z, u: approx.A @ z + approx.B @ u,
+        lti_step(approx.A, approx.B),
         z0,
         inputs,
         n_steps=n_steps,
@@ -258,12 +257,15 @@ class BoundReport:
         return self.absolute_bound is not None
 
     def valid(self, slack: float = 1e-12) -> bool:
-        """Observed error below the curve, curve below the absolute bound."""
-        ok = bool(np.all(self.error_norm <= self.timevarying_bound + slack))
+        """Observed error below the curve, curve below the absolute bound.
+
+        ``slack`` is relative to each bound's scale, taken as at least 1.
+        """
+        tv = self.timevarying_bound
+        ok = bool(np.all(self.error_norm <= tv + slack * max(1.0, float(np.max(tv)))))
         if self.absolute_bound is not None:
-            ok = ok and bool(
-                np.all(self.timevarying_bound <= self.absolute_bound + slack)
-            )
+            absolute = self.absolute_bound
+            ok = ok and bool(np.all(tv <= absolute + slack * max(1.0, absolute)))
         return ok
 
     def to_document(self, meta: Optional[dict] = None) -> dict:

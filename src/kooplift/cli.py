@@ -42,12 +42,13 @@ from .errors import (
     KoopliftError,
 )
 from .examples import SystemBundle, builtin_system
-from .lifting import build_lifted_model
+from .lifting import DEFAULT_SPAN_TOLERANCE, build_lifted_model
 from .lpv import make_lpv, make_lti, output_matrix
-from .polynomials import PolynomialMap
+from .polynomials import Monomial, PolynomialMap
 from .quadrature import QuadratureSpec
 from .serialize import write_csv, write_json, write_trajectory_csv
 from .sim import (
+    DEFAULT_DIVERGENCE_LIMIT,
     SignalSpec,
     build_inputs,
     error_metrics,
@@ -58,8 +59,6 @@ from .sim import (
 from .systems import CONTINUOUS, DISCRETE, DomainBox, control_affine_decomposition
 
 DEFAULT_SEED = 715
-DEFAULT_SPAN_TOLERANCE = 1e-9
-DEFAULT_DIVERGENCE_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -128,21 +127,22 @@ def resolve_dictionary(cfg: dict, bundle: SystemBundle) -> ObservableDictionary:
     if spec is None:
         return bundle.dictionary
     n_x = bundle.n_x
-    if isinstance(spec, str):
-        return parse_dictionary(spec, n_x)
-    if isinstance(spec, dict):
-        if "degree" in spec:
-            return monomial_dictionary(
-                n_x, int(spec["degree"]), bool(spec.get("include_constant", False))
-            )
-        if "monomials" in spec:
-            if isinstance(spec["monomials"], str):
-                return parse_dictionary(spec["monomials"], n_x)
-            from .polynomials import Monomial
-
-            return ObservableDictionary(
-                n_x, [Monomial(e) for e in spec["monomials"]]
-            )
+    try:
+        if isinstance(spec, str):
+            return parse_dictionary(spec, n_x)
+        if isinstance(spec, dict):
+            if "degree" in spec:
+                return monomial_dictionary(
+                    n_x, int(spec["degree"]), bool(spec.get("include_constant", False))
+                )
+            if "monomials" in spec:
+                if isinstance(spec["monomials"], str):
+                    return parse_dictionary(spec["monomials"], n_x)
+                return ObservableDictionary(
+                    n_x, [Monomial(e) for e in spec["monomials"]]
+                )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid dictionary specification {spec!r}: {exc}")
     raise ConfigError(f"cannot interpret dictionary specification {spec!r}")
 
 
@@ -184,9 +184,16 @@ def resolve_horizon(cfg: dict, bundle: SystemBundle) -> Tuple[int, float]:
         seconds = cfg.get("horizon_seconds")
         if seconds is None:
             raise ConfigError("continuous-time runs need 'horizon_seconds'")
-        if float(seconds) <= 0:
+        seconds = float(seconds)
+        if seconds <= 0:
             raise ConfigError("'horizon_seconds' must be positive")
-        return int(round(float(seconds) / ts)), ts
+        n_steps = int(round(seconds / ts))
+        if abs(n_steps * ts - seconds) > 1e-9 * seconds:
+            raise ConfigError(
+                f"'horizon_seconds' {seconds:g} is not a whole number of "
+                f"steps of 'ts' {ts:g}"
+            )
+        return n_steps, ts
     steps = cfg.get("horizon_steps", 100)
     if int(steps) < 1:
         raise ConfigError("'horizon_steps' must be at least 1")
@@ -225,17 +232,21 @@ def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_lift(cfg: dict, out_dir: Optional[str] = None) -> dict:
-    bundle = resolve_system(cfg)
-    dictionary = resolve_dictionary(cfg, bundle)
-    quad = QuadratureSpec(int(cfg.get("quad_nodes", 16)))
+def _lift(cfg: dict, bundle: SystemBundle, dictionary: ObservableDictionary):
+    """The lifted model and its LPV form for a resolved system and dictionary."""
     lifted = build_lifted_model(
         bundle.decomposition,
         dictionary,
-        quad=quad,
+        quad=QuadratureSpec(int(cfg.get("quad_nodes", 16))),
         span_tolerance=float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
     )
-    lpv = make_lpv(lifted)
+    return lifted, make_lpv(lifted)
+
+
+def run_lift(cfg: dict, out_dir: Optional[str] = None) -> dict:
+    bundle = resolve_system(cfg)
+    dictionary = resolve_dictionary(cfg, bundle)
+    lifted, lpv = _lift(cfg, bundle, dictionary)
     print(f"lifted model for {bundle.name!r} ({lifted.time_domain})")
     print(f"  dictionary: {dictionary.n_f} observables, span residual {lifted.residual:.3e}")
     for row in lifted.A:
@@ -274,16 +285,9 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     n_steps, ts = resolve_horizon(cfg, bundle)
     x0 = resolve_x0(cfg, bundle)
     limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
-    quad = QuadratureSpec(int(cfg.get("quad_nodes", 16)))
 
     inputs = build_inputs(specs, ts, n_steps)
-    lifted = build_lifted_model(
-        bundle.decomposition,
-        dictionary,
-        quad=quad,
-        span_tolerance=float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
-    )
-    lpv = make_lpv(lifted)
+    lifted, lpv = _lift(cfg, bundle, dictionary)
 
     sim_ts = ts if bundle.time_domain == CONTINUOUS else None
     nonlinear = simulate_nonlinear(
@@ -739,8 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name == "simulate":
-            p.add_argument("--reproduce", help="run a named preset instead of a config")
 
     p = sub.add_parser("reproduce", help="run a named preset experiment")
     p.add_argument("preset", choices=PRESET_NAMES)
@@ -753,8 +755,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "reproduce":
             run_reproduce(args.preset, args.out, _overrides(args))
-        elif args.command == "simulate" and getattr(args, "reproduce", None):
-            run_reproduce(args.reproduce, args.out, _overrides(args))
         else:
             cfg = load_config(args.config, _overrides(args))
             _COMMANDS[args.command](cfg, out_dir=args.out)

@@ -10,6 +10,7 @@ finite differences when no gradient is supplied.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -18,8 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericEvaluationError
 from .polynomials import Monomial, PolynomialMap, _term_order_key
-
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+from .quadrature import central_difference
 
 
 class BlackBoxObservable:
@@ -41,24 +41,10 @@ class BlackBoxObservable:
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         if self.gradient is not None:
             return np.asarray(self.gradient(x), dtype=float)
-        return _central_gradient(self.func, np.asarray(x, dtype=float))
+        return central_difference(self.evaluate, x)
 
     def __repr__(self):
         return f"BlackBoxObservable({self.name})"
-
-
-def _central_gradient(func, x: np.ndarray) -> np.ndarray:
-    # step h = cbrt(eps) * max(1, |x_i|) per coordinate: standard
-    # accuracy/roundoff balance for second-order central differences
-    grad = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        h = _FD_STEP * max(1.0, abs(float(x[i])))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (float(func(xp)) - float(func(xm))) / (xp[i] - xm[i])
-    return grad
 
 
 Observable = Union[Monomial, BlackBoxObservable]
@@ -112,7 +98,13 @@ class ObservableDictionary:
             if self.all_monomial and self.observables
             else None
         )
-        self._jac_cache = self._build_jacobian_tables()
+        self._monomial_rows = [
+            j for j, o in enumerate(self.observables) if isinstance(o, Monomial)
+        ]
+        self._blackbox_rows = [
+            j for j, o in enumerate(self.observables) if not isinstance(o, Monomial)
+        ]
+        self._jac_small = self._small_jacobian_template()
 
     @property
     def n_f(self) -> int:
@@ -122,49 +114,42 @@ class ObservableDictionary:
     def all_monomial(self) -> bool:
         return all(isinstance(o, Monomial) for o in self.observables)
 
-    @property
-    def exponent_matrix(self) -> np.ndarray:
-        if self._monomial_exponents is None:
-            raise TypeError("dictionary contains black-box observables")
-        return self._monomial_exponents
+    @cached_property
+    def jacobian_map(self) -> PolynomialMap:
+        """Exact Jacobian of the monomial observables, built on first use.
 
-    def as_polynomial_map(self) -> PolynomialMap:
-        if not self.all_monomial:
-            raise TypeError("dictionary contains black-box observables")
+        Monomials keep their dictionary order, black-box entries are
+        skipped, and the result is flattened row-major: row ``r * n_x + i``
+        is the derivative of the r-th monomial with respect to ``x_i``.
+        """
         return PolynomialMap(
-            self.n_x, [{o.exponents: 1.0} for o in self.observables]
-        )
+            self.n_x,
+            [{self.observables[j].exponents: 1.0} for j in self._monomial_rows],
+        ).jacobian()
 
-    # below this many entries the scalar Jacobian path beats numpy broadcasting
+    # up to this many entries a template with the constant derivatives
+    # filled in beats evaluating the Jacobian map
     _SMALL_JACOBIAN = 64
 
-    def _build_jacobian_tables(self):
-        self._jac_small = None
-        if self._monomial_exponents is None:
+    def _small_jacobian_template(self):
+        """Jacobian with its constant entries set, plus the varying ones.
+
+        Each varying entry is (row, column, coefficient, ((variable,
+        exponent), ...)); only small all-monomial dictionaries get one.
+        """
+        if not self.all_monomial or self.n_f * self.n_x > self._SMALL_JACOBIAN:
             return None
-        E = self._monomial_exponents
-        lowered = np.repeat(E[None, :, :], self.n_x, axis=0)  # (n_x, n_f, n_x)
-        for i in range(self.n_x):
-            lowered[i, :, i] = np.maximum(lowered[i, :, i] - 1, 0)
-        if self.n_f * self.n_x <= self._SMALL_JACOBIAN:
-            template = np.zeros((self.n_f, self.n_x))
-            varying = []
-            for j, obs in enumerate(self.observables):
-                for i, e in enumerate(obs.exponents):
-                    if not e:
-                        continue
-                    lowered_exps = tuple(
-                        ek - 1 if k == i else ek for k, ek in enumerate(obs.exponents)
-                    )
-                    nz = tuple((k, ek) for k, ek in enumerate(lowered_exps) if ek)
-                    if nz:
-                        varying.append((j, i, float(e), nz))
-                    else:
-                        template[j, i] = float(e)
-            self._jac_small = (template, tuple(varying))
-        else:
-            self._jac_small = None
-        return E.astype(float), lowered
+        template = np.zeros((self.n_f, self.n_x))
+        varying = []
+        for r, row in enumerate(self.jacobian_map.rows):
+            j, i = divmod(r, self.n_x)
+            for exps, coeff in row.items():
+                nz = tuple((k, e) for k, e in enumerate(exps) if e)
+                if nz:
+                    varying.append((j, i, coeff, nz))
+                else:
+                    template[j, i] = coeff
+        return template, tuple(varying)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -203,35 +188,22 @@ class ObservableDictionary:
         for black-box entries.
         """
         x = np.asarray(x, dtype=float)
-        if self._jac_cache is not None:
-            if self._jac_small is not None:
-                template, varying = self._jac_small
-                jac = template.copy()
-                for j, i, coeff, nz in varying:
-                    v = coeff
-                    for k, e in nz:
-                        v *= float(x[k]) ** e
-                    jac[j, i] = v
-                return jac
-            coeff, lowered = self._jac_cache
-            # J[j, i] = E[j, i] * prod_k x_k ** lowered[i, j, k]
-            return (coeff * np.prod(x[None, None, :] ** lowered, axis=2).T)
+        if self._jac_small is not None:
+            template, varying = self._jac_small
+            jac = template.copy()
+            for j, i, coeff, nz in varying:
+                v = coeff
+                for k, e in nz:
+                    v *= float(x[k]) ** e
+                jac[j, i] = v
+            return jac
+        monomial = self.jacobian_map.evaluate(x).reshape(-1, self.n_x)
+        if not self._blackbox_rows:
+            return monomial
         jac = np.empty((self.n_f, self.n_x))
-        for j, obs in enumerate(self.observables):
-            if isinstance(obs, Monomial):
-                for i in range(self.n_x):
-                    e = obs.exponents[i]
-                    if not e:
-                        jac[j, i] = 0.0
-                        continue
-                    v = float(e)
-                    for k, ek in enumerate(obs.exponents):
-                        p = ek - 1 if k == i else ek
-                        if p:
-                            v *= float(x[k]) ** p
-                    jac[j, i] = v
-            else:
-                jac[j] = obs.gradient_at(x)
+        jac[self._monomial_rows] = monomial
+        for j in self._blackbox_rows:
+            jac[j] = self.observables[j].gradient_at(x)
         return jac
 
     def describe(self) -> dict:

@@ -86,15 +86,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         e1 = math.exp(u[1])
         return np.array([[x[0] * e0, 0.0], [u[1], u[0] + x[1] * e1]])
 
-    def g_input_jacobian_batch(x, u_batch):
-        u_batch = np.asarray(u_batch, dtype=float)
-        out = np.empty((u_batch.shape[0], 2, 2))
-        out[:, 0, 0] = x[0] * np.exp(u_batch[:, 0])
-        out[:, 0, 1] = 0.0
-        out[:, 1, 0] = u_batch[:, 1]
-        out[:, 1, 1] = u_batch[:, 0] + x[1] * np.exp(u_batch[:, 1])
-        return out
-
     def g_input_jacobian_ray(x, u, nodes, weights):
         # weighted node average of dg/du(x, nodes_q * u); only the exp
         # entries actually vary with the node, so two dot products suffice
@@ -117,7 +108,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         autonomous=f_c,
         input_driven=g_eval,
         input_jacobian=g_input_jacobian,
-        input_jacobian_batch=g_input_jacobian_batch,
         input_jacobian_ray=g_input_jacobian_ray,
         state_box=state_box,
         input_box=input_box,
@@ -132,7 +122,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         2,
         f_d_eval,
         input_jacobian=g_input_jacobian,
-        input_jacobian_batch=g_input_jacobian_batch,
         time_domain=CONTINUOUS,
         name="ct-example",
     )
@@ -177,7 +166,6 @@ def dt_example(a1: float = 0.7, a2: float = 0.7, a3: float = 0.5) -> SystemBundl
         1,
         f_d_eval,
         input_jacobian=decomposition.input_jacobian,
-        input_jacobian_batch=decomposition.input_jacobian_batch,
         time_domain=DISCRETE,
         name="dt-example",
     )
@@ -207,7 +195,3 @@ def builtin_system(name: str) -> SystemBundle:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown built-in system {name!r}; known: {known}") from None
     return factory()
-
-
-def builtin_names():
-    return sorted(_REGISTRY)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ from .polynomials import (
     poly_add,
     poly_mul,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, central_difference
 from .systems import CONTINUOUS, DISCRETE, Decomposition, DomainBox
 
 log = logging.getLogger(__name__)
@@ -315,25 +316,9 @@ def factorize_input(
     return acc
 
 
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
 def _fd_input_term_jacobian(input_term):
     def jac(x, v):
-        v = np.asarray(v, dtype=float)
-        cols = []
-        for j in range(v.shape[0]):
-            h = _FD_STEP * max(1.0, abs(float(v[j])))
-            vp = v.copy()
-            vm = v.copy()
-            vp[j] += h
-            vm[j] -= h
-            cols.append(
-                (np.asarray(input_term(x, vp), dtype=float)
-                 - np.asarray(input_term(x, vm), dtype=float))
-                / (vp[j] - vm[j])
-            )
-        return np.stack(cols, axis=1)
+        return central_difference(lambda w: input_term(x, w), v)
 
     return jac
 
@@ -499,7 +484,6 @@ class LiftedModel:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     input_dependent: bool = True
     factored_batch: Optional[Callable] = None
-    symbolic_input: Optional[PolynomialMap] = None
     name: str = "lifted-model"
 
     @property
@@ -582,7 +566,6 @@ def build_lifted_model(
     symbolic_input = (
         decomposition.control_affine_columns is not None and dictionary.all_monomial
     )
-    symbolic_term = None
     if time_domain == CONTINUOUS:
         if symbolic_input:
             columns = _symbolic_ct_columns(decomposition, dictionary)
@@ -602,7 +585,7 @@ def build_lifted_model(
 
             input_dependent = False
         else:
-            term = _ct_oracle_input_term(decomposition, dictionary)
+            term = partial(input_term_ct, decomposition, dictionary)
             factored = _ct_oracle_factored(decomposition, dictionary, quad)
             factored_batch = None
             input_dependent = True
@@ -611,9 +594,8 @@ def build_lifted_model(
             symbolic_term, columns_joint, input_dependent = _symbolic_dt_input(
                 decomposition, dictionary
             )
-            n_x = decomposition.n_x
 
-            def term(x, u, _poly=symbolic_term, _n_x=n_x):
+            def term(x, u, _poly=symbolic_term):
                 point = np.concatenate(
                     [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
                 )
@@ -634,8 +616,8 @@ def build_lifted_model(
                 )
 
         else:
-            term = _dt_oracle_input_term(decomposition, dictionary, quad)
-            factored = _dt_oracle_factored(decomposition, dictionary, quad)
+            term = partial(input_term_dt, decomposition, dictionary, quad=quad)
+            factored = _dt_oracle_factored(decomposition, dictionary, quad, term)
             factored_batch = None
             input_dependent = True
 
@@ -651,17 +633,8 @@ def build_lifted_model(
         quad=quad,
         input_dependent=input_dependent,
         factored_batch=factored_batch,
-        symbolic_input=symbolic_term,
         name=name or decomposition.name,
     )
-
-
-def _ct_oracle_input_term(decomposition, dictionary):
-    def term(x, u):
-        x = np.asarray(x, dtype=float)
-        return dictionary.jacobian(x) @ decomposition.eval_input_driven(x, u)
-
-    return term
 
 
 def _ct_oracle_factored(decomposition, dictionary, quad):
@@ -672,10 +645,7 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
     Jacobian times the integrated input-Jacobian of g.
     """
     lam, w = quad.rule()
-    jac_batch = decomposition.input_jacobian_batch
     jac_ray = decomposition.input_jacobian_ray
-    n_q = lam.shape[0]
-    shape = (decomposition.n_x, decomposition.n_u)
 
     def factored(x, u):
         x = np.asarray(x, dtype=float)
@@ -685,22 +655,13 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
             return J @ decomposition.input_jacobian_at(x, u)
         if jac_ray is not None:
             S = jac_ray(x, u, lam, w)
-        elif jac_batch is not None:
-            S = (w @ jac_batch(x, lam[:, None] * u).reshape(n_q, -1)).reshape(shape)
         else:
             S = w[0] * decomposition.input_jacobian_at(x, lam[0] * u)
-            for q in range(1, n_q):
+            for q in range(1, lam.shape[0]):
                 S += w[q] * decomposition.input_jacobian_at(x, lam[q] * u)
         return J @ S
 
     return factored
-
-
-def _dt_oracle_input_term(decomposition, dictionary, quad):
-    def term(x, u):
-        return input_term_dt(decomposition, dictionary, x, u, quad=quad)
-
-    return term
 
 
 def _dt_input_term_jacobian(decomposition, dictionary, quad):
@@ -715,7 +676,7 @@ def _dt_input_term_jacobian(decomposition, dictionary, quad):
     differences on the input term itself.
     """
     lam, w = quad.rule()
-    hessian = dictionary.as_polynomial_map().jacobian().jacobian()
+    hessian = dictionary.jacobian_map.jacobian()
     n_f, n_x = dictionary.n_f, dictionary.n_x
 
     def jac(x, v):
@@ -734,16 +695,14 @@ def _dt_input_term_jacobian(decomposition, dictionary, quad):
     return jac
 
 
-def _dt_oracle_factored(decomposition, dictionary, quad):
+def _dt_oracle_factored(decomposition, dictionary, quad, term):
     analytic = (
         decomposition.input_jacobian is not None and dictionary.all_monomial
     )
     if analytic:
         term_jacobian = _dt_input_term_jacobian(decomposition, dictionary, quad)
     else:
-        term_jacobian = _fd_input_term_jacobian(
-            _dt_oracle_input_term(decomposition, dictionary, quad)
-        )
+        term_jacobian = _fd_input_term_jacobian(term)
 
     def factored(x, u):
         return factorize_input(

@@ -172,8 +172,26 @@ def make_lpv(
     )
 
 
+def lifted_step(A: np.ndarray, input_matrix: Callable, selector) -> Callable:
+    """The lifted model's step ``(z, u) -> A z + B(x, u) u`` with ``x = z[selector]``.
+
+    ``input_matrix(x, u)`` returns B(x, u). The step is the vector field in
+    continuous time and the successor map in discrete time.
+    """
+
+    def step(z, u):
+        return A @ z + input_matrix(z[selector], u) @ u
+
+    return step
+
+
+def lti_step(A: np.ndarray, B: np.ndarray) -> Callable:
+    """The constant-matrix step ``(z, u) -> A z + B u``."""
+    return lambda z, u: A @ z + B @ u
+
+
 def eval_lpv_step(model: LPVKoopmanModel, z, u) -> np.ndarray:
-    """One evaluation of the LPV model: A z + B_z(mu(z, u)) u.
+    """One evaluation of the LPV model: A z + B(x, u) u with x = C z.
 
     Returns the lifted vector field in continuous time and the successor
     state in discrete time.
@@ -185,8 +203,8 @@ def eval_lpv_step(model: LPVKoopmanModel, z, u) -> np.ndarray:
             f"expected z of shape ({model.n_f},) and u of shape ({model.n_u},), "
             f"got {z.shape} and {u.shape}"
         )
-    p = model.scheduling_map(z, u)
-    return model.A @ z + model.input_matrix(p) @ u
+    selector = list(model.dictionary.state_selector)
+    return lifted_step(model.A, model.input_matrix_from_state, selector)(z, u)
 
 
 def make_lti(A, B, C, time_domain: str = DISCRETE, name: str = "lti-koopman") -> LTIKoopmanModel:

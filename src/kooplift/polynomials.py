@@ -137,12 +137,6 @@ def poly_add(a: TermDict, b: TermDict) -> TermDict:
     return _sorted_terms(out)
 
 
-def poly_scale(a: TermDict, s: float) -> TermDict:
-    if s == 0.0:
-        return {}
-    return {exps: c * s for exps, c in a.items()}
-
-
 def poly_mul(a: TermDict, b: TermDict) -> TermDict:
     out: TermDict = {}
     for ea, ca in a.items():
@@ -271,9 +265,6 @@ class PolynomialMap:
     @property
     def n_out(self) -> int:
         return len(self.rows)
-
-    def degree(self) -> int:
-        return max((sum(e) for row in self.rows for e in row), default=0)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         if len(x) != self.n_vars:

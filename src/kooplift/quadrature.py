@@ -1,7 +1,9 @@
-"""Gauss-Legendre quadrature on the unit interval.
+"""Gauss-Legendre quadrature on the unit interval and central differences.
 
 All line integrals in this package are taken over a straight segment
 parameterised on [0, 1], so a single cached family of rules suffices.
+Derivatives that no analytic form supplies are taken by one central
+difference rule.
 """
 
 from __future__ import annotations
@@ -46,10 +48,26 @@ def unit_gauss_legendre(n: int):
     return nodes, weights
 
 
-def integrate_unit(f, nodes: int = 16):
-    """Integrate a scalar- or vector-valued callable over [0, 1]."""
-    lam, w = unit_gauss_legendre(nodes)
-    acc = w[0] * np.asarray(f(lam[0]), dtype=float)
-    for i in range(1, nodes):
-        acc = acc + w[i] * np.asarray(f(lam[i]), dtype=float)
-    return acc
+# step h = cbrt(eps) * max(1, |v_j|) per coordinate: the standard
+# accuracy/roundoff balance for second-order central differences
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def central_difference(func, v) -> np.ndarray:
+    """Central-difference Jacobian of ``func(v)`` with respect to ``v``.
+
+    The derivative along ``v_j`` is the last axis of the result, so a
+    scalar ``func`` gives its gradient and a vector one its Jacobian.
+    """
+    v = np.asarray(v, dtype=float)
+    cols = []
+    for j in range(v.shape[0]):
+        h = _FD_STEP * max(1.0, abs(float(v[j])))
+        vp = v.copy()
+        vm = v.copy()
+        vp[j] += h
+        vm[j] -= h
+        fp = np.asarray(func(vp), dtype=float)
+        fm = np.asarray(func(vm), dtype=float)
+        cols.append((fp - fm) / (vp[j] - vm[j]))
+    return np.stack(cols, axis=-1)

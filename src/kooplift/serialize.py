@@ -70,10 +70,6 @@ def write_json(path, obj) -> Path:
     return path
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """CSV with 17-significant-digit floats; integers and strings pass through."""
     path = Path(path)

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .lpv import LPVKoopmanModel, LTIKoopmanModel
+from .lpv import LPVKoopmanModel, LTIKoopmanModel, lifted_step, lti_step
 from .systems import CONTINUOUS, Decomposition
 
 DEFAULT_DIVERGENCE_LIMIT = 1e12
@@ -49,14 +49,6 @@ class Trajectory:
                     f"inputs of shape {self.inputs.shape} do not match "
                     f"{self.times.shape[0]} time points"
                 )
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0] - 1
-
-    @property
-    def n_states(self) -> int:
-        return self.states.shape[1]
 
     def with_states(self, states: np.ndarray, label: str) -> "Trajectory":
         return Trajectory(self.times, states, inputs=self.inputs, label=label)
@@ -165,6 +157,31 @@ def _check_state(
         )
 
 
+def _rk4(rhs, x0, ts, stages, n_steps, divergence_limit, label, selector=None):
+    """Classical fourth-order Runge-Kutta with fixed step ``ts``.
+
+    ``stages`` yields, per step, the second arguments ``rhs(x, v)`` takes
+    at the step's start, midpoint and end. Returns the (n_steps + 1, n)
+    state record.
+    """
+    if ts <= 0:
+        raise ValueError(f"step size must be positive, got {ts}")
+    x = np.asarray(x0, dtype=float).copy()
+    states = np.empty((n_steps + 1, x.shape[0]))
+    states[0] = x
+    half = 0.5 * ts
+    sixth = ts / 6.0
+    for k, (start, mid, end) in enumerate(stages):
+        k1 = rhs(x, start)
+        k2 = rhs(x + half * k1, mid)
+        k3 = rhs(x + half * k2, mid)
+        k4 = rhs(x + ts * k3, end)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        _check_state(x, k + 1, divergence_limit, label, selector)
+        states[k + 1] = x
+    return states
+
+
 def rk4_integrate(
     field: Callable[[float, np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -174,23 +191,18 @@ def rk4_integrate(
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
     label: str = "rk4",
 ) -> Trajectory:
-    """Classical fourth-order Runge-Kutta with fixed step ``ts``."""
-    if ts <= 0:
-        raise ValueError(f"step size must be positive, got {ts}")
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_steps + 1, x.shape[0]))
-    states[0] = x
+    """Classical fourth-order Runge-Kutta for a time-dependent field(t, x)."""
     half = 0.5 * ts
-    sixth = ts / 6.0
-    for k in range(n_steps):
-        t = t0 + k * ts
-        k1 = field(t, x)
-        k2 = field(t + half, x + half * k1)
-        k3 = field(t + half, x + half * k2)
-        k4 = field(t + ts, x + ts * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, k + 1, divergence_limit, label)
-        states[k + 1] = x
+    starts = (t0 + k * ts for k in range(n_steps))
+    states = _rk4(
+        lambda x, t: field(t, x),
+        x0,
+        ts,
+        ((t, t + half, t + ts) for t in starts),
+        n_steps,
+        divergence_limit,
+        label,
+    )
     times = t0 + np.arange(n_steps + 1) * ts
     return Trajectory(times, states, label=label)
 
@@ -211,32 +223,26 @@ def simulate_ct(
     is recorded but never applied. ``state_selector`` restricts the
     divergence limit to those coordinates; the rest must stay finite.
     """
-    if ts <= 0:
-        raise ValueError(f"step size must be positive, got {ts}")
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n_steps = inputs.shape[0] - 1
     if n_steps < 1:
         raise DimensionError("need at least two input rows (one step)")
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_steps + 1, x.shape[0]))
-    states[0] = x
-    half = 0.5 * ts
-    sixth = ts / 6.0
-    for k in range(n_steps):
-        u = inputs[k]
-        k1 = rhs(x, u)
-        k2 = rhs(x + half * k1, u)
-        k3 = rhs(x + half * k2, u)
-        k4 = rhs(x + ts * k3, u)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, k + 1, divergence_limit, label, state_selector)
-        states[k + 1] = x
+    states = _rk4(
+        rhs,
+        x0,
+        ts,
+        ((u, u, u) for u in inputs[:n_steps]),
+        n_steps,
+        divergence_limit,
+        label,
+        state_selector,
+    )
     times = np.arange(n_steps + 1) * ts
     return Trajectory(times, states, inputs=inputs, label=label)
 
 
 def dt_simulate(
-    step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x0: Sequence[float],
     inputs: np.ndarray,
     n_steps: Optional[int] = None,
@@ -246,8 +252,10 @@ def dt_simulate(
 ) -> Trajectory:
     """Iterate a discrete-time map under recorded inputs.
 
-    ``state_selector`` restricts the divergence limit to those coordinates;
-    the rest must stay finite.
+    ``step(x, u)`` returns the successor of state ``x`` under input row
+    ``u``, the same contract as the right-hand side ``rhs(x, u)`` of
+    :func:`simulate_ct`. ``state_selector`` restricts the divergence limit
+    to those coordinates; the rest must stay finite.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if n_steps is None:
@@ -260,11 +268,24 @@ def dt_simulate(
     states = np.empty((n_steps + 1, x.shape[0]))
     states[0] = x
     for k in range(n_steps):
-        x = np.asarray(step(k, x, inputs[k]), dtype=float)
+        x = np.asarray(step(x, inputs[k]), dtype=float)
         _check_state(x, k + 1, divergence_limit, label, state_selector)
         states[k + 1] = x
     times = np.arange(n_steps + 1, dtype=float)
     return Trajectory(times, states, inputs=inputs[: n_steps + 1], label=label)
+
+
+def _simulate(time_domain, step, x0, inputs, ts, **options) -> Trajectory:
+    """Integrate ``step(x, u)`` as a vector field or iterate it as a map.
+
+    ``options`` are the keyword arguments that :func:`simulate_ct` and
+    :func:`dt_simulate` share.
+    """
+    if time_domain == CONTINUOUS:
+        if ts is None:
+            raise ValueError("continuous-time simulation needs ts")
+        return simulate_ct(step, x0, inputs, ts, **options)
+    return dt_simulate(step, x0, inputs, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +371,12 @@ def simulate_nonlinear(
         else decomposition.autonomous
     )
     g = decomposition.input_driven
-
-    if decomposition.time_domain == CONTINUOUS:
-        if ts is None:
-            raise ValueError("continuous-time simulation needs ts")
-        return simulate_ct(
-            lambda x, u: f(x) + g(x, u),
-            x0,
-            inputs,
-            ts,
-            divergence_limit=divergence_limit,
-            label=label,
-        )
-    return dt_simulate(
-        lambda k, x, u: f(x) + g(x, u),
+    return _simulate(
+        decomposition.time_domain,
+        lambda x, u: f(x) + g(x, u),
         x0,
         inputs,
+        ts,
         divergence_limit=divergence_limit,
         label=label,
     )
@@ -391,39 +402,17 @@ def simulate_lpv(
         if x0 is None:
             raise ValueError("need x0 or z0")
         z0 = model.dictionary.evaluate(np.asarray(x0, dtype=float))
-    A = model.A
-    factored = model.factored_input
     selector = list(model.dictionary.state_selector)
-
-    if model.time_domain == CONTINUOUS:
-        if ts is None:
-            raise ValueError("continuous-time simulation needs ts")
-
-        def rhs(z, u):
-            return A @ z + factored(z[selector], u) @ u
-
-        lifted = simulate_ct(
-            rhs,
-            z0,
-            inputs,
-            ts,
-            divergence_limit=divergence_limit,
-            label=label,
-            state_selector=selector,
-        )
-    else:
-
-        def step(k, z, u):
-            return A @ z + factored(z[selector], u) @ u
-
-        lifted = dt_simulate(
-            step,
-            z0,
-            inputs,
-            divergence_limit=divergence_limit,
-            label=label,
-            state_selector=selector,
-        )
+    lifted = _simulate(
+        model.time_domain,
+        lifted_step(model.A, model.factored_input, selector),
+        z0,
+        inputs,
+        ts,
+        divergence_limit=divergence_limit,
+        label=label,
+        state_selector=selector,
+    )
     output = lifted.with_states(lifted.states[:, selector], label=f"{label}_output")
     return lifted, output
 
@@ -437,27 +426,16 @@ def simulate_lti(
     label: str = "koopman_lti",
 ):
     """Simulate an LTI lifted model; returns (lifted, output) trajectories."""
-    A, B, C = model.A, model.B, model.C
-    if model.time_domain == CONTINUOUS:
-        if ts is None:
-            raise ValueError("continuous-time simulation needs ts")
-        lifted = simulate_ct(
-            lambda z, u: A @ z + B @ u,
-            z0,
-            inputs,
-            ts,
-            divergence_limit=divergence_limit,
-            label=label,
-        )
-    else:
-        lifted = dt_simulate(
-            lambda k, z, u: A @ z + B @ u,
-            z0,
-            inputs,
-            divergence_limit=divergence_limit,
-            label=label,
-        )
-    output = lifted.with_states(lifted.states @ C.T, label=f"{label}_output")
+    lifted = _simulate(
+        model.time_domain,
+        lti_step(model.A, model.B),
+        z0,
+        inputs,
+        ts,
+        divergence_limit=divergence_limit,
+        label=label,
+    )
+    output = lifted.with_states(lifted.states @ model.C.T, label=f"{label}_output")
     return lifted, output
 
 

@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import DimensionError, DomainEvaluationError
 from .polynomials import PolynomialMap
+from .quadrature import central_difference
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _check_time_domain(time_domain: str) -> str:
@@ -88,10 +87,8 @@ class DynamicsOracle:
     """Black-box evaluatable dynamics ``f_d(x, u)``.
 
     ``input_jacobian`` returns the n_x-by-n_u Jacobian with respect to the
-    input; when absent, central finite differences are used. An optional
-    ``input_jacobian_batch`` evaluates the Jacobian at one state and many
-    inputs at once (shape (m, n_u) -> (m, n_x, n_u)), which the quadrature
-    code uses to cut per-node call overhead.
+    input; when absent, :func:`decompose` leaves the input-driven part to
+    central finite differences.
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class DynamicsOracle:
         n_u: int,
         eval: Callable[[np.ndarray, np.ndarray], np.ndarray],
         input_jacobian: Optional[Callable] = None,
-        input_jacobian_batch: Optional[Callable] = None,
         time_domain: str = CONTINUOUS,
         name: str = "oracle",
     ):
@@ -108,39 +104,17 @@ class DynamicsOracle:
         self.n_u = int(n_u)
         self.eval = eval
         self.input_jacobian = input_jacobian
-        self.input_jacobian_batch = input_jacobian_batch
         self.time_domain = _check_time_domain(time_domain)
         self.name = name
 
     def __call__(self, x, u) -> np.ndarray:
         return np.asarray(self.eval(x, u), dtype=float)
 
-    def input_jacobian_at(self, x, u) -> np.ndarray:
-        if self.input_jacobian is not None:
-            return np.asarray(self.input_jacobian(x, u), dtype=float)
-        return finite_difference_input_jacobian(self.eval, x, u)
-
     def __repr__(self):
         return (
             f"DynamicsOracle({self.name}, n_x={self.n_x}, n_u={self.n_u}, "
             f"{self.time_domain})"
         )
-
-
-def finite_difference_input_jacobian(func, x, u) -> np.ndarray:
-    """Central-difference Jacobian of ``func(x, u)`` with respect to ``u``."""
-    u = np.asarray(u, dtype=float)
-    cols = []
-    for j in range(u.shape[0]):
-        h = _FD_STEP * max(1.0, abs(float(u[j])))
-        up = u.copy()
-        um = u.copy()
-        up[j] += h
-        um[j] -= h
-        fp = np.asarray(func(x, up), dtype=float)
-        fm = np.asarray(func(x, um), dtype=float)
-        cols.append((fp - fm) / (up[j] - um[j]))
-    return np.stack(cols, axis=1)
 
 
 @dataclass
@@ -160,7 +134,6 @@ class Decomposition:
     autonomous: object
     input_driven: Callable[[np.ndarray, np.ndarray], np.ndarray]
     input_jacobian: Optional[Callable] = None
-    input_jacobian_batch: Optional[Callable] = None
     # optional fused form of sum_q w_q dg/du(x, nodes_q * u); signature
     # (x, u, nodes, weights) -> (n_x, n_u). Purely a fast path for the
     # factorisation quadrature; must agree with input_jacobian.
@@ -201,7 +174,7 @@ class Decomposition:
     def input_jacobian_at(self, x, u) -> np.ndarray:
         if self.input_jacobian is not None:
             return np.asarray(self.input_jacobian(x, u), dtype=float)
-        return finite_difference_input_jacobian(self.input_driven, x, u)
+        return central_difference(lambda v: self.input_driven(x, v), u)
 
 
 def decompose(f_d: DynamicsOracle) -> Decomposition:
@@ -227,18 +200,14 @@ def decompose(f_d: DynamicsOracle) -> Decomposition:
     def input_driven(x, u):
         return np.asarray(f_d.eval(x, u), dtype=float) - autonomous(x)
 
-    def input_jacobian(x, u):
-        # d/du [f_d(x,u) - f_d(x,0)] = d/du f_d(x,u)
-        return f_d.input_jacobian_at(x, u)
-
     return Decomposition(
         n_x=f_d.n_x,
         n_u=f_d.n_u,
         time_domain=f_d.time_domain,
         autonomous=autonomous,
         input_driven=input_driven,
-        input_jacobian=input_jacobian if f_d.input_jacobian is not None else None,
-        input_jacobian_batch=f_d.input_jacobian_batch,
+        # d/du [f_d(x,u) - f_d(x,0)] = d/du f_d(x,u)
+        input_jacobian=f_d.input_jacobian,
         name=f_d.name,
     )
 
@@ -263,10 +232,6 @@ def control_affine_decomposition(
     def input_jacobian(x, u):
         return np.stack([col.evaluate(x) for col in g_columns], axis=1)
 
-    def input_jacobian_batch(x, u_batch):
-        G = np.stack([col.evaluate(x) for col in g_columns], axis=1)
-        return np.broadcast_to(G, (np.asarray(u_batch).shape[0],) + G.shape)
-
     return Decomposition(
         n_x=n_x,
         n_u=n_u,
@@ -274,7 +239,6 @@ def control_affine_decomposition(
         autonomous=f,
         input_driven=input_driven,
         input_jacobian=input_jacobian,
-        input_jacobian_batch=input_jacobian_batch,
         control_affine_columns=g_columns,
         state_box=state_box,
         input_box=input_box,

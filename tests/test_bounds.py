@@ -18,9 +18,11 @@ from kooplift import (
     error_trajectory,
     make_lpv,
     make_lti,
+    simulate_lpv,
     simulate_nonlinear,
     stability_scalars,
 )
+from kooplift.bounds import BoundReport
 from kooplift.errors import DimensionError
 
 
@@ -195,6 +197,13 @@ class TestErrorTrajectory:
         evol = error_trajectory(lpv, lti, z0, np.zeros((60, 1)))
         np.testing.assert_array_equal(evol.norms, np.zeros(60))
 
+    def test_exact_states_are_the_lpv_simulation(self):
+        # error_trajectory and simulate_lpv take the same lifted step
+        bundle, lpv, lti, inputs, _ = _dt_setup()
+        lifted, _ = simulate_lpv(lpv, x0=[1.0, 1.0], inputs=inputs)
+        evol = error_trajectory(lpv, lti, lifted.states[0], inputs)
+        assert np.array_equal(evol.exact_states, lifted.states)
+
     def test_recurrence_matches_simulation_difference(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
@@ -285,6 +294,28 @@ class TestBoundReport:
         doc = report.to_document()
         assert doc["beta_argmax_state"] == [float(v) for v in x_star]
         assert doc["beta_argmax_input"] == [float(v) for v in u_star]
+
+    @staticmethod
+    def _report(error, tv, absolute=None):
+        return BoundReport(
+            rho=0.5,
+            sigma=0.5,
+            beta=1.0,
+            u_linf=1.0,
+            absolute_bound=absolute,
+            timevarying_bound=np.asarray(tv, dtype=float),
+            error_norm=np.asarray(error, dtype=float),
+        )
+
+    def test_validity_slack_is_relative_to_the_bound(self):
+        # one part in 1e15 of a 1e6-scale bound is rounding, not a violation
+        assert self._report([0.0, 1e6 * (1 + 1e-15)], [0.0, 1e6]).valid()
+        assert not self._report([0.0, 1e6 * (1 + 1e-6)], [0.0, 1e6]).valid()
+        assert self._report([0.0, 0.0], [0.0, 1e6 * (1 + 1e-15)], absolute=1e6).valid()
+        assert not self._report([0.0, 0.0], [0.0, 1e6 * (1 + 1e-6)], absolute=1e6).valid()
+        # below scale 1 the slack stays absolute
+        assert self._report([0.0, 1e-3 + 1e-13], [0.0, 1e-3]).valid()
+        assert not self._report([0.0, 1e-3 + 1e-11], [0.0, 1e-3]).valid()
 
     def test_document_shape(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()

@@ -3,17 +3,20 @@
 import json
 
 import numpy as np
+import pytest
 
 from kooplift import cli
 from kooplift.cli import (
     main,
     preset_runs,
+    resolve_horizon,
     resolve_system,
     resolve_x0,
     run_edmd,
+    run_reproduce,
     run_simulate,
 )
-from kooplift.errors import DivergenceError
+from kooplift.errors import ConfigError, DivergenceError
 from kooplift.lpv import output_matrix
 
 
@@ -85,6 +88,20 @@ class TestLift:
     def test_span_violation_exit_code(self):
         assert main(["lift", "--system", "dt-example", "--dict", "x1,x2"]) == 4
 
+    def test_variable_out_of_range_is_config_error(self):
+        assert main(["lift", "--system", "dt-example", "--dict", "x3"]) == 2
+
+    def test_negative_exponent_text_is_config_error(self):
+        assert main(["lift", "--system", "dt-example", "--dict", "x1^-1"]) == 2
+
+    def test_negative_exponent_list_is_config_error(self, tmp_path):
+        cfg = {
+            "system": "dt-example",
+            "dictionary": {"monomials": [[1, 0], [0, 1], [-1, 0]]},
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["lift", "--config", path]) == 2
+
 
 class TestSimulate:
     def test_outputs_written(self, tmp_path):
@@ -145,6 +162,24 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 2
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
+        # 1.0 / 0.3 would silently run 3 steps, i.e. 0.9 s
+        cfg = {
+            "system": "ct-example",
+            "ts": 0.3,
+            "horizon_seconds": 1.0,
+            "signals": [{"kind": "zero"}, {"kind": "zero"}],
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
+
+    def test_horizon_quotient_rounding_accepted(self):
+        bundle = resolve_system({"system": "ct-example"})
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        assert resolve_horizon({"ts": 0.1, "horizon_seconds": 0.3}, bundle) == (3, 0.1)
+        assert resolve_horizon({"ts": 1e-4, "horizon_seconds": 25.0}, bundle) == (250000, 1e-4)
+        assert resolve_horizon({"ts": 1e-4, "horizon_seconds": 0.5}, bundle) == (5000, 1e-4)
+
 
 class TestPresets:
     def test_all_presets_expand(self):
@@ -173,12 +208,11 @@ class TestPresets:
         )
         assert (tmp_path / "errors.json").exists()
 
-    def test_simulate_reproduce_flag(self, tmp_path):
+    def test_reproduce_multisine_preset(self, tmp_path):
         assert (
             main(
                 [
-                    "simulate",
-                    "--reproduce",
+                    "reproduce",
                     "dt-example-multisine",
                     "--out",
                     str(tmp_path),
@@ -191,7 +225,12 @@ class TestPresets:
         assert (tmp_path / "traj_koopman_lpv.csv").exists()
 
     def test_unknown_preset_rejected(self, tmp_path):
-        assert main(["simulate", "--reproduce", "no-such-preset"]) == 2
+        # argparse rejects a name outside the preset choices with status 2
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "no-such-preset"])
+        assert exc.value.code == 2
+        with pytest.raises(ConfigError):
+            run_reproduce("no-such-preset", None, {})
 
 
 class TestBoundsCommand:

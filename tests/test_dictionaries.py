@@ -14,6 +14,7 @@ from kooplift import (
     parse_monomial,
 )
 from kooplift.errors import DimensionError, NumericEvaluationError
+from kooplift.quadrature import central_difference
 
 
 class TestMonomialDictionary:
@@ -116,10 +117,10 @@ class TestJacobian:
             d.jacobian([3.0, -1.0]), [[1.0, 0.0], [0.0, 1.0], [6.0, 0.0]]
         )
 
-    def test_small_and_broadcast_paths_agree(self):
+    def test_small_and_map_paths_agree(self):
         rng = np.random.default_rng(4)
-        small = monomial_dictionary(2, 3)  # scalar path
-        big = monomial_dictionary(2, 12)  # broadcast path (n_f * n_x > 64)
+        small = monomial_dictionary(2, 3)  # template path
+        big = monomial_dictionary(2, 12)  # Jacobian-map path (n_f * n_x > 64)
         assert small._jac_small is not None
         assert big._jac_small is None
         for _ in range(5):
@@ -144,6 +145,32 @@ class TestJacobian:
         J = d.jacobian(x)
         expect = np.array([np.cos(x[0]) * x[1], np.sin(x[0])])
         np.testing.assert_allclose(J[2], expect, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "observables",
+        [
+            # mixed: monomials and a black-box entry without a gradient
+            [
+                Monomial((1, 0)),
+                Monomial((0, 1)),
+                BlackBoxObservable(lambda x: np.sin(x[0]) * x[1]),
+                Monomial((2, 1)),
+                Monomial((0, 3)),
+            ],
+            # all monomial with n_f * n_x = 130 > 64
+            [Monomial((a, b)) for a in range(11) for b in range(11 - a) if a + b],
+        ],
+        ids=["mixed", "large"],
+    )
+    def test_jacobian_matches_finite_differences(self, observables):
+        d = ObservableDictionary(2, observables)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.uniform(-1.0, 1.0, 2)
+            J = d.jacobian(x)
+            assert J.shape == (d.n_f, 2)
+            fd = central_difference(d.evaluate, x)
+            np.testing.assert_allclose(J, fd, rtol=1e-7, atol=1e-8)
 
     def test_blackbox_analytic_gradient_used(self):
         obs = BlackBoxObservable(

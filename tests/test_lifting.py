@@ -312,6 +312,26 @@ class TestFactorization:
                 gaps.append(np.abs(model.factored_input(x, u) - B0).max())
             assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_ct_oracle_node_loop_matches_ray(self):
+        # the oracle split has no fused ray integral, so its factorisation
+        # sums the input-Jacobian node by node
+        bundle = ct_example()
+        rng = np.random.default_rng(12)
+        split = decompose(bundle.full_oracle)
+        assert split.input_jacobian_ray is None
+        assert bundle.decomposition.input_jacobian_ray is not None
+        nodes = build_lifted_model(
+            split, BENCH_DICT, sample_grid=bundle.state_box.sample(rng, 50)
+        )
+        ray = build_lifted_model(bundle.decomposition, BENCH_DICT)
+        X = bundle.state_box.sample(rng, 200)
+        U = bundle.input_box.sample(rng, 200)
+        U[0] = 0.0
+        for x, u in zip(X, U):
+            expect = ray.factored_input(x, u)
+            got = nodes.factored_input(x, u)
+            assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect).max())
+
     def test_factorisation_identity_both_benchmarks(self):
         # B(x, u) u reproduces the lifted input term on 1000 random points
         for bundle in (ct_example(), dt_example()):

@@ -111,7 +111,7 @@ class TestDtSimulate:
         assert traj.states[1, 0] == 1.2
 
     def test_divergence_reports_step(self):
-        step = lambda k, x, u: x * 1e7
+        step = lambda x, u: x * 1e7
         with pytest.raises(DivergenceError) as exc:
             dt_simulate(step, [1.0], np.zeros((10, 1)))
         assert exc.value.step == 2
@@ -141,7 +141,7 @@ class TestDtSimulate:
 
     def test_selector_still_rejects_non_finite_observables(self):
         # the input row is written into the second coordinate
-        step = lambda k, x, u: np.array([x[0], u[0]])
+        step = lambda x, u: np.array([x[0], u[0]])
         inputs = np.array([[1e200], [np.inf], [0.0]])
         traj = dt_simulate(step, [1.0, 1.0], inputs, n_steps=1, state_selector=[0])
         assert traj.states[-1, 1] == 1e200
@@ -150,7 +150,7 @@ class TestDtSimulate:
         assert exc.value.step == 2
         with pytest.raises(DivergenceError):
             dt_simulate(
-                lambda k, x, u: 2.0 * x, [1e12, 1.0], np.zeros((2, 1)), state_selector=[0]
+                lambda x, u: 2.0 * x, [1e12, 1.0], np.zeros((2, 1)), state_selector=[0]
             )
 
 

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from kooplift import (
+    BlackBoxObservable,
     DomainBox,
     DynamicsOracle,
+    QuadratureSpec,
     ct_example,
     decompose,
     dt_example,
+    factorize_input,
 )
 from kooplift.errors import DomainEvaluationError
-from kooplift.systems import finite_difference_input_jacobian
+from kooplift.quadrature import central_difference
 
 
 class TestDecompose:
@@ -120,25 +123,8 @@ class TestBuiltinBundles:
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
             analytic = bundle.decomposition.input_jacobian_at(x, u)
-            fd = finite_difference_input_jacobian(
-                bundle.decomposition.input_driven, x, u
-            )
+            fd = central_difference(lambda v: bundle.decomposition.input_driven(x, v), u)
             assert np.all(np.abs(analytic - fd) <= 1e-6 * (1 + np.abs(analytic)))
-
-    def test_ct_input_jacobian_batch_matches_single(self):
-        bundle = ct_example()
-        rng = np.random.default_rng(6)
-        x = rng.uniform(-2, 2, 2)
-        U = rng.uniform(-1, 1, (8, 2))
-        batch = bundle.decomposition.input_jacobian_batch(x, U)
-        for q, u in enumerate(U):
-            # math.exp and np.exp may differ in the last ulp
-            np.testing.assert_allclose(
-                batch[q],
-                bundle.decomposition.input_jacobian_at(x, u),
-                rtol=1e-15,
-                atol=1e-16,
-            )
 
     def test_ct_input_jacobian_ray_matches_node_sum(self):
         bundle = ct_example()
@@ -191,5 +177,53 @@ class TestDomainBox:
     def test_finite_difference_jacobian_quadratic_exact(self):
         # central differences are exact for quadratics
         func = lambda x, u: np.array([u[0] ** 2 + 3 * u[1], u[0] * u[1]])
-        J = finite_difference_input_jacobian(func, np.zeros(1), np.array([1.0, 2.0]))
+        J = central_difference(lambda u: func(np.zeros(1), u), np.array([1.0, 2.0]))
         np.testing.assert_allclose(J, [[2.0, 3.0], [2.0, 1.0]], rtol=1e-9)
+
+
+def _old_step(v):
+    # the step rule every finite-difference helper used before they merged
+    return float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(float(v)))
+
+
+class TestCentralDifference:
+    def test_scalar_observable_gradient_keeps_its_bits(self):
+        func = lambda x: math.sin(x[0]) * x[1] ** 3 + math.exp(x[1])
+        x = np.array([0.4, -1.7])
+        expect = np.empty(2)
+        for i in range(2):
+            xp, xm = x.copy(), x.copy()
+            xp[i] += _old_step(x[i])
+            xm[i] -= _old_step(x[i])
+            expect[i] = (float(func(xp)) - float(func(xm))) / (xp[i] - xm[i])
+        np.testing.assert_array_equal(BlackBoxObservable(func).gradient_at(x), expect)
+
+    def test_vector_input_term_factorisation_keeps_its_bits(self):
+        term = lambda x, v: np.array(
+            [x[0] * math.expm1(v[0]), v[0] * v[1] + x[1] * math.sin(v[1]), v[1] ** 3]
+        )
+
+        def old_jacobian(x, v):
+            cols = []
+            for j in range(v.shape[0]):
+                vp, vm = v.copy(), v.copy()
+                vp[j] += _old_step(v[j])
+                vm[j] -= _old_step(v[j])
+                cols.append((term(x, vp) - term(x, vm)) / (vp[j] - vm[j]))
+            return np.stack(cols, axis=1)
+
+        x, u = np.array([1.3, -0.6]), np.array([0.8, -2.5])
+        quad = QuadratureSpec(5)
+        lam, w = quad.rule()
+        expect = w[0] * old_jacobian(x, lam[0] * u)
+        for q in range(1, lam.shape[0]):
+            expect += w[q] * old_jacobian(x, lam[q] * u)
+        np.testing.assert_array_equal(factorize_input(term, x, u, quad=quad), expect)
+
+    def test_oracle_without_jacobian_falls_back(self):
+        oracle = DynamicsOracle(1, 2, lambda x, u: np.array([u[0] ** 2 * u[1]]))
+        np.testing.assert_allclose(
+            decompose(oracle).input_jacobian_at(np.zeros(1), np.array([1.5, 2.0])),
+            [[6.0, 2.25]],
+            rtol=1e-8,
+        )
