@@ -67,6 +67,12 @@ def _gap_norms(model: LPVKoopmanModel, B_hat: np.ndarray, X: np.ndarray, U: np.n
     return np.linalg.svd(diff, compute_uv=False)[:, 0]
 
 
+# largest beta grid (density ** (n_x + n_u) points) a config may ask for:
+# the grid is held in memory, about 16 (n_x + n_u) bytes per point, and the
+# default density 101 gives 1.03e6 points for n_x + n_u = 3
+MAX_GRID_POINTS = 2_000_000
+
+
 def beta_grid(
     model: LPVKoopmanModel,
     B_hat: np.ndarray,

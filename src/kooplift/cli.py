@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import beta_grid, build_bound_report
+from .bounds import MAX_GRID_POINTS, beta_grid, build_bound_report
 from .dictionaries import ObservableDictionary, monomial_dictionary, parse_dictionary
 from .edmd import (
     alpha_grid_search,
@@ -505,10 +505,30 @@ def _sweep_row(degree, alpha, report):
     return [degree, alpha, float(report.l2[0]), float(report.l2[1]), 0]
 
 
+def resolve_bounds(cfg: dict, bundle: SystemBundle) -> Tuple[str, int]:
+    """The bounds mode and grid density, checked before anything runs."""
+    bounds_cfg = cfg.get("bounds", {}) or {}
+    mode = bounds_cfg.get("mode", "trajectory")
+    if mode not in ("trajectory", "grid"):
+        raise ConfigError(f"unknown bounds mode {mode!r}; known: 'trajectory', 'grid'")
+    density = bounds_cfg.get("grid_density", 101)
+    if mode == "grid":
+        if isinstance(density, bool) or not isinstance(density, int) or density < 1:
+            raise ConfigError(f"'grid_density' must be a positive integer, got {density!r}")
+        dims = bundle.n_x + bundle.n_u
+        if density**dims > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"a grid of density {density} over {dims} dimensions has "
+                f"{density}^{dims} points, more than the {MAX_GRID_POINTS} allowed"
+            )
+    return mode, density
+
+
 def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
     bundle = resolve_system(cfg)
     if bundle.time_domain != DISCRETE:
         raise ConfigError("error bounds are formulated for discrete-time systems")
+    mode, density = resolve_bounds(cfg, bundle)
     base = run_simulate({**cfg, "fits": ["edmdc"]}, out_dir=None)
     lpv = base["lpv"]
     lti = base["fitted"]["koopman_lti_edmdc"]
@@ -518,10 +538,8 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
     z0 = dictionary.evaluate(x0)
 
     bounds_cfg = cfg.get("bounds", {}) or {}
-    mode = bounds_cfg.get("mode", "trajectory")
     beta_scan = None
     if mode == "grid":
-        density = int(bounds_cfg.get("grid_density", 101))
         state_box = _box_from_cfg(bounds_cfg.get("state_box"))
         input_box = _box_from_cfg(bounds_cfg.get("input_box"))
         if state_box is None:
@@ -531,8 +549,6 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
         if input_box is None:
             input_box = DomainBox.from_envelope(inputs)
         beta_scan = beta_grid(lpv, lti.B, state_box, input_box, density)
-    elif mode != "trajectory":
-        raise ConfigError(f"unknown bounds mode {mode!r}")
 
     report = build_bound_report(lpv, lti, z0, inputs, beta_scan=beta_scan)
     print(

@@ -22,6 +22,11 @@ from .polynomials import Monomial, PolynomialMap, _term_order_key
 from .quadrature import central_difference
 
 
+# up to this many entries a Jacobian template with the constant derivatives
+# filled in beats evaluating the Jacobian map
+SMALL_JACOBIAN_ENTRIES = 64
+
+
 class BlackBoxObservable:
     """Scalar observable given as a callable, with optional analytic gradient."""
 
@@ -127,17 +132,19 @@ class ObservableDictionary:
             [{self.observables[j].exponents: 1.0} for j in self._monomial_rows],
         ).jacobian()
 
-    # up to this many entries a template with the constant derivatives
-    # filled in beats evaluating the Jacobian map
-    _SMALL_JACOBIAN = 64
+    @property
+    def small_jacobian(self):
+        """The Jacobian template of a small all-monomial dictionary, else None.
+
+        A pair: the (n_f, n_x) Jacobian with its constant entries set, and
+        the varying entries, each (row, column, coefficient, ((variable,
+        exponent), ...)) and evaluated as the coefficient times each power
+        in variable order.
+        """
+        return self._jac_small
 
     def _small_jacobian_template(self):
-        """Jacobian with its constant entries set, plus the varying ones.
-
-        Each varying entry is (row, column, coefficient, ((variable,
-        exponent), ...)); only small all-monomial dictionaries get one.
-        """
-        if not self.all_monomial or self.n_f * self.n_x > self._SMALL_JACOBIAN:
+        if not self.all_monomial or self.n_f * self.n_x > SMALL_JACOBIAN_ENTRIES:
             return None
         template = np.zeros((self.n_f, self.n_x))
         varying = []

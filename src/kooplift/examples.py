@@ -30,6 +30,7 @@ from .systems import (
     Decomposition,
     DomainBox,
     DynamicsOracle,
+    HeldInput,
     control_affine_decomposition,
 )
 
@@ -99,6 +100,28 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
             ]
         )
 
+    # the three functions above with the input held: the u-only factors
+    # first, then the same products and sums in the same order
+    def held_driven(u):
+        return (math.expm1(u[0]), math.expm1(u[1]), u[0] * u[1])
+
+    def held_driven_at(x, h):
+        return (x[0] * h[0], h[2] + x[1] * h[1])
+
+    def held_jacobian(u, nodes, weights):
+        if nodes is None:
+            return (math.exp(u[0]), math.exp(u[1]), u[1], u[0])
+        half = float(weights @ nodes)
+        return (
+            float(weights @ np.exp(nodes * u[0])),
+            float(weights @ np.exp(nodes * u[1])),
+            half * u[1],
+            half * u[0],
+        )
+
+    def held_jacobian_at(x, h):
+        return (x[0] * h[0], 0.0, h[2], h[3] + x[1] * h[1])
+
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])
     decomposition = Decomposition(
@@ -109,6 +132,9 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         input_driven=g_eval,
         input_jacobian=g_input_jacobian,
         input_jacobian_ray=g_input_jacobian_ray,
+        input_held=HeldInput(
+            held_driven, held_driven_at, held_jacobian, held_jacobian_at
+        ),
         state_box=state_box,
         input_box=input_box,
         name="ct-example",

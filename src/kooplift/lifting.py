@@ -48,7 +48,7 @@ from .polynomials import (
     poly_mul,
 )
 from .quadrature import QuadratureSpec, central_difference
-from .systems import CONTINUOUS, DISCRETE, Decomposition, DomainBox
+from .systems import CONTINUOUS, DISCRETE, Decomposition, DomainBox, HeldInput
 
 log = logging.getLogger(__name__)
 
@@ -462,6 +462,22 @@ def _symbolic_ct_columns(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class InputForm:
+    """Scalar pieces of a continuous-time B(x, u) for the simulation kernels.
+
+    Either ``columns``, the columns of B(x) as polynomial maps of the state
+    (control-affine systems), or ``held``, the oracle's held-input form,
+    with the ``nodes`` and ``weights`` of the factorisation's ray quadrature
+    (B = dPhi/dx(x) S(x, u)).
+    """
+
+    columns: Optional[Tuple[PolynomialMap, ...]] = None
+    held: Optional[HeldInput] = None
+    nodes: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
+
+
 @dataclass
 class LiftedModel:
     """Exact (or residual-flagged approximate) lifted dynamics.
@@ -470,7 +486,8 @@ class LiftedModel:
     returns the matrix B with ``B(x, u) u = input_term(x, u)``. When the
     factored matrix does not depend on the input (continuous-time
     control-affine systems), ``input_dependent`` is False and downstream
-    scheduling can drop u.
+    scheduling can drop u. ``input_form`` describes B(x, u) for the
+    continuous-time simulation kernels when it has a scalar form.
     """
 
     A: np.ndarray
@@ -484,6 +501,7 @@ class LiftedModel:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     input_dependent: bool = True
     factored_batch: Optional[Callable] = None
+    input_form: Optional[InputForm] = None
     name: str = "lifted-model"
 
     @property
@@ -566,6 +584,7 @@ def build_lifted_model(
     symbolic_input = (
         decomposition.control_affine_columns is not None and dictionary.all_monomial
     )
+    input_form = None
     if time_domain == CONTINUOUS:
         if symbolic_input:
             columns = _symbolic_ct_columns(decomposition, dictionary)
@@ -584,11 +603,17 @@ def build_lifted_model(
                 )
 
             input_dependent = False
+            input_form = InputForm(columns=tuple(columns))
         else:
             term = partial(input_term_ct, decomposition, dictionary)
             factored = _ct_oracle_factored(decomposition, dictionary, quad)
             factored_batch = None
             input_dependent = True
+            if decomposition.input_held is not None:
+                nodes, weights = quad.rule()
+                input_form = InputForm(
+                    held=decomposition.input_held, nodes=nodes, weights=weights
+                )
     else:
         if symbolic_input:
             symbolic_term, columns_joint, input_dependent = _symbolic_dt_input(
@@ -633,6 +658,7 @@ def build_lifted_model(
         quad=quad,
         input_dependent=input_dependent,
         factored_batch=factored_batch,
+        input_form=input_form,
         name=name or decomposition.name,
     )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dictionaries import ObservableDictionary
 from .errors import DimensionError
-from .lifting import LiftedModel
+from .lifting import InputForm, LiftedModel
 from .systems import CONTINUOUS, DISCRETE
 
 STACK_ZU = "stack-zu"
@@ -40,6 +40,7 @@ class LPVKoopmanModel:
     dictionary: ObservableDictionary
     factored_input: Callable[[np.ndarray, np.ndarray], np.ndarray]
     factored_batch: Optional[Callable] = None
+    input_form: Optional[InputForm] = None
     name: str = "lpv-koopman"
 
     @property
@@ -168,6 +169,7 @@ def make_lpv(
         dictionary=dictionary,
         factored_input=lifted.factored_input,
         factored_batch=lifted.factored_batch,
+        input_form=lifted.input_form,
         name=lifted.name,
     )
 

@@ -266,6 +266,12 @@ class PolynomialMap:
     def n_out(self) -> int:
         return len(self.rows)
 
+    @property
+    def scalar_terms(self):
+        """Per row, the ``(coeff, ((variable, exponent), ...))`` terms the
+        scalar loop evaluates, in its order; None for a compiled map."""
+        return self._terms
+
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         if len(x) != self.n_vars:
             raise DimensionError(

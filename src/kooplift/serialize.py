@@ -92,17 +92,27 @@ def _csv_cell(cell) -> str:
 
 
 def write_trajectory_csv(path, trajectory) -> Path:
-    """Trajectory CSV: header t,x1..xn,u1..unu with one row per grid point."""
+    """Trajectory CSV: header t,x1..xn,u1..unu with one row per grid point.
+
+    Rows of finite values are formatted by one ``%.17g`` template, which
+    writes what :func:`fmt_float` writes for finite floats; rows with a
+    NaN or an infinity go through :func:`fmt_float` cell by cell.
+    """
     n_x = trajectory.states.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(n_x)]
+    columns = [trajectory.times[:, None], trajectory.states]
     if trajectory.inputs is not None:
         header += [f"u{j + 1}" for j in range(trajectory.inputs.shape[1])]
-        rows = (
-            [t, *state, *u]
-            for t, state, u in zip(
-                trajectory.times, trajectory.states, trajectory.inputs
-            )
-        )
-    else:
-        rows = ([t, *state] for t, state in zip(trajectory.times, trajectory.states))
-    return write_csv(path, header, rows)
+        columns.append(trajectory.inputs)
+    table = np.hstack(columns)
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for row, finite in zip(table.tolist(), np.isfinite(table).all(axis=1).tolist()):
+            if finite:
+                handle.write(template % tuple(row))
+            else:
+                handle.write(",".join(fmt_float(cell) for cell in row) + "\n")
+    return path

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
+from .kernels import lpv_kernel, nonlinear_kernel
 from .lpv import LPVKoopmanModel, LTIKoopmanModel, lifted_step, lti_step
 from .systems import CONTINUOUS, Decomposition
 
@@ -223,22 +224,57 @@ def simulate_ct(
     is recorded but never applied. ``state_selector`` restricts the
     divergence limit to those coordinates; the rest must stay finite.
     """
+    return _simulate_ct(
+        rhs, None, x0, inputs, ts, divergence_limit, label, state_selector
+    )
+
+
+def _simulate_ct(rhs, kernel, x0, inputs, ts, divergence_limit, label, state_selector):
+    """:func:`simulate_ct`, run by ``kernel`` (a :class:`kernels.Kernel`)
+    instead of ``rhs`` when it is given and the widths match."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     n_steps = inputs.shape[0] - 1
     if n_steps < 1:
         raise DimensionError("need at least two input rows (one step)")
-    states = _rk4(
-        rhs,
-        x0,
-        ts,
-        ((u, u, u) for u in inputs[:n_steps]),
-        n_steps,
-        divergence_limit,
-        label,
-        state_selector,
-    )
+    x0 = np.asarray(x0, dtype=float)
+    if kernel is not None and x0.shape == (kernel.n,) and inputs.shape[1] == kernel.n_u:
+        states = _kernel_rk4(
+            kernel, x0, ts, inputs, n_steps, divergence_limit, label, state_selector
+        )
+    else:
+        states = _rk4(
+            rhs,
+            x0,
+            ts,
+            ((u, u, u) for u in inputs[:n_steps]),
+            n_steps,
+            divergence_limit,
+            label,
+            state_selector,
+        )
     times = np.arange(n_steps + 1) * ts
     return Trajectory(times, states, inputs=inputs, label=label)
+
+
+def _kernel_rk4(kernel, x0, ts, inputs, n_steps, divergence_limit, label, selector):
+    """The (n_steps + 1, n) state record of :func:`_rk4`, from a kernel."""
+    if ts <= 0:
+        raise ValueError(f"step size must be positive, got {ts}")
+    states = np.empty((n_steps + 1, kernel.n))
+    states[0] = x0
+
+    def check(step, state):
+        _check_state(np.array(state), step, divergence_limit, label, selector)
+
+    kernel.run(
+        memoryview(states.reshape(-1)),
+        memoryview(np.ascontiguousarray(inputs).reshape(-1)),
+        n_steps,
+        float(ts),
+        float(divergence_limit),
+        check,
+    )
+    return states
 
 
 def dt_simulate(
@@ -275,17 +311,43 @@ def dt_simulate(
     return Trajectory(times, states, inputs=inputs[: n_steps + 1], label=label)
 
 
-def _simulate(time_domain, step, x0, inputs, ts, **options) -> Trajectory:
+def _simulate(
+    time_domain,
+    step,
+    x0,
+    inputs,
+    ts,
+    divergence_limit,
+    label,
+    state_selector=None,
+    kernel=None,
+) -> Trajectory:
     """Integrate ``step(x, u)`` as a vector field or iterate it as a map.
 
-    ``options`` are the keyword arguments that :func:`simulate_ct` and
-    :func:`dt_simulate` share.
+    In continuous time a ``kernel`` (see :mod:`kooplift.kernels`), a
+    generated RK4 run of the same vector field, takes the place of ``step``.
     """
     if time_domain == CONTINUOUS:
         if ts is None:
             raise ValueError("continuous-time simulation needs ts")
-        return simulate_ct(step, x0, inputs, ts, **options)
-    return dt_simulate(step, x0, inputs, **options)
+        return _simulate_ct(
+            step,
+            kernel,
+            x0,
+            inputs,
+            ts,
+            divergence_limit,
+            label,
+            state_selector,
+        )
+    return dt_simulate(
+        step,
+        x0,
+        inputs,
+        divergence_limit=divergence_limit,
+        label=label,
+        state_selector=state_selector,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +439,9 @@ def simulate_nonlinear(
         x0,
         inputs,
         ts,
-        divergence_limit=divergence_limit,
-        label=label,
+        divergence_limit,
+        label,
+        kernel=nonlinear_kernel(decomposition),
     )
 
 
@@ -409,9 +472,10 @@ def simulate_lpv(
         z0,
         inputs,
         ts,
-        divergence_limit=divergence_limit,
-        label=label,
+        divergence_limit,
+        label,
         state_selector=selector,
+        kernel=lpv_kernel(model),
     )
     output = lifted.with_states(lifted.states[:, selector], label=f"{label}_output")
     return lifted, output
@@ -432,8 +496,8 @@ def simulate_lti(
         z0,
         inputs,
         ts,
-        divergence_limit=divergence_limit,
-        label=label,
+        divergence_limit,
+        label,
     )
     output = lifted.with_states(lifted.states @ model.C.T, label=f"{label}_output")
     return lifted, output

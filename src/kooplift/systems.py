@@ -117,6 +117,28 @@ class DynamicsOracle:
         )
 
 
+@dataclass(frozen=True)
+class HeldInput:
+    """The input-driven part and its input Jacobian with the input held fixed.
+
+    Under a zero-order hold everything that depends on the input alone is
+    fixed across the Runge-Kutta stages of a step, so it is computed once
+    per step: ``driven(u)`` returns those values ``h`` for ``g(x, u)`` and
+    ``jacobian(u, nodes, weights)`` those for the ray sum
+    ``sum_q w_q dg/du(x, nodes_q * u)``, or for ``dg/du(x, u)`` itself when
+    ``nodes`` is None. ``driven_at(x, h)`` and ``jacobian_at(x, h)`` finish
+    the evaluation at a state. States and inputs are tuples of floats and
+    results are flat tuples of floats, the Jacobian row-major. The results
+    must equal ``input_driven``, ``input_jacobian_ray`` and
+    ``input_jacobian`` bit for bit.
+    """
+
+    driven: Callable
+    driven_at: Callable
+    jacobian: Callable
+    jacobian_at: Callable
+
+
 @dataclass
 class Decomposition:
     """Autonomous + input-driven split of controlled dynamics.
@@ -138,6 +160,10 @@ class Decomposition:
     # (x, u, nodes, weights) -> (n_x, n_u). Purely a fast path for the
     # factorisation quadrature; must agree with input_jacobian.
     input_jacobian_ray: Optional[Callable] = None
+    # optional held-input form of input_driven, input_jacobian and
+    # input_jacobian_ray (see HeldInput); purely a fast path for the
+    # continuous-time simulation kernels, which it lets skip the numpy calls
+    input_held: Optional[HeldInput] = None
     control_affine_columns: Optional[List[PolynomialMap]] = None
     state_box: Optional[DomainBox] = None
     input_box: Optional[DomainBox] = None
@@ -145,6 +171,12 @@ class Decomposition:
 
     def __post_init__(self):
         _check_time_domain(self.time_domain)
+        if self.input_held is not None and (
+            self.input_jacobian is None or self.input_jacobian_ray is None
+        ):
+            raise ValueError(
+                "input_held needs the input_jacobian and input_jacobian_ray it mirrors"
+            )
         if self.control_affine_columns is not None:
             if len(self.control_affine_columns) != self.n_u:
                 raise DimensionError(

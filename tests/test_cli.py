@@ -263,6 +263,35 @@ class TestBoundsCommand:
         path = _write_config(tmp_path, cfg)
         assert main(["bounds", "--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"mode": "gird"},
+            {"mode": "grid", "grid_density": 0},
+            {"mode": "grid", "grid_density": -3},
+            {"mode": "grid", "grid_density": "abc"},
+            {"mode": "grid", "grid_density": 2.5},
+            {"mode": "grid", "grid_density": True},
+            # 3000^3 points would need hundreds of GiB
+            {"mode": "grid", "grid_density": 3000},
+        ],
+    )
+    def test_bad_bounds_config_fails_before_simulating(self, tmp_path, monkeypatch, bounds):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("ran past the bounds config check")
+
+        monkeypatch.setattr(cli, "run_simulate", not_reached)
+        monkeypatch.setattr(cli, "beta_grid", not_reached)
+        with pytest.raises(ConfigError):
+            cli.run_bounds(dict(DT_CFG, bounds=bounds))
+        path = _write_config(tmp_path, dict(DT_CFG, bounds=bounds))
+        assert main(["bounds", "--config", path]) == 2
+
+    def test_grid_budget_admits_the_default_density(self):
+        bundle = resolve_system(DT_CFG)  # n_x + n_u = 3
+        assert cli.resolve_bounds({"bounds": {"mode": "grid"}}, bundle) == ("grid", 101)
+        assert 101**3 <= cli.MAX_GRID_POINTS < 102**4
+
 
 class TestEdmdCommand:
     def test_sweep_csv_schema(self, tmp_path):
@@ -382,6 +411,28 @@ class TestEdmdCommand:
 
 
 class TestSerializationFormat:
+    def test_trajectory_csv_bytes_match_cell_formatting(self, tmp_path):
+        from kooplift.serialize import write_csv, write_trajectory_csv
+        from kooplift.sim import Trajectory
+
+        states = np.array(
+            [
+                [-0.0, 5e-324, 2.2250738585072014e-308],
+                [1e308, -1e308, 3.0],
+                [np.nan, 1.0 / 3.0, -2.0],
+                [np.inf, -np.inf, 0.0],
+                [0.1, -7.5e-17, 123456789012345678.0],
+            ]
+        )
+        inputs = np.array([[0.0], [-0.0], [np.nan], [1e-310], [-4.0]])
+        traj = Trajectory([0.0, 1.0, 2.5, 1e300, 1e308], states, inputs=inputs)
+        header = ["t", "x1", "x2", "x3", "u1"]
+        rows = [[t, *x, *u] for t, x, u in zip(traj.times, states, inputs)]
+        fast = write_trajectory_csv(tmp_path / "fast.csv", traj)
+        cells = write_csv(tmp_path / "cells.csv", header, rows)
+        assert fast.read_bytes() == cells.read_bytes()
+        assert b"-0," in fast.read_bytes() and b"NaN" in fast.read_bytes()
+
     def test_seventeen_digit_floats_roundtrip(self):
         from kooplift.serialize import dumps_json, fmt_float
 

@@ -1,5 +1,6 @@
 """Integrators, excitation signals and error metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,15 @@ from kooplift import (
     simulate_nonlinear,
     white_noise,
 )
+from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
+from kooplift.dictionaries import monomial_dictionary
 from kooplift.errors import DimensionError, DivergenceError
+from kooplift.kernels import lpv_kernel, nonlinear_kernel
+from kooplift.lpv import lifted_step
+from kooplift.polynomials import PolynomialMap
+from kooplift.quadrature import QuadratureSpec
 from kooplift.sim import multisine_frequencies
+from kooplift.systems import CONTINUOUS, control_affine_decomposition
 
 
 class TestRk4:
@@ -286,3 +294,249 @@ class TestDeterminism:
         a = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs, ts=1e-3)
         b = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs, ts=1e-3)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+# ---------------------------------------------------------------------------
+# generated RK4 kernels
+# ---------------------------------------------------------------------------
+
+
+def _plain_dot(M, v):
+    """M @ v summed left to right, one rounding per product and per sum."""
+    out = np.empty(M.shape[0])
+    for r, row in enumerate(M.tolist()):
+        acc = row[0] * float(v[0])
+        for a, b in zip(row[1:], v[1:].tolist()):
+            acc = acc + a * b
+        out[r] = acc
+    return out
+
+
+def _plain_matmul(M, N):
+    return np.stack([_plain_dot(M, N[:, j]) for j in range(N.shape[1])], axis=1)
+
+
+def _plain_nonlinear(decomposition, x0, inputs, ts, **options):
+    """simulate_nonlinear on the numpy _rk4 path, with G(x) u in plain order."""
+    f = decomposition.autonomous.evaluate
+    columns = decomposition.control_affine_columns
+    if columns is None:
+        g = decomposition.input_driven
+    else:
+        g = lambda x, u: _plain_dot(np.stack([c.evaluate(x) for c in columns], axis=1), u)
+    return simulate_ct(lambda x, u: f(x) + g(x, u), x0, inputs, ts, **options)
+
+
+def _plain_lpv(model, z0, inputs, ts, decomposition=None, **options):
+    """simulate_lpv on the numpy _rk4 path, with every product in plain order.
+
+    Oracle models rebuild B = dPhi/dx S as the factorisation does, from the
+    decomposition's input_jacobian_ray (input_jacobian at u = 0).
+    """
+    selector = list(model.dictionary.state_selector)
+    if decomposition is None:
+        factored = model.factored_input
+    else:
+        nodes, weights = QuadratureSpec().rule()
+
+        def factored(x, u):
+            if u.any():
+                S = decomposition.input_jacobian_ray(x, u, nodes, weights)
+            else:
+                S = decomposition.input_jacobian(x, u)
+            return _plain_matmul(model.dictionary.jacobian(x), S)
+
+    def step(z, u):
+        return _plain_dot(model.A, z) + _plain_dot(factored(z[selector], u), u)
+
+    return simulate_ct(step, z0, inputs, ts, state_selector=selector, **options)
+
+
+def _numpy_lpv(model, z0, inputs, ts, **options):
+    """simulate_lpv on the numpy _rk4 path exactly as it runs without a kernel."""
+    selector = list(model.dictionary.state_selector)
+    step = lifted_step(model.A, model.factored_input, selector)
+    return simulate_ct(step, z0, inputs, ts, state_selector=selector, **options)
+
+
+def _synthetic_control_affine():
+    """dx1/dt = -0.3 x1 + u1, dx2/dt = -0.7 x2 + 0.4 x1^2 + x1 u2; exact on [x1, x2, x1^2]."""
+    f = PolynomialMap(2, [{(1, 0): -0.3}, {(0, 1): -0.7, (2, 0): 0.4}])
+    columns = [
+        PolynomialMap(2, [{(0, 0): 1.0}, {}]),
+        PolynomialMap(2, [{}, {(1, 0): 1.0}]),
+    ]
+    return control_affine_decomposition(f, columns, CONTINUOUS, name="synthetic")
+
+
+def _random_inputs(seed, n_steps, scale=0.5):
+    """Seeded white-noise rows with all-zero rows at t = 0 and in a block."""
+    inputs = scale * np.random.default_rng(seed).standard_normal((n_steps + 1, 2))
+    inputs[0] = 0.0
+    inputs[40:45] = 0.0
+    return inputs
+
+
+@pytest.fixture(scope="module")
+def ct_model():
+    bundle = ct_example()
+    lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
+    return bundle, make_lpv(lifted)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("seed, ts", [(1, 1e-2), (2, 1e-3), (3, 0.05)])
+    def test_ct_example_nonlinear_bit_for_bit(self, seed, ts):
+        # the oracle's numpy path makes no matrix product, so any step agrees
+        bundle = ct_example()
+        inputs = _random_inputs(seed, 400)
+        assert nonlinear_kernel(bundle.decomposition) is not None
+        fast = simulate_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, ts=ts)
+        slow = _plain_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, ts)
+        np.testing.assert_array_equal(fast.states, slow.states)
+
+    @pytest.mark.parametrize("seed, ts", [(1, 1e-2), (2, 1e-3), (3, 0.05)])
+    def test_ct_example_lpv_bit_for_bit(self, ct_model, seed, ts):
+        bundle, model = ct_model
+        inputs = _random_inputs(seed, 400)
+        z0 = bundle.dictionary.evaluate(np.array([1.0, -0.5]))
+        fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
+        slow = _plain_lpv(model, z0, inputs, ts, decomposition=bundle.decomposition)
+        np.testing.assert_array_equal(fast.states, slow.states)
+
+    @pytest.mark.parametrize("seed, ts", [(4, 1e-2), (5, 0.05)])
+    def test_control_affine_bit_for_bit(self, seed, ts):
+        decomposition = _synthetic_control_affine()
+        dictionary = ObservableDictionary(
+            2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
+        )
+        model = make_lpv(build_lifted_model(decomposition, dictionary))
+        assert nonlinear_kernel(decomposition) is not None
+        assert lpv_kernel(model) is not None
+        inputs = _random_inputs(seed, 400)
+        fast = simulate_nonlinear(decomposition, [0.8, -1.2], inputs, ts=ts)
+        slow = _plain_nonlinear(decomposition, [0.8, -1.2], inputs, ts)
+        np.testing.assert_array_equal(fast.states, slow.states)
+        z0 = dictionary.evaluate(np.array([0.8, -1.2]))
+        fast_lpv, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
+        slow_lpv = _plain_lpv(model, z0, inputs, ts)
+        np.testing.assert_array_equal(fast_lpv.states, slow_lpv.states)
+        # the numpy path's matrix products go through BLAS, which may fuse
+        # multiply-adds: it agrees to rounding
+        blas = _numpy_lpv(model, z0, inputs, ts)
+        np.testing.assert_allclose(fast_lpv.states, blas.states, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
+    def test_presets_match_numpy_path(self, ct_model, preset):
+        # the presets' step and signals, as written to their trajectory files
+        bundle, model = ct_model
+        cfg = dict(preset_runs(preset)[0][2], horizon_seconds=0.2)
+        n_steps, ts = resolve_horizon(cfg, bundle)
+        inputs = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        x0 = np.array([1.0, 1.0])
+        fast, _ = simulate_lpv(model, x0=x0, inputs=inputs, ts=ts)
+        slow = _numpy_lpv(model, bundle.dictionary.evaluate(x0), inputs, ts)
+        np.testing.assert_array_equal(fast.states, slow.states)
+
+    def test_kernel_does_not_call_the_numpy_pieces(self, ct_model):
+        bundle, model = ct_model
+        calls = []
+
+        def counted(x, u):
+            calls.append(1)
+            return model.factored_input(x, u)
+
+        counting = dataclasses.replace(model, factored_input=counted)
+        simulate_lpv(counting, x0=[1.0, 1.0], inputs=_random_inputs(6, 50), ts=1e-3)
+        assert calls == []
+
+    def test_without_held_input_falls_back(self, ct_model):
+        bundle, model = ct_model
+        plain = dataclasses.replace(bundle.decomposition, input_held=None)
+        lifted = build_lifted_model(plain, bundle.dictionary)
+        fallback = make_lpv(lifted)
+        assert nonlinear_kernel(plain) is None
+        assert lifted.input_form is None and lpv_kernel(fallback) is None
+        inputs = _random_inputs(7, 60)
+        np.testing.assert_array_equal(
+            simulate_nonlinear(plain, [1.0, 1.0], inputs, ts=1e-2).states,
+            simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs, ts=1e-2).states,
+        )
+        np.testing.assert_array_equal(
+            simulate_lpv(fallback, x0=[1.0, 1.0], inputs=inputs, ts=1e-2)[0].states,
+            _numpy_lpv(model, model.dictionary.evaluate(np.array([1.0, 1.0])), inputs, 1e-2).states,
+        )
+
+    def test_large_models_keep_the_numpy_path(self, ct_model):
+        _, model = ct_model
+        big = monomial_dictionary(2, 3)  # 9 observables: A has 81 entries
+        assert lpv_kernel(dataclasses.replace(model, A=np.eye(9), dictionary=big)) is None
+        assert lpv_kernel(dataclasses.replace(model, input_form=None)) is None
+
+    def test_code_cached_by_source(self, ct_model):
+        _, model = ct_model
+        assert lpv_kernel(model).run.__code__ is lpv_kernel(model).run.__code__
+
+    def test_divergence_past_the_limit_same_step_and_message(self, ct_model):
+        bundle, model = ct_model
+        inputs = np.full((200, 2), 1.0)
+        x0 = np.array([1.0, 1.0])
+        z0 = model.dictionary.evaluate(x0)
+        options = dict(divergence_limit=1.5, label="run")
+        pairs = [
+            (
+                lambda: simulate_nonlinear(bundle.decomposition, x0, inputs, 0.05, **options),
+                lambda: _plain_nonlinear(bundle.decomposition, x0, inputs, 0.05, **options),
+            ),
+            (
+                lambda: simulate_lpv(model, z0=z0, inputs=inputs, ts=0.05, **options),
+                lambda: _numpy_lpv(model, z0, inputs, 0.05, **options),
+            ),
+        ]
+        for kernel_run, numpy_run in pairs:
+            raised = []
+            for run in (kernel_run, numpy_run):
+                with pytest.raises(DivergenceError) as exc:
+                    run()
+                raised.append((exc.value.step, str(exc.value)))
+            assert raised[0] == raised[1]
+            assert raised[0][0] > 1
+
+    def test_non_finite_lifted_coordinate_same_step_and_message(self, ct_model):
+        bundle, model = ct_model
+        inputs = _random_inputs(8, 30, scale=0.1)
+        # x1^2 above the limit but finite: allowed under the state selector
+        z0 = np.array([1.0, 1.0, 2e12])
+        fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-3)
+        slow = _numpy_lpv(model, z0, inputs, 1e-3)
+        assert np.all(fast.states[:, 2] > 1e12)
+        np.testing.assert_array_equal(fast.states, slow.states)
+        z0 = np.array([1.0, 1.0, np.inf])
+        messages = []
+        for run in (
+            lambda: simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-2, label="ct"),
+            lambda: _numpy_lpv(model, z0, inputs, 1e-2),
+        ):
+            with pytest.raises(DivergenceError) as exc, np.errstate(invalid="ignore"):
+                run()
+            messages.append((exc.value.step, str(exc.value)))
+        assert messages[0] == messages[1] == (1, messages[0][1])
+
+    def test_held_input_matches_the_oracle_bit_for_bit(self):
+        decomposition = ct_example().decomposition
+        held = decomposition.input_held
+        nodes, weights = QuadratureSpec().rule()
+        rng = np.random.default_rng(9)
+        points = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(200)]
+        points += [(rng.standard_normal(2), np.zeros(2)), (np.ones(2), np.array([0.0, -0.0]))]
+        for x, u in points:
+            xt, ut = tuple(x.tolist()), tuple(u.tolist())
+            assert held.driven_at(xt, held.driven(ut)) == tuple(
+                decomposition.input_driven(x, u).tolist()
+            )
+            assert held.jacobian_at(xt, held.jacobian(ut, nodes, weights)) == tuple(
+                decomposition.input_jacobian_ray(x, u, nodes, weights).ravel().tolist()
+            )
+            assert held.jacobian_at(xt, held.jacobian(ut, None, None)) == tuple(
+                decomposition.input_jacobian(x, u).ravel().tolist()
+            )
