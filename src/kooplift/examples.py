@@ -73,36 +73,10 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         ],
     )
 
-    def g_eval(x, u):
-        # expm1 keeps x*exp(u) - x accurate near u = 0
-        return np.array(
-            [
-                x[0] * math.expm1(u[0]),
-                u[0] * u[1] + x[1] * math.expm1(u[1]),
-            ]
-        )
-
-    def g_input_jacobian(x, u):
-        e0 = math.exp(u[0])
-        e1 = math.exp(u[1])
-        return np.array([[x[0] * e0, 0.0], [u[1], u[0] + x[1] * e1]])
-
-    def g_input_jacobian_ray(x, u, nodes, weights):
-        # weighted node average of dg/du(x, nodes_q * u); only the exp
-        # entries actually vary with the node, so two dot products suffice
-        s_e0 = weights @ np.exp(nodes * u[0])
-        s_e1 = weights @ np.exp(nodes * u[1])
-        half = weights @ nodes
-        return np.array(
-            [
-                [x[0] * s_e0, 0.0],
-                [half * u[1], half * u[0] + x[1] * s_e1],
-            ]
-        )
-
-    # the three functions above with the input held: the u-only factors
-    # first, then the same products and sums in the same order
+    # g(x, u) and its input Jacobians with the input held: the input-only
+    # factors first, then the products and sums at the state
     def held_driven(u):
+        # expm1 keeps x*exp(u) - x accurate near u = 0
         return (math.expm1(u[0]), math.expm1(u[1]), u[0] * u[1])
 
     def held_driven_at(x, h):
@@ -111,6 +85,8 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
     def held_jacobian(u, nodes, weights):
         if nodes is None:
             return (math.exp(u[0]), math.exp(u[1]), u[1], u[0])
+        # weighted node average of dg/du(x, nodes_q * u); only the exp
+        # entries actually vary with the node, so two dot products suffice
         half = float(weights @ nodes)
         return (
             float(weights @ np.exp(nodes * u[0])),
@@ -121,6 +97,15 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
 
     def held_jacobian_at(x, h):
         return (x[0] * h[0], 0.0, h[2], h[3] + x[1] * h[1])
+
+    def g_eval(x, u):
+        return np.array(held_driven_at(x, held_driven(u)))
+
+    def g_input_jacobian(x, u):
+        return np.reshape(held_jacobian_at(x, held_jacobian(u, None, None)), (2, 2))
+
+    def g_input_jacobian_ray(x, u, nodes, weights):
+        return np.reshape(held_jacobian_at(x, held_jacobian(u, nodes, weights)), (2, 2))
 
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])

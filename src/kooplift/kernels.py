@@ -24,8 +24,11 @@ same order:
   is not within the limit, so the numpy check decides with the same step
   and message.
 
-Work that depends only on the held input (an oracle's held-input form)
-runs once per step instead of once per stage.
+The input term comes from an oracle's held-input form
+(``Decomposition.input_held``): the work that depends only on the held input
+runs once per step instead of once per stage. Models without that form,
+control-affine systems given by polynomial columns among them, keep the
+numpy path.
 
 numpy takes matrix products through BLAS, which may fuse a multiply and an
 add into one rounding (OpenBLAS does on x86-64 with FMA3, in an order that
@@ -46,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .dictionaries import SMALL_JACOBIAN_ENTRIES
-from .polynomials import PolynomialMap
 from .systems import CONTINUOUS, Decomposition
 
 # code objects by source text
@@ -73,40 +75,31 @@ def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
     """The RK4 kernel of ``f(x) + g(x, u)``, or None.
 
     Needs a small continuous-time system (``n_x * n_x`` and ``n_x * n_u``
-    at most ``SMALL_JACOBIAN_ENTRIES``) whose pieces have scalar forms:
-    ``f`` a term-loop polynomial map, and ``g`` either term-loop
-    control-affine columns or the oracle's held-input form.
+    at most ``SMALL_JACOBIAN_ENTRIES``) with ``f`` a term-loop polynomial map
+    and ``g`` given by the oracle's held-input form.
     """
     n_x, n_u = decomposition.n_x, decomposition.n_u
     f = decomposition.autonomous
-    columns = decomposition.control_affine_columns
     held = decomposition.input_held
     if not (
         decomposition.time_domain == CONTINUOUS
+        and held is not None
         and decomposition.autonomous_is_polynomial
         and _small(n_x * n_x, n_x * n_u)
-        and _scalar(f)
+        and f.scalar_terms is not None
     ):
         return None
-    if columns is not None and _scalar(*columns):
-        input_driven = _columns_times_u(columns)
-        names, prologue, step = {}, [], []
-    elif held is not None:
-        input_driven = _held_driven
-        names = {"HELD": held}
-        prologue = ["driven = HELD.driven", "driven_at = HELD.driven_at"]
-        step = [f"h = driven(({', '.join(_names('u', n_u))},))"]
-    else:
-        return None
+    prologue = ["driven = HELD.driven", "driven_at = HELD.driven_at"]
+    step = [f"h = driven(({', '.join(_names('u', n_u))},))"]
 
     def stage(v, out):
-        lines, g = input_driven(v)
-        return lines + [
+        g = _names("g", n_x)
+        return [f"{', '.join(g)}, = driven_at(({', '.join(v)},), h)"] + [
             f"{o} = ({_row(terms, v)}) + {gi}"
             for o, terms, gi in zip(out, f.scalar_terms, g)
         ]
 
-    return _build(n_x, n_u, prologue, step, stage, names)
+    return _build(n_x, n_u, prologue, step, stage, {"HELD": held})
 
 
 def lpv_kernel(model) -> Optional[Kernel]:
@@ -114,8 +107,7 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
     Needs a small continuous-time model (``n_f * n_x``, ``n_f * n_f`` and
     ``n_f * n_u`` at most ``SMALL_JACOBIAN_ENTRIES``), the dictionary's small
-    Jacobian template, and a scalar ``input_form``: term-loop columns of
-    B(x) or the oracle's held-input form.
+    Jacobian template, and an ``input_form`` (the oracle's held-input form).
     """
     form = model.input_form
     dictionary = model.dictionary
@@ -128,28 +120,22 @@ def lpv_kernel(model) -> Optional[Kernel]:
         or not _small(n_f * dictionary.n_x, n_f * n_f, n_f * n_u)
     ):
         return None
-    if form.held is None:
-        if not _scalar(*form.columns):
-            return None
-        factored = _columns_matrix(form.columns)
-        names, prologue, step = {}, [], []
-    else:
-        factored = _held_factored(dictionary, n_u)
-        names = {"HELD": form.held, "NODES": form.nodes, "WEIGHTS": form.weights}
-        prologue = [
-            "jacobian = HELD.jacobian",
-            "jacobian_at = HELD.jacobian_at",
-            "nodes = NODES",
-            "weights = WEIGHTS",
-        ]
-        # at u = 0 the numpy path takes dg/du(x, 0) itself, not the ray sum
-        step = [
-            f"u = ({', '.join(u)},)",
-            f"if {' or '.join(u)}:",
-            "    h = jacobian(u, nodes, weights)",
-            "else:",
-            "    h = jacobian(u, None, None)",
-        ]
+    factored = _held_factored(dictionary, n_u)
+    names = {"HELD": form.held, "NODES": form.nodes, "WEIGHTS": form.weights}
+    prologue = [
+        "jacobian = HELD.jacobian",
+        "jacobian_at = HELD.jacobian_at",
+        "nodes = NODES",
+        "weights = WEIGHTS",
+    ]
+    # at u = 0 the numpy path takes dg/du(x, 0) itself, not the ray sum
+    step = [
+        f"u = ({', '.join(u)},)",
+        f"if {' or '.join(u)}:",
+        "    h = jacobian(u, nodes, weights)",
+        "else:",
+        "    h = jacobian(u, None, None)",
+    ]
     A = [[_literal(a) for a in row] for row in model.A.tolist()]
     selector = dictionary.state_selector
 
@@ -170,10 +156,6 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
 def _small(*entries: int) -> bool:
     return all(e <= SMALL_JACOBIAN_ENTRIES for e in entries)
-
-
-def _scalar(*maps: PolynomialMap) -> bool:
-    return all(m.scalar_terms is not None for m in maps)
 
 
 def _names(prefix: str, n: int) -> List[str]:
@@ -202,40 +184,6 @@ def _row(terms, names: Sequence[str]) -> str:
 
 def _dot(left: Sequence[str], right: Sequence[str]) -> str:
     return " + ".join(f"{a} * {b}" for a, b in zip(left, right))
-
-
-def _columns_matrix(columns):
-    """Emitter of the matrix whose columns are the maps, at the state ``x``."""
-
-    def emit(x):
-        lines = []
-        matrix = [
-            [f"b{r}_{j}" for j in range(len(columns))]
-            for r in range(columns[0].n_out)
-        ]
-        for j, column in enumerate(columns):
-            for r, terms in enumerate(column.scalar_terms):
-                lines.append(f"{matrix[r][j]} = {_row(terms, x)}")
-        return lines, matrix
-
-    return emit
-
-
-def _columns_times_u(columns):
-    """Emitter of G(x) u for control-affine columns, one sum per row."""
-    matrix = _columns_matrix(columns)
-    u = _names("u", len(columns))
-
-    def emit(x):
-        lines, G = matrix(x)
-        return lines, [f"({_dot(row, u)})" for row in G]
-
-    return emit
-
-
-def _held_driven(x):
-    g = _names("g", len(x))
-    return [f"{', '.join(g)}, = driven_at(({', '.join(x)},), h)"], g
 
 
 def _held_factored(dictionary, n_u):

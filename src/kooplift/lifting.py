@@ -464,18 +464,15 @@ def _symbolic_ct_columns(
 
 @dataclass(frozen=True)
 class InputForm:
-    """Scalar pieces of a continuous-time B(x, u) for the simulation kernels.
-
-    Either ``columns``, the columns of B(x) as polynomial maps of the state
-    (control-affine systems), or ``held``, the oracle's held-input form,
+    """The held-input form of a continuous-time oracle's B(x, u), for the
+    simulation kernels: ``held`` (see :class:`~kooplift.systems.HeldInput`)
     with the ``nodes`` and ``weights`` of the factorisation's ray quadrature
     (B = dPhi/dx(x) S(x, u)).
     """
 
-    columns: Optional[Tuple[PolynomialMap, ...]] = None
-    held: Optional[HeldInput] = None
-    nodes: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
+    held: HeldInput
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass
@@ -487,7 +484,7 @@ class LiftedModel:
     factored matrix does not depend on the input (continuous-time
     control-affine systems), ``input_dependent`` is False and downstream
     scheduling can drop u. ``input_form`` describes B(x, u) for the
-    continuous-time simulation kernels when it has a scalar form.
+    continuous-time simulation kernels when the oracle has a held-input form.
     """
 
     A: np.ndarray
@@ -603,7 +600,6 @@ def build_lifted_model(
                 )
 
             input_dependent = False
-            input_form = InputForm(columns=tuple(columns))
         else:
             term = partial(input_term_ct, decomposition, dictionary)
             factored = _ct_oracle_factored(decomposition, dictionary, quad)

@@ -91,6 +91,11 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
+# trajectory CSV rows are formatted this many at a time: one table of Python
+# floats for a whole run takes about 1.5 MB at 5001 rows and scales with them
+CSV_BLOCK_ROWS = 64
+
+
 def write_trajectory_csv(path, trajectory) -> Path:
     """Trajectory CSV: header t,x1..xn,u1..unu with one row per grid point.
 
@@ -104,15 +109,17 @@ def write_trajectory_csv(path, trajectory) -> Path:
     if trajectory.inputs is not None:
         header += [f"u{j + 1}" for j in range(trajectory.inputs.shape[1])]
         columns.append(trajectory.inputs)
-    table = np.hstack(columns)
-    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row, finite in zip(table.tolist(), np.isfinite(table).all(axis=1).tolist()):
-            if finite:
-                handle.write(template % tuple(row))
-            else:
-                handle.write(",".join(fmt_float(cell) for cell in row) + "\n")
+        for start in range(0, len(trajectory.times), CSV_BLOCK_ROWS):
+            block = np.hstack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
+            finite = np.isfinite(block).all(axis=1).tolist()
+            for row, row_finite in zip(block.tolist(), finite):
+                if row_finite:
+                    handle.write(template % tuple(row))
+                else:
+                    handle.write(",".join(fmt_float(cell) for cell in row) + "\n")
     return path

@@ -411,9 +411,16 @@ class TestEdmdCommand:
 
 
 class TestSerializationFormat:
-    def test_trajectory_csv_bytes_match_cell_formatting(self, tmp_path):
+    @pytest.mark.parametrize("block_rows", [2, 1024])
+    def test_trajectory_csv_bytes_match_cell_formatting(
+        self, tmp_path, monkeypatch, block_rows
+    ):
+        from kooplift import serialize
         from kooplift.serialize import write_csv, write_trajectory_csv
         from kooplift.sim import Trajectory
+
+        # 2 rows per block splits the five rows over three blocks
+        monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", block_rows)
 
         states = np.array(
             [
