@@ -1,8 +1,8 @@
 """Exact lifted (Koopman) models of nonlinear systems with inputs.
 
 The package constructs finite-dimensional lifted representations of
-controlled nonlinear systems in continuous and discrete time, recasts them
-as linear parameter-varying models, fits constant-matrix approximations
+controlled nonlinear systems in continuous and discrete time, which are
+linear parameter-varying models as built, fits constant-matrix approximations
 from data, and certifies the state-response error between the two.
 """
 
@@ -57,14 +57,7 @@ from .lifting import (
     input_term_ct,
     input_term_dt,
 )
-from .lpv import (
-    LPVKoopmanModel,
-    LTIKoopmanModel,
-    eval_lpv_step,
-    make_lpv,
-    make_lti,
-    output_matrix,
-)
+from .lpv import LTIKoopmanModel, eval_lpv_step, make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap
 from .quadrature import QuadratureSpec, unit_gauss_legendre
 from .sim import (

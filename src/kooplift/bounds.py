@@ -28,8 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError
-from .lpv import LPVKoopmanModel, LTIKoopmanModel, lifted_step, lti_step
-from .sim import dt_simulate
+from .lifting import LiftedModel
+from .lpv import LTIKoopmanModel, lifted_step, lti_step
+from .sim import DEFAULT_DIVERGENCE_LIMIT, dt_simulate
 from .systems import DISCRETE, DomainBox
 
 
@@ -54,13 +55,13 @@ class BetaScan:
     mode: str = "grid"
 
 
-def _gap_norms(model: LPVKoopmanModel, B_hat: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _gap_norms(model: LiftedModel, B_hat: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Induced-2-norm of B(x, u) - B_hat for stacked evaluation points."""
     if model.factored_batch is not None:
         diff = model.factored_batch(X, U) - B_hat[None, :, :]
     else:
         diff = np.stack(
-            [model.input_matrix_from_state(x, u) - B_hat for x, u in zip(X, U)]
+            [model.factored_input(x, u) - B_hat for x, u in zip(X, U)]
         )
     if diff.shape[2] == 1:
         return np.linalg.norm(diff[:, :, 0], axis=1)
@@ -74,7 +75,7 @@ MAX_GRID_POINTS = 2_000_000
 
 
 def beta_grid(
-    model: LPVKoopmanModel,
+    model: LiftedModel,
     B_hat: np.ndarray,
     state_box: DomainBox,
     input_box: DomainBox,
@@ -114,7 +115,7 @@ def beta_grid(
 
 
 def beta_trajectory(
-    model: LPVKoopmanModel,
+    model: LiftedModel,
     B_hat: np.ndarray,
     states: np.ndarray,
     inputs: np.ndarray,
@@ -151,17 +152,19 @@ class ErrorEvolution:
 
 
 def error_trajectory(
-    exact: LPVKoopmanModel,
+    exact: LiftedModel,
     approx: LTIKoopmanModel,
     z0: Sequence[float],
     inputs: np.ndarray,
     n_steps: Optional[int] = None,
+    divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> ErrorEvolution:
     """Per-step 2-norm of the model gap from a shared initial lift.
 
     Simulates both models under the same inputs and also propagates the
     error recurrence directly; the two computations agree up to rounding
-    and are both returned.
+    and are both returned. ``divergence_limit`` applies to both simulations
+    as in :func:`~kooplift.sim.dt_simulate`.
     """
     if exact.time_domain != DISCRETE or approx.time_domain != DISCRETE:
         raise ValueError("error bounds are formulated for discrete-time models")
@@ -183,6 +186,7 @@ def error_trajectory(
         z0,
         inputs,
         n_steps=n_steps,
+        divergence_limit=divergence_limit,
         label="exact-lpv",
         state_selector=selector,
     )
@@ -191,6 +195,7 @@ def error_trajectory(
         z0,
         inputs,
         n_steps=n_steps,
+        divergence_limit=divergence_limit,
         label="approx-lti",
     )
     errors = exact_traj.states - approx_traj.states
@@ -306,12 +311,13 @@ class BoundReport:
 
 
 def build_bound_report(
-    exact: LPVKoopmanModel,
+    exact: LiftedModel,
     approx: LTIKoopmanModel,
     z0: Sequence[float],
     inputs: np.ndarray,
     n_steps: Optional[int] = None,
     beta_scan: Optional[BetaScan] = None,
+    divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> BoundReport:
     """Evaluate the error bounds for one run.
 
@@ -322,7 +328,9 @@ def build_bound_report(
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if n_steps is None:
         n_steps = inputs.shape[0] - 1
-    evolution = error_trajectory(exact, approx, z0, inputs, n_steps=n_steps)
+    evolution = error_trajectory(
+        exact, approx, z0, inputs, n_steps=n_steps, divergence_limit=divergence_limit
+    )
     if beta_scan is None:
         selector = list(exact.dictionary.state_selector)
         beta_scan = beta_trajectory(

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .examples import SystemBundle, builtin_system
 from .lifting import DEFAULT_SPAN_TOLERANCE, build_lifted_model
-from .lpv import make_lpv, make_lti, output_matrix
+from .lpv import make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap
 from .quadrature import QuadratureSpec
 from .serialize import write_csv, write_json, write_trajectory_csv
@@ -123,10 +123,21 @@ def resolve_system(cfg: dict) -> SystemBundle:
 
 
 def resolve_dictionary(cfg: dict, bundle: SystemBundle) -> ObservableDictionary:
+    """The configured dictionary; it must hold every state coordinate itself,
+    since each command recovers the state as x = C z."""
     spec = cfg.get("dictionary")
     if spec is None:
         return bundle.dictionary
-    n_x = bundle.n_x
+    dictionary = _parse_dictionary_spec(spec, bundle.n_x)
+    if dictionary.state_selector is None:
+        raise ConfigError(
+            f"dictionary {spec!r} must contain x1 .. x{bundle.n_x} as observables "
+            "to recover the state from the lifted vector"
+        )
+    return dictionary
+
+
+def _parse_dictionary_spec(spec, n_x: int) -> ObservableDictionary:
     try:
         if isinstance(spec, str):
             return parse_dictionary(spec, n_x)
@@ -233,29 +244,28 @@ def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
 
 
 def _lift(cfg: dict, bundle: SystemBundle, dictionary: ObservableDictionary):
-    """The lifted model and its LPV form for a resolved system and dictionary."""
-    lifted = build_lifted_model(
+    """The lifted (LPV) model for a resolved system and dictionary."""
+    return build_lifted_model(
         bundle.decomposition,
         dictionary,
         quad=QuadratureSpec(int(cfg.get("quad_nodes", 16))),
         span_tolerance=float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
     )
-    return lifted, make_lpv(lifted)
 
 
 def run_lift(cfg: dict, out_dir: Optional[str] = None) -> dict:
     bundle = resolve_system(cfg)
     dictionary = resolve_dictionary(cfg, bundle)
-    lifted, lpv = _lift(cfg, bundle, dictionary)
+    lifted = _lift(cfg, bundle, dictionary)
     print(f"lifted model for {bundle.name!r} ({lifted.time_domain})")
     print(f"  dictionary: {dictionary.n_f} observables, span residual {lifted.residual:.3e}")
     for row in lifted.A:
         print("  A | " + "  ".join(f"{v: .17g}" for v in row))
-    result = {"lifted": lifted, "lpv": lpv}
+    result = {"lifted": lifted, "lpv": lifted}
     if out_dir:
         path = write_json(
             Path(out_dir) / "model.json",
-            {"lifted": lifted.to_document(), "lpv": lpv.to_document()},
+            {"lifted": lifted.to_document(), "lpv": lifted.lpv_document()},
         )
         print(f"  wrote {path}")
         result["model_path"] = path
@@ -287,14 +297,14 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
 
     inputs = build_inputs(specs, ts, n_steps)
-    lifted, lpv = _lift(cfg, bundle, dictionary)
+    lifted = _lift(cfg, bundle, dictionary)
 
     sim_ts = ts if bundle.time_domain == CONTINUOUS else None
     nonlinear = simulate_nonlinear(
         bundle.decomposition, x0, inputs, ts=sim_ts, divergence_limit=limit
     )
     _, lpv_output = simulate_lpv(
-        lpv, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
+        lifted, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
     )
 
     trajectories = {"nonlinear": nonlinear, "koopman_lpv": lpv_output}
@@ -307,7 +317,7 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
             "discrete-time system"
         )
     z0 = dictionary.evaluate(x0)
-    C = output_matrix(dictionary)
+    C = lifted.C
     fitted = {}
     for fit in fits:
         label, lti = _fit_lti(
@@ -352,7 +362,7 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
         "bundle": bundle,
         "dictionary": dictionary,
         "lifted": lifted,
-        "lpv": lpv,
+        "lpv": lifted,
         "trajectories": trajectories,
         "reports": reports,
         "fitted": fitted,
@@ -530,7 +540,7 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
         raise ConfigError("error bounds are formulated for discrete-time systems")
     mode, density = resolve_bounds(cfg, bundle)
     base = run_simulate({**cfg, "fits": ["edmdc"]}, out_dir=None)
-    lpv = base["lpv"]
+    lifted = base["lifted"]
     lti = base["fitted"]["koopman_lti_edmdc"]
     dictionary = base["dictionary"]
     inputs = base["inputs"]
@@ -548,9 +558,12 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
             )
         if input_box is None:
             input_box = DomainBox.from_envelope(inputs)
-        beta_scan = beta_grid(lpv, lti.B, state_box, input_box, density)
+        beta_scan = beta_grid(lifted, lti.B, state_box, input_box, density)
 
-    report = build_bound_report(lpv, lti, z0, inputs, beta_scan=beta_scan)
+    limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
+    report = build_bound_report(
+        lifted, lti, z0, inputs, beta_scan=beta_scan, divergence_limit=limit
+    )
     print(
         f"  rho(A) {report.rho:.6g}  sigma_max(A) {report.sigma:.6g}  "
         f"beta {report.beta:.6g} ({report.beta_mode})"

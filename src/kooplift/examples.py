@@ -104,9 +104,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
     def g_input_jacobian(x, u):
         return np.reshape(held_jacobian_at(x, held_jacobian(u, None, None)), (2, 2))
 
-    def g_input_jacobian_ray(x, u, nodes, weights):
-        return np.reshape(held_jacobian_at(x, held_jacobian(u, nodes, weights)), (2, 2))
-
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])
     decomposition = Decomposition(
@@ -116,7 +113,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         autonomous=f_c,
         input_driven=g_eval,
         input_jacobian=g_input_jacobian,
-        input_jacobian_ray=g_input_jacobian_ray,
         input_held=HeldInput(
             held_driven, held_driven_at, held_jacobian, held_jacobian_at
         ),

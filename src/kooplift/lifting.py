@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
     InvariantSubspaceViolation,
     SpanViolation,
 )
+from .lpv import output_matrix
 from .polynomials import (
     PolynomialMap,
     TermDict,
@@ -475,6 +476,10 @@ class InputForm:
     weights: np.ndarray
 
 
+STACK_ZU = "stack-zu"
+STACK_Z = "stack-z"
+
+
 @dataclass
 class LiftedModel:
     """Exact (or residual-flagged approximate) lifted dynamics.
@@ -482,9 +487,17 @@ class LiftedModel:
     ``input_term(x, u)`` evaluates the lifted forcing; ``factored_input``
     returns the matrix B with ``B(x, u) u = input_term(x, u)``. When the
     factored matrix does not depend on the input (continuous-time
-    control-affine systems), ``input_dependent`` is False and downstream
-    scheduling can drop u. ``input_form`` describes B(x, u) for the
-    continuous-time simulation kernels when the oracle has a held-input form.
+    control-affine systems), ``input_dependent`` is False and the scheduling
+    drops u. ``input_form`` describes B(x, u) for the continuous-time
+    simulation kernels when the oracle has a held-input form.
+
+    The model is linear parameter-varying as it stands:
+
+        z+ (or dz/dt) = A z + B_z(p) u,        p = mu(z, u),
+
+    with the full-stacking scheduling map p = [z; u], or p = z when B is
+    state-only. The state is recovered as x = C z through the dictionary's
+    identity observables; ``C`` is built on first use.
     """
 
     A: np.ndarray
@@ -509,6 +522,47 @@ class LiftedModel:
     def n_x(self) -> int:
         return self.dictionary.n_x
 
+    @cached_property
+    def C(self) -> np.ndarray:
+        """x = C z; raises ValueError for a dictionary without identity
+        observables."""
+        return output_matrix(self.dictionary)
+
+    @property
+    def scheduling(self) -> str:
+        if self.time_domain == CONTINUOUS and not self.input_dependent:
+            return STACK_Z
+        return STACK_ZU
+
+    @property
+    def p_dim(self) -> int:
+        return self.n_f + (self.n_u if self.scheduling == STACK_ZU else 0)
+
+    def scheduling_map(self, z, u) -> np.ndarray:
+        """mu(z, u): full stacking [z; u], or z alone for state-only input maps."""
+        z = np.asarray(z, dtype=float)
+        if self.scheduling == STACK_Z:
+            return z.copy()
+        return np.concatenate([z, np.asarray(u, dtype=float)])
+
+    def input_matrix(self, p) -> np.ndarray:
+        """B_z(p): evaluates the factorised input matrix from the scheduling
+        variable, recovering the state through the dictionary's identity
+        observables."""
+        p = np.asarray(p, dtype=float)
+        if p.shape != (self.p_dim,):
+            raise DimensionError(
+                f"expected scheduling vector of shape ({self.p_dim},), got {p.shape}"
+            )
+        z = p[: self.n_f]
+        u = p[self.n_f :] if self.scheduling == STACK_ZU else np.zeros(self.n_u)
+        x = z[list(self.dictionary.state_selector)]
+        return np.asarray(self.factored_input(x, u), dtype=float)
+
+    def output(self, z) -> np.ndarray:
+        """x = C z; a plain gather of the identity observables."""
+        return np.asarray(z, dtype=float)[..., list(self.dictionary.state_selector)]
+
     def to_document(self) -> dict:
         return {
             "kind": "lifted-model",
@@ -522,6 +576,19 @@ class LiftedModel:
             "dictionary": self.dictionary.describe(),
             "quadrature_nodes": self.quad.nodes,
             "input_dependent": bool(self.input_dependent),
+        }
+
+    def lpv_document(self) -> dict:
+        return {
+            "kind": "lpv-koopman-model",
+            "name": self.name,
+            "time_domain": self.time_domain,
+            "scheduling": self.scheduling,
+            "n_f": self.n_f,
+            "n_u": self.n_u,
+            "A": [[float(v) for v in row] for row in self.A],
+            "C": [[float(v) for v in row] for row in self.C],
+            "dictionary": self.dictionary.describe(),
         }
 
 
@@ -664,10 +731,13 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
 
     Since the input term is (dPhi/dx)(x) g(x, u) and the dictionary Jacobian
     does not depend on u, the ray integral reduces to the dictionary
-    Jacobian times the integrated input-Jacobian of g.
+    Jacobian times the integrated input-Jacobian S of g. An oracle with a
+    held-input form supplies S in one call, bit for bit what the simulation
+    kernels use; otherwise the input-Jacobian is summed node by node.
     """
     lam, w = quad.rule()
-    jac_ray = decomposition.input_jacobian_ray
+    held = decomposition.input_held
+    shape = (decomposition.n_x, decomposition.n_u)
 
     def factored(x, u):
         x = np.asarray(x, dtype=float)
@@ -675,8 +745,9 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
         J = dictionary.jacobian(x)
         if not u.any():
             return J @ decomposition.input_jacobian_at(x, u)
-        if jac_ray is not None:
-            S = jac_ray(x, u, lam, w)
+        if held is not None:
+            h = held.jacobian(tuple(u.tolist()), lam, w)
+            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
         else:
             S = w[0] * decomposition.input_jacobian_at(x, lam[0] * u)
             for q in range(1, lam.shape[0]):

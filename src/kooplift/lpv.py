@@ -1,100 +1,21 @@
-"""Linear parameter-varying and LTI packaging of lifted models.
+"""Steps of lifted models and their constant-matrix (LTI) approximations.
 
-The lifted dynamics with factorised input matrix become a linear
-parameter-varying model once the state/input dependence of the input matrix
-is routed through a scheduling variable p:
-
-    z+ (or dz/dt) = A z + B_z(p) u,        p = mu(z, u)
-
-with the default full-stacking scheduling map p = [z; u] (continuous-time
-control-affine systems drop u since their input matrix is state-only). The
-original state is recovered as x = C z through the dictionary's identity
-observables.
+A lifted model (``LiftedModel``) is linear parameter-varying as built: its
+step is A z + B(x, u) u with x = C z, the state recovered through the
+dictionary's identity observables. This module holds that step, the output
+matrix C, and the LTI model A z + B u that the data-driven fits produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dictionaries import ObservableDictionary
 from .errors import DimensionError
-from .lifting import InputForm, LiftedModel
-from .systems import CONTINUOUS, DISCRETE
-
-STACK_ZU = "stack-zu"
-STACK_Z = "stack-z"
-
-
-@dataclass
-class LPVKoopmanModel:
-    """Lifted model in LPV form with an explicit scheduling map."""
-
-    A: np.ndarray
-    C: np.ndarray
-    scheduling: str
-    time_domain: str
-    n_u: int
-    dictionary: ObservableDictionary
-    factored_input: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    factored_batch: Optional[Callable] = None
-    input_form: Optional[InputForm] = None
-    name: str = "lpv-koopman"
-
-    @property
-    def n_f(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def p_dim(self) -> int:
-        return self.n_f + (self.n_u if self.scheduling == STACK_ZU else 0)
-
-    def scheduling_map(self, z, u) -> np.ndarray:
-        """mu(z, u): full stacking [z; u], or z alone for state-only input maps."""
-        z = np.asarray(z, dtype=float)
-        if self.scheduling == STACK_Z:
-            return z.copy()
-        return np.concatenate([z, np.asarray(u, dtype=float)])
-
-    def input_matrix(self, p) -> np.ndarray:
-        """B_z(p): evaluates the factorised input matrix from the scheduling
-        variable, recovering the state through the dictionary's identity
-        observables."""
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.p_dim,):
-            raise DimensionError(
-                f"expected scheduling vector of shape ({self.p_dim},), got {p.shape}"
-            )
-        z = p[: self.n_f]
-        u = p[self.n_f :] if self.scheduling == STACK_ZU else np.zeros(self.n_u)
-        x = z[list(self.dictionary.state_selector)]
-        return np.asarray(self.factored_input(x, u), dtype=float)
-
-    def input_matrix_from_state(self, x, u) -> np.ndarray:
-        return np.asarray(self.factored_input(x, u), dtype=float)
-
-    def output(self, z) -> np.ndarray:
-        """x = C z; a plain gather of the identity observables."""
-        return np.asarray(z, dtype=float)[..., list(self.dictionary.state_selector)]
-
-    def to_document(self) -> dict:
-        return {
-            "kind": "lpv-koopman-model",
-            "name": self.name,
-            "time_domain": self.time_domain,
-            "scheduling": self.scheduling,
-            "n_f": self.n_f,
-            "n_u": self.n_u,
-            "A": [[float(v) for v in row] for row in self.A],
-            "C": [[float(v) for v in row] for row in self.C],
-            "dictionary": self.dictionary.describe(),
-        }
+from .systems import DISCRETE
 
 
 @dataclass
@@ -144,36 +65,6 @@ def output_matrix(dictionary: ObservableDictionary) -> np.ndarray:
     return C
 
 
-def make_lpv(
-    lifted: LiftedModel, dictionary: Optional[ObservableDictionary] = None
-) -> LPVKoopmanModel:
-    """Package a lifted model as an LPV model.
-
-    The scheduling map defaults to full stacking p = [z; u]; when the
-    factorised input matrix is state-only (continuous-time control-affine
-    case) the input is dropped and p = z.
-    """
-    dictionary = dictionary if dictionary is not None else lifted.dictionary
-    C = output_matrix(dictionary)
-    scheduling = (
-        STACK_Z
-        if (lifted.time_domain == CONTINUOUS and not lifted.input_dependent)
-        else STACK_ZU
-    )
-    return LPVKoopmanModel(
-        A=lifted.A,
-        C=C,
-        scheduling=scheduling,
-        time_domain=lifted.time_domain,
-        n_u=lifted.n_u,
-        dictionary=dictionary,
-        factored_input=lifted.factored_input,
-        factored_batch=lifted.factored_batch,
-        input_form=lifted.input_form,
-        name=lifted.name,
-    )
-
-
 def lifted_step(A: np.ndarray, input_matrix: Callable, selector) -> Callable:
     """The lifted model's step ``(z, u) -> A z + B(x, u) u`` with ``x = z[selector]``.
 
@@ -192,8 +83,8 @@ def lti_step(A: np.ndarray, B: np.ndarray) -> Callable:
     return lambda z, u: A @ z + B @ u
 
 
-def eval_lpv_step(model: LPVKoopmanModel, z, u) -> np.ndarray:
-    """One evaluation of the LPV model: A z + B(x, u) u with x = C z.
+def eval_lpv_step(model, z, u) -> np.ndarray:
+    """One evaluation of a lifted model: A z + B(x, u) u with x = C z.
 
     Returns the lifted vector field in continuous time and the successor
     state in discrete time.
@@ -206,7 +97,7 @@ def eval_lpv_step(model: LPVKoopmanModel, z, u) -> np.ndarray:
             f"got {z.shape} and {u.shape}"
         )
     selector = list(model.dictionary.state_selector)
-    return lifted_step(model.A, model.input_matrix_from_state, selector)(z, u)
+    return lifted_step(model.A, model.factored_input, selector)(z, u)
 
 
 def make_lti(A, B, C, time_domain: str = DISCRETE, name: str = "lti-koopman") -> LTIKoopmanModel:

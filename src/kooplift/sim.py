@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .kernels import lpv_kernel, nonlinear_kernel
-from .lpv import LPVKoopmanModel, LTIKoopmanModel, lifted_step, lti_step
+from .lifting import LiftedModel
+from .lpv import LTIKoopmanModel, lifted_step, lti_step
 from .systems import CONTINUOUS, Decomposition
 
 DEFAULT_DIVERGENCE_LIMIT = 1e12
@@ -446,7 +447,7 @@ def simulate_nonlinear(
 
 
 def simulate_lpv(
-    model: LPVKoopmanModel,
+    model: LiftedModel,
     x0: Optional[Sequence[float]] = None,
     inputs: np.ndarray = None,
     ts: Optional[float] = None,
@@ -454,7 +455,7 @@ def simulate_lpv(
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
     label: str = "koopman_lpv",
 ):
-    """Simulate the LPV model in lifted coordinates.
+    """Simulate the lifted (LPV) model in lifted coordinates.
 
     Returns (lifted trajectory, output trajectory); the output trajectory
     gathers the identity observables, i.e. x = C z. The divergence limit

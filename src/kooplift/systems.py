@@ -129,8 +129,9 @@ class HeldInput:
     ``nodes`` is None. ``driven_at(x, h)`` and ``jacobian_at(x, h)`` finish
     the evaluation at a state. States and inputs are tuples of floats and
     results are flat tuples of floats, the Jacobian row-major. The results
-    must equal ``input_driven``, ``input_jacobian_ray`` and
-    ``input_jacobian`` bit for bit.
+    must equal ``input_driven`` and ``input_jacobian`` bit for bit, and the
+    ray sum the node-by-node sum of ``input_jacobian`` up to rounding: the
+    factorisation takes its ray integral from this form when it is present.
     """
 
     driven: Callable
@@ -156,13 +157,9 @@ class Decomposition:
     autonomous: object
     input_driven: Callable[[np.ndarray, np.ndarray], np.ndarray]
     input_jacobian: Optional[Callable] = None
-    # optional fused form of sum_q w_q dg/du(x, nodes_q * u); signature
-    # (x, u, nodes, weights) -> (n_x, n_u). Purely a fast path for the
-    # factorisation quadrature; must agree with input_jacobian.
-    input_jacobian_ray: Optional[Callable] = None
-    # optional held-input form of input_driven, input_jacobian and
-    # input_jacobian_ray (see HeldInput); purely a fast path for the
-    # continuous-time simulation kernels, which it lets skip the numpy calls
+    # optional held-input form of input_driven and input_jacobian (see
+    # HeldInput); purely a fast path for the factorisation's ray integral and
+    # the continuous-time simulation kernels, which it lets skip numpy calls
     input_held: Optional[HeldInput] = None
     control_affine_columns: Optional[List[PolynomialMap]] = None
     state_box: Optional[DomainBox] = None
@@ -171,12 +168,8 @@ class Decomposition:
 
     def __post_init__(self):
         _check_time_domain(self.time_domain)
-        if self.input_held is not None and (
-            self.input_jacobian is None or self.input_jacobian_ray is None
-        ):
-            raise ValueError(
-                "input_held needs the input_jacobian and input_jacobian_ray it mirrors"
-            )
+        if self.input_held is not None and self.input_jacobian is None:
+            raise ValueError("input_held needs the input_jacobian it mirrors")
         if self.control_affine_columns is not None:
             if len(self.control_affine_columns) != self.n_u:
                 raise DimensionError(

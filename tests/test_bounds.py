@@ -16,7 +16,6 @@ from kooplift import (
     dt_example,
     edmdc_input_fit,
     error_trajectory,
-    make_lpv,
     make_lti,
     simulate_lpv,
     simulate_nonlinear,
@@ -28,15 +27,14 @@ from kooplift.errors import DimensionError
 
 def _dt_setup(signal=None, n_steps=100):
     bundle = dt_example()
-    lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-    lpv = make_lpv(lifted)
+    lpv = build_lifted_model(bundle.decomposition, bundle.dictionary)
     if signal is None:
         signal = SignalSpec(kind="white_noise", variance=0.5, seed=33)
     inputs = build_inputs([signal], 1.0, n_steps)
     traj = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
     data = build_snapshots(traj, bundle.dictionary)
-    B_hat, _ = edmdc_input_fit(data, lifted.A)
-    lti = make_lti(lifted.A, B_hat, lpv.C)
+    B_hat, _ = edmdc_input_fit(data, lpv.A)
+    lti = make_lti(lpv.A, B_hat, lpv.C)
     return bundle, lpv, lti, inputs, traj
 
 
@@ -77,7 +75,7 @@ class TestBetaScans:
 
         class ConstModel:
             factored_batch = None
-            input_matrix_from_state = staticmethod(lambda x, u: B_const)
+            factored_input = staticmethod(lambda x, u: B_const)
 
         scan = beta_grid(
             ConstModel(),
@@ -128,8 +126,7 @@ class TestBetaScans:
         f = PolynomialMap(1, [{(1,): 0.5}])
         column = PolynomialMap(1, [{(0,): 1.0, (2,): 1.0}])
         split = control_affine_decomposition(f, [column], "discrete")
-        lifted = build_lifted_model(split, monomial_dictionary(1, 2))
-        lpv = make_lpv(lifted)
+        lpv = build_lifted_model(split, monomial_dictionary(1, 2))
         B_hat = np.array([[1.0], [0.2]])
         state_box = DomainBox([-1.0], [1.0])
         input_box = DomainBox([-1.0], [1.0])
@@ -161,7 +158,7 @@ class TestBetaScans:
         bundle, lpv, lti, inputs, traj = _dt_setup()
         scan = beta_trajectory(lpv, lti.B, traj.states[:-1], inputs[:-1])
         norms = [
-            np.linalg.norm(lpv.input_matrix_from_state(x, u) - lti.B)
+            np.linalg.norm(lpv.factored_input(x, u) - lti.B)
             for x, u in zip(traj.states[:-1], inputs[:-1])
         ]
         assert scan.beta == max(norms)
@@ -183,10 +180,9 @@ class TestErrorTrajectory:
         column = PolynomialMap(2, [{(0, 0): 1.0}, {(0, 0): -0.5}])
         split = control_affine_decomposition(f, [column], "discrete")
         d = monomial_dictionary(2, 1)
-        lifted = build_lifted_model(split, d)
-        lpv = make_lpv(lifted)
+        lpv = build_lifted_model(split, d)
         B_true = np.array([[1.0], [-0.5]])
-        lti = make_lti(lifted.A, B_true, lpv.C)
+        lti = make_lti(lpv.A, B_true, lpv.C)
         inputs = rng.normal(size=(40, 1))
         evol = error_trajectory(lpv, lti, d.evaluate([1.0, -1.0]), inputs)
         assert np.abs(evol.norms).max() <= 1e-12
@@ -288,7 +284,7 @@ class TestBoundReport:
             )
         report = build_bound_report(lpv, lti, z0, inputs, beta_scan=scan)
         x_star, u_star = report.beta_argmax_state, report.beta_argmax_input
-        gap = lpv.input_matrix_from_state(x_star, u_star) - lti.B
+        gap = lpv.factored_input(x_star, u_star) - lti.B
         assert report.beta_mode == mode
         assert np.linalg.norm(gap, 2) == pytest.approx(report.beta, rel=1e-12, abs=0)
         doc = report.to_document()

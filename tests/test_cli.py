@@ -102,6 +102,15 @@ class TestLift:
         path = _write_config(tmp_path, cfg)
         assert main(["lift", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command", ["lift", "simulate"])
+    def test_dictionary_without_state_observables_is_config_error(
+        self, tmp_path, command, capsys
+    ):
+        # the span holds, but without x1 no C recovers the state from z
+        path = _write_config(tmp_path, dict(DT_CFG, dictionary="x1^2,x2,x1^4"))
+        assert main([command, "--config", path]) == 2
+        assert "x1 .. x2" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_outputs_written(self, tmp_path):
@@ -286,6 +295,29 @@ class TestBoundsCommand:
             cli.run_bounds(dict(DT_CFG, bounds=bounds))
         path = _write_config(tmp_path, dict(DT_CFG, bounds=bounds))
         assert main(["bounds", "--config", path]) == 2
+
+    def test_divergence_limit_reaches_the_bound_simulations(self, tmp_path):
+        # x1+ = 1.5 x1 + u passes 1e12 near step 68 and stays below 1e15
+        cfg = {
+            "system": {
+                "time_domain": "discrete",
+                "n_x": 2,
+                "f": [
+                    [{"exponents": [1, 0], "coeff": 1.5}],
+                    [{"exponents": [0, 1], "coeff": 0.5}],
+                ],
+                "input_columns": [[[{"exponents": [0, 0], "coeff": 1.0}], []]],
+            },
+            "dictionary": "x1,x2",
+            "horizon_steps": 80,
+            "divergence_limit": 1e15,
+            "signals": [{"kind": "white_noise", "variance": 0.5}],
+        }
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["bounds", "--config", path]) == 0
+        low = _write_config(tmp_path, dict(cfg, divergence_limit=1e12), "low.json")
+        assert main(["bounds", "--config", low]) == 3
 
     def test_grid_budget_admits_the_default_density(self):
         bundle = resolve_system(DT_CFG)  # n_x + n_u = 3

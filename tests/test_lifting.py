@@ -313,13 +313,13 @@ class TestFactorization:
             assert gaps[0] > gaps[1] > gaps[2]
 
     def test_ct_oracle_node_loop_matches_ray(self):
-        # the oracle split has no fused ray integral, so its factorisation
-        # sums the input-Jacobian node by node
+        # the oracle split has no held-input form, so its factorisation sums
+        # the input-Jacobian node by node instead of taking the held ray sum
         bundle = ct_example()
         rng = np.random.default_rng(12)
         split = decompose(bundle.full_oracle)
-        assert split.input_jacobian_ray is None
-        assert bundle.decomposition.input_jacobian_ray is not None
+        assert split.input_held is None
+        assert bundle.decomposition.input_held is not None
         nodes = build_lifted_model(
             split, BENCH_DICT, sample_grid=bundle.state_box.sample(rng, 50)
         )

@@ -1,4 +1,4 @@
-"""LPV packaging, scheduling maps and LTI containers."""
+"""The lifted model's LPV view, scheduling maps and LTI containers."""
 
 import json
 
@@ -13,7 +13,6 @@ from kooplift import (
     ct_example,
     dt_example,
     eval_lpv_step,
-    make_lpv,
     make_lti,
     monomial_dictionary,
     output_matrix,
@@ -26,7 +25,7 @@ from kooplift.systems import control_affine_decomposition
 def _dt_model():
     bundle = dt_example()
     lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-    return bundle, make_lpv(lifted)
+    return bundle, lifted
 
 
 class TestMakeLpv:
@@ -41,8 +40,7 @@ class TestMakeLpv:
 
     def test_ct_benchmark_keeps_input_in_schedule(self):
         bundle = ct_example()
-        lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-        model = make_lpv(lifted)
+        model = build_lifted_model(bundle.decomposition, bundle.dictionary)
         assert model.scheduling == "stack-zu"
         np.testing.assert_array_equal(model.C, [[1, 0, 0], [0, 1, 0]])
 
@@ -51,11 +49,10 @@ class TestMakeLpv:
         f = PolynomialMap(2, [{(1, 0): -1.0}, {(0, 1): -2.0}])
         column = PolynomialMap(2, [{(0, 0): 1.0}, {(1, 0): 1.0}])
         split = control_affine_decomposition(f, [column], "continuous")
-        lifted = build_lifted_model(split, monomial_dictionary(2, 2))
-        assert not lifted.input_dependent
-        model = make_lpv(lifted)
+        model = build_lifted_model(split, monomial_dictionary(2, 2))
+        assert not model.input_dependent
         assert model.scheduling == "stack-z"
-        assert model.p_dim == lifted.n_f
+        assert model.p_dim == model.n_f
         # input matrix reachable through the scheduling vector alone
         z = model.dictionary.evaluate(np.array([0.3, -0.4]))
         B = model.input_matrix(model.scheduling_map(z, np.zeros(1)))
@@ -68,8 +65,7 @@ class TestMakeLpv:
         f = PolynomialMap(2, [{(1, 0): 0.5}, {(0, 1): 0.5}])
         column = PolynomialMap(2, [{}, {}])
         split = control_affine_decomposition(f, [column], "discrete")
-        lifted = build_lifted_model(split, monomial_dictionary(2, 1))
-        model = make_lpv(lifted)
+        model = build_lifted_model(split, monomial_dictionary(2, 1))
         z = np.array([1.0, -1.0])
         u = np.array([0.7])
         np.testing.assert_array_equal(
@@ -79,9 +75,9 @@ class TestMakeLpv:
     def test_missing_state_selector_rejected(self):
         d = ObservableDictionary(2, [Monomial((2, 0)), Monomial((1, 1))])
         bundle = dt_example()
-        with pytest.raises(Exception) as exc:
-            lifted = build_lifted_model(bundle.decomposition, d, strict=False)
-            make_lpv(lifted)
+        lifted = build_lifted_model(bundle.decomposition, d, strict=False)
+        with pytest.raises(ValueError) as exc:
+            lifted.C
         assert "state selector" in str(exc.value) or "selector" in str(exc.value)
 
 
@@ -107,15 +103,14 @@ class TestEvalStep:
     def test_consistency_with_lifted_evaluation(self):
         # scheduling + factorisation round trip equals A Phi + input term
         for bundle in (ct_example(), dt_example()):
-            lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-            model = make_lpv(lifted)
+            model = build_lifted_model(bundle.decomposition, bundle.dictionary)
             rng = np.random.default_rng(1)
             X = bundle.state_box.sample(rng, 1000)
             U = bundle.input_box.sample(rng, 1000)
             for x, u in zip(X, U):
                 z = bundle.dictionary.evaluate(x)
                 via_lpv = eval_lpv_step(model, z, u)
-                via_lift = lifted.A @ z + lifted.input_term(x, u)
+                via_lift = model.A @ z + model.input_term(x, u)
                 assert np.all(np.abs(via_lpv - via_lift) <= 1e-10 * (1 + np.abs(via_lift)))
 
     def test_dimension_checks(self):
@@ -154,7 +149,7 @@ class TestMakeLti:
         bundle, model = _dt_model()
         x = np.array([0.5, -0.5])
         u = np.array([0.3])
-        B = model.input_matrix_from_state(x, u)
+        B = model.factored_input(x, u)
         lti = make_lti(model.A, B, model.C)
         assert lti.n_f == 3 and lti.n_u == 1
 
@@ -176,7 +171,7 @@ class TestMakeLti:
 class TestDocuments:
     def test_lpv_document_fields(self):
         _, model = _dt_model()
-        doc = json.loads(dumps_json(model.to_document()))
+        doc = json.loads(dumps_json(model.lpv_document()))
         assert doc["scheduling"] == "stack-zu"
         np.testing.assert_array_equal(np.array(doc["A"]), model.A)
         np.testing.assert_array_equal(np.array(doc["C"]), model.C)

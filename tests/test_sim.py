@@ -17,7 +17,6 @@ from kooplift import (
     ct_example,
     dt_simulate,
     error_metrics,
-    make_lpv,
     multisine,
     rk4_integrate,
     signal_samples,
@@ -103,8 +102,7 @@ class TestDtSimulate:
 
     def test_exact_lift_tracks_nonlinear_white_noise(self):
         bundle = dt_example()
-        lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-        model = make_lpv(lifted)
+        model = build_lifted_model(bundle.decomposition, bundle.dictionary)
         spec = SignalSpec(kind="white_noise", variance=0.5, seed=42)
         inputs = build_inputs([spec], ts=1.0, n_steps=100)
         nonlinear = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
@@ -136,7 +134,7 @@ class TestDtSimulate:
                 if a + b > 0
             ],
         )
-        model = make_lpv(build_lifted_model(bundle.decomposition, dictionary))
+        model = build_lifted_model(bundle.decomposition, dictionary)
         spec = SignalSpec(kind="white_noise", variance=0.5, seed=2)
         inputs = build_inputs([spec], ts=1.0, n_steps=100)
         nonlinear = simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs)
@@ -327,14 +325,16 @@ def _plain_lpv(model, z0, inputs, ts, decomposition, **options):
     """simulate_lpv on the numpy _rk4 path, with every product in plain order.
 
     B = dPhi/dx S is rebuilt as the factorisation builds it, from the
-    decomposition's input_jacobian_ray (input_jacobian at u = 0).
+    decomposition's held ray sum (input_jacobian at u = 0).
     """
     selector = list(model.dictionary.state_selector)
     nodes, weights = QuadratureSpec().rule()
+    held = decomposition.input_held
 
     def factored(x, u):
         if u.any():
-            S = decomposition.input_jacobian_ray(x, u, nodes, weights)
+            h = held.jacobian(tuple(u.tolist()), nodes, weights)
+            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
         else:
             S = decomposition.input_jacobian(x, u)
         return _plain_matmul(model.dictionary.jacobian(x), S)
@@ -380,7 +380,7 @@ def _assert_same_bits(a, b):
 def ct_model():
     bundle = ct_example()
     lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
-    return bundle, make_lpv(lifted)
+    return bundle, lifted
 
 
 class TestKernels:
@@ -410,7 +410,7 @@ class TestKernels:
         dictionary = ObservableDictionary(
             2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
         )
-        model = make_lpv(build_lifted_model(decomposition, dictionary))
+        model = build_lifted_model(decomposition, dictionary)
         assert nonlinear_kernel(decomposition) is None
         assert model.input_form is None and lpv_kernel(model) is None
         inputs = _random_inputs(4, 100)
@@ -452,16 +452,15 @@ class TestKernels:
         bundle, model = ct_model
         plain = dataclasses.replace(bundle.decomposition, input_held=None)
         lifted = build_lifted_model(plain, bundle.dictionary)
-        fallback = make_lpv(lifted)
         assert nonlinear_kernel(plain) is None
-        assert lifted.input_form is None and lpv_kernel(fallback) is None
+        assert lifted.input_form is None and lpv_kernel(lifted) is None
         inputs = _random_inputs(7, 60)
         _assert_same_bits(
             simulate_nonlinear(plain, [1.0, 1.0], inputs, ts=1e-2).states,
             simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs, ts=1e-2).states,
         )
         _assert_same_bits(
-            simulate_lpv(fallback, x0=[1.0, 1.0], inputs=inputs, ts=1e-2)[0].states,
+            simulate_lpv(lifted, x0=[1.0, 1.0], inputs=inputs, ts=1e-2)[0].states,
             _numpy_lpv(model, model.dictionary.evaluate(np.array([1.0, 1.0])), inputs, 1e-2).states,
         )
 
