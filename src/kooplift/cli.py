@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -54,6 +55,7 @@ from .sim import (
     error_metrics,
     simulate_lpv,
     simulate_lti,
+    simulate_lti_stack,
     simulate_nonlinear,
 )
 from .systems import CONTINUOUS, DISCRETE, DomainBox, control_affine_decomposition
@@ -108,7 +110,10 @@ def resolve_system(cfg: dict) -> SystemBundle:
     decomposition = control_affine_decomposition(
         f, columns, time_domain, name=spec.get("name", "inline-system")
     )
-    dictionary = monomial_dictionary(n_x, int(spec.get("default_degree", 2)))
+    try:
+        dictionary = monomial_dictionary(n_x, int(spec.get("default_degree", 2)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid inline system default_degree: {exc}")
     lo, hi = spec.get("state_box", [[-2.0] * n_x, [2.0] * n_x])
     ulo, uhi = spec.get("input_box", [[-1.0] * len(columns), [1.0] * len(columns)])
     return SystemBundle(
@@ -221,6 +226,18 @@ def resolve_x0(cfg: dict, bundle: SystemBundle) -> np.ndarray:
     return x0
 
 
+def resolve_divergence_limit(cfg: dict) -> float:
+    """The divergence limit, a positive finite number."""
+    limit = cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT)
+    if (
+        isinstance(limit, numbers.Real)
+        and not isinstance(limit, bool)
+        and 0 < limit <= sys.float_info.max
+    ):
+        return float(limit)
+    raise ConfigError(f"'divergence_limit' must be a positive number, got {limit!r}")
+
+
 def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
     return {
         "system": bundle.name,
@@ -232,9 +249,7 @@ def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
         "signals": [s.to_document() for s in specs],
         "quad_nodes": int(cfg.get("quad_nodes", 16)),
         "span_tolerance": float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
-        "divergence_limit": float(
-            cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT)
-        ),
+        "divergence_limit": resolve_divergence_limit(cfg),
     }
 
 
@@ -294,7 +309,7 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     specs = resolve_signals(cfg, bundle)
     n_steps, ts = resolve_horizon(cfg, bundle)
     x0 = resolve_x0(cfg, bundle)
-    limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
+    limit = resolve_divergence_limit(cfg)
 
     inputs = build_inputs(specs, ts, n_steps)
     lifted = _lift(cfg, bundle, dictionary)
@@ -321,7 +336,7 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     fitted = {}
     for fit in fits:
         label, lti = _fit_lti(
-            fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, sim_ts, limit
+            fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit
         )
         fitted[label] = lti
         try:
@@ -371,7 +386,7 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     }
 
 
-def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, sim_ts, limit):
+def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit):
     data = build_snapshots(nonlinear, dictionary)
     kind = fit["kind"]
     if kind == "edmdc":
@@ -387,39 +402,41 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, sim_ts, 
     # edmd_tikhonov
     alpha = fit.get("alpha", "search")
     if alpha == "search":
-        z0 = dictionary.evaluate(x0)
-        result = alpha_grid_search(
-            data,
-            default_alpha_grid(),
-            _alpha_objective(
-                nonlinear, C, bundle.time_domain, z0, inputs, sim_ts, limit, {}
-            ),
+        objective = _alpha_objective(
+            nonlinear, C, dictionary.evaluate(x0), inputs, limit, {}
         )
-        alpha = result.best_alpha
+        alpha = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
     A_hat, B_hat = edmd_tikhonov(data, float(alpha))
     return "koopman_lti_tikhonov", make_lti(
         A_hat, B_hat, C, time_domain=bundle.time_domain, name="lti-tikhonov"
     )
 
 
-def _alpha_objective(nonlinear, C, time_domain, z0, inputs, ts, limit, reports):
-    """Summed l2 output error of the LTI model simulated from a fitted (A, B).
+def _alpha_objective(nonlinear, C, z0, inputs, limit, reports):
+    """Batched alpha-search objective: summed l2 output errors of the
+    discrete-time LTI models simulated from the fitted (A, B) pairs.
 
-    Each candidate's ErrorReport is recorded in ``reports`` under its
-    alpha, or None when its simulation diverged, so callers can reuse the
-    simulation instead of repeating it.
+    One call simulates its candidates together (``simulate_lti_stack``). Each
+    candidate's per-state l2 errors are recorded in ``reports`` under its
+    alpha, or None when its simulation diverged (cost inf), so callers can
+    reuse the simulation instead of repeating it.
     """
 
-    def objective(alpha, fit):
-        A_hat, B_hat = fit
-        lti = make_lti(A_hat, B_hat, C, time_domain=time_domain)
-        try:
-            _, output = simulate_lti(lti, z0, inputs, ts=ts, divergence_limit=limit)
-        except DivergenceError:
-            reports[alpha] = None
-            raise
-        report = reports[alpha] = error_metrics(nonlinear, output)
-        return float(np.sum(report.l2))
+    def objective(alphas, fits):
+        states, diverged_at = simulate_lti_stack(
+            np.stack([A for A, _ in fits]),
+            np.stack([B for _, B in fits]),
+            z0,
+            inputs,
+            divergence_limit=limit,
+        )
+        eps = nonlinear.states - states @ C.T
+        l2s = np.sqrt(np.sum(eps * eps, axis=1))
+        costs = []
+        for alpha, l2, step in zip(alphas, l2s, diverged_at):
+            reports[alpha] = None if step else l2
+            costs.append(np.inf if step else float(np.sum(l2)))
+        return costs
 
     return objective
 
@@ -432,7 +449,7 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     nonlinear = base["trajectories"]["nonlinear"]
     inputs = base["inputs"]
     x0 = resolve_x0(cfg, bundle)
-    limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
+    limit = resolve_divergence_limit(cfg)
 
     result = {"base": base, "sweep_rows": [], "baseline_rows": []}
     sweep = cfg.get("sweep")
@@ -473,22 +490,25 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
     for degree in range(lo, hi + 1):
         dictionary = monomial_dictionary(bundle.n_x, degree)
         data = build_snapshots(nonlinear, dictionary)
-        C = output_matrix(dictionary)
-        z0 = dictionary.evaluate(x0)
         reports = {}
         objective = _alpha_objective(
-            nonlinear, C, DISCRETE, z0, inputs, None, limit, reports
+            nonlinear,
+            output_matrix(dictionary),
+            dictionary.evaluate(x0),
+            inputs,
+            limit,
+            reports,
         )
         best_alpha = None
-        try:
-            if alpha_search:
-                # the default grid starts at alpha = 0, which fills that row too
+        if alpha_search:
+            # the default grid starts at alpha = 0, which fills that row too
+            try:
                 search = alpha_grid_search(data, default_alpha_grid(), objective)
                 best_alpha = search.best_alpha
-            else:
-                objective(0.0, edmd_tikhonov(data, 0.0))
-        except DivergenceError:
-            pass  # the objective has recorded the diverged candidates as None
+            except DivergenceError:
+                pass  # the objective has recorded every candidate as None
+        else:
+            objective([0.0], [edmd_tikhonov(data, 0.0)])
         rows.append(_sweep_row(degree, 0.0, reports[0.0]))
         if alpha_search:
             if best_alpha is None:
@@ -509,10 +529,10 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
     return rows, baselines
 
 
-def _sweep_row(degree, alpha, report):
-    if report is None:
+def _sweep_row(degree, alpha, l2):
+    if l2 is None:
         return [degree, alpha, float("inf"), float("inf"), 1]
-    return [degree, alpha, float(report.l2[0]), float(report.l2[1]), 0]
+    return [degree, alpha, float(l2[0]), float(l2[1]), 0]
 
 
 def resolve_bounds(cfg: dict, bundle: SystemBundle) -> Tuple[str, int]:
@@ -539,6 +559,7 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
     if bundle.time_domain != DISCRETE:
         raise ConfigError("error bounds are formulated for discrete-time systems")
     mode, density = resolve_bounds(cfg, bundle)
+    limit = resolve_divergence_limit(cfg)
     base = run_simulate({**cfg, "fits": ["edmdc"]}, out_dir=None)
     lifted = base["lifted"]
     lti = base["fitted"]["koopman_lti_edmdc"]
@@ -560,7 +581,6 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
             input_box = DomainBox.from_envelope(inputs)
         beta_scan = beta_grid(lifted, lti.B, state_box, input_box, density)
 
-    limit = float(cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT))
     report = build_bound_report(
         lifted, lti, z0, inputs, beta_scan=beta_scan, divergence_limit=limit
     )

@@ -23,7 +23,9 @@ Ill-Posed Problems, 1998):
 
 so a whole alpha grid costs one factorisation and a matrix product per
 grid point, and never forms the squared-conditioned Gramian. alpha = 0
-stays the pseudoinverse of the normal equations, as in the full fit.
+stays the pseudoinverse of the normal equations, as in the full fit. The
+search hands its objective the fits in blocks, so the candidates of one
+block can be simulated together.
 Pseudoinverses use an SVD cutoff of max(m, n) * eps relative to the largest
 singular value.
 """
@@ -43,6 +45,8 @@ from .sim import Trajectory
 log = logging.getLogger(__name__)
 
 _EPS = float(np.finfo(float).eps)
+# floats of (A, B) fits handed to an alpha-search objective at once
+_SEARCH_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -214,33 +218,37 @@ def default_alpha_grid(per_decade: int = 1) -> np.ndarray:
 def alpha_grid_search(
     data: SnapshotData,
     grid: Sequence[float],
-    objective: Callable[[float, Tuple[np.ndarray, np.ndarray]], float],
+    objective: Callable[
+        [List[float], List[Tuple[np.ndarray, np.ndarray]]], Sequence[float]
+    ],
 ) -> AlphaSearchResult:
     """Pick the regularisation weight minimising a simulation-error cost.
 
-    ``objective(alpha, (A, B))`` returns the cost of the fitted model and
-    may raise :class:`DivergenceError`, which marks the grid point as
-    divergent instead of aborting the sweep. Ties break toward smaller
-    alpha; if every candidate diverges an error lists them all.
+    ``objective(alphas, fits)`` returns one cost per candidate for a block
+    of ascending alphas and their fits ``(A, B)``; a non-finite cost marks
+    the candidate as divergent instead of aborting the sweep. A block's
+    fits hold about ``_SEARCH_BLOCK_FLOATS`` floats, so an objective that
+    stacks them stays small at large lifted dimensions. Ties break toward
+    smaller alpha; if every candidate diverges an error lists them all.
     """
     grid = sorted(float(a) for a in grid)
     if not grid:
         raise ValueError("alpha grid is empty")
+    block = max(1, _SEARCH_BLOCK_FLOATS // (data.n_f * (data.n_f + data.n_u)))
     rows: List[dict] = []
+    for start in range(0, len(grid), block):
+        alphas = grid[start : start + block]
+        costs = objective(alphas, [edmd_tikhonov(data, alpha) for alpha in alphas])
+        for alpha, cost in zip(alphas, costs, strict=True):
+            cost = float(cost)
+            diverged = not np.isfinite(cost)
+            rows.append({"alpha": alpha, "cost": cost, "diverged": diverged})
     best_alpha = None
     best_cost = np.inf
-    for alpha in grid:
-        fit = edmd_tikhonov(data, alpha)
-        try:
-            cost = float(objective(alpha, fit))
-            diverged = not np.isfinite(cost)
-        except DivergenceError:
-            cost = np.inf
-            diverged = True
-        rows.append({"alpha": alpha, "cost": cost, "diverged": diverged})
-        if not diverged and cost < best_cost:
-            best_alpha = alpha
-            best_cost = cost
+    for row in rows:
+        if not row["diverged"] and row["cost"] < best_cost:
+            best_alpha = row["alpha"]
+            best_cost = row["cost"]
     if best_alpha is None:
         raise DivergenceError(
             "every candidate diverged: "

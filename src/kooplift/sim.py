@@ -10,7 +10,7 @@ generators so identical configurations reproduce bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -502,6 +502,54 @@ def simulate_lti(
     )
     output = lifted.with_states(lifted.states @ model.C.T, label=f"{label}_output")
     return lifted, output
+
+
+def simulate_lti_stack(
+    As: np.ndarray,
+    Bs: np.ndarray,
+    z0: Sequence[float],
+    inputs: np.ndarray,
+    divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Iterate M discrete-time LTI models z+ = A_m z + B_m u as one recurrence.
+
+    ``As`` is (M, n_f, n_f), ``Bs`` is (M, n_f, n_u); every member starts
+    at ``z0`` and sees the same input rows. Each member's states are the
+    bits :func:`dt_simulate` gives for ``lti_step(A_m, B_m)``: a member
+    leaves the stack at the step where that run would raise
+    :class:`DivergenceError`. Returns ``(states, diverged_at)``: states of
+    shape (M, n_steps + 1, n_f), NaN from a member's divergence step on,
+    and the (M,) divergence steps, 0 for a member that never diverged.
+    """
+    As = np.asarray(As, dtype=float)
+    Bs = np.asarray(Bs, dtype=float)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    n_steps = inputs.shape[0] - 1
+    if n_steps < 1:
+        raise DimensionError("need at least two input rows (one step)")
+    M, n_f = As.shape[:2]
+    if As.shape != (M, n_f, n_f) or Bs.shape != (M, n_f, inputs.shape[1]):
+        raise DimensionError(
+            f"stacks of shapes {As.shape} and {Bs.shape} do not form "
+            f"{inputs.shape[1]}-input LTI models"
+        )
+    states = np.full((M, n_steps + 1, n_f), np.nan)
+    states[:, 0] = z0
+    diverged_at = np.zeros(M, dtype=int)
+    members = np.arange(M)
+    Z = states[:, 0].copy()
+    for k in range(n_steps):
+        Z = (As @ Z[..., None])[..., 0] + Bs @ inputs[k]
+        # the test _check_state makes without a selector; NaN fails it too
+        within = np.all(np.abs(Z) <= divergence_limit, axis=1)
+        if not within.all():
+            diverged_at[members[~within]] = k + 1
+            members, Z = members[within], Z[within]
+            As, Bs = As[within], Bs[within]
+            if members.size == 0:
+                break
+        states[members, k + 1] = Z
+    return states, diverged_at
 
 
 # ---------------------------------------------------------------------------

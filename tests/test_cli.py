@@ -16,8 +16,10 @@ from kooplift.cli import (
     run_reproduce,
     run_simulate,
 )
+from kooplift.edmd import build_snapshots, default_alpha_grid, edmd_tikhonov
 from kooplift.errors import ConfigError, DivergenceError
-from kooplift.lpv import output_matrix
+from kooplift.lpv import make_lti, output_matrix
+from kooplift.sim import error_metrics, simulate_lti
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -170,6 +172,45 @@ class TestSimulate:
         path = _write_config(tmp_path, {"system": "dt-example"})
         assert main(["simulate", "--config", path]) == 2
         assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "limit",
+        ["lots", "1e12", -1, 0, True, None, float("nan"), float("inf"),
+         pytest.param(10**400, id="int-1e400")],
+    )
+    def test_bad_divergence_limit_is_config_error(self, tmp_path, limit):
+        # -1 and 0 used to run and exit 3 at step 1, "lots" was a traceback
+        with pytest.raises(ConfigError):
+            cli.resolve_divergence_limit({"divergence_limit": limit})
+        path = _write_config(tmp_path, dict(DT_CFG, divergence_limit=limit))
+        for command in ("simulate", "edmd", "bounds"):
+            assert main([command, "--config", path]) == 2
+
+    def test_divergence_limit_echoed_as_float(self, tmp_path):
+        path = _write_config(tmp_path, dict(DT_CFG, divergence_limit=10**13))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "errors.json").read_text())
+        assert doc["config"]["divergence_limit"] == 1e13
+        assert cli.resolve_divergence_limit({}) == 1e12
+
+    @pytest.mark.parametrize("degree", [0, -2, "two", None])
+    def test_inline_default_degree_is_config_error(self, tmp_path, degree):
+        cfg = {
+            "system": {
+                "time_domain": "discrete",
+                "n_x": 1,
+                "f": [[{"exponents": [1], "coeff": 0.5}]],
+                "input_columns": [[[{"exponents": [0], "coeff": 1.0}]]],
+                "default_degree": degree,
+            },
+            "horizon_steps": 5,
+            "x0": [1.0],
+            "signals": [{"kind": "zero"}],
+        }
+        with pytest.raises(ConfigError):
+            resolve_system(cfg)
+        path = _write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 2
 
     def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
         # 1.0 / 0.3 would silently run 3 steps, i.e. 0.9 s
@@ -351,11 +392,14 @@ class TestEdmdCommand:
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
         bundle = resolve_system(cfg)
+        calls = []
 
-        def diverge(*args, **kwargs):
-            raise DivergenceError("diverged", step=1)
+        def diverge(As, Bs, z0, inputs, divergence_limit):
+            calls.append(len(As))
+            states = np.full((len(As), inputs.shape[0], As.shape[1]), np.nan)
+            return states, np.ones(len(As), dtype=int)
 
-        monkeypatch.setattr(cli, "simulate_lti", diverge)
+        monkeypatch.setattr(cli, "simulate_lti_stack", diverge)
         rows, _ = cli._degree_sweep(
             bundle,
             base,
@@ -367,13 +411,15 @@ class TestEdmdCommand:
             True,
             1e12,
         )
+        assert sum(calls) == len(default_alpha_grid())
         assert rows[0] == [2, 0.0, float("inf"), float("inf"), 1]
         assert rows[1][0] == 2 and np.isnan(rows[1][1]) and rows[1][2:] == [
             float("inf"), float("inf"), 1
         ]
 
     def test_alpha_objective_simulates_the_fit_it_receives(self):
-        # a zero model outputs x0 and then zeros; a refit would not
+        # a zero model outputs x0 and then zeros; a refit would not. The
+        # second candidate, 1e7 I, leaves the 1e12 limit at step 2.
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
         bundle = resolve_system(cfg)
@@ -383,13 +429,58 @@ class TestEdmdCommand:
         z0 = dictionary.evaluate(resolve_x0(cfg, bundle))
         reports = {}
         objective = cli._alpha_objective(
-            nonlinear, C, "discrete", z0, base["inputs"], None, 1e12, reports
+            nonlinear, C, z0, base["inputs"], 1e12, reports
         )
         n_f = dictionary.n_f
-        cost = objective(0.5, (np.zeros((n_f, n_f)), np.zeros((n_f, 1))))
+        zero = (np.zeros((n_f, n_f)), np.zeros((n_f, 1)))
+        blowup = (1e7 * np.eye(n_f), np.zeros((n_f, 1)))
+        costs = objective([0.5, 0.7], [zero, blowup])
         expected = np.sqrt(np.sum(nonlinear.states[1:] ** 2, axis=0))
-        np.testing.assert_array_equal(reports[0.5].l2, expected)
-        assert cost == float(np.sum(expected))
+        np.testing.assert_array_equal(reports[0.5], expected)
+        assert costs[0] == float(np.sum(expected))
+        assert reports[0.7] is None and costs[1] == np.inf
+
+    def test_tikhonov_search_matches_a_per_alpha_reference(self, monkeypatch):
+        # weighted-degree-12 dictionary (n_f = 48): 6 of the 37 candidates
+        # diverge, so the reference takes its DivergenceError branch too
+        monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
+        cfg = dict(
+            DT_CFG,
+            dictionary={"monomials": monomials},
+            fits=[{"kind": "edmd_tikhonov"}],
+        )
+        searches = []
+        search = cli.alpha_grid_search
+
+        def spy(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(cli, "alpha_grid_search", spy)
+        result = run_simulate(cfg)
+        nonlinear = result["trajectories"]["nonlinear"]
+        dictionary = result["dictionary"]
+        data = build_snapshots(nonlinear, dictionary)
+        C = output_matrix(dictionary)
+        z0 = dictionary.evaluate(resolve_x0(cfg, result["bundle"]))
+        best_alpha, best_cost, diverged = None, np.inf, 0
+        for alpha in default_alpha_grid():
+            lti = make_lti(*edmd_tikhonov(data, alpha), C)
+            try:
+                _, output = simulate_lti(lti, z0, result["inputs"])
+            except DivergenceError:
+                diverged += 1
+                continue
+            cost = float(np.sum(error_metrics(nonlinear, output).l2))
+            assert searches[0].cost_at(alpha) == cost
+            if cost < best_cost:
+                best_alpha, best_cost = alpha, cost
+        assert diverged == 6
+        assert searches[0].best_alpha == best_alpha
+        fitted = result["fitted"]["koopman_lti_tikhonov"]
+        A_ref, B_ref = edmd_tikhonov(data, best_alpha)
+        np.testing.assert_array_equal(fitted.A, A_ref)
+        np.testing.assert_array_equal(fitted.B, B_ref)
 
     def test_alpha_grid_span(self):
         from kooplift import default_alpha_grid

@@ -18,7 +18,9 @@ from kooplift import (
     monomial_dictionary,
     simulate_nonlinear,
 )
+from kooplift import cli, edmd
 from kooplift.errors import DimensionError, DivergenceError
+from kooplift.lpv import output_matrix
 
 
 def _dt_run(n_steps=100, seed=21, variance=0.5):
@@ -256,11 +258,18 @@ class TestTikhonov:
             edmd_tikhonov(data, -1.0)
 
 
+def _per_candidate(cost):
+    """A batched objective applying ``cost(alpha, fit)`` to each candidate."""
+    return lambda alphas, fits: [cost(a, fit) for a, fit in zip(alphas, fits)]
+
+
 class TestAlphaSearch:
     def test_constant_objective_breaks_tie_to_smallest(self):
         rng = np.random.default_rng(7)
         _, _, data = _random_lti_data(rng)
-        result = alpha_grid_search(data, [1e-3, 0.0, 10.0], lambda a, fit: 1.0)
+        result = alpha_grid_search(
+            data, [1e-3, 0.0, 10.0], lambda alphas, fits: [1.0] * len(alphas)
+        )
         assert result.best_alpha == 0.0
 
     def test_objective_receives_the_tikhonov_fit(self):
@@ -268,9 +277,10 @@ class TestAlphaSearch:
         _, _, data = _random_lti_data(rng)
         received = {}
 
-        def objective(alpha, fit):
-            received[alpha] = fit
-            return 1.0
+        def objective(alphas, fits):
+            assert alphas == sorted(alphas)
+            received.update(zip(alphas, fits))
+            return [1.0] * len(alphas)
 
         grid = default_alpha_grid()
         alpha_grid_search(data, grid, objective)
@@ -283,7 +293,7 @@ class TestAlphaSearch:
     def test_single_element_grid(self):
         rng = np.random.default_rng(8)
         _, _, data = _random_lti_data(rng)
-        result = alpha_grid_search(data, [0.25], lambda a, fit: a)
+        result = alpha_grid_search(data, [0.25], _per_candidate(lambda a, fit: a))
         assert result.best_alpha == 0.25
 
     def test_argmin_no_worse_than_zero(self):
@@ -291,22 +301,17 @@ class TestAlphaSearch:
         dictionary = bundle.dictionary
         data = build_snapshots(traj, dictionary)
 
-        def objective(alpha, fit):
+        def cost(alpha, fit):
             A_hat, B_hat = fit
             return float(np.linalg.norm(data.Zp - A_hat @ data.Z - B_hat @ data.U))
 
-        result = alpha_grid_search(data, default_alpha_grid(), objective)
+        result = alpha_grid_search(data, default_alpha_grid(), _per_candidate(cost))
         assert result.cost_at(result.best_alpha) <= result.cost_at(0.0) + 1e-12
 
     def test_divergent_points_flagged_and_skipped(self):
         rng = np.random.default_rng(9)
         _, _, data = _random_lti_data(rng)
-
-        def objective(alpha, fit):
-            if alpha < 1.0:
-                raise DivergenceError("boom", step=3)
-            return alpha
-
+        objective = _per_candidate(lambda a, fit: np.inf if a < 1.0 else a)
         result = alpha_grid_search(data, [0.1, 2.0, 5.0], objective)
         assert result.best_alpha == 2.0
         assert [row["diverged"] for row in result.costs] == [True, False, False]
@@ -314,13 +319,51 @@ class TestAlphaSearch:
     def test_all_divergent_raises_with_listing(self):
         rng = np.random.default_rng(10)
         _, _, data = _random_lti_data(rng)
-
-        def objective(alpha, fit):
-            raise DivergenceError("boom", step=1)
+        objective = _per_candidate(lambda a, fit: np.nan if a < 1.0 else np.inf)
 
         with pytest.raises(DivergenceError) as exc:
             alpha_grid_search(data, [0.1, 1.0], objective)
         assert "0.1" in str(exc.value) and "1" in str(exc.value)
+
+    def test_blocks_hold_about_the_float_budget(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        _, _, data = _random_lti_data(rng, n_f=3, n_u=1)
+        sizes = []
+
+        def objective(alphas, fits):
+            sizes.append(len(alphas))
+            return [1.0] * len(alphas)
+
+        monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", 5 * 3 * (3 + 1))
+        alpha_grid_search(data, default_alpha_grid(), objective)
+        assert sizes == [5] * 7 + [2]
+
+    def test_blocks_of_one_give_the_whole_block_result(self, monkeypatch):
+        # the sweep's own objective at degree 11, where 6 of 37 candidates diverge
+        bundle, traj = _dt_run()
+        dictionary = monomial_dictionary(2, 11)
+        data = build_snapshots(traj, dictionary)
+        objective = cli._alpha_objective(
+            traj,
+            output_matrix(dictionary),
+            dictionary.evaluate(traj.states[0]),
+            traj.inputs,
+            1e12,
+            {},
+        )
+        results = {}
+        for floats in (1, 1 << 40):
+            monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", floats)
+            results[floats] = alpha_grid_search(data, default_alpha_grid(), objective)
+        whole, single = results[1 << 40], results[1]
+        assert whole == single
+        assert sum(row["diverged"] for row in whole.costs) == 6
+
+    def test_objective_must_cost_every_candidate(self):
+        rng = np.random.default_rng(11)
+        _, _, data = _random_lti_data(rng)
+        with pytest.raises(ValueError):
+            alpha_grid_search(data, [0.1, 1.0], lambda alphas, fits: [1.0])
 
     def test_default_grid_shape(self):
         grid = default_alpha_grid()

@@ -22,6 +22,8 @@ from kooplift import (
     signal_samples,
     simulate_ct,
     simulate_lpv,
+    simulate_lti,
+    simulate_lti_stack,
     simulate_nonlinear,
     white_noise,
 )
@@ -29,7 +31,7 @@ from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
 from kooplift.dictionaries import monomial_dictionary
 from kooplift.errors import DimensionError, DivergenceError
 from kooplift.kernels import lpv_kernel, nonlinear_kernel
-from kooplift.lpv import lifted_step
+from kooplift.lpv import lifted_step, lti_step, make_lti
 from kooplift.polynomials import PolynomialMap
 from kooplift.quadrature import QuadratureSpec
 from kooplift.sim import multisine_frequencies
@@ -157,6 +159,86 @@ class TestDtSimulate:
         with pytest.raises(DivergenceError):
             dt_simulate(
                 lambda x, u: 2.0 * x, [1e12, 1.0], np.zeros((2, 1)), state_selector=[0]
+            )
+
+
+class TestLtiStack:
+    """simulate_lti_stack against dt_simulate(lti_step(A_m, B_m)), member by member."""
+
+    @staticmethod
+    def _assert_members_match(As, Bs, z0, inputs, limit):
+        states, diverged_at = simulate_lti_stack(As, Bs, z0, inputs, limit)
+        assert states.shape == (len(As), inputs.shape[0], len(z0))
+        for m, (A, B) in enumerate(zip(As, Bs)):
+            try:
+                ref = dt_simulate(lti_step(A, B), z0, inputs, divergence_limit=limit)
+            except DivergenceError as exc:
+                assert diverged_at[m] == exc.step
+                before = dt_simulate(
+                    lti_step(A, B), z0, inputs, n_steps=exc.step - 1,
+                    divergence_limit=limit,
+                )
+                assert states[m, : exc.step].tobytes() == before.states.tobytes()
+                assert np.isnan(states[m, exc.step :]).all()
+            else:
+                assert diverged_at[m] == 0
+                assert states[m].tobytes() == ref.states.tobytes()
+        return diverged_at
+
+    def test_members_pass_the_limit_at_their_own_steps(self):
+        # a stable member and members growing 1000x and 300x per step
+        As = np.stack([0.5 * np.eye(3), 1e3 * np.eye(3), 300.0 * np.eye(3)])
+        Bs = np.zeros((3, 3, 1))
+        Bs[0, 2, 0] = 1.0
+        inputs = np.random.default_rng(3).normal(size=(121, 1))
+        diverged_at = self._assert_members_match(As, Bs, np.ones(3), inputs, 1e250)
+        assert diverged_at.tolist() == [0, 84, 101]
+
+    def test_a_member_turning_nan_diverges(self):
+        # with an infinite limit an overflowed coordinate passes the check;
+        # the next step's 0 * inf products make the state NaN, which fails it
+        As = np.stack([0.5 * np.eye(2), 1e100 * np.eye(2), 1e50 * np.eye(2)])
+        Bs = np.ones((3, 2, 1))
+        inputs = np.random.default_rng(4).normal(size=(21, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diverged_at = self._assert_members_match(As, Bs, np.ones(2), inputs, np.inf)
+            states, _ = simulate_lti_stack(As, Bs, np.ones(2), inputs, np.inf)
+        assert diverged_at.tolist() == [0, 5, 8]
+        for m in (1, 2):
+            assert np.isinf(states[m, diverged_at[m] - 1]).all()
+
+    def test_random_members_diverge_at_their_own_steps(self):
+        rng = np.random.default_rng(11)
+        radii = np.linspace(0.6, 1.8, 12)
+        As = np.stack([
+            r * np.linalg.qr(rng.normal(size=(6, 6)))[0] for r in radii
+        ])
+        Bs = rng.normal(size=(12, 6, 2))
+        z0 = rng.normal(size=6)
+        inputs = rng.normal(size=(81, 2))
+        diverged_at = self._assert_members_match(As, Bs, z0, inputs, 1e6)
+        assert (diverged_at == 0).sum() >= 3
+        assert len(set(diverged_at[diverged_at > 0])) >= 3
+
+    def test_one_member_matches_simulate_lti(self):
+        rng = np.random.default_rng(5)
+        A = 0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        B = rng.normal(size=(4, 1))
+        z0 = rng.normal(size=4)
+        inputs = rng.normal(size=(31, 1))
+        lifted, _ = simulate_lti(make_lti(A, B, np.eye(4)), z0, inputs)
+        states, diverged_at = simulate_lti_stack(A[None], B[None], z0, inputs)
+        assert states[0].tobytes() == lifted.states.tobytes()
+        assert diverged_at.tolist() == [0]
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionError):
+            simulate_lti_stack(
+                np.zeros((2, 3, 3)), np.zeros((2, 3, 2)), np.zeros(3), np.zeros((5, 1))
+            )
+        with pytest.raises(DimensionError):
+            simulate_lti_stack(
+                np.zeros((2, 3, 3)), np.zeros((2, 3, 1)), np.zeros(3), np.zeros((1, 1))
             )
 
 
