@@ -236,6 +236,8 @@ def alpha_grid_search(
         raise ValueError("alpha grid is empty")
     block = max(1, _SEARCH_BLOCK_FLOATS // (data.n_f * (data.n_f + data.n_u)))
     rows: List[dict] = []
+    best_alpha = None
+    best_cost = np.inf
     for start in range(0, len(grid), block):
         alphas = grid[start : start + block]
         costs = objective(alphas, [edmd_tikhonov(data, alpha) for alpha in alphas])
@@ -243,12 +245,9 @@ def alpha_grid_search(
             cost = float(cost)
             diverged = not np.isfinite(cost)
             rows.append({"alpha": alpha, "cost": cost, "diverged": diverged})
-    best_alpha = None
-    best_cost = np.inf
-    for row in rows:
-        if not row["diverged"] and row["cost"] < best_cost:
-            best_alpha = row["alpha"]
-            best_cost = row["cost"]
+            if not diverged and cost < best_cost:
+                best_alpha = alpha
+                best_cost = cost
     if best_alpha is None:
         raise DivergenceError(
             "every candidate diverged: "
