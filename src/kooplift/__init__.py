@@ -57,7 +57,7 @@ from .lifting import (
     input_term_ct,
     input_term_dt,
 )
-from .lpv import LTIKoopmanModel, eval_lpv_step, make_lti, output_matrix
+from .lpv import LTIKoopmanModel, make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap
 from .quadrature import QuadratureSpec, unit_gauss_legendre
 from .sim import (
@@ -68,6 +68,7 @@ from .sim import (
     dt_simulate,
     error_metrics,
     multisine,
+    record_input_matrices,
     rk4_integrate,
     signal_samples,
     simulate_ct,

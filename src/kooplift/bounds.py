@@ -22,6 +22,7 @@ tight, for validating a specific run).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .lifting import LiftedModel
-from .lpv import LTIKoopmanModel, lifted_step, lti_step
-from .sim import DEFAULT_DIVERGENCE_LIMIT, dt_simulate
+from .lpv import LTIKoopmanModel, lti_step
+from .sim import DEFAULT_DIVERGENCE_LIMIT, Trajectory, dt_simulate
 from .systems import DISCRETE, DomainBox
 
 
@@ -68,10 +69,13 @@ def _gap_norms(model: LiftedModel, B_hat: np.ndarray, X: np.ndarray, U: np.ndarr
     return np.linalg.svd(diff, compute_uv=False)[:, 0]
 
 
-# largest beta grid (density ** (n_x + n_u) points) a config may ask for:
-# the grid is held in memory, about 16 (n_x + n_u) bytes per point, and the
-# default density 101 gives 1.03e6 points for n_x + n_u = 3
+# largest beta grid (density ** (n_x + n_u) points) a config may ask for; the
+# default density 101 gives 1.03e6 points for n_x + n_u = 3. The scan holds
+# one chunk of points at a time, so this caps its run time, not its memory.
 MAX_GRID_POINTS = 2_000_000
+
+# grid points generated and evaluated at a time
+GRID_CHUNK_POINTS = 200_000
 
 
 def beta_grid(
@@ -85,21 +89,26 @@ def beta_grid(
 
     The grid is the Cartesian product of ``grid_density`` points per state
     and input dimension, endpoints included; the reported beta is exactly
-    the maximum of the evaluated set.
+    the maximum of the evaluated set. Points are taken in row-major order of
+    the product (the order of ``np.meshgrid(..., indexing="ij")`` raveled)
+    and generated chunk by chunk from their flat indices, so memory stays
+    proportional to ``GRID_CHUNK_POINTS``; the first point reaching the
+    maximum is reported.
     """
     B_hat = np.asarray(B_hat, dtype=float)
     axes = state_box.grid(grid_density) + input_box.grid(grid_density)
     if any(a.size == 0 for a in axes):
         raise ValueError("empty grid")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    shape = tuple(a.size for a in axes)
+    n_points = math.prod(shape)
     n_x = state_box.dim
     beta = -np.inf
     arg = None
-    # chunked so the batched path stays cache-friendly on dense grids
-    chunk = 200_000
-    for start in range(0, points.shape[0], chunk):
-        block = points[start : start + chunk]
+    for start in range(0, n_points, GRID_CHUNK_POINTS):
+        flat = np.arange(start, min(start + GRID_CHUNK_POINTS, n_points))
+        block = np.stack(
+            [axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))], axis=1
+        )
         norms = _gap_norms(model, B_hat, block[:, :n_x], block[:, n_x:])
         idx = int(np.argmax(norms))
         if norms[idx] > beta:
@@ -109,7 +118,7 @@ def beta_grid(
         beta=beta,
         argmax_state=arg[:n_x].copy(),
         argmax_input=arg[n_x:].copy(),
-        n_points=points.shape[0],
+        n_points=n_points,
         mode="grid",
     )
 
@@ -148,70 +157,51 @@ class ErrorEvolution:
     norms: np.ndarray
     norms_recurrence: np.ndarray
     errors: np.ndarray
-    exact_states: np.ndarray
 
 
 def error_trajectory(
     exact: LiftedModel,
     approx: LTIKoopmanModel,
-    z0: Sequence[float],
-    inputs: np.ndarray,
-    n_steps: Optional[int] = None,
+    exact_run: Trajectory,
+    input_matrices: Sequence[np.ndarray],
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> ErrorEvolution:
-    """Per-step 2-norm of the model gap from a shared initial lift.
+    """Per-step 2-norm of the model gap along a run of the exact model.
 
-    Simulates both models under the same inputs and also propagates the
-    error recurrence directly; the two computations agree up to rounding
-    and are both returned. ``divergence_limit`` applies to both simulations
-    as in :func:`~kooplift.sim.dt_simulate`.
+    ``exact_run`` is the lifted trajectory of ``exact`` (``simulate_lpv``)
+    and ``input_matrices`` the B(x_k, u_k) its steps used
+    (:func:`~kooplift.sim.record_input_matrices`). The approximate model is
+    simulated from the same initial lift under the same inputs, with
+    ``divergence_limit`` as in :func:`~kooplift.sim.dt_simulate`; the error
+    recurrence is propagated from the recorded matrices. The two
+    computations agree up to rounding and are both returned.
     """
     if exact.time_domain != DISCRETE or approx.time_domain != DISCRETE:
         raise ValueError("error bounds are formulated for discrete-time models")
-    z0 = np.asarray(z0, dtype=float)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if n_steps is None:
-        n_steps = inputs.shape[0] - 1
-    selector = list(exact.dictionary.state_selector)
-    A, factored = exact.A, exact.factored_input
-    # B(x_k, u_k) of each exact step, reused by the error recurrence below
-    input_matrices = []
-
-    def recorded(x, u):
-        input_matrices.append(factored(x, u))
-        return input_matrices[-1]
-
-    exact_traj = dt_simulate(
-        lifted_step(A, recorded, selector),
-        z0,
-        inputs,
-        n_steps=n_steps,
-        divergence_limit=divergence_limit,
-        label="exact-lpv",
-        state_selector=selector,
-    )
+    inputs = exact_run.inputs
+    n_steps = exact_run.states.shape[0] - 1
+    if len(input_matrices) != n_steps:
+        raise DimensionError(
+            f"{len(input_matrices)} input matrices for a run of {n_steps} steps"
+        )
     approx_traj = dt_simulate(
         lti_step(approx.A, approx.B),
-        z0,
+        exact_run.states[0],
         inputs,
         n_steps=n_steps,
         divergence_limit=divergence_limit,
         label="approx-lti",
     )
-    errors = exact_traj.states - approx_traj.states
+    errors = exact_run.states - approx_traj.states
     norms = np.linalg.norm(errors, axis=1)
 
+    A = exact.A
     rec = np.zeros(n_steps + 1)
-    e = np.zeros(z0.shape[0])
+    e = np.zeros(A.shape[0])
     for k, Bk in enumerate(input_matrices):
         e = A @ e + (Bk - approx.B) @ inputs[k]
         rec[k + 1] = np.linalg.norm(e)
-    return ErrorEvolution(
-        norms=norms,
-        norms_recurrence=rec,
-        errors=errors,
-        exact_states=exact_traj.states,
-    )
+    return ErrorEvolution(norms=norms, norms_recurrence=rec, errors=errors)
 
 
 def bounds_curve(
@@ -219,13 +209,16 @@ def bounds_curve(
     beta: float,
     inputs: np.ndarray,
     n_steps: Optional[int] = None,
+    sigma: Optional[float] = None,
 ) -> Tuple[np.ndarray, Optional[float]]:
     """Partial-sum error bound and, when sigma_max(A) < 1, the absolute one.
 
     The curve accumulates beta * ||u||_linf * sum of iterated matrix-power
     norms; the absolute ceiling is returned as None when the largest
     singular value of A reaches one, in which case only the time-varying
-    curve applies (boundedness still needs rho(A) < 1).
+    curve applies (boundedness still needs rho(A) < 1). ``sigma`` is that
+    singular value when the caller already has it from
+    :func:`stability_scalars`.
     """
     A = np.asarray(A, dtype=float)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
@@ -233,7 +226,8 @@ def bounds_curve(
         n_steps = inputs.shape[0] - 1
     used = inputs[:n_steps]
     u_linf = float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
-    _, sigma = stability_scalars(A)
+    if sigma is None:
+        _, sigma = stability_scalars(A)
 
     tv = np.zeros(n_steps + 1)
     power = np.eye(A.shape[0])
@@ -313,34 +307,34 @@ class BoundReport:
 def build_bound_report(
     exact: LiftedModel,
     approx: LTIKoopmanModel,
-    z0: Sequence[float],
-    inputs: np.ndarray,
-    n_steps: Optional[int] = None,
+    exact_run: Trajectory,
+    input_matrices: Sequence[np.ndarray],
     beta_scan: Optional[BetaScan] = None,
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> BoundReport:
-    """Evaluate the error bounds for one run.
+    """Evaluate the error bounds along one run of the exact model.
 
-    Without an explicit ``beta_scan`` the gap is scanned along the exact
-    model's own trajectory, which is sufficient for the bound to hold on
-    that run.
+    ``exact_run`` and ``input_matrices`` are as in :func:`error_trajectory`.
+    Without an explicit ``beta_scan`` the gap is scanned along that run,
+    which is sufficient for the bound to hold on it.
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if n_steps is None:
-        n_steps = inputs.shape[0] - 1
+    inputs = exact_run.inputs
+    n_steps = exact_run.states.shape[0] - 1
     evolution = error_trajectory(
-        exact, approx, z0, inputs, n_steps=n_steps, divergence_limit=divergence_limit
+        exact, approx, exact_run, input_matrices, divergence_limit=divergence_limit
     )
     if beta_scan is None:
         selector = list(exact.dictionary.state_selector)
         beta_scan = beta_trajectory(
             exact,
             approx.B,
-            evolution.exact_states[:-1, selector],
+            exact_run.states[:-1, selector],
             inputs[:n_steps],
         )
-    tv, absolute = bounds_curve(exact.A, beta_scan.beta, inputs, n_steps=n_steps)
     rho, sigma = stability_scalars(exact.A)
+    tv, absolute = bounds_curve(
+        exact.A, beta_scan.beta, inputs, n_steps=n_steps, sigma=sigma
+    )
     used = inputs[:n_steps]
     u_linf = float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
     return BoundReport(

@@ -53,6 +53,7 @@ from .sim import (
     SignalSpec,
     build_inputs,
     error_metrics,
+    record_input_matrices,
     simulate_lpv,
     simulate_lti,
     simulate_lti_stack,
@@ -318,8 +319,14 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     nonlinear = simulate_nonlinear(
         bundle.decomposition, x0, inputs, ts=sim_ts, divergence_limit=limit
     )
-    _, lpv_output = simulate_lpv(
-        lifted, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
+    # a discrete-time run keeps its B(x_k, u_k) for run_bounds' error
+    # recurrence; a continuous-time run evaluates B at RK4 stages, which no
+    # bound reads
+    model, input_matrices = lifted, None
+    if bundle.time_domain == DISCRETE:
+        model, input_matrices = record_input_matrices(lifted)
+    lpv_lifted, lpv_output = simulate_lpv(
+        model, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
     )
 
     trajectories = {"nonlinear": nonlinear, "koopman_lpv": lpv_output}
@@ -378,6 +385,8 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
         "dictionary": dictionary,
         "lifted": lifted,
         "lpv": lifted,
+        "lpv_lifted": lpv_lifted,
+        "input_matrices": input_matrices,
         "trajectories": trajectories,
         "reports": reports,
         "fitted": fitted,
@@ -563,10 +572,7 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
     base = run_simulate({**cfg, "fits": ["edmdc"]}, out_dir=None)
     lifted = base["lifted"]
     lti = base["fitted"]["koopman_lti_edmdc"]
-    dictionary = base["dictionary"]
     inputs = base["inputs"]
-    x0 = resolve_x0(cfg, bundle)
-    z0 = dictionary.evaluate(x0)
 
     bounds_cfg = cfg.get("bounds", {}) or {}
     beta_scan = None
@@ -581,8 +587,14 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
             input_box = DomainBox.from_envelope(inputs)
         beta_scan = beta_grid(lifted, lti.B, state_box, input_box, density)
 
+    # the bounds follow run_simulate's exact run instead of simulating it again
     report = build_bound_report(
-        lifted, lti, z0, inputs, beta_scan=beta_scan, divergence_limit=limit
+        lifted,
+        lti,
+        base["lpv_lifted"],
+        base["input_matrices"],
+        beta_scan=beta_scan,
+        divergence_limit=limit,
     )
     print(
         f"  rho(A) {report.rho:.6g}  sigma_max(A) {report.sigma:.6g}  "

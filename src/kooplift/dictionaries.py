@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionError, NumericEvaluationError
-from .polynomials import Monomial, PolynomialMap, _term_order_key
+from .polynomials import Monomial, PolynomialMap, graded
 from .quadrature import central_difference
 
 
@@ -293,8 +293,7 @@ def monomial_dictionary(
             for idx in combo:
                 exps[idx] += 1
             exponents.append(tuple(exps))
-    exponents.sort(key=_term_order_key)
-    observables: List[Observable] = [Monomial(e) for e in exponents]
+    observables: List[Observable] = [Monomial(e) for e in graded(exponents)]
     if include_constant:
         observables.append(Monomial((0,) * n_x))
     dictionary = ObservableDictionary(n_x, observables)

@@ -42,9 +42,9 @@ from .polynomials import (
     TermDict,
     _add_term,
     _sorted_terms,
-    _term_order_key,
     compose_monomial,
     fresh_power_caches,
+    graded,
     poly_add,
     poly_mul,
 )
@@ -91,16 +91,13 @@ def match_rows_to_span(
                 else:
                     missing.add(exps)
                     residual = max(residual, abs(c))
-        return coeffs, residual, sorted(missing, key=_term_order_key)
+        return coeffs, residual, graded(missing)
 
     log.warning(
         "dictionary contains repeated monomials; span matching uses a "
         "minimum-norm least-squares solve"
     )
-    union = sorted(
-        {exps for row in rows for exps in row} | set(positions),
-        key=_term_order_key,
-    )
+    union = graded({exps for row in rows for exps in row} | set(positions))
     mono_index = {exps: m for m, exps in enumerate(union)}
     incidence = np.zeros((len(union), n_f))
     for exps, ks in positions.items():
@@ -415,6 +412,12 @@ def _symbolic_dt_input(
     term with B_in(x, 0) = 0 holding identically. The ray integral of the
     factorisation has a closed form on monomials: a term c x^a u^b of the
     input term contributes c * b_j / |b| * x^a u^(b - e_j) to column j.
+
+    The composed rows come out of the polynomial products in graded order.
+    Dropping terms keeps that order, and so does lowering u_j in every term
+    of a column; each lowered exponent comes from one term alone. So every
+    row is already in the form the ``PolynomialMap`` constructor makes, and
+    the maps are built without re-checking or re-sorting it.
     """
     f = decomposition.autonomous
     g_columns = decomposition.control_affine_columns
@@ -439,10 +442,12 @@ def _symbolic_dt_input(
             for j, bj in enumerate(beta):
                 if not bj:
                     continue
-                lowered = exps[: n_x + j] + (bj - 1,) + exps[n_x + j + 1 :]
-                _add_term(column_rows[j][r], lowered, c * (bj / deg_u))
-    input_term = PolynomialMap(total, input_rows)
-    columns = [PolynomialMap(total, rows) for rows in column_rows]
+                value = c * (bj / deg_u)
+                if value != 0.0:
+                    lowered = exps[: n_x + j] + (bj - 1,) + exps[n_x + j + 1 :]
+                    column_rows[j][r][lowered] = value
+    input_term = PolynomialMap._from_graded(total, input_rows)
+    columns = [PolynomialMap._from_graded(total, rows) for rows in column_rows]
     return input_term, columns, input_dependent
 
 

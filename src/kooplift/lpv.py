@@ -83,23 +83,6 @@ def lti_step(A: np.ndarray, B: np.ndarray) -> Callable:
     return lambda z, u: A @ z + B @ u
 
 
-def eval_lpv_step(model, z, u) -> np.ndarray:
-    """One evaluation of a lifted model: A z + B(x, u) u with x = C z.
-
-    Returns the lifted vector field in continuous time and the successor
-    state in discrete time.
-    """
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if z.shape != (model.n_f,) or u.shape != (model.n_u,):
-        raise DimensionError(
-            f"expected z of shape ({model.n_f},) and u of shape ({model.n_u},), "
-            f"got {z.shape} and {u.shape}"
-        )
-    selector = list(model.dictionary.state_selector)
-    return lifted_step(model.A, model.factored_input, selector)(z, u)
-
-
 def make_lti(A, B, C, time_domain: str = DISCRETE, name: str = "lti-koopman") -> LTIKoopmanModel:
     """Package constant lifted matrices as an LTI model."""
     A = np.asarray(A, dtype=float)

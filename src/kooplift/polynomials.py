@@ -32,6 +32,7 @@ agree only to rounding, while each matches its own loop exactly.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -52,9 +53,17 @@ KERNEL_MIN_TERMS = 32
 _BATCH_BLOCK_FLOATS = 1 << 17
 
 
-def _term_order_key(exponents: Exponents):
-    # graded order: by total degree, then x1-major (reverse lexicographic)
-    return (sum(exponents), tuple(-e for e in exponents))
+def graded(exponents: Iterable[Exponents]) -> List[Exponents]:
+    """Distinct exponent tuples in graded order: by total degree, then
+    x1-major (reverse lexicographic).
+
+    Two C-level sorts without a per-key Python call: descending tuples, then
+    a stable sort by degree. Equal tuples would keep no defined order, so the
+    tuples must be distinct.
+    """
+    out = sorted(exponents, reverse=True)
+    out.sort(key=sum)
+    return out
 
 
 def _canonical_exponents(exponents: Iterable[int]) -> Exponents:
@@ -127,7 +136,7 @@ def _add_term(terms: TermDict, exponents: Exponents, coeff: float) -> None:
 
 
 def _sorted_terms(terms: TermDict) -> TermDict:
-    return {k: terms[k] for k in sorted(terms, key=_term_order_key)}
+    return {k: terms[k] for k in graded(terms)}
 
 
 def poly_add(a: TermDict, b: TermDict) -> TermDict:
@@ -138,11 +147,23 @@ def poly_add(a: TermDict, b: TermDict) -> TermDict:
 
 
 def poly_mul(a: TermDict, b: TermDict) -> TermDict:
+    """Product in graded order; each coefficient is summed in the order the
+    operands' terms are walked, so operands in graded order give the same
+    bits every time."""
     out: TermDict = {}
+    get = out.get
+    # _add_term inlined: this loop is most of a symbolic lift
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exps = tuple(i + j for i, j in zip(ea, eb))
-            _add_term(out, exps, ca * cb)
+            c = ca * cb
+            if c == 0.0:
+                continue
+            exps = tuple(map(add, ea, eb))
+            new = get(exps, 0.0) + c
+            if new == 0.0:
+                del out[exps]
+            else:
+                out[exps] = new
     return _sorted_terms(out)
 
 
@@ -247,7 +268,23 @@ class PolynomialMap:
                     )
                 _add_term(terms, exps, float(coeff))
             canon.append(_sorted_terms(terms))
-        self.rows: Tuple[TermDict, ...] = tuple(canon)
+        self._set_rows(canon)
+
+    @classmethod
+    def _from_graded(cls, n_vars: int, rows: Sequence[TermDict]) -> "PolynomialMap":
+        """A map over rows the library built itself, taken as they are.
+
+        Each row must already be what the constructor would make of it:
+        non-negative int exponent tuples of length ``n_vars``, distinct, in
+        graded order, with nonzero float coefficients. Nothing is checked.
+        """
+        poly = cls.__new__(cls)
+        poly.n_vars = n_vars
+        poly._set_rows(rows)
+        return poly
+
+    def _set_rows(self, rows: Sequence[TermDict]) -> None:
+        self.rows: Tuple[TermDict, ...] = tuple(rows)
         # one evaluation form per map: arrays for large maps, else a flat
         # term list per row for the scalar loop
         self._kernel = self._terms = None
@@ -314,19 +351,22 @@ class PolynomialMap:
     def jacobian(self) -> "PolynomialMap":
         """Exact partial derivatives, flattened row-major.
 
-        Row ``j * n_vars + i`` holds d(row j)/d(x_i).
+        Row ``j * n_vars + i`` holds d(row j)/d(x_i). Lowering one exponent
+        maps distinct terms to distinct terms and keeps their graded order,
+        and ``coeff * e`` with ``e >= 1`` is never zero, so the rows need no
+        merging or sorting.
         """
         rows: List[TermDict] = []
         for row in self.rows:
             for i in range(self.n_vars):
-                deriv: TermDict = {}
-                for exps, coeff in row.items():
-                    e = exps[i]
-                    if e:
-                        lowered = exps[:i] + (e - 1,) + exps[i + 1 :]
-                        _add_term(deriv, lowered, coeff * e)
-                rows.append(deriv)
-        return PolynomialMap(self.n_vars, rows)
+                rows.append(
+                    {
+                        exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff * exps[i]
+                        for exps, coeff in row.items()
+                        if exps[i]
+                    }
+                )
+        return PolynomialMap._from_graded(self.n_vars, rows)
 
     def jacobian_matrix(self, x: Sequence[float]) -> np.ndarray:
         return self.jacobian().evaluate(x).reshape(self.n_out, self.n_vars)
@@ -335,11 +375,10 @@ class PolynomialMap:
         """Embed into a larger variable set, appending zero exponents."""
         if n_total < self.n_vars:
             raise DimensionError("cannot shrink the variable set of a polynomial map")
-        extra = n_total - self.n_vars
-        rows = [
-            {exps + (0,) * extra: c for exps, c in row.items()} for row in self.rows
-        ]
-        return PolynomialMap(n_total, rows)
+        pad = (0,) * (n_total - self.n_vars)
+        # trailing zeros keep the graded order
+        rows = [{exps + pad: c for exps, c in row.items()} for row in self.rows]
+        return PolynomialMap._from_graded(n_total, rows)
 
     def to_terms(self) -> List[List[dict]]:
         return [
@@ -383,7 +422,8 @@ def compose_monomial(
         result = dict(factor) if result is None else poly_mul(result, factor)
     if result is None:
         return constant_term(n_vars)
-    return _sorted_terms(result)
+    # powers and products are already in graded order
+    return result
 
 
 def fresh_power_caches(components: Sequence[TermDict], n_vars: int) -> List[List[TermDict]]:

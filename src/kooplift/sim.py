@@ -9,8 +9,8 @@ generators so identical configurations reproduce bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -480,6 +480,26 @@ def simulate_lpv(
     )
     output = lifted.with_states(lifted.states[:, selector], label=f"{label}_output")
     return lifted, output
+
+
+def record_input_matrices(model: LiftedModel) -> Tuple[LiftedModel, List[np.ndarray]]:
+    """A copy of ``model`` whose B(x, u) also appends each matrix it returns
+    to the list returned alongside.
+
+    A discrete-time :func:`simulate_lpv` of the copy records B(x_k, u_k) of
+    every step in order: the matrices the error recurrence of
+    :func:`~kooplift.bounds.error_trajectory` needs, without simulating the
+    run again.
+    """
+    matrices: List[np.ndarray] = []
+    factored = model.factored_input
+
+    def recorded(x, u):
+        B = factored(x, u)
+        matrices.append(B)
+        return B
+
+    return replace(model, factored_input=recorded), matrices
 
 
 def simulate_lti(

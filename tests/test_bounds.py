@@ -17,7 +17,9 @@ from kooplift import (
     edmdc_input_fit,
     error_trajectory,
     make_lti,
+    record_input_matrices,
     simulate_lpv,
+    simulate_lti,
     simulate_nonlinear,
     stability_scalars,
 )
@@ -36,6 +38,13 @@ def _dt_setup(signal=None, n_steps=100):
     B_hat, _ = edmdc_input_fit(data, lpv.A)
     lti = make_lti(lpv.A, B_hat, lpv.C)
     return bundle, lpv, lti, inputs, traj
+
+
+def _exact_run(lpv, z0, inputs):
+    """The exact model's lifted run from z0 and the B(x_k, u_k) it used."""
+    recording, matrices = record_input_matrices(lpv)
+    lifted, _ = simulate_lpv(recording, z0=z0, inputs=inputs)
+    return lifted, matrices
 
 
 class TestStabilityScalars:
@@ -154,6 +163,52 @@ class TestBetaScans:
         assert scan.beta == norms.max()
         assert scan.n_points == points.shape[0]
 
+    def test_streamed_grid_matches_meshgrid_reference(self, monkeypatch):
+        # the scan builds each chunk from flat indices; the reference is the
+        # full meshgrid cut into the same chunks with the same strict ">"
+        # rule. With B_hat = e1 the gap sqrt(x1^4 + (1.4 x1 + u)^2) peaks at
+        # (x1, u) = (2, 1) and (-2, -1) with equal bits, for every x2, so the
+        # maximum is tied and the first point reaching it must win
+        import kooplift.bounds as bounds_module
+
+        bundle, lpv, _, _, _ = _dt_setup()
+        B_hat = np.array([[1.0], [0.0], [0.0]])
+        state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
+        input_box = DomainBox([-1.0], [1.0])
+        density, chunk = 9, 83  # 729 points: 9 chunks, each ending inside a row of 9
+        gap_norms = bounds_module._gap_norms
+        blocks = []
+
+        def recording(model, B, X, U):
+            blocks.append(np.hstack([X, U]))
+            return gap_norms(model, B, X, U)
+
+        monkeypatch.setattr(bounds_module, "GRID_CHUNK_POINTS", chunk)
+        monkeypatch.setattr(bounds_module, "_gap_norms", recording)
+        scan = beta_grid(lpv, B_hat, state_box, input_box, grid_density=density)
+
+        axes = state_box.grid(density) + input_box.grid(density)
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=1)
+        beta, arg, ref_blocks = -np.inf, None, []
+        for start in range(0, points.shape[0], chunk):
+            block = points[start : start + chunk]
+            ref_blocks.append(block)
+            norms = gap_norms(lpv, B_hat, block[:, :2], block[:, 2:])
+            idx = int(np.argmax(norms))
+            if norms[idx] > beta:
+                beta, arg = float(norms[idx]), block[idx]
+
+        all_norms = gap_norms(lpv, B_hat, points[:, :2], points[:, 2:])
+        assert np.count_nonzero(all_norms == all_norms.max()) > 1
+        assert len(blocks) == len(ref_blocks) == 9
+        for got, want in zip(blocks, ref_blocks):
+            assert np.array_equal(got, want)
+        assert scan.beta == beta
+        assert np.array_equal(scan.argmax_state, arg[:2])
+        assert np.array_equal(scan.argmax_input, arg[2:])
+        assert scan.n_points == points.shape[0]
+
     def test_trajectory_scan_reports_argmax(self):
         bundle, lpv, lti, inputs, traj = _dt_setup()
         scan = beta_trajectory(lpv, lti.B, traj.states[:-1], inputs[:-1])
@@ -184,28 +239,46 @@ class TestErrorTrajectory:
         B_true = np.array([[1.0], [-0.5]])
         lti = make_lti(lpv.A, B_true, lpv.C)
         inputs = rng.normal(size=(40, 1))
-        evol = error_trajectory(lpv, lti, d.evaluate([1.0, -1.0]), inputs)
+        evol = error_trajectory(
+            lpv, lti, *_exact_run(lpv, d.evaluate([1.0, -1.0]), inputs)
+        )
         assert np.abs(evol.norms).max() <= 1e-12
 
     def test_zero_input_zero_error(self):
         bundle, lpv, lti, _, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        evol = error_trajectory(lpv, lti, z0, np.zeros((60, 1)))
+        evol = error_trajectory(lpv, lti, *_exact_run(lpv, z0, np.zeros((60, 1))))
         np.testing.assert_array_equal(evol.norms, np.zeros(60))
 
     def test_exact_states_are_the_lpv_simulation(self):
-        # error_trajectory and simulate_lpv take the same lifted step
+        # the error is the given exact run minus the LTI model's own run from
+        # that run's first state, bit for bit
         bundle, lpv, lti, inputs, _ = _dt_setup()
-        lifted, _ = simulate_lpv(lpv, x0=[1.0, 1.0], inputs=inputs)
-        evol = error_trajectory(lpv, lti, lifted.states[0], inputs)
-        assert np.array_equal(evol.exact_states, lifted.states)
+        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
+        evol = error_trajectory(lpv, lti, lifted, matrices)
+        approx, _ = simulate_lti(lti, lifted.states[0], inputs)
+        assert np.array_equal(evol.errors, lifted.states - approx.states)
+        assert np.array_equal(evol.norms, np.linalg.norm(lifted.states - approx.states, axis=1))
 
     def test_recurrence_matches_simulation_difference(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        evol = error_trajectory(lpv, lti, z0, inputs)
+        evol = error_trajectory(lpv, lti, *_exact_run(lpv, z0, inputs))
         scale = 1 + np.abs(evol.norms).max()
         assert np.abs(evol.norms - evol.norms_recurrence).max() <= 1e-12 * scale
+
+    def test_recorded_matrices_are_the_steps_input_matrices(self):
+        bundle, lpv, lti, inputs, _ = _dt_setup()
+        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
+        assert len(matrices) == inputs.shape[0] - 1
+        for x, u, B in zip(lifted.states[:-1, :2], inputs, matrices):
+            assert np.array_equal(B, lpv.factored_input(x, u))
+
+    def test_matrix_count_must_match_the_run(self):
+        bundle, lpv, lti, inputs, _ = _dt_setup()
+        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
+        with pytest.raises(DimensionError):
+            error_trajectory(lpv, lti, lifted, matrices[:-1])
 
 
 class TestBoundsCurve:
@@ -258,7 +331,7 @@ class TestBoundReport:
     def test_validity_chain(self, signal):
         bundle, lpv, lti, inputs, traj = _dt_setup(signal=signal)
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        report = build_bound_report(lpv, lti, z0, inputs)
+        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs))
         assert report.valid()
         assert np.all(report.error_norm <= report.timevarying_bound + 1e-12)
         assert report.absolute_applicable
@@ -282,7 +355,7 @@ class TestBoundReport:
                 DomainBox([-1.0], [1.0]),
                 grid_density=9,
             )
-        report = build_bound_report(lpv, lti, z0, inputs, beta_scan=scan)
+        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs), beta_scan=scan)
         x_star, u_star = report.beta_argmax_state, report.beta_argmax_input
         gap = lpv.factored_input(x_star, u_star) - lti.B
         assert report.beta_mode == mode
@@ -316,7 +389,7 @@ class TestBoundReport:
     def test_document_shape(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        report = build_bound_report(lpv, lti, z0, inputs)
+        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs))
         doc = report.to_document()
         assert len(doc["k"]) == len(doc["error_norm"]) == len(doc["tv_bound"])
         assert doc["rho_A"] == report.rho

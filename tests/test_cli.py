@@ -360,6 +360,73 @@ class TestBoundsCommand:
         low = _write_config(tmp_path, dict(cfg, divergence_limit=1e12), "low.json")
         assert main(["bounds", "--config", low]) == 3
 
+    def test_one_exact_simulation_per_bound(self, monkeypatch):
+        # the bounds reuse run_simulate's exact LPV run: one B(x, u) per step,
+        # and the same bits as a report built from a fresh simulation
+        from kooplift.bounds import beta_trajectory, bounds_curve, error_trajectory
+        from kooplift.sim import simulate_lpv
+
+        calls = []
+        build = cli.build_lifted_model
+
+        def counted_build(*args, **kwargs):
+            model = build(*args, **kwargs)
+            factored = model.factored_input
+
+            def counted(x, u):
+                calls.append(1)
+                return factored(x, u)
+
+            model.factored_input = counted
+            return model
+
+        monkeypatch.setattr(cli, "build_lifted_model", counted_build)
+        cfg = dict(DT_CFG, bounds={"mode": "trajectory"})
+        result = cli.run_bounds(cfg)
+        n_steps = DT_CFG["horizon_steps"]
+        assert len(calls) == n_steps
+
+        report, base = result["report"], result["base"]
+        lpv, lti = base["lifted"], base["fitted"]["koopman_lti_edmdc"]
+        inputs = base["inputs"]
+        fresh, _ = simulate_lpv(lpv, x0=resolve_x0(cfg, resolve_system(cfg)), inputs=inputs)
+        approx, _ = simulate_lti(lti, fresh.states[0], inputs)
+        assert np.array_equal(
+            report.error_norm, np.linalg.norm(fresh.states - approx.states, axis=1)
+        )
+        beta = beta_trajectory(lpv, lti.B, fresh.states[:-1, :2], inputs[:-1]).beta
+        assert report.beta == beta
+        tv, _ = bounds_curve(lpv.A, beta, inputs)
+        assert np.array_equal(report.timevarying_bound, tv)
+
+        # the recurrence runs on the recorded matrices of that same run
+        e, rec = np.zeros(lpv.n_f), [0.0]
+        for k in range(n_steps):
+            B = lpv.factored_input(fresh.states[k, :2], inputs[k])
+            e = lpv.A @ e + (B - lti.B) @ inputs[k]
+            rec.append(np.linalg.norm(e))
+        evolution = error_trajectory(lpv, lti, base["lpv_lifted"], base["input_matrices"])
+        assert np.array_equal(evolution.norms_recurrence, rec)
+
+    def test_diverging_lti_fit_fails_bounds(self, tmp_path, monkeypatch):
+        # an edmdc input matrix 1e13 times too large sends the LTI run past
+        # 1e12 at once, while the nonlinear and exact LPV runs never see it
+        fit = cli.edmdc_input_fit
+
+        def blown_up(data, A):
+            B_hat, residual = fit(data, A)
+            return 1e13 * B_hat, residual
+
+        monkeypatch.setattr(cli, "edmdc_input_fit", blown_up)
+        base = run_simulate(dict(DT_CFG, fits=["edmdc"]))
+        assert base["reports"]["koopman_lti_edmdc"] is None
+        assert base["reports"]["koopman_lpv"] is not None
+        path = _write_config(tmp_path, DT_CFG)
+        assert main(["bounds", "--config", path]) == 3
+        with pytest.raises(DivergenceError) as exc:
+            cli.run_bounds(DT_CFG)
+        assert "approx-lti" in str(exc.value)
+
     def test_grid_budget_admits_the_default_density(self):
         bundle = resolve_system(DT_CFG)  # n_x + n_u = 3
         assert cli.resolve_bounds({"bounds": {"mode": "grid"}}, bundle) == ("grid", 101)

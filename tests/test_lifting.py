@@ -515,3 +515,159 @@ class TestSerialization:
             assert [o.exponents for o in loaded["dictionary"].observables] == [
                 o.exponents for o in model.dictionary.observables
             ]
+
+
+# A plain reference of the symbolic DT lift: the straightforward algorithm
+# that checks every exponent tuple it makes and re-sorts after every sum and
+# product. The library skips both where its own construction guarantees them.
+
+
+def _ref_key(exps):
+    return (sum(exps), tuple(-e for e in exps))
+
+
+def _ref_exponents(exps):
+    exps = tuple(int(e) for e in exps)
+    assert all(e >= 0 for e in exps)
+    return exps
+
+
+def _ref_add(terms, exps, coeff):
+    exps = _ref_exponents(exps)
+    if coeff == 0.0:
+        return
+    new = terms.get(exps, 0.0) + coeff
+    if new == 0.0:
+        terms.pop(exps, None)
+    else:
+        terms[exps] = new
+
+
+def _ref_sorted(terms):
+    return {k: terms[k] for k in sorted(terms, key=_ref_key)}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _ref_add(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+    return _ref_sorted(out)
+
+
+def _ref_compose(exponents, components, n_vars, powers):
+    result = None
+    for i, e in enumerate(exponents):
+        if not e:
+            continue
+        while len(powers[i]) <= e:
+            powers[i].append(_ref_mul(powers[i][-1], components[i]))
+        factor = powers[i][e]
+        result = dict(factor) if result is None else _ref_mul(result, factor)
+    if result is None:
+        return {(0,) * n_vars: 1.0}
+    return _ref_sorted(result)
+
+
+def _ref_symbolic_lift(f, columns, dictionary):
+    """(composed autonomous rows, input-term rows, B columns' rows)."""
+    n_x, n_u = f.n_vars, len(columns)
+    total = n_x + n_u
+    autonomous = [dict(row) for row in f.rows]
+    powers = [[{(0,) * n_x: 1.0}] for _ in autonomous]
+    composed_x = [
+        _ref_compose(o.exponents, autonomous, n_x, powers) for o in dictionary.observables
+    ]
+    joint = []
+    for i in range(n_x):
+        row = {}
+        for exps, c in f.rows[i].items():
+            _ref_add(row, exps + (0,) * n_u, c)
+        for j, column in enumerate(columns):
+            for exps, c in column.rows[i].items():
+                _ref_add(row, exps + tuple(int(k == j) for k in range(n_u)), c)
+        joint.append(_ref_sorted(row))
+    powers = [[{(0,) * total: 1.0}] for _ in joint]
+    input_rows, column_rows = [], [[] for _ in range(n_u)]
+    for obs in dictionary.observables:
+        composed = _ref_compose(obs.exponents, joint, total, powers)
+        row = {}
+        for exps, c in composed.items():
+            if any(exps[n_x:]):
+                _ref_add(row, exps, c)
+        input_rows.append(_ref_sorted(row))
+        per_column = [{} for _ in range(n_u)]
+        for exps, c in input_rows[-1].items():
+            beta = exps[n_x:]
+            for j, bj in enumerate(beta):
+                if bj:
+                    lowered = exps[: n_x + j] + (bj - 1,) + exps[n_x + j + 1 :]
+                    _ref_add(per_column[j], lowered, c * (bj / sum(beta)))
+        for j in range(n_u):
+            column_rows[j].append(_ref_sorted(per_column[j]))
+    return composed_x, input_rows, column_rows
+
+
+def _weighted_dictionary(degree):
+    return ObservableDictionary(
+        2,
+        [
+            Monomial((a, b))
+            for b in range(degree // 2 + 1)
+            for a in range(degree - 2 * b + 1)
+            if a + b
+        ],
+    )
+
+
+def _two_input_system():
+    from kooplift.systems import control_affine_decomposition
+
+    f = PolynomialMap(2, [{(1, 0): 0.3, (0, 1): 0.1}, {(0, 1): -0.45, (2, 0): 0.2}])
+    g1 = PolynomialMap(2, [{(0, 0): 1.0, (1, 0): 0.25}, {(0, 1): 0.7}])
+    g2 = PolynomialMap(2, [{(0, 0): -0.5}, {(1, 0): 1.3, (0, 0): 0.1}])
+    return control_affine_decomposition(f, [g1, g2], "discrete")
+
+
+class TestSymbolicLiftReference:
+    @pytest.mark.parametrize(
+        "system, dictionary",
+        [
+            (dt_example().decomposition, _weighted_dictionary(12)),
+            (dt_example().decomposition, _weighted_dictionary(16)),
+            (dt_example().decomposition, _weighted_dictionary(20)),
+            (_two_input_system(), monomial_dictionary(2, 3)),
+            (_two_input_system(), monomial_dictionary(2, 4)),
+        ],
+        ids=["dt-D12", "dt-D16", "dt-D20", "two-input-deg3", "two-input-deg4"],
+    )
+    def test_term_for_term_and_in_order(self, system, dictionary):
+        from kooplift.lifting import _composed_rows, _symbolic_dt_input
+
+        f, columns = system.autonomous, system.control_affine_columns
+        ref_x, ref_input, ref_columns = _ref_symbolic_lift(f, columns, dictionary)
+
+        assert [list(r.items()) for r in _composed_rows(f, dictionary)] == [
+            list(r.items()) for r in ref_x
+        ]
+        model = build_lifted_model(system, dictionary, strict=False)
+        A, _, _ = match_rows_to_span(ref_x, dictionary)
+        assert np.array_equal(model.A, A)
+
+        term, lifted_columns, _ = _symbolic_dt_input(system, dictionary)
+        assert [list(r.items()) for r in term.rows] == [list(r.items()) for r in ref_input]
+        assert len(lifted_columns) == len(ref_columns)
+        for got, want in zip(lifted_columns, ref_columns):
+            assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want]
+        # a non-empty input term, so the comparison above is not vacuous
+        assert sum(len(r) for r in ref_input) > 0
+
+    def test_public_constructor_still_checks_exponents(self):
+        from kooplift.errors import DimensionError
+
+        with pytest.raises(ValueError):
+            PolynomialMap(2, [{(1, -1): 1.0}])
+        with pytest.raises(DimensionError):
+            PolynomialMap(2, [{(1, 0, 0): 1.0}])
+        with pytest.raises(DimensionError):
+            PolynomialMap(2, [{(1,): 1.0}])

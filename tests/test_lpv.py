@@ -12,12 +12,12 @@ from kooplift import (
     build_lifted_model,
     ct_example,
     dt_example,
-    eval_lpv_step,
     make_lti,
     monomial_dictionary,
     output_matrix,
 )
 from kooplift.errors import DimensionError
+from kooplift.lpv import lifted_step
 from kooplift.serialize import dumps_json
 from kooplift.systems import control_affine_decomposition
 
@@ -26,6 +26,14 @@ def _dt_model():
     bundle = dt_example()
     lifted = build_lifted_model(bundle.decomposition, bundle.dictionary)
     return bundle, lifted
+
+
+def _step(model, z, u):
+    """One lifted step A z + B(x, u) u, x = C z, as the simulations take it."""
+    selector = list(model.dictionary.state_selector)
+    return lifted_step(model.A, model.factored_input, selector)(
+        np.asarray(z, dtype=float), np.asarray(u, dtype=float)
+    )
 
 
 class TestMakeLpv:
@@ -69,7 +77,7 @@ class TestMakeLpv:
         z = np.array([1.0, -1.0])
         u = np.array([0.7])
         np.testing.assert_array_equal(
-            eval_lpv_step(model, z, u), model.A @ z
+            _step(model, z, u), model.A @ z
         )
 
     def test_missing_state_selector_rejected(self):
@@ -84,7 +92,7 @@ class TestMakeLpv:
 class TestEvalStep:
     def test_unit_lift_zero_input(self):
         _, model = _dt_model()
-        step = eval_lpv_step(model, np.ones(3), np.zeros(1))
+        step = _step(model, np.ones(3), np.zeros(1))
         # A @ [1, 1, 1] with rows (0.7), (0.7 - 0.5), (0.49)
         np.testing.assert_array_equal(step, [0.7, 0.7 - 0.5, 0.7 * 0.7])
         np.testing.assert_allclose(step, [0.7, 0.2, 0.49], rtol=0, atol=1e-15)
@@ -96,7 +104,7 @@ class TestEvalStep:
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 1)
             z = bundle.dictionary.evaluate(x)
-            successor = eval_lpv_step(model, z, u)
+            successor = _step(model, z, u)
             direct = bundle.dictionary.evaluate(bundle.decomposition.eval_full(x, u))
             assert np.all(np.abs(successor - direct) <= 1e-12 * (1 + np.abs(direct)))
 
@@ -109,14 +117,15 @@ class TestEvalStep:
             U = bundle.input_box.sample(rng, 1000)
             for x, u in zip(X, U):
                 z = bundle.dictionary.evaluate(x)
-                via_lpv = eval_lpv_step(model, z, u)
+                via_lpv = _step(model, z, u)
                 via_lift = model.A @ z + model.input_term(x, u)
                 assert np.all(np.abs(via_lpv - via_lift) <= 1e-10 * (1 + np.abs(via_lift)))
 
     def test_dimension_checks(self):
         _, model = _dt_model()
+        # a lifted vector of the wrong length is rejected on its way to B
         with pytest.raises(DimensionError):
-            eval_lpv_step(model, np.ones(2), np.zeros(1))
+            model.input_matrix(model.scheduling_map(np.ones(2), np.zeros(1)))
         with pytest.raises(DimensionError):
             model.input_matrix(np.ones(2))
 
