@@ -17,7 +17,13 @@ value of A is below one, by the absolute ceiling
 
 beta is evaluated either on a uniform grid over the state/input boxes or
 restricted to the points visited by a trajectory (which is enough, and
-tight, for validating a specific run).
+tight, for validating a specific run). Either way it is a maximum over
+sampled points: over a whole box it estimates the supremum from below, so
+the bounds built on it are not certified for the box.
+
+Each ||A^m|| is taken block by block: A is block diagonal, up to a
+permutation, over the connected components of its coupling graph, and the
+largest singular value of A^m is the largest over its blocks.
 """
 
 from __future__ import annotations
@@ -204,6 +210,71 @@ def error_trajectory(
     return ErrorEvolution(norms=norms, norms_recurrence=rec, errors=errors)
 
 
+def _input_linf(inputs: np.ndarray, n_steps: int) -> float:
+    """Largest 2-norm among the first ``n_steps`` input vectors (0 for none)."""
+    used = inputs[:n_steps]
+    return float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
+
+
+# matrix entries of stacked block powers held, and passed to one batched SVD,
+# at a time; 131072 float64 entries are 1 MiB
+CURVE_CHUNK_ENTRIES = 131_072
+
+
+def _decoupled_blocks(A: np.ndarray) -> List[np.ndarray]:
+    """Sorted index sets of the connected components of A's coupling graph.
+
+    Indices i and j are coupled when A[i, j] or A[j, i] is nonzero, so A is
+    block diagonal over the returned sets up to a permutation, and so is
+    every power of A.
+    """
+    coupled = (A != 0) | (A.T != 0)
+    unseen = np.ones(A.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        members = np.zeros_like(unseen)
+        members[np.argmax(unseen)] = True
+        frontier = members
+        while frontier.any():
+            frontier = coupled[frontier].any(axis=0) & ~members
+            members |= frontier
+        unseen &= ~members
+        blocks.append(np.flatnonzero(members))
+    return blocks
+
+
+def _power_norms(A: np.ndarray, n_powers: int) -> np.ndarray:
+    """||A^m||_2 for m = 0 .. n_powers - 1, taken block by block.
+
+    The singular values of a permuted block-diagonal matrix are the union of
+    its blocks' singular values, so each ||A^m||_2 is the largest over the
+    blocks of :func:`_decoupled_blocks`. Blocks of one size are stacked and
+    advance together through the recurrence ``power = A_b @ power``; their
+    powers go through batched SVDs of at most ``CURVE_CHUNK_ENTRIES``
+    entries. Each matrix still gets its own product and LAPACK call, and a
+    matrix that is one block runs the recurrence on A itself, so its norms
+    keep the bits of one SVD per full power.
+    """
+    n = A.shape[0]
+    norms = np.zeros(n_powers)
+    blocks = _decoupled_blocks(A)
+    for size in sorted({idx.size for idx in blocks}):
+        idx = np.stack([b for b in blocks if b.size == size])
+        group = A[None] if size == n else A[idx[:, :, None], idx[:, None, :]]
+        per_chunk = max(1, CURVE_CHUNK_ENTRIES // group.size)
+        stack = np.empty((min(per_chunk, n_powers),) + group.shape)
+        power = np.repeat(np.eye(size)[None], len(idx), axis=0)
+        for start in range(0, n_powers, per_chunk):
+            count = min(per_chunk, n_powers - start)
+            for j in range(count):
+                stack[j] = power
+                power = group @ power
+            top = np.linalg.svd(stack[:count], compute_uv=False)[..., 0].max(axis=1)
+            window = norms[start : start + count]
+            np.maximum(window, top, out=window)
+    return norms
+
+
 def bounds_curve(
     A: np.ndarray,
     beta: float,
@@ -214,29 +285,29 @@ def bounds_curve(
     """Partial-sum error bound and, when sigma_max(A) < 1, the absolute one.
 
     The curve accumulates beta * ||u||_linf * sum of iterated matrix-power
-    norms; the absolute ceiling is returned as None when the largest
-    singular value of A reaches one, in which case only the time-varying
-    curve applies (boundedness still needs rho(A) < 1). ``sigma`` is that
-    singular value when the caller already has it from
-    :func:`stability_scalars`.
+    norms (:func:`_power_norms`); the absolute ceiling is returned as None
+    when the largest singular value of A reaches one, in which case only the
+    time-varying curve applies (boundedness still needs rho(A) < 1).
+    ``n_steps`` (default: one fewer than the input rows) must lie in
+    ``0 .. len(inputs)``, since ||u||_linf is taken over the inputs the
+    steps use. ``sigma`` is that singular value when the caller already has
+    it from :func:`stability_scalars`.
     """
     A = np.asarray(A, dtype=float)
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if n_steps is None:
         n_steps = inputs.shape[0] - 1
-    used = inputs[:n_steps]
-    u_linf = float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
+    if not 0 <= n_steps <= inputs.shape[0]:
+        raise DimensionError(
+            f"n_steps must lie in 0 .. {inputs.shape[0]} (the input rows), got {n_steps}"
+        )
+    u_linf = _input_linf(inputs, n_steps)
     if sigma is None:
         _, sigma = stability_scalars(A)
 
+    # tv[k] uses powers A^0 .. A^{k-1}
     tv = np.zeros(n_steps + 1)
-    power = np.eye(A.shape[0])
-    partial = 0.0
-    for k in range(1, n_steps + 1):
-        # tv[k] uses powers A^0 .. A^{k-1}
-        partial += float(np.linalg.svd(power, compute_uv=False)[0])
-        tv[k] = beta * u_linf * partial
-        power = A @ power
+    tv[1:] = beta * u_linf * np.cumsum(_power_norms(A, n_steps))
     absolute = beta * u_linf / (1.0 - sigma) if sigma < 1.0 else None
     return tv, absolute
 
@@ -335,13 +406,11 @@ def build_bound_report(
     tv, absolute = bounds_curve(
         exact.A, beta_scan.beta, inputs, n_steps=n_steps, sigma=sigma
     )
-    used = inputs[:n_steps]
-    u_linf = float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
     return BoundReport(
         rho=rho,
         sigma=sigma,
         beta=beta_scan.beta,
-        u_linf=u_linf,
+        u_linf=_input_linf(inputs, n_steps),
         absolute_bound=absolute,
         timevarying_bound=tv,
         error_norm=evolution.norms,

@@ -307,15 +307,150 @@ class TestBoundsCurve:
         assert np.all(np.diff(tv) >= -1e-12)
 
     def test_curve_monotone_and_convergent(self):
-        bundle, lpv, lti, inputs, _ = _dt_setup(n_steps=120)
-        from kooplift.bounds import beta_trajectory as scan_traj
-
-        scan = scan_traj(lpv, lti.B, np.zeros((1, 2)), np.zeros((1, 1)))
+        _, lpv, _, inputs, _ = _dt_setup(n_steps=120)
         tv, absolute = bounds_curve(lpv.A, 5.0, inputs)
         assert np.all(np.diff(tv) >= -1e-12)
         # geometric tail: late increments below 1e-9
         assert tv[-1] - tv[-10] < 1e-9
-        assert tv[-1] < absolute / 5.0 * 5.0
+        assert tv[-1] < absolute
+
+    @pytest.mark.parametrize("n_steps", [-1, 4])
+    def test_rejects_steps_outside_inputs(self, n_steps):
+        # four steps would read an input row that ||u||_linf never saw
+        inputs = np.array([[1.0], [2.0], [3.0]])
+        with pytest.raises(DimensionError):
+            bounds_curve(np.diag([0.5, 0.2]), 1.0, inputs, n_steps=n_steps)
+
+    def test_steps_may_use_every_input(self):
+        inputs = np.array([[1.0], [2.0], [3.0]])
+        tv, _ = bounds_curve(np.diag([0.5, 0.2]), 1.0, inputs, n_steps=3)
+        assert tv.tolist() == [0.0, 3.0, 4.5, 5.25]
+        with pytest.raises(DimensionError):
+            bounds_curve(np.diag([0.5, 0.2]), 1.0, np.zeros((0, 1)))
+
+
+def _curve_reference(A, beta, inputs, n_steps=None):
+    """The curve from one full SVD of A^m per step, summed left to right."""
+    A = np.asarray(A, dtype=float)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if n_steps is None:
+        n_steps = inputs.shape[0] - 1
+    used = inputs[:n_steps]
+    u_linf = float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
+    tv = np.zeros(n_steps + 1)
+    power = np.eye(A.shape[0])
+    partial = 0.0
+    for k in range(1, n_steps + 1):
+        partial += float(np.linalg.svd(power, compute_uv=False)[0])
+        tv[k] = beta * u_linf * partial
+        power = A @ power
+    return tv
+
+
+def _permuted_block_diagonal(blocks, rng):
+    """A block-diagonal matrix under a random symmetric permutation, and the
+    sorted index set each block lands on."""
+    n = sum(b.shape[0] for b in blocks)
+    A = np.zeros((n, n))
+    sets, start = [], 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        A[start:stop, start:stop] = b
+        sets.append(np.arange(start, stop))
+        start = stop
+    perm = rng.permutation(n)
+    where = np.argsort(perm)  # A's index i moves to where[i]
+    return A[np.ix_(perm, perm)], [np.sort(where[s]) for s in sets]
+
+
+def _reducible(rng):
+    contracting = rng.normal(size=(4, 4))
+    contracting *= 0.8 / np.linalg.norm(contracting, 2)
+    blocks = [
+        np.array([[0.5]]),
+        np.array([[-0.95]]),
+        np.zeros((1, 1)),  # a zero block is a set of uncoupled 1x1 blocks
+        np.zeros((1, 1)),
+        np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]]),  # nilpotent
+        np.array([[0.9, 1.0], [0.0, 0.9]]),  # sigma_max > 1 > rho
+        contracting,
+        np.array([[0.3, -0.2], [0.2, 0.3]]),  # scaled rotation, stacked with the Jordan block
+    ]
+    return _permuted_block_diagonal(blocks, rng)
+
+
+class TestBlockCurve:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_matrix_keeps_every_bit(self, order):
+        # one block: the products run on A itself, in its own memory order
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(60, 60))
+        A = np.asarray(A * 0.97 / np.max(np.abs(np.linalg.eigvals(A))), order=order)
+        inputs = rng.normal(size=(151, 2))
+        tv, _ = bounds_curve(A, 1.7, inputs)
+        assert np.array_equal(tv, _curve_reference(A, 1.7, inputs))
+
+    def test_blocks_are_the_coupling_components(self):
+        from kooplift.bounds import _decoupled_blocks
+
+        A, sets = _reducible(np.random.default_rng(9))
+        found = sorted(_decoupled_blocks(A), key=lambda s: s[0])
+        expected = sorted(sets, key=lambda s: s[0])
+        assert [s.tolist() for s in found] == [s.tolist() for s in expected]
+        # one-way coupling joins a block as well: triangular A is one block
+        assert len(_decoupled_blocks(np.triu(np.ones((4, 4))))) == 1
+
+    @pytest.mark.parametrize("seed", [9, 10, 11])
+    def test_reducible_matrix_within_rounding(self, seed):
+        rng = np.random.default_rng(seed)
+        A, _ = _reducible(rng)
+        inputs = rng.normal(size=(121, 1))
+        tv, absolute = bounds_curve(A, 2.5, inputs)
+        ref = _curve_reference(A, 2.5, inputs)
+        assert tv[0] == 0.0
+        rel = np.abs(tv[1:] - ref[1:]) / ref[1:]
+        assert np.max(rel) <= 1e-15
+        assert absolute is None  # the 2x2 Jordan block has sigma_max > 1
+
+    def test_lifted_matrices(self):
+        # dt-example's default lift splits into {x1} and {x2, x1^2}
+        _, lpv, _, inputs, _ = _dt_setup()
+        tv, _ = bounds_curve(lpv.A, 1.0, inputs)
+        ref = _curve_reference(lpv.A, 1.0, inputs)
+        assert np.max(np.abs(tv[1:] - ref[1:]) / ref[1:]) <= 1e-15
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 1000])
+    def test_chunks_keep_bits(self, monkeypatch, chunk):
+        import kooplift.bounds as bounds_module
+
+        rng = np.random.default_rng(3)
+        reducible, _ = _reducible(rng)
+        dense = rng.normal(size=(6, 6)) / 4.0
+        inputs = rng.normal(size=(61, 1))
+        whole = [bounds_curve(A, 1.0, inputs)[0] for A in (reducible, dense)]
+        monkeypatch.setattr(bounds_module, "CURVE_CHUNK_ENTRIES", chunk)
+        for A, tv in zip((reducible, dense), whole):
+            assert np.array_equal(bounds_curve(A, 1.0, inputs)[0], tv)
+
+    def test_memory_stays_within_chunks(self):
+        # 2000 stacked 60x60 powers would hold 57.6 MB; the curve holds one
+        # chunk of CURVE_CHUNK_ENTRIES doubles at a time
+        import tracemalloc
+
+        from kooplift.bounds import CURVE_CHUNK_ENTRIES
+
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(60, 60)))
+        A = 0.999 * q
+        inputs = np.ones((2001, 1))
+        tracemalloc.start()
+        try:
+            tv, _ = bounds_curve(A, 1.0, inputs, sigma=0.999)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * CURVE_CHUNK_ENTRIES
+        assert tv[-1] == pytest.approx(sum(0.999**m for m in range(2000)), rel=1e-9)
 
 
 class TestBoundReport:
