@@ -42,16 +42,13 @@ from .errors import (
     InvariantSubspaceViolation,
     KoopliftError,
     NumericEvaluationError,
-    SpanViolation,
 )
 from .examples import SystemBundle, builtin_system, ct_example, dt_example
 from .lifting import (
-    BilinearModel,
     LiftedModel,
     build_lifted_model,
     compute_A_ct,
     compute_A_dt,
-    extract_bilinear,
     factorize_input,
     fit_A_from_samples,
     input_term_ct,

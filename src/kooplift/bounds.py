@@ -328,10 +328,6 @@ class BoundReport:
     beta_argmax_state: Optional[np.ndarray] = None
     beta_argmax_input: Optional[np.ndarray] = None
 
-    @property
-    def absolute_applicable(self) -> bool:
-        return self.absolute_bound is not None
-
     def valid(self, slack: float = 1e-12) -> bool:
         """Observed error below the curve, curve below the absolute bound.
 

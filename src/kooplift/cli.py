@@ -104,6 +104,9 @@ def resolve_system(cfg: dict) -> SystemBundle:
         columns = [
             PolynomialMap.from_terms(n_x, col) for col in spec["input_columns"]
         ]
+        lo, hi = spec.get("state_box", [[-2.0] * n_x, [2.0] * n_x])
+        ulo, uhi = spec.get("input_box", [[-1.0] * len(columns), [1.0] * len(columns)])
+        state_box, input_box = DomainBox(lo, hi), DomainBox(ulo, uhi)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid inline system: {exc}")
     if time_domain not in (CONTINUOUS, DISCRETE):
@@ -115,15 +118,13 @@ def resolve_system(cfg: dict) -> SystemBundle:
         dictionary = monomial_dictionary(n_x, int(spec.get("default_degree", 2)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid inline system default_degree: {exc}")
-    lo, hi = spec.get("state_box", [[-2.0] * n_x, [2.0] * n_x])
-    ulo, uhi = spec.get("input_box", [[-1.0] * len(columns), [1.0] * len(columns)])
     return SystemBundle(
         name=spec.get("name", "inline-system"),
         time_domain=time_domain,
         decomposition=decomposition,
         dictionary=dictionary,
-        state_box=DomainBox(lo, hi),
-        input_box=DomainBox(ulo, uhi),
+        state_box=state_box,
+        input_box=input_box,
         coefficients={},
     )
 
@@ -173,7 +174,7 @@ def resolve_signals(cfg: dict, bundle: SystemBundle) -> List[SignalSpec]:
         raise ConfigError(
             f"system has {bundle.n_u} input channels but {len(raw)} signals given"
         )
-    seed = int(cfg.get("seed", DEFAULT_SEED))
+    seed = resolve_seed(cfg)
     specs = []
     for channel, entry in enumerate(raw):
         entry = dict(entry)
@@ -192,18 +193,8 @@ def resolve_signals(cfg: dict, bundle: SystemBundle) -> List[SignalSpec]:
 def resolve_horizon(cfg: dict, bundle: SystemBundle) -> Tuple[int, float]:
     """Returns (n_steps, ts); ts is 1.0 in discrete time."""
     if bundle.time_domain == CONTINUOUS:
-        ts = cfg.get("ts")
-        if ts is None:
-            raise ConfigError("continuous-time runs need 'ts'")
-        ts = float(ts)
-        if ts <= 0:
-            raise ConfigError(f"'ts' must be positive, got {ts}")
-        seconds = cfg.get("horizon_seconds")
-        if seconds is None:
-            raise ConfigError("continuous-time runs need 'horizon_seconds'")
-        seconds = float(seconds)
-        if seconds <= 0:
-            raise ConfigError("'horizon_seconds' must be positive")
+        ts = _config_real(cfg, "ts", None, positive=True)
+        seconds = _config_real(cfg, "horizon_seconds", None, positive=True)
         n_steps = int(round(seconds / ts))
         if abs(n_steps * ts - seconds) > 1e-9 * seconds:
             raise ConfigError(
@@ -211,15 +202,15 @@ def resolve_horizon(cfg: dict, bundle: SystemBundle) -> Tuple[int, float]:
                 f"steps of 'ts' {ts:g}"
             )
         return n_steps, ts
-    steps = cfg.get("horizon_steps", 100)
-    if int(steps) < 1:
-        raise ConfigError("'horizon_steps' must be at least 1")
-    return int(steps), 1.0
+    return _config_integer(cfg, "horizon_steps", 100, 1), 1.0
 
 
 def resolve_x0(cfg: dict, bundle: SystemBundle) -> np.ndarray:
     x0 = cfg.get("x0", [1.0] * bundle.n_x)
-    x0 = np.asarray(x0, dtype=float)
+    try:
+        x0 = np.asarray(x0, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid x0 {x0!r}: {exc}")
     if x0.shape != (bundle.n_x,):
         raise ConfigError(
             f"x0 must have {bundle.n_x} entries, got shape {x0.shape}"
@@ -229,27 +220,61 @@ def resolve_x0(cfg: dict, bundle: SystemBundle) -> np.ndarray:
 
 def resolve_divergence_limit(cfg: dict) -> float:
     """The divergence limit, a positive finite number."""
-    limit = cfg.get("divergence_limit", DEFAULT_DIVERGENCE_LIMIT)
+    return _config_real(cfg, "divergence_limit", DEFAULT_DIVERGENCE_LIMIT, positive=True)
+
+
+def resolve_seed(cfg: dict) -> int:
+    """The signals' master seed, a non-negative integer."""
+    return _config_integer(cfg, "seed", DEFAULT_SEED, 0)
+
+
+def resolve_lift(cfg: dict) -> Tuple[QuadratureSpec, float]:
+    """The lift's quadrature and span tolerance."""
+    nodes = _config_integer(cfg, "quad_nodes", 16, 1)
+    tolerance = _config_real(
+        cfg, "span_tolerance", DEFAULT_SPAN_TOLERANCE, positive=False
+    )
+    return QuadratureSpec(nodes), tolerance
+
+
+def _config_integer(cfg: dict, key: str, default, low: int) -> int:
+    """``cfg[key]``, an integer of at least ``low``."""
+    value = cfg.get(key, default)
     if (
-        isinstance(limit, numbers.Real)
-        and not isinstance(limit, bool)
-        and 0 < limit <= sys.float_info.max
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= low
     ):
-        return float(limit)
-    raise ConfigError(f"'divergence_limit' must be a positive number, got {limit!r}")
+        return int(value)
+    raise ConfigError(f"{key!r} must be an integer of at least {low}, got {value!r}")
+
+
+def _config_real(cfg: dict, key: str, default, positive: bool) -> float:
+    """``cfg[key]``, a finite real number, positive or non-negative."""
+    value = cfg.get(key, default)
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and (0 < value if positive else 0 <= value)
+        and value <= sys.float_info.max
+    ):
+        return float(value)
+    kind = "positive" if positive else "non-negative"
+    raise ConfigError(f"{key!r} must be a {kind} number, got {value!r}")
 
 
 def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
+    quad, span_tolerance = resolve_lift(cfg)
     return {
         "system": bundle.name,
         "time_domain": bundle.time_domain,
         "n_steps": n_steps,
         "ts": ts,
-        "seed": int(cfg.get("seed", DEFAULT_SEED)),
+        "seed": resolve_seed(cfg),
         "x0": [float(v) for v in resolve_x0(cfg, bundle)],
         "signals": [s.to_document() for s in specs],
-        "quad_nodes": int(cfg.get("quad_nodes", 16)),
-        "span_tolerance": float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
+        "quad_nodes": quad.nodes,
+        "span_tolerance": span_tolerance,
         "divergence_limit": resolve_divergence_limit(cfg),
     }
 
@@ -261,11 +286,9 @@ def _echo_config(cfg: dict, bundle: SystemBundle, specs, n_steps, ts) -> dict:
 
 def _lift(cfg: dict, bundle: SystemBundle, dictionary: ObservableDictionary):
     """The lifted (LPV) model for a resolved system and dictionary."""
+    quad, span_tolerance = resolve_lift(cfg)
     return build_lifted_model(
-        bundle.decomposition,
-        dictionary,
-        quad=QuadratureSpec(int(cfg.get("quad_nodes", 16))),
-        span_tolerance=float(cfg.get("span_tolerance", DEFAULT_SPAN_TOLERANCE)),
+        bundle.decomposition, dictionary, quad=quad, span_tolerance=span_tolerance
     )
 
 
@@ -301,6 +324,8 @@ def _fit_names(cfg: dict) -> List[dict]:
     for fit in parsed:
         if fit["kind"] not in ("edmdc", "edmd_full", "edmd_tikhonov"):
             raise ConfigError(f"unknown fit kind {fit['kind']!r}")
+        if fit.get("alpha", "search") != "search":
+            _config_real(fit, "alpha", None, positive=False)
     return parsed
 
 
@@ -311,6 +336,12 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     n_steps, ts = resolve_horizon(cfg, bundle)
     x0 = resolve_x0(cfg, bundle)
     limit = resolve_divergence_limit(cfg)
+    fits = _fit_names(cfg)
+    if fits and bundle.time_domain != DISCRETE:
+        raise ConfigError(
+            "constant-matrix fits work on shifted snapshots and need a "
+            "discrete-time system"
+        )
 
     inputs = build_inputs(specs, ts, n_steps)
     lifted = _lift(cfg, bundle, dictionary)
@@ -332,12 +363,6 @@ def run_simulate(cfg: dict, out_dir: Optional[str] = None) -> dict:
     trajectories = {"nonlinear": nonlinear, "koopman_lpv": lpv_output}
     reports = {"koopman_lpv": error_metrics(nonlinear, lpv_output)}
 
-    fits = _fit_names(cfg)
-    if fits and bundle.time_domain != DISCRETE:
-        raise ConfigError(
-            "constant-matrix fits work on shifted snapshots and need a "
-            "discrete-time system"
-        )
     z0 = dictionary.evaluate(x0)
     C = lifted.C
     fitted = {}
@@ -544,9 +569,14 @@ def _sweep_row(degree, alpha, l2):
     return [degree, alpha, float(l2[0]), float(l2[1]), 0]
 
 
-def resolve_bounds(cfg: dict, bundle: SystemBundle) -> Tuple[str, int]:
-    """The bounds mode and grid density, checked before anything runs."""
+def resolve_bounds(
+    cfg: dict, bundle: SystemBundle
+) -> Tuple[str, int, Optional[DomainBox], Optional[DomainBox]]:
+    """The bounds mode, grid density and the grid's state and input boxes
+    (None: the run's envelope), checked before anything runs."""
     bounds_cfg = cfg.get("bounds", {}) or {}
+    if not isinstance(bounds_cfg, dict):
+        raise ConfigError(f"'bounds' must be an object, got {bounds_cfg!r}")
     mode = bounds_cfg.get("mode", "trajectory")
     if mode not in ("trajectory", "grid"):
         raise ConfigError(f"unknown bounds mode {mode!r}; known: 'trajectory', 'grid'")
@@ -560,25 +590,39 @@ def resolve_bounds(cfg: dict, bundle: SystemBundle) -> Tuple[str, int]:
                 f"a grid of density {density} over {dims} dimensions has "
                 f"{density}^{dims} points, more than the {MAX_GRID_POINTS} allowed"
             )
-    return mode, density
+        state_box = _box_from_cfg(bounds_cfg, "state_box", bundle.n_x)
+        input_box = _box_from_cfg(bounds_cfg, "input_box", bundle.n_u)
+        return mode, density, state_box, input_box
+    return mode, density, None, None
+
+
+def _box_from_cfg(bounds_cfg: dict, key: str, dim: int) -> Optional[DomainBox]:
+    entry = bounds_cfg.get(key)
+    if entry is None:
+        return None
+    try:
+        lower, upper = entry
+        box = DomainBox(lower, upper)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid bounds {key} {entry!r}: {exc}")
+    if box.lower.shape != (dim,):
+        raise ConfigError(f"bounds {key} {entry!r} must have {dim} coordinates")
+    return box
 
 
 def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
     bundle = resolve_system(cfg)
     if bundle.time_domain != DISCRETE:
         raise ConfigError("error bounds are formulated for discrete-time systems")
-    mode, density = resolve_bounds(cfg, bundle)
+    mode, density, state_box, input_box = resolve_bounds(cfg, bundle)
     limit = resolve_divergence_limit(cfg)
     base = run_simulate({**cfg, "fits": ["edmdc"]}, out_dir=None)
     lifted = base["lifted"]
     lti = base["fitted"]["koopman_lti_edmdc"]
     inputs = base["inputs"]
 
-    bounds_cfg = cfg.get("bounds", {}) or {}
     beta_scan = None
     if mode == "grid":
-        state_box = _box_from_cfg(bounds_cfg.get("state_box"))
-        input_box = _box_from_cfg(bounds_cfg.get("input_box"))
         if state_box is None:
             state_box = DomainBox.from_envelope(
                 base["trajectories"]["nonlinear"].states
@@ -610,12 +654,6 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
         write_json(out / "bounds.json", report.to_document(meta=base["meta"]))
         write_csv(out / "bounds.csv", ["k", "error_norm", "tv_bound"], report.csv_rows())
     return {"report": report, "base": base}
-
-
-def _box_from_cfg(entry) -> Optional[DomainBox]:
-    if entry is None:
-        return None
-    return DomainBox(entry[0], entry[1])
 
 
 # ---------------------------------------------------------------------------

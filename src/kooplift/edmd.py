@@ -82,10 +82,6 @@ class SnapshotData:
     def n_u(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def n_samples(self) -> int:
-        return self.Z.shape[1]
-
     def tikhonov_svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U_Y, s, Z+ V_Y) of the thin SVD Y = U_Y diag(s) V_Y^T, Y = [Z; U].
 
@@ -202,17 +198,10 @@ class AlphaSearchResult:
     best_alpha: float
     costs: List[dict]
 
-    def cost_at(self, alpha: float) -> float:
-        for row in self.costs:
-            if row["alpha"] == alpha:
-                return row["cost"]
-        raise KeyError(f"alpha {alpha} not in the search grid")
 
-
-def default_alpha_grid(per_decade: int = 1) -> np.ndarray:
-    """{0} plus a logarithmic grid over [1e-15, 1e20], ascending."""
-    count = 35 * per_decade + 1
-    return np.concatenate(([0.0], np.logspace(-15.0, 20.0, count)))
+def default_alpha_grid() -> np.ndarray:
+    """{0} plus one alpha per decade over [1e-15, 1e20], ascending."""
+    return np.concatenate(([0.0], np.logspace(-15.0, 20.0, 36)))
 
 
 def alpha_grid_search(

@@ -38,10 +38,6 @@ class InvariantSubspaceViolation(KoopliftError):
         self.missing = list(missing) if missing is not None else []
 
 
-class SpanViolation(InvariantSubspaceViolation):
-    """Bilinear extraction failed: a channel expansion leaves the span."""
-
-
 class DivergenceError(KoopliftError):
     """A simulated state became non-finite or exceeded the divergence limit."""
 

@@ -116,8 +116,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         input_held=HeldInput(
             held_driven, held_driven_at, held_jacobian, held_jacobian_at
         ),
-        state_box=state_box,
-        input_box=input_box,
         name="ct-example",
     )
 
@@ -157,12 +155,7 @@ def dt_example(a1: float = 0.7, a2: float = 0.7, a3: float = 0.5) -> SystemBundl
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0], [1.0])
     decomposition = control_affine_decomposition(
-        f,
-        [g_col],
-        DISCRETE,
-        state_box=state_box,
-        input_box=input_box,
-        name="dt-example",
+        f, [g_col], DISCRETE, name="dt-example"
     )
 
     def f_d_eval(x, u):

@@ -107,21 +107,23 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
     Needs a small continuous-time model (``n_f * n_x``, ``n_f * n_f`` and
     ``n_f * n_u`` at most ``SMALL_JACOBIAN_ENTRIES``), the dictionary's small
-    Jacobian template, and an ``input_form`` (the oracle's held-input form).
+    Jacobian template, and the oracle's held-input form (``input_held``);
+    the ray quadrature is the model's own (``quad``).
     """
-    form = model.input_form
+    held = model.input_held
     dictionary = model.dictionary
     n_f, n_u = model.n_f, model.n_u
     u = _names("u", n_u)
     if (
-        form is None
+        held is None
         or model.time_domain != CONTINUOUS
         or dictionary.small_jacobian is None
         or not _small(n_f * dictionary.n_x, n_f * n_f, n_f * n_u)
     ):
         return None
     factored = _held_factored(dictionary, n_u)
-    names = {"HELD": form.held, "NODES": form.nodes, "WEIGHTS": form.weights}
+    nodes, weights = model.quad.rule()
+    names = {"HELD": held, "NODES": nodes, "WEIGHTS": weights}
     prologue = [
         "jacobian = HELD.jacobian",
         "jacobian_at = HELD.jacobian_at",

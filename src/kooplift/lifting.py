@@ -30,12 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dictionaries import ObservableDictionary
-from .errors import (
-    DimensionError,
-    DomainWarning,
-    InvariantSubspaceViolation,
-    SpanViolation,
-)
+from .errors import DimensionError, DomainWarning, InvariantSubspaceViolation
 from .lpv import output_matrix
 from .polynomials import (
     PolynomialMap,
@@ -322,66 +317,6 @@ def _fd_input_term_jacobian(input_term):
 
 
 # ---------------------------------------------------------------------------
-# bilinear extraction (continuous-time control-affine systems)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BilinearModel:
-    """Bilinear lifted form: d/dt Phi = A Phi + sum_i B_i Phi u_i."""
-
-    B: List[np.ndarray]
-    A: Optional[np.ndarray] = None
-
-    @property
-    def n_u(self) -> int:
-        return len(self.B)
-
-    @property
-    def n_f(self) -> int:
-        return self.B[0].shape[0] if self.B else 0
-
-    def b_tilde(self, j: int) -> np.ndarray:
-        """Column-gathered form: stacks the j-th column of every B_i."""
-        return np.stack([Bi[:, j] for Bi in self.B], axis=1)
-
-    def input_term(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        u = np.asarray(u, dtype=float)
-        acc = np.zeros(self.n_f)
-        for i, Bi in enumerate(self.B):
-            acc += (Bi @ z) * u[i]
-        return acc
-
-
-def extract_bilinear(
-    g_columns: Sequence[PolynomialMap],
-    dictionary: ObservableDictionary,
-    span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
-    A: Optional[np.ndarray] = None,
-) -> BilinearModel:
-    """Bilinear form of a control-affine continuous-time system.
-
-    Requires every channel expansion (dPhi/dx) g_i to lie in the dictionary
-    span; otherwise a :class:`SpanViolation` lists the missing monomials per
-    channel.
-    """
-    matrices = []
-    for i, column in enumerate(g_columns):
-        rows = _lifted_derivative_rows(column, dictionary)
-        Bi, residual, missing = match_rows_to_span(rows, dictionary)
-        if residual > span_tolerance:
-            raise SpanViolation(
-                f"input channel {i} expansion leaves the dictionary span "
-                f"(residual {residual:.3e}; missing monomials {missing})",
-                residual=residual,
-                missing=missing,
-            )
-        matrices.append(Bi)
-    return BilinearModel(B=matrices, A=A)
-
-
-# ---------------------------------------------------------------------------
 # symbolic input machinery for polynomial systems
 # ---------------------------------------------------------------------------
 
@@ -468,19 +403,6 @@ def _symbolic_ct_columns(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputForm:
-    """The held-input form of a continuous-time oracle's B(x, u), for the
-    simulation kernels: ``held`` (see :class:`~kooplift.systems.HeldInput`)
-    with the ``nodes`` and ``weights`` of the factorisation's ray quadrature
-    (B = dPhi/dx(x) S(x, u)).
-    """
-
-    held: HeldInput
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
 STACK_ZU = "stack-zu"
 STACK_Z = "stack-z"
 
@@ -493,16 +415,18 @@ class LiftedModel:
     returns the matrix B with ``B(x, u) u = input_term(x, u)``. When the
     factored matrix does not depend on the input (continuous-time
     control-affine systems), ``input_dependent`` is False and the scheduling
-    drops u. ``input_form`` describes B(x, u) for the continuous-time
-    simulation kernels when the oracle has a held-input form.
+    drops u. ``input_held`` is the oracle's held-input form (see
+    :class:`~kooplift.systems.HeldInput`), kept for the continuous-time
+    simulation kernels, which take the ray quadrature from ``quad``.
 
     The model is linear parameter-varying as it stands:
 
-        z+ (or dz/dt) = A z + B_z(p) u,        p = mu(z, u),
+        z+ (or dz/dt) = A z + B(x, u) u,        x = C z,
 
-    with the full-stacking scheduling map p = [z; u], or p = z when B is
-    state-only. The state is recovered as x = C z through the dictionary's
-    identity observables; ``C`` is built on first use.
+    scheduled on [z; u] (``scheduling`` "stack-zu"), or on z alone
+    ("stack-z") when B is state-only. Every simulation, fit and bound takes
+    B through ``factored_input``. The state is recovered through the
+    dictionary's identity observables; ``C`` is built on first use.
     """
 
     A: np.ndarray
@@ -516,7 +440,7 @@ class LiftedModel:
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     input_dependent: bool = True
     factored_batch: Optional[Callable] = None
-    input_form: Optional[InputForm] = None
+    input_held: Optional[HeldInput] = None
     name: str = "lifted-model"
 
     @property
@@ -538,35 +462,6 @@ class LiftedModel:
         if self.time_domain == CONTINUOUS and not self.input_dependent:
             return STACK_Z
         return STACK_ZU
-
-    @property
-    def p_dim(self) -> int:
-        return self.n_f + (self.n_u if self.scheduling == STACK_ZU else 0)
-
-    def scheduling_map(self, z, u) -> np.ndarray:
-        """mu(z, u): full stacking [z; u], or z alone for state-only input maps."""
-        z = np.asarray(z, dtype=float)
-        if self.scheduling == STACK_Z:
-            return z.copy()
-        return np.concatenate([z, np.asarray(u, dtype=float)])
-
-    def input_matrix(self, p) -> np.ndarray:
-        """B_z(p): evaluates the factorised input matrix from the scheduling
-        variable, recovering the state through the dictionary's identity
-        observables."""
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.p_dim,):
-            raise DimensionError(
-                f"expected scheduling vector of shape ({self.p_dim},), got {p.shape}"
-            )
-        z = p[: self.n_f]
-        u = p[self.n_f :] if self.scheduling == STACK_ZU else np.zeros(self.n_u)
-        x = z[list(self.dictionary.state_selector)]
-        return np.asarray(self.factored_input(x, u), dtype=float)
-
-    def output(self, z) -> np.ndarray:
-        """x = C z; a plain gather of the identity observables."""
-        return np.asarray(z, dtype=float)[..., list(self.dictionary.state_selector)]
 
     def to_document(self) -> dict:
         return {
@@ -653,7 +548,7 @@ def build_lifted_model(
     symbolic_input = (
         decomposition.control_affine_columns is not None and dictionary.all_monomial
     )
-    input_form = None
+    input_held = None
     if time_domain == CONTINUOUS:
         if symbolic_input:
             columns = _symbolic_ct_columns(decomposition, dictionary)
@@ -677,11 +572,7 @@ def build_lifted_model(
             factored = _ct_oracle_factored(decomposition, dictionary, quad)
             factored_batch = None
             input_dependent = True
-            if decomposition.input_held is not None:
-                nodes, weights = quad.rule()
-                input_form = InputForm(
-                    held=decomposition.input_held, nodes=nodes, weights=weights
-                )
+            input_held = decomposition.input_held
     else:
         if symbolic_input:
             symbolic_term, columns_joint, input_dependent = _symbolic_dt_input(
@@ -726,7 +617,7 @@ def build_lifted_model(
         quad=quad,
         input_dependent=input_dependent,
         factored_batch=factored_batch,
-        input_form=input_form,
+        input_held=input_held,
         name=name or decomposition.name,
     )
 
@@ -738,25 +629,22 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
     does not depend on u, the ray integral reduces to the dictionary
     Jacobian times the integrated input-Jacobian S of g. An oracle with a
     held-input form supplies S in one call, bit for bit what the simulation
-    kernels use; otherwise the input-Jacobian is summed node by node.
+    kernels use; otherwise, and at u = 0, S is :func:`factorize_input` of g.
     """
     lam, w = quad.rule()
     held = decomposition.input_held
+    jacobian = decomposition.input_jacobian_at
     shape = (decomposition.n_x, decomposition.n_u)
 
     def factored(x, u):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         J = dictionary.jacobian(x)
-        if not u.any():
-            return J @ decomposition.input_jacobian_at(x, u)
-        if held is not None:
+        if held is not None and u.any():
             h = held.jacobian(tuple(u.tolist()), lam, w)
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
         else:
-            S = w[0] * decomposition.input_jacobian_at(x, lam[0] * u)
-            for q in range(1, lam.shape[0]):
-                S += w[q] * decomposition.input_jacobian_at(x, lam[q] * u)
+            S = factorize_input(None, x, u, quad=quad, input_term_jacobian=jacobian)
         return J @ S
 
     return factored

@@ -36,9 +36,6 @@ class LTIKoopmanModel:
     def n_u(self) -> int:
         return self.B.shape[1]
 
-    def output(self, z) -> np.ndarray:
-        return np.asarray(z, dtype=float) @ self.C.T
-
     def to_document(self) -> dict:
         return {
             "kind": "lti-koopman-model",

@@ -368,9 +368,6 @@ class PolynomialMap:
                 )
         return PolynomialMap._from_graded(self.n_vars, rows)
 
-    def jacobian_matrix(self, x: Sequence[float]) -> np.ndarray:
-        return self.jacobian().evaluate(x).reshape(self.n_out, self.n_vars)
-
     def pad_vars(self, n_total: int) -> "PolynomialMap":
         """Embed into a larger variable set, appending zero exponents."""
         if n_total < self.n_vars:
@@ -380,21 +377,12 @@ class PolynomialMap:
         rows = [{exps + pad: c for exps, c in row.items()} for row in self.rows]
         return PolynomialMap._from_graded(n_total, rows)
 
-    def to_terms(self) -> List[List[dict]]:
-        return [
-            [{"exponents": list(exps), "coeff": c} for exps, c in row.items()]
-            for row in self.rows
-        ]
-
     @classmethod
     def from_terms(cls, n_vars: int, rows: Sequence[Sequence[dict]]) -> "PolynomialMap":
         return cls(
             n_vars,
             [[(t["exponents"], t["coeff"]) for t in row] for row in rows],
         )
-
-    def same_terms(self, other: "PolynomialMap") -> bool:
-        return self.n_vars == other.n_vars and self.rows == other.rows
 
     def __repr__(self):
         return f"PolynomialMap(n_vars={self.n_vars}, n_out={self.n_out})"

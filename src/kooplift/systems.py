@@ -162,8 +162,6 @@ class Decomposition:
     # the continuous-time simulation kernels, which it lets skip numpy calls
     input_held: Optional[HeldInput] = None
     control_affine_columns: Optional[List[PolynomialMap]] = None
-    state_box: Optional[DomainBox] = None
-    input_box: Optional[DomainBox] = None
     name: str = "system"
 
     def __post_init__(self):
@@ -241,8 +239,6 @@ def control_affine_decomposition(
     f: PolynomialMap,
     g_columns: Sequence[PolynomialMap],
     time_domain: str,
-    state_box: Optional[DomainBox] = None,
-    input_box: Optional[DomainBox] = None,
     name: str = "control-affine",
 ) -> Decomposition:
     """Decomposition of ``f(x) + G(x) u`` with polynomial ``f`` and ``G``."""
@@ -265,7 +261,5 @@ def control_affine_decomposition(
         input_driven=input_driven,
         input_jacobian=input_jacobian,
         control_affine_columns=g_columns,
-        state_box=state_box,
-        input_box=input_box,
         name=name,
     )

@@ -469,7 +469,7 @@ class TestBoundReport:
         report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs))
         assert report.valid()
         assert np.all(report.error_norm <= report.timevarying_bound + 1e-12)
-        assert report.absolute_applicable
+        assert report.absolute_bound is not None
         assert np.all(report.timevarying_bound <= report.absolute_bound + 1e-12)
         # the curve converges and its limit stays strictly conservative
         assert report.timevarying_bound[-1] < report.absolute_bound

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kooplift
 from kooplift import cli
 from kooplift.cli import (
     main,
@@ -20,6 +25,14 @@ from kooplift.edmd import build_snapshots, default_alpha_grid, edmd_tikhonov
 from kooplift.errors import ConfigError, DivergenceError
 from kooplift.lpv import make_lti, output_matrix
 from kooplift.sim import error_metrics, simulate_lti
+
+
+INLINE_1D = {
+    "time_domain": "discrete",
+    "n_x": 1,
+    "f": [[{"exponents": [1], "coeff": 0.5}]],
+    "input_columns": [[[{"exponents": [0], "coeff": 1.0}]]],
+}
 
 
 def _write_config(tmp_path, cfg, name="config.json"):
@@ -211,6 +224,74 @@ class TestSimulate:
             resolve_system(cfg)
         path = _write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "command, changes",
+        [
+            ("lift", {"quad_nodes": 0}),
+            ("simulate", {"quad_nodes": 0}),
+            ("simulate", {"seed": "x"}),
+            ("simulate", {"span_tolerance": "x"}),
+            ("simulate", {"x0": ["a", 1]}),
+            ("simulate", {"horizon_steps": "x"}),
+            ("simulate", {"horizon_steps": 2.7}),
+            ("simulate", {"fits": [{"kind": "edmd_tikhonov", "alpha": -1}]}),
+            ("bounds", {"bounds": {"mode": "grid", "state_box": [[1, 1], [0, 0]]}}),
+            ("bounds", {"bounds": {"mode": "grid", "input_box": [[0, 0], [1, 1]]}}),
+            ("bounds", {"bounds": ["grid"]}),
+            ("simulate", {"system": dict(INLINE_1D, state_box=[[1.0], [0.0]])}),
+        ],
+        ids=[
+            "lift-quad-nodes-0",
+            "quad-nodes-0",
+            "seed-text",
+            "span-tolerance-text",
+            "x0-text",
+            "horizon-steps-text",
+            "horizon-steps-2.7",
+            "tikhonov-alpha-negative",
+            "grid-state-box-reversed",
+            "grid-input-box-2d",
+            "bounds-not-an-object",
+            "inline-state-box-reversed",
+        ],
+    )
+    def test_malformed_config_exits_2_before_simulating(
+        self, tmp_path, monkeypatch, command, changes
+    ):
+        # each of these used to escape as a ValueError (exit 1), the box only
+        # after the whole simulation; horizon_steps 2.7 silently ran 2 steps
+        def simulated(*args, **kwargs):
+            raise AssertionError("simulated before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate_nonlinear", simulated)
+        path = _write_config(tmp_path, dict(DT_CFG, **changes))
+        assert main([command, "--config", path]) == 2
+
+    def test_runtime_imports_only_numpy(self):
+        # the library runs on the standard library and numpy alone; compared
+        # against what the interpreter has loaded before the import
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import kooplift.cli, kooplift.kernels\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'kooplift'}\n"
+            "print(sorted(loaded - allowed))\n"
+        )
+        src = str(Path(kooplift.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
         # 1.0 / 0.3 would silently run 3 steps, i.e. 0.9 s
@@ -429,7 +510,9 @@ class TestBoundsCommand:
 
     def test_grid_budget_admits_the_default_density(self):
         bundle = resolve_system(DT_CFG)  # n_x + n_u = 3
-        assert cli.resolve_bounds({"bounds": {"mode": "grid"}}, bundle) == ("grid", 101)
+        assert cli.resolve_bounds({"bounds": {"mode": "grid"}}, bundle) == (
+            "grid", 101, None, None
+        )
         assert 101**3 <= cli.MAX_GRID_POINTS < 102**4
 
 
@@ -530,6 +613,7 @@ class TestEdmdCommand:
         data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(resolve_x0(cfg, result["bundle"]))
+        costs = {row["alpha"]: row["cost"] for row in searches[0].costs}
         best_alpha, best_cost, diverged = None, np.inf, 0
         for alpha in default_alpha_grid():
             lti = make_lti(*edmd_tikhonov(data, alpha), C)
@@ -539,7 +623,7 @@ class TestEdmdCommand:
                 diverged += 1
                 continue
             cost = float(np.sum(error_metrics(nonlinear, output).l2))
-            assert searches[0].cost_at(alpha) == cost
+            assert costs[alpha] == cost
             if cost < best_cost:
                 best_alpha, best_cost = alpha, cost
         assert diverged == 6

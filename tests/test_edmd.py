@@ -56,13 +56,13 @@ class TestBuildSnapshots:
             np.arange(2.0), np.array([[1.0, 1.0], [1.2, 0.7]]), np.array([[0.5], [0.0]])
         )
         data = build_snapshots(traj, bundle.dictionary)
-        assert data.n_samples == 1
+        assert data.Z.shape[1] == 1
         np.testing.assert_array_equal(data.Z[:, 0], [1.0, 1.0, 1.0])
 
     def test_hundred_state_trajectory_has_99_pairs(self):
         bundle, traj = _dt_run(n_steps=99)  # 100 recorded states
         data = build_snapshots(traj, bundle.dictionary)
-        assert data.n_samples == 99
+        assert data.Z.shape[1] == 99
         assert data.Z.shape == (3, 99)
         assert data.U.shape == (1, 99)
 
@@ -306,7 +306,8 @@ class TestAlphaSearch:
             return float(np.linalg.norm(data.Zp - A_hat @ data.Z - B_hat @ data.U))
 
         result = alpha_grid_search(data, default_alpha_grid(), _per_candidate(cost))
-        assert result.cost_at(result.best_alpha) <= result.cost_at(0.0) + 1e-12
+        costs = {row["alpha"]: row["cost"] for row in result.costs}
+        assert costs[result.best_alpha] <= costs[0.0] + 1e-12
 
     def test_divergent_points_flagged_and_skipped(self):
         rng = np.random.default_rng(9)

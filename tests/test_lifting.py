@@ -19,14 +19,13 @@ from kooplift import (
     ct_example,
     decompose,
     dt_example,
-    extract_bilinear,
     factorize_input,
     fit_A_from_samples,
     input_term_ct,
     input_term_dt,
     monomial_dictionary,
 )
-from kooplift.errors import DomainWarning, InvariantSubspaceViolation, SpanViolation
+from kooplift.errors import DomainWarning, InvariantSubspaceViolation
 from kooplift.lifting import match_rows_to_span
 from kooplift.quadrature import unit_gauss_legendre
 
@@ -403,62 +402,6 @@ class TestLiftedIdentity:
             lhs = bundle.dictionary.jacobian(x) @ bundle.decomposition.eval_full(x, u)
             rhs = model.A @ bundle.dictionary.evaluate(x) + model.input_term(x, u)
             assert np.all(np.abs(lhs - rhs) <= 1e-12 * (1 + np.abs(lhs)))
-
-
-class TestBilinear:
-    def test_constant_column_needs_constant_observable(self):
-        b = np.array([0.8, -1.5])
-        column = PolynomialMap(2, [{(0, 0): b[0]}, {(0, 0): b[1]}])
-        with pytest.raises(SpanViolation) as exc:
-            extract_bilinear([column], BENCH_DICT)
-        assert (0, 0) in exc.value.missing
-
-        with_const = ObservableDictionary(
-            2,
-            [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0)), Monomial((0, 0))],
-        )
-        model = extract_bilinear([column], with_const)
-        B1 = model.B[0]
-        # rows: [b1 on the constant, b2 on the constant, 2 b1 on phi_1]
-        expect = np.zeros((4, 4))
-        expect[0, 3] = b[0]
-        expect[1, 3] = b[1]
-        expect[2, 0] = 2 * b[0]
-        np.testing.assert_array_equal(B1, expect)
-
-    def test_zero_columns(self):
-        column = PolynomialMap(2, [{}, {}])
-        model = extract_bilinear([column, column], BENCH_DICT)
-        for Bi in model.B:
-            np.testing.assert_array_equal(Bi, np.zeros((3, 3)))
-
-    def test_one_dimensional_identity(self):
-        d = monomial_dictionary(1, 1)
-        column = PolynomialMap(1, [{(1,): 1.0}])
-        model = extract_bilinear([column], d)
-        np.testing.assert_array_equal(model.B[0], [[1.0]])
-
-    def test_bilinear_reproduces_input_term(self):
-        # control-affine CT system whose channel expansions stay in span
-        f_c = PolynomialMap(2, [{(1, 0): -0.5}, {(0, 1): -1.0, (2, 0): 1.0}])
-        column = PolynomialMap(2, [{(1, 0): 1.0}, {(0, 1): 0.5}])
-        d = monomial_dictionary(2, 2)
-        model = extract_bilinear([column], d)
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 2)
-            u = rng.uniform(-1, 1, 1)
-            z = d.evaluate(x)
-            expect = (d.jacobian(x) @ column.evaluate(x)) * u[0]
-            got = model.input_term(z, u)
-            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
-
-    def test_column_gather_form(self):
-        column_a = PolynomialMap(1, [{(1,): 2.0}])
-        column_b = PolynomialMap(1, [{(1,): -3.0}])
-        d = monomial_dictionary(1, 1)
-        model = extract_bilinear([column_a, column_b], d)
-        np.testing.assert_array_equal(model.b_tilde(0), [[2.0, -3.0]])
 
 
 class TestQuadrature:

@@ -1,4 +1,5 @@
-"""The lifted model's LPV view, scheduling maps and LTI containers."""
+"""The lifted model's LPV view (A, B(x, u) through factored_input, C and
+the scheduling), its step, and the LTI containers."""
 
 import json
 
@@ -39,12 +40,9 @@ def _step(model, z, u):
 class TestMakeLpv:
     def test_dt_benchmark_scheduling_and_output(self):
         bundle, model = _dt_model()
-        # p = [z; u], C = [I2 0]
+        # scheduled on [z; u], C = [I2 0]
         assert model.scheduling == "stack-zu"
-        assert model.p_dim == 4
         np.testing.assert_array_equal(model.C, [[1, 0, 0], [0, 1, 0]])
-        p = model.scheduling_map(np.array([1.0, 2.0, 3.0]), np.array([0.5]))
-        np.testing.assert_array_equal(p, [1.0, 2.0, 3.0, 0.5])
 
     def test_ct_benchmark_keeps_input_in_schedule(self):
         bundle = ct_example()
@@ -60,10 +58,10 @@ class TestMakeLpv:
         model = build_lifted_model(split, monomial_dictionary(2, 2))
         assert not model.input_dependent
         assert model.scheduling == "stack-z"
-        assert model.p_dim == model.n_f
-        # input matrix reachable through the scheduling vector alone
-        z = model.dictionary.evaluate(np.array([0.3, -0.4]))
-        B = model.input_matrix(model.scheduling_map(z, np.zeros(1)))
+        # the input matrix is the same for any input
+        x = np.array([0.3, -0.4])
+        B = model.factored_input(x, np.zeros(1))
+        np.testing.assert_array_equal(model.factored_input(x, np.array([0.9])), B)
         expect = model.dictionary.jacobian(np.array([0.3, -0.4])) @ np.array(
             [[1.0], [0.3]]
         )
@@ -121,14 +119,6 @@ class TestEvalStep:
                 via_lift = model.A @ z + model.input_term(x, u)
                 assert np.all(np.abs(via_lpv - via_lift) <= 1e-10 * (1 + np.abs(via_lift)))
 
-    def test_dimension_checks(self):
-        _, model = _dt_model()
-        # a lifted vector of the wrong length is rejected on its way to B
-        with pytest.raises(DimensionError):
-            model.input_matrix(model.scheduling_map(np.ones(2), np.zeros(1)))
-        with pytest.raises(DimensionError):
-            model.input_matrix(np.ones(2))
-
 
 class TestOutputRecovery:
     def test_exact_recovery_via_selector(self):
@@ -138,7 +128,6 @@ class TestOutputRecovery:
             x = rng.uniform(-5, 5, 2)
             z = bundle.dictionary.evaluate(x)
             np.testing.assert_array_equal(model.C @ z, x)
-            np.testing.assert_array_equal(model.output(z), x)
 
     def test_output_matrix_requires_selector(self):
         d = ObservableDictionary(2, [Monomial((2, 0)), Monomial((1, 1))])
@@ -152,7 +141,7 @@ class TestMakeLti:
         B = np.array([[1.0], [0.0]])
         C = np.eye(2)
         model = make_lti(A, B, C)
-        np.testing.assert_array_equal(model.output(np.array([3.0, 4.0])), [3.0, 4.0])
+        np.testing.assert_array_equal(model.C @ np.array([3.0, 4.0]), [3.0, 4.0])
 
     def test_frozen_lpv_matrix_is_valid_lti(self):
         bundle, model = _dt_model()

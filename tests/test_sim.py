@@ -494,7 +494,7 @@ class TestKernels:
         )
         model = build_lifted_model(decomposition, dictionary)
         assert nonlinear_kernel(decomposition) is None
-        assert model.input_form is None and lpv_kernel(model) is None
+        assert model.input_held is None and lpv_kernel(model) is None
         inputs = _random_inputs(4, 100)
         _assert_same_bits(
             simulate_nonlinear(decomposition, [0.8, -1.2], inputs, ts=1e-2).states,
@@ -518,6 +518,24 @@ class TestKernels:
         slow = _numpy_lpv(model, bundle.dictionary.evaluate(x0), inputs, ts)
         _assert_same_bits(fast.states, slow.states)
 
+    @pytest.mark.parametrize("nodes", [8, 2])
+    def test_kernel_takes_the_models_quadrature(self, ct_model, nodes):
+        # the kernel's ray sum runs on model.quad's rule: a lift with fewer
+        # nodes gives the numpy path's states of that lift, not the default's
+        bundle, default = ct_model
+        model = build_lifted_model(
+            bundle.decomposition, bundle.dictionary, quad=QuadratureSpec(nodes)
+        )
+        assert lpv_kernel(model) is not None
+        cfg = dict(preset_runs("ct-example-whitenoise")[0][2], horizon_seconds=0.2)
+        n_steps, ts = resolve_horizon(cfg, bundle)
+        inputs = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        z0 = bundle.dictionary.evaluate(np.array([1.0, 1.0]))
+        fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
+        _assert_same_bits(fast.states, _numpy_lpv(model, z0, inputs, ts).states)
+        sixteen, _ = simulate_lpv(default, z0=z0, inputs=inputs, ts=ts)
+        assert fast.states.tobytes() != sixteen.states.tobytes()
+
     def test_kernel_does_not_call_the_numpy_pieces(self, ct_model):
         bundle, model = ct_model
         calls = []
@@ -535,7 +553,7 @@ class TestKernels:
         plain = dataclasses.replace(bundle.decomposition, input_held=None)
         lifted = build_lifted_model(plain, bundle.dictionary)
         assert nonlinear_kernel(plain) is None
-        assert lifted.input_form is None and lpv_kernel(lifted) is None
+        assert lifted.input_held is None and lpv_kernel(lifted) is None
         inputs = _random_inputs(7, 60)
         _assert_same_bits(
             simulate_nonlinear(plain, [1.0, 1.0], inputs, ts=1e-2).states,
@@ -550,7 +568,7 @@ class TestKernels:
         _, model = ct_model
         big = monomial_dictionary(2, 3)  # 9 observables: A has 81 entries
         assert lpv_kernel(dataclasses.replace(model, A=np.eye(9), dictionary=big)) is None
-        assert lpv_kernel(dataclasses.replace(model, input_form=None)) is None
+        assert lpv_kernel(dataclasses.replace(model, input_held=None)) is None
 
     def test_code_cached_by_source(self, ct_model):
         _, model = ct_model
