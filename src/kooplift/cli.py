@@ -21,6 +21,7 @@ import argparse
 import json
 import numbers
 import sys
+from math import comb
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -114,10 +115,7 @@ def resolve_system(cfg: dict) -> SystemBundle:
     decomposition = control_affine_decomposition(
         f, columns, time_domain, name=spec.get("name", "inline-system")
     )
-    try:
-        dictionary = monomial_dictionary(n_x, int(spec.get("default_degree", 2)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid inline system default_degree: {exc}")
+    dictionary = monomial_dictionary(n_x, _config_integer(spec, "default_degree", 2, 1))
     return SystemBundle(
         name=spec.get("name", "inline-system"),
         time_domain=time_domain,
@@ -151,7 +149,9 @@ def _parse_dictionary_spec(spec, n_x: int) -> ObservableDictionary:
         if isinstance(spec, dict):
             if "degree" in spec:
                 return monomial_dictionary(
-                    n_x, int(spec["degree"]), bool(spec.get("include_constant", False))
+                    n_x,
+                    _config_integer(spec, "degree", None, 1),
+                    bool(spec.get("include_constant", False)),
                 )
             if "monomials" in spec:
                 if isinstance(spec["monomials"], str):
@@ -170,6 +170,10 @@ def resolve_signals(cfg: dict, bundle: SystemBundle) -> List[SignalSpec]:
         raise ConfigError("config needs a 'signals' entry (one per input channel)")
     if isinstance(raw, dict):
         raw = [dict(raw) for _ in range(bundle.n_u)]
+    if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
+        raise ConfigError(
+            f"'signals' must be one signal object or a list of them, got {raw!r}"
+        )
     if len(raw) != bundle.n_u:
         raise ConfigError(
             f"system has {bundle.n_u} input channels but {len(raw)} signals given"
@@ -239,14 +243,18 @@ def resolve_lift(cfg: dict) -> Tuple[QuadratureSpec, float]:
 
 def _config_integer(cfg: dict, key: str, default, low: int) -> int:
     """``cfg[key]``, an integer of at least ``low``."""
-    value = cfg.get(key, default)
+    return _integer(cfg.get(key, default), repr(key), low)
+
+
+def _integer(value, name: str, low: int) -> int:
+    """``value``, an integer of at least ``low``; ``name`` labels the error."""
     if (
         isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
         and value >= low
     ):
         return int(value)
-    raise ConfigError(f"{key!r} must be an integer of at least {low}, got {value!r}")
+    raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def _config_real(cfg: dict, key: str, default, positive: bool) -> float:
@@ -448,23 +456,22 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit):
 
 def _alpha_objective(nonlinear, C, z0, inputs, limit, reports):
     """Batched alpha-search objective: summed l2 output errors of the
-    discrete-time LTI models simulated from the fitted (A, B) pairs.
+    discrete-time LTI models simulated from the stacked fits (As, Bs).
 
-    One call simulates its candidates together (``simulate_lti_stack``). Each
-    candidate's per-state l2 errors are recorded in ``reports`` under its
-    alpha, or None when its simulation diverged (cost inf), so callers can
-    reuse the simulation instead of repeating it.
+    One call simulates its candidates together (``simulate_lti_stack``),
+    recording only the lifted coordinates that C reads. Each candidate's
+    per-state l2 errors are recorded in ``reports`` under its alpha, or None
+    when its simulation diverged (cost inf), so callers can reuse the
+    simulation instead of repeating it.
     """
+    read = np.flatnonzero(np.any(C, axis=0))
+    C_read = C[:, read]
 
-    def objective(alphas, fits):
+    def objective(alphas, As, Bs):
         states, diverged_at = simulate_lti_stack(
-            np.stack([A for A, _ in fits]),
-            np.stack([B for _, B in fits]),
-            z0,
-            inputs,
-            divergence_limit=limit,
+            As, Bs, z0, inputs, divergence_limit=limit, record=read
         )
-        eps = nonlinear.states - states @ C.T
+        eps = nonlinear.states - states @ C_read.T
         l2s = np.sqrt(np.sum(eps * eps, axis=1))
         costs = []
         for alpha, l2, step in zip(alphas, l2s, diverged_at):
@@ -479,6 +486,7 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     bundle = resolve_system(cfg)
     if bundle.time_domain != DISCRETE:
         raise ConfigError("the edmd command operates on discrete-time systems")
+    sweep = resolve_sweep(cfg)
     base = run_simulate({**cfg, "fits": cfg.get("fits", ["edmdc"])}, out_dir=None)
     nonlinear = base["trajectories"]["nonlinear"]
     inputs = base["inputs"]
@@ -486,11 +494,8 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     limit = resolve_divergence_limit(cfg)
 
     result = {"base": base, "sweep_rows": [], "baseline_rows": []}
-    sweep = cfg.get("sweep")
     if sweep:
-        degrees = sweep.get("degrees", [2, 20])
-        lo, hi = int(degrees[0]), int(degrees[-1])
-        alpha_search = bool(sweep.get("alpha_search", True))
+        lo, hi, alpha_search = sweep
         rows, baselines = _degree_sweep(
             bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, limit
         )
@@ -519,19 +524,42 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     return result
 
 
+def resolve_sweep(cfg: dict) -> Optional[Tuple[int, int, bool]]:
+    """The sweep's lowest and highest degree and whether it searches alpha,
+    or None without a sweep; checked before anything runs."""
+    sweep = cfg.get("sweep")
+    if sweep is None:
+        return None
+    if not isinstance(sweep, dict):
+        raise ConfigError(f"'sweep' must be an object, got {sweep!r}")
+    if not sweep:
+        return None
+    degrees = sweep.get("degrees", [2, 20])
+    if not isinstance(degrees, list) or len(degrees) not in (1, 2):
+        raise ConfigError(
+            f"sweep 'degrees' must be [lowest, highest] or [degree], got {degrees!r}"
+        )
+    lo = _integer(degrees[0], "the sweep's lowest degree", 1)
+    hi = _integer(degrees[-1], "the sweep's highest degree", lo)
+    alpha_search = sweep.get("alpha_search", True)
+    if not isinstance(alpha_search, bool):
+        raise ConfigError(f"sweep 'alpha_search' must be true or false, got {alpha_search!r}")
+    return lo, hi, alpha_search
+
+
 def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, limit):
+    # monomial_dictionary is graded and lifts each entry on its own, so the
+    # snapshots, C and z0 of degree d are the leading rows of degree hi's
+    top = monomial_dictionary(bundle.n_x, hi)
+    snapshots = build_snapshots(nonlinear, top)
+    C_top, z0_top = output_matrix(top), top.evaluate(x0)
     rows = []
     for degree in range(lo, hi + 1):
-        dictionary = monomial_dictionary(bundle.n_x, degree)
-        data = build_snapshots(nonlinear, dictionary)
+        n_f = comb(bundle.n_x + degree, degree) - 1
+        data = snapshots.leading(n_f)
         reports = {}
         objective = _alpha_objective(
-            nonlinear,
-            output_matrix(dictionary),
-            dictionary.evaluate(x0),
-            inputs,
-            limit,
-            reports,
+            nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, reports
         )
         best_alpha = None
         if alpha_search:
@@ -542,7 +570,8 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
             except DivergenceError:
                 pass  # the objective has recorded every candidate as None
         else:
-            objective([0.0], [edmd_tikhonov(data, 0.0)])
+            A, B = edmd_tikhonov(data, 0.0)
+            objective([0.0], A[None], B[None])
         rows.append(_sweep_row(degree, 0.0, reports[0.0]))
         if alpha_search:
             if best_alpha is None:

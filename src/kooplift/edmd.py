@@ -22,10 +22,13 @@ Ill-Posed Problems, 1998):
     [A B] = (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T,
 
 so a whole alpha grid costs one factorisation and a matrix product per
-grid point, and never forms the squared-conditioned Gramian. alpha = 0
-stays the pseudoinverse of the normal equations, as in the full fit. The
-search hands its objective the fits in blocks, so the candidates of one
-block can be simulated together.
+distinct filter, and never forms the squared-conditioned Gramian. An
+alpha below half an ulp of every s^2 leaves s^2 + alpha at s^2, so its
+filter, its fit and any simulation of it are bit for bit those of a
+smaller alpha; the search forms and costs each distinct filter once.
+alpha = 0 stays the pseudoinverse of the normal equations, as in the full
+fit. The search hands its objective the fits in stacked blocks, so the
+candidates of one block can be simulated together.
 Pseudoinverses use an SVD cutoff of max(m, n) * eps relative to the largest
 singular value.
 """
@@ -81,6 +84,13 @@ class SnapshotData:
     @property
     def n_u(self) -> int:
         return self.U.shape[0]
+
+    def leading(self, n_f: int) -> "SnapshotData":
+        """The snapshots of the first ``n_f`` observables only (``self`` when
+        that is all of them)."""
+        if n_f == self.n_f:
+            return self
+        return SnapshotData(Z=self.Z[:n_f], Zp=self.Zp[:n_f], U=self.U)
 
     def tikhonov_svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U_Y, s, Z+ V_Y) of the thin SVD Y = U_Y diag(s) V_Y^T, Y = [Z; U].
@@ -188,9 +198,31 @@ def edmd_tikhonov(
         raise ValueError(f"regularisation weight must be non-negative, got {alpha}")
     if alpha == 0.0:
         return edmd_full(data)
-    U_Y, s, W = data.tikhonov_svd()
-    AB = (W * (s / (s * s + alpha))) @ U_Y.T
-    return AB[:, : data.n_f], AB[:, data.n_f :]
+    As, Bs = _stacked_fits(data, 0, _filters(data, np.array([alpha])))
+    return As[0], Bs[0]
+
+
+def _filters(data: SnapshotData, alphas: np.ndarray) -> np.ndarray:
+    """The (M, r) filter factors s / (s^2 + alpha), one row per alpha > 0."""
+    s = data.tikhonov_svd()[1]
+    return s / (s * s + alphas[:, None])
+
+
+def _stacked_fits(
+    data: SnapshotData, full: int, filters: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(As, Bs) of ``full`` (0 or 1) alpha = 0 fits followed by the fits
+    [A B] = (Z+ V_Y) diag(f) U_Y^T of the rows f of ``filters``, views into
+    one (M, n_f, n_f + n_u) array. The stacked matmul runs one product per
+    member, so each member holds the bits of its own filter's fit."""
+    n_f = data.n_f
+    fits = np.empty((full + len(filters), n_f, n_f + data.n_u))
+    if full:
+        fits[0, :, :n_f], fits[0, :, n_f:] = edmd_full(data)
+    if len(filters):
+        U_Y, _, W = data.tikhonov_svd()
+        np.matmul(W * filters[:, None, :], U_Y.T, out=fits[full:])
+    return fits[:, :, :n_f], fits[:, :, n_f:]
 
 
 @dataclass
@@ -207,36 +239,59 @@ def default_alpha_grid() -> np.ndarray:
 def alpha_grid_search(
     data: SnapshotData,
     grid: Sequence[float],
-    objective: Callable[
-        [List[float], List[Tuple[np.ndarray, np.ndarray]]], Sequence[float]
-    ],
+    objective: Callable[[List[float], np.ndarray, np.ndarray], Sequence[float]],
 ) -> AlphaSearchResult:
     """Pick the regularisation weight minimising a simulation-error cost.
 
-    ``objective(alphas, fits)`` returns one cost per candidate for a block
-    of ascending alphas and their fits ``(A, B)``; a non-finite cost marks
-    the candidate as divergent instead of aborting the sweep. A block's
-    fits hold about ``_SEARCH_BLOCK_FLOATS`` floats, so an objective that
-    stacks them stays small at large lifted dimensions. Ties break toward
+    ``objective(alphas, As, Bs)`` returns one cost per candidate for a block
+    of ascending alphas and their stacked fits, ``As`` of shape
+    (M, n_f, n_f) and ``Bs`` of shape (M, n_f, n_u); a non-finite cost marks
+    the candidate as divergent instead of aborting the sweep. Alphas with
+    the same filter share one fit, so only the smallest of them is handed
+    on, and every grid alpha gets its cost in ``costs``. A block's fits hold
+    about ``_SEARCH_BLOCK_FLOATS`` floats, so an objective that simulates
+    them together stays small at large lifted dimensions. Ties break toward
     smaller alpha; if every candidate diverges an error lists them all.
     """
     grid = sorted(float(a) for a in grid)
     if not grid:
         raise ValueError("alpha grid is empty")
+    if grid[0] < 0:
+        raise ValueError(f"regularisation weight must be non-negative, got {grid[0]}")
+    n_zero = sum(alpha == 0.0 for alpha in grid)
+    # a grid of zeros alone needs no SVD
+    positive = np.array(grid[n_zero:])
+    filters = _filters(data, positive) if positive.size else np.empty((0, 0))
+    # the candidate each grid alpha shares its fit with, and the candidates
+    # as indices into the grid; alpha = 0 is the pseudoinverse fit
+    group = {}
+    shared = [
+        group.setdefault(None if i < n_zero else filters[i - n_zero].tobytes(), i)
+        for i in range(len(grid))
+    ]
+    candidates = list(group.values())
     block = max(1, _SEARCH_BLOCK_FLOATS // (data.n_f * (data.n_f + data.n_u)))
+    cost_of = {}
+    for start in range(0, len(candidates), block):
+        chosen = candidates[start : start + block]
+        # the alpha = 0 candidate, if any, leads the first block; the block's
+        # fits are freed once the objective returns, before the next block
+        head = int(chosen[0] < n_zero)
+        rest = [i - n_zero for i in chosen[head:]]
+        costs = objective(
+            [grid[i] for i in chosen], *_stacked_fits(data, head, filters[rest])
+        )
+        cost_of.update(zip(chosen, map(float, costs), strict=True))
     rows: List[dict] = []
     best_alpha = None
     best_cost = np.inf
-    for start in range(0, len(grid), block):
-        alphas = grid[start : start + block]
-        costs = objective(alphas, [edmd_tikhonov(data, alpha) for alpha in alphas])
-        for alpha, cost in zip(alphas, costs, strict=True):
-            cost = float(cost)
-            diverged = not np.isfinite(cost)
-            rows.append({"alpha": alpha, "cost": cost, "diverged": diverged})
-            if not diverged and cost < best_cost:
-                best_alpha = alpha
-                best_cost = cost
+    for alpha, i in zip(grid, shared):
+        cost = cost_of[i]
+        diverged = not np.isfinite(cost)
+        rows.append({"alpha": alpha, "cost": cost, "diverged": diverged})
+        if not diverged and cost < best_cost:
+            best_alpha = alpha
+            best_cost = cost
     if best_alpha is None:
         raise DivergenceError(
             "every candidate diverged: "

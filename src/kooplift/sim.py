@@ -530,6 +530,7 @@ def simulate_lti_stack(
     z0: Sequence[float],
     inputs: np.ndarray,
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
+    record: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Iterate M discrete-time LTI models z+ = A_m z + B_m u as one recurrence.
 
@@ -538,8 +539,9 @@ def simulate_lti_stack(
     bits :func:`dt_simulate` gives for ``lti_step(A_m, B_m)``: a member
     leaves the stack at the step where that run would raise
     :class:`DivergenceError`. Returns ``(states, diverged_at)``: states of
-    shape (M, n_steps + 1, n_f), NaN from a member's divergence step on,
-    and the (M,) divergence steps, 0 for a member that never diverged.
+    shape (M, n_steps + 1, n_r) holding the ``record`` coordinates (all
+    n_f by default), NaN from a member's divergence step on, and the (M,)
+    divergence steps, 0 for a member that never diverged.
     """
     As = np.asarray(As, dtype=float)
     Bs = np.asarray(Bs, dtype=float)
@@ -553,22 +555,27 @@ def simulate_lti_stack(
             f"stacks of shapes {As.shape} and {Bs.shape} do not form "
             f"{inputs.shape[1]}-input LTI models"
         )
-    states = np.full((M, n_steps + 1, n_f), np.nan)
-    states[:, 0] = z0
+    record = np.arange(n_f) if record is None else np.asarray(record, dtype=int)
+    Z = np.empty((M, n_f))
+    Z[:] = z0
+    states = np.full((M, n_steps + 1, record.size), np.nan)
+    states[:, 0] = Z[:, record]
     diverged_at = np.zeros(M, dtype=int)
     members = np.arange(M)
-    Z = states[:, 0].copy()
+    rows = slice(None)  # the rows of ``states`` the stack still fills
     for k in range(n_steps):
         Z = (As @ Z[..., None])[..., 0] + Bs @ inputs[k]
-        # the test _check_state makes without a selector; NaN fails it too
-        within = np.all(np.abs(Z) <= divergence_limit, axis=1)
-        if not within.all():
+        # the test _check_state makes without a selector; NaN fails it too,
+        # and members are tested one by one only when the whole stack fails
+        if not np.abs(Z).max() <= divergence_limit:
+            within = np.all(np.abs(Z) <= divergence_limit, axis=1)
             diverged_at[members[~within]] = k + 1
             members, Z = members[within], Z[within]
             As, Bs = As[within], Bs[within]
             if members.size == 0:
                 break
-        states[members, k + 1] = Z
+            rows = members
+        states[rows, k + 1] = Z[:, record]
     return states, diverged_at
 
 

@@ -21,10 +21,18 @@ from kooplift.cli import (
     run_reproduce,
     run_simulate,
 )
-from kooplift.edmd import build_snapshots, default_alpha_grid, edmd_tikhonov
+from kooplift import edmd
+from kooplift.dictionaries import monomial_dictionary
+from kooplift.edmd import (
+    AlphaSearchResult,
+    alpha_grid_search,
+    build_snapshots,
+    default_alpha_grid,
+    edmd_tikhonov,
+)
 from kooplift.errors import ConfigError, DivergenceError
-from kooplift.lpv import make_lti, output_matrix
-from kooplift.sim import error_metrics, simulate_lti
+from kooplift.lpv import lti_step, make_lti, output_matrix
+from kooplift.sim import dt_simulate, error_metrics, simulate_lti
 
 
 INLINE_1D = {
@@ -206,7 +214,7 @@ class TestSimulate:
         assert doc["config"]["divergence_limit"] == 1e13
         assert cli.resolve_divergence_limit({}) == 1e12
 
-    @pytest.mark.parametrize("degree", [0, -2, "two", None])
+    @pytest.mark.parametrize("degree", [0, -2, "two", None, 2.5])
     def test_inline_default_degree_is_config_error(self, tmp_path, degree):
         cfg = {
             "system": {
@@ -240,6 +248,15 @@ class TestSimulate:
             ("bounds", {"bounds": {"mode": "grid", "input_box": [[0, 0], [1, 1]]}}),
             ("bounds", {"bounds": ["grid"]}),
             ("simulate", {"system": dict(INLINE_1D, state_box=[[1.0], [0.0]])}),
+            ("simulate", {"signals": 5}),
+            ("edmd", {"signals": 5}),
+            ("simulate", {"signals": [5]}),
+            ("simulate", {"dictionary": {"degree": 2.5}}),
+            ("edmd", {"sweep": {"degrees": ["a"]}}),
+            ("edmd", {"sweep": {"degrees": [0, 3]}}),
+            ("edmd", {"sweep": {"degrees": [5, 3]}}),
+            ("edmd", {"sweep": {"degrees": [2, 3], "alpha_search": "yes"}}),
+            ("edmd", {"sweep": [2, 20]}),
         ],
         ids=[
             "lift-quad-nodes-0",
@@ -254,13 +271,24 @@ class TestSimulate:
             "grid-input-box-2d",
             "bounds-not-an-object",
             "inline-state-box-reversed",
+            "signals-number",
+            "edmd-signals-number",
+            "signals-list-of-number",
+            "dictionary-degree-2.5",
+            "sweep-degree-text",
+            "sweep-degree-0",
+            "sweep-degrees-reversed",
+            "sweep-alpha-search-text",
+            "sweep-not-an-object",
         ],
     )
     def test_malformed_config_exits_2_before_simulating(
         self, tmp_path, monkeypatch, command, changes
     ):
-        # each of these used to escape as a ValueError (exit 1), the box only
-        # after the whole simulation; horizon_steps 2.7 silently ran 2 steps
+        # each of these used to escape as a ValueError or TypeError (exit 1),
+        # the box and the sweep only after the whole simulation; horizon_steps
+        # 2.7 silently ran 2 steps, degree 2.5 lifted at degree 2 (exit 4)
+        # and reversed sweep degrees wrote an empty sweep.csv
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
 
@@ -538,15 +566,43 @@ class TestEdmdCommand:
         assert [row[:2] for row in rows[False]] == [[2, 0.0], [3, 0.0]]
         assert rows[False] == rows[True][::2]
 
+    def test_sweep_rows_match_a_lift_at_each_degree(self):
+        # the sweep lifts once at its highest degree; each degree's rows are
+        # those of a search on its own dictionary's lift, C and z0
+        cfg = dict(DT_CFG, sweep={"degrees": [2, 7], "alpha_search": True})
+        result = run_edmd(cfg)
+        base = result["base"]
+        nonlinear = base["trajectories"]["nonlinear"]
+        x0 = resolve_x0(cfg, base["bundle"])
+        expected = []
+        for degree in range(2, 8):
+            dictionary = monomial_dictionary(2, degree)
+            reports = {}
+            objective = cli._alpha_objective(
+                nonlinear,
+                output_matrix(dictionary),
+                dictionary.evaluate(x0),
+                base["inputs"],
+                1e12,
+                reports,
+            )
+            data = build_snapshots(nonlinear, dictionary)
+            best = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
+            expected += [
+                cli._sweep_row(degree, 0.0, reports[0.0]),
+                cli._sweep_row(degree, best, reports[best]),
+            ]
+        assert result["sweep_rows"] == expected
+
     def test_sweep_rows_when_every_candidate_diverges(self, monkeypatch):
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
         bundle = resolve_system(cfg)
         calls = []
 
-        def diverge(As, Bs, z0, inputs, divergence_limit):
+        def diverge(As, Bs, z0, inputs, divergence_limit, record):
             calls.append(len(As))
-            states = np.full((len(As), inputs.shape[0], As.shape[1]), np.nan)
+            states = np.full((len(As), inputs.shape[0], len(record)), np.nan)
             return states, np.ones(len(As), dtype=int)
 
         monkeypatch.setattr(cli, "simulate_lti_stack", diverge)
@@ -584,7 +640,9 @@ class TestEdmdCommand:
         n_f = dictionary.n_f
         zero = (np.zeros((n_f, n_f)), np.zeros((n_f, 1)))
         blowup = (1e7 * np.eye(n_f), np.zeros((n_f, 1)))
-        costs = objective([0.5, 0.7], [zero, blowup])
+        costs = objective(
+            [0.5, 0.7], np.stack([zero[0], blowup[0]]), np.stack([zero[1], blowup[1]])
+        )
         expected = np.sqrt(np.sum(nonlinear.states[1:] ** 2, axis=0))
         np.testing.assert_array_equal(reports[0.5], expected)
         assert costs[0] == float(np.sum(expected))
@@ -632,6 +690,81 @@ class TestEdmdCommand:
         A_ref, B_ref = edmd_tikhonov(data, best_alpha)
         np.testing.assert_array_equal(fitted.A, A_ref)
         np.testing.assert_array_equal(fitted.B, B_ref)
+
+    @pytest.mark.parametrize(
+        "excitation, degree",
+        [("multisine", degree) for degree in range(14, 21)]
+        + [("whitenoise", degree) for degree in (2, 11, 20)],
+    )
+    def test_shared_filters_match_a_per_alpha_reference(
+        self, monkeypatch, excitation, degree
+    ):
+        # the sweep's search, which fits and simulates one alpha per distinct
+        # filter, against edmd_tikhonov and dt_simulate for every alpha: the
+        # same AlphaSearchResult and reports, bit for bit. The multisine run
+        # has 12, 6 and 3 distinct alpha > 0 filters at degrees 14-16 and one
+        # at 17-20; white noise keeps all 36.
+        cfg = {label: cfg for label, _, cfg in preset_runs("degree-sweep")}[excitation]
+        base = run_simulate(cfg)
+        nonlinear, inputs = base["trajectories"]["nonlinear"], base["inputs"]
+        dictionary = monomial_dictionary(2, degree)
+        data = build_snapshots(nonlinear, dictionary)
+        C = output_matrix(dictionary)
+        z0 = dictionary.evaluate(nonlinear.states[0])
+        limit = cli.resolve_divergence_limit(cfg)
+
+        fitted, simulated = [], []
+        stacked_fits, stack = edmd._stacked_fits, cli.simulate_lti_stack
+
+        def fits_spy(data, full, filters):
+            fitted.append(len(filters))
+            return stacked_fits(data, full, filters)
+
+        def stack_spy(As, *args, **kwargs):
+            simulated.append(len(As))
+            return stack(As, *args, **kwargs)
+
+        monkeypatch.setattr(edmd, "_stacked_fits", fits_spy)
+        monkeypatch.setattr(cli, "simulate_lti_stack", stack_spy)
+        reports, seen = {}, []
+        objective = cli._alpha_objective(nonlinear, C, z0, inputs, limit, reports)
+
+        def counted(alphas, As, Bs):
+            seen.extend(alphas)
+            return objective(alphas, As, Bs)
+
+        grid = default_alpha_grid()
+        result = alpha_grid_search(data, grid, counted)
+        monkeypatch.undo()
+
+        rows, best = [], (None, np.inf)
+        for alpha in grid:
+            # the candidate this alpha shares its filter with: filters fall
+            # monotonically in alpha, so it is the largest candidate below
+            shared = max(a for a in seen if a <= alpha)
+            A, B = edmd_tikhonov(data, alpha)
+            try:
+                run = dt_simulate(lti_step(A, B), z0, inputs, divergence_limit=limit)
+            except DivergenceError:
+                assert reports[shared] is None
+                rows.append({"alpha": alpha, "cost": np.inf, "diverged": True})
+                continue
+            l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
+            assert reports[shared].tobytes() == l2.tobytes()
+            cost = float(np.sum(l2))
+            rows.append({"alpha": alpha, "cost": cost, "diverged": False})
+            if cost < best[1]:
+                best = (alpha, cost)
+        assert result == AlphaSearchResult(best_alpha=best[0], costs=rows)
+
+        s = data.tikhonov_svd()[1]
+        filters = {(s / (s * s + alpha)).tobytes() for alpha in grid[1:]}
+        assert len(seen) == len(set(seen)) == 1 + len(filters)
+        assert sum(fitted) == len(filters) and sum(simulated) == len(seen)
+        if excitation == "multisine" and degree >= 17:
+            assert seen == [0.0, grid[1]]
+        elif excitation == "whitenoise":
+            assert seen == list(grid)
 
     def test_alpha_grid_span(self):
         from kooplift import default_alpha_grid

@@ -83,6 +83,29 @@ class TestBuildSnapshots:
             with pytest.raises(ValueError):
                 matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize("excitation", ["whitenoise", "multisine"])
+    def test_leading_rows_are_the_lower_degree_lift(self, excitation):
+        # the degree sweep lifts once at degree 20 and takes each degree's
+        # snapshots, C and z0 from the leading rows
+        cfg = {label: cfg for label, _, cfg in cli.preset_runs("degree-sweep")}[excitation]
+        traj = cli.run_simulate(cfg)["trajectories"]["nonlinear"]
+        top_dictionary = monomial_dictionary(2, 20)
+        top = build_snapshots(traj, top_dictionary)
+        z0 = top_dictionary.evaluate(traj.states[0])
+        for degree in range(2, 21):
+            dictionary = monomial_dictionary(2, degree)
+            data = build_snapshots(traj, dictionary)
+            leading = top.leading(dictionary.n_f)
+            for name in ("Z", "Zp", "U"):
+                assert getattr(leading, name).tobytes() == getattr(data, name).tobytes()
+            assert z0[: dictionary.n_f].tobytes() == dictionary.evaluate(
+                traj.states[0]
+            ).tobytes()
+            np.testing.assert_array_equal(
+                output_matrix(top_dictionary)[:, : dictionary.n_f],
+                output_matrix(dictionary),
+            )
+
     def test_too_short_rejected(self):
         bundle, _ = _dt_run()
         from kooplift import Trajectory
@@ -259,8 +282,23 @@ class TestTikhonov:
 
 
 def _per_candidate(cost):
-    """A batched objective applying ``cost(alpha, fit)`` to each candidate."""
-    return lambda alphas, fits: [cost(a, fit) for a, fit in zip(alphas, fits)]
+    """A batched objective applying ``cost(alpha, (A, B))`` to each candidate."""
+    return lambda alphas, As, Bs: [cost(a, fit) for a, *fit in zip(alphas, As, Bs)]
+
+
+def _scaled(data, factor):
+    """``data`` with every snapshot scaled by ``factor``."""
+    return SnapshotData(Z=factor * data.Z, Zp=factor * data.Zp, U=factor * data.U)
+
+
+def _candidates(data, grid):
+    """0 (when on the grid) and the smallest alpha > 0 of each distinct filter."""
+    s = data.tikhonov_svd()[1]
+    first = {}
+    for alpha in sorted(grid):
+        key = (s / (s * s + alpha)).tobytes() if alpha > 0 else None
+        first.setdefault(key, alpha)
+    return list(first.values())
 
 
 class TestAlphaSearch:
@@ -268,27 +306,69 @@ class TestAlphaSearch:
         rng = np.random.default_rng(7)
         _, _, data = _random_lti_data(rng)
         result = alpha_grid_search(
-            data, [1e-3, 0.0, 10.0], lambda alphas, fits: [1.0] * len(alphas)
+            data, [1e-3, 0.0, 10.0], lambda alphas, As, Bs: [1.0] * len(alphas)
         )
         assert result.best_alpha == 0.0
 
     def test_objective_receives_the_tikhonov_fit(self):
-        rng = np.random.default_rng(12)
-        _, _, data = _random_lti_data(rng)
-        received = {}
+        # the smallest alpha of each distinct filter, with its own fit; at
+        # scale 1e9 the smallest s^2 is 3.1e17, whose half ulp is 32, so the
+        # 17 alphas up to 10 share one filter
+        grid = default_alpha_grid()
+        for scale, n_candidates in ((1.0, 37), (1e9, 21)):
+            data = _scaled(_random_lti_data(np.random.default_rng(12))[2], scale)
+            received = {}
 
-        def objective(alphas, fits):
-            assert alphas == sorted(alphas)
-            received.update(zip(alphas, fits))
-            return [1.0] * len(alphas)
+            def objective(alphas, As, Bs):
+                assert alphas == sorted(alphas)
+                assert As.shape == (len(alphas), 3, 3)
+                assert Bs.shape == (len(alphas), 3, 1)
+                received.update(zip(alphas, zip(As.copy(), Bs.copy())))
+                return [1.0] * len(alphas)
+
+            alpha_grid_search(data, grid, objective)
+            assert list(received) == _candidates(data, grid)
+            assert len(received) == n_candidates
+            for alpha, (A_hat, B_hat) in received.items():
+                A_ref, B_ref = edmd_tikhonov(data, alpha)
+                np.testing.assert_array_equal(A_hat, A_ref)
+                np.testing.assert_array_equal(B_hat, B_ref)
+
+    def test_alphas_sharing_a_filter_share_the_representatives_cost(self):
+        # at scale 1e21 every s^2 exceeds 1e40, so s^2 + alpha rounds to s^2
+        # for every alpha > 0 on the grid: the objective sees 0 and 1e-15
+        # only, and the other 35 rows repeat the cost of 1e-15
+        rng = np.random.default_rng(14)
+        data = _scaled(_random_lti_data(rng)[2], 1e21)
+        seen = []
+
+        def objective(alphas, As, Bs):
+            seen.extend(alphas)
+            return [float(np.abs(A).sum() + np.abs(B).sum()) for A, B in zip(As, Bs)]
 
         grid = default_alpha_grid()
-        alpha_grid_search(data, grid, objective)
-        assert sorted(received) == list(grid)
-        for alpha, (A_hat, B_hat) in received.items():
-            A_ref, B_ref = edmd_tikhonov(data, alpha)
-            np.testing.assert_array_equal(A_hat, A_ref)
-            np.testing.assert_array_equal(B_hat, B_ref)
+        result = alpha_grid_search(data, grid, objective)
+        assert seen == [0.0, grid[1]]
+        costs = [row["cost"] for row in result.costs]
+        assert [row["alpha"] for row in result.costs] == list(grid)
+        assert len(set(costs[1:])) == 1 and costs[1] != costs[0]
+        assert result.best_alpha in seen
+        for alpha in grid[1:]:
+            A, B = edmd_tikhonov(data, alpha)
+            assert A.tobytes() == edmd_tikhonov(data, grid[1])[0].tobytes()
+            assert B.tobytes() == edmd_tikhonov(data, grid[1])[1].tobytes()
+
+    def test_stacked_fits_match_their_own_products(self):
+        # one stacked matmul gives each member the bits of its own fit, at
+        # every lifted dimension of the degree sweep
+        bundle, traj = _dt_run()
+        alphas = default_alpha_grid()[1:]
+        for degree in range(1, 21):
+            data = build_snapshots(traj, monomial_dictionary(2, degree))
+            As, Bs = edmd._stacked_fits(data, 1, edmd._filters(data, alphas))
+            for alpha, A, B in zip(default_alpha_grid(), As, Bs):
+                A_ref, B_ref = edmd_tikhonov(data, alpha)
+                assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
 
     def test_single_element_grid(self):
         rng = np.random.default_rng(8)
@@ -331,13 +411,19 @@ class TestAlphaSearch:
         _, _, data = _random_lti_data(rng, n_f=3, n_u=1)
         sizes = []
 
-        def objective(alphas, fits):
+        def objective(alphas, As, Bs):
             sizes.append(len(alphas))
             return [1.0] * len(alphas)
 
+        # blocks of 5 candidates, one candidate per distinct filter: all 37
+        # here, 2 once a scale of 1e21 merges every filter
         monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", 5 * 3 * (3 + 1))
         alpha_grid_search(data, default_alpha_grid(), objective)
+        assert len(_candidates(data, default_alpha_grid())) == 37
         assert sizes == [5] * 7 + [2]
+        sizes.clear()
+        alpha_grid_search(_scaled(data, 1e21), default_alpha_grid(), objective)
+        assert sizes == [2]
 
     def test_blocks_of_one_give_the_whole_block_result(self, monkeypatch):
         # the sweep's own objective at degree 11, where 6 of 37 candidates diverge
@@ -364,7 +450,7 @@ class TestAlphaSearch:
         rng = np.random.default_rng(11)
         _, _, data = _random_lti_data(rng)
         with pytest.raises(ValueError):
-            alpha_grid_search(data, [0.1, 1.0], lambda alphas, fits: [1.0])
+            alpha_grid_search(data, [0.1, 1.0], lambda alphas, As, Bs: [1.0])
 
     def test_default_grid_shape(self):
         grid = default_alpha_grid()

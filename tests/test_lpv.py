@@ -37,7 +37,7 @@ def _step(model, z, u):
     )
 
 
-class TestMakeLpv:
+class TestLpvView:
     def test_dt_benchmark_scheduling_and_output(self):
         bundle, model = _dt_model()
         # scheduled on [z; u], C = [I2 0]

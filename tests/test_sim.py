@@ -220,6 +220,21 @@ class TestLtiStack:
         assert (diverged_at == 0).sum() >= 3
         assert len(set(diverged_at[diverged_at > 0])) >= 3
 
+    def test_recorded_coordinates_are_those_of_the_full_record(self):
+        rng = np.random.default_rng(11)
+        radii = np.linspace(0.6, 1.8, 12)
+        As = np.stack([
+            r * np.linalg.qr(rng.normal(size=(6, 6)))[0] for r in radii
+        ])
+        Bs = rng.normal(size=(12, 6, 2))
+        z0 = rng.normal(size=6)
+        inputs = rng.normal(size=(81, 2))
+        full, full_at = simulate_lti_stack(As, Bs, z0, inputs, 1e6)
+        part, part_at = simulate_lti_stack(As, Bs, z0, inputs, 1e6, record=[4, 1])
+        assert part.shape == (12, 81, 2)
+        assert part.tobytes() == full[:, :, [4, 1]].tobytes()
+        assert part_at.tolist() == full_at.tolist()
+
     def test_one_member_matches_simulate_lti(self):
         rng = np.random.default_rng(5)
         A = 0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0]
