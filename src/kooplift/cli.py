@@ -100,7 +100,7 @@ def resolve_system(cfg: dict) -> SystemBundle:
         raise ConfigError("'system' must be a name or an inline system object")
     try:
         time_domain = spec["time_domain"]
-        n_x = int(spec["n_x"])
+        n_x = _integer(spec["n_x"], "inline system 'n_x'", 1)
         f = PolynomialMap.from_terms(n_x, spec["f"])
         columns = [
             PolynomialMap.from_terms(n_x, col) for col in spec["input_columns"]
@@ -148,10 +148,14 @@ def _parse_dictionary_spec(spec, n_x: int) -> ObservableDictionary:
             return parse_dictionary(spec, n_x)
         if isinstance(spec, dict):
             if "degree" in spec:
+                include_constant = spec.get("include_constant", False)
+                if not isinstance(include_constant, bool):
+                    raise ConfigError(
+                        "dictionary 'include_constant' must be true or false, "
+                        f"got {include_constant!r}"
+                    )
                 return monomial_dictionary(
-                    n_x,
-                    _config_integer(spec, "degree", None, 1),
-                    bool(spec.get("include_constant", False)),
+                    n_x, _config_integer(spec, "degree", None, 1), include_constant
                 )
             if "monomials" in spec:
                 if isinstance(spec["monomials"], str):

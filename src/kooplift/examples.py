@@ -82,18 +82,24 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
     def held_driven_at(x, h):
         return (x[0] * h[0], h[2] + x[1] * h[1])
 
-    def held_jacobian(u, nodes, weights):
-        if nodes is None:
-            return (math.exp(u[0]), math.exp(u[1]), u[1], u[0])
-        # weighted node average of dg/du(x, nodes_q * u); only the exp
-        # entries actually vary with the node, so two dot products suffice
-        half = float(weights @ nodes)
-        return (
-            float(weights @ np.exp(nodes * u[0])),
-            float(weights @ np.exp(nodes * u[1])),
-            half * u[1],
-            half * u[0],
-        )
+    def held_jacobian(u):
+        return (math.exp(u[0]), math.exp(u[1]), u[1], u[0])
+
+    def held_ray_jacobians(U, nodes, weights):
+        # weighted node sums of dg/du(x, nodes_q * u), one row per input row;
+        # only the exp entries vary with the node. numpy hands each stacked
+        # (1, q) @ (q, 1) product to the dot routine that the 1-D
+        # weights @ exp(nodes * u) uses, so every row has the bits of the
+        # one-input sum whatever the number of rows
+        half = weights @ nodes
+        column = weights[:, None]
+        rays = np.empty((U.shape[0], 4))
+        for j in range(2):
+            E = np.exp(np.multiply.outer(U[:, j], nodes))
+            rays[:, j] = (E[:, None, :] @ column)[:, 0, 0]
+        rays[:, 2] = half * U[:, 1]
+        rays[:, 3] = half * U[:, 0]
+        return rays
 
     def held_jacobian_at(x, h):
         return (x[0] * h[0], 0.0, h[2], h[3] + x[1] * h[1])
@@ -102,7 +108,7 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         return np.array(held_driven_at(x, held_driven(u)))
 
     def g_input_jacobian(x, u):
-        return np.reshape(held_jacobian_at(x, held_jacobian(u, None, None)), (2, 2))
+        return np.reshape(held_jacobian_at(x, held_jacobian(u)), (2, 2))
 
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])
@@ -114,7 +120,11 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         input_driven=g_eval,
         input_jacobian=g_input_jacobian,
         input_held=HeldInput(
-            held_driven, held_driven_at, held_jacobian, held_jacobian_at
+            driven=held_driven,
+            driven_at=held_driven_at,
+            jacobian=held_jacobian,
+            ray_jacobians=held_ray_jacobians,
+            jacobian_at=held_jacobian_at,
         ),
         name="ct-example",
     )

@@ -26,9 +26,12 @@ same order:
 
 The input term comes from an oracle's held-input form
 (``Decomposition.input_held``): the work that depends only on the held input
-runs once per step instead of once per stage. Models without that form,
-control-affine systems given by polynomial columns among them, keep the
-numpy path.
+runs once per step instead of once per stage. The LPV kernel goes further
+and reads it from one table per run: ``Kernel.table`` takes the ray sums
+of every step's input through ``ray_jacobians``, a block of rows per numpy
+call, before the loop starts, so no step makes a Python call for them.
+Models without that form, control-affine systems given by polynomial
+columns among them, keep the numpy path.
 
 numpy takes matrix products through BLAS, which may fuse a multiply and an
 add into one rounding (OpenBLAS does on x86-64 with FMA3, in an order that
@@ -46,7 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .dictionaries import SMALL_JACOBIAN_ENTRIES
 from .systems import CONTINUOUS, Decomposition
@@ -55,20 +61,28 @@ from .systems import CONTINUOUS, Decomposition
 _CODE: Dict[str, object] = {}
 
 
+# the ray sums of a run are formed this many input rows at a time, so a long
+# run never holds the (rows, nodes) exp values of all its steps at once
+RAY_BLOCK_ROWS = 512
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A generated RK4 run for states of width ``n`` under ``n_u`` inputs.
 
-    ``run(rec, inp, n_steps, ts, limit, check)`` reads the initial state
-    from the flat record ``rec`` and the inputs from the flat ``inp`` (row k
-    held over step k), writes state k into row k of ``rec`` and calls
-    ``check(k, state)`` when a coordinate of state k is not within
-    ``limit``.
+    ``run(rec, inp, tab, n_steps, ts, limit, check)`` reads the initial
+    state from the flat record ``rec``, the inputs from the flat ``inp``
+    (row k held over step k) and, for a kernel with a ``table``, the held
+    values of step k from row k of the flat ``tab``, which
+    ``table(inputs)`` builds from the rows of the steps; it writes state k
+    into row k of ``rec`` and calls ``check(k, state)`` when a coordinate
+    of state k is not within ``limit``.
     """
 
     run: Callable
     n: int
     n_u: int
+    table: Optional[Callable] = None
 
 
 def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
@@ -123,20 +137,10 @@ def lpv_kernel(model) -> Optional[Kernel]:
         return None
     factored = _held_factored(dictionary, n_u)
     nodes, weights = model.quad.rule()
-    names = {"HELD": held, "NODES": nodes, "WEIGHTS": weights}
-    prologue = [
-        "jacobian = HELD.jacobian",
-        "jacobian_at = HELD.jacobian_at",
-        "nodes = NODES",
-        "weights = WEIGHTS",
-    ]
-    # at u = 0 the numpy path takes dg/du(x, 0) itself, not the ray sum
+    width = len(held.jacobian((0.0,) * n_u))
     step = [
-        f"u = ({', '.join(u)},)",
-        f"if {' or '.join(u)}:",
-        "    h = jacobian(u, nodes, weights)",
-        "else:",
-        "    h = jacobian(u, None, None)",
+        f"h = ({', '.join(f'tab[t + {j}]' for j in range(width))},)",
+        f"t += {width}",
     ]
     A = [[_literal(a) for a in row] for row in model.A.tolist()]
     selector = dictionary.state_selector
@@ -148,7 +152,29 @@ def lpv_kernel(model) -> Optional[Kernel]:
             for o, a_row, b_row in zip(out, A, B)
         ]
 
-    return _build(n_f, n_u, prologue, step, stage, names)
+    return _build(
+        n_f,
+        n_u,
+        ["jacobian_at = HELD.jacobian_at", "t = 0"],
+        step,
+        stage,
+        {"HELD": held},
+        table=partial(_ray_table, held, nodes, weights, width),
+    )
+
+
+def _ray_table(held, nodes, weights, width, inputs):
+    """Row k: the ``width`` held ray-sum values of input row k, formed by
+    ``held.ray_jacobians`` ``RAY_BLOCK_ROWS`` rows per call. A row whose
+    inputs are all zero takes ``held.jacobian`` of it instead, ``dg/du(x, 0)``
+    itself, as the factorisation does at ``u = 0``."""
+    table = np.empty((inputs.shape[0], width))
+    for start in range(0, inputs.shape[0], RAY_BLOCK_ROWS):
+        stop = start + RAY_BLOCK_ROWS
+        table[start:stop] = held.ray_jacobians(inputs[start:stop], nodes, weights)
+    for k in np.flatnonzero(~inputs.any(axis=1)).tolist():
+        table[k] = held.jacobian(tuple(inputs[k].tolist()))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +237,7 @@ def _held_factored(dictionary, n_u):
     return emit
 
 
-def _build(n, n_u, prologue, step, stage, names) -> Kernel:
+def _build(n, n_u, prologue, step, stage, names, table=None) -> Kernel:
     """The whole RK4 run around ``stage(inputs, outputs)``, compiled."""
     x, y = _names("x", n), _names("y", n)
     k1, k2, k3, k4 = (_names(f"k{s}_", n) for s in range(1, 5))
@@ -235,7 +261,7 @@ def _build(n, n_u, prologue, step, stage, names) -> Kernel:
         f"i += {n_u}",
     ]
     lines = [
-        "def rk4(rec, inp, n_steps, ts, limit, check):",
+        "def rk4(rec, inp, tab, n_steps, ts, limit, check):",
         *(f"    {line}" for line in prologue),
         "    half = 0.5 * ts",
         "    sixth = ts / 6.0",
@@ -250,4 +276,4 @@ def _build(n, n_u, prologue, step, stage, names) -> Kernel:
         code = _CODE[source] = compile(source, "<kooplift.kernels>", "exec")
     namespace = dict(names)
     exec(code, namespace)
-    return Kernel(namespace["rk4"], n, n_u)
+    return Kernel(namespace["rk4"], n, n_u, table)

@@ -628,8 +628,9 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
     Since the input term is (dPhi/dx)(x) g(x, u) and the dictionary Jacobian
     does not depend on u, the ray integral reduces to the dictionary
     Jacobian times the integrated input-Jacobian S of g. An oracle with a
-    held-input form supplies S in one call, bit for bit what the simulation
-    kernels use; otherwise, and at u = 0, S is :func:`factorize_input` of g.
+    held-input form supplies S from a one-row ``ray_jacobians``, bit for
+    bit the row the LPV kernel's table holds; otherwise, and at u = 0, S is
+    :func:`factorize_input` of g.
     """
     lam, w = quad.rule()
     held = decomposition.input_held
@@ -641,7 +642,7 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
         u = np.asarray(u, dtype=float)
         J = dictionary.jacobian(x)
         if held is not None and u.any():
-            h = held.jacobian(tuple(u.tolist()), lam, w)
+            h = held.ray_jacobians(u[None], lam, w)[0].tolist()
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
         else:
             S = factorize_input(None, x, u, quad=quad, input_term_jacobian=jacobian)

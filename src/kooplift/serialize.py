@@ -47,6 +47,16 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
+        # a list of finite floats, a float array's row among them, takes one
+        # %.17g template, which writes what fmt_float writes for finite
+        # floats; one with a NaN or an infinity goes cell by cell below
+        if (
+            obj
+            and set(map(type, obj)) == {float}
+            and all(map(math.isfinite, obj))
+        ):
+            out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+            return
         out.append("[")
         for i, value in enumerate(obj):
             if i:

@@ -124,19 +124,26 @@ class HeldInput:
     Under a zero-order hold everything that depends on the input alone is
     fixed across the Runge-Kutta stages of a step, so it is computed once
     per step: ``driven(u)`` returns those values ``h`` for ``g(x, u)`` and
-    ``jacobian(u, nodes, weights)`` those for the ray sum
-    ``sum_q w_q dg/du(x, nodes_q * u)``, or for ``dg/du(x, u)`` itself when
-    ``nodes`` is None. ``driven_at(x, h)`` and ``jacobian_at(x, h)`` finish
-    the evaluation at a state. States and inputs are tuples of floats and
-    results are flat tuples of floats, the Jacobian row-major. The results
-    must equal ``input_driven`` and ``input_jacobian`` bit for bit, and the
-    ray sum the node-by-node sum of ``input_jacobian`` up to rounding: the
-    factorisation takes its ray integral from this form when it is present.
+    ``jacobian(u)`` those for ``dg/du(x, u)``; ``driven_at(x, h)`` and
+    ``jacobian_at(x, h)`` finish the evaluation at a state. States and
+    inputs are tuples of floats and results are flat tuples of floats, the
+    Jacobian row-major. They must equal ``input_driven`` and
+    ``input_jacobian`` bit for bit.
+
+    ``ray_jacobians(U, nodes, weights)`` takes the values for the ray sum
+    ``sum_q w_q dg/du(x, nodes_q * u)`` of many held inputs at once: an
+    (N, n_u) array of inputs in, an (N, k) float array out, row i being the
+    ``h`` that ``jacobian_at`` finishes for input row i, with k the length
+    of ``jacobian``'s tuple. Each row must not depend on the other rows, so
+    a run's rows give the same bits in any blocking, and must equal the
+    node-by-node sum of ``input_jacobian`` up to rounding: the factorisation
+    and the continuous-time LPV kernel both take the ray integral from it.
     """
 
     driven: Callable
     driven_at: Callable
     jacobian: Callable
+    ray_jacobians: Callable
     jacobian_at: Callable
 
 

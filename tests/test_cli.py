@@ -18,6 +18,7 @@ from kooplift.cli import (
     resolve_system,
     resolve_x0,
     run_edmd,
+    run_lift,
     run_reproduce,
     run_simulate,
 )
@@ -257,6 +258,11 @@ class TestSimulate:
             ("edmd", {"sweep": {"degrees": [5, 3]}}),
             ("edmd", {"sweep": {"degrees": [2, 3], "alpha_search": "yes"}}),
             ("edmd", {"sweep": [2, 20]}),
+            ("simulate", {"system": dict(INLINE_1D, n_x=1.7), "x0": [1.0]}),
+            ("simulate", {"system": dict(INLINE_1D, n_x="1"), "x0": [1.0]}),
+            ("simulate", {"system": dict(INLINE_1D, n_x=0)}),
+            ("simulate", {"dictionary": {"degree": 2, "include_constant": "no"}}),
+            ("lift", {"dictionary": {"degree": 2, "include_constant": 1}}),
         ],
         ids=[
             "lift-quad-nodes-0",
@@ -280,6 +286,11 @@ class TestSimulate:
             "sweep-degrees-reversed",
             "sweep-alpha-search-text",
             "sweep-not-an-object",
+            "inline-n-x-1.7",
+            "inline-n-x-text",
+            "inline-n-x-0",
+            "include-constant-text",
+            "lift-include-constant-1",
         ],
     )
     def test_malformed_config_exits_2_before_simulating(
@@ -288,7 +299,9 @@ class TestSimulate:
         # each of these used to escape as a ValueError or TypeError (exit 1),
         # the box and the sweep only after the whole simulation; horizon_steps
         # 2.7 silently ran 2 steps, degree 2.5 lifted at degree 2 (exit 4)
-        # and reversed sweep degrees wrote an empty sweep.csv
+        # and reversed sweep degrees wrote an empty sweep.csv; an inline n_x of
+        # 1.7 ran as n_x = 1, and include_constant "no" added the constant
+        # observable (exit 4)
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
 
@@ -817,7 +830,80 @@ class TestEdmdCommand:
         assert main(["edmd", "--config", path]) == 2
 
 
+def _cell_by_cell_json(obj) -> str:
+    """dumps_json as one recursive call per scalar: the byte reference."""
+    from kooplift.serialize import fmt_float
+
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else ("true" if obj else "false")
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_cell_by_cell_json(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, np.ndarray):
+        return _cell_by_cell_json(obj.tolist())
+    return "[" + ", ".join(_cell_by_cell_json(v) for v in obj) + "]"
+
+
 class TestSerializationFormat:
+    def test_model_json_bytes_match_cell_formatting(self, tmp_path):
+        # the weighted-degree D = 12 lift of dt-example: 48 observables
+        exponents = [
+            [a, b] for b in range(7) for a in range(13 - 2 * b) if a + b
+        ]
+        cfg = dict(DT_CFG, dictionary={"monomials": exponents})
+        result = run_lift(cfg, out_dir=str(tmp_path))
+        lifted = result["lifted"]
+        assert lifted.n_f == 48
+        doc = {"lifted": lifted.to_document(), "lpv": lifted.lpv_document()}
+        written = (tmp_path / "model.json").read_text()
+        assert written == _cell_by_cell_json(doc) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.array([[np.nan, -0.0, np.inf], [1.0, -np.inf, 2.0], [0.1, 5e-324, -0.0]]),
+            np.array([[1e308, -1e308], [-0.0, 2.2250738585072014e-308]]),
+            np.full((2, 2, 3), [np.nan, -0.0, 1 / 3]),
+            np.array([-0.0, np.nan, np.inf]),
+            np.float32([0.1, -np.inf]),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.array(-0.0),
+            np.arange(6).reshape(2, 3),
+            np.array([True, False]),
+            [1e308, 1e308, -0.0],
+            [0.1, 1, 2.0, True],
+            [[0.1, float("nan")], [], [-0.0, float("-inf")], [np.float64(0.5)]],
+            {"a": (0.5, float("inf")), "b": [[1.0, 2.0], [3.0, -0.0]], "c": []},
+        ],
+        ids=[
+            "non-finite-rows",
+            "extremes",
+            "3d",
+            "1d-non-finite",
+            "float32",
+            "no-rows",
+            "empty-rows",
+            "0d",
+            "int-array",
+            "bool-array",
+            "list-overflowing-sum",
+            "list-mixed",
+            "nested-lists",
+            "dict",
+        ],
+    )
+    def test_dumps_json_matches_cell_formatting(self, value):
+        from kooplift.serialize import dumps_json
+
+        assert dumps_json(value) == _cell_by_cell_json(value)
+
     @pytest.mark.parametrize("block_rows", [2, 1024])
     def test_trajectory_csv_bytes_match_cell_formatting(
         self, tmp_path, monkeypatch, block_rows

@@ -27,6 +27,7 @@ from kooplift import (
     simulate_nonlinear,
     white_noise,
 )
+from kooplift import kernels
 from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
 from kooplift.dictionaries import monomial_dictionary
 from kooplift.errors import DimensionError, DivergenceError
@@ -430,7 +431,7 @@ def _plain_lpv(model, z0, inputs, ts, decomposition, **options):
 
     def factored(x, u):
         if u.any():
-            h = held.jacobian(tuple(u.tolist()), nodes, weights)
+            h = held.ray_jacobians(u[None], nodes, weights)[0].tolist()
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
         else:
             S = decomposition.input_jacobian(x, u)
@@ -633,3 +634,114 @@ class TestKernels:
                 run()
             messages.append((exc.value.step, str(exc.value)))
         assert messages[0] == messages[1] == (1, messages[0][1])
+
+
+def _preset_inputs(bundle, preset="ct-example-whitenoise", seconds=0.2):
+    cfg = dict(preset_runs(preset)[0][2], horizon_seconds=seconds)
+    n_steps, ts = resolve_horizon(cfg, bundle)
+    return build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+
+
+def _counting_held(model):
+    """``model`` with its held form's ``jacobian`` and ``ray_jacobians``
+    recording their arguments, and the two records."""
+    held = model.input_held
+    exact, rays = [], []
+
+    def jacobian(u):
+        exact.append(u)
+        return held.jacobian(u)
+
+    def ray_jacobians(U, nodes, weights):
+        rays.append(U.shape[0])
+        return held.ray_jacobians(U, nodes, weights)
+
+    counting = dataclasses.replace(held, jacobian=jacobian, ray_jacobians=ray_jacobians)
+    return dataclasses.replace(model, input_held=counting), exact, rays
+
+
+class TestRayTable:
+    """The LPV kernel's per-run table of held ray-sum values."""
+
+    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
+    def test_blocks_of_three_rows_equal_one_block(self, ct_model, monkeypatch, preset):
+        bundle, model = ct_model
+        inputs = _preset_inputs(bundle, preset)
+        table = lpv_kernel(model).table
+        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", 3)
+        blocked = table(inputs)
+        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", inputs.shape[0])
+        whole = table(inputs)
+        assert blocked.shape == (inputs.shape[0], 4)
+        _assert_same_bits(blocked, whole)
+
+    def test_all_zero_rows_take_the_exact_jacobian(self, ct_model):
+        # the if-u0-or-u1 rule: only rows with every input zero (either sign)
+        # take dg/du(x, u) itself; a NaN counts as non-zero, as in u.any()
+        _, model = ct_model
+        counting, exact, rays = _counting_held(model)
+        table = lpv_kernel(counting).table
+        inputs = np.array(
+            [[0.0, 0.0], [-0.0, 0.0], [0.3, 0.0], [0.0, -0.2], [-0.0, -0.0], [np.nan, 0.0], [0.5, -0.5]]
+        )
+        exact.clear()
+        values = table(inputs)
+        held = model.input_held
+        nodes, weights = model.quad.rule()
+        zero = [0, 1, 4]
+        assert exact == [tuple(inputs[k].tolist()) for k in zero]
+        assert rays == [inputs.shape[0]]
+        for k, u in enumerate(inputs):
+            if k in zero:
+                expect = np.array(held.jacobian(tuple(u.tolist())))
+            else:
+                expect = held.ray_jacobians(u[None], nodes, weights)[0]
+            _assert_same_bits(values[k], expect)
+        # dg/du(x, 0) keeps the sign of each zero input
+        assert math.copysign(1.0, values[1, 3]) == -1.0
+        assert math.copysign(1.0, values[4, 2]) == -1.0
+
+    def test_signed_zero_rows_match_the_numpy_path(self, ct_model):
+        bundle, model = ct_model
+        inputs = _random_inputs(9, 300)
+        inputs[50:60] = [-0.0, 0.0]
+        inputs[60:70, 0] = 0.0
+        inputs[70:80, 1] = -0.0
+        # the numpy _rk4 path in plain order: BLAS's B u may differ from it in
+        # the last bit on random inputs (see the kernels module docstring)
+        z0 = bundle.dictionary.evaluate(np.array([1.0, -0.5]))
+        fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-2)
+        slow = _plain_lpv(model, z0, inputs, 1e-2, decomposition=bundle.decomposition)
+        _assert_same_bits(fast.states, slow.states)
+
+    @pytest.mark.parametrize("block_rows", [100, 512])
+    def test_ray_form_called_once_per_block(self, ct_model, monkeypatch, block_rows):
+        bundle, model = ct_model
+        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", block_rows)
+        counting, exact, rays = _counting_held(model)
+        inputs = _random_inputs(10, 1050)
+        x0 = [1.0, 1.0]
+        counted, _ = simulate_lpv(counting, x0=x0, inputs=inputs, ts=1e-3)
+        # 1050 steps; the last input row is never applied
+        n_blocks = -(-1050 // block_rows)
+        assert rays == [block_rows] * (n_blocks - 1) + [1050 - block_rows * (n_blocks - 1)]
+        # one probe of the table's width, then the six all-zero rows
+        assert len(exact) == 1 + int(np.sum(~inputs[:-1].any(axis=1)))
+        _assert_same_bits(counted.states, simulate_lpv(model, x0=x0, inputs=inputs, ts=1e-3)[0].states)
+
+    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
+    def test_oracle_factored_equals_the_kernels_B(self, ct_model, preset):
+        # B = dPhi/dx(x) S with S finished from the kernel's table row: the
+        # numpy oracle takes the same ray sums through a one-row ray_jacobians
+        # (its product is numpy's, which sums from +0.0 where the kernel's
+        # plain order keeps a -0.0)
+        bundle, model = ct_model
+        inputs = _preset_inputs(bundle, preset, seconds=0.05)
+        inputs[:3] = [[0.0, 0.0], [-0.0, 0.2], [0.0, -0.0]]
+        table = lpv_kernel(model).table(inputs)
+        held = model.input_held
+        X = np.random.default_rng(12).uniform(-2.0, 2.0, (inputs.shape[0], 2))
+        for x, u, h in zip(X, inputs, table):
+            S = np.reshape(held.jacobian_at(tuple(x.tolist()), tuple(h.tolist())), (2, 2))
+            expect = model.dictionary.jacobian(x) @ S
+            _assert_same_bits(model.factored_input(x, u), expect)

@@ -15,7 +15,9 @@ from kooplift import (
     dt_example,
     factorize_input,
 )
+from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
 from kooplift.errors import DomainEvaluationError
+from kooplift.sim import build_inputs
 from kooplift.quadrature import central_difference
 
 
@@ -136,13 +138,48 @@ class TestBuiltinBundles:
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
             held = bundle.decomposition.input_held
-            h = held.jacobian(tuple(u), lam, w)
-            ray = np.reshape(held.jacobian_at(tuple(x), h), (2, 2))
+            h = held.ray_jacobians(u[None], lam, w)[0]
+            ray = np.reshape(held.jacobian_at(tuple(x), tuple(h)), (2, 2))
             explicit = sum(
                 wq * bundle.decomposition.input_jacobian_at(x, lq * u)
                 for lq, wq in zip(lam, w)
             )
             np.testing.assert_allclose(ray, explicit, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
+    def test_ct_ray_jacobians_match_the_per_row_sum(self, preset):
+        # every input row of the preset's full 25 s run: the batched ray sums
+        # have the bits of the one-input sum weights @ exp(nodes * u)
+        bundle = ct_example()
+        cfg = preset_runs(preset)[0][2]
+        n_steps, ts = resolve_horizon(cfg, bundle)
+        U = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        nodes, weights = QuadratureSpec().rule()
+        rays = bundle.decomposition.input_held.ray_jacobians(U, nodes, weights)
+        half = float(weights @ nodes)
+        exp, dot = np.exp, weights.dot
+        expect = np.empty_like(rays)
+        for j in range(2):
+            # row i of the outer product is nodes * u_i; exp and the dot run
+            # on each 16-entry row by itself
+            expect[:, j] = [dot(exp(row)) for row in np.multiply.outer(U[:, j], nodes)]
+        expect[:, 2] = [half * u for u in U[:, 1].tolist()]
+        expect[:, 3] = [half * u for u in U[:, 0].tolist()]
+        assert rays.shape == (n_steps + 1, 4)
+        assert rays.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 8, 16])
+    def test_ct_ray_jacobians_rows_do_not_depend_on_each_other(self, n_nodes):
+        held = ct_example().decomposition.input_held
+        nodes, weights = QuadratureSpec(n_nodes).rule()
+        U = np.random.default_rng(3).uniform(-1.5, 1.5, (257, 2))
+        U[5] = [-0.0, 0.0]
+        U[6] = [np.inf, -np.inf]
+        rays = held.ray_jacobians(U, nodes, weights)
+        for k, u in enumerate(U):
+            one = held.ray_jacobians(u[None], nodes, weights)
+            assert one.tobytes() == rays[k : k + 1].tobytes()
+            assert float(rays[k, 0]) == float(weights @ np.exp(nodes * u[0]))
 
     def test_unknown_builtin(self):
         from kooplift import builtin_system
