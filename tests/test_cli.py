@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,18 +12,17 @@ import pytest
 
 import kooplift
 from kooplift import cli
+from kooplift.bounds import MAX_GRID_POINTS
 from kooplift.cli import (
     main,
     preset_runs,
-    resolve_horizon,
-    resolve_system,
-    resolve_x0,
     run_edmd,
     run_lift,
     run_reproduce,
     run_simulate,
 )
-from kooplift import edmd
+from kooplift import config, edmd
+from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
 from kooplift.edmd import (
     AlphaSearchResult,
@@ -56,6 +56,10 @@ DT_CFG = {
     "seed": 7,
     "signals": [{"kind": "white_noise", "variance": 0.5}],
 }
+
+# the changes that move DT_CFG to ct-example, with a zero signal on both
+# channels; a row adds the horizon
+CT_ZERO = {"system": "ct-example", "signals": {"kind": "zero"}}
 
 
 class TestLift:
@@ -203,7 +207,7 @@ class TestSimulate:
     def test_bad_divergence_limit_is_config_error(self, tmp_path, limit):
         # -1 and 0 used to run and exit 3 at step 1, "lots" was a traceback
         with pytest.raises(ConfigError):
-            cli.resolve_divergence_limit({"divergence_limit": limit})
+            resolve_config(dict(DT_CFG, divergence_limit=limit))
         path = _write_config(tmp_path, dict(DT_CFG, divergence_limit=limit))
         for command in ("simulate", "edmd", "bounds"):
             assert main([command, "--config", path]) == 2
@@ -213,7 +217,7 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "errors.json").read_text())
         assert doc["config"]["divergence_limit"] == 1e13
-        assert cli.resolve_divergence_limit({}) == 1e12
+        assert resolve_config(DT_CFG)["divergence_limit"] == 1e12
 
     @pytest.mark.parametrize("degree", [0, -2, "two", None, 2.5])
     def test_inline_default_degree_is_config_error(self, tmp_path, degree):
@@ -230,7 +234,7 @@ class TestSimulate:
             "signals": [{"kind": "zero"}],
         }
         with pytest.raises(ConfigError):
-            resolve_system(cfg)
+            resolve_config(cfg)
         path = _write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 2
 
@@ -263,6 +267,17 @@ class TestSimulate:
             ("simulate", {"system": dict(INLINE_1D, n_x=0)}),
             ("simulate", {"dictionary": {"degree": 2, "include_constant": "no"}}),
             ("lift", {"dictionary": {"degree": 2, "include_constant": 1}}),
+            ("simulate", dict(CT_ZERO, ts=1e-308, horizon_seconds=1e308)),
+            ("simulate", dict(CT_ZERO, ts=1e-300, horizon_seconds=1.0)),
+            ("simulate", {"horizon_steps": 10**12}),
+            ("simulate", {"x0": [float("nan"), 1.0]}),
+            # the JSON number 1e400 reads as an infinity
+            ("simulate", {"x0": [1.0, float("inf")]}),
+            ("simulate", {"x0": [True, False]}),
+            ("simulate", {"dictionary": {"degree": 2, "monomials": "x1"}}),
+            ("lift", {"dictionary": {"monomials": "x1,x2,x1^2", "include_constant": False}}),
+            ("bounds", {"bounds": {"mode": "trajectory", "grid_density": "abc"}}),
+            ("simulate", {"fits": "edmdc"}),
         ],
         ids=[
             "lift-quad-nodes-0",
@@ -291,6 +306,16 @@ class TestSimulate:
             "inline-n-x-0",
             "include-constant-text",
             "lift-include-constant-1",
+            "ct-horizon-overflows",
+            "ct-horizon-above-budget",
+            "dt-horizon-above-budget",
+            "x0-nan",
+            "x0-1e400",
+            "x0-bools",
+            "dictionary-degree-and-monomials",
+            "include-constant-with-monomials",
+            "trajectory-grid-density-text",
+            "fits-a-string",
         ],
     )
     def test_malformed_config_exits_2_before_simulating(
@@ -301,7 +326,9 @@ class TestSimulate:
         # 2.7 silently ran 2 steps, degree 2.5 lifted at degree 2 (exit 4)
         # and reversed sweep degrees wrote an empty sweep.csv; an inline n_x of
         # 1.7 ran as n_x = 1, and include_constant "no" added the constant
-        # observable (exit 4)
+        # observable (exit 4); a CT horizon of 1e308 s at ts 1e-308 overflowed
+        # (exit 1), NaN or inf in x0 exited 3 at step 1, booleans ran as 0 and
+        # 1, and the conflicting or mode-inapplicable keys ran unchecked
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
 
@@ -315,7 +342,7 @@ class TestSimulate:
         script = (
             "import sys\n"
             "before = set(sys.modules)\n"
-            "import kooplift.cli, kooplift.kernels\n"
+            "import kooplift.cli, kooplift.config, kooplift.kernels\n"
             "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
             "allowed = set(sys.stdlib_module_names) | {'numpy', 'kooplift'}\n"
             "print(sorted(loaded - allowed))\n"
@@ -346,11 +373,131 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 2
 
     def test_horizon_quotient_rounding_accepted(self):
-        bundle = resolve_system({"system": "ct-example"})
+        def horizon(ts, seconds):
+            c = resolve_config({"system": "ct-example", "ts": ts, "horizon_seconds": seconds})
+            return c["n_steps"], c["ts"]
+
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
-        assert resolve_horizon({"ts": 0.1, "horizon_seconds": 0.3}, bundle) == (3, 0.1)
-        assert resolve_horizon({"ts": 1e-4, "horizon_seconds": 25.0}, bundle) == (250000, 1e-4)
-        assert resolve_horizon({"ts": 1e-4, "horizon_seconds": 0.5}, bundle) == (5000, 1e-4)
+        assert horizon(0.1, 0.3) == (3, 0.1)
+        assert horizon(1e-4, 25.0) == (250000, 1e-4)
+        assert horizon(1e-4, 0.5) == (5000, 1e-4)
+
+
+INLINE_SYSTEM_CFG = {"system": INLINE_1D, "x0": [1.0], "signals": [{"kind": "zero"}]}
+
+# each level of keys: its table, the command and the config that reach it,
+# and a function that puts a key into that level
+KEY_LEVELS = {
+    "": (config.TOP, "simulate", DT_CFG, lambda key: {key: 1}),
+    "system.": (
+        config.SYSTEM, "simulate", INLINE_SYSTEM_CFG,
+        lambda key: {"system": dict(INLINE_1D, **{key: 1})},
+    ),
+    "dictionary.": (
+        config.DICTIONARY, "lift", DT_CFG,
+        lambda key: {"dictionary": {"degree": 2, key: 1}},
+    ),
+    "fits[0].": (
+        config.FIT, "simulate", DT_CFG, lambda key: {"fits": [{"kind": "edmdc", key: 1}]}
+    ),
+    "sweep.": (config.SWEEP, "edmd", DT_CFG, lambda key: {"sweep": {key: 1}}),
+    "bounds.": (config.BOUNDS, "bounds", DT_CFG, lambda key: {"bounds": {key: 1}}),
+}
+
+
+def _forbid_simulating(monkeypatch):
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated before the config was checked")
+
+    monkeypatch.setattr(cli, "simulate_nonlinear", simulated)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "prefix, key",
+        [(prefix, key) for prefix, level in KEY_LEVELS.items() for key in level[0]],
+    )
+    def test_misspelt_key_exits_2_naming_it(
+        self, tmp_path, monkeypatch, capsys, prefix, key
+    ):
+        # one character too many: every level rejects it before anything runs
+        # and names the key that was meant
+        _, command, base, place = KEY_LEVELS[prefix]
+        _forbid_simulating(monkeypatch)
+        path = _write_config(tmp_path, {**base, **place(key + key[-1])})
+        assert main([command, "--config", path]) == 2
+        assert f"did you mean {prefix + key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, changes, named",
+        [
+            (
+                "simulate",
+                {"horizon_step": 5, "sead": 3, "fit": ["edmdc"]},
+                ["horizon_steps", "seed", "fits"],
+            ),
+            (
+                "bounds",
+                {"bounds": {"mod": "grid", "grid_densty": 3}},
+                ["bounds.mode", "bounds.grid_density"],
+            ),
+            (
+                "edmd",
+                {"sweep": {"degree": [2, 3], "alpha_serch": False}},
+                ["sweep.degrees", "sweep.alpha_search"],
+            ),
+            (
+                "simulate",
+                {"fits": [{"kind": "edmd_tikhonov", "alpah": 0.1}]},
+                ["fits[0].alpha"],
+            ),
+            ("simulate", {"dictionary": {"degree": 2, "monomials": "x1"}}, ["dictionary.degree"]),
+            (
+                "lift",
+                {"dictionary": {"monomials": "x1,x2,x1^2", "include_constant": True}},
+                ["dictionary.include_constant"],
+            ),
+            (
+                "bounds",
+                {"bounds": {"mode": "trajectory", "grid_density": "abc"}},
+                ["bounds.grid_density"],
+            ),
+            ("simulate", {"fits": "edmdc"}, ["fits"]),
+        ],
+        ids=[
+            "simulate-stray-keys",
+            "bounds-stray-keys",
+            "sweep-stray-keys",
+            "fit-stray-key",
+            "degree-and-monomials",
+            "include-constant-with-monomials",
+            "trajectory-grid-density-text",
+            "fits-a-string",
+        ],
+    )
+    def test_stray_or_conflicting_keys_are_named(
+        self, tmp_path, monkeypatch, capsys, command, changes, named
+    ):
+        # the first four ran on defaults: 100 steps and no fit, trajectory
+        # mode, degrees 2..20 with the search on, and the alpha search
+        _forbid_simulating(monkeypatch)
+        path = _write_config(tmp_path, dict(DT_CFG, **changes))
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(key) in err for key in named), err
+
+    def test_readme_lists_every_key(self):
+        # the README's configuration list and the table name the same keys
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `([^`]+)`", section, flags=re.MULTILINE)
+        known = [
+            prefix.replace("[0]", "[]") + key
+            for prefix, level in KEY_LEVELS.items()
+            for key in level[0]
+        ]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(known)
 
 
 class TestPresets:
@@ -511,7 +658,7 @@ class TestBoundsCommand:
         report, base = result["report"], result["base"]
         lpv, lti = base["lifted"], base["fitted"]["koopman_lti_edmdc"]
         inputs = base["inputs"]
-        fresh, _ = simulate_lpv(lpv, x0=resolve_x0(cfg, resolve_system(cfg)), inputs=inputs)
+        fresh, _ = simulate_lpv(lpv, x0=resolve_config(cfg)["x0"], inputs=inputs)
         approx, _ = simulate_lti(lti, fresh.states[0], inputs)
         assert np.array_equal(
             report.error_norm, np.linalg.norm(fresh.states - approx.states, axis=1)
@@ -550,11 +697,11 @@ class TestBoundsCommand:
         assert "approx-lti" in str(exc.value)
 
     def test_grid_budget_admits_the_default_density(self):
-        bundle = resolve_system(DT_CFG)  # n_x + n_u = 3
-        assert cli.resolve_bounds({"bounds": {"mode": "grid"}}, bundle) == (
-            "grid", 101, None, None
-        )
-        assert 101**3 <= cli.MAX_GRID_POINTS < 102**4
+        # dt-example has n_x + n_u = 3
+        assert resolve_config(dict(DT_CFG, bounds={"mode": "grid"}))["bounds"] == {
+            "mode": "grid", "grid_density": 101, "state_box": None, "input_box": None
+        }
+        assert 101**3 <= MAX_GRID_POINTS < 102**4
 
 
 class TestEdmdCommand:
@@ -586,7 +733,7 @@ class TestEdmdCommand:
         result = run_edmd(cfg)
         base = result["base"]
         nonlinear = base["trajectories"]["nonlinear"]
-        x0 = resolve_x0(cfg, base["bundle"])
+        x0 = resolve_config(cfg)["x0"]
         expected = []
         for degree in range(2, 8):
             dictionary = monomial_dictionary(2, degree)
@@ -610,7 +757,7 @@ class TestEdmdCommand:
     def test_sweep_rows_when_every_candidate_diverges(self, monkeypatch):
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
-        bundle = resolve_system(cfg)
+        c = resolve_config(cfg)
         calls = []
 
         def diverge(As, Bs, z0, inputs, divergence_limit, record):
@@ -620,11 +767,11 @@ class TestEdmdCommand:
 
         monkeypatch.setattr(cli, "simulate_lti_stack", diverge)
         rows, _ = cli._degree_sweep(
-            bundle,
+            c["system"],
             base,
             base["trajectories"]["nonlinear"],
             base["inputs"],
-            resolve_x0(cfg, bundle),
+            c["x0"],
             2,
             2,
             True,
@@ -641,11 +788,11 @@ class TestEdmdCommand:
         # second candidate, 1e7 I, leaves the 1e12 limit at step 2.
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
-        bundle = resolve_system(cfg)
+        c = resolve_config(cfg)
         nonlinear = base["trajectories"]["nonlinear"]
-        dictionary = bundle.dictionary
+        dictionary = c["system"].dictionary
         C = output_matrix(dictionary)
-        z0 = dictionary.evaluate(resolve_x0(cfg, bundle))
+        z0 = dictionary.evaluate(c["x0"])
         reports = {}
         objective = cli._alpha_objective(
             nonlinear, C, z0, base["inputs"], 1e12, reports
@@ -683,7 +830,7 @@ class TestEdmdCommand:
         dictionary = result["dictionary"]
         data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
-        z0 = dictionary.evaluate(resolve_x0(cfg, result["bundle"]))
+        z0 = dictionary.evaluate(resolve_config(cfg)["x0"])
         costs = {row["alpha"]: row["cost"] for row in searches[0].costs}
         best_alpha, best_cost, diverged = None, np.inf, 0
         for alpha in default_alpha_grid():
@@ -724,7 +871,7 @@ class TestEdmdCommand:
         data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(nonlinear.states[0])
-        limit = cli.resolve_divergence_limit(cfg)
+        limit = resolve_config(cfg)["divergence_limit"]
 
         fitted, simulated = [], []
         stacked_fits, stack = edmd._stacked_fits, cli.simulate_lti_stack

@@ -28,7 +28,8 @@ from kooplift import (
     white_noise,
 )
 from kooplift import kernels
-from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
+from kooplift.cli import preset_runs
+from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
 from kooplift.errors import DimensionError, DivergenceError
 from kooplift.kernels import lpv_kernel, nonlinear_kernel
@@ -527,8 +528,9 @@ class TestKernels:
         # the presets' step and signals, as written to their trajectory files
         bundle, model = ct_model
         cfg = dict(preset_runs(preset)[0][2], horizon_seconds=0.2)
-        n_steps, ts = resolve_horizon(cfg, bundle)
-        inputs = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        c = resolve_config(cfg)
+        ts = c["ts"]
+        inputs = build_inputs(c["signals"], ts, c["n_steps"])
         x0 = np.array([1.0, 1.0])
         fast, _ = simulate_lpv(model, x0=x0, inputs=inputs, ts=ts)
         slow = _numpy_lpv(model, bundle.dictionary.evaluate(x0), inputs, ts)
@@ -544,8 +546,9 @@ class TestKernels:
         )
         assert lpv_kernel(model) is not None
         cfg = dict(preset_runs("ct-example-whitenoise")[0][2], horizon_seconds=0.2)
-        n_steps, ts = resolve_horizon(cfg, bundle)
-        inputs = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        c = resolve_config(cfg)
+        ts = c["ts"]
+        inputs = build_inputs(c["signals"], ts, c["n_steps"])
         z0 = bundle.dictionary.evaluate(np.array([1.0, 1.0]))
         fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
         _assert_same_bits(fast.states, _numpy_lpv(model, z0, inputs, ts).states)
@@ -636,10 +639,10 @@ class TestKernels:
         assert messages[0] == messages[1] == (1, messages[0][1])
 
 
-def _preset_inputs(bundle, preset="ct-example-whitenoise", seconds=0.2):
+def _preset_inputs(preset="ct-example-whitenoise", seconds=0.2):
     cfg = dict(preset_runs(preset)[0][2], horizon_seconds=seconds)
-    n_steps, ts = resolve_horizon(cfg, bundle)
-    return build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+    c = resolve_config(cfg)
+    return build_inputs(c["signals"], c["ts"], c["n_steps"])
 
 
 def _counting_held(model):
@@ -666,7 +669,7 @@ class TestRayTable:
     @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
     def test_blocks_of_three_rows_equal_one_block(self, ct_model, monkeypatch, preset):
         bundle, model = ct_model
-        inputs = _preset_inputs(bundle, preset)
+        inputs = _preset_inputs(preset)
         table = lpv_kernel(model).table
         monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", 3)
         blocked = table(inputs)
@@ -736,7 +739,7 @@ class TestRayTable:
         # (its product is numpy's, which sums from +0.0 where the kernel's
         # plain order keeps a -0.0)
         bundle, model = ct_model
-        inputs = _preset_inputs(bundle, preset, seconds=0.05)
+        inputs = _preset_inputs(preset, seconds=0.05)
         inputs[:3] = [[0.0, 0.0], [-0.0, 0.2], [0.0, -0.0]]
         table = lpv_kernel(model).table(inputs)
         held = model.input_held

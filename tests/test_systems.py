@@ -15,7 +15,8 @@ from kooplift import (
     dt_example,
     factorize_input,
 )
-from kooplift.cli import preset_runs, resolve_horizon, resolve_signals
+from kooplift.cli import preset_runs
+from kooplift.config import resolve_config
 from kooplift.errors import DomainEvaluationError
 from kooplift.sim import build_inputs
 from kooplift.quadrature import central_difference
@@ -152,8 +153,9 @@ class TestBuiltinBundles:
         # have the bits of the one-input sum weights @ exp(nodes * u)
         bundle = ct_example()
         cfg = preset_runs(preset)[0][2]
-        n_steps, ts = resolve_horizon(cfg, bundle)
-        U = build_inputs(resolve_signals(cfg, bundle), ts, n_steps)
+        c = resolve_config(cfg)
+        n_steps = c["n_steps"]
+        U = build_inputs(c["signals"], c["ts"], n_steps)
         nodes, weights = QuadratureSpec().rule()
         rays = bundle.decomposition.input_held.ray_jacobians(U, nodes, weights)
         half = float(weights @ nodes)
