@@ -263,7 +263,7 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     if sweep:
         lo, hi = sweep["degrees"]
         rows, baselines = _degree_sweep(
-            bundle, base, nonlinear, inputs, c["x0"], lo, hi,
+            c["dictionary"], base, nonlinear, inputs, c["x0"], lo, hi,
             sweep["alpha_search"], c["divergence_limit"],
         )
         result["sweep_rows"] = rows
@@ -291,15 +291,18 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
     return result
 
 
-def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, limit):
+def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search, limit):
+    """Sweep rows over monomial dictionaries of degrees lo..hi, and the
+    baseline rows of the base run, which used ``dictionary``."""
+    n_x = dictionary.n_x
     # monomial_dictionary is graded and lifts each entry on its own, so the
     # snapshots, C and z0 of degree d are the leading rows of degree hi's
-    top = monomial_dictionary(bundle.n_x, hi)
+    top = monomial_dictionary(n_x, hi)
     snapshots = build_snapshots(nonlinear, top)
     C_top, z0_top = output_matrix(top), top.evaluate(x0)
     rows = []
     for degree in range(lo, hi + 1):
-        n_f = comb(bundle.n_x + degree, degree) - 1
+        n_f = comb(n_x + degree, degree) - 1
         data = snapshots.leading(n_f)
         reports = {}
         objective = _alpha_objective(
@@ -323,7 +326,7 @@ def _degree_sweep(bundle, base, nonlinear, inputs, x0, lo, hi, alpha_search, lim
             else:
                 rows.append(_sweep_row(degree, best_alpha, reports[best_alpha]))
     baselines = []
-    base_degree = max(sum(o.exponents) for o in bundle.dictionary.observables)
+    base_degree = max(sum(o.exponents) for o in dictionary.observables)
     lpv_report = base["reports"]["koopman_lpv"]
     baselines.append(
         ["exact_lpv", base_degree, 0.0, lpv_report.l2[0], lpv_report.l2[1], 0]

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .examples import SystemBundle, builtin_system
 from .lifting import DEFAULT_SPAN_TOLERANCE
 from .polynomials import PolynomialMap
-from .sim import DEFAULT_DIVERGENCE_LIMIT, SignalSpec
+from .sim import DEFAULT_DIVERGENCE_LIMIT, SIGNAL_FIELDS, SignalSpec
 from .systems import CONTINUOUS, DISCRETE, DomainBox, control_affine_decomposition
 
 DEFAULT_SEED = 715
@@ -235,7 +235,16 @@ def _signals(value, name, scope):
     specs = []
     for channel, entry in enumerate(entries):
         entry = dict(entry)
-        if entry.get("kind") == "white_noise" and "seed" not in entry:
+        kind = entry.get("kind")
+        if kind in SIGNAL_FIELDS:
+            extra = [key for key in entry if key != "kind" and key not in SIGNAL_FIELDS[kind]]
+            if extra:
+                takes = ", ".join(map(repr, SIGNAL_FIELDS[kind])) or "no other field"
+                raise ConfigError(
+                    f"invalid signal for channel {channel}: a {kind!r} signal takes "
+                    f"{takes}, not {', '.join(map(repr, extra))}"
+                )
+        if kind == "white_noise" and "seed" not in entry:
             entry["seed"] = (scope["seed"], channel)
         elif isinstance(entry.get("seed"), list):
             entry["seed"] = tuple(entry["seed"])

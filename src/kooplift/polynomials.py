@@ -16,18 +16,25 @@ fewer than ``KERNEL_MIN_TERMS`` terms keeps a flat ``(coeff, ((i, e), ...))``
 tuple per term and is evaluated by a Python loop. A larger map is compiled
 once into arrays: per term, its coefficient ``c``, its gather indices into a
 power table ``P[i, e] = x_i ** e`` and its slot in a zero-padded
-``(n_out, width)`` layout, ``width`` being the longest row. The term values
-``c * P[0, e_0] * P[1, e_1] * ...`` are scattered into that layout and each
-row is summed with ``np.cumsum``.
+``(width, n_pad)`` layout, ``width`` being the longest row and
+``n_pad = max(n_out, 2)``; term ``j`` of row ``r`` sits in slot
+``j * n_pad + r``. The term values ``c * P[0, e_0] * P[1, e_1] * ...`` are
+scattered into that layout and summed over its ``width`` axis by
+``np.add.reduce``.
 
 Both forms give the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
 an exact 1.0), and each row is summed sequentially in term order starting
-from 0.0; ``np.sum`` and ``np.add.reduceat`` sum pairwise and would not.
-``evaluate`` takes its powers with Python's ``float(x_i) ** e`` and
-``evaluate_batch`` with numpy's ``pts[:, i] ** e``. These two power
-functions can differ in the last bit, so ``evaluate`` and ``evaluate_batch``
-agree only to rounding, while each matches its own loop exactly.
+from 0.0. numpy reduces an axis that is not the innermost one by adding
+whole rows of the layout elementwise, term position after term position,
+which is that order. Along the innermost axis numpy sums pairwise, in
+another order, so neither ``np.sum`` nor ``np.add.reduceat`` over a row's
+terms gives the loop's bits; that is also why ``n_out`` is padded to 2 (see
+:class:`_Kernel`). ``evaluate`` takes its powers with Python's
+``float(x_i) ** e`` and ``evaluate_batch`` with numpy's ``pts[:, i] ** e``.
+These two power functions can differ in the last bit, so ``evaluate`` and
+``evaluate_batch`` agree only to rounding, while each matches its own loop
+exactly.
 """
 
 from __future__ import annotations
@@ -42,14 +49,17 @@ from .errors import DimensionError
 Exponents = Tuple[int, ...]
 TermDict = Dict[Exponents, float]
 
-# Maps with at least this many terms are evaluated by the array kernel. A
-# single-point evaluate of a 4-row, 3-variable map took 16.2 us in the tuple
-# loop and 17.1 us in the kernel at 32 terms, 24.0 and 17.6 us at 48, and
-# 2.6 and 15.2 us at 3 terms (Python 3.11, numpy 2.4, one x86-64 core).
+# Maps with at least this many terms are evaluated by the array kernel. On
+# 4-row, 3-variable maps with exponents up to 9 (median of five maps), one
+# evaluate took 2.6 us in the tuple loop and 19.7 us in the kernel at 3
+# terms, 14.4 and 31.5 us at 32, 19.5 and 21.7 us at 48, and 27.7 and 28.5 us
+# at 64; a 100-point evaluate_batch took 0.90 and 0.34 ms at 32 terms
+# (Python 3.11, numpy 2.4, one core of a shared x86-64 VM whose repeated
+# runs differ by up to 1.5x).
 KERNEL_MIN_TERMS = 32
 
 # evaluate_batch takes as many points at a time as keep the padded
-# (points, n_out, width) block near 1 MB of float64
+# (points, width, n_pad) block near 1 MB of float64
 _BATCH_BLOCK_FLOATS = 1 << 17
 
 
@@ -193,10 +203,18 @@ class _Kernel:
     ``index[i]`` holds each term's column in the flat power table for
     variable ``i`` (offset past the columns of earlier variables),
     ``coeffs`` the coefficients and ``slots`` each term's position in the
-    zero-padded ``(n_out, width)`` row layout.
+    zero-padded ``(width, n_pad)`` layout: term ``j`` of row ``r`` sits at
+    ``j * n_pad + r``, and the padding holds 0.0.
+
+    ``np.add.reduce`` over the ``width`` axis adds the layout's rows
+    ``[j, :]`` elementwise in ``j`` order, so each output sums its terms left
+    to right as the term loop does, then its padding, which changes nothing
+    but the sign of a zero. That holds only while ``width`` is not the
+    innermost axis, which numpy would sum pairwise. A one-row map would have a
+    unit last axis, which numpy drops; ``n_pad = max(n_out, 2)`` keeps it.
     """
 
-    __slots__ = ("max_exp", "index", "coeffs", "slots", "n_out", "width")
+    __slots__ = ("max_exp", "index", "coeffs", "slots", "n_out", "n_pad", "width")
 
     def __init__(self, rows: Sequence[TermDict], n_vars: int):
         self.n_out = len(rows)
@@ -205,8 +223,9 @@ class _Kernel:
         exps = np.array(
             [e for row in rows for e in row], dtype=np.intp
         ).reshape(self.coeffs.shape[0], n_vars)
+        self.n_pad = max(self.n_out, 2)
         self.slots = np.array(
-            [r * self.width + j for r, row in enumerate(rows) for j in range(len(row))],
+            [j * self.n_pad + r for r, row in enumerate(rows) for j in range(len(row))],
             dtype=np.intp,
         )
         self.max_exp = tuple(int(m) for m in exps.max(axis=0))
@@ -219,12 +238,12 @@ class _Kernel:
         vals = np.broadcast_to(self.coeffs, lead + self.coeffs.shape).copy()
         for index in self.index:
             vals *= table[..., index]
-        padded = np.zeros(lead + (self.n_out * self.width,))
+        padded = np.zeros(lead + (self.width * self.n_pad,))
         padded[..., self.slots] = vals
-        sums = np.cumsum(padded.reshape(lead + (self.n_out, self.width)), axis=-1)
+        sums = np.add.reduce(padded.reshape(lead + (self.width, self.n_pad)), axis=-2)
         # the loop starts each row from 0.0, which turns an all -0.0 row into
         # +0.0; adding 0.0 does the same and leaves every other value alone
-        return sums[..., -1] + 0.0
+        return sums[..., : self.n_out] + 0.0
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         return self._sum_terms(
@@ -235,7 +254,7 @@ class _Kernel:
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty((pts.shape[0], self.n_out))
-        step = max(1, _BATCH_BLOCK_FLOATS // (self.n_out * self.width))
+        step = max(1, _BATCH_BLOCK_FLOATS // (self.width * self.n_pad))
         for start in range(0, pts.shape[0], step):
             block = pts[start : start + step]
             table = np.stack(

@@ -56,6 +56,15 @@ class Trajectory:
         return Trajectory(self.times, states, inputs=self.inputs, label=label)
 
 
+# the fields each signal kind reads, besides its kind
+SIGNAL_FIELDS = {
+    "zero": (),
+    "white_noise": ("variance", "seed"),
+    "multisine": ("n_freq", "f_low", "f_high", "amplitude"),
+    "custom": ("samples",),
+}
+
+
 @dataclass
 class SignalSpec:
     """Excitation signal description.

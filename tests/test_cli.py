@@ -486,6 +486,32 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert all(repr(key) in err for key in named), err
 
+    @pytest.mark.parametrize(
+        "signal, named",
+        [
+            ({"kind": "zero", "variance": 5.0, "n_freq": 3}, ["variance", "n_freq"]),
+            ({"kind": "white_noise", "variance": 0.5, "amplitude": 2.0}, ["amplitude"]),
+            (
+                {"kind": "multisine", "n_freq": 2, "f_low": 0.01, "f_high": 0.1, "seed": 3},
+                ["seed"],
+            ),
+            ({"kind": "custom", "samples": [0.0] * 50, "f_low": 0.1}, ["f_low"]),
+        ],
+        ids=["zero", "white_noise", "multisine", "custom"],
+    )
+    def test_signal_field_of_another_kind_is_named(
+        self, tmp_path, monkeypatch, capsys, signal, named
+    ):
+        # each kind reads only its own fields; these ran without the stray
+        # field, which errors.json then left out of its echo
+        _forbid_simulating(monkeypatch)
+        path = _write_config(tmp_path, dict(DT_CFG, signals=[signal]))
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(field) in err for field in named), err
+        without = {k: v for k, v in signal.items() if k not in named}
+        assert resolve_config(dict(DT_CFG, signals=[without]))["signals"][0].kind == signal["kind"]
+
     def test_readme_lists_every_key(self):
         # the README's configuration list and the table name the same keys
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -718,6 +744,16 @@ class TestEdmdCommand:
         methods = {line.split(",")[0] for line in baselines[1:]}
         assert {"exact_lpv", "edmdc_exact_A"} <= methods
 
+    def test_baselines_give_the_degree_of_the_run_dictionary(self):
+        # dt-example's own dictionary has degree 2; this run's has degree 3
+        cfg = dict(
+            DT_CFG,
+            dictionary="x1,x2,x1^2,x1^3",
+            sweep={"degrees": [2, 2], "alpha_search": False},
+        )
+        baselines = run_edmd(cfg)["baseline_rows"]
+        assert [row[:2] for row in baselines] == [["exact_lpv", 3], ["edmdc_exact_A", 3]]
+
     def test_sweep_without_search_matches_searched_zero_rows(self):
         rows = {}
         for search in (True, False):
@@ -767,7 +803,7 @@ class TestEdmdCommand:
 
         monkeypatch.setattr(cli, "simulate_lti_stack", diverge)
         rows, _ = cli._degree_sweep(
-            c["system"],
+            c["dictionary"],
             base,
             base["trajectories"]["nonlinear"],
             base["inputs"],

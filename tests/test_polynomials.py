@@ -132,7 +132,7 @@ class TestEvaluation:
 
     def test_weighted_degree_input_column_matches_term_oracle(self):
         # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u);
-        # its padded 120 x 245 block gives 4 points per 2**17-float chunk, so
+        # its padded 245 x 120 block gives 4 points per 2**17-float chunk, so
         # the 30-point batch takes 8 chunks with a short last one
         dictionary, column = _weighted_input_column(20)
         assert dictionary.n_f == 120
@@ -142,6 +142,45 @@ class TestEvaluation:
         for x in X[:3]:
             _assert_bits_equal(column.evaluate(x), _naive_eval(column, x))
         _assert_bits_equal(column.evaluate_batch(X), _naive_eval_batch(column, X))
+
+    @pytest.mark.parametrize("n_terms", [KERNEL_MIN_TERMS, 40, 200])
+    def test_one_row_map_matches_term_oracle(self, n_terms):
+        # numpy drops a unit axis, and a one-row layout summed over its only
+        # other axis would be summed pairwise; n_out is padded to keep it
+        rng = np.random.default_rng(n_terms)
+        p = _map_with_terms(rng, 3, 1, 12, n_terms)
+        assert p.scalar_terms is None
+        X = rng.normal(size=(40, 3))
+        X[0] = 0.0
+        _assert_matches_oracles(p, X)
+
+    def test_one_long_row_among_short_ones(self):
+        # rows of 300, 1, 1, ..., 1 terms: nine of ten rows are almost all
+        # padding
+        rng = np.random.default_rng(11)
+        long_row = _map_with_terms(rng, 3, 1, 12, 300).rows[0]
+        short = _map_with_terms(rng, 3, 9, 12, 9).rows
+        for rows in ([long_row, *short], [*short, long_row]):
+            p = PolynomialMap(3, rows)
+            assert [len(row) for row in p.rows].count(1) == 9
+            X = rng.normal(size=(20, 3))
+            _assert_matches_oracles(p, X)
+
+    @pytest.mark.parametrize("lead", [(3, 5), (1, 1), (15,), (1, 15), (5, 1, 3)])
+    @pytest.mark.parametrize("n_out", [1, 2, 4])
+    def test_sum_terms_over_leading_dimensions(self, lead, n_out):
+        # a power table of shape lead + (columns,) puts the reduced axis in
+        # the middle of the padded block; each point keeps its batch bits
+        rng = np.random.default_rng(13)
+        p = _map_with_terms(rng, 3, n_out, 9, 4 * KERNEL_MIN_TERMS)
+        kernel = p._kernel
+        X = rng.normal(size=(int(np.prod(lead)), 3))
+        table = np.stack(
+            [X[:, i] ** e for i, m in enumerate(kernel.max_exp) for e in range(m + 1)],
+            axis=1,
+        )
+        got = kernel._sum_terms(table.reshape(lead + table.shape[1:]))
+        _assert_bits_equal(got, _naive_eval_batch(p, X).reshape(lead + (n_out,)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
