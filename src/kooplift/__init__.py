@@ -38,7 +38,6 @@ from .errors import (
     DimensionError,
     DivergenceError,
     DomainEvaluationError,
-    DomainWarning,
     InvariantSubspaceViolation,
     KoopliftError,
     NumericEvaluationError,

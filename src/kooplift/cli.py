@@ -120,6 +120,10 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
         )
 
     inputs = build_inputs(specs, ts, n_steps)
+    if not np.any(inputs[:-1]) and any(fit["kind"] == "edmdc" for fit in c["fits"]):
+        raise ConfigError(
+            "an 'edmdc' fit needs a nonzero input record; every applied input is 0"
+        )
     lifted = _lift(c)
 
     sim_ts = ts if bundle.time_domain == CONTINUOUS else None
@@ -270,14 +274,11 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
         result["baseline_rows"] = baselines
         if out_dir:
             out = Path(out_dir)
-            write_csv(
-                out / "sweep.csv",
-                ["degree", "alpha", "l2_e1", "l2_e2", "diverged"],
-                rows,
-            )
+            errors = [f"l2_e{i + 1}" for i in range(bundle.n_x)]
+            write_csv(out / "sweep.csv", ["degree", "alpha", *errors, "diverged"], rows)
             write_csv(
                 out / "sweep_baselines.csv",
-                ["method", "degree", "alpha", "l2_e1", "l2_e2", "diverged"],
+                ["method", "degree", "alpha", *errors, "diverged"],
                 baselines,
             )
     if out_dir:
@@ -308,41 +309,36 @@ def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search,
         objective = _alpha_objective(
             nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, reports
         )
+        # the grid starts at alpha = 0, which fills that row too
+        grid = default_alpha_grid() if alpha_search else [0.0]
         best_alpha = None
-        if alpha_search:
-            # the default grid starts at alpha = 0, which fills that row too
-            try:
-                search = alpha_grid_search(data, default_alpha_grid(), objective)
-                best_alpha = search.best_alpha
-            except DivergenceError:
-                pass  # the objective has recorded every candidate as None
-        else:
-            A, B = edmd_tikhonov(data, 0.0)
-            objective([0.0], A[None], B[None])
-        rows.append(_sweep_row(degree, 0.0, reports[0.0]))
+        try:
+            best_alpha = alpha_grid_search(data, grid, objective).best_alpha
+        except DivergenceError:
+            pass  # the objective has recorded every candidate as None
+        rows.append(_sweep_row([degree, 0.0], reports[0.0], n_x))
         if alpha_search:
             if best_alpha is None:
-                rows.append(_sweep_row(degree, float("nan"), None))
+                rows.append(_sweep_row([degree, float("nan")], None, n_x))
             else:
-                rows.append(_sweep_row(degree, best_alpha, reports[best_alpha]))
-    baselines = []
+                rows.append(_sweep_row([degree, best_alpha], reports[best_alpha], n_x))
     base_degree = max(sum(o.exponents) for o in dictionary.observables)
     lpv_report = base["reports"]["koopman_lpv"]
-    baselines.append(
-        ["exact_lpv", base_degree, 0.0, lpv_report.l2[0], lpv_report.l2[1], 0]
-    )
+    baselines = [_sweep_row(["exact_lpv", base_degree, 0.0], lpv_report.l2, n_x)]
     edmdc_report = base["reports"].get("koopman_lti_edmdc")
     if edmdc_report is not None:
         baselines.append(
-            ["edmdc_exact_A", base_degree, 0.0, edmdc_report.l2[0], edmdc_report.l2[1], 0]
+            _sweep_row(["edmdc_exact_A", base_degree, 0.0], edmdc_report.l2, n_x)
         )
     return rows, baselines
 
 
-def _sweep_row(degree, alpha, l2):
+def _sweep_row(head, l2, n_x):
+    """``head`` followed by the per-state l2 errors and the diverged flag;
+    ``l2`` None marks a diverged fit, whose errors read inf."""
     if l2 is None:
-        return [degree, alpha, float("inf"), float("inf"), 1]
-    return [degree, alpha, float(l2[0]), float(l2[1]), 0]
+        return [*head, *[float("inf")] * n_x, 1]
+    return [*head, *map(float, l2), 0]
 
 
 def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:

@@ -1,36 +1,28 @@
 """Least-squares fitting of constant lifted matrices from snapshot data.
 
-Three estimators are provided: an input-matrix-only fit that keeps an
+Two estimators are provided: an input-matrix-only fit that keeps an
 analytically derived state-transition matrix fixed,
 
     B_hat = (Z+ - A Z) U^+,
 
-the full normal-equation fit of both matrices for larger datasets,
+and the Tikhonov-regularised fit of both matrices,
 
-    [A B] = (Z+ Y^T)(Y Y^T)^+,       Y = [Z; U],
-
-and its Tikhonov-regularised variant
-
-    [A B] = Z+ Y^T (Y Y^T + alpha I)^-1,
+    [A B] = Z+ Y^T (Y Y^T + alpha I)^-1,       Y = [Z; U],
 
 with a grid search helper that picks alpha by a simulation-error cost.
-For alpha > 0 the Tikhonov fit is read off one thin SVD Y = U_Y S V_Y^T,
-computed on the first such fit and cached on the snapshot set, through
-the filter factors s / (s^2 + alpha) (Hansen, Rank-Deficient and Discrete
-Ill-Posed Problems, 1998):
+Every alpha, 0 included, is read off one thin SVD Y = U_Y S V_Y^T, cached
+on the snapshot set, through the filter factors s / (s^2 + alpha) (Hansen,
+Rank-Deficient and Discrete Ill-Posed Problems, 1998):
 
     [A B] = (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T,
 
-so a whole alpha grid costs one factorisation and a matrix product per
-distinct filter, and never forms the squared-conditioned Gramian. An
-alpha below half an ulp of every s^2 leaves s^2 + alpha at s^2, so its
-filter, its fit and any simulation of it are bit for bit those of a
-smaller alpha; the search forms and costs each distinct filter once.
-alpha = 0 stays the pseudoinverse of the normal equations, as in the full
-fit. The search hands its objective the fits in stacked blocks, so the
-candidates of one block can be simulated together.
-Pseudoinverses use an SVD cutoff of max(m, n) * eps relative to the largest
-singular value.
+so an alpha grid costs one factorisation and never forms the
+squared-conditioned Gramian. alpha = 0 is the least-squares fit: its
+filter s / (s * s) is zeroed wherever s <= sqrt((n_f + n_u) * eps) * s_max,
+the cutoff a Gramian pseudoinverse applies to s^2. Alphas whose filters
+share their bits share one fit; the search forms and costs each distinct
+filter once and hands its objective the fits in stacked blocks. U^+ uses
+an SVD cutoff of max(m, n) * eps relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dictionaries import ObservableDictionary
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DivergenceError, NumericEvaluationError
 from .sim import Trajectory
 
 log = logging.getLogger(__name__)
@@ -95,12 +87,22 @@ class SnapshotData:
     def tikhonov_svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(U_Y, s, Z+ V_Y) of the thin SVD Y = U_Y diag(s) V_Y^T, Y = [Z; U].
 
-        Computed on the first call and cached.
+        Computed on the first call and cached. Non-finite snapshots, or a
+        largest singular value whose square overflows, raise
+        :class:`NumericEvaluationError`: no filter s / (s^2 + alpha) can be
+        formed from them.
         """
         if self._svd is None:
-            U_Y, s, Vt_Y = np.linalg.svd(
-                np.vstack([self.Z, self.U]), full_matrices=False
-            )
+            Y = np.vstack([self.Z, self.U])
+            if not (np.isfinite(Y).all() and np.isfinite(self.Zp).all()):
+                raise NumericEvaluationError("snapshot matrices hold non-finite values")
+            U_Y, s, Vt_Y = np.linalg.svd(Y, full_matrices=False)
+            # a Python float product overflows to inf without a warning
+            if s.size and not np.isfinite(float(s[0]) * float(s[0])):
+                raise NumericEvaluationError(
+                    f"largest singular value {s[0]:.3e} of the snapshots squares "
+                    "past the float range; the fit cannot be formed"
+                )
             self._svd = (U_Y, s, self.Zp @ Vt_Y.T)
         return self._svd
 
@@ -174,15 +176,8 @@ def edmdc_input_fit(
 
 
 def edmd_full(data: SnapshotData) -> Tuple[np.ndarray, np.ndarray]:
-    """Normal-equation fit of both lifted matrices: [A B] = (Z+ Y^T)(Y Y^T)^+."""
-    Y = np.vstack([data.Z, data.U])
-    G = Y @ Y.T
-    V = data.Zp @ Y.T
-    G_pinv, rank = _pinv(G)
-    if rank < G.shape[0]:
-        log.info("snapshot Gramian is rank deficient (rank %d < %d)", rank, G.shape[0])
-    AB = V @ G_pinv
-    return AB[:, : data.n_f], AB[:, data.n_f :]
+    """Least-squares fit of both lifted matrices: ``edmd_tikhonov(data, 0.0)``."""
+    return edmd_tikhonov(data, 0.0)
 
 
 def edmd_tikhonov(
@@ -190,39 +185,38 @@ def edmd_tikhonov(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Tikhonov-regularised fit: [A B] = Z+ Y^T (Y Y^T + alpha I)^-1.
 
-    For alpha > 0 the fit is (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T from
-    the snapshot set's cached SVD. alpha = 0 reduces to :func:`edmd_full`;
-    with a singular Gramian the inverse is then a pseudoinverse.
+    The fit is (Z+ V_Y) diag(s / (s^2 + alpha)) U_Y^T from the snapshot
+    set's cached SVD; alpha = 0 drops the singular values at or below
+    sqrt((n_f + n_u) * eps) * s_max.
     """
     if alpha < 0:
         raise ValueError(f"regularisation weight must be non-negative, got {alpha}")
-    if alpha == 0.0:
-        return edmd_full(data)
-    As, Bs = _stacked_fits(data, 0, _filters(data, np.array([alpha])))
+    As, Bs = _stacked_fits(data, _filters(data, np.array([alpha], dtype=float)))
     return As[0], Bs[0]
 
 
 def _filters(data: SnapshotData, alphas: np.ndarray) -> np.ndarray:
-    """The (M, r) filter factors s / (s^2 + alpha), one row per alpha > 0."""
+    """The (M, r) filter factors s / (s^2 + alpha), one row per alpha; a row
+    of alpha = 0 is 0 wherever s <= sqrt((n_f + n_u) * eps) * s_max."""
     s = data.tikhonov_svd()[1]
-    return s / (s * s + alphas[:, None])
+    cutoff = np.sqrt((data.n_f + data.n_u) * _EPS) * s[:1]
+    denominators = s * s + alphas[:, None]
+    filters = np.zeros(denominators.shape)
+    return np.divide(
+        s, denominators, out=filters, where=(s > cutoff) | (alphas[:, None] > 0)
+    )
 
 
 def _stacked_fits(
-    data: SnapshotData, full: int, filters: np.ndarray
+    data: SnapshotData, filters: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(As, Bs) of ``full`` (0 or 1) alpha = 0 fits followed by the fits
-    [A B] = (Z+ V_Y) diag(f) U_Y^T of the rows f of ``filters``, views into
-    one (M, n_f, n_f + n_u) array. The stacked matmul runs one product per
-    member, so each member holds the bits of its own filter's fit."""
-    n_f = data.n_f
-    fits = np.empty((full + len(filters), n_f, n_f + data.n_u))
-    if full:
-        fits[0, :, :n_f], fits[0, :, n_f:] = edmd_full(data)
-    if len(filters):
-        U_Y, _, W = data.tikhonov_svd()
-        np.matmul(W * filters[:, None, :], U_Y.T, out=fits[full:])
-    return fits[:, :, :n_f], fits[:, :, n_f:]
+    """(As, Bs) of the fits [A B] = (Z+ V_Y) diag(f) U_Y^T of the rows f of
+    ``filters``, views into one (M, n_f, n_f + n_u) array. The stacked
+    matmul runs one product per member, so each member holds the bits of
+    its own filter's fit."""
+    U_Y, _, W = data.tikhonov_svd()
+    fits = np.matmul(W * filters[:, None, :], U_Y.T)
+    return fits[:, :, : data.n_f], fits[:, :, data.n_f :]
 
 
 @dataclass
@@ -258,28 +252,20 @@ def alpha_grid_search(
         raise ValueError("alpha grid is empty")
     if grid[0] < 0:
         raise ValueError(f"regularisation weight must be non-negative, got {grid[0]}")
-    n_zero = sum(alpha == 0.0 for alpha in grid)
-    # a grid of zeros alone needs no SVD
-    positive = np.array(grid[n_zero:])
-    filters = _filters(data, positive) if positive.size else np.empty((0, 0))
+    filters = _filters(data, np.array(grid))
     # the candidate each grid alpha shares its fit with, and the candidates
-    # as indices into the grid; alpha = 0 is the pseudoinverse fit
+    # as indices into the grid
     group = {}
-    shared = [
-        group.setdefault(None if i < n_zero else filters[i - n_zero].tobytes(), i)
-        for i in range(len(grid))
-    ]
+    shared = [group.setdefault(f.tobytes(), i) for i, f in enumerate(filters)]
     candidates = list(group.values())
     block = max(1, _SEARCH_BLOCK_FLOATS // (data.n_f * (data.n_f + data.n_u)))
     cost_of = {}
     for start in range(0, len(candidates), block):
+        # the block's fits are freed once the objective returns, before the
+        # next block
         chosen = candidates[start : start + block]
-        # the alpha = 0 candidate, if any, leads the first block; the block's
-        # fits are freed once the objective returns, before the next block
-        head = int(chosen[0] < n_zero)
-        rest = [i - n_zero for i in chosen[head:]]
         costs = objective(
-            [grid[i] for i in chosen], *_stacked_fits(data, head, filters[rest])
+            [grid[i] for i in chosen], *_stacked_fits(data, filters[chosen])
         )
         cost_of.update(zip(chosen, map(float, costs), strict=True))
     rows: List[dict] = []

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class KoopliftError(Exception):
@@ -48,7 +48,3 @@ class DivergenceError(KoopliftError):
 
 class ConfigError(KoopliftError):
     """Experiment configuration is invalid or incomplete."""
-
-
-class DomainWarning(UserWarning):
-    """A quadrature segment or sample point left the declared domain box."""

@@ -22,7 +22,6 @@ where no analytic input-Jacobian exists, central finite differences.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dictionaries import ObservableDictionary
-from .errors import DimensionError, DomainWarning, InvariantSubspaceViolation
+from .errors import DimensionError, InvariantSubspaceViolation
 from .lpv import output_matrix
 from .polynomials import (
     PolynomialMap,
@@ -44,7 +43,7 @@ from .polynomials import (
     poly_mul,
 )
 from .quadrature import QuadratureSpec, central_difference
-from .systems import CONTINUOUS, DISCRETE, Decomposition, DomainBox, HeldInput
+from .systems import CONTINUOUS, DISCRETE, Decomposition, HeldInput
 
 log = logging.getLogger(__name__)
 
@@ -252,30 +251,18 @@ def input_term_dt(
     x: Sequence[float],
     u: Sequence[float],
     quad: QuadratureSpec = QuadratureSpec(),
-    state_box: Optional[DomainBox] = None,
 ) -> np.ndarray:
     """Discrete-time lifted input term.
 
     Integrates the dictionary Jacobian along the segment from f(x) to
     f(x) + g(x, u) and multiplies by g(x, u); exact whenever the integrand
-    is polynomial of degree <= 2 * nodes - 1. If the segment leaves the
-    declared state box a warning is emitted but the computation proceeds.
+    is polynomial of degree <= 2 * nodes - 1.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     g = decomposition.eval_input_driven(x, u)
     fx = decomposition.eval_autonomous(x)
     lam, w = quad.rule()
-    box = state_box
-    if box is not None:
-        ends = np.stack([fx, fx + g])
-        if not (box.contains(ends[0]) and box.contains(ends[1])):
-            warnings.warn(
-                "integration segment leaves the declared state box; the lifted "
-                "input term is still evaluated",
-                DomainWarning,
-                stacklevel=2,
-            )
     acc = w[0] * dictionary.jacobian(fx + lam[0] * g)
     for q in range(1, lam.shape[0]):
         acc += w[q] * dictionary.jacobian(fx + lam[q] * g)

@@ -278,6 +278,10 @@ class TestSimulate:
             ("lift", {"dictionary": {"monomials": "x1,x2,x1^2", "include_constant": False}}),
             ("bounds", {"bounds": {"mode": "trajectory", "grid_density": "abc"}}),
             ("simulate", {"fits": "edmdc"}),
+            ("edmd", {"signals": [{"kind": "white_noise", "variance": 0.0}]}),
+            ("bounds", {"signals": [{"kind": "white_noise", "variance": 0.0}]}),
+            ("simulate", {"signals": [{"kind": "zero"}], "fits": ["edmdc"]}),
+            ("simulate", {"signals": [{"kind": "zero"}], "fits": ["edmd_full", "edmdc"]}),
         ],
         ids=[
             "lift-quad-nodes-0",
@@ -316,6 +320,10 @@ class TestSimulate:
             "include-constant-with-monomials",
             "trajectory-grid-density-text",
             "fits-a-string",
+            "edmd-zero-input-default-edmdc",
+            "bounds-zero-input",
+            "zero-input-edmdc",
+            "zero-input-edmdc-second-fit",
         ],
     )
     def test_malformed_config_exits_2_before_simulating(
@@ -328,13 +336,19 @@ class TestSimulate:
         # 1.7 ran as n_x = 1, and include_constant "no" added the constant
         # observable (exit 4); a CT horizon of 1e308 s at ts 1e-308 overflowed
         # (exit 1), NaN or inf in x0 exited 3 at step 1, booleans ran as 0 and
-        # 1, and the conflicting or mode-inapplicable keys ran unchecked
+        # 1, the conflicting or mode-inapplicable keys ran unchecked, and an
+        # edmdc fit on an all-zero input record failed only after simulating
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
 
         monkeypatch.setattr(cli, "simulate_nonlinear", simulated)
         path = _write_config(tmp_path, dict(DT_CFG, **changes))
         assert main([command, "--config", path]) == 2
+
+    def test_all_zero_input_runs_without_an_edmdc_fit(self):
+        result = run_simulate(dict(DT_CFG, signals=[{"kind": "zero"}], fits=["edmd_full"]))
+        assert not np.any(result["inputs"])
+        assert result["reports"]["koopman_lti_edmd"] is not None
 
     def test_runtime_imports_only_numpy(self):
         # the library runs on the standard library and numpy alone; compared
@@ -762,6 +776,74 @@ class TestEdmdCommand:
         assert [row[:2] for row in rows[False]] == [[2, 0.0], [3, 0.0]]
         assert rows[False] == rows[True][::2]
 
+    @pytest.mark.parametrize("n_x", [1, 3])
+    def test_sweep_writes_every_state(self, tmp_path, n_x):
+        # x_i+ = (0.5 - 0.2 i) x_i + u / (i + 1); the sweep used to assume
+        # two states: one state raised an IndexError after simulating, and a
+        # third state was left out of both CSVs
+        system = {
+            "time_domain": "discrete",
+            "n_x": n_x,
+            "f": [
+                [{"exponents": np.eye(n_x, dtype=int)[i].tolist(), "coeff": 0.5 - 0.2 * i}]
+                for i in range(n_x)
+            ],
+            "input_columns": [
+                [[{"exponents": [0] * n_x, "coeff": 1.0 / (i + 1)}] for i in range(n_x)]
+            ],
+        }
+        cfg = dict(
+            DT_CFG,
+            system=system,
+            x0=[1.0] * n_x,
+            horizon_steps=30,
+            sweep={"degrees": [1, 2], "alpha_search": False},
+        )
+        out = tmp_path / "sweep"
+        assert main(["edmd", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        errors = ",".join(f"l2_e{i + 1}" for i in range(n_x))
+        sweep = (out / "sweep.csv").read_text().splitlines()
+        baselines = (out / "sweep_baselines.csv").read_text().splitlines()
+        assert sweep[0] == f"degree,alpha,{errors},diverged"
+        assert baselines[0] == f"method,degree,alpha,{errors},diverged"
+        assert [len(line.split(",")) for line in sweep[1:]] == [n_x + 3] * 2
+        assert [len(line.split(",")) for line in baselines[1:]] == [n_x + 4] * 2
+
+        result = run_edmd(cfg)
+        base = result["base"]
+        nonlinear = base["trajectories"]["nonlinear"]
+        for method, label in (("exact_lpv", "koopman_lpv"), ("edmdc_exact_A", "koopman_lti_edmdc")):
+            row = next(row for row in result["baseline_rows"] if row[0] == method)
+            assert row[3:] == [*map(float, base["reports"][label].l2), 0]
+        for row, degree in zip(result["sweep_rows"], (1, 2)):
+            dictionary = monomial_dictionary(n_x, degree)
+            data = build_snapshots(nonlinear, dictionary)
+            C = output_matrix(dictionary)
+            run = dt_simulate(
+                lti_step(*edmd_tikhonov(data, 0.0)),
+                dictionary.evaluate(cfg["x0"]),
+                base["inputs"],
+                divergence_limit=1e12,
+            )
+            l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
+            assert row == [degree, 0.0, *map(float, l2), 0]
+
+    def test_snapshots_past_the_float_range_exit_1_with_a_message(self, tmp_path, capsys):
+        # x1+ = 1.5 x1 + u reaches ~1e10 in 60 steps, so x1^15 and up square
+        # past the float range; this used to exit 1 with an untyped
+        # LinAlgError from the Gramian's SVD
+        system = {
+            "time_domain": "discrete",
+            "n_x": 2,
+            "f": [[{"exponents": [1, 0], "coeff": 1.5}], [{"exponents": [0, 1], "coeff": 0.5}]],
+            "input_columns": [
+                [[{"exponents": [0, 0], "coeff": 1.0}], [{"exponents": [0, 0], "coeff": 1.0}]]
+            ],
+        }
+        cfg = dict(DT_CFG, system=system, horizon_steps=60, sweep={"degrees": [2, 20]})
+        assert main(["edmd", "--config", _write_config(tmp_path, cfg)]) == 1
+        assert "squares past the float range" in capsys.readouterr().err
+
     def test_sweep_rows_match_a_lift_at_each_degree(self):
         # the sweep lifts once at its highest degree; each degree's rows are
         # those of a search on its own dictionary's lift, C and z0
@@ -785,8 +867,8 @@ class TestEdmdCommand:
             data = build_snapshots(nonlinear, dictionary)
             best = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
             expected += [
-                cli._sweep_row(degree, 0.0, reports[0.0]),
-                cli._sweep_row(degree, best, reports[best]),
+                cli._sweep_row([degree, 0.0], reports[0.0], 2),
+                cli._sweep_row([degree, best], reports[best], 2),
             ]
         assert result["sweep_rows"] == expected
 
@@ -912,9 +994,9 @@ class TestEdmdCommand:
         fitted, simulated = [], []
         stacked_fits, stack = edmd._stacked_fits, cli.simulate_lti_stack
 
-        def fits_spy(data, full, filters):
+        def fits_spy(data, filters):
             fitted.append(len(filters))
-            return stacked_fits(data, full, filters)
+            return stacked_fits(data, filters)
 
         def stack_spy(As, *args, **kwargs):
             simulated.append(len(As))
@@ -953,9 +1035,12 @@ class TestEdmdCommand:
                 best = (alpha, cost)
         assert result == AlphaSearchResult(best_alpha=best[0], costs=rows)
 
+        # alpha = 0 drops every s at or below sqrt((n_f + n_u) eps) s_max
         s = data.tikhonov_svd()[1]
+        kept = s > np.sqrt((data.n_f + data.n_u) * np.finfo(float).eps) * s[0]
         filters = {(s / (s * s + alpha)).tobytes() for alpha in grid[1:]}
-        assert len(seen) == len(set(seen)) == 1 + len(filters)
+        filters.add(np.where(kept, s / (s * s), 0.0).tobytes())
+        assert len(seen) == len(set(seen)) == len(filters)
         assert sum(fitted) == len(filters) and sum(simulated) == len(seen)
         if excitation == "multisine" and degree >= 17:
             assert seen == [0.0, grid[1]]

@@ -19,7 +19,7 @@ from kooplift import (
     simulate_nonlinear,
 )
 from kooplift import cli, edmd
-from kooplift.errors import DimensionError, DivergenceError
+from kooplift.errors import DimensionError, DivergenceError, NumericEvaluationError
 from kooplift.lpv import output_matrix
 
 
@@ -194,6 +194,66 @@ class TestEdmdFull:
             np.hstack([A_hat, B_hat]), AB, rtol=0, atol=1e-8 * (1 + np.abs(AB).max())
         )
 
+    def test_drops_singular_values_below_the_gramian_cutoff(self):
+        # Y = [Z; U] with relative singular values 1, 0.5 and 1e-10: the last
+        # lies below sqrt(p eps) = 2.6e-8, where a pseudoinverse of Y Y^T
+        # drops it, and above the plain Y^+ cutoff 40 eps = 8.9e-15
+        rng = np.random.default_rng(17)
+        left = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        right = np.linalg.qr(rng.normal(size=(40, 3)))[0]
+        Y = (left * [1.0, 0.5, 1e-10]) @ right.T
+        data = SnapshotData(Z=Y[:2], Zp=rng.normal(size=(2, 40)), U=Y[2:])
+        reference = data.Zp @ np.linalg.pinv(Y, rcond=np.sqrt(3 * np.finfo(float).eps))
+        fit = np.hstack(edmd_full(data))
+        np.testing.assert_allclose(fit, reference, rtol=0, atol=1e-12)
+        # keeping 1e-10 would put a 1e10 gain on noise in Z+
+        assert np.abs(data.Zp @ np.linalg.pinv(Y)).max() > 1e8
+
+    @pytest.mark.parametrize("excitation", ["whitenoise", "multisine"])
+    def test_matches_the_normal_equations_on_preset_snapshots(self, excitation):
+        # the normal-equation fit Z+ Y^T (Y Y^T)^+, with the Gramian cutoff
+        # p * eps * ||Y Y^T||, keeps the same directions at every sweep degree
+        # and agrees to the rounding of the squared conditioning at degrees
+        # 2-6 (largest gap 4.6e-7, multisine degree 6, cond(Y) 4.5e12)
+        cfg = {label: cfg for label, _, cfg in cli.preset_runs("degree-sweep")}[excitation]
+        traj = cli.run_simulate(cfg)["trajectories"]["nonlinear"]
+        eps = np.finfo(float).eps
+        for degree in range(2, 21):
+            data = build_snapshots(traj, monomial_dictionary(2, degree))
+            Y = np.vstack([data.Z, data.U])
+            p = Y.shape[0]
+            G = Y @ Y.T
+            s_G = np.linalg.svd(G, compute_uv=False)
+            s = data.tikhonov_svd()[1]
+            assert np.sum(s_G > p * eps * s_G[0]) == np.sum(s > np.sqrt(p * eps) * s[0])
+            if degree > 6:
+                continue
+            reference = data.Zp @ Y.T @ np.linalg.pinv(G, rcond=p * eps)
+            assert _relative_gap(edmd_full(data), reference) <= 1e-6, degree
+
+
+class TestUnfittableSnapshots:
+    def test_largest_singular_value_must_square_to_a_float(self):
+        # s_max ~ 1e155 squares past 1.8e308; 1e150 still fits
+        rng = np.random.default_rng(18)
+        Z, Zp, U = rng.normal(size=(3, 2, 20))
+        with pytest.raises(NumericEvaluationError, match="float range"):
+            edmd_tikhonov(SnapshotData(Z=1e155 * Z, Zp=Zp, U=U), 1.0)
+        with pytest.raises(NumericEvaluationError):
+            alpha_grid_search(
+                SnapshotData(Z=Z, Zp=Zp, U=1e155 * U), [0.0], _per_candidate(lambda a, fit: a)
+            )
+        assert np.isfinite(np.hstack(edmd_full(SnapshotData(Z=1e150 * Z, Zp=Zp, U=U)))).all()
+
+    @pytest.mark.parametrize("name", ["Z", "Zp", "U"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_snapshots_raise(self, name, value):
+        rng = np.random.default_rng(19)
+        snapshots = dict(zip(("Z", "Zp", "U"), rng.normal(size=(3, 2, 20))))
+        snapshots[name][1, 3] = value
+        with pytest.raises(NumericEvaluationError, match="non-finite"):
+            edmd_full(SnapshotData(**snapshots))
+
 
 class TestTikhonov:
     def test_huge_alpha_shrinks_to_zero(self):
@@ -291,13 +351,21 @@ def _scaled(data, factor):
     return SnapshotData(Z=factor * data.Z, Zp=factor * data.Zp, U=factor * data.U)
 
 
-def _candidates(data, grid):
-    """0 (when on the grid) and the smallest alpha > 0 of each distinct filter."""
+def _filter(data, alpha):
+    """s / (s^2 + alpha), with alpha = 0 cut at sqrt((n_f + n_u) eps) s_max."""
     s = data.tikhonov_svd()[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = s / (s * s + alpha)
+    if alpha == 0:
+        f[s <= np.sqrt((data.n_f + data.n_u) * np.finfo(float).eps) * s[0]] = 0.0
+    return f
+
+
+def _candidates(data, grid):
+    """The smallest alpha of each distinct filter, 0 included."""
     first = {}
     for alpha in sorted(grid):
-        key = (s / (s * s + alpha)).tobytes() if alpha > 0 else None
-        first.setdefault(key, alpha)
+        first.setdefault(_filter(data, alpha).tobytes(), alpha)
     return list(first.values())
 
 
@@ -312,10 +380,10 @@ class TestAlphaSearch:
 
     def test_objective_receives_the_tikhonov_fit(self):
         # the smallest alpha of each distinct filter, with its own fit; at
-        # scale 1e9 the smallest s^2 is 3.1e17, whose half ulp is 32, so the
-        # 17 alphas up to 10 share one filter
+        # scale 1e9 the smallest s^2 is 3.1e17, whose half ulp is 32, so
+        # alpha = 0 and the 17 alphas up to 10 share one filter
         grid = default_alpha_grid()
-        for scale, n_candidates in ((1.0, 37), (1e9, 21)):
+        for scale, n_candidates in ((1.0, 37), (1e9, 20)):
             data = _scaled(_random_lti_data(np.random.default_rng(12))[2], scale)
             received = {}
 
@@ -336,8 +404,8 @@ class TestAlphaSearch:
 
     def test_alphas_sharing_a_filter_share_the_representatives_cost(self):
         # at scale 1e21 every s^2 exceeds 1e40, so s^2 + alpha rounds to s^2
-        # for every alpha > 0 on the grid: the objective sees 0 and 1e-15
-        # only, and the other 35 rows repeat the cost of 1e-15
+        # for every alpha on the grid: the objective sees alpha = 0 only, and
+        # the other 36 rows repeat its cost
         rng = np.random.default_rng(14)
         data = _scaled(_random_lti_data(rng)[2], 1e21)
         seen = []
@@ -348,25 +416,26 @@ class TestAlphaSearch:
 
         grid = default_alpha_grid()
         result = alpha_grid_search(data, grid, objective)
-        assert seen == [0.0, grid[1]]
+        assert seen == [0.0]
         costs = [row["cost"] for row in result.costs]
         assert [row["alpha"] for row in result.costs] == list(grid)
-        assert len(set(costs[1:])) == 1 and costs[1] != costs[0]
-        assert result.best_alpha in seen
+        assert len(set(costs)) == 1
+        assert result.best_alpha == 0.0
+        A0, B0 = edmd_tikhonov(data, 0.0)
         for alpha in grid[1:]:
             A, B = edmd_tikhonov(data, alpha)
-            assert A.tobytes() == edmd_tikhonov(data, grid[1])[0].tobytes()
-            assert B.tobytes() == edmd_tikhonov(data, grid[1])[1].tobytes()
+            assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
 
     def test_stacked_fits_match_their_own_products(self):
         # one stacked matmul gives each member the bits of its own fit, at
         # every lifted dimension of the degree sweep
         bundle, traj = _dt_run()
-        alphas = default_alpha_grid()[1:]
+        alphas = default_alpha_grid()
         for degree in range(1, 21):
             data = build_snapshots(traj, monomial_dictionary(2, degree))
-            As, Bs = edmd._stacked_fits(data, 1, edmd._filters(data, alphas))
-            for alpha, A, B in zip(default_alpha_grid(), As, Bs):
+            As, Bs = edmd._stacked_fits(data, edmd._filters(data, alphas))
+            assert len(As) == len(alphas)
+            for alpha, A, B in zip(alphas, As, Bs):
                 A_ref, B_ref = edmd_tikhonov(data, alpha)
                 assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
 
@@ -416,14 +485,14 @@ class TestAlphaSearch:
             return [1.0] * len(alphas)
 
         # blocks of 5 candidates, one candidate per distinct filter: all 37
-        # here, 2 once a scale of 1e21 merges every filter
+        # here, 1 once a scale of 1e21 merges every filter
         monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", 5 * 3 * (3 + 1))
         alpha_grid_search(data, default_alpha_grid(), objective)
         assert len(_candidates(data, default_alpha_grid())) == 37
         assert sizes == [5] * 7 + [2]
         sizes.clear()
         alpha_grid_search(_scaled(data, 1e21), default_alpha_grid(), objective)
-        assert sizes == [2]
+        assert sizes == [1]
 
     def test_blocks_of_one_give_the_whole_block_result(self, monkeypatch):
         # the sweep's own objective at degree 11, where 6 of 37 candidates diverge

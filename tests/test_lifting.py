@@ -25,7 +25,7 @@ from kooplift import (
     input_term_dt,
     monomial_dictionary,
 )
-from kooplift.errors import DomainWarning, InvariantSubspaceViolation
+from kooplift.errors import InvariantSubspaceViolation
 from kooplift.lifting import match_rows_to_span
 from kooplift.quadrature import unit_gauss_legendre
 
@@ -247,19 +247,6 @@ class TestInputTermDt:
             g = split.eval_input_driven(x, u)
             expect = BENCH_DICT.evaluate(fx + g) - BENCH_DICT.evaluate(fx)
             assert np.all(np.abs(term - expect) <= 1e-12 * (1 + np.abs(expect)))
-
-    def test_segment_outside_box_warns_but_computes(self):
-        bundle = dt_example()
-        big_x = np.array([5.0, 0.0])  # f(x) + g already outside [-2, 2]^2
-        with pytest.warns(DomainWarning):
-            term = input_term_dt(
-                bundle.decomposition,
-                BENCH_DICT,
-                big_x,
-                np.array([1.0]),
-                state_box=DomainBox([-2.0, -2.0], [2.0, 2.0]),
-            )
-        assert np.all(np.isfinite(term))
 
 
 class TestFactorization:
