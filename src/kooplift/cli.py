@@ -173,8 +173,9 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
             )
     if out_dir:
         out = Path(out_dir)
-        for label, traj in trajectories.items():
-            write_trajectory_csv(out / f"traj_{label}.csv", traj)
+        write_trajectory_csv(
+            {out / f"traj_{label}.csv": traj for label, traj in trajectories.items()}
+        )
         doc = {
             "config": meta,
             "models": [
@@ -287,8 +288,9 @@ def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
         for label, lti in base["fitted"].items():
             doc["fits"][label] = lti.to_document()
         write_json(out / "fits.json", doc)
-        for label, traj in base["trajectories"].items():
-            write_trajectory_csv(out / f"traj_{label}.csv", traj)
+        write_trajectory_csv(
+            {out / f"traj_{label}.csv": traj for label, traj in base["trajectories"].items()}
+        )
     return result
 
 

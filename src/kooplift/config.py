@@ -57,8 +57,10 @@ def resolve_config(cfg: dict) -> dict:
     c = _walk(cfg, TOP, "", {})
     ts, seconds = c["ts"], c["horizon_seconds"]
     if c["system"].time_domain == DISCRETE:
+        _refuse_unread(cfg, ("ts", "horizon_seconds"), "a discrete-time system reads 'horizon_steps'")
         c["n_steps"], c["ts"] = c["horizon_steps"], 1.0
         return c
+    _refuse_unread(cfg, ("horizon_steps",), "a continuous-time system reads 'ts' and 'horizon_seconds'")
     c["n_steps"] = None
     if ts is not None and seconds is not None:
         n_steps = seconds / ts
@@ -69,6 +71,13 @@ def resolve_config(cfg: dict) -> dict:
             )
         c["n_steps"] = round(n_steps)
     return c
+
+
+def _refuse_unread(raw: dict, keys, reads: str) -> None:
+    """A horizon key of the other time domain would be dropped unread."""
+    for key in keys:
+        if key in raw:
+            raise ConfigError(f"{key!r} is not read: {reads}")
 
 
 def _walk(raw: dict, table: dict, prefix: str, outer) -> dict:

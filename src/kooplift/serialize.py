@@ -3,16 +3,24 @@
 Every float is written with 17 significant digits, which round-trips any
 IEEE double bit-exactly; a small hand-rolled JSON emitter is used because
 the standard encoder does not expose the float format.
+
+The trajectory CSVs of one run are written by one call, block by block of
+rows. The files of a run share their time grid and inputs, and often some
+states, so each distinct column block is formatted once per block and its
+cells are used by every file that holds it; nothing is kept past the call.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import DimensionError
 
 
 def fmt_float(value: float) -> str:
@@ -101,35 +109,64 @@ def _csv_cell(cell) -> str:
     return str(cell)
 
 
-# trajectory CSV rows are formatted this many at a time: one table of Python
-# floats for a whole run takes about 1.5 MB at 5001 rows and scales with them
+# a run's trajectory CSVs are written this many rows at a time: memory holds
+# one block of formatted cells per file and does not grow with the run
 CSV_BLOCK_ROWS = 64
 
 
-def write_trajectory_csv(path, trajectory) -> Path:
-    """Trajectory CSV: header t,x1..xn,u1..unu with one row per grid point.
+def write_trajectory_csv(files) -> list:
+    """The trajectory CSVs of one run, ``{path: trajectory}``, written together.
 
-    Rows of finite values are formatted by one ``%.17g`` template, which
-    writes what :func:`fmt_float` writes for finite floats; rows with a
-    NaN or an infinity go through :func:`fmt_float` cell by cell.
+    Each file has the header ``t,x1..xn,u1..unu`` and one row per grid
+    point; every trajectory must be on the same time grid. The files are
+    written ``CSV_BLOCK_ROWS`` rows at a time, and within a block each
+    distinct column block, keyed by its bytes, is formatted once and used
+    by every file that holds it: the files of one run share ``t`` and the
+    inputs, and often some states. Returns the paths in the order given.
     """
-    n_x = trajectory.states.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(n_x)]
-    columns = [trajectory.times[:, None], trajectory.states]
-    if trajectory.inputs is not None:
-        header += [f"u{j + 1}" for j in range(trajectory.inputs.shape[1])]
-        columns.append(trajectory.inputs)
-    template = ",".join(["%.17g"] * len(header)) + "\n"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, len(trajectory.times), CSV_BLOCK_ROWS):
-            block = np.hstack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
-            finite = np.isfinite(block).all(axis=1).tolist()
-            for row, row_finite in zip(block.tolist(), finite):
-                if row_finite:
-                    handle.write(template % tuple(row))
-                else:
-                    handle.write(",".join(fmt_float(cell) for cell in row) + "\n")
-    return path
+    tables = []
+    grid = None
+    for path, trajectory in files.items():
+        if grid is None:
+            grid = trajectory.times
+        elif not np.array_equal(trajectory.times, grid):
+            raise DimensionError(
+                f"{path}: the trajectory CSVs of one run need one time grid"
+            )
+        n_x = trajectory.states.shape[1]
+        header = ["t"] + [f"x{i + 1}" for i in range(n_x)]
+        columns = [trajectory.times, *trajectory.states.T]
+        if trajectory.inputs is not None:
+            header += [f"u{j + 1}" for j in range(trajectory.inputs.shape[1])]
+            columns += list(trajectory.inputs.T)
+        tables.append((Path(path), header, columns))
+    with ExitStack() as stack:
+        handles = []
+        for path, header, _ in tables:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            handle = stack.enter_context(path.open("w", newline=""))
+            handle.write(",".join(header) + "\n")
+            handles.append(handle)
+        n_rows = 0 if grid is None else len(grid)
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            formatted: dict = {}
+            for handle, (_, _, columns) in zip(handles, tables):
+                cells = []
+                for column in columns:
+                    part = column[start : start + CSV_BLOCK_ROWS]
+                    key = part.tobytes()
+                    if key not in formatted:
+                        formatted[key] = _format_column(part)
+                    cells.append(formatted[key])
+                handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return [path for path, _, _ in tables]
+
+
+def _format_column(values: np.ndarray) -> list:
+    """The cells of one column block: one ``%.17g`` template when every value
+    is finite, which writes what :func:`fmt_float` writes for finite floats,
+    else :func:`fmt_float` cell by cell."""
+    cells = values.tolist()
+    if np.isfinite(values).all():
+        return (",".join(["%.17g"] * len(cells)) % tuple(cells)).split(",")
+    return [fmt_float(cell) for cell in cells]

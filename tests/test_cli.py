@@ -44,6 +44,15 @@ INLINE_1D = {
 }
 
 
+def _source_env() -> dict:
+    """The environment with the imported kooplift's source tree first on
+    PYTHONPATH, for a child interpreter."""
+    src = str(Path(kooplift.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -58,7 +67,7 @@ DT_CFG = {
 }
 
 # the changes that move DT_CFG to ct-example, with a zero signal on both
-# channels; a row adds the horizon
+# channels; a row adds the horizon, and DT_CFG's horizon_steps is dropped
 CT_ZERO = {"system": "ct-example", "signals": {"kind": "zero"}}
 
 
@@ -270,6 +279,9 @@ class TestSimulate:
             ("simulate", dict(CT_ZERO, ts=1e-308, horizon_seconds=1e308)),
             ("simulate", dict(CT_ZERO, ts=1e-300, horizon_seconds=1.0)),
             ("simulate", {"horizon_steps": 10**12}),
+            ("simulate", dict(CT_ZERO, ts=1e-3, horizon_seconds=0.01, horizon_steps=10)),
+            ("simulate", {"horizon_seconds": 3.0}),
+            ("simulate", {"ts": 0.5}),
             ("simulate", {"x0": [float("nan"), 1.0]}),
             # the JSON number 1e400 reads as an infinity
             ("simulate", {"x0": [1.0, float("inf")]}),
@@ -313,6 +325,9 @@ class TestSimulate:
             "ct-horizon-overflows",
             "ct-horizon-above-budget",
             "dt-horizon-above-budget",
+            "ct-horizon-steps",
+            "dt-horizon-seconds",
+            "dt-ts",
             "x0-nan",
             "x0-1e400",
             "x0-bools",
@@ -327,7 +342,7 @@ class TestSimulate:
         ],
     )
     def test_malformed_config_exits_2_before_simulating(
-        self, tmp_path, monkeypatch, command, changes
+        self, tmp_path, monkeypatch, capsys, request, command, changes
     ):
         # each of these used to escape as a ValueError or TypeError (exit 1),
         # the box and the sweep only after the whole simulation; horizon_steps
@@ -336,14 +351,35 @@ class TestSimulate:
         # 1.7 ran as n_x = 1, and include_constant "no" added the constant
         # observable (exit 4); a CT horizon of 1e308 s at ts 1e-308 overflowed
         # (exit 1), NaN or inf in x0 exited 3 at step 1, booleans ran as 0 and
-        # 1, the conflicting or mode-inapplicable keys ran unchecked, and an
-        # edmdc fit on an all-zero input record failed only after simulating
+        # 1, the conflicting or mode-inapplicable keys ran unchecked, an
+        # edmdc fit on an all-zero input record failed only after simulating,
+        # and a horizon key of the other time domain was dropped unread
         def simulated(*args, **kwargs):
             raise AssertionError("simulated before the config was checked")
 
         monkeypatch.setattr(cli, "simulate_nonlinear", simulated)
-        path = _write_config(tmp_path, dict(DT_CFG, **changes))
+        cfg = dict(DT_CFG, **changes)
+        if cfg["system"] == "ct-example" and "horizon_steps" not in changes:
+            del cfg["horizon_steps"]
+        path = _write_config(tmp_path, cfg)
         assert main([command, "--config", path]) == 2
+        message = self.MESSAGES.get(request.node.callspec.id)
+        if message:
+            assert message in capsys.readouterr().err
+
+    # the reason a row stops, where its id alone does not pin it down
+    MESSAGES = {
+        "ct-horizon-overflows": "must be a whole number of at most",
+        "ct-horizon-above-budget": "must be a whole number of at most",
+        "ct-horizon-steps": (
+            "'horizon_steps' is not read: a continuous-time system reads "
+            "'ts' and 'horizon_seconds'"
+        ),
+        "dt-horizon-seconds": (
+            "'horizon_seconds' is not read: a discrete-time system reads 'horizon_steps'"
+        ),
+        "dt-ts": "'ts' is not read: a discrete-time system reads 'horizon_steps'",
+    }
 
     def test_all_zero_input_runs_without_an_edmdc_fit(self):
         result = run_simulate(dict(DT_CFG, signals=[{"kind": "zero"}], fits=["edmd_full"]))
@@ -361,19 +397,25 @@ class TestSimulate:
             "allowed = set(sys.stdlib_module_names) | {'numpy', 'kooplift'}\n"
             "print(sorted(loaded - allowed))\n"
         )
-        src = str(Path(kooplift.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         done = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=env,
+            env=_source_env(),
             check=True,
         )
         assert done.stdout.strip() == "[]"
+
+    def test_runs_as_a_module_from_a_checkout(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "kooplift", "--version"],
+            capture_output=True,
+            text=True,
+            env=_source_env(),
+            cwd=tmp_path,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == kooplift.__version__
 
     def test_horizon_not_a_whole_number_of_steps(self, tmp_path):
         # 1.0 / 0.3 would silently run 3 steps, i.e. 0.9 s
@@ -1177,12 +1219,30 @@ class TestSerializationFormat:
         self, tmp_path, monkeypatch, block_rows
     ):
         from kooplift import serialize
+        from kooplift.errors import DimensionError
         from kooplift.serialize import write_csv, write_trajectory_csv
         from kooplift.sim import Trajectory
 
         # 2 rows per block splits the five rows over three blocks
         monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", block_rows)
 
+        def cells(name, traj):
+            """The file write_csv writes cell by cell: the byte reference."""
+            n_u = 0 if traj.inputs is None else traj.inputs.shape[1]
+            header = ["t"] + [f"x{i + 1}" for i in range(traj.states.shape[1])]
+            header += [f"u{j + 1}" for j in range(n_u)]
+            inputs = np.empty((len(traj.times), 0)) if traj.inputs is None else traj.inputs
+            rows = [[t, *x, *u] for t, x, u in zip(traj.times, traj.states, inputs)]
+            return write_csv(tmp_path / f"cells_{name}.csv", header, rows).read_bytes()
+
+        def written(trajectories):
+            files = {tmp_path / f"fast_{name}.csv": t for name, t in trajectories.items()}
+            paths = write_trajectory_csv(files)
+            assert paths == list(files)
+            for name, traj in trajectories.items():
+                assert (tmp_path / f"fast_{name}.csv").read_bytes() == cells(name, traj)
+
+        times = [0.0, 1.0, 2.5, 1e300, 1e308]
         states = np.array(
             [
                 [-0.0, 5e-324, 2.2250738585072014e-308],
@@ -1192,14 +1252,68 @@ class TestSerializationFormat:
                 [0.1, -7.5e-17, 123456789012345678.0],
             ]
         )
-        inputs = np.array([[0.0], [-0.0], [np.nan], [1e-310], [-4.0]])
-        traj = Trajectory([0.0, 1.0, 2.5, 1e300, 1e308], states, inputs=inputs)
-        header = ["t", "x1", "x2", "x3", "u1"]
-        rows = [[t, *x, *u] for t, x, u in zip(traj.times, states, inputs)]
-        fast = write_trajectory_csv(tmp_path / "fast.csv", traj)
-        cells = write_csv(tmp_path / "cells.csv", header, rows)
-        assert fast.read_bytes() == cells.read_bytes()
+        # the shared input column holds NaN, both infinities and -0.0
+        inputs = np.array(
+            [[0.0, -0.0], [-0.0, np.inf], [np.nan, 1.0], [1e-310, -np.inf], [-4.0, np.nan]]
+        )
+        traj = Trajectory(times, states, inputs=inputs[:, :1])
+        fast = write_trajectory_csv({tmp_path / "fast.csv": traj})[0]
+        assert fast.read_bytes() == cells("one", traj)
         assert b"-0," in fast.read_bytes() and b"NaN" in fast.read_bytes()
+
+        # two files of one run share t and u but not the states; their x1
+        # are equal in value, but one holds 0.0 and the other -0.0
+        zeros = np.zeros(len(times))
+        a = np.column_stack([zeros, states[:, 1]])
+        b = np.column_stack([-zeros, states[:, 2]])
+        assert np.array_equal(a[:, 0], b[:, 0])
+        written(
+            {
+                "a": Trajectory(times, a, inputs=inputs),
+                "b": Trajectory(times, b, inputs=inputs),
+                "no_inputs": Trajectory(times, states),
+            }
+        )
+        assert (tmp_path / "fast_a.csv").read_bytes().splitlines()[2].startswith(b"1,0,")
+        assert (tmp_path / "fast_b.csv").read_bytes().splitlines()[2].startswith(b"1,-0,")
+
+        with pytest.raises(DimensionError):
+            write_trajectory_csv(
+                {
+                    tmp_path / "grid_a.csv": traj,
+                    tmp_path / "grid_b.csv": Trajectory(np.arange(5.0), states),
+                }
+            )
+
+    def test_run_formats_each_shared_column_block_once(self, tmp_path, monkeypatch):
+        from kooplift import serialize
+
+        monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 4)
+        calls = []
+        format_column = serialize._format_column
+
+        def spy(values):
+            calls.append(len(values))
+            return format_column(values)
+
+        monkeypatch.setattr(serialize, "_format_column", spy)
+        cfg = {
+            "system": "ct-example",
+            "ts": 1e-3,
+            "horizon_seconds": 0.01,
+            "signals": [{"kind": "white_noise", "variance": 0.1}] * 2,
+        }
+        run_simulate(cfg, out_dir=str(tmp_path / "one"))
+        # 11 rows in blocks of 4; each block has 10 column blocks, t, x1, x2,
+        # u1 and u2 in both files, and the files share t, u1 and u2
+        blocks = 3
+        assert len(calls) <= 7 * blocks and sum(calls) <= 7 * 11
+        first = len(calls)
+        # nothing is kept past the call: an identical run formats again
+        run_simulate(cfg, out_dir=str(tmp_path / "two"))
+        assert len(calls) == 2 * first
+        for name in ("traj_nonlinear.csv", "traj_koopman_lpv.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_seventeen_digit_floats_roundtrip(self):
         from kooplift.serialize import dumps_json, fmt_float
