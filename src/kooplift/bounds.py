@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericEvaluationError
 from .lifting import LiftedModel
 from .lpv import LTIKoopmanModel, lti_step
 from .sim import DEFAULT_DIVERGENCE_LIMIT, Trajectory, dt_simulate
@@ -75,6 +75,19 @@ def _gap_norms(model: LiftedModel, B_hat: np.ndarray, X: np.ndarray, U: np.ndarr
     return np.linalg.svd(diff, compute_uv=False)[:, 0]
 
 
+def _check_finite(norms: np.ndarray, X: np.ndarray, U: np.ndarray, offset: int = 0) -> None:
+    """Raise on the first gap norm that is not finite: ``np.argmax`` would
+    take a NaN as the maximum and no comparison with it holds."""
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        k = int(bad[0])
+        raise NumericEvaluationError(
+            f"input-matrix gap ||B(x, u) - B_hat|| is not finite ({norms[k]}) at point {offset + k} "
+            f"(x={X[k].tolist()}, u={U[k].tolist()})",
+            index=offset + k,
+        )
+
+
 # largest beta grid (density ** (n_x + n_u) points) a config may ask for; the
 # default density 101 gives 1.03e6 points for n_x + n_u = 3. The scan holds
 # one chunk of points at a time, so this caps its run time, not its memory.
@@ -99,7 +112,8 @@ def beta_grid(
     the product (the order of ``np.meshgrid(..., indexing="ij")`` raveled)
     and generated chunk by chunk from their flat indices, so memory stays
     proportional to ``GRID_CHUNK_POINTS``; the first point reaching the
-    maximum is reported.
+    maximum is reported. A gap norm that is not finite raises
+    :class:`NumericEvaluationError` naming its point.
     """
     B_hat = np.asarray(B_hat, dtype=float)
     axes = state_box.grid(grid_density) + input_box.grid(grid_density)
@@ -116,6 +130,7 @@ def beta_grid(
             [axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))], axis=1
         )
         norms = _gap_norms(model, B_hat, block[:, :n_x], block[:, n_x:])
+        _check_finite(norms, block[:, :n_x], block[:, n_x:], start)
         idx = int(np.argmax(norms))
         if norms[idx] > beta:
             beta = float(norms[idx])
@@ -138,7 +153,8 @@ def beta_trajectory(
     """Worst input-matrix gap over the points visited by a trajectory.
 
     Restricting the scan to the observed (x_k, u_k) pairs is exactly what
-    the partial-sum bound needs to dominate that run's error.
+    the partial-sum bound needs to dominate that run's error. A gap norm
+    that is not finite raises :class:`NumericEvaluationError`.
     """
     B_hat = np.asarray(B_hat, dtype=float)
     X = np.asarray(states, dtype=float)
@@ -146,6 +162,7 @@ def beta_trajectory(
     n = min(X.shape[0], U.shape[0])
     X, U = X[:n], U[:n]
     norms = _gap_norms(model, B_hat, X, U)
+    _check_finite(norms, X, U)
     idx = int(np.argmax(norms))
     return BetaScan(
         beta=float(norms[idx]),

@@ -33,14 +33,10 @@ from .errors import DimensionError, InvariantSubspaceViolation
 from .lpv import output_matrix
 from .polynomials import (
     PolynomialMap,
-    TermDict,
-    _add_term,
-    _sorted_terms,
-    compose_monomial,
-    fresh_power_caches,
+    TermArrays,
+    compose_rows,
     graded,
-    poly_add,
-    poly_mul,
+    multiply_rows,
 )
 from .quadrature import QuadratureSpec, central_difference
 from .systems import CONTINUOUS, DISCRETE, Decomposition, HeldInput
@@ -55,8 +51,15 @@ DEFAULT_SPAN_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _exponent_matrix(dictionary: ObservableDictionary) -> np.ndarray:
+    """The (n_f, n_x) exponents of an all-monomial dictionary."""
+    return np.array(
+        [obs.exponents for obs in dictionary.observables], dtype=np.intp
+    ).reshape(dictionary.n_f, dictionary.n_x)
+
+
 def match_rows_to_span(
-    rows: Sequence[TermDict], dictionary: ObservableDictionary
+    rows: TermArrays, dictionary: ObservableDictionary
 ) -> Tuple[np.ndarray, float, List[tuple]]:
     """Express polynomial rows as linear combinations of the observables.
 
@@ -73,24 +76,20 @@ def match_rows_to_span(
     for k, obs in enumerate(dictionary.observables):
         positions.setdefault(obs.exponents, []).append(k)
     n_f = dictionary.n_f
-    coeffs = np.zeros((len(rows), n_f))
+    coeffs = np.zeros((rows.n_rows, n_f))
     if all(len(v) == 1 for v in positions.values()):
-        residual = 0.0
-        missing = set()
-        for r, row in enumerate(rows):
-            for exps, c in row.items():
-                hit = positions.get(exps)
-                if hit is not None:
-                    coeffs[r, hit[0]] = c
-                else:
-                    missing.add(exps)
-                    residual = max(residual, abs(c))
-        return coeffs, residual, graded(missing)
+        keys = list(map(tuple, rows.exps.T.tolist()))
+        column = np.array([positions.get(k, (-1,))[0] for k in keys], dtype=np.intp)
+        hit = column >= 0
+        coeffs[rows.row[hit], column[hit]] = rows.coeff[hit]
+        residual = float(np.abs(rows.coeff[~hit]).max(initial=0.0))
+        return coeffs, residual, graded({k for k, c in zip(keys, column.tolist()) if c < 0})
 
     log.warning(
         "dictionary contains repeated monomials; span matching uses a "
         "minimum-norm least-squares solve"
     )
+    rows = rows.to_rows()
     union = graded({exps for row in rows for exps in row} | set(positions))
     mono_index = {exps: m for m, exps in enumerate(union)}
     incidence = np.zeros((len(union), n_f))
@@ -116,18 +115,15 @@ def match_rows_to_span(
 
 def _lifted_derivative_rows(
     f_c: PolynomialMap, dictionary: ObservableDictionary
-) -> List[TermDict]:
-    """Rows of (dPhi/dx) f_c, expanded symbolically."""
-    rows = []
-    for obs in dictionary.observables:
-        acc: TermDict = {}
-        for i, e in enumerate(obs.exponents):
-            if not e:
-                continue
-            lowered = obs.exponents[:i] + (e - 1,) + obs.exponents[i + 1 :]
-            acc = poly_add(acc, poly_mul({lowered: float(e)}, f_c.rows[i]))
-        rows.append(acc)
-    return rows
+) -> TermArrays:
+    """Rows of (dPhi/dx) f_c: row r is sum_i e_i x^(e - 1_i) f_c[i], summed
+    over i in order, as one :func:`multiply_rows` call."""
+    exponents = _exponent_matrix(dictionary)
+    r, i = np.nonzero(exponents)
+    lowered = exponents.T[:, r]
+    lowered[i, np.arange(r.shape[0])] -= 1
+    derivative = TermArrays(r, lowered, exponents[r, i].astype(float), dictionary.n_f)
+    return multiply_rows(derivative, f_c.arrays, i)
 
 
 def compute_A_ct(
@@ -156,16 +152,6 @@ def compute_A_ct(
     return A, residual
 
 
-def _composed_rows(
-    f: PolynomialMap, dictionary: ObservableDictionary
-) -> List[TermDict]:
-    caches = fresh_power_caches(f.rows, f.n_vars)
-    return [
-        compose_monomial(obs.exponents, f.rows, f.n_vars, caches)
-        for obs in dictionary.observables
-    ]
-
-
 def compute_A_dt(
     f: PolynomialMap,
     dictionary: ObservableDictionary,
@@ -179,7 +165,7 @@ def compute_A_dt(
     """
     if f.n_vars != dictionary.n_x or f.n_out != dictionary.n_x:
         raise DimensionError("autonomous dynamics and dictionary dimensions differ")
-    rows = _composed_rows(f, dictionary)
+    rows = compose_rows(_exponent_matrix(dictionary), f.arrays)
     A, residual, missing = match_rows_to_span(rows, dictionary)
     if strict and residual > span_tolerance:
         raise InvariantSubspaceViolation(
@@ -310,18 +296,20 @@ def _fd_input_term_jacobian(input_term):
 
 def _joint_successor_components(
     f: PolynomialMap, g_columns: Sequence[PolynomialMap]
-) -> List[TermDict]:
+) -> TermArrays:
     """Rows of f(x) + G(x) u over the joint variable set (x, u)."""
-    n_x = f.n_vars
     n_u = len(g_columns)
-    total = n_x + n_u
-    components = [dict(row) for row in f.pad_vars(total).rows]
-    for j, column in enumerate(g_columns):
-        for i, row in enumerate(column.rows):
-            for exps, c in row.items():
-                joint = exps + tuple(1 if k == j else 0 for k in range(n_u))
-                _add_term(components[i], joint, c)
-    return [_sorted_terms(c) for c in components]
+    parts = [(f.arrays, np.zeros(n_u, dtype=np.intp))]
+    parts += [(column.arrays, np.eye(n_u, dtype=np.intp)[j]) for j, column in enumerate(g_columns)]
+    return TermArrays(
+        np.concatenate([terms.row for terms, _ in parts]),
+        np.concatenate(
+            [np.vstack([terms.exps, np.tile(u[:, None], terms.row.shape[0])]) for terms, u in parts],
+            axis=1,
+        ),
+        np.concatenate([terms.coeff for terms, _ in parts]),
+        f.n_out,
+    ).canonical()
 
 
 def _symbolic_dt_input(
@@ -330,47 +318,39 @@ def _symbolic_dt_input(
     """Exact input term and factorised input matrix for polynomial DT systems.
 
     The composed successor Phi(f(x) + G(x) u) is expanded over the joint
-    variables (x, u); dropping the input-free terms yields the lifted input
-    term with B_in(x, 0) = 0 holding identically. The ray integral of the
-    factorisation has a closed form on monomials: a term c x^a u^b of the
-    input term contributes c * b_j / |b| * x^a u^(b - e_j) to column j.
+    variables (x, u) by :func:`compose_rows`; dropping its input-free terms
+    yields the lifted input term, with B_in(x, 0) = 0 holding identically.
+    The ray integral of the factorisation has a closed form on monomials: a
+    term c x^a u^b of the input term contributes c * (b_j / |b|) *
+    x^a u^(b - e_j) to column j. Both steps are masks over the term arrays.
 
-    The composed rows come out of the polynomial products in graded order.
-    Dropping terms keeps that order, and so does lowering u_j in every term
-    of a column; each lowered exponent comes from one term alone. So every
-    row is already in the form the ``PolynomialMap`` constructor makes, and
-    the maps are built without re-checking or re-sorting it.
+    Dropping terms keeps the graded order of the composed rows, and so does
+    lowering u_j in every term of a column; each lowered exponent comes from
+    one term alone. So every row is already canonical, and the maps are
+    built from the arrays as they are.
     """
-    f = decomposition.autonomous
-    g_columns = decomposition.control_affine_columns
     n_x, n_u = decomposition.n_x, decomposition.n_u
     total = n_x + n_u
-    components = _joint_successor_components(f, g_columns)
-    caches = fresh_power_caches(components, total)
-    input_rows: List[TermDict] = []
-    for obs in dictionary.observables:
-        composed = compose_monomial(obs.exponents, components, total, caches)
-        input_rows.append(
-            {exps: c for exps, c in composed.items() if any(exps[n_x:])}
+    components = _joint_successor_components(
+        decomposition.autonomous, decomposition.control_affine_columns
+    )
+    composed = compose_rows(_exponent_matrix(dictionary), components)
+    inputs = composed.select(composed.exps[n_x:].any(axis=0))
+    beta = inputs.exps[n_x:]
+    deg_u = beta.sum(axis=0)
+    columns = []
+    for j in range(n_u):
+        value = inputs.coeff * (beta[j] / deg_u)
+        keep = (beta[j] > 0) & (value != 0.0)
+        exps = np.compress(keep, inputs.exps, axis=1)
+        exps[n_x + j] -= 1
+        columns.append(
+            PolynomialMap._from_arrays(
+                total, TermArrays(inputs.row[keep], exps, value[keep], inputs.n_rows)
+            )
         )
-    column_rows: List[List[TermDict]] = [[{} for _ in input_rows] for _ in range(n_u)]
-    input_dependent = False
-    for r, row in enumerate(input_rows):
-        for exps, c in row.items():
-            beta = exps[n_x:]
-            deg_u = sum(beta)
-            if deg_u > 1:
-                input_dependent = True
-            for j, bj in enumerate(beta):
-                if not bj:
-                    continue
-                value = c * (bj / deg_u)
-                if value != 0.0:
-                    lowered = exps[: n_x + j] + (bj - 1,) + exps[n_x + j + 1 :]
-                    column_rows[j][r][lowered] = value
-    input_term = PolynomialMap._from_graded(total, input_rows)
-    columns = [PolynomialMap._from_graded(total, rows) for rows in column_rows]
-    return input_term, columns, input_dependent
+    input_term = PolynomialMap._from_arrays(total, inputs)
+    return input_term, columns, bool((deg_u > 1).any())
 
 
 def _symbolic_ct_columns(
@@ -378,7 +358,7 @@ def _symbolic_ct_columns(
 ) -> List[PolynomialMap]:
     """Exact state-dependent input-matrix columns for CT control-affine systems."""
     return [
-        PolynomialMap(
+        PolynomialMap._from_arrays(
             decomposition.n_x, _lifted_derivative_rows(column, dictionary)
         )
         for column in decomposition.control_affine_columns

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials with exact coefficient arithmetic.
 
-A polynomial is stored as a mapping from exponent tuples to coefficients;
-a :class:`PolynomialMap` is a vector of such polynomials sharing one
-variable set. Jacobians, products and compositions are carried out on the
+A polynomial is a mapping from exponent tuples to coefficients; a
+:class:`PolynomialMap` is a vector of such polynomials sharing one variable
+set. Jacobians, products and compositions are carried out on the
 coefficients directly, so the symbolic lifting path introduces no sampling
 or differencing error: matrices derived from polynomial dynamics are exact
 up to floating-point arithmetic on the coefficients themselves.
@@ -10,6 +10,23 @@ up to floating-point arithmetic on the coefficients themselves.
 Terms are kept in graded order (total degree, then reverse-lexicographic
 exponents) so evaluation order, serialisation and reported residuals are
 deterministic.
+
+Products and compositions work on a set of rows held as arrays
+(:class:`TermArrays`): per term, its row, its exponents and its
+coefficient. :func:`multiply_rows` multiplies every row of a set by a row
+of another in one call, and :func:`compose_rows` substitutes polynomials
+into every monomial of a dictionary with one such call per power and per
+variable. A product forms all its term pairs, walked left term by left
+term, drops the products equal to 0.0, sorts the pairs' (row, exponents)
+keys into graded order with one stable ``np.lexsort`` on (row, degree,
+exponents) and adds each key's products with one ``np.bincount``. That
+keeps the bits of a term-by-term dict loop ``out[k] = out.get(k, 0.0) + v``:
+the stable sort leaves each key's products in walk order, and
+``np.bincount`` adds them one after another from 0.0. A sum that reaches
+0.0 on the way and then grows again is the same in both, since adding to
+0.0 is exact, and a key whose sum ends at 0.0 is dropped, as the loop drops
+it. The keys are compared field by field, so no packed integer key can
+overflow.
 
 Evaluation has two forms, chosen per map by its term count. A map with
 fewer than ``KERNEL_MIN_TERMS`` terms keeps a flat ``(coeff, ((i, e), ...))``
@@ -19,8 +36,8 @@ power table ``P[i, e] = x_i ** e`` and its slot in a zero-padded
 ``(width, n_pad)`` layout, ``width`` being the longest row and
 ``n_pad = max(n_out, 2)``; term ``j`` of row ``r`` sits in slot
 ``j * n_pad + r``. The term values ``c * P[0, e_0] * P[1, e_1] * ...`` are
-scattered into that layout and summed over its ``width`` axis by
-``np.add.reduce``.
+gathered into that layout, the padding taking a 0.0, and summed over its
+``width`` axis by ``np.add.reduce``.
 
 Both forms give the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
@@ -39,8 +56,7 @@ exactly.
 
 from __future__ import annotations
 
-from operator import add
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -149,62 +165,181 @@ def _sorted_terms(terms: TermDict) -> TermDict:
     return {k: terms[k] for k in graded(terms)}
 
 
-def poly_add(a: TermDict, b: TermDict) -> TermDict:
-    out = dict(a)
-    for exps, c in b.items():
-        _add_term(out, exps, c)
-    return _sorted_terms(out)
+class TermArrays(NamedTuple):
+    """A set of polynomial rows as arrays, one entry per term.
 
-
-def poly_mul(a: TermDict, b: TermDict) -> TermDict:
-    """Product in graded order; each coefficient is summed in the order the
-    operands' terms are walked, so operands in graded order give the same
-    bits every time."""
-    out: TermDict = {}
-    get = out.get
-    # _add_term inlined: this loop is most of a symbolic lift
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            c = ca * cb
-            if c == 0.0:
-                continue
-            exps = tuple(map(add, ea, eb))
-            new = get(exps, 0.0) + c
-            if new == 0.0:
-                del out[exps]
-            else:
-                out[exps] = new
-    return _sorted_terms(out)
-
-
-def poly_pow(base: TermDict, k: int, cache: List[TermDict]) -> TermDict:
-    """k-th power by repeated multiplication, memoised in ``cache``.
-
-    ``cache[j]`` holds base**j and must be seeded with the degree-0 constant;
-    the list is extended as needed so repeated compositions against the same
-    base reuse earlier powers.
+    Term ``k`` belongs to row ``row[k]`` of ``n_rows`` and is
+    ``coeff[k] * prod_i x_i ** exps[i, k]``; the exponents are stored one
+    variable per row, so sums and maxima over the variables run along
+    contiguous memory. Terms are grouped by row, rows ascending; within a
+    row they are in the order the row is walked. Every set that
+    :meth:`canonical` or :func:`multiply_rows` returns holds, per row,
+    distinct exponents with nonzero coefficients in graded order: the rows
+    of a ``PolynomialMap``.
     """
-    if k < 0:
-        raise ValueError("negative polynomial powers are not defined")
-    if not cache:
-        raise ValueError("power cache must be seeded with the degree-0 entry")
-    while len(cache) <= k:
-        cache.append(poly_mul(cache[-1], base))
-    return cache[k]
+
+    row: np.ndarray
+    exps: np.ndarray
+    coeff: np.ndarray
+    n_rows: int
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[TermDict], n_vars: int) -> "TermArrays":
+        """The arrays of dict rows over ``n_vars`` variables, in their order."""
+        coeff = np.array([c for row in rows for c in row.values()], dtype=float)
+        exps = np.array([e for row in rows for e in row], dtype=np.intp)
+        row = np.repeat(
+            np.arange(len(rows)), np.array([len(r) for r in rows], dtype=np.intp)
+        )
+        exps = np.ascontiguousarray(exps.reshape(coeff.shape[0], n_vars).T)
+        return cls(row, exps, coeff, len(rows))
+
+    @classmethod
+    def constant(cls, n_rows: int, n_vars: int) -> "TermArrays":
+        """Every row the constant 1."""
+        return cls(
+            np.arange(n_rows), np.zeros((n_vars, n_rows), dtype=np.intp), np.ones(n_rows), n_rows
+        )
+
+    def select(self, mask: np.ndarray) -> "TermArrays":
+        exps = np.compress(mask, self.exps, axis=1)
+        return TermArrays(self.row[mask], exps, self.coeff[mask], self.n_rows)
+
+    def row_starts(self) -> np.ndarray:
+        """Row ``r`` holds terms ``starts[r]`` to ``starts[r + 1]``."""
+        return np.searchsorted(self.row, np.arange(self.n_rows + 1))
+
+    def to_rows(self) -> Tuple[TermDict, ...]:
+        rows: Tuple[TermDict, ...] = tuple({} for _ in range(self.n_rows))
+        for r, exps, c in zip(
+            self.row.tolist(), map(tuple, self.exps.T.tolist()), self.coeff.tolist()
+        ):
+            rows[r][exps] = c
+        return rows
+
+    def canonical(self) -> "TermArrays":
+        """Terms with equal (row, exponents) summed, in graded order.
+
+        ``np.lexsort`` is stable, so equal keys keep the order they are
+        given in, and ``np.bincount`` adds each key's values one after
+        another from 0.0: the bits of the loop
+        ``out[k] = out.get(k, 0.0) + v``. Exact-zero sums are dropped.
+        """
+        n_vars = self.exps.shape[0]
+        degree = self.exps.sum(axis=0)
+        # numpy sorts 16-bit keys by radix, about ten times faster than
+        # 64-bit ones at 10,000 terms; wider keys where a value needs them
+        narrow = max(int(degree.max(initial=0)), self.n_rows) < 1 << 15
+        keys = np.empty((n_vars + 2, self.row.shape[0]), dtype=np.int16 if narrow else np.intp)
+        # last key first: row, degree, then x1-major with larger exponents first
+        np.negative(self.exps[::-1], out=keys[:n_vars])
+        keys[n_vars] = degree
+        keys[n_vars + 1] = self.row
+        order = np.lexsort(keys)
+        keys = np.take(keys, order, axis=1)
+        new = np.ones(order.shape[0], dtype=bool)
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=new[1:])
+        sums = np.bincount(new.cumsum() - 1, weights=self.coeff[order])
+        keep = sums != 0.0
+        first = order[new][keep]
+        return TermArrays(self.row[first], np.take(self.exps, first, axis=1), sums[keep], self.n_rows)
 
 
-def constant_term(n_vars: int, value: float = 1.0) -> TermDict:
-    return {tuple(0 for _ in range(n_vars)): value} if value != 0.0 else {}
+def _stack(parts: Sequence[TermArrays], n_rows: int) -> TermArrays:
+    return TermArrays(
+        np.concatenate([p.row for p in parts]),
+        np.concatenate([p.exps for p in parts], axis=1),
+        np.concatenate([p.coeff for p in parts]),
+        n_rows,
+    )
+
+
+# multiply_rows forms the pairs of as many whole left rows at a time as keep
+# a block near this many pairs; a row with more pairs is a block of its own.
+# A pair takes about 100 bytes of working arrays at three variables, so a
+# block stays near 2 MB however large the dictionary.
+_PRODUCT_BLOCK_PAIRS = 1 << 14
+
+
+def multiply_rows(left: TermArrays, right: TermArrays, pick: np.ndarray) -> TermArrays:
+    """Row products: row ``r`` of the result is the sum, over the terms
+    ``t`` of left row ``r``, of term ``t`` times right row ``pick[t]``.
+
+    The pairs are walked left-term-major: each left term in its row's order,
+    against the terms of its right row in theirs. Products equal to 0.0,
+    either sign, are dropped, and the rest are summed per key in walk order
+    by :meth:`TermArrays.canonical`. That is the dict loop of a
+    term-by-term product, so a left row of one polynomial and one pick gives
+    the bits of ``a * b`` walked term by term, and a left row of single
+    terms ``c_i m_i`` with picks ``i`` the bits of ``sum_i (c_i m_i) * b_i``
+    added product after product. Rows are independent, so forming the pairs
+    a block of rows at a time changes no bit.
+    """
+    if not left.n_rows:
+        return left
+    starts = right.row_starts()
+    first = starts[pick]
+    counts = starts[pick + 1] - first
+    left_starts = left.row_starts()
+    before = np.concatenate(([0], counts.cumsum()))[left_starts]
+    parts = []
+    lo = 0
+    while lo < left.n_rows:
+        end = before.searchsorted(before[lo] + _PRODUCT_BLOCK_PAIRS, side="right")
+        hi = max(lo + 1, int(end) - 1)
+        a, b = left_starts[lo], left_starts[hi]
+        n = counts[a:b]
+        lt = np.arange(a, b).repeat(n)
+        rt = np.arange(lt.shape[0]) + (first[a:b] - n.cumsum() + n).repeat(n)
+        vals = left.coeff[lt] * right.coeff[rt]
+        nonzero = vals != 0.0
+        if not nonzero.all():
+            lt, rt, vals = lt[nonzero], rt[nonzero], vals[nonzero]
+        exps = np.take(left.exps, lt, axis=1) + np.take(right.exps, rt, axis=1)
+        parts.append(TermArrays(left.row[lt], exps, vals, left.n_rows).canonical())
+        lo = hi
+    return parts[0] if len(parts) == 1 else _stack(parts, left.n_rows)
+
+
+def compose_rows(exponents: np.ndarray, components: TermArrays) -> TermArrays:
+    """Row ``r``: ``prod_i components[i] ** exponents[r, i]``, over the
+    components' variables.
+
+    Each power is ``P_i ** e = P_i ** (e - 1) * P_i``, and each row
+    multiplies its factors onto the constant 1 in variable order, a zero
+    exponent multiplying by 1; products with 1 are exact. So one
+    :func:`multiply_rows` call per exponent builds that power of every
+    component, and one per variable the next factor of every row. The
+    components must be canonical rows.
+    """
+    n_out, n = exponents.shape
+    n_vars = components.exps.shape[0]
+    top = exponents.max(axis=0, initial=0)
+    # row e * n + i of the power table holds P_i ** e; P_i ** 0 is 1
+    levels = [TermArrays.constant(n, n_vars), components]
+    for e in range(2, int(top.max(initial=1)) + 1):
+        below = levels[-1].select(top[levels[-1].row] >= e)
+        levels.append(multiply_rows(below, components, below.row))
+    powers = _stack(
+        [level._replace(row=level.row + e * n) for e, level in enumerate(levels)],
+        len(levels) * n,
+    )
+    result = TermArrays.constant(n_out, n_vars)
+    for i in range(n):
+        result = multiply_rows(result, powers, exponents[result.row, i] * n + i)
+    return result
 
 
 class _Kernel:
     """Array form of a polynomial map's terms, in row-major term order.
 
     ``index[i]`` holds each term's column in the flat power table for
-    variable ``i`` (offset past the columns of earlier variables),
-    ``coeffs`` the coefficients and ``slots`` each term's position in the
-    zero-padded ``(width, n_pad)`` layout: term ``j`` of row ``r`` sits at
-    ``j * n_pad + r``, and the padding holds 0.0.
+    variable ``i`` (offset past the columns of earlier variables) and
+    ``coeffs`` the coefficients. One more term with coefficient 0.0 and no
+    variables follows them; since ``x ** 0`` is 1.0 for every ``x``, its
+    value is 0.0. ``fill`` lays the term values out in the ``(width,
+    n_pad)`` layout: term ``j`` of row ``r`` sits at ``j * n_pad + r``, and
+    the padding takes the trailing 0.0.
 
     ``np.add.reduce`` over the ``width`` axis adds the layout's rows
     ``[j, :]`` elementwise in ``j`` order, so each output sums its terms left
@@ -214,33 +349,35 @@ class _Kernel:
     unit last axis, which numpy drops; ``n_pad = max(n_out, 2)`` keeps it.
     """
 
-    __slots__ = ("max_exp", "index", "coeffs", "slots", "n_out", "n_pad", "width")
+    __slots__ = ("max_exp", "index", "coeffs", "fill", "n_out", "n_pad", "width")
 
-    def __init__(self, rows: Sequence[TermDict], n_vars: int):
-        self.n_out = len(rows)
-        self.width = max(len(row) for row in rows)
-        self.coeffs = np.array([c for row in rows for c in row.values()])
-        exps = np.array(
-            [e for row in rows for e in row], dtype=np.intp
-        ).reshape(self.coeffs.shape[0], n_vars)
+    def __init__(self, terms: TermArrays):
+        self.n_out = terms.n_rows
+        n_terms = terms.coeff.shape[0]
+        starts = terms.row_starts()
+        self.width = int(np.diff(starts).max())
         self.n_pad = max(self.n_out, 2)
-        self.slots = np.array(
-            [j * self.n_pad + r for r, row in enumerate(rows) for j in range(len(row))],
-            dtype=np.intp,
+        self.fill = np.full(self.width * self.n_pad, n_terms, dtype=np.intp)
+        self.fill[(np.arange(n_terms) - starts[terms.row]) * self.n_pad + terms.row] = np.arange(
+            n_terms
         )
-        self.max_exp = tuple(int(m) for m in exps.max(axis=0))
+        self.coeffs = np.append(terms.coeff, 0.0)
+        self.max_exp = tuple(terms.exps.max(axis=1, initial=0).tolist())
         offsets = np.cumsum((0,) + tuple(m + 1 for m in self.max_exp[:-1]))
-        self.index = tuple(np.ascontiguousarray((exps + offsets).T))
+        # the trailing term takes column e = 0 of every variable
+        index = np.empty((len(self.max_exp), n_terms + 1), dtype=np.intp)
+        np.add(terms.exps, offsets[:, None], out=index[:, :n_terms])
+        index[:, n_terms] = offsets
+        self.index = tuple(index)
 
     def _sum_terms(self, table: np.ndarray) -> np.ndarray:
         """Row values from a power table of shape (..., columns)."""
-        lead = table.shape[:-1]
-        vals = np.broadcast_to(self.coeffs, lead + self.coeffs.shape).copy()
-        for index in self.index:
-            vals *= table[..., index]
-        padded = np.zeros(lead + (self.width * self.n_pad,))
-        padded[..., self.slots] = vals
-        sums = np.add.reduce(padded.reshape(lead + (self.width, self.n_pad)), axis=-2)
+        # np.take gathers along the last axis faster than table[..., index]
+        vals = np.take(table, self.index[0], axis=-1) * self.coeffs
+        for index in self.index[1:]:
+            vals *= np.take(table, index, axis=-1)
+        padded = np.take(vals, self.fill, axis=-1)
+        sums = np.add.reduce(padded.reshape(table.shape[:-1] + (self.width, self.n_pad)), axis=-2)
         # the loop starts each row from 0.0, which turns an all -0.0 row into
         # +0.0; adding 0.0 does the same and leaves every other value alone
         return sums[..., : self.n_out] + 0.0
@@ -271,6 +408,9 @@ class PolynomialMap:
     Rows are independent polynomials; ``evaluate`` returns the stacked row
     values. Zero coefficients are never stored and duplicate exponent keys
     are merged on construction.
+
+    A map holds its rows as dicts (``rows``), as arrays (``arrays``) or both;
+    the form it was not built from is made on first read.
     """
 
     def __init__(self, n_vars: int, rows: Sequence[TermDict | Iterable]):
@@ -287,7 +427,7 @@ class PolynomialMap:
                     )
                 _add_term(terms, exps, float(coeff))
             canon.append(_sorted_terms(terms))
-        self._set_rows(canon)
+        self._set_rows(tuple(canon), None)
 
     @classmethod
     def _from_graded(cls, n_vars: int, rows: Sequence[TermDict]) -> "PolynomialMap":
@@ -299,16 +439,32 @@ class PolynomialMap:
         """
         poly = cls.__new__(cls)
         poly.n_vars = n_vars
-        poly._set_rows(rows)
+        poly._set_rows(tuple(rows), None)
         return poly
 
-    def _set_rows(self, rows: Sequence[TermDict]) -> None:
-        self.rows: Tuple[TermDict, ...] = tuple(rows)
+    @classmethod
+    def _from_arrays(cls, n_vars: int, arrays: TermArrays) -> "PolynomialMap":
+        """A map over canonical term arrays (see :class:`TermArrays`), taken
+        as they are; its ``rows`` dicts are built only when read."""
+        poly = cls.__new__(cls)
+        poly.n_vars = n_vars
+        poly._set_rows(None, arrays)
+        return poly
+
+    def _set_rows(self, rows, arrays) -> None:
+        self._rows: Tuple[TermDict, ...] | None = rows
+        self._arrays: TermArrays | None = arrays
+        if rows is not None:
+            self.n_out = len(rows)
+            n_terms = sum(len(row) for row in rows)
+        else:
+            self.n_out = arrays.n_rows
+            n_terms = arrays.coeff.shape[0]
         # one evaluation form per map: arrays for large maps, else a flat
         # term list per row for the scalar loop
         self._kernel = self._terms = None
-        if sum(len(row) for row in self.rows) >= KERNEL_MIN_TERMS:
-            self._kernel = _Kernel(self.rows, self.n_vars)
+        if n_terms >= KERNEL_MIN_TERMS:
+            self._kernel = _Kernel(self.arrays)
         else:
             self._terms = tuple(
                 tuple(
@@ -319,8 +475,16 @@ class PolynomialMap:
             )
 
     @property
-    def n_out(self) -> int:
-        return len(self.rows)
+    def rows(self) -> Tuple[TermDict, ...]:
+        if self._rows is None:
+            self._rows = self._arrays.to_rows()
+        return self._rows
+
+    @property
+    def arrays(self) -> TermArrays:
+        if self._arrays is None:
+            self._arrays = TermArrays.from_rows(self._rows, self.n_vars)
+        return self._arrays
 
     @property
     def scalar_terms(self):
@@ -387,15 +551,6 @@ class PolynomialMap:
                 )
         return PolynomialMap._from_graded(self.n_vars, rows)
 
-    def pad_vars(self, n_total: int) -> "PolynomialMap":
-        """Embed into a larger variable set, appending zero exponents."""
-        if n_total < self.n_vars:
-            raise DimensionError("cannot shrink the variable set of a polynomial map")
-        pad = (0,) * (n_total - self.n_vars)
-        # trailing zeros keep the graded order
-        rows = [{exps + pad: c for exps, c in row.items()} for row in self.rows]
-        return PolynomialMap._from_graded(n_total, rows)
-
     @classmethod
     def from_terms(cls, n_vars: int, rows: Sequence[Sequence[dict]]) -> "PolynomialMap":
         return cls(
@@ -406,32 +561,3 @@ class PolynomialMap:
     def __repr__(self):
         return f"PolynomialMap(n_vars={self.n_vars}, n_out={self.n_out})"
 
-
-def compose_monomial(
-    exponents: Exponents,
-    components: Sequence[TermDict],
-    n_vars: int,
-    power_caches: List[List[TermDict]],
-) -> TermDict:
-    """Substitute polynomial components into a monomial.
-
-    Computes ``prod_i components[i] ** exponents[i]`` over the components'
-    variable set of size ``n_vars``. ``power_caches`` must hold one cache
-    list per component, each seeded with the degree-0 constant, and is
-    shared between calls so composing a whole dictionary reuses the
-    component powers.
-    """
-    result: TermDict | None = None
-    for i, e in enumerate(exponents):
-        if not e:
-            continue
-        factor = poly_pow(components[i], e, power_caches[i])
-        result = dict(factor) if result is None else poly_mul(result, factor)
-    if result is None:
-        return constant_term(n_vars)
-    # powers and products are already in graded order
-    return result
-
-
-def fresh_power_caches(components: Sequence[TermDict], n_vars: int) -> List[List[TermDict]]:
-    return [[constant_term(n_vars)] for _ in components]

@@ -5,6 +5,8 @@ import pytest
 
 from kooplift import (
     DomainBox,
+    Monomial,
+    ObservableDictionary,
     SignalSpec,
     beta_grid,
     beta_trajectory,
@@ -24,7 +26,7 @@ from kooplift import (
     stability_scalars,
 )
 from kooplift.bounds import BoundReport
-from kooplift.errors import DimensionError
+from kooplift.errors import DimensionError, NumericEvaluationError
 
 
 def _dt_setup(signal=None, n_steps=100):
@@ -218,6 +220,45 @@ class TestBetaScans:
         ]
         assert scan.beta == max(norms)
         assert scan.mode == "trajectory"
+
+
+    def test_nan_in_a_later_chunk_raises(self, monkeypatch):
+        # np.argmax picks a NaN, and NaN > beta is False: the chunk holding
+        # the first NaN point (100, x1 = 1) was skipped, finite points and all
+        import kooplift.bounds as bounds_module
+
+        class NanModel:
+            factored_batch = None
+
+            @staticmethod
+            def factored_input(x, u):
+                return np.array([[x[0] + u[0] if x[0] < 1.0 else np.nan], [0.0]])
+
+        monkeypatch.setattr(bounds_module, "GRID_CHUNK_POINTS", 7)
+        B_hat = np.zeros((2, 1))
+        boxes = DomainBox([0.0, 0.0], [1.0, 1.0]), DomainBox([0.0], [1.0])
+        with pytest.raises(NumericEvaluationError, match=r"point 100 \(x=\[1.0, 0.0\], u=\[0.0\]\)") as exc:
+            beta_grid(NanModel(), B_hat, *boxes, grid_density=5)
+        assert exc.value.index == 100
+        states = np.array([[0.5, 0.0], [0.25, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(NumericEvaluationError, match="point 2") as exc:
+            beta_trajectory(NanModel(), B_hat, states, np.zeros((4, 1)))
+        assert exc.value.index == 2
+
+    def test_overflowing_gap_raises(self, monkeypatch):
+        # x = 1e20 overflows x1^12 on the weighted D = 12 dictionary; one
+        # point per chunk puts it after a finite chunk
+        import kooplift.bounds as bounds_module
+
+        dictionary = ObservableDictionary(
+            2, [Monomial((a, b)) for b in range(7) for a in range(13 - 2 * b) if a + b]
+        )
+        lpv = build_lifted_model(dt_example().decomposition, dictionary)
+        monkeypatch.setattr(bounds_module, "GRID_CHUNK_POINTS", 1)
+        boxes = DomainBox([0.0, 0.0], [1e20, 1e20]), DomainBox([0.0], [1e20])
+        with np.errstate(all="ignore"), pytest.raises(NumericEvaluationError, match="not finite") as exc:
+            beta_grid(lpv, np.zeros((dictionary.n_f, 1)), *boxes, grid_density=3)
+        assert exc.value.index == 1
 
 
 class TestErrorTrajectory:

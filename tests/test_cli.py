@@ -778,6 +778,28 @@ class TestBoundsCommand:
             cli.run_bounds(DT_CFG)
         assert "approx-lti" in str(exc.value)
 
+    def test_non_finite_gap_exits_1_with_the_point(self, tmp_path, capsys):
+        # a box out to 1e30 overflows the weighted D = 12 dictionary's
+        # powers; the grid scan used to end in a TypeError traceback
+        monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
+        cfg = dict(
+            DT_CFG,
+            horizon_steps=20,
+            dictionary={"monomials": monomials},
+            bounds={
+                "mode": "grid",
+                "grid_density": 3,
+                "state_box": [[-1e30, -1e30], [1e30, 1e30]],
+                "input_box": [[-1e30], [1e30]],
+            },
+        )
+        path = _write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            assert main(["bounds", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "error: input-matrix gap ||B(x, u) - B_hat|| is not finite" in err
+        assert "at point 0 (x=[-1e+30, -1e+30], u=[-1e+30])" in err
+
     def test_grid_budget_admits_the_default_density(self):
         # dt-example has n_x + n_u = 3
         assert resolve_config(dict(DT_CFG, bounds={"mode": "grid"}))["bounds"] == {

@@ -27,6 +27,7 @@ from kooplift import (
 )
 from kooplift.errors import InvariantSubspaceViolation
 from kooplift.lifting import match_rows_to_span
+from kooplift.polynomials import compose_rows
 from kooplift.quadrature import unit_gauss_legendre
 
 BENCH_DICT = ObservableDictionary(
@@ -421,7 +422,7 @@ class TestSpanMatching:
             [Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 0))],
             state_selector=[0, 1],
         )
-        rows = [{(1, 0): 2.0}, {(0, 1): 1.0}]
+        rows = PolynomialMap(2, [{(1, 0): 2.0}, {(0, 1): 1.0}]).arrays
         coeffs, residual, missing = match_rows_to_span(rows, d)
         assert residual <= 1e-12 and not missing
         # minimum-norm solution splits the weight across the duplicates
@@ -559,6 +560,39 @@ def _two_input_system():
     return control_affine_decomposition(f, [g1, g2], "discrete")
 
 
+
+def _three_state_system():
+    # every dictionary row takes up to three chain steps, two inputs
+    from kooplift.systems import control_affine_decomposition
+
+    f = PolynomialMap(
+        3,
+        [
+            {(1, 0, 0): 0.5, (0, 1, 1): -0.25},
+            {(0, 1, 0): 0.8, (2, 0, 0): 0.3},
+            {(0, 0, 1): -0.6, (1, 1, 0): 0.1, (0, 0, 0): 0.05},
+        ],
+    )
+    g1 = PolynomialMap(3, [{(0, 0, 0): 1.0}, {(0, 0, 1): 0.5}, {}])
+    g2 = PolynomialMap(3, [{(0, 1, 0): -0.7}, {}, {(0, 0, 0): 1.0, (1, 0, 0): 0.2}])
+    return control_affine_decomposition(f, [g1, g2], "discrete")
+
+
+def _cancelling_system():
+    # (1 + x1 + x1^2)(1 - x1 + x1^2) = 1 + x1^2 + x1^4: the x1^2 sum of the
+    # observable x1 x2 reaches 0.0 after two of its three products
+    from kooplift.systems import control_affine_decomposition
+
+    f = PolynomialMap(
+        2,
+        [
+            {(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0},
+            {(0, 0): 1.0, (1, 0): -1.0, (2, 0): 1.0},
+        ],
+    )
+    g = PolynomialMap(2, [{(0, 0): 1.0}, {(0, 1): -1.0}])
+    return control_affine_decomposition(f, [g], "discrete")
+
 class TestSymbolicLiftReference:
     @pytest.mark.parametrize(
         "system, dictionary",
@@ -568,20 +602,33 @@ class TestSymbolicLiftReference:
             (dt_example().decomposition, _weighted_dictionary(20)),
             (_two_input_system(), monomial_dictionary(2, 3)),
             (_two_input_system(), monomial_dictionary(2, 4)),
+            (_three_state_system(), monomial_dictionary(3, 3)),
+            (_two_input_system(), monomial_dictionary(2, 2, include_constant=True)),
+            (_cancelling_system(), monomial_dictionary(2, 3)),
         ],
-        ids=["dt-D12", "dt-D16", "dt-D20", "two-input-deg3", "two-input-deg4"],
+        ids=[
+            "dt-D12",
+            "dt-D16",
+            "dt-D20",
+            "two-input-deg3",
+            "two-input-deg4",
+            "three-state-two-input",
+            "constant-observable",
+            "cancelling",
+        ],
     )
     def test_term_for_term_and_in_order(self, system, dictionary):
-        from kooplift.lifting import _composed_rows, _symbolic_dt_input
+        from kooplift.lifting import _exponent_matrix, _symbolic_dt_input
 
         f, columns = system.autonomous, system.control_affine_columns
         ref_x, ref_input, ref_columns = _ref_symbolic_lift(f, columns, dictionary)
 
-        assert [list(r.items()) for r in _composed_rows(f, dictionary)] == [
+        composed = compose_rows(_exponent_matrix(dictionary), f.arrays)
+        assert [list(r.items()) for r in composed.to_rows()] == [
             list(r.items()) for r in ref_x
         ]
         model = build_lifted_model(system, dictionary, strict=False)
-        A, _, _ = match_rows_to_span(ref_x, dictionary)
+        A, _, _ = match_rows_to_span(PolynomialMap(f.n_vars, ref_x).arrays, dictionary)
         assert np.array_equal(model.A, A)
 
         term, lifted_columns, _ = _symbolic_dt_input(system, dictionary)
@@ -591,6 +638,51 @@ class TestSymbolicLiftReference:
             assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want]
         # a non-empty input term, so the comparison above is not vacuous
         assert sum(len(r) for r in ref_input) > 0
+
+    def test_cancelling_reference_cancels(self):
+        # the "cancelling" case above is not vacuous: x1 x2 composes to
+        # 1 + x1^2 + x1^4, its x1 and x1^3 sums cancelling to 0.0
+        system = _cancelling_system()
+        dictionary = monomial_dictionary(2, 3)
+        ref_x, _, _ = _ref_symbolic_lift(
+            system.autonomous, system.control_affine_columns, dictionary
+        )
+        k = [o.exponents for o in dictionary.observables].index((1, 1))
+        assert list(ref_x[k].items()) == [((0, 0), 1.0), ((2, 0), 1.0), ((4, 0), 1.0)]
+
+    @pytest.mark.parametrize(
+        "f_c, dictionary",
+        [
+            (ct_example().decomposition.autonomous, monomial_dictionary(2, 4)),
+            (_three_state_system().autonomous, monomial_dictionary(3, 3, include_constant=True)),
+            (_cancelling_system().autonomous, monomial_dictionary(2, 3)),
+            # x1 x2 x3 gathers 1 + 2^-53 + 2^-53 over i = 1, 2, 3, which
+            # rounds to 1.0 in that order and to 1 + 2^-52 in reverse
+            (
+                PolynomialMap(3, [{(1, 0, 0): 1.0}, {(0, 1, 0): 2.0**-53}, {(0, 0, 1): 2.0**-53}]),
+                monomial_dictionary(3, 3),
+            ),
+        ],
+        ids=["ct-example", "three-state", "cancelling", "summation-order"],
+    )
+    def test_ct_rows_term_for_term_and_in_order(self, f_c, dictionary):
+        # (dPhi/dx) f_c row by row: the sum over i of e_i x^(e - 1_i) f_c[i],
+        # each product and each running sum re-sorted, as the reference
+        from kooplift.lifting import _lifted_derivative_rows
+
+        ref = []
+        for obs in dictionary.observables:
+            acc = {}
+            for i, e in enumerate(obs.exponents):
+                if e:
+                    lowered = obs.exponents[:i] + (e - 1,) + obs.exponents[i + 1 :]
+                    for exps, c in _ref_mul({lowered: float(e)}, f_c.rows[i]).items():
+                        _ref_add(acc, exps, c)
+                    acc = _ref_sorted(acc)
+            ref.append(acc)
+        got = _lifted_derivative_rows(f_c, dictionary).to_rows()
+        assert [list(r.items()) for r in got] == [list(r.items()) for r in ref]
+        assert sum(len(r) for r in ref) > 0
 
     def test_public_constructor_still_checks_exponents(self):
         from kooplift.errors import DimensionError

@@ -8,10 +8,9 @@ from kooplift.errors import DimensionError
 from kooplift.lifting import _symbolic_dt_input
 from kooplift.polynomials import (
     KERNEL_MIN_TERMS,
-    compose_monomial,
-    fresh_power_caches,
-    poly_mul,
-    poly_pow,
+    TermArrays,
+    compose_rows,
+    multiply_rows,
 )
 
 
@@ -235,33 +234,108 @@ class TestJacobian:
         assert jac.rows[1] == {(1, 0): 2.0}
 
 
+def _dict_product(a, b):
+    # the term-by-term product the array form replaces, as a reference
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            c = ca * cb
+            if c == 0.0:
+                continue
+            key = tuple(i + j for i, j in zip(ea, eb))
+            new = out.get(key, 0.0) + c
+            if new == 0.0:
+                del out[key]
+            else:
+                out[key] = new
+    return PolynomialMap(len(next(iter(a))), [out]).rows[0] if out else {}
+
+
+def _single_rows(*rows):
+    n_vars = len(next(iter(rows[0])))
+    return PolynomialMap(n_vars, list(rows)).arrays
+
+
 class TestAlgebra:
     def test_mul_bilinear_random(self):
         rng = np.random.default_rng(5)
         a = _random_poly_map(rng, 2, 1, 3, 5).rows[0]
         b = _random_poly_map(rng, 2, 1, 3, 5).rows[0]
-        prod = poly_mul(a, b)
+        prod = multiply_rows(_single_rows(a), _single_rows(b), np.zeros(len(a), dtype=np.intp))
+        (row,) = prod.to_rows()
+        assert list(row.items()) == list(_dict_product(a, b).items())
         for _ in range(5):
             x = rng.normal(size=2)
             va = _naive_eval(PolynomialMap(2, [a]), x)[0]
             vb = _naive_eval(PolynomialMap(2, [b]), x)[0]
-            vp = _naive_eval(PolynomialMap(2, [prod]), x)[0]
+            vp = _naive_eval(PolynomialMap(2, [row]), x)[0]
             assert abs(vp - va * vb) <= 1e-12 * (1 + abs(va * vb))
 
     def test_pow_via_cache(self):
-        base = {(1,): 2.0, (0,): 1.0}  # 2x + 1
-        cache = [{(0,): 1.0}]
-        cubed = poly_pow(base, 3, cache)
-        assert cubed == {(3,): 8.0, (2,): 12.0, (1,): 6.0, (0,): 1.0}
-        assert len(cache) == 4
+        # (2x + 1)^3 from the power table of compose_rows
+        base = _single_rows({(1,): 2.0, (0,): 1.0})
+        (cubed,) = compose_rows(np.array([[3]]), base).to_rows()
+        assert list(cubed.items()) == [((0,), 1.0), ((1,), 6.0), ((2,), 12.0), ((3,), 8.0)]
 
     def test_compose_monomial(self):
-        # substitute f = [x1 + x2, x1 * x2] into the monomial x1^2 x2
-        components = [{(1, 0): 1.0, (0, 1): 1.0}, {(1, 1): 1.0}]
-        caches = fresh_power_caches(components, 2)
-        composed = compose_monomial((2, 1), components, 2, caches)
+        # substitute f = [x1 + x2, x1 * x2] into x1^2 x2, x1 and 1
+        components = _single_rows({(1, 0): 1.0, (0, 1): 1.0}, {(1, 1): 1.0})
+        rows = compose_rows(np.array([[2, 1], [1, 0], [0, 0]]), components).to_rows()
         # (x1 + x2)^2 * x1 x2 = x1^3 x2 + 2 x1^2 x2^2 + x1 x2^3
-        assert composed == {(3, 1): 1.0, (2, 2): 2.0, (1, 3): 1.0}
+        assert list(rows[0].items()) == [((3, 1), 1.0), ((2, 2), 2.0), ((1, 3), 1.0)]
+        assert list(rows[1].items()) == [((1, 0), 1.0), ((0, 1), 1.0)]
+        assert rows[2] == {(0, 0): 1.0}
+        # no observables: no rows
+        assert compose_rows(np.zeros((0, 2), dtype=np.intp), components).to_rows() == ()
+
+    def test_products_cancel_and_underflow(self):
+        # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: the x^2 sum cancels to
+        # 0.0 after two of its three products, then starts again
+        a = {(0,): 1.0, (1,): 1.0, (2,): 1.0}
+        b = {(0,): 1.0, (1,): -1.0, (2,): 1.0}
+        # (1 + x + 1e-200 x^2)(-1 + x - 1e-200 x^2): 1e-200 * -1e-200 is -0.0
+        c = {(1,): 1.0, (0,): 1.0, (2,): 1e-200}
+        d = {(1,): 1.0, (0,): -1.0, (2,): -1e-200}
+        for left, right, want in (
+            (a, b, [((0,), 1.0), ((2,), 1.0), ((4,), 1.0)]),
+            (c, d, [((0,), -1.0), ((2,), 1.0)]),
+        ):
+            prod = multiply_rows(_single_rows(left), _single_rows(right), np.zeros(3, dtype=np.intp))
+            (row,) = prod.to_rows()
+            assert list(row.items()) == want
+            assert list(row.items()) == list(_dict_product(left, right).items())
+
+    def test_keys_past_16_bits(self):
+        # exponents and row numbers past 2**15 take 64-bit sort keys
+        terms = TermArrays(
+            np.array([0, 0, 0, 39999]),
+            np.array([[40000, 0, 40000, 1], [0, 40000, 0, 0]]),
+            np.array([1.0, 2.0, 3.0, -4.0]),
+            40000,
+        ).canonical()
+        np.testing.assert_array_equal(terms.row, [0, 0, 39999])
+        np.testing.assert_array_equal(terms.exps, [[40000, 0, 1], [0, 40000, 0]])
+        np.testing.assert_array_equal(terms.coeff, [4.0, 2.0, -4.0])
+
+    def test_blocks_of_rows_keep_the_bits(self, monkeypatch):
+        # pairs formed one row at a time give the rows formed all at once
+        import kooplift.polynomials as polynomials
+
+        rng = np.random.default_rng(17)
+        left = _random_poly_map(rng, 3, 6, 4, 12).arrays
+        right = _random_poly_map(rng, 3, 4, 4, 9).arrays
+        pick = rng.integers(0, 4, left.coeff.shape[0])
+        whole = multiply_rows(left, right, pick)
+        monkeypatch.setattr(polynomials, "_PRODUCT_BLOCK_PAIRS", 1)
+        blocked = multiply_rows(left, right, pick)
+        for got, want in zip(blocked, whole):
+            np.testing.assert_array_equal(got, want)
+        exponents = rng.integers(0, 4, (5, 4))
+        monkeypatch.setattr(polynomials, "_PRODUCT_BLOCK_PAIRS", 3)
+        small = compose_rows(exponents, right)
+        monkeypatch.undo()
+        for got, want in zip(small, compose_rows(exponents, right)):
+            np.testing.assert_array_equal(got, want)
 
     def test_duplicate_terms_merge(self):
         p = PolynomialMap(1, [[((1,), 2.0), ((1,), 3.0)]])
