@@ -70,7 +70,6 @@ from .sim import (
     simulate_ct,
     simulate_lpv,
     simulate_lti,
-    simulate_lti_stack,
     simulate_nonlinear,
     white_noise,
 )

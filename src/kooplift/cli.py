@@ -52,7 +52,6 @@ from .sim import (
     record_input_matrices,
     simulate_lpv,
     simulate_lti,
-    simulate_lti_stack,
     simulate_nonlinear,
 )
 from .systems import CONTINUOUS, DISCRETE, DomainBox
@@ -218,7 +217,7 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit):
     alpha = fit["alpha"]
     if alpha == "search":
         objective = _alpha_objective(
-            nonlinear, C, dictionary.evaluate(x0), inputs, limit, {}
+            data, nonlinear, C, dictionary.evaluate(x0), inputs, limit, {}
         )
         alpha = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
     A_hat, B_hat = edmd_tikhonov(data, alpha)
@@ -227,11 +226,56 @@ def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit):
     )
 
 
-def _alpha_objective(nonlinear, C, z0, inputs, limit, reports):
-    """Batched alpha-search objective: summed l2 output errors of the
-    discrete-time LTI models simulated from the stacked fits (As, Bs).
+def _search_runs(data, filters, z0, inputs, limit, read):
+    """Simulate the Tikhonov fits [A_m B_m] = W diag(f_m) U_Y^T of the
+    filter rows f_m of ``filters`` in the coordinates of the snapshot SVD.
 
-    One call simulates its candidates together (``simulate_lti_stack``),
+    With U_Y = [U_z; U_u], W = Z+ V_Y and q_k = U_z^T z_k + U_u^T u_k, a
+    member steps as
+
+        z_{k+1} = W (f_m * q_k),    q_{k+1} = K (f_m * q_k) + U_u^T u_{k+1},
+
+    with K = U_z^T W, so every member shares [W; K] and no fit is formed.
+    Each member's step is its own (1, r) @ (r, n_f + r) product, so its
+    bits do not depend on the members beside it. Every lifted coordinate is
+    held to ``limit``, the test :func:`dt_simulate` makes without a
+    selector. Returns ``(states, diverged_at)``: the ``read`` coordinates of
+    z, (M, n_steps + 1, len(read)), NaN from a member's divergence step on,
+    and the (M,) divergence steps, 0 for a member that never diverged.
+    """
+    U_Y, _, W = data.tikhonov_svd()
+    n_f = data.n_f
+    U_z = U_Y[:n_f]
+    shared = np.hstack([W.T, W.T @ U_z])
+    driven = inputs @ U_Y[n_f:]
+    n_steps = inputs.shape[0] - 1
+    states = np.full((len(filters), n_steps + 1, len(read)), np.nan)
+    states[:, 0] = z0[read]
+    diverged_at = np.zeros(len(filters), dtype=int)
+    members = np.arange(len(filters))
+    rows = slice(None)  # the rows of ``states`` the stack still fills
+    fq = filters * (z0 @ U_z + driven[0])
+    for k in range(n_steps):
+        zq = (fq[:, None, :] @ shared)[:, 0]
+        # NaN fails the test too, and members are tested one by one only
+        # when the whole stack fails
+        if not np.abs(zq[:, :n_f]).max() <= limit:
+            within = np.all(np.abs(zq[:, :n_f]) <= limit, axis=1)
+            diverged_at[members[~within]] = k + 1
+            members, zq, filters = members[within], zq[within], filters[within]
+            if members.size == 0:
+                break
+            rows = members
+        states[rows, k + 1] = zq[:, read]
+        fq = filters * (zq[:, n_f:] + driven[k + 1])
+    return states, diverged_at
+
+
+def _alpha_objective(data, nonlinear, C, z0, inputs, limit, reports):
+    """Alpha-search objective on ``data``: summed l2 output errors of the
+    discrete-time LTI fits of the filter rows it is handed.
+
+    One call simulates its candidates together (``_search_runs``),
     recording only the lifted coordinates that C reads. Each candidate's
     per-state l2 errors are recorded in ``reports`` under its alpha, or None
     when its simulation diverged (cost inf), so callers can reuse the
@@ -240,10 +284,8 @@ def _alpha_objective(nonlinear, C, z0, inputs, limit, reports):
     read = np.flatnonzero(np.any(C, axis=0))
     C_read = C[:, read]
 
-    def objective(alphas, As, Bs):
-        states, diverged_at = simulate_lti_stack(
-            As, Bs, z0, inputs, divergence_limit=limit, record=read
-        )
+    def objective(alphas, filters):
+        states, diverged_at = _search_runs(data, filters, z0, inputs, limit, read)
         eps = nonlinear.states - states @ C_read.T
         l2s = np.sqrt(np.sum(eps * eps, axis=1))
         costs = []
@@ -309,7 +351,7 @@ def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search,
         data = snapshots.leading(n_f)
         reports = {}
         objective = _alpha_objective(
-            nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, reports
+            data, nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, reports
         )
         # the grid starts at alpha = 0, which fills that row too
         grid = default_alpha_grid() if alpha_search else [0.0]

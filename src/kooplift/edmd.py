@@ -19,10 +19,11 @@ Rank-Deficient and Discrete Ill-Posed Problems, 1998):
 so an alpha grid costs one factorisation and never forms the
 squared-conditioned Gramian. alpha = 0 is the least-squares fit: its
 filter s / (s * s) is zeroed wherever s <= sqrt((n_f + n_u) * eps) * s_max,
-the cutoff a Gramian pseudoinverse applies to s^2. Alphas whose filters
-share their bits share one fit; the search forms and costs each distinct
-filter once and hands its objective the fits in stacked blocks. U^+ uses
-an SVD cutoff of max(m, n) * eps relative to the largest singular value.
+the cutoff a Gramian pseudoinverse applies to s^2. Every fit of a grid
+shares Z+ V_Y and U_Y, so the search hands its objective the filter rows,
+one per distinct filter, instead of fits: an objective can simulate all of
+them in the SVD's coordinates without forming any (A, B). U^+ uses an SVD
+cutoff of max(m, n) * eps relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .sim import Trajectory
 log = logging.getLogger(__name__)
 
 _EPS = float(np.finfo(float).eps)
-# floats of (A, B) fits handed to an alpha-search objective at once
-_SEARCH_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -191,8 +190,9 @@ def edmd_tikhonov(
     """
     if alpha < 0:
         raise ValueError(f"regularisation weight must be non-negative, got {alpha}")
-    As, Bs = _stacked_fits(data, _filters(data, np.array([alpha], dtype=float)))
-    return As[0], Bs[0]
+    U_Y, _, W = data.tikhonov_svd()
+    fit = (W * _filters(data, np.array([alpha], dtype=float))[0]) @ U_Y.T
+    return fit[:, : data.n_f], fit[:, data.n_f :]
 
 
 def _filters(data: SnapshotData, alphas: np.ndarray) -> np.ndarray:
@@ -205,18 +205,6 @@ def _filters(data: SnapshotData, alphas: np.ndarray) -> np.ndarray:
     return np.divide(
         s, denominators, out=filters, where=(s > cutoff) | (alphas[:, None] > 0)
     )
-
-
-def _stacked_fits(
-    data: SnapshotData, filters: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(As, Bs) of the fits [A B] = (Z+ V_Y) diag(f) U_Y^T of the rows f of
-    ``filters``, views into one (M, n_f, n_f + n_u) array. The stacked
-    matmul runs one product per member, so each member holds the bits of
-    its own filter's fit."""
-    U_Y, _, W = data.tikhonov_svd()
-    fits = np.matmul(W * filters[:, None, :], U_Y.T)
-    return fits[:, :, : data.n_f], fits[:, :, data.n_f :]
 
 
 @dataclass
@@ -233,19 +221,18 @@ def default_alpha_grid() -> np.ndarray:
 def alpha_grid_search(
     data: SnapshotData,
     grid: Sequence[float],
-    objective: Callable[[List[float], np.ndarray, np.ndarray], Sequence[float]],
+    objective: Callable[[List[float], np.ndarray], Sequence[float]],
 ) -> AlphaSearchResult:
     """Pick the regularisation weight minimising a simulation-error cost.
 
-    ``objective(alphas, As, Bs)`` returns one cost per candidate for a block
-    of ascending alphas and their stacked fits, ``As`` of shape
-    (M, n_f, n_f) and ``Bs`` of shape (M, n_f, n_u); a non-finite cost marks
-    the candidate as divergent instead of aborting the sweep. Alphas with
-    the same filter share one fit, so only the smallest of them is handed
-    on, and every grid alpha gets its cost in ``costs``. A block's fits hold
-    about ``_SEARCH_BLOCK_FLOATS`` floats, so an objective that simulates
-    them together stays small at large lifted dimensions. Ties break toward
-    smaller alpha; if every candidate diverges an error lists them all.
+    ``objective(alphas, filters)`` returns one cost per candidate for the
+    ascending alphas and their (M, r) filter rows: the fit of row f is
+    (Z+ V_Y) diag(f) U_Y^T, from ``data.tikhonov_svd()``. A non-finite cost
+    marks the candidate as divergent instead of aborting the sweep. Alphas
+    with the same filter share one fit, so only the smallest of them is
+    handed on, and every grid alpha gets its cost in ``costs``. Ties break
+    toward smaller alpha; if every candidate diverges an error lists them
+    all.
     """
     grid = sorted(float(a) for a in grid)
     if not grid:
@@ -258,16 +245,8 @@ def alpha_grid_search(
     group = {}
     shared = [group.setdefault(f.tobytes(), i) for i, f in enumerate(filters)]
     candidates = list(group.values())
-    block = max(1, _SEARCH_BLOCK_FLOATS // (data.n_f * (data.n_f + data.n_u)))
-    cost_of = {}
-    for start in range(0, len(candidates), block):
-        # the block's fits are freed once the objective returns, before the
-        # next block
-        chosen = candidates[start : start + block]
-        costs = objective(
-            [grid[i] for i in chosen], *_stacked_fits(data, filters[chosen])
-        )
-        cost_of.update(zip(chosen, map(float, costs), strict=True))
+    costs = objective([grid[i] for i in candidates], filters[candidates])
+    cost_of = dict(zip(candidates, map(float, costs), strict=True))
     rows: List[dict] = []
     best_alpha = None
     best_cost = np.inf

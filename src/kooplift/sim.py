@@ -537,61 +537,6 @@ def simulate_lti(
     return lifted, output
 
 
-def simulate_lti_stack(
-    As: np.ndarray,
-    Bs: np.ndarray,
-    z0: Sequence[float],
-    inputs: np.ndarray,
-    divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
-    record: Optional[Sequence[int]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Iterate M discrete-time LTI models z+ = A_m z + B_m u as one recurrence.
-
-    ``As`` is (M, n_f, n_f), ``Bs`` is (M, n_f, n_u); every member starts
-    at ``z0`` and sees the same input rows. Each member's states are the
-    bits :func:`dt_simulate` gives for ``lti_step(A_m, B_m)``: a member
-    leaves the stack at the step where that run would raise
-    :class:`DivergenceError`. Returns ``(states, diverged_at)``: states of
-    shape (M, n_steps + 1, n_r) holding the ``record`` coordinates (all
-    n_f by default), NaN from a member's divergence step on, and the (M,)
-    divergence steps, 0 for a member that never diverged.
-    """
-    As = np.asarray(As, dtype=float)
-    Bs = np.asarray(Bs, dtype=float)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n_steps = inputs.shape[0] - 1
-    if n_steps < 1:
-        raise DimensionError("need at least two input rows (one step)")
-    M, n_f = As.shape[:2]
-    if As.shape != (M, n_f, n_f) or Bs.shape != (M, n_f, inputs.shape[1]):
-        raise DimensionError(
-            f"stacks of shapes {As.shape} and {Bs.shape} do not form "
-            f"{inputs.shape[1]}-input LTI models"
-        )
-    record = np.arange(n_f) if record is None else np.asarray(record, dtype=int)
-    Z = np.empty((M, n_f))
-    Z[:] = z0
-    states = np.full((M, n_steps + 1, record.size), np.nan)
-    states[:, 0] = Z[:, record]
-    diverged_at = np.zeros(M, dtype=int)
-    members = np.arange(M)
-    rows = slice(None)  # the rows of ``states`` the stack still fills
-    for k in range(n_steps):
-        Z = (As @ Z[..., None])[..., 0] + Bs @ inputs[k]
-        # the test _check_state makes without a selector; NaN fails it too,
-        # and members are tested one by one only when the whole stack fails
-        if not np.abs(Z).max() <= divergence_limit:
-            within = np.all(np.abs(Z) <= divergence_limit, axis=1)
-            diverged_at[members[~within]] = k + 1
-            members, Z = members[within], Z[within]
-            As, Bs = As[within], Bs[within]
-            if members.size == 0:
-                break
-            rows = members
-        states[rows, k + 1] = Z[:, record]
-    return states, diverged_at
-
-
 # ---------------------------------------------------------------------------
 # error metrics
 # ---------------------------------------------------------------------------

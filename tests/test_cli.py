@@ -66,6 +66,66 @@ DT_CFG = {
     "signals": [{"kind": "white_noise", "variance": 0.5}],
 }
 
+
+def _fit_tolerance(data, alpha, n_steps):
+    """Relative tolerance between two roundings of one Tikhonov fit's
+    simulation: n_steps * eps times the fit's conditioning s_max * max(f),
+    f the filter s / (s^2 + alpha)."""
+    s = data.tikhonov_svd()[1]
+    kappa = s[0] * edmd._filters(data, np.array([alpha]))[0].max()
+    return n_steps * np.finfo(float).eps * max(1.0, kappa)
+
+
+def _l2_gap(l2, reference, states):
+    """Largest gap between per-state l2 errors and the reference's,
+    relative to ``reference + ||x_i||``: outputs off by a relative ``tol``
+    move each l2 by at most ``tol`` times that. A scalar ``l2`` is a search
+    cost, summed over the states, and is held to the reference's sum."""
+    reference = np.asarray(reference, dtype=float)
+    scale = reference + np.sqrt(np.sum(states * states, axis=0))
+    if np.ndim(l2) == 0:
+        return abs(l2 - reference.sum()) / scale.sum()
+    return float(np.max(np.abs(np.asarray(l2) - reference) / scale))
+
+
+def _assert_l2_close(l2, reference, states, tol):
+    assert _l2_gap(l2, reference, states) <= tol, (l2, reference, tol)
+
+
+def _extended_run(data, alpha, C, z0, inputs):
+    """(largest |z_k|, outputs) of the fit of ``alpha`` simulated in
+    np.longdouble: a reference for both float64 roundings of it."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble carries no extra precision here")
+    U_Y, _, W = (np.asarray(M, dtype=np.longdouble) for M in data.tikhonov_svd())
+    f = edmd._filters(data, np.array([alpha]))[0].astype(np.longdouble)
+    fit = (W * f) @ U_Y.T
+    A, B = fit[:, : data.n_f], fit[:, data.n_f :]
+    z, largest, outputs = np.asarray(z0, dtype=np.longdouble), 0.0, [C @ z0]
+    for u in np.asarray(inputs[:-1], dtype=np.longdouble):
+        z = A @ z + B @ u
+        largest = max(largest, float(np.max(np.abs(z))))
+        outputs.append(C @ z)
+    return largest, np.array(outputs)
+
+
+def _assert_matches_the_fit(l2, explicit_l2, data, alpha, C, z0, inputs, states):
+    """The search's per-state l2 errors (or cost) for ``alpha`` against
+    those of its explicit fit's run, within :func:`_fit_tolerance`. Where
+    the explicit run is further off than that (an unstable fit grows the
+    rounding of its products), both are held to a np.longdouble run of the
+    fit instead: the search's errors within the tolerance, the explicit
+    run's further off."""
+    tol = _fit_tolerance(data, alpha, len(inputs) - 1)
+    if _l2_gap(l2, explicit_l2, states) <= tol:
+        return
+    _, outputs = _extended_run(data, alpha, C, z0, inputs)
+    eps = states - outputs
+    extended_l2 = np.sqrt(np.sum(eps * eps, axis=0)).astype(float)
+    _assert_l2_close(l2, extended_l2, states, tol)
+    assert _l2_gap(explicit_l2, extended_l2, states) > _l2_gap(l2, extended_l2, states)
+
+
 # the changes that move DT_CFG to ct-example, with a zero signal on both
 # channels; a row adds the horizon, and DT_CFG's horizon_steps is dropped
 CT_ZERO = {"system": "ct-example", "signals": {"kind": "zero"}}
@@ -890,7 +950,9 @@ class TestEdmdCommand:
                 divergence_limit=1e12,
             )
             l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
-            assert row == [degree, 0.0, *map(float, l2), 0]
+            assert row[:2] == [degree, 0.0] and row[-1] == 0
+            tol = _fit_tolerance(data, 0.0, len(base["inputs"]) - 1)
+            _assert_l2_close(row[2:-1], l2, nonlinear.states, tol)
 
     def test_snapshots_past_the_float_range_exit_1_with_a_message(self, tmp_path, capsys):
         # x1+ = 1.5 x1 + u reaches ~1e10 in 60 steps, so x1^15 and up square
@@ -920,7 +982,9 @@ class TestEdmdCommand:
         for degree in range(2, 8):
             dictionary = monomial_dictionary(2, degree)
             reports = {}
+            data = build_snapshots(nonlinear, dictionary)
             objective = cli._alpha_objective(
+                data,
                 nonlinear,
                 output_matrix(dictionary),
                 dictionary.evaluate(x0),
@@ -928,7 +992,6 @@ class TestEdmdCommand:
                 1e12,
                 reports,
             )
-            data = build_snapshots(nonlinear, dictionary)
             best = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
             expected += [
                 cli._sweep_row([degree, 0.0], reports[0.0], 2),
@@ -942,12 +1005,12 @@ class TestEdmdCommand:
         c = resolve_config(cfg)
         calls = []
 
-        def diverge(As, Bs, z0, inputs, divergence_limit, record):
-            calls.append(len(As))
-            states = np.full((len(As), inputs.shape[0], len(record)), np.nan)
-            return states, np.ones(len(As), dtype=int)
+        def diverge(data, filters, z0, inputs, limit, read):
+            calls.append(len(filters))
+            states = np.full((len(filters), inputs.shape[0], len(read)), np.nan)
+            return states, np.ones(len(filters), dtype=int)
 
-        monkeypatch.setattr(cli, "simulate_lti_stack", diverge)
+        monkeypatch.setattr(cli, "_search_runs", diverge)
         rows, _ = cli._degree_sweep(
             c["dictionary"],
             base,
@@ -966,24 +1029,25 @@ class TestEdmdCommand:
         ]
 
     def test_alpha_objective_simulates_the_fit_it_receives(self):
-        # a zero model outputs x0 and then zeros; a refit would not. The
-        # second candidate, 1e7 I, leaves the 1e12 limit at step 2.
+        # a zero filter's fit outputs x0 and then zeros; a refit at the
+        # handed alpha would not. The second candidate, 1e7 times the
+        # alpha = 0 filter, scales that fit by 1e7 and leaves the 1e12 limit
+        # at step 2.
         cfg = dict(DT_CFG, fits=["edmdc"])
         base = run_simulate(cfg)
         c = resolve_config(cfg)
         nonlinear = base["trajectories"]["nonlinear"]
         dictionary = c["system"].dictionary
+        data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(c["x0"])
         reports = {}
         objective = cli._alpha_objective(
-            nonlinear, C, z0, base["inputs"], 1e12, reports
+            data, nonlinear, C, z0, base["inputs"], 1e12, reports
         )
-        n_f = dictionary.n_f
-        zero = (np.zeros((n_f, n_f)), np.zeros((n_f, 1)))
-        blowup = (1e7 * np.eye(n_f), np.zeros((n_f, 1)))
+        least_squares = edmd._filters(data, np.zeros(1))[0]
         costs = objective(
-            [0.5, 0.7], np.stack([zero[0], blowup[0]]), np.stack([zero[1], blowup[1]])
+            [0.5, 0.7], np.stack([np.zeros_like(least_squares), 1e7 * least_squares])
         )
         expected = np.sqrt(np.sum(nonlinear.states[1:] ** 2, axis=0))
         np.testing.assert_array_equal(reports[0.5], expected)
@@ -992,7 +1056,9 @@ class TestEdmdCommand:
 
     def test_tikhonov_search_matches_a_per_alpha_reference(self, monkeypatch):
         # weighted-degree-12 dictionary (n_f = 48): 6 of the 37 candidates
-        # diverge, so the reference takes its DivergenceError branch too
+        # diverge, so the reference takes its DivergenceError branch too;
+        # the fits below alpha = 10 are unstable, and there the explicit
+        # run's rounding grows past the fits' tolerance
         monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
         cfg = dict(
             DT_CFG,
@@ -1013,19 +1079,23 @@ class TestEdmdCommand:
         data = build_snapshots(nonlinear, dictionary)
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(resolve_config(cfg)["x0"])
+        inputs = result["inputs"]
         costs = {row["alpha"]: row["cost"] for row in searches[0].costs}
         best_alpha, best_cost, diverged = None, np.inf, 0
         for alpha in default_alpha_grid():
             lti = make_lti(*edmd_tikhonov(data, alpha), C)
             try:
-                _, output = simulate_lti(lti, z0, result["inputs"])
+                _, output = simulate_lti(lti, z0, inputs)
             except DivergenceError:
                 diverged += 1
+                assert costs[alpha] == np.inf
                 continue
-            cost = float(np.sum(error_metrics(nonlinear, output).l2))
-            assert costs[alpha] == cost
-            if cost < best_cost:
-                best_alpha, best_cost = alpha, cost
+            l2 = error_metrics(nonlinear, output).l2
+            _assert_matches_the_fit(
+                costs[alpha], l2, data, alpha, C, z0, inputs, nonlinear.states
+            )
+            if costs[alpha] < best_cost:
+                best_alpha, best_cost = alpha, costs[alpha]
         assert diverged == 6
         assert searches[0].best_alpha == best_alpha
         fitted = result["fitted"]["koopman_lti_tikhonov"]
@@ -1035,17 +1105,20 @@ class TestEdmdCommand:
 
     @pytest.mark.parametrize(
         "excitation, degree",
-        [("multisine", degree) for degree in range(14, 21)]
-        + [("whitenoise", degree) for degree in (2, 11, 20)],
+        [("multisine", degree) for degree in (2, 5, 7, *range(14, 21))]
+        + [("whitenoise", degree) for degree in (2, 5, 11, 14, 20)],
     )
     def test_shared_filters_match_a_per_alpha_reference(
         self, monkeypatch, excitation, degree
     ):
-        # the sweep's search, which fits and simulates one alpha per distinct
-        # filter, against edmd_tikhonov and dt_simulate for every alpha: the
-        # same AlphaSearchResult and reports, bit for bit. The multisine run
-        # has 12, 6 and 3 distinct alpha > 0 filters at degrees 14-16 and one
-        # at 17-20; white noise keeps all 36.
+        # the sweep's search, which simulates one alpha per distinct filter,
+        # against edmd_tikhonov and dt_simulate for every alpha. The
+        # multisine run has 12, 6 and 3 distinct alpha > 0 filters at
+        # degrees 14-16 and one at 17-20; white noise keeps all 36. At
+        # degrees 14-16 the multisine snapshots reach 1e29-1e33, and the
+        # explicit product A z loses the fits below the divergence limit:
+        # it diverges for every alpha > 0 at 14 and 15 and for 1e20 at 16,
+        # while the search's run, like a np.longdouble run, stays finite.
         cfg = {label: cfg for label, _, cfg in preset_runs("degree-sweep")}[excitation]
         base = run_simulate(cfg)
         nonlinear, inputs = base["trajectories"]["nonlinear"], base["inputs"]
@@ -1055,49 +1128,59 @@ class TestEdmdCommand:
         z0 = dictionary.evaluate(nonlinear.states[0])
         limit = resolve_config(cfg)["divergence_limit"]
 
-        fitted, simulated = [], []
-        stacked_fits, stack = edmd._stacked_fits, cli.simulate_lti_stack
+        simulated = []
+        runs = cli._search_runs
 
-        def fits_spy(data, filters):
-            fitted.append(len(filters))
-            return stacked_fits(data, filters)
+        def runs_spy(data, filters, *args):
+            simulated.append(len(filters))
+            return runs(data, filters, *args)
 
-        def stack_spy(As, *args, **kwargs):
-            simulated.append(len(As))
-            return stack(As, *args, **kwargs)
-
-        monkeypatch.setattr(edmd, "_stacked_fits", fits_spy)
-        monkeypatch.setattr(cli, "simulate_lti_stack", stack_spy)
+        monkeypatch.setattr(cli, "_search_runs", runs_spy)
         reports, seen = {}, []
-        objective = cli._alpha_objective(nonlinear, C, z0, inputs, limit, reports)
+        objective = cli._alpha_objective(data, nonlinear, C, z0, inputs, limit, reports)
 
-        def counted(alphas, As, Bs):
+        def counted(alphas, filters):
             seen.extend(alphas)
-            return objective(alphas, As, Bs)
+            return objective(alphas, filters)
 
         grid = default_alpha_grid()
         result = alpha_grid_search(data, grid, counted)
         monkeypatch.undo()
 
-        rows, best = [], (None, np.inf)
+        rows, best, kept_finite = [], (None, np.inf), []
         for alpha in grid:
             # the candidate this alpha shares its filter with: filters fall
             # monotonically in alpha, so it is the largest candidate below
             shared = max(a for a in seen if a <= alpha)
+            l2 = reports[shared]
+            cost = np.inf if l2 is None else float(np.sum(l2))
+            rows.append({"alpha": alpha, "cost": cost, "diverged": l2 is None})
+            if cost < best[1]:
+                best = (alpha, cost)
             A, B = edmd_tikhonov(data, alpha)
             try:
                 run = dt_simulate(lti_step(A, B), z0, inputs, divergence_limit=limit)
             except DivergenceError:
-                assert reports[shared] is None
-                rows.append({"alpha": alpha, "cost": np.inf, "diverged": True})
+                if l2 is not None:
+                    kept_finite.append(alpha)
                 continue
-            l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
-            assert reports[shared].tobytes() == l2.tobytes()
-            cost = float(np.sum(l2))
-            rows.append({"alpha": alpha, "cost": cost, "diverged": False})
-            if cost < best[1]:
-                best = (alpha, cost)
+            assert l2 is not None
+            explicit_l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
+            _assert_matches_the_fit(
+                l2, explicit_l2, data, alpha, C, z0, inputs, nonlinear.states
+            )
         assert result == AlphaSearchResult(best_alpha=best[0], costs=rows)
+
+        expected_kept = {("multisine", 14): grid[1:], ("multisine", 15): grid[1:]}
+        expected_kept[("multisine", 16)] = grid[-1:]
+        assert kept_finite == list(expected_kept.get((excitation, degree), []))
+        for alpha in {max(a for a in seen if a <= alpha) for alpha in kept_finite}:
+            largest, outputs = _extended_run(data, alpha, C, z0, inputs)
+            assert largest <= limit
+            eps = nonlinear.states - outputs
+            extended_l2 = np.sqrt(np.sum(eps * eps, axis=0)).astype(float)
+            tol = _fit_tolerance(data, alpha, len(inputs) - 1)
+            _assert_l2_close(reports[alpha], extended_l2, nonlinear.states, tol)
 
         # alpha = 0 drops every s at or below sqrt((n_f + n_u) eps) s_max
         s = data.tikhonov_svd()[1]
@@ -1105,11 +1188,46 @@ class TestEdmdCommand:
         filters = {(s / (s * s + alpha)).tobytes() for alpha in grid[1:]}
         filters.add(np.where(kept, s / (s * s), 0.0).tobytes())
         assert len(seen) == len(set(seen)) == len(filters)
-        assert sum(fitted) == len(filters) and sum(simulated) == len(seen)
+        assert simulated == [len(seen)]
         if excitation == "multisine" and degree >= 17:
             assert seen == [0.0, grid[1]]
         elif excitation == "whitenoise":
             assert seen == list(grid)
+
+    def test_search_then_fit_on_weighted_dictionaries(self, monkeypatch):
+        # simulate with alpha "search" on {x1^a x2^b : a + 2b <= D}: the
+        # explicit run of the chosen fit costs what the search found
+        searches = []
+        search = cli.alpha_grid_search
+
+        def spy(*args):
+            searches.append(search(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(cli, "alpha_grid_search", spy)
+        for preset in ("dt-example-whitenoise", "dt-example-multisine"):
+            ((_, _, cfg),) = preset_runs(preset)
+            for D in (4, 8, 12, 20):
+                monomials = [
+                    [a, b] for b in range(D // 2 + 1) for a in range(D + 1 - 2 * b) if a + b
+                ]
+                cfg = dict(
+                    cfg,
+                    dictionary={"monomials": monomials},
+                    fits=[{"kind": "edmd_tikhonov", "alpha": "search"}],
+                )
+                result = run_simulate(cfg)
+                nonlinear = result["trajectories"]["nonlinear"]
+                dictionary = result["dictionary"]
+                chosen = searches[-1].best_alpha
+                cost = {row["alpha"]: row["cost"] for row in searches[-1].costs}[chosen]
+                l2 = result["reports"]["koopman_lti_tikhonov"].l2
+                _assert_matches_the_fit(
+                    cost, l2, build_snapshots(nonlinear, dictionary), chosen,
+                    output_matrix(dictionary), dictionary.evaluate(cfg["x0"]),
+                    result["inputs"], nonlinear.states,
+                )
+        assert len(searches) == 8
 
     def test_alpha_grid_span(self):
         from kooplift import default_alpha_grid

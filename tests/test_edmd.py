@@ -240,9 +240,8 @@ class TestUnfittableSnapshots:
         with pytest.raises(NumericEvaluationError, match="float range"):
             edmd_tikhonov(SnapshotData(Z=1e155 * Z, Zp=Zp, U=U), 1.0)
         with pytest.raises(NumericEvaluationError):
-            alpha_grid_search(
-                SnapshotData(Z=Z, Zp=Zp, U=1e155 * U), [0.0], _per_candidate(lambda a, fit: a)
-            )
+            data = SnapshotData(Z=Z, Zp=Zp, U=1e155 * U)
+            alpha_grid_search(data, [0.0], _per_candidate(data, lambda a, fit: a))
         assert np.isfinite(np.hstack(edmd_full(SnapshotData(Z=1e150 * Z, Zp=Zp, U=U)))).all()
 
     @pytest.mark.parametrize("name", ["Z", "Zp", "U"])
@@ -341,9 +340,19 @@ class TestTikhonov:
             edmd_tikhonov(data, -1.0)
 
 
-def _per_candidate(cost):
-    """A batched objective applying ``cost(alpha, (A, B))`` to each candidate."""
-    return lambda alphas, As, Bs: [cost(a, fit) for a, *fit in zip(alphas, As, Bs)]
+def _per_candidate(data, cost):
+    """A search objective applying ``cost(alpha, (A, B))`` to the fit
+    [A B] = (Z+ V_Y) diag(f) U_Y^T of each candidate's filter row f."""
+
+    def objective(alphas, filters):
+        U_Y, _, W = data.tikhonov_svd()
+        fits = [(W * f) @ U_Y.T for f in filters]
+        return [
+            cost(alpha, (fit[:, : data.n_f], fit[:, data.n_f :]))
+            for alpha, fit in zip(alphas, fits)
+        ]
+
+    return objective
 
 
 def _scaled(data, factor):
@@ -374,33 +383,35 @@ class TestAlphaSearch:
         rng = np.random.default_rng(7)
         _, _, data = _random_lti_data(rng)
         result = alpha_grid_search(
-            data, [1e-3, 0.0, 10.0], lambda alphas, As, Bs: [1.0] * len(alphas)
+            data, [1e-3, 0.0, 10.0], lambda alphas, filters: [1.0] * len(alphas)
         )
         assert result.best_alpha == 0.0
 
     def test_objective_receives_the_tikhonov_fit(self):
-        # the smallest alpha of each distinct filter, with its own fit; at
-        # scale 1e9 the smallest s^2 is 3.1e17, whose half ulp is 32, so
-        # alpha = 0 and the 17 alphas up to 10 share one filter
+        # the smallest alpha of each distinct filter, with its own filter
+        # row, whose fit (Z+ V_Y) diag(f) U_Y^T is edmd_tikhonov's bit for
+        # bit; at scale 1e9 the smallest s^2 is 3.1e17, whose half ulp is
+        # 32, so alpha = 0 and the 17 alphas up to 10 share one filter
         grid = default_alpha_grid()
         for scale, n_candidates in ((1.0, 37), (1e9, 20)):
             data = _scaled(_random_lti_data(np.random.default_rng(12))[2], scale)
             received = {}
 
-            def objective(alphas, As, Bs):
+            def objective(alphas, filters):
                 assert alphas == sorted(alphas)
-                assert As.shape == (len(alphas), 3, 3)
-                assert Bs.shape == (len(alphas), 3, 1)
-                received.update(zip(alphas, zip(As.copy(), Bs.copy())))
+                assert filters.shape == (len(alphas), 4)
+                received.update(zip(alphas, filters.copy()))
                 return [1.0] * len(alphas)
 
             alpha_grid_search(data, grid, objective)
             assert list(received) == _candidates(data, grid)
             assert len(received) == n_candidates
-            for alpha, (A_hat, B_hat) in received.items():
+            U_Y, _, W = data.tikhonov_svd()
+            for alpha, f in received.items():
+                assert f.tobytes() == _filter(data, alpha).tobytes()
+                fit = (W * f) @ U_Y.T
                 A_ref, B_ref = edmd_tikhonov(data, alpha)
-                np.testing.assert_array_equal(A_hat, A_ref)
-                np.testing.assert_array_equal(B_hat, B_ref)
+                assert fit.tobytes() == np.hstack([A_ref, B_ref]).tobytes()
 
     def test_alphas_sharing_a_filter_share_the_representatives_cost(self):
         # at scale 1e21 every s^2 exceeds 1e40, so s^2 + alpha rounds to s^2
@@ -410,9 +421,9 @@ class TestAlphaSearch:
         data = _scaled(_random_lti_data(rng)[2], 1e21)
         seen = []
 
-        def objective(alphas, As, Bs):
+        def objective(alphas, filters):
             seen.extend(alphas)
-            return [float(np.abs(A).sum() + np.abs(B).sum()) for A, B in zip(As, Bs)]
+            return [float(np.abs(f).sum()) for f in filters]
 
         grid = default_alpha_grid()
         result = alpha_grid_search(data, grid, objective)
@@ -427,22 +438,29 @@ class TestAlphaSearch:
             assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
 
     def test_stacked_fits_match_their_own_products(self):
-        # one stacked matmul gives each member the bits of its own fit, at
-        # every lifted dimension of the degree sweep
+        # each member of the search's stacked recurrence holds the bits of
+        # its own one-member run, at every lifted dimension of the degree
+        # sweep
         bundle, traj = _dt_run()
         alphas = default_alpha_grid()
         for degree in range(1, 21):
-            data = build_snapshots(traj, monomial_dictionary(2, degree))
-            As, Bs = edmd._stacked_fits(data, edmd._filters(data, alphas))
-            assert len(As) == len(alphas)
-            for alpha, A, B in zip(alphas, As, Bs):
-                A_ref, B_ref = edmd_tikhonov(data, alpha)
-                assert A.tobytes() == A_ref.tobytes() and B.tobytes() == B_ref.tobytes()
+            dictionary = monomial_dictionary(2, degree)
+            data = build_snapshots(traj, dictionary)
+            filters = edmd._filters(data, alphas)
+            z0 = dictionary.evaluate(traj.states[0])
+            read = np.arange(data.n_f)
+            stacked, stacked_at = cli._search_runs(data, filters, z0, traj.inputs, 1e12, read)
+            for m in range(len(alphas)):
+                own, own_at = cli._search_runs(
+                    data, filters[m : m + 1], z0, traj.inputs, 1e12, read
+                )
+                assert stacked[m].tobytes() == own[0].tobytes(), (degree, m)
+                assert stacked_at[m] == own_at[0]
 
     def test_single_element_grid(self):
         rng = np.random.default_rng(8)
         _, _, data = _random_lti_data(rng)
-        result = alpha_grid_search(data, [0.25], _per_candidate(lambda a, fit: a))
+        result = alpha_grid_search(data, [0.25], _per_candidate(data, lambda a, fit: a))
         assert result.best_alpha == 0.25
 
     def test_argmin_no_worse_than_zero(self):
@@ -454,14 +472,14 @@ class TestAlphaSearch:
             A_hat, B_hat = fit
             return float(np.linalg.norm(data.Zp - A_hat @ data.Z - B_hat @ data.U))
 
-        result = alpha_grid_search(data, default_alpha_grid(), _per_candidate(cost))
+        result = alpha_grid_search(data, default_alpha_grid(), _per_candidate(data, cost))
         costs = {row["alpha"]: row["cost"] for row in result.costs}
         assert costs[result.best_alpha] <= costs[0.0] + 1e-12
 
     def test_divergent_points_flagged_and_skipped(self):
         rng = np.random.default_rng(9)
         _, _, data = _random_lti_data(rng)
-        objective = _per_candidate(lambda a, fit: np.inf if a < 1.0 else a)
+        objective = _per_candidate(data, lambda a, fit: np.inf if a < 1.0 else a)
         result = alpha_grid_search(data, [0.1, 2.0, 5.0], objective)
         assert result.best_alpha == 2.0
         assert [row["diverged"] for row in result.costs] == [True, False, False]
@@ -469,57 +487,64 @@ class TestAlphaSearch:
     def test_all_divergent_raises_with_listing(self):
         rng = np.random.default_rng(10)
         _, _, data = _random_lti_data(rng)
-        objective = _per_candidate(lambda a, fit: np.nan if a < 1.0 else np.inf)
+        objective = _per_candidate(data, lambda a, fit: np.nan if a < 1.0 else np.inf)
 
         with pytest.raises(DivergenceError) as exc:
             alpha_grid_search(data, [0.1, 1.0], objective)
         assert "0.1" in str(exc.value) and "1" in str(exc.value)
 
-    def test_blocks_hold_about_the_float_budget(self, monkeypatch):
+    def test_one_call_costs_every_distinct_filter(self):
+        # the objective is called once, with one candidate per distinct
+        # filter: all 37 here, 1 once a scale of 1e21 merges every filter
         rng = np.random.default_rng(13)
         _, _, data = _random_lti_data(rng, n_f=3, n_u=1)
         sizes = []
 
-        def objective(alphas, As, Bs):
+        def objective(alphas, filters):
             sizes.append(len(alphas))
             return [1.0] * len(alphas)
 
-        # blocks of 5 candidates, one candidate per distinct filter: all 37
-        # here, 1 once a scale of 1e21 merges every filter
-        monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", 5 * 3 * (3 + 1))
         alpha_grid_search(data, default_alpha_grid(), objective)
         assert len(_candidates(data, default_alpha_grid())) == 37
-        assert sizes == [5] * 7 + [2]
+        assert sizes == [37]
         sizes.clear()
         alpha_grid_search(_scaled(data, 1e21), default_alpha_grid(), objective)
         assert sizes == [1]
 
-    def test_blocks_of_one_give_the_whole_block_result(self, monkeypatch):
-        # the sweep's own objective at degree 11, where 6 of 37 candidates diverge
+    def test_member_costs_do_not_depend_on_their_stack(self):
+        # the sweep's own objective at degree 14, where 16 of 37 candidates
+        # diverge at steps 20-26: each candidate's cost has the same bits
+        # alone, in the whole grid, and beside a mate that diverges mid-run
         bundle, traj = _dt_run()
-        dictionary = monomial_dictionary(2, 11)
+        dictionary = monomial_dictionary(2, 14)
         data = build_snapshots(traj, dictionary)
+        z0 = dictionary.evaluate(traj.states[0])
         objective = cli._alpha_objective(
-            traj,
-            output_matrix(dictionary),
-            dictionary.evaluate(traj.states[0]),
-            traj.inputs,
-            1e12,
-            {},
+            data, traj, output_matrix(dictionary), z0, traj.inputs, 1e12, {}
         )
-        results = {}
-        for floats in (1, 1 << 40):
-            monkeypatch.setattr(edmd, "_SEARCH_BLOCK_FLOATS", floats)
-            results[floats] = alpha_grid_search(data, default_alpha_grid(), objective)
-        whole, single = results[1 << 40], results[1]
-        assert whole == single
-        assert sum(row["diverged"] for row in whole.costs) == 6
+        grid = default_alpha_grid()
+        result = alpha_grid_search(data, grid, objective)
+        costs = {row["alpha"]: row["cost"] for row in result.costs}
+        filters = edmd._filters(data, grid)
+        _, diverged_at = cli._search_runs(
+            data, filters, z0, traj.inputs, 1e12, np.arange(data.n_f)
+        )
+        steps = diverged_at[diverged_at > 0]
+        assert len(steps) == 16 and steps.min() > 1 and steps.max() < len(traj.inputs) - 1
+        mate = filters[np.argmax(diverged_at)]
+        for alpha, f in zip(grid, filters):
+            alone = objective([alpha], f[None])
+            paired = objective([alpha, -1.0], np.stack([f, mate]))
+            assert np.array(alone[0]).tobytes() == np.array(costs[alpha]).tobytes()
+            assert np.array(paired[0]).tobytes() == np.array(costs[alpha]).tobytes()
+            assert paired[1] == np.inf
+        assert sum(row["diverged"] for row in result.costs) == 16
 
     def test_objective_must_cost_every_candidate(self):
         rng = np.random.default_rng(11)
         _, _, data = _random_lti_data(rng)
         with pytest.raises(ValueError):
-            alpha_grid_search(data, [0.1, 1.0], lambda alphas, As, Bs: [1.0])
+            alpha_grid_search(data, [0.1, 1.0], lambda alphas, filters: [1.0])
 
     def test_default_grid_shape(self):
         grid = default_alpha_grid()

@@ -23,11 +23,11 @@ from kooplift import (
     simulate_ct,
     simulate_lpv,
     simulate_lti,
-    simulate_lti_stack,
     simulate_nonlinear,
     white_noise,
 )
-from kooplift import kernels
+from kooplift import cli, kernels
+from kooplift.edmd import SnapshotData, _filters
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
@@ -164,99 +164,112 @@ class TestDtSimulate:
             )
 
 
+def _fitted(A, B, rng, n=40):
+    """Snapshots of z+ = A z + B u at random (z, u): their alpha = 0 fit is
+    (A, B) to rounding."""
+    Z = rng.normal(size=(A.shape[0], n))
+    U = rng.normal(size=(B.shape[1], n))
+    return SnapshotData(Z=Z, Zp=A @ Z + B @ U, U=U)
+
+
+def _fit_of(data, f):
+    """(A, B) of the fit (Z+ V_Y) diag(f) U_Y^T of the filter row f."""
+    U_Y, _, W = data.tikhonov_svd()
+    fit = (W * f) @ U_Y.T
+    return fit[:, : data.n_f], fit[:, data.n_f :]
+
+
 class TestLtiStack:
-    """simulate_lti_stack against dt_simulate(lti_step(A_m, B_m)), member by member."""
+    """The alpha search's recurrence in SVD coordinates (cli._search_runs)
+    against dt_simulate(lti_step(A_m, B_m)) of each member's explicit fit."""
 
     @staticmethod
-    def _assert_members_match(As, Bs, z0, inputs, limit):
-        states, diverged_at = simulate_lti_stack(As, Bs, z0, inputs, limit)
-        assert states.shape == (len(As), inputs.shape[0], len(z0))
-        for m, (A, B) in enumerate(zip(As, Bs)):
+    def _assert_members_match(data, filters, z0, inputs, limit):
+        states, diverged_at = cli._search_runs(
+            data, filters, z0, inputs, limit, np.arange(data.n_f)
+        )
+        assert states.shape == (len(filters), inputs.shape[0], len(z0))
+        for m, f in enumerate(filters):
+            step = lti_step(*_fit_of(data, f))
             try:
-                ref = dt_simulate(lti_step(A, B), z0, inputs, divergence_limit=limit)
+                ref = dt_simulate(step, z0, inputs, divergence_limit=limit)
             except DivergenceError as exc:
                 assert diverged_at[m] == exc.step
-                before = dt_simulate(
-                    lti_step(A, B), z0, inputs, n_steps=exc.step - 1,
-                    divergence_limit=limit,
+                ref = dt_simulate(
+                    step, z0, inputs, n_steps=exc.step - 1, divergence_limit=limit
                 )
-                assert states[m, : exc.step].tobytes() == before.states.tobytes()
                 assert np.isnan(states[m, exc.step :]).all()
             else:
                 assert diverged_at[m] == 0
-                assert states[m].tobytes() == ref.states.tobytes()
+            # both runs round a well-conditioned fit, step by step
+            recorded = states[m, : len(ref.states)]
+            scale = np.abs(ref.states).max(axis=1, keepdims=True)
+            assert np.all(np.abs(recorded - ref.states) <= 1e-12 * scale)
         return diverged_at
 
     def test_members_pass_the_limit_at_their_own_steps(self):
-        # a stable member and members growing 1000x and 300x per step
-        As = np.stack([0.5 * np.eye(3), 1e3 * np.eye(3), 300.0 * np.eye(3)])
-        Bs = np.zeros((3, 3, 1))
-        Bs[0, 2, 0] = 1.0
-        inputs = np.random.default_rng(3).normal(size=(121, 1))
-        diverged_at = self._assert_members_match(As, Bs, np.ones(3), inputs, 1e250)
+        # members scaling the fit [I e3] by 0.5, 1000 and 300: a stable
+        # member and members growing 1000x and 300x per step
+        rng = np.random.default_rng(3)
+        data = _fitted(np.eye(3), np.eye(3)[:, 2:], rng)
+        filters = np.array([[0.5], [1e3], [300.0]]) * _filters(data, np.zeros(1))
+        inputs = rng.normal(size=(121, 1))
+        diverged_at = self._assert_members_match(data, filters, np.ones(3), inputs, 1e250)
         assert diverged_at.tolist() == [0, 84, 101]
 
     def test_a_member_turning_nan_diverges(self):
-        # with an infinite limit an overflowed coordinate passes the check;
-        # the next step's 0 * inf products make the state NaN, which fails it
-        As = np.stack([0.5 * np.eye(2), 1e100 * np.eye(2), 1e50 * np.eye(2)])
-        Bs = np.ones((3, 2, 1))
-        inputs = np.random.default_rng(4).normal(size=(21, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            diverged_at = self._assert_members_match(As, Bs, np.ones(2), inputs, np.inf)
-            states, _ = simulate_lti_stack(As, Bs, np.ones(2), inputs, np.inf)
-        assert diverged_at.tolist() == [0, 5, 8]
-        for m in (1, 2):
-            assert np.isinf(states[m, diverged_at[m] - 1]).all()
+        # a NaN input row makes every member's next state NaN, which fails
+        # even an infinite limit
+        rng = np.random.default_rng(4)
+        data = _fitted(np.eye(2), np.ones((2, 1)), rng)
+        filters = np.array([[0.5], [1e3]]) * _filters(data, np.zeros(1))
+        inputs = rng.normal(size=(21, 1))
+        inputs[7] = np.nan
+        diverged_at = self._assert_members_match(data, filters, np.ones(2), inputs, np.inf)
+        assert diverged_at.tolist() == [8, 8]
 
     def test_random_members_diverge_at_their_own_steps(self):
+        # members scaling an orthogonal A by radii 0.6..1.8
         rng = np.random.default_rng(11)
+        A = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        data = _fitted(A, rng.normal(size=(6, 2)), rng)
         radii = np.linspace(0.6, 1.8, 12)
-        As = np.stack([
-            r * np.linalg.qr(rng.normal(size=(6, 6)))[0] for r in radii
-        ])
-        Bs = rng.normal(size=(12, 6, 2))
+        filters = radii[:, None] * _filters(data, np.zeros(1))
         z0 = rng.normal(size=6)
         inputs = rng.normal(size=(81, 2))
-        diverged_at = self._assert_members_match(As, Bs, z0, inputs, 1e6)
+        diverged_at = self._assert_members_match(data, filters, z0, inputs, 1e6)
         assert (diverged_at == 0).sum() >= 3
         assert len(set(diverged_at[diverged_at > 0])) >= 3
 
     def test_recorded_coordinates_are_those_of_the_full_record(self):
         rng = np.random.default_rng(11)
-        radii = np.linspace(0.6, 1.8, 12)
-        As = np.stack([
-            r * np.linalg.qr(rng.normal(size=(6, 6)))[0] for r in radii
-        ])
-        Bs = rng.normal(size=(12, 6, 2))
+        A = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        data = _fitted(A, rng.normal(size=(6, 2)), rng)
+        filters = np.linspace(0.6, 1.8, 12)[:, None] * _filters(data, np.zeros(1))
         z0 = rng.normal(size=6)
         inputs = rng.normal(size=(81, 2))
-        full, full_at = simulate_lti_stack(As, Bs, z0, inputs, 1e6)
-        part, part_at = simulate_lti_stack(As, Bs, z0, inputs, 1e6, record=[4, 1])
+        full, full_at = cli._search_runs(data, filters, z0, inputs, 1e6, np.arange(6))
+        part, part_at = cli._search_runs(data, filters, z0, inputs, 1e6, np.array([4, 1]))
         assert part.shape == (12, 81, 2)
         assert part.tobytes() == full[:, :, [4, 1]].tobytes()
         assert part_at.tolist() == full_at.tolist()
 
     def test_one_member_matches_simulate_lti(self):
+        # the alpha = 0 fit of a stable system, against simulate_lti of that
+        # fit at a tolerance set by its conditioning: n_steps * eps *
+        # s_max * max(f) relative to the state's size
         rng = np.random.default_rng(5)
         A = 0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        B = rng.normal(size=(4, 1))
+        data = _fitted(A, rng.normal(size=(4, 1)), rng)
+        f = _filters(data, np.zeros(1))
         z0 = rng.normal(size=4)
         inputs = rng.normal(size=(31, 1))
-        lifted, _ = simulate_lti(make_lti(A, B, np.eye(4)), z0, inputs)
-        states, diverged_at = simulate_lti_stack(A[None], B[None], z0, inputs)
-        assert states[0].tobytes() == lifted.states.tobytes()
+        lifted, _ = simulate_lti(make_lti(*_fit_of(data, f[0]), np.eye(4)), z0, inputs)
+        states, diverged_at = cli._search_runs(data, f, z0, inputs, 1e12, np.arange(4))
+        s = data.tikhonov_svd()[1]
+        tol = 30 * np.finfo(float).eps * max(1.0, s[0] * f.max())
+        assert np.abs(states[0] - lifted.states).max() <= tol * np.abs(lifted.states).max()
         assert diverged_at.tolist() == [0]
-
-    def test_mismatched_stacks_rejected(self):
-        with pytest.raises(DimensionError):
-            simulate_lti_stack(
-                np.zeros((2, 3, 3)), np.zeros((2, 3, 2)), np.zeros(3), np.zeros((5, 1))
-            )
-        with pytest.raises(DimensionError):
-            simulate_lti_stack(
-                np.zeros((2, 3, 3)), np.zeros((2, 3, 1)), np.zeros(3), np.zeros((1, 1))
-            )
 
 
 class TestMultisine:
