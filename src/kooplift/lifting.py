@@ -13,10 +13,15 @@ then factorised as B_in(x, u) = B(x, u) u by integrating its input-Jacobian
 along the ray from 0 to u, which is what turns the lifted model into a
 linear parameter-varying system.
 
-Polynomial systems with monomial dictionaries take a fully symbolic path:
-A and the factorised input matrix are computed on coefficients, so they are
-exact. Everything else is evaluated through Gauss-Legendre quadrature and,
-where no analytic input-Jacobian exists, central finite differences.
+A polynomial system f(x) + G(x) u with an all-monomial dictionary takes a
+fully symbolic path in both time domains: one joint expansion over (x, u),
+Phi(f + G u) in discrete time and (dPhi/dx)(f + G u) in continuous time,
+gives A from its input-free terms, the input term from the rest and the
+columns of B(x, u) by lowering each input exponent. All three are computed
+on coefficients, so they are exact. A polynomial autonomous part without
+polynomial input columns takes A from the same expansion with no inputs.
+Everything else is evaluated through Gauss-Legendre quadrature and, where
+no analytic input-Jacobian exists, central finite differences.
 """
 
 from __future__ import annotations
@@ -113,19 +118,6 @@ def match_rows_to_span(
     return solution.T, residual, missing
 
 
-def _lifted_derivative_rows(
-    f_c: PolynomialMap, dictionary: ObservableDictionary
-) -> TermArrays:
-    """Rows of (dPhi/dx) f_c: row r is sum_i e_i x^(e - 1_i) f_c[i], summed
-    over i in order, as one :func:`multiply_rows` call."""
-    exponents = _exponent_matrix(dictionary)
-    r, i = np.nonzero(exponents)
-    lowered = exponents.T[:, r]
-    lowered[i, np.arange(r.shape[0])] -= 1
-    derivative = TermArrays(r, lowered, exponents[r, i].astype(float), dictionary.n_f)
-    return multiply_rows(derivative, f_c.arrays, i)
-
-
 def compute_A_ct(
     f_c: PolynomialMap,
     dictionary: ObservableDictionary,
@@ -138,17 +130,7 @@ def compute_A_ct(
     coefficients against the dictionary. The residual is the largest
     absolute coefficient of any monomial outside the span.
     """
-    if f_c.n_vars != dictionary.n_x or f_c.n_out != dictionary.n_x:
-        raise DimensionError("autonomous dynamics and dictionary dimensions differ")
-    rows = _lifted_derivative_rows(f_c, dictionary)
-    A, residual, missing = match_rows_to_span(rows, dictionary)
-    if strict and residual > span_tolerance:
-        raise InvariantSubspaceViolation(
-            f"lifted derivative leaves the dictionary span (residual {residual:.3e}; "
-            f"missing monomials {missing})",
-            residual=residual,
-            missing=missing,
-        )
+    A, residual, _, _ = _symbolic_lift(f_c, [], dictionary, CONTINUOUS, span_tolerance, strict)
     return A, residual
 
 
@@ -163,17 +145,7 @@ def compute_A_dt(
     Composes each observable with the autonomous map symbolically and
     matches coefficients, enforcing ``Phi o f  in  span(Phi)``.
     """
-    if f.n_vars != dictionary.n_x or f.n_out != dictionary.n_x:
-        raise DimensionError("autonomous dynamics and dictionary dimensions differ")
-    rows = compose_rows(_exponent_matrix(dictionary), f.arrays)
-    A, residual, missing = match_rows_to_span(rows, dictionary)
-    if strict and residual > span_tolerance:
-        raise InvariantSubspaceViolation(
-            f"composed dictionary leaves its own span (residual {residual:.3e}; "
-            f"missing monomials {missing})",
-            residual=residual,
-            missing=missing,
-        )
+    A, residual, _, _ = _symbolic_lift(f, [], dictionary, DISCRETE, span_tolerance, strict)
     return A, residual
 
 
@@ -290,7 +262,7 @@ def _fd_input_term_jacobian(input_term):
 
 
 # ---------------------------------------------------------------------------
-# symbolic input machinery for polynomial systems
+# the symbolic lift of polynomial systems
 # ---------------------------------------------------------------------------
 
 
@@ -312,30 +284,73 @@ def _joint_successor_components(
     ).canonical()
 
 
-def _symbolic_dt_input(
-    decomposition: Decomposition, dictionary: ObservableDictionary
-) -> Tuple[PolynomialMap, List[PolynomialMap], bool]:
-    """Exact input term and factorised input matrix for polynomial DT systems.
+def _lifted_rows(
+    f: PolynomialMap,
+    g_columns: Sequence[PolynomialMap],
+    dictionary: ObservableDictionary,
+    time_domain: str,
+) -> TermArrays:
+    """Rows of Phi(f + G u) in discrete time, of (dPhi/dx)(f + G u) in
+    continuous time, over the joint variables (x, u).
 
-    The composed successor Phi(f(x) + G(x) u) is expanded over the joint
-    variables (x, u) by :func:`compose_rows`; dropping its input-free terms
-    yields the lifted input term, with B_in(x, 0) = 0 holding identically.
-    The ray integral of the factorisation has a closed form on monomials: a
-    term c x^a u^b of the input term contributes c * (b_j / |b|) *
-    x^a u^(b - e_j) to column j. Both steps are masks over the term arrays.
+    Discrete time composes every observable with the components
+    (:func:`compose_rows`). Continuous time forms row r as
+    sum_i e_i x^(e - 1_i) (f + G u)[i], summed over i in order, as one
+    :func:`multiply_rows` call.
+    """
+    components = _joint_successor_components(f, g_columns)
+    exponents = _exponent_matrix(dictionary)
+    if time_domain == DISCRETE:
+        return compose_rows(exponents, components)
+    r, i = np.nonzero(exponents)
+    lowered = np.zeros((components.exps.shape[0], r.shape[0]), dtype=np.intp)
+    lowered[: dictionary.n_x] = exponents.T[:, r]
+    lowered[i, np.arange(r.shape[0])] -= 1
+    derivative = TermArrays(r, lowered, exponents[r, i].astype(float), dictionary.n_f)
+    return multiply_rows(derivative, components, i)
 
-    Dropping terms keeps the graded order of the composed rows, and so does
+
+def _symbolic_lift(
+    f: PolynomialMap,
+    g_columns: Sequence[PolynomialMap],
+    dictionary: ObservableDictionary,
+    time_domain: str,
+    span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
+    strict: bool = True,
+) -> Tuple[np.ndarray, float, PolynomialMap, List[PolynomialMap]]:
+    """A, its span residual, the input term and the columns of B(x, u) of a
+    polynomial system f(x) + G(x) u, from one joint expansion.
+
+    The lifted rows (:func:`_lifted_rows`) are expanded once over the joint
+    variables (x, u). Their input-free terms are the rows of Phi o f (or of
+    (dPhi/dx) f) bit for bit: no product with an input exponent has an
+    input-free key, and the input-free products of a key are summed in the
+    order the separate expansion sums them. So they give A by span matching. Their input terms
+    are the input term, with B_in(x, 0) = 0 holding identically. The ray
+    integral of the factorisation has a closed form on monomials: a term
+    c x^a u^b of the input term contributes c * (b_j / |b|) * x^a u^(b - e_j)
+    to column j. The input term and the columns are maps over (x, u).
+
+    Dropping terms keeps the graded order of the lifted rows, and so does
     lowering u_j in every term of a column; each lowered exponent comes from
     one term alone. So every row is already canonical, and the maps are
     built from the arrays as they are.
     """
-    n_x, n_u = decomposition.n_x, decomposition.n_u
-    total = n_x + n_u
-    components = _joint_successor_components(
-        decomposition.autonomous, decomposition.control_affine_columns
-    )
-    composed = compose_rows(_exponent_matrix(dictionary), components)
-    inputs = composed.select(composed.exps[n_x:].any(axis=0))
+    n_x, n_u = dictionary.n_x, len(g_columns)
+    if f.n_vars != n_x or f.n_out != n_x:
+        raise DimensionError("autonomous dynamics and dictionary dimensions differ")
+    rows = _lifted_rows(f, g_columns, dictionary, time_domain)
+    driven = rows.exps[n_x:].any(axis=0)
+    free = rows.select(~driven)
+    A, residual, missing = match_rows_to_span(free._replace(exps=free.exps[:n_x]), dictionary)
+    if strict and residual > span_tolerance:
+        raise InvariantSubspaceViolation(
+            f"lifted dynamics leave the dictionary span (residual {residual:.3e}; "
+            f"missing monomials {missing})",
+            residual=residual,
+            missing=missing,
+        )
+    inputs = rows.select(driven)
     beta = inputs.exps[n_x:]
     deg_u = beta.sum(axis=0)
     columns = []
@@ -346,23 +361,10 @@ def _symbolic_dt_input(
         exps[n_x + j] -= 1
         columns.append(
             PolynomialMap._from_arrays(
-                total, TermArrays(inputs.row[keep], exps, value[keep], inputs.n_rows)
+                n_x + n_u, TermArrays(inputs.row[keep], exps, value[keep], inputs.n_rows)
             )
         )
-    input_term = PolynomialMap._from_arrays(total, inputs)
-    return input_term, columns, bool((deg_u > 1).any())
-
-
-def _symbolic_ct_columns(
-    decomposition: Decomposition, dictionary: ObservableDictionary
-) -> List[PolynomialMap]:
-    """Exact state-dependent input-matrix columns for CT control-affine systems."""
-    return [
-        PolynomialMap._from_arrays(
-            decomposition.n_x, _lifted_derivative_rows(column, dictionary)
-        )
-        for column in decomposition.control_affine_columns
-    ]
+    return A, residual, PolynomialMap._from_arrays(n_x + n_u, inputs), columns
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +381,14 @@ class LiftedModel:
     """Exact (or residual-flagged approximate) lifted dynamics.
 
     ``input_term(x, u)`` evaluates the lifted forcing; ``factored_input``
-    returns the matrix B with ``B(x, u) u = input_term(x, u)``. When the
-    factored matrix does not depend on the input (continuous-time
-    control-affine systems), ``input_dependent`` is False and the scheduling
-    drops u. ``input_held`` is the oracle's held-input form (see
-    :class:`~kooplift.systems.HeldInput`), kept for the continuous-time
-    simulation kernels, which take the ray quadrature from ``quad``.
+    returns the matrix B with ``B(x, u) u = input_term(x, u)``. A symbolic
+    lift takes both from one joint expansion over (x, u) and evaluates them
+    at ``[x; u]`` in either time domain. When the factored matrix does not
+    depend on the input (continuous-time control-affine systems),
+    ``input_dependent`` is False and the scheduling drops u. ``input_held``
+    is the oracle's held-input form (see :class:`~kooplift.systems.HeldInput`),
+    kept for the continuous-time simulation kernels, which take the ray
+    quadrature from ``quad``.
 
     The model is linear parameter-varying as it stands:
 
@@ -484,17 +488,22 @@ def build_lifted_model(
     symbolic path and are exact when the span residual is at (floating
     point) zero; black-box dynamics require ``sample_grid`` and produce a
     model marked approximate. With ``strict`` the symbolic path raises on a
-    span violation instead of marking the model approximate.
+    span violation instead of marking the model approximate. The input term
+    and B(x, u) are symbolic when the autonomous part is polynomial and
+    polynomial input columns are given; otherwise they come from the
+    input-driven oracle, scheduled on [z; u].
     """
     time_domain = decomposition.time_domain
-    symbolic_A = decomposition.autonomous_is_polynomial and dictionary.all_monomial
-    if symbolic_A:
-        compute = compute_A_ct if time_domain == CONTINUOUS else compute_A_dt
-        A, residual = compute(
+    polynomial = decomposition.autonomous_is_polynomial and dictionary.all_monomial
+    g_columns = decomposition.control_affine_columns
+    if polynomial:
+        A, residual, symbolic_term, columns = _symbolic_lift(
             decomposition.autonomous,
+            g_columns or [],
             dictionary,
-            span_tolerance=span_tolerance,
-            strict=strict,
+            time_domain,
+            span_tolerance,
+            strict,
         )
         exact = residual <= span_tolerance
     else:
@@ -502,75 +511,45 @@ def build_lifted_model(
             raise TypeError(
                 "black-box autonomous dynamics need a sample_grid to fit A"
             )
-        autonomous = (
-            decomposition.autonomous.evaluate
-            if decomposition.autonomous_is_polynomial
-            else decomposition.autonomous
-        )
         A, residual = fit_A_from_samples(
-            autonomous, dictionary, sample_grid, time_domain
+            decomposition.eval_autonomous, dictionary, sample_grid, time_domain
         )
         exact = False
 
-    symbolic_input = (
-        decomposition.control_affine_columns is not None and dictionary.all_monomial
-    )
     input_held = None
-    if time_domain == CONTINUOUS:
-        if symbolic_input:
-            columns = _symbolic_ct_columns(decomposition, dictionary)
+    if polynomial and g_columns is not None:
 
-            def factored(x, u, _columns=columns):
-                x = np.asarray(x, dtype=float)
-                return np.stack([c.evaluate(x) for c in _columns], axis=1)
-
-            def term(x, u, _columns=columns):
-                return factored(x, u) @ np.asarray(u, dtype=float)
-
-            def factored_batch(X, U, _columns=columns):
-                return np.stack(
-                    [c.evaluate_batch(np.asarray(X, dtype=float)) for c in _columns],
-                    axis=2,
-                )
-
-            input_dependent = False
-        else:
-            term = partial(input_term_ct, decomposition, dictionary)
-            factored = _ct_oracle_factored(decomposition, dictionary, quad)
-            factored_batch = None
-            input_dependent = True
-            input_held = decomposition.input_held
-    else:
-        if symbolic_input:
-            symbolic_term, columns_joint, input_dependent = _symbolic_dt_input(
-                decomposition, dictionary
+        def term(x, u, _poly=symbolic_term):
+            point = np.concatenate(
+                [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
             )
+            return _poly.evaluate(point)
 
-            def term(x, u, _poly=symbolic_term):
-                point = np.concatenate(
-                    [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
-                )
-                return _poly.evaluate(point)
+        def factored(x, u, _columns=columns):
+            point = np.concatenate(
+                [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
+            )
+            return np.stack([c.evaluate(point) for c in _columns], axis=1)
 
-            def factored(x, u, _columns=columns_joint):
-                point = np.concatenate(
-                    [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
-                )
-                return np.stack([c.evaluate(point) for c in _columns], axis=1)
+        def factored_batch(X, U, _columns=columns):
+            points = np.hstack(
+                [np.asarray(X, dtype=float), np.asarray(U, dtype=float)]
+            )
+            return np.stack([c.evaluate_batch(points) for c in _columns], axis=2)
 
-            def factored_batch(X, U, _columns=columns_joint):
-                points = np.hstack(
-                    [np.asarray(X, dtype=float), np.asarray(U, dtype=float)]
-                )
-                return np.stack(
-                    [c.evaluate_batch(points) for c in _columns], axis=2
-                )
-
-        else:
-            term = partial(input_term_dt, decomposition, dictionary, quad=quad)
-            factored = _dt_oracle_factored(decomposition, dictionary, quad, term)
-            factored_batch = None
-            input_dependent = True
+        n_x = decomposition.n_x
+        input_dependent = any(c.arrays.exps[n_x:].any() for c in columns)
+    elif time_domain == CONTINUOUS:
+        term = partial(input_term_ct, decomposition, dictionary)
+        factored = _ct_oracle_factored(decomposition, dictionary, quad)
+        factored_batch = None
+        input_dependent = True
+        input_held = decomposition.input_held
+    else:
+        term = partial(input_term_dt, decomposition, dictionary, quad=quad)
+        factored = _dt_oracle_factored(decomposition, dictionary, quad, term)
+        factored_batch = None
+        input_dependent = True
 
     return LiftedModel(
         A=A,

@@ -27,7 +27,6 @@ from kooplift import (
 )
 from kooplift.errors import InvariantSubspaceViolation
 from kooplift.lifting import match_rows_to_span
-from kooplift.polynomials import compose_rows
 from kooplift.quadrature import unit_gauss_legendre
 
 BENCH_DICT = ObservableDictionary(
@@ -500,6 +499,21 @@ def _ref_compose(exponents, components, n_vars, powers):
     return _ref_sorted(result)
 
 
+def _ref_joint(f, columns):
+    """Rows of f + G u over (x, u), each row re-sorted."""
+    n_u = len(columns)
+    joint = []
+    for i in range(f.n_out):
+        row = {}
+        for exps, c in f.rows[i].items():
+            _ref_add(row, exps + (0,) * n_u, c)
+        for j, column in enumerate(columns):
+            for exps, c in column.rows[i].items():
+                _ref_add(row, exps + tuple(int(k == j) for k in range(n_u)), c)
+        joint.append(_ref_sorted(row))
+    return joint
+
+
 def _ref_symbolic_lift(f, columns, dictionary):
     """(composed autonomous rows, input-term rows, B columns' rows)."""
     n_x, n_u = f.n_vars, len(columns)
@@ -509,17 +523,9 @@ def _ref_symbolic_lift(f, columns, dictionary):
     composed_x = [
         _ref_compose(o.exponents, autonomous, n_x, powers) for o in dictionary.observables
     ]
-    joint = []
-    for i in range(n_x):
-        row = {}
-        for exps, c in f.rows[i].items():
-            _ref_add(row, exps + (0,) * n_u, c)
-        for j, column in enumerate(columns):
-            for exps, c in column.rows[i].items():
-                _ref_add(row, exps + tuple(int(k == j) for k in range(n_u)), c)
-        joint.append(_ref_sorted(row))
+    joint = _ref_joint(f, columns)
     powers = [[{(0,) * total: 1.0}] for _ in joint]
-    input_rows, column_rows = [], [[] for _ in range(n_u)]
+    input_rows = []
     for obs in dictionary.observables:
         composed = _ref_compose(obs.exponents, joint, total, powers)
         row = {}
@@ -527,8 +533,15 @@ def _ref_symbolic_lift(f, columns, dictionary):
             if any(exps[n_x:]):
                 _ref_add(row, exps, c)
         input_rows.append(_ref_sorted(row))
+    return composed_x, input_rows, _ref_lowered(input_rows, n_x, n_u)
+
+
+def _ref_lowered(input_rows, n_x, n_u):
+    """Columns of B: c x^a u^b gives c (b_j / |b|) x^a u^(b - e_j) to column j."""
+    column_rows = [[] for _ in range(n_u)]
+    for input_row in input_rows:
         per_column = [{} for _ in range(n_u)]
-        for exps, c in input_rows[-1].items():
+        for exps, c in input_row.items():
             beta = exps[n_x:]
             for j, bj in enumerate(beta):
                 if bj:
@@ -536,7 +549,36 @@ def _ref_symbolic_lift(f, columns, dictionary):
                     _ref_add(per_column[j], lowered, c * (bj / sum(beta)))
         for j in range(n_u):
             column_rows[j].append(_ref_sorted(per_column[j]))
-    return composed_x, input_rows, column_rows
+    return column_rows
+
+
+def _ref_derivative(components, dictionary, n_vars):
+    """Rows of (dPhi/dx) components: the sum over i of e_i x^(e - 1_i)
+    times component i, each product and each running sum re-sorted."""
+    pad = (0,) * (n_vars - dictionary.n_x)
+    ref = []
+    for obs in dictionary.observables:
+        acc = {}
+        for i, e in enumerate(obs.exponents):
+            if e:
+                lowered = obs.exponents[:i] + (e - 1,) + obs.exponents[i + 1 :] + pad
+                for exps, c in _ref_mul({lowered: float(e)}, components[i]).items():
+                    _ref_add(acc, exps, c)
+                acc = _ref_sorted(acc)
+        ref.append(acc)
+    return ref
+
+
+def _items(rows):
+    return [list(r.items()) for r in rows]
+
+
+def _split(rows, n_x):
+    """Per row, the input-free terms (exponents cut to the state) and the
+    input terms, in row order."""
+    free = [[(e[:n_x], c) for e, c in r.items() if not any(e[n_x:])] for r in rows]
+    driven = [[(e, c) for e, c in r.items() if any(e[n_x:])] for r in rows]
+    return free, driven
 
 
 def _weighted_dictionary(degree):
@@ -559,6 +601,17 @@ def _two_input_system():
     g2 = PolynomialMap(2, [{(0, 0): -0.5}, {(1, 0): 1.3, (0, 0): 0.1}])
     return control_affine_decomposition(f, [g1, g2], "discrete")
 
+
+def _ct_two_input_system():
+    from kooplift.systems import control_affine_decomposition
+
+    system = _two_input_system()
+    return control_affine_decomposition(
+        system.autonomous, system.control_affine_columns, "continuous"
+    )
+
+
+_TWO_INPUT = _two_input_system()
 
 
 def _three_state_system():
@@ -618,24 +671,29 @@ class TestSymbolicLiftReference:
         ],
     )
     def test_term_for_term_and_in_order(self, system, dictionary):
-        from kooplift.lifting import _exponent_matrix, _symbolic_dt_input
+        from kooplift.lifting import _lifted_rows, _symbolic_lift
 
         f, columns = system.autonomous, system.control_affine_columns
         ref_x, ref_input, ref_columns = _ref_symbolic_lift(f, columns, dictionary)
 
-        composed = compose_rows(_exponent_matrix(dictionary), f.arrays)
-        assert [list(r.items()) for r in composed.to_rows()] == [
-            list(r.items()) for r in ref_x
-        ]
+        # the one joint composition: its input-free terms are Phi o f
+        # composed on its own, its input terms the input term
+        rows = _lifted_rows(f, columns, dictionary, "discrete").to_rows()
+        free, driven = _split(rows, f.n_vars)
+        assert free == _items(ref_x)
+        assert driven == _items(ref_input)
         model = build_lifted_model(system, dictionary, strict=False)
         A, _, _ = match_rows_to_span(PolynomialMap(f.n_vars, ref_x).arrays, dictionary)
         assert np.array_equal(model.A, A)
+        assert np.array_equal(compute_A_dt(f, dictionary, strict=False)[0], A)
 
-        term, lifted_columns, _ = _symbolic_dt_input(system, dictionary)
-        assert [list(r.items()) for r in term.rows] == [list(r.items()) for r in ref_input]
+        _, _, term, lifted_columns = _symbolic_lift(
+            f, columns, dictionary, "discrete", strict=False
+        )
+        assert _items(term.rows) == _items(ref_input)
         assert len(lifted_columns) == len(ref_columns)
         for got, want in zip(lifted_columns, ref_columns):
-            assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want]
+            assert _items(got.rows) == _items(want)
         # a non-empty input term, so the comparison above is not vacuous
         assert sum(len(r) for r in ref_input) > 0
 
@@ -651,37 +709,60 @@ class TestSymbolicLiftReference:
         assert list(ref_x[k].items()) == [((0, 0), 1.0), ((2, 0), 1.0), ((4, 0), 1.0)]
 
     @pytest.mark.parametrize(
-        "f_c, dictionary",
+        "f_c, columns, dictionary",
         [
-            (ct_example().decomposition.autonomous, monomial_dictionary(2, 4)),
-            (_three_state_system().autonomous, monomial_dictionary(3, 3, include_constant=True)),
-            (_cancelling_system().autonomous, monomial_dictionary(2, 3)),
+            (ct_example().decomposition.autonomous, [], monomial_dictionary(2, 4)),
+            (
+                _three_state_system().autonomous,
+                _three_state_system().control_affine_columns,
+                monomial_dictionary(3, 3, include_constant=True),
+            ),
+            (
+                _cancelling_system().autonomous,
+                _cancelling_system().control_affine_columns,
+                monomial_dictionary(2, 3),
+            ),
             # x1 x2 x3 gathers 1 + 2^-53 + 2^-53 over i = 1, 2, 3, which
             # rounds to 1.0 in that order and to 1 + 2^-52 in reverse
             (
                 PolynomialMap(3, [{(1, 0, 0): 1.0}, {(0, 1, 0): 2.0**-53}, {(0, 0, 1): 2.0**-53}]),
+                [],
                 monomial_dictionary(3, 3),
             ),
+            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 2)),
+            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 3)),
+            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 5)),
         ],
-        ids=["ct-example", "three-state", "cancelling", "summation-order"],
+        ids=[
+            "ct-example",
+            "three-state",
+            "cancelling",
+            "summation-order",
+            "two-input-deg2",
+            "two-input-deg3",
+            "two-input-deg5",
+        ],
     )
-    def test_ct_rows_term_for_term_and_in_order(self, f_c, dictionary):
-        # (dPhi/dx) f_c row by row: the sum over i of e_i x^(e - 1_i) f_c[i],
-        # each product and each running sum re-sorted, as the reference
-        from kooplift.lifting import _lifted_derivative_rows
+    def test_ct_rows_term_for_term_and_in_order(self, f_c, columns, dictionary):
+        # (dPhi/dx)(f_c + G u) row by row, as the reference; its input-free
+        # terms are (dPhi/dx) f_c alone, and lowering u_j gives (dPhi/dx) g_j
+        # formed on its own
+        from kooplift.lifting import _lifted_rows, _symbolic_lift
 
-        ref = []
-        for obs in dictionary.observables:
-            acc = {}
-            for i, e in enumerate(obs.exponents):
-                if e:
-                    lowered = obs.exponents[:i] + (e - 1,) + obs.exponents[i + 1 :]
-                    for exps, c in _ref_mul({lowered: float(e)}, f_c.rows[i]).items():
-                        _ref_add(acc, exps, c)
-                    acc = _ref_sorted(acc)
-            ref.append(acc)
-        got = _lifted_derivative_rows(f_c, dictionary).to_rows()
-        assert [list(r.items()) for r in got] == [list(r.items()) for r in ref]
+        n_x, n_u = f_c.n_vars, len(columns)
+        ref = _ref_derivative(_ref_joint(f_c, columns), dictionary, n_x + n_u)
+        got = _lifted_rows(f_c, columns, dictionary, "continuous").to_rows()
+        assert _items(got) == _items(ref)
+        free, _ = _split(got, n_x)
+        assert free == _items(_ref_derivative(f_c.rows, dictionary, n_x))
+        A, _, _, lifted_columns = _symbolic_lift(
+            f_c, columns, dictionary, "continuous", strict=False
+        )
+        assert np.array_equal(compute_A_ct(f_c, dictionary, strict=False)[0], A)
+        for got_column, column in zip(lifted_columns, columns):
+            free, driven = _split(got_column.rows, n_x)
+            assert driven == [[] for _ in driven]
+            assert free == _items(_ref_derivative(column.rows, dictionary, n_x))
         assert sum(len(r) for r in ref) > 0
 
     def test_public_constructor_still_checks_exponents(self):
@@ -693,3 +774,77 @@ class TestSymbolicLiftReference:
             PolynomialMap(2, [{(1, 0, 0): 1.0}])
         with pytest.raises(DimensionError):
             PolynomialMap(2, [{(1,): 1.0}])
+
+
+class TestOneJointExpansion:
+    @pytest.mark.parametrize(
+        "system, compositions, products",
+        [(dt_example().decomposition, 1, 0), (_ct_two_input_system(), 0, 1)],
+        ids=["discrete", "continuous"],
+    )
+    def test_one_expansion_per_lift(self, monkeypatch, system, compositions, products):
+        # A, the input term and B(x, u) come from one compose_rows call (DT)
+        # or one derivative product (CT)
+        import kooplift.lifting as lifting
+
+        calls = {"compose": 0, "multiply": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(lifting, "compose_rows", counted("compose", lifting.compose_rows))
+        monkeypatch.setattr(lifting, "multiply_rows", counted("multiply", lifting.multiply_rows))
+        build_lifted_model(system, _weighted_dictionary(12), strict=False)
+        assert calls == {"compose": compositions, "multiply": products}
+
+    def test_ct_input_term_is_the_jacobian_times_g(self):
+        # the input term is the lifted rows' input part, not B(x, u) u, so
+        # the factorisation B(x, u) u = input_term is a check of its own
+        system = _ct_two_input_system()
+        dictionary = monomial_dictionary(2, 3)
+        model = build_lifted_model(system, dictionary, strict=False)
+        assert not model.input_dependent and model.scheduling == "stack-z"
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-2.0, 2.0, (1000, 2))
+        U = rng.uniform(-1.0, 1.0, (1000, 2))
+        for x, u in zip(X, U):
+            want = dictionary.jacobian(x) @ system.eval_input_driven(x, u)
+            got = model.input_term(x, u)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            B = model.factored_input(x, u)
+            assert np.abs(B @ u - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(B, model.factored_input(x, -2.0 * u))
+            assert np.array_equal(B, model.factored_input(x, np.zeros(2)))
+
+    @pytest.mark.parametrize("time_domain", ["discrete", "continuous"])
+    def test_callable_autonomous_takes_the_oracle_path(self, time_domain):
+        # polynomial columns beside a black-box autonomous part: A is fitted
+        # on samples and the input goes through the oracle, scheduled on [z; u]
+        from dataclasses import replace
+
+        from kooplift.systems import control_affine_decomposition
+
+        bundle = dt_example()
+        f = bundle.decomposition.autonomous
+        symbolic = control_affine_decomposition(
+            f, bundle.decomposition.control_affine_columns, time_domain
+        )
+        black_box = replace(symbolic, autonomous=f.evaluate)
+        rng = np.random.default_rng(22)
+        model = build_lifted_model(
+            black_box, bundle.dictionary, sample_grid=bundle.state_box.sample(rng, 50)
+        )
+        exact = build_lifted_model(symbolic, bundle.dictionary)
+        assert not model.exact and model.input_dependent
+        assert model.scheduling == "stack-zu"
+        np.testing.assert_allclose(model.A, exact.A, rtol=0, atol=1e-12)
+        X = bundle.state_box.sample(rng, 25)
+        U = bundle.input_box.sample(rng, 25)
+        for x, u in zip(X, U):
+            want = exact.input_term(x, u)
+            np.testing.assert_allclose(model.input_term(x, u), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.factored_input(x, u) @ u, want, rtol=0, atol=1e-9)

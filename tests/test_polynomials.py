@@ -5,7 +5,7 @@ import pytest
 
 from kooplift import Monomial, ObservableDictionary, PolynomialMap, dt_example
 from kooplift.errors import DimensionError
-from kooplift.lifting import _symbolic_dt_input
+from kooplift.lifting import _symbolic_lift
 from kooplift.polynomials import (
     KERNEL_MIN_TERMS,
     TermArrays,
@@ -87,7 +87,10 @@ def _weighted_input_column(degree):
         if a + b
     ]
     dictionary = ObservableDictionary(2, [Monomial(e) for e in exponents])
-    _, columns, _ = _symbolic_dt_input(dt_example().decomposition, dictionary)
+    decomposition = dt_example().decomposition
+    _, _, _, columns = _symbolic_lift(
+        decomposition.autonomous, decomposition.control_affine_columns, dictionary, "discrete"
+    )
     return dictionary, columns[0]
 
 
