@@ -17,7 +17,6 @@ from .bounds import (
     stability_scalars,
 )
 from .dictionaries import (
-    BlackBoxObservable,
     ObservableDictionary,
     monomial_dictionary,
     parse_dictionary,
@@ -37,7 +36,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     DivergenceError,
-    DomainEvaluationError,
     InvariantSubspaceViolation,
     KoopliftError,
     NumericEvaluationError,
@@ -49,9 +47,6 @@ from .lifting import (
     compute_A_ct,
     compute_A_dt,
     factorize_input,
-    fit_A_from_samples,
-    input_term_ct,
-    input_term_dt,
 )
 from .lpv import LTIKoopmanModel, make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap
@@ -78,9 +73,7 @@ from .systems import (
     DISCRETE,
     Decomposition,
     DomainBox,
-    DynamicsOracle,
     control_affine_decomposition,
-    decompose,
 )
 
 __version__ = "0.1.0"

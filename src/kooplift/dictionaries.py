@@ -1,10 +1,8 @@
 """Observable dictionaries: ordered scalar functions lifting the state.
 
-A dictionary is an ordered list of observables, each either an exact
-:class:`~kooplift.polynomials.Monomial` or a black-box scalar callable with
-an optional analytic gradient. All-monomial dictionaries get exact batched
-evaluation and exact Jacobians; black-box entries fall back to central
-finite differences when no gradient is supplied.
+A dictionary is an ordered list of monomial observables
+(:class:`~kooplift.polynomials.Monomial`), with exact batched evaluation
+and exact Jacobians.
 """
 
 from __future__ import annotations
@@ -13,13 +11,12 @@ import re
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, NumericEvaluationError
 from .polynomials import Monomial, PolynomialMap, graded
-from .quadrature import central_difference
 
 
 # up to this many entries a Jacobian template with the constant derivatives
@@ -27,63 +24,30 @@ from .quadrature import central_difference
 SMALL_JACOBIAN_ENTRIES = 64
 
 
-class BlackBoxObservable:
-    """Scalar observable given as a callable, with optional analytic gradient."""
-
-    def __init__(
-        self,
-        func: Callable[[np.ndarray], float],
-        gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        name: str = "blackbox",
-    ):
-        self.func = func
-        self.gradient = gradient
-        self.name = name
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.func(x))
-
-    def gradient_at(self, x: np.ndarray) -> np.ndarray:
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x), dtype=float)
-        return central_difference(self.evaluate, x)
-
-    def __repr__(self):
-        return f"BlackBoxObservable({self.name})"
-
-
-Observable = Union[Monomial, BlackBoxObservable]
-
-
 class ObservableDictionary:
-    """Ordered set of scalar observables with evaluation and state-Jacobian.
+    """Ordered set of monomial observables with evaluation and state-Jacobian.
 
     ``state_selector`` lists, per state coordinate, the index of the
     observable that is the identity on that coordinate; it is detected
-    automatically for monomial entries and makes the inverse transformation
+    automatically and makes the inverse transformation
     (state recovery from the lifted vector) a plain gather.
     """
 
     def __init__(
         self,
         n_x: int,
-        observables: Sequence[Observable],
+        observables: Sequence[Monomial],
         state_selector: Optional[Sequence[int]] = None,
     ):
         self.n_x = int(n_x)
-        obs: List[Observable] = []
         for entry in observables:
-            if isinstance(entry, Monomial):
-                if entry.n_vars != self.n_x:
-                    raise DimensionError(
-                        f"monomial {entry.exponents} does not match state dimension {self.n_x}"
-                    )
-            elif not isinstance(entry, BlackBoxObservable):
-                raise TypeError(
-                    "observables must be Monomial or BlackBoxObservable instances"
+            if not isinstance(entry, Monomial):
+                raise TypeError("observables must be Monomial instances")
+            if entry.n_vars != self.n_x:
+                raise DimensionError(
+                    f"monomial {entry.exponents} does not match state dimension {self.n_x}"
                 )
-            obs.append(entry)
-        self.observables: Tuple[Observable, ...] = tuple(obs)
+        self.observables: Tuple[Monomial, ...] = tuple(observables)
         if state_selector is None:
             state_selector = _detect_state_selector(self.observables, self.n_x)
         elif not _selector_is_identity(self.observables, self.n_x, state_selector):
@@ -98,43 +62,29 @@ class ObservableDictionary:
             raise DimensionError(
                 "a dictionary with a state selector needs at least n_x observables"
             )
-        self._monomial_exponents = (
-            np.array([o.exponents for o in self.observables], dtype=np.int64)
-            if self.all_monomial and self.observables
-            else None
-        )
-        self._monomial_rows = [
-            j for j, o in enumerate(self.observables) if isinstance(o, Monomial)
-        ]
-        self._blackbox_rows = [
-            j for j, o in enumerate(self.observables) if not isinstance(o, Monomial)
-        ]
+        self._exponents = np.array(
+            [o.exponents for o in self.observables], dtype=np.int64
+        ).reshape(self.n_f, self.n_x)
         self._jac_small = self._small_jacobian_template()
 
     @property
     def n_f(self) -> int:
         return len(self.observables)
 
-    @property
-    def all_monomial(self) -> bool:
-        return all(isinstance(o, Monomial) for o in self.observables)
-
     @cached_property
     def jacobian_map(self) -> PolynomialMap:
-        """Exact Jacobian of the monomial observables, built on first use.
+        """Exact Jacobian of the observables, built on first use.
 
-        Monomials keep their dictionary order, black-box entries are
-        skipped, and the result is flattened row-major: row ``r * n_x + i``
-        is the derivative of the r-th monomial with respect to ``x_i``.
+        Flattened row-major: row ``r * n_x + i`` is the derivative of the
+        r-th observable with respect to ``x_i``.
         """
         return PolynomialMap(
-            self.n_x,
-            [{self.observables[j].exponents: 1.0} for j in self._monomial_rows],
+            self.n_x, [{o.exponents: 1.0} for o in self.observables]
         ).jacobian()
 
     @property
     def small_jacobian(self):
-        """The Jacobian template of a small all-monomial dictionary, else None.
+        """The Jacobian template of a small dictionary, else None.
 
         A pair: the (n_f, n_x) Jacobian with its constant entries set, and
         the varying entries, each (row, column, coefficient, ((variable,
@@ -144,7 +94,7 @@ class ObservableDictionary:
         return self._jac_small
 
     def _small_jacobian_template(self):
-        if not self.all_monomial or self.n_f * self.n_x > SMALL_JACOBIAN_ENTRIES:
+        if self.n_f * self.n_x > SMALL_JACOBIAN_ENTRIES:
             return None
         template = np.zeros((self.n_f, self.n_x))
         varying = []
@@ -162,10 +112,7 @@ class ObservableDictionary:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_x,):
             raise DimensionError(f"expected state of shape ({self.n_x},), got {x.shape}")
-        if self._monomial_exponents is not None:
-            out = np.prod(x[None, :] ** self._monomial_exponents, axis=1)
-        else:
-            out = np.array([o.evaluate(x) for o in self.observables])
+        out = np.prod(x[None, :] ** self._exponents, axis=1)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise NumericEvaluationError(
@@ -182,18 +129,10 @@ class ObservableDictionary:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_x}), got {pts.shape}"
             )
-        if self._monomial_exponents is not None:
-            return np.prod(
-                pts[:, None, :] ** self._monomial_exponents[None, :, :], axis=2
-            )
-        return np.stack([self.evaluate(p) for p in pts])
+        return np.prod(pts[:, None, :] ** self._exponents[None, :, :], axis=2)
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
-        """State-Jacobian at ``x``: shape (n_f, n_x).
-
-        Exact for monomials; analytic-gradient or central finite differences
-        for black-box entries.
-        """
+        """Exact state-Jacobian at ``x``: shape (n_f, n_x)."""
         x = np.asarray(x, dtype=float)
         if self._jac_small is not None:
             template, varying = self._jac_small
@@ -204,24 +143,12 @@ class ObservableDictionary:
                     v *= float(x[k]) ** e
                 jac[j, i] = v
             return jac
-        monomial = self.jacobian_map.evaluate(x).reshape(-1, self.n_x)
-        if not self._blackbox_rows:
-            return monomial
-        jac = np.empty((self.n_f, self.n_x))
-        jac[self._monomial_rows] = monomial
-        for j in self._blackbox_rows:
-            jac[j] = self.observables[j].gradient_at(x)
-        return jac
+        return self.jacobian_map.evaluate(x).reshape(-1, self.n_x)
 
     def describe(self) -> dict:
         return {
             "n_x": self.n_x,
-            "observables": [
-                {"exponents": list(o.exponents)}
-                if isinstance(o, Monomial)
-                else {"blackbox": o.name}
-                for o in self.observables
-            ],
+            "observables": [{"exponents": list(o.exponents)} for o in self.observables],
             "state_selector": list(self.state_selector)
             if self.state_selector is not None
             else None,
@@ -229,14 +156,7 @@ class ObservableDictionary:
 
     @classmethod
     def from_description(cls, doc: dict) -> "ObservableDictionary":
-        obs = []
-        for entry in doc["observables"]:
-            if "exponents" in entry:
-                obs.append(Monomial(entry["exponents"]))
-            else:
-                raise ValueError(
-                    "black-box observables cannot be reconstructed from a description"
-                )
+        obs = [Monomial(entry["exponents"]) for entry in doc["observables"]]
         return cls(doc["n_x"], obs, state_selector=doc.get("state_selector"))
 
     def __repr__(self):
@@ -252,7 +172,7 @@ def _detect_state_selector(observables, n_x: int) -> Optional[List[int]]:
     for coord in range(n_x):
         target = _identity_exponents(n_x, coord)
         for j, obs in enumerate(observables):
-            if isinstance(obs, Monomial) and obs.exponents == target:
+            if obs.exponents == target:
                 selector.append(j)
                 break
         else:
@@ -263,13 +183,10 @@ def _detect_state_selector(observables, n_x: int) -> Optional[List[int]]:
 def _selector_is_identity(observables, n_x: int, selector) -> bool:
     if len(selector) != n_x:
         return False
-    for coord, j in enumerate(selector):
-        obs = observables[int(j)]
-        if not isinstance(obs, Monomial):
-            return False
-        if obs.exponents != _identity_exponents(n_x, coord):
-            return False
-    return True
+    return all(
+        observables[int(j)].exponents == _identity_exponents(n_x, coord)
+        for coord, j in enumerate(selector)
+    )
 
 
 def monomial_dictionary(
@@ -293,7 +210,7 @@ def monomial_dictionary(
             for idx in combo:
                 exps[idx] += 1
             exponents.append(tuple(exps))
-    observables: List[Observable] = [Monomial(e) for e in graded(exponents)]
+    observables = [Monomial(e) for e in graded(exponents)]
     if include_constant:
         observables.append(Monomial((0,) * n_x))
     dictionary = ObservableDictionary(n_x, observables)

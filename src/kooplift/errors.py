@@ -9,14 +9,6 @@ class DimensionError(KoopliftError, ValueError):
     """Inputs have inconsistent shapes, lengths or dimensions."""
 
 
-class DomainEvaluationError(KoopliftError):
-    """Dynamics could not be evaluated at a required point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
 class NumericEvaluationError(KoopliftError):
     """An evaluation produced a non-finite value."""
 

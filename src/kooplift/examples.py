@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .systems import (
     DISCRETE,
     Decomposition,
     DomainBox,
-    DynamicsOracle,
     HeldInput,
     control_affine_decomposition,
 )
@@ -46,7 +45,6 @@ class SystemBundle:
     state_box: DomainBox
     input_box: DomainBox
     coefficients: Dict[str, float]
-    full_oracle: Optional[DynamicsOracle] = None
 
     @property
     def n_x(self) -> int:
@@ -129,17 +127,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         name="ct-example",
     )
 
-    def f_d_eval(x, u):
-        return f_c.evaluate(x) + g_eval(x, u)
-
-    oracle = DynamicsOracle(
-        2,
-        2,
-        f_d_eval,
-        input_jacobian=g_input_jacobian,
-        time_domain=CONTINUOUS,
-        name="ct-example",
-    )
     return SystemBundle(
         name="ct-example",
         time_domain=CONTINUOUS,
@@ -148,7 +135,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         state_box=state_box,
         input_box=input_box,
         coefficients={"coef_mu": coef_mu, "coef_lam": coef_lam},
-        full_oracle=oracle,
     )
 
 
@@ -167,18 +153,6 @@ def dt_example(a1: float = 0.7, a2: float = 0.7, a3: float = 0.5) -> SystemBundl
     decomposition = control_affine_decomposition(
         f, [g_col], DISCRETE, name="dt-example"
     )
-
-    def f_d_eval(x, u):
-        return decomposition.eval_full(x, u)
-
-    oracle = DynamicsOracle(
-        2,
-        1,
-        f_d_eval,
-        input_jacobian=decomposition.input_jacobian,
-        time_domain=DISCRETE,
-        name="dt-example",
-    )
     return SystemBundle(
         name="dt-example",
         time_domain=DISCRETE,
@@ -187,7 +161,6 @@ def dt_example(a1: float = 0.7, a2: float = 0.7, a3: float = 0.5) -> SystemBundl
         state_box=state_box,
         input_box=input_box,
         coefficients={"a1": a1, "a2": a2, "a3": a3},
-        full_oracle=oracle,
     )
 
 

@@ -98,7 +98,6 @@ def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
     if not (
         decomposition.time_domain == CONTINUOUS
         and held is not None
-        and decomposition.autonomous_is_polynomial
         and _small(n_x * n_x, n_x * n_u)
         and f.scalar_terms is not None
     ):

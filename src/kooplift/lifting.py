@@ -6,29 +6,27 @@ module builds the lifted dynamics
     continuous time:   d/dt Phi(x) = A Phi(x) + B_in(x, u)
     discrete time:     Phi(x+)     = A Phi(x) + B_in(x, u)
 
-where A comes from the span condition on the autonomous part and the input
-term B_in is a Jacobian-vector product in continuous time and a unit-interval
-line integral of the dictionary Jacobian in discrete time. The input term is
-then factorised as B_in(x, u) = B(x, u) u by integrating its input-Jacobian
-along the ray from 0 to u, which is what turns the lifted model into a
-linear parameter-varying system.
+where A comes from the span condition on the autonomous part. The input
+term B_in is factorised as B_in(x, u) = B(x, u) u by integrating its
+input-Jacobian along the ray from 0 to u, which is what turns the lifted
+model into a linear parameter-varying system.
 
-A polynomial system f(x) + G(x) u with an all-monomial dictionary takes a
-fully symbolic path in both time domains: one joint expansion over (x, u),
-Phi(f + G u) in discrete time and (dPhi/dx)(f + G u) in continuous time,
-gives A from its input-free terms, the input term from the rest and the
-columns of B(x, u) by lowering each input exponent. All three are computed
-on coefficients, so they are exact. A polynomial autonomous part without
-polynomial input columns takes A from the same expansion with no inputs.
-Everything else is evaluated through Gauss-Legendre quadrature and, where
-no analytic input-Jacobian exists, central finite differences.
+A polynomial input part g(x, u), one map over the joint variables (x, u),
+takes a fully symbolic path in both time domains: one joint expansion,
+Phi(f + g) in discrete time and (dPhi/dx)(f + g) in continuous time, gives
+A from its input-free terms, the input term from the rest and the columns
+of B(x, u) by lowering each input exponent. All three are computed on
+coefficients, so they are exact. A continuous-time input part given as a
+callable takes A from the same expansion with no inputs, the input term as
+(dPhi/dx)(x) g(x, u) and B(x, u) by Gauss-Legendre quadrature of the ray
+integral.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +41,7 @@ from .polynomials import (
     graded,
     multiply_rows,
 )
-from .quadrature import QuadratureSpec, central_difference
+from .quadrature import QuadratureSpec
 from .systems import CONTINUOUS, DISCRETE, Decomposition, HeldInput
 
 log = logging.getLogger(__name__)
@@ -75,8 +73,6 @@ def match_rows_to_span(
     with repeated monomials fall back to a least-squares solve and the
     linear dependence is reported.
     """
-    if not dictionary.all_monomial:
-        raise TypeError("span matching requires an all-monomial dictionary")
     positions: Dict[tuple, List[int]] = {}
     for k, obs in enumerate(dictionary.observables):
         positions.setdefault(obs.exponents, []).append(k)
@@ -130,7 +126,9 @@ def compute_A_ct(
     coefficients against the dictionary. The residual is the largest
     absolute coefficient of any monomial outside the span.
     """
-    A, residual, _, _ = _symbolic_lift(f_c, [], dictionary, CONTINUOUS, span_tolerance, strict)
+    A, residual, _, _ = _symbolic_lift(
+        f_c, _no_input(dictionary.n_x), dictionary, CONTINUOUS, span_tolerance, strict
+    )
     return A, residual
 
 
@@ -145,45 +143,10 @@ def compute_A_dt(
     Composes each observable with the autonomous map symbolically and
     matches coefficients, enforcing ``Phi o f  in  span(Phi)``.
     """
-    A, residual, _, _ = _symbolic_lift(f, [], dictionary, DISCRETE, span_tolerance, strict)
+    A, residual, _, _ = _symbolic_lift(
+        f, _no_input(dictionary.n_x), dictionary, DISCRETE, span_tolerance, strict
+    )
     return A, residual
-
-
-def fit_A_from_samples(
-    autonomous: Callable[[np.ndarray], np.ndarray],
-    dictionary: ObservableDictionary,
-    samples: np.ndarray,
-    time_domain: str,
-) -> Tuple[np.ndarray, float]:
-    """Least-squares A for black-box autonomous dynamics on a sample grid.
-
-    The resulting model is approximate by construction; the returned
-    residual is the worst absolute equation error over the samples.
-    """
-    X = np.asarray(samples, dtype=float)
-    if X.ndim != 2 or X.shape[1] != dictionary.n_x:
-        raise DimensionError(
-            f"expected samples of shape (N, {dictionary.n_x}), got {X.shape}"
-        )
-    Z = dictionary.evaluate_batch(X)
-    if time_domain == DISCRETE:
-        target = dictionary.evaluate_batch(
-            np.stack([np.asarray(autonomous(x), dtype=float) for x in X])
-        )
-    else:
-        target = np.stack(
-            [dictionary.jacobian(x) @ np.asarray(autonomous(x), dtype=float) for x in X]
-        )
-    At, _, rank, _ = np.linalg.lstsq(Z, target, rcond=None)
-    if rank < dictionary.n_f:
-        log.warning(
-            "sample-based lifting is rank deficient (rank %d < %d); "
-            "consider more samples or a smaller dictionary",
-            rank,
-            dictionary.n_f,
-        )
-    residual = float(np.max(np.abs(Z @ At - target))) if X.size else 0.0
-    return At.T, residual
 
 
 # ---------------------------------------------------------------------------
@@ -191,60 +154,20 @@ def fit_A_from_samples(
 # ---------------------------------------------------------------------------
 
 
-def input_term_ct(
-    decomposition: Decomposition,
-    dictionary: ObservableDictionary,
-    x: Sequence[float],
-    u: Sequence[float],
-) -> np.ndarray:
-    """Continuous-time lifted input term: (dPhi/dx)(x) g(x, u)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return dictionary.jacobian(x) @ decomposition.eval_input_driven(x, u)
-
-
-def input_term_dt(
-    decomposition: Decomposition,
-    dictionary: ObservableDictionary,
-    x: Sequence[float],
-    u: Sequence[float],
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Discrete-time lifted input term.
-
-    Integrates the dictionary Jacobian along the segment from f(x) to
-    f(x) + g(x, u) and multiplies by g(x, u); exact whenever the integrand
-    is polynomial of degree <= 2 * nodes - 1.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    g = decomposition.eval_input_driven(x, u)
-    fx = decomposition.eval_autonomous(x)
-    lam, w = quad.rule()
-    acc = w[0] * dictionary.jacobian(fx + lam[0] * g)
-    for q in range(1, lam.shape[0]):
-        acc += w[q] * dictionary.jacobian(fx + lam[q] * g)
-    return acc @ g
-
-
 def factorize_input(
-    input_term: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    input_term_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: Sequence[float],
     u: Sequence[float],
     quad: QuadratureSpec = QuadratureSpec(),
-    input_term_jacobian: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Factor the lifted input term: B(x, u) with B_in(x, u) = B(x, u) u.
+    """Factor an input term: B(x, u) with B_in(x, u) = B(x, u) u.
 
-    Integrates the input-Jacobian of the input term along the ray from 0 to
-    u. The Jacobian is taken analytically when supplied and by central
-    finite differences otherwise. At u = 0 every quadrature node collapses
-    to the origin, so the Jacobian at (x, 0) is returned directly.
+    Integrates ``input_term_jacobian``, the input-Jacobian of the input
+    term, along the ray from 0 to u. At u = 0 every quadrature node
+    collapses to the origin, so the Jacobian at (x, 0) is returned directly.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if input_term_jacobian is None:
-        input_term_jacobian = _fd_input_term_jacobian(input_term)
     if not u.any():
         return np.asarray(input_term_jacobian(x, u), dtype=float)
     lam, w = quad.rule()
@@ -254,51 +177,39 @@ def factorize_input(
     return acc
 
 
-def _fd_input_term_jacobian(input_term):
-    def jac(x, v):
-        return central_difference(lambda w: input_term(x, w), v)
-
-    return jac
-
-
 # ---------------------------------------------------------------------------
 # the symbolic lift of polynomial systems
 # ---------------------------------------------------------------------------
 
 
-def _joint_successor_components(
-    f: PolynomialMap, g_columns: Sequence[PolynomialMap]
-) -> TermArrays:
-    """Rows of f(x) + G(x) u over the joint variable set (x, u)."""
-    n_u = len(g_columns)
-    parts = [(f.arrays, np.zeros(n_u, dtype=np.intp))]
-    parts += [(column.arrays, np.eye(n_u, dtype=np.intp)[j]) for j, column in enumerate(g_columns)]
-    return TermArrays(
-        np.concatenate([terms.row for terms, _ in parts]),
-        np.concatenate(
-            [np.vstack([terms.exps, np.tile(u[:, None], terms.row.shape[0])]) for terms, u in parts],
-            axis=1,
-        ),
-        np.concatenate([terms.coeff for terms, _ in parts]),
-        f.n_out,
-    ).canonical()
+def _no_input(n_x: int) -> PolynomialMap:
+    """g = 0 over the state alone: the lift of the autonomous part."""
+    return PolynomialMap(n_x, [{}] * n_x)
 
 
 def _lifted_rows(
     f: PolynomialMap,
-    g_columns: Sequence[PolynomialMap],
+    g: PolynomialMap,
     dictionary: ObservableDictionary,
     time_domain: str,
 ) -> TermArrays:
-    """Rows of Phi(f + G u) in discrete time, of (dPhi/dx)(f + G u) in
-    continuous time, over the joint variables (x, u).
+    """Rows of Phi(f + g) in discrete time, of (dPhi/dx)(f + g) in
+    continuous time, over the joint variables (x, u) of ``g``.
 
-    Discrete time composes every observable with the components
+    The components f + g are the terms of both, f's padded with zero input
+    exponents; no key is in both, since every term of g has an input
+    exponent. Discrete time composes every observable with the components
     (:func:`compose_rows`). Continuous time forms row r as
-    sum_i e_i x^(e - 1_i) (f + G u)[i], summed over i in order, as one
+    sum_i e_i x^(e - 1_i) (f + g)[i], summed over i in order, as one
     :func:`multiply_rows` call.
     """
-    components = _joint_successor_components(f, g_columns)
+    free, driven = f.arrays, g.arrays
+    components = TermArrays(
+        np.concatenate([free.row, driven.row]),
+        np.hstack([np.pad(free.exps, ((0, g.n_vars - f.n_vars), (0, 0))), driven.exps]),
+        np.concatenate([free.coeff, driven.coeff]),
+        f.n_out,
+    ).canonical()
     exponents = _exponent_matrix(dictionary)
     if time_domain == DISCRETE:
         return compose_rows(exponents, components)
@@ -312,14 +223,14 @@ def _lifted_rows(
 
 def _symbolic_lift(
     f: PolynomialMap,
-    g_columns: Sequence[PolynomialMap],
+    g: PolynomialMap,
     dictionary: ObservableDictionary,
     time_domain: str,
     span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
     strict: bool = True,
 ) -> Tuple[np.ndarray, float, PolynomialMap, List[PolynomialMap]]:
     """A, its span residual, the input term and the columns of B(x, u) of a
-    polynomial system f(x) + G(x) u, from one joint expansion.
+    polynomial system f(x) + g(x, u), from one joint expansion.
 
     The lifted rows (:func:`_lifted_rows`) are expanded once over the joint
     variables (x, u). Their input-free terms are the rows of Phi o f (or of
@@ -336,10 +247,10 @@ def _symbolic_lift(
     one term alone. So every row is already canonical, and the maps are
     built from the arrays as they are.
     """
-    n_x, n_u = dictionary.n_x, len(g_columns)
+    n_x, n_u = dictionary.n_x, g.n_vars - dictionary.n_x
     if f.n_vars != n_x or f.n_out != n_x:
         raise DimensionError("autonomous dynamics and dictionary dimensions differ")
-    rows = _lifted_rows(f, g_columns, dictionary, time_domain)
+    rows = _lifted_rows(f, g, dictionary, time_domain)
     driven = rows.exps[n_x:].any(axis=0)
     free = rows.select(~driven)
     A, residual, missing = match_rows_to_span(free._replace(exps=free.exps[:n_x]), dictionary)
@@ -463,61 +374,36 @@ class LiftedModel:
         }
 
 
-def load_lifted_document(doc: dict) -> dict:
-    """Rebuild the numeric content of a serialised lifted model."""
-    if doc.get("kind") != "lifted-model":
-        raise ValueError("document is not a lifted model")
-    out = dict(doc)
-    out["A"] = np.array(doc["A"], dtype=float)
-    out["dictionary"] = ObservableDictionary.from_description(doc["dictionary"])
-    return out
-
-
 def build_lifted_model(
     decomposition: Decomposition,
     dictionary: ObservableDictionary,
     quad: QuadratureSpec = QuadratureSpec(),
     span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
     strict: bool = True,
-    sample_grid: Optional[np.ndarray] = None,
     name: Optional[str] = None,
 ) -> LiftedModel:
     """Assemble the lifted model for a decomposed system.
 
-    Polynomial autonomous dynamics with all-monomial dictionaries use the
-    symbolic path and are exact when the span residual is at (floating
-    point) zero; black-box dynamics require ``sample_grid`` and produce a
-    model marked approximate. With ``strict`` the symbolic path raises on a
-    span violation instead of marking the model approximate. The input term
-    and B(x, u) are symbolic when the autonomous part is polynomial and
-    polynomial input columns are given; otherwise they come from the
-    input-driven oracle, scheduled on [z; u].
+    A comes from the symbolic lift and the model is exact when the span
+    residual is at (floating point) zero; with ``strict`` a span violation
+    raises instead of marking the model approximate. The input term and
+    B(x, u) come from the same expansion when the decomposition has its
+    ``input_polynomial``; otherwise (continuous time only) from the
+    input-driven callables, scheduled on [z; u].
     """
     time_domain = decomposition.time_domain
-    polynomial = decomposition.autonomous_is_polynomial and dictionary.all_monomial
-    g_columns = decomposition.control_affine_columns
-    if polynomial:
-        A, residual, symbolic_term, columns = _symbolic_lift(
-            decomposition.autonomous,
-            g_columns or [],
-            dictionary,
-            time_domain,
-            span_tolerance,
-            strict,
-        )
-        exact = residual <= span_tolerance
-    else:
-        if sample_grid is None:
-            raise TypeError(
-                "black-box autonomous dynamics need a sample_grid to fit A"
-            )
-        A, residual = fit_A_from_samples(
-            decomposition.eval_autonomous, dictionary, sample_grid, time_domain
-        )
-        exact = False
+    g = decomposition.input_polynomial
+    A, residual, symbolic_term, columns = _symbolic_lift(
+        decomposition.autonomous,
+        g if g is not None else _no_input(dictionary.n_x),
+        dictionary,
+        time_domain,
+        span_tolerance,
+        strict,
+    )
 
     input_held = None
-    if polynomial and g_columns is not None:
+    if g is not None:
 
         def term(x, u, _poly=symbolic_term):
             point = np.concatenate(
@@ -539,17 +425,16 @@ def build_lifted_model(
 
         n_x = decomposition.n_x
         input_dependent = any(c.arrays.exps[n_x:].any() for c in columns)
-    elif time_domain == CONTINUOUS:
-        term = partial(input_term_ct, decomposition, dictionary)
+    else:
+
+        def term(x, u):
+            g_value = np.asarray(decomposition.input_driven(x, u), dtype=float)
+            return dictionary.jacobian(x) @ g_value
+
         factored = _ct_oracle_factored(decomposition, dictionary, quad)
         factored_batch = None
         input_dependent = True
         input_held = decomposition.input_held
-    else:
-        term = partial(input_term_dt, decomposition, dictionary, quad=quad)
-        factored = _dt_oracle_factored(decomposition, dictionary, quad, term)
-        factored_batch = None
-        input_dependent = True
 
     return LiftedModel(
         A=A,
@@ -557,7 +442,7 @@ def build_lifted_model(
         factored_input=factored,
         time_domain=time_domain,
         residual=float(residual),
-        exact=exact,
+        exact=residual <= span_tolerance,
         dictionary=dictionary,
         n_u=decomposition.n_u,
         quad=quad,
@@ -580,7 +465,7 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
     """
     lam, w = quad.rule()
     held = decomposition.input_held
-    jacobian = decomposition.input_jacobian_at
+    jacobian = decomposition.input_jacobian
     shape = (decomposition.n_x, decomposition.n_u)
 
     def factored(x, u):
@@ -591,55 +476,7 @@ def _ct_oracle_factored(decomposition, dictionary, quad):
             h = held.ray_jacobians(u[None], lam, w)[0].tolist()
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
         else:
-            S = factorize_input(None, x, u, quad=quad, input_term_jacobian=jacobian)
+            S = factorize_input(jacobian, x, u, quad=quad)
         return J @ S
-
-    return factored
-
-
-def _dt_input_term_jacobian(decomposition, dictionary, quad):
-    """Analytic input-Jacobian of the DT lifted input term.
-
-    Differentiating under the integral gives two contributions: the
-    integrated dictionary Jacobian times dg/du, and a chain term from the
-    dependence of the integration segment on u, which involves the second
-    derivatives of the observables and is evaluated by a nested quadrature.
-    Used when the decomposition provides an analytic input-Jacobian and the
-    dictionary is monomial; otherwise the factorisation falls back to finite
-    differences on the input term itself.
-    """
-    lam, w = quad.rule()
-    hessian = dictionary.jacobian_map.jacobian()
-    n_f, n_x = dictionary.n_f, dictionary.n_x
-
-    def jac(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = decomposition.eval_input_driven(x, v)
-        Jg = decomposition.input_jacobian_at(x, v)
-        fx = decomposition.eval_autonomous(x)
-        points = fx[None, :] + lam[:, None] * g[None, :]
-        Jphi = np.stack([dictionary.jacobian(p) for p in points])
-        S = np.tensordot(w, Jphi, axes=1)
-        H = hessian.evaluate_batch(points).reshape(lam.shape[0], n_f, n_x, n_x)
-        T = np.einsum("q,qabc,cj->abj", w * lam, H, Jg)
-        return S @ Jg + np.einsum("abj,b->aj", T, g)
-
-    return jac
-
-
-def _dt_oracle_factored(decomposition, dictionary, quad, term):
-    analytic = (
-        decomposition.input_jacobian is not None and dictionary.all_monomial
-    )
-    if analytic:
-        term_jacobian = _dt_input_term_jacobian(decomposition, dictionary, quad)
-    else:
-        term_jacobian = _fd_input_term_jacobian(term)
-
-    def factored(x, u):
-        return factorize_input(
-            None, x, u, quad=quad, input_term_jacobian=term_jacobian
-        )
 
     return factored

@@ -1,9 +1,7 @@
-"""Gauss-Legendre quadrature on the unit interval and central differences.
+"""Gauss-Legendre quadrature on the unit interval.
 
 All line integrals in this package are taken over a straight segment
 parameterised on [0, 1], so a single cached family of rules suffices.
-Derivatives that no analytic form supplies are taken by one central
-difference rule.
 """
 
 from __future__ import annotations
@@ -46,28 +44,3 @@ def unit_gauss_legendre(n: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-# step h = cbrt(eps) * max(1, |v_j|) per coordinate: the standard
-# accuracy/roundoff balance for second-order central differences
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
-def central_difference(func, v) -> np.ndarray:
-    """Central-difference Jacobian of ``func(v)`` with respect to ``v``.
-
-    The derivative along ``v_j`` is the last axis of the result, so a
-    scalar ``func`` gives its gradient and a vector one its Jacobian.
-    """
-    v = np.asarray(v, dtype=float)
-    cols = []
-    for j in range(v.shape[0]):
-        h = _FD_STEP * max(1.0, abs(float(v[j])))
-        vp = v.copy()
-        vm = v.copy()
-        vp[j] += h
-        vm[j] -= h
-        fp = np.asarray(func(vp), dtype=float)
-        fm = np.asarray(func(vm), dtype=float)
-        cols.append((fp - fm) / (vp[j] - vm[j]))
-    return np.stack(cols, axis=-1)

@@ -441,11 +441,7 @@ def simulate_nonlinear(
     label: str = "nonlinear",
 ) -> Trajectory:
     """Simulate the original nonlinear system f(x) + g(x, u)."""
-    f = (
-        decomposition.autonomous.evaluate
-        if decomposition.autonomous_is_polynomial
-        else decomposition.autonomous
-    )
+    f = decomposition.autonomous.evaluate
     g = decomposition.input_driven
     return _simulate(
         decomposition.time_domain,

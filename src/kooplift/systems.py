@@ -1,13 +1,13 @@
-"""Dynamics containers: black-box oracles, domain boxes and decompositions.
+"""Dynamics containers: domain boxes and decompositions.
 
-The central object is the split of controlled dynamics into an autonomous
-part and an input-driven remainder that vanishes at zero input,
+The central object is the split of controlled dynamics into a polynomial
+autonomous part and an input-driven remainder that vanishes at zero input,
 
-    f_d(x, u) = f(x) + g(x, u),        g(x, 0) = 0,
+    f_d(x, u) = f(x) + g(x, u),        g(x, 0) = 0.
 
-which always exists (take f(x) = f_d(x, 0)). Systems built from explicit
-polynomial pieces keep them, enabling the exact symbolic lifting path;
-everything else goes through callables.
+A polynomial ``g`` is kept as one map over (x, u), which the symbolic lift
+reads; a continuous-time ``g`` may instead be a callable with its input
+Jacobian.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainEvaluationError
+from .errors import DimensionError
 from .polynomials import PolynomialMap
-from .quadrature import central_difference
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -83,40 +82,6 @@ class DomainBox:
         return cls(lo - pad, hi + pad)
 
 
-class DynamicsOracle:
-    """Black-box evaluatable dynamics ``f_d(x, u)``.
-
-    ``input_jacobian`` returns the n_x-by-n_u Jacobian with respect to the
-    input; when absent, :func:`decompose` leaves the input-driven part to
-    central finite differences.
-    """
-
-    def __init__(
-        self,
-        n_x: int,
-        n_u: int,
-        eval: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        input_jacobian: Optional[Callable] = None,
-        time_domain: str = CONTINUOUS,
-        name: str = "oracle",
-    ):
-        self.n_x = int(n_x)
-        self.n_u = int(n_u)
-        self.eval = eval
-        self.input_jacobian = input_jacobian
-        self.time_domain = _check_time_domain(time_domain)
-        self.name = name
-
-    def __call__(self, x, u) -> np.ndarray:
-        return np.asarray(self.eval(x, u), dtype=float)
-
-    def __repr__(self):
-        return (
-            f"DynamicsOracle({self.name}, n_x={self.n_x}, n_u={self.n_u}, "
-            f"{self.time_domain})"
-        )
-
-
 @dataclass(frozen=True)
 class HeldInput:
     """The input-driven part and its input Jacobian with the input held fixed.
@@ -151,95 +116,54 @@ class HeldInput:
 class Decomposition:
     """Autonomous + input-driven split of controlled dynamics.
 
-    ``autonomous`` is a :class:`PolynomialMap` (exact path) or a callable
-    ``x -> dx``; ``input_driven`` is a callable ``(x, u) -> dx`` satisfying
-    ``input_driven(x, 0) = 0``. For control-affine systems with polynomial
-    input maps, ``control_affine_columns`` holds one PolynomialMap per input
-    channel so the lifting can stay symbolic.
+    ``autonomous`` is the polynomial map ``f`` over the ``n_x`` states and
+    ``input_driven`` a callable ``(x, u) -> dx`` with ``input_driven(x, 0) =
+    0``. A polynomial input part is also held as ``input_polynomial``:
+    ``g(x, u)`` as one :class:`PolynomialMap` over the ``n_x + n_u`` joint
+    variables ``(x, u)``, with ``n_x`` rows and an input exponent in every
+    term, so ``g(x, 0) = 0`` holds identically. The lift reads it in both
+    time domains, and a discrete-time decomposition must have it. A
+    continuous-time input without it is taken through the callables, which
+    then need the input Jacobian ``input_jacobian(x, u)``.
     """
 
     n_x: int
     n_u: int
     time_domain: str
-    autonomous: object
+    autonomous: PolynomialMap
     input_driven: Callable[[np.ndarray, np.ndarray], np.ndarray]
     input_jacobian: Optional[Callable] = None
     # optional held-input form of input_driven and input_jacobian (see
     # HeldInput); purely a fast path for the factorisation's ray integral and
     # the continuous-time simulation kernels, which it lets skip numpy calls
     input_held: Optional[HeldInput] = None
-    control_affine_columns: Optional[List[PolynomialMap]] = None
+    input_polynomial: Optional[PolynomialMap] = None
     name: str = "system"
 
     def __post_init__(self):
         _check_time_domain(self.time_domain)
+        f, g = self.autonomous, self.input_polynomial
+        if not isinstance(f, PolynomialMap):
+            raise TypeError("the autonomous part must be a PolynomialMap")
+        if f.n_vars != self.n_x or f.n_out != self.n_x:
+            raise DimensionError("the autonomous part must map the n_x states to n_x outputs")
+        if g is None:
+            if self.time_domain == DISCRETE:
+                raise TypeError("a discrete-time decomposition needs input_polynomial")
+            if self.input_jacobian is None:
+                raise TypeError("an input part without input_polynomial needs input_jacobian")
+        else:
+            if g.n_vars != self.n_x + self.n_u or g.n_out != self.n_x:
+                raise DimensionError(
+                    "input_polynomial must map the n_x + n_u joint variables to n_x outputs"
+                )
+            if not g.arrays.exps[self.n_x :].any(axis=0).all():
+                raise DimensionError("every term of input_polynomial needs an input exponent")
         if self.input_held is not None and self.input_jacobian is None:
             raise ValueError("input_held needs the input_jacobian it mirrors")
-        if self.control_affine_columns is not None:
-            if len(self.control_affine_columns) != self.n_u:
-                raise DimensionError(
-                    "need one control-affine column per input channel"
-                )
-            for col in self.control_affine_columns:
-                if col.n_out != self.n_x or col.n_vars != self.n_x:
-                    raise DimensionError(
-                        "control-affine columns must map the state to n_x outputs"
-                    )
-
-    @property
-    def autonomous_is_polynomial(self) -> bool:
-        return isinstance(self.autonomous, PolynomialMap)
-
-    def eval_autonomous(self, x) -> np.ndarray:
-        if self.autonomous_is_polynomial:
-            return self.autonomous.evaluate(x)
-        return np.asarray(self.autonomous(x), dtype=float)
-
-    def eval_input_driven(self, x, u) -> np.ndarray:
-        return np.asarray(self.input_driven(x, u), dtype=float)
 
     def eval_full(self, x, u) -> np.ndarray:
-        return self.eval_autonomous(x) + self.eval_input_driven(x, u)
-
-    def input_jacobian_at(self, x, u) -> np.ndarray:
-        if self.input_jacobian is not None:
-            return np.asarray(self.input_jacobian(x, u), dtype=float)
-        return central_difference(lambda v: self.input_driven(x, v), u)
-
-
-def decompose(f_d: DynamicsOracle) -> Decomposition:
-    """Split an oracle into autonomous and input-driven parts.
-
-    The split evaluates ``f_d(x, 0)`` for the autonomous part and
-    ``f_d(x, u) - f_d(x, 0)`` for the remainder, so ``g(x, 0) = 0`` holds
-    bitwise. Evaluation failures at zero input are reported with the
-    offending state.
-    """
-    zero_u = np.zeros(f_d.n_u)
-
-    def autonomous(x):
-        try:
-            value = np.asarray(f_d.eval(x, zero_u), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - reported with context
-            raise DomainEvaluationError(
-                f"dynamics of {f_d.name!r} undefined at u=0 for x={np.asarray(x)!r}",
-                point=np.asarray(x, dtype=float),
-            ) from exc
-        return value
-
-    def input_driven(x, u):
-        return np.asarray(f_d.eval(x, u), dtype=float) - autonomous(x)
-
-    return Decomposition(
-        n_x=f_d.n_x,
-        n_u=f_d.n_u,
-        time_domain=f_d.time_domain,
-        autonomous=autonomous,
-        input_driven=input_driven,
-        # d/du [f_d(x,u) - f_d(x,0)] = d/du f_d(x,u)
-        input_jacobian=f_d.input_jacobian,
-        name=f_d.name,
-    )
+        return self.autonomous.evaluate(x) + np.asarray(self.input_driven(x, u), dtype=float)
 
 
 def control_affine_decomposition(
@@ -248,25 +172,32 @@ def control_affine_decomposition(
     time_domain: str,
     name: str = "control-affine",
 ) -> Decomposition:
-    """Decomposition of ``f(x) + G(x) u`` with polynomial ``f`` and ``G``."""
+    """Decomposition of ``f(x) + G(x) u`` with polynomial ``f`` and ``G``.
+
+    Column ``j`` of ``G`` enters ``input_polynomial`` with ``u_j`` to the
+    first power in each of its terms.
+    """
     g_columns = list(g_columns)
     n_x = f.n_out
     n_u = len(g_columns)
+    if any(col.n_out != n_x or col.n_vars != n_x for col in g_columns):
+        raise DimensionError("control-affine columns must map the state to n_x outputs")
+    rows = [{} for _ in range(n_x)]
+    for j, column in enumerate(g_columns):
+        unit = tuple(int(k == j) for k in range(n_u))
+        for row, terms in zip(rows, column.rows):
+            row.update((exps + unit, c) for exps, c in terms.items())
 
     def input_driven(x, u):
         G = np.stack([col.evaluate(x) for col in g_columns], axis=1)
         return G @ np.asarray(u, dtype=float)
 
-    def input_jacobian(x, u):
-        return np.stack([col.evaluate(x) for col in g_columns], axis=1)
-
     return Decomposition(
         n_x=n_x,
         n_u=n_u,
-        time_domain=_check_time_domain(time_domain),
+        time_domain=time_domain,
         autonomous=f,
         input_driven=input_driven,
-        input_jacobian=input_jacobian,
-        control_affine_columns=g_columns,
+        input_polynomial=PolynomialMap(n_x + n_u, rows),
         name=name,
     )

@@ -1,6 +1,8 @@
 """Lifted-model construction: span matching, input terms, factorisation."""
 
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,21 +18,42 @@ from kooplift import (
     build_lifted_model,
     compute_A_ct,
     compute_A_dt,
+    control_affine_decomposition,
     ct_example,
-    decompose,
     dt_example,
     factorize_input,
-    fit_A_from_samples,
-    input_term_ct,
-    input_term_dt,
     monomial_dictionary,
 )
 from kooplift.errors import InvariantSubspaceViolation
 from kooplift.lifting import match_rows_to_span
 from kooplift.quadrature import unit_gauss_legendre
+from kooplift.serialize import dumps_json
 
 BENCH_DICT = ObservableDictionary(
     2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
+)
+
+
+def _non_affine_dt():
+    """x1+ = 0.5 x1 + u + 0.5 x1 u^2, x2+ = -0.75 x2 + 0.25 x1^2 + 0.25 x1^2 u - 0.125 u^2;
+    [x1, x2, x1^2, x1 x2, x1^3] is closed under its autonomous part."""
+    f = PolynomialMap(2, [{(1, 0): 0.5}, {(0, 1): -0.75, (2, 0): 0.25}])
+    g = PolynomialMap(
+        3, [{(0, 0, 1): 1.0, (1, 0, 2): 0.5}, {(2, 0, 1): 0.25, (0, 0, 2): -0.125}]
+    )
+    return Decomposition(
+        n_x=2,
+        n_u=1,
+        time_domain="discrete",
+        autonomous=f,
+        input_driven=lambda x, u: g.evaluate(np.concatenate([x, u])),
+        input_polynomial=g,
+        name="x1-u2",
+    )
+
+
+CLOSED = ObservableDictionary(
+    2, [Monomial(e) for e in ((1, 0), (0, 1), (2, 0), (1, 1), (3, 0))]
 )
 
 
@@ -136,44 +159,21 @@ class TestApproximateMarking:
         assert model.residual == 2 * 0.7 * 0.5
 
     def test_blackbox_without_samples_rejected(self):
-        bundle = dt_example()
-        split = decompose(bundle.full_oracle)
-        with pytest.raises(TypeError):
-            build_lifted_model(split, BENCH_DICT)
-
-
-class TestSampledA:
-    def test_linear_blackbox_recovery(self):
-        rng = np.random.default_rng(2)
-        F = rng.normal(size=(2, 2)) * 0.5
-        A, residual = fit_A_from_samples(
-            lambda x: F @ x,
-            monomial_dictionary(2, 1),
-            rng.uniform(-1, 1, (50, 2)),
-            "discrete",
-        )
-        np.testing.assert_allclose(A, F, rtol=0, atol=1e-12)
-        assert residual <= 1e-12
-
-    def test_blackbox_benchmark_close_to_symbolic(self):
-        bundle = dt_example()
-        split = decompose(bundle.full_oracle)
-        rng = np.random.default_rng(3)
-        grid = rng.uniform(-2, 2, (100, 2))
-        model = build_lifted_model(split, BENCH_DICT, sample_grid=grid)
-        assert not model.exact
-        A_sym, _ = compute_A_dt(bundle.decomposition.autonomous, BENCH_DICT)
-        np.testing.assert_allclose(model.A, A_sym, rtol=0, atol=1e-10)
+        # a callable autonomous part has no lift: the decomposition refuses it
+        split = dt_example().decomposition
+        with pytest.raises(TypeError, match="PolynomialMap"):
+            replace(split, autonomous=split.autonomous.evaluate)
 
 
 class TestInputTermCt:
     def test_closed_form(self):
         bundle = ct_example()
+        model = build_lifted_model(bundle.decomposition, BENCH_DICT)
         rng = np.random.default_rng(4)
         for _ in range(50):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
-            term = input_term_ct(bundle.decomposition, BENCH_DICT, x, u)
+            term = model.input_term(x, u)
             expect = np.array(
                 [
                     x[0] * math.expm1(u[0]),
@@ -184,8 +184,8 @@ class TestInputTermCt:
             assert np.all(np.abs(term - expect) <= 1e-13 * (1 + np.abs(expect)))
 
     def test_zero_input(self):
-        bundle = ct_example()
-        term = input_term_ct(bundle.decomposition, BENCH_DICT, [0.4, -0.9], [0.0, 0.0])
+        model = build_lifted_model(ct_example().decomposition, BENCH_DICT)
+        term = model.input_term(np.array([0.4, -0.9]), np.zeros(2))
         np.testing.assert_array_equal(term, np.zeros(3))
 
     def test_rk4_microstep_derivative_oracle(self):
@@ -216,37 +216,88 @@ class TestInputTermCt:
             assert np.all(np.abs(deriv - lifted) <= 1e-6 * (1 + np.abs(lifted)))
 
 
+def _line_integral_term(split, dictionary, x, u):
+    """The DT input term as the paper writes it: the dictionary Jacobian
+    integrated along the segment from f(x) to f(x) + g(x, u), times g, by
+    16-node Gauss-Legendre (exact for these polynomial integrands)."""
+    fx = split.autonomous.evaluate(x)
+    g = np.asarray(split.input_driven(x, u), dtype=float)
+    lam, w = unit_gauss_legendre(16)
+    return sum(wq * dictionary.jacobian(fx + lq * g) for lq, wq in zip(lam, w)) @ g
+
+
+def _central_difference(func, v):
+    """Central-difference Jacobian of ``func`` at ``v``, with the step
+    cbrt(eps) * max(1, |v_j|) per coordinate."""
+    cols = []
+    for j in range(v.shape[0]):
+        h = float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(float(v[j])))
+        vp, vm = v.copy(), v.copy()
+        vp[j] += h
+        vm[j] -= h
+        cols.append((func(vp) - func(vm)) / (vp[j] - vm[j]))
+    return np.stack(cols, axis=-1)
+
+
+def _composition_difference(split, dictionary, x, u):
+    """Phi(f(x) + g(x, u)) - Phi(f(x)), what the DT input term equals."""
+    fx = split.autonomous.evaluate(x)
+    g = np.asarray(split.input_driven(x, u), dtype=float)
+    return dictionary.evaluate(fx + g) - dictionary.evaluate(fx)
+
+
 class TestInputTermDt:
     def test_closed_form_via_quadrature(self):
+        # the symbolic term against its closed form and the quadrature of
+        # the line integral
         bundle = dt_example()
+        model = build_lifted_model(bundle.decomposition, BENCH_DICT)
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 1)
-            term = input_term_dt(bundle.decomposition, BENCH_DICT, x, u)
+            term = model.input_term(x, u)
             expect = np.array(
                 [u[0], x[0] ** 2 * u[0], (2 * 0.7 * x[0] + u[0]) * u[0]]
             )
             assert np.all(np.abs(term - expect) <= 1e-12 * (1 + np.abs(expect)))
+            quadrature = _line_integral_term(bundle.decomposition, BENCH_DICT, x, u)
+            assert np.all(np.abs(term - quadrature) <= 1e-12 * (1 + np.abs(expect)))
 
     def test_zero_input(self):
-        bundle = dt_example()
-        term = input_term_dt(bundle.decomposition, BENCH_DICT, [1.3, 0.2], [0.0])
+        model = build_lifted_model(dt_example().decomposition, BENCH_DICT)
+        term = model.input_term(np.array([1.3, 0.2]), np.zeros(1))
         np.testing.assert_array_equal(term, np.zeros(3))
 
     def test_composition_difference_oracle(self):
         # Phi(f(x) + g(x, u)) - Phi(f(x)) is what the line integral equals
         bundle = dt_example()
-        split = bundle.decomposition
+        model = build_lifted_model(bundle.decomposition, BENCH_DICT)
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 1)
-            term = input_term_dt(split, BENCH_DICT, x, u)
-            fx = split.eval_autonomous(x)
-            g = split.eval_input_driven(x, u)
-            expect = BENCH_DICT.evaluate(fx + g) - BENCH_DICT.evaluate(fx)
+            term = model.input_term(x, u)
+            expect = _composition_difference(bundle.decomposition, BENCH_DICT, x, u)
             assert np.all(np.abs(term - expect) <= 1e-12 * (1 + np.abs(expect)))
+
+    def test_non_affine_composition_difference_oracle(self):
+        # the same identity with an input entering as x1 u^2 and u^2, and
+        # the line integral's quadrature beside it
+        split = _non_affine_dt()
+        model = build_lifted_model(split, CLOSED)
+        assert model.residual == 0.0 and model.input_dependent
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            x = rng.uniform(-2, 2, 2)
+            u = rng.uniform(-1, 1, 1)
+            term = model.input_term(x, u)
+            expect = _composition_difference(split, CLOSED, x, u)
+            scale = 1 + np.abs(expect)
+            assert np.all(np.abs(term - expect) <= 1e-12 * scale)
+            quadrature = _line_integral_term(split, CLOSED, x, u)
+            assert np.all(np.abs(term - quadrature) <= 1e-12 * scale)
+            assert np.all(np.abs(model.factored_input(x, u) @ u - term) <= 1e-12 * scale)
 
 
 class TestFactorization:
@@ -269,11 +320,12 @@ class TestFactorization:
 
     def test_linear_term_recovers_matrix(self):
         M = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
-        term = lambda x, u: M @ u
+        # the input term M u has the input-Jacobian M at every point of the ray
+        jacobian = lambda x, u: M
         rng = np.random.default_rng(8)
         for _ in range(10):
             u = rng.normal(size=2)
-            B = factorize_input(term, np.zeros(2), u)
+            B = factorize_input(jacobian, np.zeros(2), u)
             np.testing.assert_allclose(B, M, rtol=0, atol=1e-9)
 
     def test_zero_input_returns_jacobian(self):
@@ -303,12 +355,17 @@ class TestFactorization:
         # the input-Jacobian node by node instead of taking the held ray sum
         bundle = ct_example()
         rng = np.random.default_rng(12)
-        split = decompose(bundle.full_oracle)
-        assert split.input_held is None
-        assert bundle.decomposition.input_held is not None
-        nodes = build_lifted_model(
-            split, BENCH_DICT, sample_grid=bundle.state_box.sample(rng, 50)
+        held = bundle.decomposition
+        split = Decomposition(
+            n_x=2,
+            n_u=2,
+            time_domain="continuous",
+            autonomous=held.autonomous,
+            input_driven=held.input_driven,
+            input_jacobian=held.input_jacobian,
         )
+        assert split.input_held is None and held.input_held is not None
+        nodes = build_lifted_model(split, BENCH_DICT)
         ray = build_lifted_model(bundle.decomposition, BENCH_DICT)
         X = bundle.state_box.sample(rng, 200)
         U = bundle.input_box.sample(rng, 200)
@@ -317,6 +374,27 @@ class TestFactorization:
             expect = ray.factored_input(x, u)
             got = nodes.factored_input(x, u)
             assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect).max())
+
+    def test_dt_oracle_paths_match_symbolic(self):
+        # B(x, u) by the ray quadrature of a central-difference input-Jacobian
+        # of the composition difference Phi(f + g) - Phi(f), against the
+        # symbolic columns, for dt-example and an input entering as x1 u^2
+        systems = ((dt_example().decomposition, BENCH_DICT), (_non_affine_dt(), CLOSED))
+        for split, dictionary in systems:
+            symbolic = build_lifted_model(split, dictionary)
+
+            def jacobian(x, v):
+                return _central_difference(
+                    lambda w: _composition_difference(split, dictionary, x, w), v
+                )
+
+            rng = np.random.default_rng(10)
+            for _ in range(25):
+                x = rng.uniform(-2, 2, 2)
+                u = rng.uniform(-1, 1, 1)
+                B_sym = symbolic.factored_input(x, u)
+                B_oracle = factorize_input(jacobian, x, u)
+                np.testing.assert_allclose(B_oracle, B_sym, rtol=0, atol=1e-7)
 
     def test_factorisation_identity_both_benchmarks(self):
         # B(x, u) u reproduces the lifted input term on 1000 random points
@@ -329,40 +407,6 @@ class TestFactorization:
                 lhs = model.factored_input(x, u) @ u
                 rhs = model.input_term(x, u)
                 assert np.all(np.abs(lhs - rhs) <= 1e-10 * (1 + np.abs(rhs)))
-
-    def test_dt_oracle_paths_match_symbolic(self):
-        # hybrid decompositions exercise the quadrature factorisation with
-        # and without an analytic input-Jacobian; both must agree with the
-        # symbolic matrix
-        bundle = dt_example()
-        symbolic = build_lifted_model(bundle.decomposition, BENCH_DICT)
-        f = bundle.decomposition.autonomous
-        g = bundle.decomposition.input_driven
-
-        analytic = Decomposition(
-            n_x=2,
-            n_u=1,
-            time_domain="discrete",
-            autonomous=f,
-            input_driven=g,
-            input_jacobian=bundle.decomposition.input_jacobian,
-        )
-        fd_only = Decomposition(
-            n_x=2, n_u=1, time_domain="discrete", autonomous=f, input_driven=g
-        )
-        model_a = build_lifted_model(analytic, BENCH_DICT)
-        model_f = build_lifted_model(fd_only, BENCH_DICT)
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            x = rng.uniform(-2, 2, 2)
-            u = rng.uniform(-1, 1, 1)
-            B_sym = symbolic.factored_input(x, u)
-            np.testing.assert_allclose(
-                model_a.factored_input(x, u), B_sym, rtol=0, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                model_f.factored_input(x, u), B_sym, rtol=0, atol=1e-7
-            )
 
 
 class TestLiftedIdentity:
@@ -430,19 +474,17 @@ class TestSpanMatching:
 
 class TestSerialization:
     def test_document_roundtrip_bit_exact(self):
-        from kooplift.lifting import load_lifted_document
-        from kooplift.serialize import dumps_json
-        import json
-
         for bundle in (ct_example(), dt_example()):
             model = build_lifted_model(bundle.decomposition, bundle.dictionary)
-            doc = model.to_document()
-            loaded = load_lifted_document(json.loads(dumps_json(doc)))
-            np.testing.assert_array_equal(loaded["A"], model.A)
+            loaded = json.loads(dumps_json(model.to_document()))
+            assert loaded["kind"] == "lifted-model"
+            A = np.array(loaded["A"], dtype=float)
+            assert A.tobytes() == model.A.tobytes()
             assert loaded["residual"] == model.residual
             assert loaded["exact"] == model.exact
             assert loaded["time_domain"] == model.time_domain
-            assert [o.exponents for o in loaded["dictionary"].observables] == [
+            dictionary = ObservableDictionary.from_description(loaded["dictionary"])
+            assert [o.exponents for o in dictionary.observables] == [
                 o.exponents for o in model.dictionary.observables
             ]
 
@@ -499,31 +541,30 @@ def _ref_compose(exponents, components, n_vars, powers):
     return _ref_sorted(result)
 
 
-def _ref_joint(f, columns):
-    """Rows of f + G u over (x, u), each row re-sorted."""
-    n_u = len(columns)
+def _ref_joint(f, g):
+    """Rows of f + g over (x, u), each row re-sorted."""
+    n_u = g.n_vars - f.n_vars
     joint = []
     for i in range(f.n_out):
         row = {}
         for exps, c in f.rows[i].items():
             _ref_add(row, exps + (0,) * n_u, c)
-        for j, column in enumerate(columns):
-            for exps, c in column.rows[i].items():
-                _ref_add(row, exps + tuple(int(k == j) for k in range(n_u)), c)
+        for exps, c in g.rows[i].items():
+            _ref_add(row, exps, c)
         joint.append(_ref_sorted(row))
     return joint
 
 
-def _ref_symbolic_lift(f, columns, dictionary):
+def _ref_symbolic_lift(f, g, dictionary):
     """(composed autonomous rows, input-term rows, B columns' rows)."""
-    n_x, n_u = f.n_vars, len(columns)
-    total = n_x + n_u
+    n_x, total = f.n_vars, g.n_vars
+    n_u = total - n_x
     autonomous = [dict(row) for row in f.rows]
     powers = [[{(0,) * n_x: 1.0}] for _ in autonomous]
     composed_x = [
         _ref_compose(o.exponents, autonomous, n_x, powers) for o in dictionary.observables
     ]
-    joint = _ref_joint(f, columns)
+    joint = _ref_joint(f, g)
     powers = [[{(0,) * total: 1.0}] for _ in joint]
     input_rows = []
     for obs in dictionary.observables:
@@ -593,31 +634,23 @@ def _weighted_dictionary(degree):
     )
 
 
-def _two_input_system():
-    from kooplift.systems import control_affine_decomposition
-
+def _two_input_pieces():
     f = PolynomialMap(2, [{(1, 0): 0.3, (0, 1): 0.1}, {(0, 1): -0.45, (2, 0): 0.2}])
     g1 = PolynomialMap(2, [{(0, 0): 1.0, (1, 0): 0.25}, {(0, 1): 0.7}])
     g2 = PolynomialMap(2, [{(0, 0): -0.5}, {(1, 0): 1.3, (0, 0): 0.1}])
-    return control_affine_decomposition(f, [g1, g2], "discrete")
+    return f, [g1, g2]
+
+
+def _two_input_system():
+    return control_affine_decomposition(*_two_input_pieces(), "discrete")
 
 
 def _ct_two_input_system():
-    from kooplift.systems import control_affine_decomposition
-
-    system = _two_input_system()
-    return control_affine_decomposition(
-        system.autonomous, system.control_affine_columns, "continuous"
-    )
+    return control_affine_decomposition(*_two_input_pieces(), "continuous")
 
 
-_TWO_INPUT = _two_input_system()
-
-
-def _three_state_system():
+def _three_state_pieces():
     # every dictionary row takes up to three chain steps, two inputs
-    from kooplift.systems import control_affine_decomposition
-
     f = PolynomialMap(
         3,
         [
@@ -628,14 +661,16 @@ def _three_state_system():
     )
     g1 = PolynomialMap(3, [{(0, 0, 0): 1.0}, {(0, 0, 1): 0.5}, {}])
     g2 = PolynomialMap(3, [{(0, 1, 0): -0.7}, {}, {(0, 0, 0): 1.0, (1, 0, 0): 0.2}])
-    return control_affine_decomposition(f, [g1, g2], "discrete")
+    return f, [g1, g2]
 
 
-def _cancelling_system():
+def _three_state_system():
+    return control_affine_decomposition(*_three_state_pieces(), "discrete")
+
+
+def _cancelling_pieces():
     # (1 + x1 + x1^2)(1 - x1 + x1^2) = 1 + x1^2 + x1^4: the x1^2 sum of the
     # observable x1 x2 reaches 0.0 after two of its three products
-    from kooplift.systems import control_affine_decomposition
-
     f = PolynomialMap(
         2,
         [
@@ -644,7 +679,11 @@ def _cancelling_system():
         ],
     )
     g = PolynomialMap(2, [{(0, 0): 1.0}, {(0, 1): -1.0}])
-    return control_affine_decomposition(f, [g], "discrete")
+    return f, [g]
+
+
+def _cancelling_system():
+    return control_affine_decomposition(*_cancelling_pieces(), "discrete")
 
 class TestSymbolicLiftReference:
     @pytest.mark.parametrize(
@@ -658,6 +697,8 @@ class TestSymbolicLiftReference:
             (_three_state_system(), monomial_dictionary(3, 3)),
             (_two_input_system(), monomial_dictionary(2, 2, include_constant=True)),
             (_cancelling_system(), monomial_dictionary(2, 3)),
+            (_non_affine_dt(), CLOSED),
+            (_non_affine_dt(), monomial_dictionary(2, 4)),
         ],
         ids=[
             "dt-D12",
@@ -668,17 +709,19 @@ class TestSymbolicLiftReference:
             "three-state-two-input",
             "constant-observable",
             "cancelling",
+            "non-affine-closed",
+            "non-affine-deg4",
         ],
     )
     def test_term_for_term_and_in_order(self, system, dictionary):
         from kooplift.lifting import _lifted_rows, _symbolic_lift
 
-        f, columns = system.autonomous, system.control_affine_columns
-        ref_x, ref_input, ref_columns = _ref_symbolic_lift(f, columns, dictionary)
+        f, g = system.autonomous, system.input_polynomial
+        ref_x, ref_input, ref_columns = _ref_symbolic_lift(f, g, dictionary)
 
         # the one joint composition: its input-free terms are Phi o f
         # composed on its own, its input terms the input term
-        rows = _lifted_rows(f, columns, dictionary, "discrete").to_rows()
+        rows = _lifted_rows(f, g, dictionary, "discrete").to_rows()
         free, driven = _split(rows, f.n_vars)
         assert free == _items(ref_x)
         assert driven == _items(ref_input)
@@ -688,7 +731,7 @@ class TestSymbolicLiftReference:
         assert np.array_equal(compute_A_dt(f, dictionary, strict=False)[0], A)
 
         _, _, term, lifted_columns = _symbolic_lift(
-            f, columns, dictionary, "discrete", strict=False
+            f, g, dictionary, "discrete", strict=False
         )
         assert _items(term.rows) == _items(ref_input)
         assert len(lifted_columns) == len(ref_columns)
@@ -702,9 +745,7 @@ class TestSymbolicLiftReference:
         # 1 + x1^2 + x1^4, its x1 and x1^3 sums cancelling to 0.0
         system = _cancelling_system()
         dictionary = monomial_dictionary(2, 3)
-        ref_x, _, _ = _ref_symbolic_lift(
-            system.autonomous, system.control_affine_columns, dictionary
-        )
+        ref_x, _, _ = _ref_symbolic_lift(system.autonomous, system.input_polynomial, dictionary)
         k = [o.exponents for o in dictionary.observables].index((1, 1))
         assert list(ref_x[k].items()) == [((0, 0), 1.0), ((2, 0), 1.0), ((4, 0), 1.0)]
 
@@ -712,16 +753,8 @@ class TestSymbolicLiftReference:
         "f_c, columns, dictionary",
         [
             (ct_example().decomposition.autonomous, [], monomial_dictionary(2, 4)),
-            (
-                _three_state_system().autonomous,
-                _three_state_system().control_affine_columns,
-                monomial_dictionary(3, 3, include_constant=True),
-            ),
-            (
-                _cancelling_system().autonomous,
-                _cancelling_system().control_affine_columns,
-                monomial_dictionary(2, 3),
-            ),
+            (*_three_state_pieces(), monomial_dictionary(3, 3, include_constant=True)),
+            (*_cancelling_pieces(), monomial_dictionary(2, 3)),
             # x1 x2 x3 gathers 1 + 2^-53 + 2^-53 over i = 1, 2, 3, which
             # rounds to 1.0 in that order and to 1 + 2^-52 in reverse
             (
@@ -729,9 +762,9 @@ class TestSymbolicLiftReference:
                 [],
                 monomial_dictionary(3, 3),
             ),
-            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 2)),
-            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 3)),
-            (_TWO_INPUT.autonomous, _TWO_INPUT.control_affine_columns, monomial_dictionary(2, 5)),
+            (*_two_input_pieces(), monomial_dictionary(2, 2)),
+            (*_two_input_pieces(), monomial_dictionary(2, 3)),
+            (*_two_input_pieces(), monomial_dictionary(2, 5)),
         ],
         ids=[
             "ct-example",
@@ -750,13 +783,14 @@ class TestSymbolicLiftReference:
         from kooplift.lifting import _lifted_rows, _symbolic_lift
 
         n_x, n_u = f_c.n_vars, len(columns)
-        ref = _ref_derivative(_ref_joint(f_c, columns), dictionary, n_x + n_u)
-        got = _lifted_rows(f_c, columns, dictionary, "continuous").to_rows()
+        g = control_affine_decomposition(f_c, columns, "continuous").input_polynomial
+        ref = _ref_derivative(_ref_joint(f_c, g), dictionary, n_x + n_u)
+        got = _lifted_rows(f_c, g, dictionary, "continuous").to_rows()
         assert _items(got) == _items(ref)
         free, _ = _split(got, n_x)
         assert free == _items(_ref_derivative(f_c.rows, dictionary, n_x))
         A, _, _, lifted_columns = _symbolic_lift(
-            f_c, columns, dictionary, "continuous", strict=False
+            f_c, g, dictionary, "continuous", strict=False
         )
         assert np.array_equal(compute_A_ct(f_c, dictionary, strict=False)[0], A)
         for got_column, column in zip(lifted_columns, columns):
@@ -812,39 +846,10 @@ class TestOneJointExpansion:
         X = rng.uniform(-2.0, 2.0, (1000, 2))
         U = rng.uniform(-1.0, 1.0, (1000, 2))
         for x, u in zip(X, U):
-            want = dictionary.jacobian(x) @ system.eval_input_driven(x, u)
+            want = dictionary.jacobian(x) @ system.input_driven(x, u)
             got = model.input_term(x, u)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             B = model.factored_input(x, u)
             assert np.abs(B @ u - want).max() <= 1e-13 * np.abs(want).max()
             assert np.array_equal(B, model.factored_input(x, -2.0 * u))
             assert np.array_equal(B, model.factored_input(x, np.zeros(2)))
-
-    @pytest.mark.parametrize("time_domain", ["discrete", "continuous"])
-    def test_callable_autonomous_takes_the_oracle_path(self, time_domain):
-        # polynomial columns beside a black-box autonomous part: A is fitted
-        # on samples and the input goes through the oracle, scheduled on [z; u]
-        from dataclasses import replace
-
-        from kooplift.systems import control_affine_decomposition
-
-        bundle = dt_example()
-        f = bundle.decomposition.autonomous
-        symbolic = control_affine_decomposition(
-            f, bundle.decomposition.control_affine_columns, time_domain
-        )
-        black_box = replace(symbolic, autonomous=f.evaluate)
-        rng = np.random.default_rng(22)
-        model = build_lifted_model(
-            black_box, bundle.dictionary, sample_grid=bundle.state_box.sample(rng, 50)
-        )
-        exact = build_lifted_model(symbolic, bundle.dictionary)
-        assert not model.exact and model.input_dependent
-        assert model.scheduling == "stack-zu"
-        np.testing.assert_allclose(model.A, exact.A, rtol=0, atol=1e-12)
-        X = bundle.state_box.sample(rng, 25)
-        U = bundle.input_box.sample(rng, 25)
-        for x, u in zip(X, U):
-            want = exact.input_term(x, u)
-            np.testing.assert_allclose(model.input_term(x, u), want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(model.factored_input(x, u) @ u, want, rtol=0, atol=1e-9)

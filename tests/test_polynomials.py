@@ -89,7 +89,7 @@ def _weighted_input_column(degree):
     dictionary = ObservableDictionary(2, [Monomial(e) for e in exponents])
     decomposition = dt_example().decomposition
     _, _, _, columns = _symbolic_lift(
-        decomposition.autonomous, decomposition.control_affine_columns, dictionary, "discrete"
+        decomposition.autonomous, decomposition.input_polynomial, dictionary, "discrete"
     )
     return dictionary, columns[0]
 

@@ -1,33 +1,54 @@
-"""Oracles, domain boxes and the autonomous/input-driven decomposition."""
+"""Domain boxes and the autonomous/input-driven decomposition."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kooplift import (
-    BlackBoxObservable,
+    Decomposition,
     DomainBox,
-    DynamicsOracle,
+    PolynomialMap,
     QuadratureSpec,
+    control_affine_decomposition,
     ct_example,
-    decompose,
     dt_example,
     factorize_input,
 )
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
-from kooplift.errors import DomainEvaluationError
+from kooplift.errors import DimensionError
 from kooplift.sim import build_inputs
-from kooplift.quadrature import central_difference
+
+
+def _old_step(v):
+    # the step rule every finite-difference helper used before they merged
+    return float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(float(v)))
+
+
+def _central_difference(func, v):
+    """Central-difference Jacobian of ``func`` at ``v``, one column per
+    coordinate of ``v``."""
+    cols = []
+    for j in range(v.shape[0]):
+        vp, vm = v.copy(), v.copy()
+        vp[j] += _old_step(v[j])
+        vm[j] -= _old_step(v[j])
+        cols.append((np.asarray(func(vp)) - np.asarray(func(vm))) / (vp[j] - vm[j]))
+    return np.stack(cols, axis=-1)
+
+
+def _dt_full(x, u):
+    """dt-example's f_d(x, u), written out."""
+    return np.array([0.7 * x[0] + u[0], 0.7 * x[1] - 0.5 * x[0] ** 2 + x[0] ** 2 * u[0]])
 
 
 class TestDecompose:
     def test_ct_benchmark_split(self):
-        # f_d(x, 0) recovers the autonomous polynomial part and the
-        # remainder matches the exponential input coupling
-        bundle = ct_example()
-        split = decompose(bundle.full_oracle)
+        # the autonomous polynomial part and the input-driven remainder
+        # match the closed form with its exponential input coupling
+        split = ct_example().decomposition
         rng = np.random.default_rng(0)
         mu, lam = -0.05, -1.0
         for _ in range(50):
@@ -41,77 +62,117 @@ class TestDecompose:
                 ]
             )
             scale = 1 + np.abs(f_c) + np.abs(g_c)
-            assert np.all(np.abs(split.eval_autonomous(x) - f_c) <= 1e-14 * scale)
-            assert np.all(np.abs(split.eval_input_driven(x, u) - g_c) <= 1e-13 * scale)
+            assert np.all(np.abs(split.autonomous.evaluate(x) - f_c) <= 1e-14 * scale)
+            assert np.all(np.abs(split.input_driven(x, u) - g_c) <= 1e-13 * scale)
 
     def test_input_free_oracle_gives_zero_remainder(self):
-        oracle = DynamicsOracle(
-            2, 1, lambda x, u: np.array([x[1], -x[0]]), time_domain="continuous"
-        )
-        split = decompose(oracle)
+        # an input column that is zero: no input term at all
+        f = PolynomialMap(2, [{(0, 1): 1.0}, {(1, 0): -1.0}])
+        split = control_affine_decomposition(f, [PolynomialMap(2, [{}, {}])], "continuous")
+        assert split.input_polynomial.rows == ({}, {})
         rng = np.random.default_rng(1)
         for _ in range(20):
             x = rng.normal(size=2)
             u = rng.normal(size=1)
-            np.testing.assert_array_equal(split.eval_input_driven(x, u), [0.0, 0.0])
+            np.testing.assert_array_equal(split.input_driven(x, u), [0.0, 0.0])
 
     def test_linear_input_case(self):
         b = np.array([[0.5], [2.0]])
-        oracle = DynamicsOracle(
-            2,
-            1,
-            lambda x, u: np.array([x[1], -x[0]]) + b @ u,
-            time_domain="continuous",
-        )
-        split = decompose(oracle)
+        f = PolynomialMap(2, [{(0, 1): 1.0}, {(1, 0): -1.0}])
+        column = PolynomialMap(2, [{(0, 0): 0.5}, {(0, 0): 2.0}])
+        split = control_affine_decomposition(f, [column], "continuous")
+        # g(x, u) = b u over (x1, x2, u1)
+        assert split.input_polynomial.rows == ({(0, 0, 1): 0.5}, {(0, 0, 1): 2.0})
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.normal(size=2)
             u = rng.normal(size=1)
-            np.testing.assert_allclose(
-                split.eval_input_driven(x, u), (b @ u), rtol=0, atol=1e-14
-            )
+            np.testing.assert_allclose(split.input_driven(x, u), (b @ u), rtol=0, atol=1e-14)
 
     def test_remainder_vanishes_bitwise_at_zero_input(self):
-        bundle = ct_example()
-        split = decompose(bundle.full_oracle)
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 2)
-            g0 = split.eval_input_driven(x, np.zeros(2))
-            assert g0[0] == 0.0 and g0[1] == 0.0
+        for bundle in (ct_example(), dt_example()):
+            split = bundle.decomposition
+            zero = np.zeros(split.n_u)
+            for _ in range(100):
+                x = rng.uniform(-2, 2, 2)
+                g0 = split.input_driven(x, zero)
+                assert g0[0] == 0.0 and g0[1] == 0.0
+        # the joint input polynomial too: every term carries a power of u
+        g = dt_example().decomposition.input_polynomial
+        points = np.hstack([rng.uniform(-2, 2, (100, 2)), np.zeros((100, 1))])
+        np.testing.assert_array_equal(g.evaluate_batch(points), 0.0)
 
     def test_sum_reconstructs_dynamics(self):
-        # 1000 random points: autonomous + input-driven == f_d
-        for bundle in (ct_example(), dt_example()):
-            split = decompose(bundle.full_oracle)
+        # 1000 random points: autonomous + input-driven == f_d written out,
+        # and in discrete time also f + g with g the joint input polynomial
+        mu, lam = -0.05, -1.0
+
+        def ct_full(x, u):
+            return np.array(
+                [
+                    mu * x[0] + x[0] * math.exp(u[0]) - x[0],
+                    lam * (x[1] - x[0] ** 2) + u[0] * u[1] + x[1] * math.exp(u[1]) - x[1],
+                ]
+            )
+
+        for bundle, full_of in ((ct_example(), ct_full), (dt_example(), _dt_full)):
+            split = bundle.decomposition
             rng = np.random.default_rng(4)
             X = bundle.state_box.sample(rng, 1000)
             U = bundle.input_box.sample(rng, 1000)
             for x, u in zip(X, U):
-                full = bundle.full_oracle(x, u)
-                got = split.eval_autonomous(x) + split.eval_input_driven(x, u)
-                assert np.all(np.abs(got - full) <= 1e-14 * (1 + np.abs(full)))
+                full = full_of(x, u)
+                tol = 1e-14 * (1 + np.abs(full))
+                assert np.all(np.abs(split.eval_full(x, u) - full) <= tol)
+                if split.input_polynomial is not None:
+                    joint = split.autonomous.evaluate(x) + split.input_polynomial.evaluate(
+                        np.concatenate([x, u])
+                    )
+                    assert np.all(np.abs(joint - full) <= tol)
 
-    def test_failure_at_zero_input_names_state(self):
-        def partial(x, u):
-            if np.all(u == 0):
-                raise ValueError("undefined at zero input")
-            return x + u
 
-        oracle = DynamicsOracle(2, 2, partial, time_domain="discrete")
-        split = decompose(oracle)
-        with pytest.raises(DomainEvaluationError) as exc:
-            split.eval_autonomous(np.array([3.0, 4.0]))
-        np.testing.assert_array_equal(exc.value.point, [3.0, 4.0])
+class TestDecompositionChecks:
+    """Each malformed decomposition fails at construction with a typed error.
+    (A callable autonomous part: ``test_lifting.py``,
+    ``test_blackbox_without_samples_rejected``.)"""
+
+    def test_discrete_time_needs_input_polynomial(self):
+        with pytest.raises(TypeError, match="input_polynomial"):
+            replace(dt_example().decomposition, input_polynomial=None)
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (PolynomialMap(2, [{(1, 0): 1.0}, {}]), "joint variables"),
+            (PolynomialMap(3, [{(0, 0, 1): 1.0}]), "joint variables"),
+            (PolynomialMap(3, [{(0, 0, 1): 1.0}, {(2, 0, 0): 1.0}]), "input exponent"),
+        ],
+        ids=["wrong-n-vars", "wrong-n-out", "input-free-term"],
+    )
+    def test_input_polynomial_checked(self, g, message):
+        with pytest.raises(DimensionError, match=message):
+            replace(dt_example().decomposition, input_polynomial=g)
+
+    def test_callable_input_needs_jacobian(self):
+        split = ct_example().decomposition
+        with pytest.raises(TypeError, match="input_jacobian"):
+            Decomposition(
+                n_x=2,
+                n_u=2,
+                time_domain="continuous",
+                autonomous=split.autonomous,
+                input_driven=split.input_driven,
+            )
 
 
 class TestBuiltinBundles:
     def test_dt_control_affine_columns(self):
+        # the one column [1, x1^2] enters the joint map with u to the first power
         bundle = dt_example()
-        cols = bundle.decomposition.control_affine_columns
-        assert len(cols) == 1
-        assert cols[0].rows == ({(0, 0): 1.0}, {(2, 0): 1.0})
+        g = bundle.decomposition.input_polynomial
+        assert (g.n_vars, g.n_out) == (3, 2)
+        assert g.rows == ({(0, 0, 1): 1.0}, {(2, 0, 1): 1.0})
 
     def test_dt_step_value(self):
         # x1+ at x = (1, 1), u = 0.5 is 0.7 + 0.5 = 1.2
@@ -125,8 +186,8 @@ class TestBuiltinBundles:
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
-            analytic = bundle.decomposition.input_jacobian_at(x, u)
-            fd = central_difference(lambda v: bundle.decomposition.input_driven(x, v), u)
+            analytic = bundle.decomposition.input_jacobian(x, u)
+            fd = _central_difference(lambda v: bundle.decomposition.input_driven(x, v), u)
             assert np.all(np.abs(analytic - fd) <= 1e-6 * (1 + np.abs(analytic)))
 
     def test_ct_held_ray_matches_node_sum(self):
@@ -142,7 +203,7 @@ class TestBuiltinBundles:
             h = held.ray_jacobians(u[None], lam, w)[0]
             ray = np.reshape(held.jacobian_at(tuple(x), tuple(h)), (2, 2))
             explicit = sum(
-                wq * bundle.decomposition.input_jacobian_at(x, lq * u)
+                wq * bundle.decomposition.input_jacobian(x, lq * u)
                 for lq, wq in zip(lam, w)
             )
             np.testing.assert_allclose(ray, explicit, rtol=1e-13, atol=1e-14)
@@ -218,27 +279,11 @@ class TestDomainBox:
     def test_finite_difference_jacobian_quadratic_exact(self):
         # central differences are exact for quadratics
         func = lambda x, u: np.array([u[0] ** 2 + 3 * u[1], u[0] * u[1]])
-        J = central_difference(lambda u: func(np.zeros(1), u), np.array([1.0, 2.0]))
+        J = _central_difference(lambda u: func(np.zeros(1), u), np.array([1.0, 2.0]))
         np.testing.assert_allclose(J, [[2.0, 3.0], [2.0, 1.0]], rtol=1e-9)
 
 
-def _old_step(v):
-    # the step rule every finite-difference helper used before they merged
-    return float(np.finfo(float).eps) ** (1.0 / 3.0) * max(1.0, abs(float(v)))
-
-
 class TestCentralDifference:
-    def test_scalar_observable_gradient_keeps_its_bits(self):
-        func = lambda x: math.sin(x[0]) * x[1] ** 3 + math.exp(x[1])
-        x = np.array([0.4, -1.7])
-        expect = np.empty(2)
-        for i in range(2):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += _old_step(x[i])
-            xm[i] -= _old_step(x[i])
-            expect[i] = (float(func(xp)) - float(func(xm))) / (xp[i] - xm[i])
-        np.testing.assert_array_equal(BlackBoxObservable(func).gradient_at(x), expect)
-
     def test_vector_input_term_factorisation_keeps_its_bits(self):
         term = lambda x, v: np.array(
             [x[0] * math.expm1(v[0]), v[0] * v[1] + x[1] * math.sin(v[1]), v[1] ** 3]
@@ -259,12 +304,5 @@ class TestCentralDifference:
         expect = w[0] * old_jacobian(x, lam[0] * u)
         for q in range(1, lam.shape[0]):
             expect += w[q] * old_jacobian(x, lam[q] * u)
-        np.testing.assert_array_equal(factorize_input(term, x, u, quad=quad), expect)
-
-    def test_oracle_without_jacobian_falls_back(self):
-        oracle = DynamicsOracle(1, 2, lambda x, u: np.array([u[0] ** 2 * u[1]]))
-        np.testing.assert_allclose(
-            decompose(oracle).input_jacobian_at(np.zeros(1), np.array([1.5, 2.0])),
-            [[6.0, 2.25]],
-            rtol=1e-8,
-        )
+        got = factorize_input(old_jacobian, x, u, quad=quad)
+        np.testing.assert_array_equal(got, expect)
