@@ -46,7 +46,6 @@ from .lifting import (
     build_lifted_model,
     compute_A_ct,
     compute_A_dt,
-    factorize_input,
 )
 from .lpv import LTIKoopmanModel, make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap

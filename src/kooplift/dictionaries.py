@@ -30,7 +30,8 @@ class ObservableDictionary:
     ``state_selector`` lists, per state coordinate, the index of the
     observable that is the identity on that coordinate; it is detected
     automatically and makes the inverse transformation
-    (state recovery from the lifted vector) a plain gather.
+    (state recovery from the lifted vector) a plain gather. ``exponents``
+    is the read-only (n_f, n_x) int64 array of the observables' exponents.
     """
 
     def __init__(
@@ -62,9 +63,10 @@ class ObservableDictionary:
             raise DimensionError(
                 "a dictionary with a state selector needs at least n_x observables"
             )
-        self._exponents = np.array(
+        self.exponents = np.array(
             [o.exponents for o in self.observables], dtype=np.int64
         ).reshape(self.n_f, self.n_x)
+        self.exponents.setflags(write=False)
         self._jac_small = self._small_jacobian_template()
 
     @property
@@ -112,7 +114,7 @@ class ObservableDictionary:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_x,):
             raise DimensionError(f"expected state of shape ({self.n_x},), got {x.shape}")
-        out = np.prod(x[None, :] ** self._exponents, axis=1)
+        out = np.prod(x[None, :] ** self.exponents, axis=1)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise NumericEvaluationError(
@@ -129,7 +131,7 @@ class ObservableDictionary:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_x}), got {pts.shape}"
             )
-        return np.prod(pts[:, None, :] ** self._exponents[None, :, :], axis=2)
+        return np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
         """Exact state-Jacobian at ``x``: shape (n_f, n_x)."""

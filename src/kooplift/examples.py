@@ -71,8 +71,8 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         ],
     )
 
-    # g(x, u) and its input Jacobians with the input held: the input-only
-    # factors first, then the products and sums at the state
+    # g(x, u) and its input Jacobian, defined with the input held: the
+    # input-only factors first, then the products and sums at the state
     def held_driven(u):
         # expm1 keeps x*exp(u) - x accurate near u = 0
         return (math.expm1(u[0]), math.expm1(u[1]), u[0] * u[1])
@@ -102,12 +102,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
     def held_jacobian_at(x, h):
         return (x[0] * h[0], 0.0, h[2], h[3] + x[1] * h[1])
 
-    def g_eval(x, u):
-        return np.array(held_driven_at(x, held_driven(u)))
-
-    def g_input_jacobian(x, u):
-        return np.reshape(held_jacobian_at(x, held_jacobian(u)), (2, 2))
-
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])
     decomposition = Decomposition(
@@ -115,8 +109,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         n_u=2,
         time_domain=CONTINUOUS,
         autonomous=f_c,
-        input_driven=g_eval,
-        input_jacobian=g_input_jacobian,
         input_held=HeldInput(
             driven=held_driven,
             driven_at=held_driven_at,

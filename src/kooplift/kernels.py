@@ -24,14 +24,13 @@ same order:
   is not within the limit, so the numpy check decides with the same step
   and message.
 
-The input term comes from an oracle's held-input form
+The input term comes from the held-input form that defines ``g``
 (``Decomposition.input_held``): the work that depends only on the held input
 runs once per step instead of once per stage. The LPV kernel goes further
-and reads it from one table per run: ``Kernel.table`` takes the ray sums
-of every step's input through ``ray_jacobians``, a block of rows per numpy
-call, before the loop starts, so no step makes a Python call for them.
-Models without that form, control-affine systems given by polynomial
-columns among them, keep the numpy path.
+and reads it from one table per run: ``Kernel.table`` is the form's
+``ray_table`` of every step's input, built before the loop starts, so no
+step makes a Python call for it. Models with a polynomial input part,
+control-affine systems among them, keep the numpy path.
 
 numpy takes matrix products through BLAS, which may fuse a multiply and an
 add into one rounding (OpenBLAS does on x86-64 with FMA3, in an order that
@@ -49,21 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from .dictionaries import SMALL_JACOBIAN_ENTRIES
 from .systems import CONTINUOUS, Decomposition
 
 # code objects by source text
 _CODE: Dict[str, object] = {}
-
-
-# the ray sums of a run are formed this many input rows at a time, so a long
-# run never holds the (rows, nodes) exp values of all its steps at once
-RAY_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,7 @@ def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
 
     Needs a small continuous-time system (``n_x * n_x`` and ``n_x * n_u``
     at most ``SMALL_JACOBIAN_ENTRIES``) with ``f`` a term-loop polynomial map
-    and ``g`` given by the oracle's held-input form.
+    and ``g`` given by its held-input form.
     """
     n_x, n_u = decomposition.n_x, decomposition.n_u
     f = decomposition.autonomous
@@ -120,8 +111,8 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
     Needs a small continuous-time model (``n_f * n_x``, ``n_f * n_f`` and
     ``n_f * n_u`` at most ``SMALL_JACOBIAN_ENTRIES``), the dictionary's small
-    Jacobian template, and the oracle's held-input form (``input_held``);
-    the ray quadrature is the model's own (``quad``).
+    Jacobian template, and the held-input form (``input_held``); the ray
+    quadrature is the model's own (``quad``).
     """
     held = model.input_held
     dictionary = model.dictionary
@@ -158,22 +149,8 @@ def lpv_kernel(model) -> Optional[Kernel]:
         step,
         stage,
         {"HELD": held},
-        table=partial(_ray_table, held, nodes, weights, width),
+        table=lambda inputs: held.ray_table(inputs, nodes, weights),
     )
-
-
-def _ray_table(held, nodes, weights, width, inputs):
-    """Row k: the ``width`` held ray-sum values of input row k, formed by
-    ``held.ray_jacobians`` ``RAY_BLOCK_ROWS`` rows per call. A row whose
-    inputs are all zero takes ``held.jacobian`` of it instead, ``dg/du(x, 0)``
-    itself, as the factorisation does at ``u = 0``."""
-    table = np.empty((inputs.shape[0], width))
-    for start in range(0, inputs.shape[0], RAY_BLOCK_ROWS):
-        stop = start + RAY_BLOCK_ROWS
-        table[start:stop] = held.ray_jacobians(inputs[start:stop], nodes, weights)
-    for k in np.flatnonzero(~inputs.any(axis=1)).tolist():
-        table[k] = held.jacobian(tuple(inputs[k].tolist()))
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ takes a fully symbolic path in both time domains: one joint expansion,
 Phi(f + g) in discrete time and (dPhi/dx)(f + g) in continuous time, gives
 A from its input-free terms, the input term from the rest and the columns
 of B(x, u) by lowering each input exponent. All three are computed on
-coefficients, so they are exact. A continuous-time input part given as a
-callable takes A from the same expansion with no inputs, the input term as
-(dPhi/dx)(x) g(x, u) and B(x, u) by Gauss-Legendre quadrature of the ray
-integral.
+coefficients, so they are exact. A continuous-time input part given in its
+held-input form takes A from the same expansion with no inputs, the input
+term as (dPhi/dx)(x) g(x, u) and B(x, u) by Gauss-Legendre quadrature of
+the ray integral.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,13 +52,6 @@ DEFAULT_SPAN_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 # coefficient matching against the dictionary span
 # ---------------------------------------------------------------------------
-
-
-def _exponent_matrix(dictionary: ObservableDictionary) -> np.ndarray:
-    """The (n_f, n_x) exponents of an all-monomial dictionary."""
-    return np.array(
-        [obs.exponents for obs in dictionary.observables], dtype=np.intp
-    ).reshape(dictionary.n_f, dictionary.n_x)
 
 
 def match_rows_to_span(
@@ -150,34 +143,6 @@ def compute_A_dt(
 
 
 # ---------------------------------------------------------------------------
-# input terms and their factorisation
-# ---------------------------------------------------------------------------
-
-
-def factorize_input(
-    input_term_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: Sequence[float],
-    u: Sequence[float],
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> np.ndarray:
-    """Factor an input term: B(x, u) with B_in(x, u) = B(x, u) u.
-
-    Integrates ``input_term_jacobian``, the input-Jacobian of the input
-    term, along the ray from 0 to u. At u = 0 every quadrature node
-    collapses to the origin, so the Jacobian at (x, 0) is returned directly.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if not u.any():
-        return np.asarray(input_term_jacobian(x, u), dtype=float)
-    lam, w = quad.rule()
-    acc = w[0] * np.asarray(input_term_jacobian(x, lam[0] * u), dtype=float)
-    for q in range(1, lam.shape[0]):
-        acc += w[q] * np.asarray(input_term_jacobian(x, lam[q] * u), dtype=float)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # the symbolic lift of polynomial systems
 # ---------------------------------------------------------------------------
 
@@ -210,7 +175,7 @@ def _lifted_rows(
         np.concatenate([free.coeff, driven.coeff]),
         f.n_out,
     ).canonical()
-    exponents = _exponent_matrix(dictionary)
+    exponents = dictionary.exponents
     if time_domain == DISCRETE:
         return compose_rows(exponents, components)
     r, i = np.nonzero(exponents)
@@ -297,9 +262,10 @@ class LiftedModel:
     at ``[x; u]`` in either time domain. When the factored matrix does not
     depend on the input (continuous-time control-affine systems),
     ``input_dependent`` is False and the scheduling drops u. ``input_held``
-    is the oracle's held-input form (see :class:`~kooplift.systems.HeldInput`),
-    kept for the continuous-time simulation kernels, which take the ray
-    quadrature from ``quad``.
+    is the held-input form that defines ``g`` (see
+    :class:`~kooplift.systems.HeldInput`), kept for the continuous-time
+    simulation kernels; ``factored_input`` and the kernels take B from its
+    ray table on the quadrature ``quad``.
 
     The model is linear parameter-varying as it stands:
 
@@ -388,8 +354,8 @@ def build_lifted_model(
     residual is at (floating point) zero; with ``strict`` a span violation
     raises instead of marking the model approximate. The input term and
     B(x, u) come from the same expansion when the decomposition has its
-    ``input_polynomial``; otherwise (continuous time only) from the
-    input-driven callables, scheduled on [z; u].
+    ``input_polynomial``; otherwise (continuous time only) from its
+    ``input_held`` form, scheduled on [z; u].
     """
     time_domain = decomposition.time_domain
     g = decomposition.input_polynomial
@@ -402,7 +368,6 @@ def build_lifted_model(
         strict,
     )
 
-    input_held = None
     if g is not None:
 
         def term(x, u, _poly=symbolic_term):
@@ -428,13 +393,11 @@ def build_lifted_model(
     else:
 
         def term(x, u):
-            g_value = np.asarray(decomposition.input_driven(x, u), dtype=float)
-            return dictionary.jacobian(x) @ g_value
+            return dictionary.jacobian(x) @ decomposition.input_driven(x, u)
 
         factored = _ct_oracle_factored(decomposition, dictionary, quad)
         factored_batch = None
         input_dependent = True
-        input_held = decomposition.input_held
 
     return LiftedModel(
         A=A,
@@ -448,35 +411,27 @@ def build_lifted_model(
         quad=quad,
         input_dependent=input_dependent,
         factored_batch=factored_batch,
-        input_held=input_held,
+        input_held=decomposition.input_held,
         name=name or decomposition.name,
     )
 
 
 def _ct_oracle_factored(decomposition, dictionary, quad):
-    """B(x, u) for general CT systems.
+    """B(x, u) of a held-input form.
 
     Since the input term is (dPhi/dx)(x) g(x, u) and the dictionary Jacobian
     does not depend on u, the ray integral reduces to the dictionary
-    Jacobian times the integrated input-Jacobian S of g. An oracle with a
-    held-input form supplies S from a one-row ``ray_jacobians``, bit for
-    bit the row the LPV kernel's table holds; otherwise, and at u = 0, S is
-    :func:`factorize_input` of g.
+    Jacobian times the integrated input-Jacobian S of g, finished from a
+    one-row ``ray_table``: bit for bit the row the LPV kernel's table holds.
     """
     lam, w = quad.rule()
     held = decomposition.input_held
-    jacobian = decomposition.input_jacobian
     shape = (decomposition.n_x, decomposition.n_u)
 
     def factored(x, u):
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        J = dictionary.jacobian(x)
-        if held is not None and u.any():
-            h = held.ray_jacobians(u[None], lam, w)[0].tolist()
-            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
-        else:
-            S = factorize_input(jacobian, x, u, quad=quad)
-        return J @ S
+        h = held.ray_table(np.asarray(u, dtype=float)[None], lam, w)[0].tolist()
+        S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
+        return dictionary.jacobian(x) @ S
 
     return factored

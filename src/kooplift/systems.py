@@ -5,9 +5,9 @@ autonomous part and an input-driven remainder that vanishes at zero input,
 
     f_d(x, u) = f(x) + g(x, u),        g(x, 0) = 0.
 
-A polynomial ``g`` is kept as one map over (x, u), which the symbolic lift
-reads; a continuous-time ``g`` may instead be a callable with its input
-Jacobian.
+``g`` is held once, in one of two forms: one polynomial map over (x, u),
+which the symbolic lift reads, or, in continuous time, a held-input form
+(:class:`HeldInput`) that defines ``g`` and its input Jacobian.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .polynomials import PolynomialMap
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
+
+# a held form's ray sums are formed this many input rows at a time, so a long
+# run never holds the (rows, nodes) values of all its steps at once
+RAY_BLOCK_ROWS = 512
 
 
 def _check_time_domain(time_domain: str) -> str:
@@ -84,7 +88,8 @@ class DomainBox:
 
 @dataclass(frozen=True)
 class HeldInput:
-    """The input-driven part and its input Jacobian with the input held fixed.
+    """A continuous-time input part ``g(x, u)`` and its input Jacobian, split
+    for an input held fixed.
 
     Under a zero-order hold everything that depends on the input alone is
     fixed across the Runge-Kutta stages of a step, so it is computed once
@@ -92,8 +97,7 @@ class HeldInput:
     ``jacobian(u)`` those for ``dg/du(x, u)``; ``driven_at(x, h)`` and
     ``jacobian_at(x, h)`` finish the evaluation at a state. States and
     inputs are tuples of floats and results are flat tuples of floats, the
-    Jacobian row-major. They must equal ``input_driven`` and
-    ``input_jacobian`` bit for bit.
+    Jacobian row-major. These four functions are ``g`` and its Jacobian.
 
     ``ray_jacobians(U, nodes, weights)`` takes the values for the ray sum
     ``sum_q w_q dg/du(x, nodes_q * u)`` of many held inputs at once: an
@@ -101,8 +105,9 @@ class HeldInput:
     ``h`` that ``jacobian_at`` finishes for input row i, with k the length
     of ``jacobian``'s tuple. Each row must not depend on the other rows, so
     a run's rows give the same bits in any blocking, and must equal the
-    node-by-node sum of ``input_jacobian`` up to rounding: the factorisation
-    and the continuous-time LPV kernel both take the ray integral from it.
+    node-by-node sum of ``jacobian`` up to rounding. The factorisation and
+    the continuous-time LPV kernel both read the ray integral from
+    :meth:`ray_table`.
     """
 
     driven: Callable
@@ -111,59 +116,89 @@ class HeldInput:
     ray_jacobians: Callable
     jacobian_at: Callable
 
+    def ray_table(self, inputs: np.ndarray, nodes, weights) -> np.ndarray:
+        """Row k: the held ray-sum values of input row k, formed by
+        ``ray_jacobians`` ``RAY_BLOCK_ROWS`` rows per call. A row whose
+        inputs are all zero takes ``jacobian`` of it instead, ``dg/du(x, 0)``
+        itself, since every node of the ray collapses to the origin there."""
+        first = self.ray_jacobians(inputs[:RAY_BLOCK_ROWS], nodes, weights)
+        table = np.empty((inputs.shape[0], first.shape[1]))
+        table[:RAY_BLOCK_ROWS] = first
+        for start in range(RAY_BLOCK_ROWS, inputs.shape[0], RAY_BLOCK_ROWS):
+            stop = start + RAY_BLOCK_ROWS
+            table[start:stop] = self.ray_jacobians(inputs[start:stop], nodes, weights)
+        for k in np.flatnonzero(~inputs.any(axis=1)).tolist():
+            table[k] = self.jacobian(tuple(inputs[k].tolist()))
+        return table
+
 
 @dataclass
 class Decomposition:
     """Autonomous + input-driven split of controlled dynamics.
 
-    ``autonomous`` is the polynomial map ``f`` over the ``n_x`` states and
-    ``input_driven`` a callable ``(x, u) -> dx`` with ``input_driven(x, 0) =
-    0``. A polynomial input part is also held as ``input_polynomial``:
-    ``g(x, u)`` as one :class:`PolynomialMap` over the ``n_x + n_u`` joint
-    variables ``(x, u)``, with ``n_x`` rows and an input exponent in every
-    term, so ``g(x, 0) = 0`` holds identically. The lift reads it in both
-    time domains, and a discrete-time decomposition must have it. A
-    continuous-time input without it is taken through the callables, which
-    then need the input Jacobian ``input_jacobian(x, u)``.
+    ``autonomous`` is the polynomial map ``f`` over the ``n_x`` states. The
+    input part ``g`` is given in exactly one form:
+
+    - ``input_polynomial``: one :class:`PolynomialMap` over the ``n_x +
+      n_u`` joint variables ``(x, u)``, with ``n_x`` rows and an input
+      exponent in every term, so ``g(x, 0) = 0`` holds identically. The
+      lift reads it in both time domains;
+    - ``input_held``: the :class:`HeldInput` form, continuous time only.
+
+    :meth:`input_driven` evaluates whichever is set.
     """
 
     n_x: int
     n_u: int
     time_domain: str
     autonomous: PolynomialMap
-    input_driven: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    input_jacobian: Optional[Callable] = None
-    # optional held-input form of input_driven and input_jacobian (see
-    # HeldInput); purely a fast path for the factorisation's ray integral and
-    # the continuous-time simulation kernels, which it lets skip numpy calls
-    input_held: Optional[HeldInput] = None
     input_polynomial: Optional[PolynomialMap] = None
+    input_held: Optional[HeldInput] = None
     name: str = "system"
 
     def __post_init__(self):
         _check_time_domain(self.time_domain)
-        f, g = self.autonomous, self.input_polynomial
+        f, g, held = self.autonomous, self.input_polynomial, self.input_held
         if not isinstance(f, PolynomialMap):
             raise TypeError("the autonomous part must be a PolynomialMap")
         if f.n_vars != self.n_x or f.n_out != self.n_x:
             raise DimensionError("the autonomous part must map the n_x states to n_x outputs")
-        if g is None:
+        if (g is None) == (held is None):
+            raise TypeError("give the input part as exactly one of input_polynomial and input_held")
+        if held is not None:
             if self.time_domain == DISCRETE:
-                raise TypeError("a discrete-time decomposition needs input_polynomial")
-            if self.input_jacobian is None:
-                raise TypeError("an input part without input_polynomial needs input_jacobian")
-        else:
-            if g.n_vars != self.n_x + self.n_u or g.n_out != self.n_x:
-                raise DimensionError(
-                    "input_polynomial must map the n_x + n_u joint variables to n_x outputs"
+                raise TypeError("a discrete-time input part must be input_polynomial")
+            x, u = (0.0,) * self.n_x, (0.0,) * self.n_u
+            try:
+                sizes = (
+                    len(held.driven_at(x, held.driven(u))),
+                    len(held.jacobian_at(x, held.jacobian(u))),
                 )
-            if not g.arrays.exps[self.n_x :].any(axis=0).all():
-                raise DimensionError("every term of input_polynomial needs an input exponent")
-        if self.input_held is not None and self.input_jacobian is None:
-            raise ValueError("input_held needs the input_jacobian it mirrors")
+            except (IndexError, ValueError) as exc:
+                raise DimensionError(
+                    f"input_held fails on n_x states and n_u inputs: {exc}"
+                ) from exc
+            if sizes != (self.n_x, self.n_x * self.n_u):
+                raise DimensionError(
+                    "input_held must give n_x values of g and n_x * n_u of its Jacobian"
+                )
+        elif g.n_vars != self.n_x + self.n_u or g.n_out != self.n_x:
+            raise DimensionError(
+                "input_polynomial must map the n_x + n_u joint variables to n_x outputs"
+            )
+        elif not g.arrays.exps[self.n_x :].any(axis=0).all():
+            raise DimensionError("every term of input_polynomial needs an input exponent")
+
+    def input_driven(self, x, u) -> np.ndarray:
+        """``g(x, u)``, from whichever form is set."""
+        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+        if self.input_polynomial is not None:
+            return self.input_polynomial.evaluate(np.concatenate([x, u]))
+        held = self.input_held
+        return np.array(held.driven_at(tuple(x.tolist()), held.driven(tuple(u.tolist()))))
 
     def eval_full(self, x, u) -> np.ndarray:
-        return self.autonomous.evaluate(x) + np.asarray(self.input_driven(x, u), dtype=float)
+        return self.autonomous.evaluate(x) + self.input_driven(x, u)
 
 
 def control_affine_decomposition(
@@ -187,17 +222,11 @@ def control_affine_decomposition(
         unit = tuple(int(k == j) for k in range(n_u))
         for row, terms in zip(rows, column.rows):
             row.update((exps + unit, c) for exps, c in terms.items())
-
-    def input_driven(x, u):
-        G = np.stack([col.evaluate(x) for col in g_columns], axis=1)
-        return G @ np.asarray(u, dtype=float)
-
     return Decomposition(
         n_x=n_x,
         n_u=n_u,
         time_domain=time_domain,
         autonomous=f,
-        input_driven=input_driven,
         input_polynomial=PolynomialMap(n_x + n_u, rows),
         name=name,
     )

@@ -21,7 +21,6 @@ from kooplift import (
     control_affine_decomposition,
     ct_example,
     dt_example,
-    factorize_input,
     monomial_dictionary,
 )
 from kooplift.errors import InvariantSubspaceViolation
@@ -46,7 +45,6 @@ def _non_affine_dt():
         n_u=1,
         time_domain="discrete",
         autonomous=f,
-        input_driven=lambda x, u: g.evaluate(np.concatenate([x, u])),
         input_polynomial=g,
         name="x1-u2",
     )
@@ -55,6 +53,22 @@ def _non_affine_dt():
 CLOSED = ObservableDictionary(
     2, [Monomial(e) for e in ((1, 0), (0, 1), (2, 0), (1, 1), (3, 0))]
 )
+
+
+def factorize_input(input_term_jacobian, x, u, quad=QuadratureSpec()):
+    """Reference factorisation B(x, u) with B_in(x, u) = B(x, u) u: the
+    input-Jacobian of the input term summed node by node along the ray from
+    0 to u, and the Jacobian at (x, 0) itself at u = 0, where every node
+    collapses to the origin."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if not u.any():
+        return np.asarray(input_term_jacobian(x, u), dtype=float)
+    lam, w = quad.rule()
+    acc = w[0] * np.asarray(input_term_jacobian(x, lam[0] * u), dtype=float)
+    for q in range(1, lam.shape[0]):
+        acc += w[q] * np.asarray(input_term_jacobian(x, lam[q] * u), dtype=float)
+    return acc
 
 
 class TestComputeACt:
@@ -351,29 +365,29 @@ class TestFactorization:
             assert gaps[0] > gaps[1] > gaps[2]
 
     def test_ct_oracle_node_loop_matches_ray(self):
-        # the oracle split has no held-input form, so its factorisation sums
-        # the input-Jacobian node by node instead of taking the held ray sum
+        # the held ray table, finished at x, and the model's B against the
+        # node-by-node sum of the held Jacobian dg/du(x, lam_q u)
         bundle = ct_example()
+        held = bundle.decomposition.input_held
+        model = build_lifted_model(bundle.decomposition, BENCH_DICT)
+        nodes, weights = model.quad.rule()
+
+        def jacobian(x, v):
+            h = held.jacobian(tuple(v.tolist()))
+            return np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
+
         rng = np.random.default_rng(12)
-        held = bundle.decomposition
-        split = Decomposition(
-            n_x=2,
-            n_u=2,
-            time_domain="continuous",
-            autonomous=held.autonomous,
-            input_driven=held.input_driven,
-            input_jacobian=held.input_jacobian,
-        )
-        assert split.input_held is None and held.input_held is not None
-        nodes = build_lifted_model(split, BENCH_DICT)
-        ray = build_lifted_model(bundle.decomposition, BENCH_DICT)
         X = bundle.state_box.sample(rng, 200)
         U = bundle.input_box.sample(rng, 200)
         U[0] = 0.0
-        for x, u in zip(X, U):
-            expect = ray.factored_input(x, u)
-            got = nodes.factored_input(x, u)
-            assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect).max())
+        table = held.ray_table(U, nodes, weights)
+        for x, u, h in zip(X, U, table):
+            expect = factorize_input(jacobian, x, u)
+            ray = np.reshape(held.jacobian_at(tuple(x.tolist()), tuple(h.tolist())), (2, 2))
+            assert np.all(np.abs(ray - expect) <= 1e-13 * np.abs(expect).max())
+            B = BENCH_DICT.jacobian(x) @ expect
+            got = model.factored_input(x, u)
+            assert np.all(np.abs(got - B) <= 1e-13 * np.abs(B).max())
 
     def test_dt_oracle_paths_match_symbolic(self):
         # B(x, u) by the ray quadrature of a central-difference input-Jacobian

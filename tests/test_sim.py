@@ -26,7 +26,7 @@ from kooplift import (
     simulate_nonlinear,
     white_noise,
 )
-from kooplift import cli, kernels
+from kooplift import cli, systems
 from kooplift.edmd import SnapshotData, _filters
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
@@ -437,7 +437,7 @@ def _plain_lpv(model, z0, inputs, ts, decomposition, **options):
     """simulate_lpv on the numpy _rk4 path, with every product in plain order.
 
     B = dPhi/dx S is rebuilt as the factorisation builds it, from the
-    decomposition's held ray sum (input_jacobian at u = 0).
+    decomposition's held ray sum (the held Jacobian at u = 0).
     """
     selector = list(model.dictionary.state_selector)
     nodes, weights = QuadratureSpec().rule()
@@ -448,7 +448,8 @@ def _plain_lpv(model, z0, inputs, ts, decomposition, **options):
             h = held.ray_jacobians(u[None], nodes, weights)[0].tolist()
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
         else:
-            S = decomposition.input_jacobian(x, u)
+            h = held.jacobian(tuple(u.tolist()))
+            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
         return _plain_matmul(model.dictionary.jacobian(x), S)
 
     def step(z, u):
@@ -580,22 +581,6 @@ class TestKernels:
         simulate_lpv(counting, x0=[1.0, 1.0], inputs=_random_inputs(6, 50), ts=1e-3)
         assert calls == []
 
-    def test_without_held_input_falls_back(self, ct_model):
-        bundle, model = ct_model
-        plain = dataclasses.replace(bundle.decomposition, input_held=None)
-        lifted = build_lifted_model(plain, bundle.dictionary)
-        assert nonlinear_kernel(plain) is None
-        assert lifted.input_held is None and lpv_kernel(lifted) is None
-        inputs = _random_inputs(7, 60)
-        _assert_same_bits(
-            simulate_nonlinear(plain, [1.0, 1.0], inputs, ts=1e-2).states,
-            simulate_nonlinear(bundle.decomposition, [1.0, 1.0], inputs, ts=1e-2).states,
-        )
-        _assert_same_bits(
-            simulate_lpv(lifted, x0=[1.0, 1.0], inputs=inputs, ts=1e-2)[0].states,
-            _numpy_lpv(model, model.dictionary.evaluate(np.array([1.0, 1.0])), inputs, 1e-2).states,
-        )
-
     def test_large_models_keep_the_numpy_path(self, ct_model):
         _, model = ct_model
         big = monomial_dictionary(2, 3)  # 9 observables: A has 81 entries
@@ -684,9 +669,9 @@ class TestRayTable:
         bundle, model = ct_model
         inputs = _preset_inputs(preset)
         table = lpv_kernel(model).table
-        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", 3)
+        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", 3)
         blocked = table(inputs)
-        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", inputs.shape[0])
+        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", inputs.shape[0])
         whole = table(inputs)
         assert blocked.shape == (inputs.shape[0], 4)
         _assert_same_bits(blocked, whole)
@@ -733,7 +718,7 @@ class TestRayTable:
     @pytest.mark.parametrize("block_rows", [100, 512])
     def test_ray_form_called_once_per_block(self, ct_model, monkeypatch, block_rows):
         bundle, model = ct_model
-        monkeypatch.setattr(kernels, "RAY_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", block_rows)
         counting, exact, rays = _counting_held(model)
         inputs = _random_inputs(10, 1050)
         x0 = [1.0, 1.0]

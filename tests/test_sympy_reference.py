@@ -49,7 +49,6 @@ def _non_affine(time_domain, g_rows):
         n_u=1,
         time_domain=time_domain,
         autonomous=f,
-        input_driven=lambda x, u: g.evaluate(np.concatenate([x, u])),
         input_polynomial=g,
     )
 

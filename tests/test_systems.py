@@ -14,12 +14,12 @@ from kooplift import (
     control_affine_decomposition,
     ct_example,
     dt_example,
-    factorize_input,
 )
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
 from kooplift.errors import DimensionError
 from kooplift.sim import build_inputs
+from test_lifting import factorize_input
 
 
 def _old_step(v):
@@ -37,6 +37,18 @@ def _central_difference(func, v):
         vm[j] -= _old_step(v[j])
         cols.append((np.asarray(func(vp)) - np.asarray(func(vm))) / (vp[j] - vm[j]))
     return np.stack(cols, axis=-1)
+
+
+def _held_jacobian(held, x, u):
+    """dg/du(x, u) of a held-input form, as an (n_x, n_u) array."""
+    h = held.jacobian(tuple(u.tolist()))
+    return np.reshape(held.jacobian_at(tuple(x.tolist()), h), (x.shape[0], u.shape[0]))
+
+
+def _columns_at(columns, x):
+    """G(x), one column per input channel, as control-affine systems used to
+    stack it before the product G(x) u."""
+    return np.stack([col.evaluate(x) for col in columns], axis=1)
 
 
 def _dt_full(x, u):
@@ -88,6 +100,36 @@ class TestDecompose:
             x = rng.normal(size=2)
             u = rng.normal(size=1)
             np.testing.assert_allclose(split.input_driven(x, u), (b @ u), rtol=0, atol=1e-14)
+
+    def test_control_affine_input_is_g_times_u_bitwise_on_dt_example(self):
+        # one input column: every row of G(x) u is a single product, which
+        # the joint map's term loop forms with the same rounding
+        column = PolynomialMap(2, [{(0, 0): 1.0}, {(2, 0): 1.0}])
+        bundle = dt_example()
+        split = bundle.decomposition
+        rng = np.random.default_rng(13)
+        X = bundle.state_box.sample(rng, 1000)
+        U = bundle.input_box.sample(rng, 1000)
+        for x, u in zip(X, U):
+            got = split.input_driven(x, u)
+            assert got.tobytes() == (_columns_at([column], x) @ u).tobytes()
+
+    def test_control_affine_input_matches_g_times_u_with_two_inputs(self):
+        # rows with several input terms: the term loop adds them in graded
+        # order, BLAS may fuse multiply-adds, so the bits may differ
+        f = PolynomialMap(2, [{(1, 0): -0.3}, {(0, 1): -0.7}])
+        columns = [
+            PolynomialMap(2, [{(0, 0): 1.0, (0, 1): 0.3}, {(1, 0): 0.5, (1, 1): -1.5}]),
+            PolynomialMap(2, [{(2, 0): 0.25, (0, 1): -1.0}, {(0, 0): 1.0, (0, 2): 0.125}]),
+        ]
+        split = control_affine_decomposition(f, columns, "continuous")
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            x = rng.uniform(-2, 2, 2)
+            u = rng.uniform(-1, 1, 2)
+            G = _columns_at(columns, x)
+            scale = np.abs(G) @ np.abs(u)
+            assert np.all(np.abs(split.input_driven(x, u) - G @ u) <= 1e-14 * scale)
 
     def test_remainder_vanishes_bitwise_at_zero_input(self):
         rng = np.random.default_rng(3)
@@ -154,16 +196,25 @@ class TestDecompositionChecks:
         with pytest.raises(DimensionError, match=message):
             replace(dt_example().decomposition, input_polynomial=g)
 
-    def test_callable_input_needs_jacobian(self):
+    @pytest.mark.parametrize("form", ["both", "neither", "held-in-discrete-time"])
+    def test_input_part_in_exactly_one_form(self, form):
+        # ct-example's held form beside a polynomial g of the same shape
         split = ct_example().decomposition
-        with pytest.raises(TypeError, match="input_jacobian"):
-            Decomposition(
-                n_x=2,
-                n_u=2,
-                time_domain="continuous",
-                autonomous=split.autonomous,
-                input_driven=split.input_driven,
-            )
+        g = PolynomialMap(4, [{(0, 0, 1, 0): 1.0}, {(0, 0, 0, 1): 1.0}])
+        time_domain, forms = {
+            "both": ("continuous", dict(input_polynomial=g, input_held=split.input_held)),
+            "neither": ("continuous", {}),
+            "held-in-discrete-time": ("discrete", dict(input_held=split.input_held)),
+        }[form]
+        with pytest.raises(TypeError, match="input_polynomial"):
+            Decomposition(2, 2, time_domain, split.autonomous, **forms)
+
+    @pytest.mark.parametrize("n_u", [1, 3])
+    def test_held_form_checked_against_the_dimensions(self, n_u):
+        # n_u = 1: ct-example's held driven(u) reads u[1]; n_u = 3: its
+        # Jacobian has 4 entries, not n_x * n_u = 6
+        with pytest.raises(DimensionError, match="input_held"):
+            replace(ct_example().decomposition, n_u=n_u)
 
 
 class TestBuiltinBundles:
@@ -186,7 +237,7 @@ class TestBuiltinBundles:
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
-            analytic = bundle.decomposition.input_jacobian(x, u)
+            analytic = _held_jacobian(bundle.decomposition.input_held, x, u)
             fd = _central_difference(lambda v: bundle.decomposition.input_driven(x, v), u)
             assert np.all(np.abs(analytic - fd) <= 1e-6 * (1 + np.abs(analytic)))
 
@@ -202,10 +253,7 @@ class TestBuiltinBundles:
             held = bundle.decomposition.input_held
             h = held.ray_jacobians(u[None], lam, w)[0]
             ray = np.reshape(held.jacobian_at(tuple(x), tuple(h)), (2, 2))
-            explicit = sum(
-                wq * bundle.decomposition.input_jacobian(x, lq * u)
-                for lq, wq in zip(lam, w)
-            )
+            explicit = sum(wq * _held_jacobian(held, x, lq * u) for lq, wq in zip(lam, w))
             np.testing.assert_allclose(ray, explicit, rtol=1e-13, atol=1e-14)
 
     @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
