@@ -58,7 +58,6 @@ from .sim import (
     dt_simulate,
     error_metrics,
     multisine,
-    record_input_matrices,
     rk4_integrate,
     signal_samples,
     simulate_ct,

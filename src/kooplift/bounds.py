@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -64,12 +64,7 @@ class BetaScan:
 
 def _gap_norms(model: LiftedModel, B_hat: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Induced-2-norm of B(x, u) - B_hat for stacked evaluation points."""
-    if model.factored_batch is not None:
-        diff = model.factored_batch(X, U) - B_hat[None, :, :]
-    else:
-        diff = np.stack(
-            [model.factored_input(x, u) - B_hat for x, u in zip(X, U)]
-        )
+    diff = model.factored_batch(X, U) - B_hat[None, :, :]
     if diff.shape[2] == 1:
         return np.linalg.norm(diff[:, :, 0], axis=1)
     return np.linalg.svd(diff, compute_uv=False)[:, 0]
@@ -178,7 +173,6 @@ class ErrorEvolution:
     """Lifted-state error between the exact and approximate models."""
 
     norms: np.ndarray
-    norms_recurrence: np.ndarray
     errors: np.ndarray
 
 
@@ -186,45 +180,29 @@ def error_trajectory(
     exact: LiftedModel,
     approx: LTIKoopmanModel,
     exact_run: Trajectory,
-    input_matrices: Sequence[np.ndarray],
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> ErrorEvolution:
     """Per-step 2-norm of the model gap along a run of the exact model.
 
-    ``exact_run`` is the lifted trajectory of ``exact`` (``simulate_lpv``)
-    and ``input_matrices`` the B(x_k, u_k) its steps used
-    (:func:`~kooplift.sim.record_input_matrices`). The approximate model is
-    simulated from the same initial lift under the same inputs, with
-    ``divergence_limit`` as in :func:`~kooplift.sim.dt_simulate`; the error
-    recurrence is propagated from the recorded matrices. The two
-    computations agree up to rounding and are both returned.
+    ``exact_run`` is the lifted trajectory of ``exact`` (``simulate_lpv``).
+    The approximate model is simulated from the same initial lift under the
+    same inputs, with ``divergence_limit`` as in
+    :func:`~kooplift.sim.dt_simulate`, and the gap is the difference of the
+    two runs.
     """
     if exact.time_domain != DISCRETE or approx.time_domain != DISCRETE:
         raise ValueError("error bounds are formulated for discrete-time models")
-    inputs = exact_run.inputs
     n_steps = exact_run.states.shape[0] - 1
-    if len(input_matrices) != n_steps:
-        raise DimensionError(
-            f"{len(input_matrices)} input matrices for a run of {n_steps} steps"
-        )
     approx_traj = dt_simulate(
         lti_step(approx.A, approx.B),
         exact_run.states[0],
-        inputs,
+        exact_run.inputs,
         n_steps=n_steps,
         divergence_limit=divergence_limit,
         label="approx-lti",
     )
     errors = exact_run.states - approx_traj.states
-    norms = np.linalg.norm(errors, axis=1)
-
-    A = exact.A
-    rec = np.zeros(n_steps + 1)
-    e = np.zeros(A.shape[0])
-    for k, Bk in enumerate(input_matrices):
-        e = A @ e + (Bk - approx.B) @ inputs[k]
-        rec[k + 1] = np.linalg.norm(e)
-    return ErrorEvolution(norms=norms, norms_recurrence=rec, errors=errors)
+    return ErrorEvolution(norms=np.linalg.norm(errors, axis=1), errors=errors)
 
 
 def _input_linf(inputs: np.ndarray, n_steps: int) -> float:
@@ -392,21 +370,18 @@ def build_bound_report(
     exact: LiftedModel,
     approx: LTIKoopmanModel,
     exact_run: Trajectory,
-    input_matrices: Sequence[np.ndarray],
     beta_scan: Optional[BetaScan] = None,
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
 ) -> BoundReport:
     """Evaluate the error bounds along one run of the exact model.
 
-    ``exact_run`` and ``input_matrices`` are as in :func:`error_trajectory`.
+    ``exact_run`` is as in :func:`error_trajectory`.
     Without an explicit ``beta_scan`` the gap is scanned along that run,
     which is sufficient for the bound to hold on it.
     """
     inputs = exact_run.inputs
     n_steps = exact_run.states.shape[0] - 1
-    evolution = error_trajectory(
-        exact, approx, exact_run, input_matrices, divergence_limit=divergence_limit
-    )
+    evolution = error_trajectory(exact, approx, exact_run, divergence_limit=divergence_limit)
     if beta_scan is None:
         selector = list(exact.dictionary.state_selector)
         beta_scan = beta_trajectory(

@@ -49,7 +49,6 @@ from .serialize import write_csv, write_json, write_trajectory_csv
 from .sim import (
     build_inputs,
     error_metrics,
-    record_input_matrices,
     simulate_lpv,
     simulate_lti,
     simulate_nonlinear,
@@ -129,14 +128,8 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
     nonlinear = simulate_nonlinear(
         bundle.decomposition, x0, inputs, ts=sim_ts, divergence_limit=limit
     )
-    # a discrete-time run keeps its B(x_k, u_k) for run_bounds' error
-    # recurrence; a continuous-time run evaluates B at RK4 stages, which no
-    # bound reads
-    model, input_matrices = lifted, None
-    if bundle.time_domain == DISCRETE:
-        model, input_matrices = record_input_matrices(lifted)
     lpv_lifted, lpv_output = simulate_lpv(
-        model, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
+        lifted, x0=x0, inputs=inputs, ts=sim_ts, divergence_limit=limit
     )
 
     trajectories = {"nonlinear": nonlinear, "koopman_lpv": lpv_output}
@@ -191,7 +184,6 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
         "lifted": lifted,
         "lpv": lifted,
         "lpv_lifted": lpv_lifted,
-        "input_matrices": input_matrices,
         "trajectories": trajectories,
         "reports": reports,
         "fitted": fitted,
@@ -412,7 +404,6 @@ def run_bounds(cfg: dict, out_dir: Optional[str] = None) -> dict:
         lifted,
         lti,
         base["lpv_lifted"],
-        base["input_matrices"],
         beta_scan=beta_scan,
         divergence_limit=c["divergence_limit"],
     )

@@ -111,10 +111,10 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
     Needs a small continuous-time model (``n_f * n_x``, ``n_f * n_f`` and
     ``n_f * n_u`` at most ``SMALL_JACOBIAN_ENTRIES``), the dictionary's small
-    Jacobian template, and the held-input form (``input_held``); the ray
-    quadrature is the model's own (``quad``).
+    Jacobian template, and the held-input form of its decomposition
+    (``input_held``); the ray quadrature is the model's own (``quad``).
     """
-    held = model.input_held
+    held = model.decomposition.input_held
     dictionary = model.dictionary
     n_f, n_u = model.n_f, model.n_u
     u = _names("u", n_u)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .polynomials import (
     multiply_rows,
 )
 from .quadrature import QuadratureSpec
-from .systems import CONTINUOUS, DISCRETE, Decomposition, HeldInput
+from .systems import CONTINUOUS, DISCRETE, Decomposition
 
 log = logging.getLogger(__name__)
 
@@ -252,43 +252,47 @@ STACK_ZU = "stack-zu"
 STACK_Z = "stack-z"
 
 
+def _joint(x, u) -> np.ndarray:
+    """The joint point [x; u] at which the maps over (x, u) are evaluated."""
+    return np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)])
+
+
 @dataclass
 class LiftedModel:
-    """Exact (or residual-flagged approximate) lifted dynamics.
-
-    ``input_term(x, u)`` evaluates the lifted forcing; ``factored_input``
-    returns the matrix B with ``B(x, u) u = input_term(x, u)``. A symbolic
-    lift takes both from one joint expansion over (x, u) and evaluates them
-    at ``[x; u]`` in either time domain. When the factored matrix does not
-    depend on the input (continuous-time control-affine systems),
-    ``input_dependent`` is False and the scheduling drops u. ``input_held``
-    is the held-input form that defines ``g`` (see
-    :class:`~kooplift.systems.HeldInput`), kept for the continuous-time
-    simulation kernels; ``factored_input`` and the kernels take B from its
-    ray table on the quadrature ``quad``.
+    """Exact (or residual-flagged approximate) lifted dynamics of
+    ``decomposition``, which also gives the model its ``time_domain`` and
+    ``n_u``.
 
     The model is linear parameter-varying as it stands:
 
         z+ (or dz/dt) = A z + B(x, u) u,        x = C z,
 
     scheduled on [z; u] (``scheduling`` "stack-zu"), or on z alone
-    ("stack-z") when B is state-only. Every simulation, fit and bound takes
-    B through ``factored_input``. The state is recovered through the
+    ("stack-z") when B is state-only. :meth:`input_term` evaluates the
+    lifted forcing and :meth:`factored_input` the matrix B with
+    ``B(x, u) u = input_term(x, u)``. A symbolic lift holds both as maps
+    over the joint variables (x, u), evaluated at ``[x; u]`` in either time
+    domain: ``input_map`` and ``input_columns``, one map per column of B.
+    Both are None when the decomposition gives its input part in the
+    held-input form (see :class:`~kooplift.systems.HeldInput`): the input
+    term is then (dPhi/dx)(x) g(x, u), and ``factored_input`` and the
+    continuous-time simulation kernels take B from the form's ray table on
+    the quadrature ``quad``.
+
+    Every simulation, fit and bound takes B through ``factored_input``,
+    looked up on the model when it is used, so a function assigned to that
+    name on an instance takes its place. The state is recovered through the
     dictionary's identity observables; ``C`` is built on first use.
     """
 
     A: np.ndarray
-    input_term: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    factored_input: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    time_domain: str
     residual: float
     exact: bool
     dictionary: ObservableDictionary
-    n_u: int
+    decomposition: Decomposition
+    input_map: Optional[PolynomialMap] = None
+    input_columns: Optional[List[PolynomialMap]] = None
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    input_dependent: bool = True
-    factored_batch: Optional[Callable] = None
-    input_held: Optional[HeldInput] = None
     name: str = "lifted-model"
 
     @property
@@ -298,6 +302,22 @@ class LiftedModel:
     @property
     def n_x(self) -> int:
         return self.dictionary.n_x
+
+    @property
+    def n_u(self) -> int:
+        return self.decomposition.n_u
+
+    @property
+    def time_domain(self) -> str:
+        return self.decomposition.time_domain
+
+    @cached_property
+    def input_dependent(self) -> bool:
+        """Whether B depends on u: always for a held-input form; for a
+        symbolic lift, when a column of B has an input exponent."""
+        if self.input_columns is None:
+            return True
+        return any(c.arrays.exps[self.n_x :].any() for c in self.input_columns)
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -310,6 +330,39 @@ class LiftedModel:
         if self.time_domain == CONTINUOUS and not self.input_dependent:
             return STACK_Z
         return STACK_ZU
+
+    def input_term(self, x, u) -> np.ndarray:
+        """The lifted forcing B_in(x, u), of length n_f."""
+        if self.input_map is None:
+            return self.dictionary.jacobian(x) @ self.decomposition.input_driven(x, u)
+        return self.input_map.evaluate(_joint(x, u))
+
+    def factored_input(self, x, u) -> np.ndarray:
+        """B(x, u), of shape (n_f, n_u).
+
+        For a held-input form the ray integral reduces to the dictionary
+        Jacobian times the integrated input-Jacobian S of g, since the
+        dictionary Jacobian does not depend on u. S is finished from a
+        one-row ``ray_table``: bit for bit the row the LPV kernel's table
+        holds.
+        """
+        if self.input_columns is None:
+            held = self.decomposition.input_held
+            x = np.asarray(x, dtype=float)
+            h = held.ray_table(np.asarray(u, dtype=float)[None], *self.quad.rule())[0].tolist()
+            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (self.n_x, self.n_u))
+            return self.dictionary.jacobian(x) @ S
+        point = _joint(x, u)
+        return np.stack([c.evaluate(point) for c in self.input_columns], axis=1)
+
+    def factored_batch(self, X, U) -> np.ndarray:
+        """B(x_i, u_i) of the point rows of ``X`` and ``U``, of shape
+        (M, n_f, n_u). A held-input form stacks :meth:`factored_input` of
+        each point."""
+        if self.input_columns is None:
+            return np.stack([self.factored_input(x, u) for x, u in zip(X, U)])
+        points = np.hstack([np.asarray(X, dtype=float), np.asarray(U, dtype=float)])
+        return np.stack([c.evaluate_batch(points) for c in self.input_columns], axis=2)
 
     def to_document(self) -> dict:
         return {
@@ -357,81 +410,23 @@ def build_lifted_model(
     ``input_polynomial``; otherwise (continuous time only) from its
     ``input_held`` form, scheduled on [z; u].
     """
-    time_domain = decomposition.time_domain
     g = decomposition.input_polynomial
-    A, residual, symbolic_term, columns = _symbolic_lift(
+    A, residual, input_map, columns = _symbolic_lift(
         decomposition.autonomous,
         g if g is not None else _no_input(dictionary.n_x),
         dictionary,
-        time_domain,
+        decomposition.time_domain,
         span_tolerance,
         strict,
     )
-
-    if g is not None:
-
-        def term(x, u, _poly=symbolic_term):
-            point = np.concatenate(
-                [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
-            )
-            return _poly.evaluate(point)
-
-        def factored(x, u, _columns=columns):
-            point = np.concatenate(
-                [np.asarray(x, dtype=float), np.asarray(u, dtype=float)]
-            )
-            return np.stack([c.evaluate(point) for c in _columns], axis=1)
-
-        def factored_batch(X, U, _columns=columns):
-            points = np.hstack(
-                [np.asarray(X, dtype=float), np.asarray(U, dtype=float)]
-            )
-            return np.stack([c.evaluate_batch(points) for c in _columns], axis=2)
-
-        n_x = decomposition.n_x
-        input_dependent = any(c.arrays.exps[n_x:].any() for c in columns)
-    else:
-
-        def term(x, u):
-            return dictionary.jacobian(x) @ decomposition.input_driven(x, u)
-
-        factored = _ct_oracle_factored(decomposition, dictionary, quad)
-        factored_batch = None
-        input_dependent = True
-
     return LiftedModel(
         A=A,
-        input_term=term,
-        factored_input=factored,
-        time_domain=time_domain,
         residual=float(residual),
         exact=residual <= span_tolerance,
         dictionary=dictionary,
-        n_u=decomposition.n_u,
+        decomposition=decomposition,
+        input_map=None if g is None else input_map,
+        input_columns=None if g is None else columns,
         quad=quad,
-        input_dependent=input_dependent,
-        factored_batch=factored_batch,
-        input_held=decomposition.input_held,
         name=name or decomposition.name,
     )
-
-
-def _ct_oracle_factored(decomposition, dictionary, quad):
-    """B(x, u) of a held-input form.
-
-    Since the input term is (dPhi/dx)(x) g(x, u) and the dictionary Jacobian
-    does not depend on u, the ray integral reduces to the dictionary
-    Jacobian times the integrated input-Jacobian S of g, finished from a
-    one-row ``ray_table``: bit for bit the row the LPV kernel's table holds.
-    """
-    lam, w = quad.rule()
-    held = decomposition.input_held
-    shape = (decomposition.n_x, decomposition.n_u)
-
-    def factored(x, u):
-        x = np.asarray(x, dtype=float)
-        h = held.ray_table(np.asarray(u, dtype=float)[None], lam, w)[0].tolist()
-        S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), shape)
-        return dictionary.jacobian(x) @ S
-
-    return factored

@@ -9,8 +9,8 @@ generators so identical configurations reproduce bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -234,36 +234,7 @@ def simulate_ct(
     is recorded but never applied. ``state_selector`` restricts the
     divergence limit to those coordinates; the rest must stay finite.
     """
-    return _simulate_ct(
-        rhs, None, x0, inputs, ts, divergence_limit, label, state_selector
-    )
-
-
-def _simulate_ct(rhs, kernel, x0, inputs, ts, divergence_limit, label, state_selector):
-    """:func:`simulate_ct`, run by ``kernel`` (a :class:`kernels.Kernel`)
-    instead of ``rhs`` when it is given and the widths match."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n_steps = inputs.shape[0] - 1
-    if n_steps < 1:
-        raise DimensionError("need at least two input rows (one step)")
-    x0 = np.asarray(x0, dtype=float)
-    if kernel is not None and x0.shape == (kernel.n,) and inputs.shape[1] == kernel.n_u:
-        states = _kernel_rk4(
-            kernel, x0, ts, inputs, n_steps, divergence_limit, label, state_selector
-        )
-    else:
-        states = _rk4(
-            rhs,
-            x0,
-            ts,
-            ((u, u, u) for u in inputs[:n_steps]),
-            n_steps,
-            divergence_limit,
-            label,
-            state_selector,
-        )
-    times = np.arange(n_steps + 1) * ts
-    return Trajectory(times, states, inputs=inputs, label=label)
+    return _simulate(CONTINUOUS, rhs, x0, inputs, ts, divergence_limit, label, state_selector)
 
 
 def _kernel_rk4(kernel, x0, ts, inputs, n_steps, divergence_limit, label, selector):
@@ -339,21 +310,34 @@ def _simulate(
     """Integrate ``step(x, u)`` as a vector field or iterate it as a map.
 
     In continuous time a ``kernel`` (see :mod:`kooplift.kernels`), a
-    generated RK4 run of the same vector field, takes the place of ``step``.
+    generated RK4 run of the same vector field, takes the place of ``step``
+    when its widths match the state and the inputs.
     """
     if time_domain == CONTINUOUS:
         if ts is None:
             raise ValueError("continuous-time simulation needs ts")
-        return _simulate_ct(
-            step,
-            kernel,
-            x0,
-            inputs,
-            ts,
-            divergence_limit,
-            label,
-            state_selector,
-        )
+        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+        n_steps = inputs.shape[0] - 1
+        if n_steps < 1:
+            raise DimensionError("need at least two input rows (one step)")
+        x0 = np.asarray(x0, dtype=float)
+        if kernel is not None and x0.shape == (kernel.n,) and inputs.shape[1] == kernel.n_u:
+            states = _kernel_rk4(
+                kernel, x0, ts, inputs, n_steps, divergence_limit, label, state_selector
+            )
+        else:
+            states = _rk4(
+                step,
+                x0,
+                ts,
+                ((u, u, u) for u in inputs[:n_steps]),
+                n_steps,
+                divergence_limit,
+                label,
+                state_selector,
+            )
+        times = np.arange(n_steps + 1) * ts
+        return Trajectory(times, states, inputs=inputs, label=label)
     return dt_simulate(
         step,
         x0,
@@ -489,26 +473,6 @@ def simulate_lpv(
     )
     output = lifted.with_states(lifted.states[:, selector], label=f"{label}_output")
     return lifted, output
-
-
-def record_input_matrices(model: LiftedModel) -> Tuple[LiftedModel, List[np.ndarray]]:
-    """A copy of ``model`` whose B(x, u) also appends each matrix it returns
-    to the list returned alongside.
-
-    A discrete-time :func:`simulate_lpv` of the copy records B(x_k, u_k) of
-    every step in order: the matrices the error recurrence of
-    :func:`~kooplift.bounds.error_trajectory` needs, without simulating the
-    run again.
-    """
-    matrices: List[np.ndarray] = []
-    factored = model.factored_input
-
-    def recorded(x, u):
-        B = factored(x, u)
-        matrices.append(B)
-        return B
-
-    return replace(model, factored_input=recorded), matrices
 
 
 def simulate_lti(

@@ -144,6 +144,9 @@ class Decomposition:
       exponent in every term, so ``g(x, 0) = 0`` holds identically. The
       lift reads it in both time domains;
     - ``input_held``: the :class:`HeldInput` form, continuous time only.
+      Construction probes it: it must give ``n_x`` values of ``g`` and
+      ``n_x * n_u`` of its Jacobian, and ``g(x, 0) = 0`` exactly at ``x = 0``
+      and at ``x = (1, ..., 1)``.
 
     :meth:`input_driven` evaluates whichever is set.
     """
@@ -170,17 +173,20 @@ class Decomposition:
                 raise TypeError("a discrete-time input part must be input_polynomial")
             x, u = (0.0,) * self.n_x, (0.0,) * self.n_u
             try:
-                sizes = (
-                    len(held.driven_at(x, held.driven(u))),
-                    len(held.jacobian_at(x, held.jacobian(u))),
-                )
+                h = held.driven(u)
+                at_rest = [held.driven_at(p, h) for p in (x, (1.0,) * self.n_x)]
+                sizes = (*map(len, at_rest), len(held.jacobian_at(x, held.jacobian(u))))
             except (IndexError, ValueError) as exc:
                 raise DimensionError(
                     f"input_held fails on n_x states and n_u inputs: {exc}"
                 ) from exc
-            if sizes != (self.n_x, self.n_x * self.n_u):
+            if sizes != (self.n_x, self.n_x, self.n_x * self.n_u):
                 raise DimensionError(
                     "input_held must give n_x values of g and n_x * n_u of its Jacobian"
+                )
+            if any(v != 0.0 for g0 in at_rest for v in g0):
+                raise ValueError(
+                    f"input_held must give g(x, 0) = 0; at x = 0 and x = 1 it gives {at_rest}"
                 )
         elif g.n_vars != self.n_x + self.n_u or g.n_out != self.n_x:
             raise DimensionError(

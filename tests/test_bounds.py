@@ -15,11 +15,11 @@ from kooplift import (
     build_inputs,
     build_lifted_model,
     build_snapshots,
+    ct_example,
     dt_example,
     edmdc_input_fit,
     error_trajectory,
     make_lti,
-    record_input_matrices,
     simulate_lpv,
     simulate_lti,
     simulate_nonlinear,
@@ -43,10 +43,8 @@ def _dt_setup(signal=None, n_steps=100):
 
 
 def _exact_run(lpv, z0, inputs):
-    """The exact model's lifted run from z0 and the B(x_k, u_k) it used."""
-    recording, matrices = record_input_matrices(lpv)
-    lifted, _ = simulate_lpv(recording, z0=z0, inputs=inputs)
-    return lifted, matrices
+    """The exact model's lifted run from z0."""
+    return simulate_lpv(lpv, z0=z0, inputs=inputs)[0]
 
 
 class TestStabilityScalars:
@@ -85,8 +83,8 @@ class TestBetaScans:
         B_const = np.array([[1.0], [0.0], [0.0]])
 
         class ConstModel:
-            factored_batch = None
             factored_input = staticmethod(lambda x, u: B_const)
+            factored_batch = staticmethod(lambda X, U: np.stack([B_const] * len(X)))
 
         scan = beta_grid(
             ConstModel(),
@@ -222,17 +220,43 @@ class TestBetaScans:
         assert scan.mode == "trajectory"
 
 
+    def test_held_model_scans_are_the_pointwise_gap_norms(self):
+        # ct-example's lift has no polynomial columns: its factored_batch
+        # stacks factored_input point by point, and both scans take the
+        # maximum of the per-point induced 2-norms, bit for bit
+        bundle = ct_example()
+        lpv = build_lifted_model(bundle.decomposition, bundle.dictionary)
+        rng = np.random.default_rng(19)
+        B_hat = rng.normal(size=(lpv.n_f, lpv.n_u))
+
+        def worst(points):
+            return max(
+                np.linalg.norm(lpv.factored_input(p[:2], p[2:]) - B_hat, 2) for p in points
+            )
+
+        X, U = rng.uniform(-2.0, 2.0, (40, 2)), rng.uniform(-1.0, 1.0, (40, 2))
+        U[7] = 0.0
+        scan = beta_trajectory(lpv, B_hat, X, U)
+        assert scan.beta == worst(np.hstack([X, U]))
+        boxes = bundle.state_box, bundle.input_box
+        scan = beta_grid(lpv, B_hat, *boxes, grid_density=3)
+        grid = np.stack(np.meshgrid(*boxes[0].grid(3), *boxes[1].grid(3), indexing="ij"), axis=-1)
+        assert scan.n_points == 81
+        assert scan.beta == worst(grid.reshape(-1, 4))
+
     def test_nan_in_a_later_chunk_raises(self, monkeypatch):
         # np.argmax picks a NaN, and NaN > beta is False: the chunk holding
         # the first NaN point (100, x1 = 1) was skipped, finite points and all
         import kooplift.bounds as bounds_module
 
         class NanModel:
-            factored_batch = None
-
             @staticmethod
             def factored_input(x, u):
                 return np.array([[x[0] + u[0] if x[0] < 1.0 else np.nan], [0.0]])
+
+            @classmethod
+            def factored_batch(cls, X, U):
+                return np.stack([cls.factored_input(x, u) for x, u in zip(X, U)])
 
         monkeypatch.setattr(bounds_module, "GRID_CHUNK_POINTS", 7)
         B_hat = np.zeros((2, 1))
@@ -281,22 +305,22 @@ class TestErrorTrajectory:
         lti = make_lti(lpv.A, B_true, lpv.C)
         inputs = rng.normal(size=(40, 1))
         evol = error_trajectory(
-            lpv, lti, *_exact_run(lpv, d.evaluate([1.0, -1.0]), inputs)
+            lpv, lti, _exact_run(lpv, d.evaluate([1.0, -1.0]), inputs)
         )
         assert np.abs(evol.norms).max() <= 1e-12
 
     def test_zero_input_zero_error(self):
         bundle, lpv, lti, _, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        evol = error_trajectory(lpv, lti, *_exact_run(lpv, z0, np.zeros((60, 1))))
+        evol = error_trajectory(lpv, lti, _exact_run(lpv, z0, np.zeros((60, 1))))
         np.testing.assert_array_equal(evol.norms, np.zeros(60))
 
     def test_exact_states_are_the_lpv_simulation(self):
         # the error is the given exact run minus the LTI model's own run from
         # that run's first state, bit for bit
         bundle, lpv, lti, inputs, _ = _dt_setup()
-        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
-        evol = error_trajectory(lpv, lti, lifted, matrices)
+        lifted = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
+        evol = error_trajectory(lpv, lti, lifted)
         approx, _ = simulate_lti(lti, lifted.states[0], inputs)
         assert np.array_equal(evol.errors, lifted.states - approx.states)
         assert np.array_equal(evol.norms, np.linalg.norm(lifted.states - approx.states, axis=1))
@@ -304,22 +328,17 @@ class TestErrorTrajectory:
     def test_recurrence_matches_simulation_difference(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        evol = error_trajectory(lpv, lti, *_exact_run(lpv, z0, inputs))
+        lifted = _exact_run(lpv, z0, inputs)
+        evol = error_trajectory(lpv, lti, lifted)
+        # e_k = A e_{k-1} + (B(x_{k-1}, u_{k-1}) - B_hat) u_{k-1}, with the
+        # B(x, u) of the run's own states
+        selector = list(lpv.dictionary.state_selector)
+        e, rec = np.zeros(lpv.n_f), [0.0]
+        for x, u in zip(lifted.states[:-1, selector], inputs):
+            e = lpv.A @ e + (lpv.factored_input(x, u) - lti.B) @ u
+            rec.append(np.linalg.norm(e))
         scale = 1 + np.abs(evol.norms).max()
-        assert np.abs(evol.norms - evol.norms_recurrence).max() <= 1e-12 * scale
-
-    def test_recorded_matrices_are_the_steps_input_matrices(self):
-        bundle, lpv, lti, inputs, _ = _dt_setup()
-        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
-        assert len(matrices) == inputs.shape[0] - 1
-        for x, u, B in zip(lifted.states[:-1, :2], inputs, matrices):
-            assert np.array_equal(B, lpv.factored_input(x, u))
-
-    def test_matrix_count_must_match_the_run(self):
-        bundle, lpv, lti, inputs, _ = _dt_setup()
-        lifted, matrices = _exact_run(lpv, bundle.dictionary.evaluate([1.0, 1.0]), inputs)
-        with pytest.raises(DimensionError):
-            error_trajectory(lpv, lti, lifted, matrices[:-1])
+        assert np.abs(evol.norms - np.array(rec)).max() <= 1e-12 * scale
 
 
 class TestBoundsCurve:
@@ -507,7 +526,7 @@ class TestBoundReport:
     def test_validity_chain(self, signal):
         bundle, lpv, lti, inputs, traj = _dt_setup(signal=signal)
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs))
+        report = build_bound_report(lpv, lti, _exact_run(lpv, z0, inputs))
         assert report.valid()
         assert np.all(report.error_norm <= report.timevarying_bound + 1e-12)
         assert report.absolute_bound is not None
@@ -531,7 +550,7 @@ class TestBoundReport:
                 DomainBox([-1.0], [1.0]),
                 grid_density=9,
             )
-        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs), beta_scan=scan)
+        report = build_bound_report(lpv, lti, _exact_run(lpv, z0, inputs), beta_scan=scan)
         x_star, u_star = report.beta_argmax_state, report.beta_argmax_input
         gap = lpv.factored_input(x_star, u_star) - lti.B
         assert report.beta_mode == mode
@@ -565,7 +584,7 @@ class TestBoundReport:
     def test_document_shape(self):
         bundle, lpv, lti, inputs, _ = _dt_setup()
         z0 = bundle.dictionary.evaluate([1.0, 1.0])
-        report = build_bound_report(lpv, lti, *_exact_run(lpv, z0, inputs))
+        report = build_bound_report(lpv, lti, _exact_run(lpv, z0, inputs))
         doc = report.to_document()
         assert len(doc["k"]) == len(doc["error_norm"]) == len(doc["tv_bound"])
         assert doc["rho_A"] == report.rho

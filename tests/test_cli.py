@@ -641,6 +641,17 @@ class TestConfigKeys:
         assert len(listed) == len(set(listed))
         assert sorted(listed) == sorted(known)
 
+    def test_readme_library_quickstart_runs(self, capsys):
+        # the README's library example runs on the library as it is, so an
+        # API change that leaves it stale fails here
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+        (code,) = re.findall(r"^```python\n(.*?)^```", section, flags=re.MULTILINE | re.DOTALL)
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme_quickstart"})
+        # its last line prints the bound report's validity and absolute bound
+        valid, absolute = capsys.readouterr().out.splitlines()[-1].split()
+        assert valid == "True" and float(absolute) > 0.0
+
 
 class TestPresets:
     def test_all_presets_expand(self):
@@ -774,7 +785,7 @@ class TestBoundsCommand:
     def test_one_exact_simulation_per_bound(self, monkeypatch):
         # the bounds reuse run_simulate's exact LPV run: one B(x, u) per step,
         # and the same bits as a report built from a fresh simulation
-        from kooplift.bounds import beta_trajectory, bounds_curve, error_trajectory
+        from kooplift.bounds import beta_trajectory, bounds_curve
         from kooplift.sim import simulate_lpv
 
         calls = []
@@ -810,14 +821,14 @@ class TestBoundsCommand:
         tv, _ = bounds_curve(lpv.A, beta, inputs)
         assert np.array_equal(report.timevarying_bound, tv)
 
-        # the recurrence runs on the recorded matrices of that same run
+        # the error recurrence over the B(x_k, u_k) of that same run
         e, rec = np.zeros(lpv.n_f), [0.0]
         for k in range(n_steps):
             B = lpv.factored_input(fresh.states[k, :2], inputs[k])
             e = lpv.A @ e + (B - lti.B) @ inputs[k]
             rec.append(np.linalg.norm(e))
-        evolution = error_trajectory(lpv, lti, base["lpv_lifted"], base["input_matrices"])
-        assert np.array_equal(evolution.norms_recurrence, rec)
+        scale = 1 + np.abs(report.error_norm).max()
+        assert np.abs(report.error_norm - np.array(rec)).max() <= 1e-12 * scale
 
     def test_diverging_lti_fit_fails_bounds(self, tmp_path, monkeypatch):
         # an edmdc input matrix 1e13 times too large sends the LTI run past

@@ -525,7 +525,7 @@ class TestKernels:
         )
         model = build_lifted_model(decomposition, dictionary)
         assert nonlinear_kernel(decomposition) is None
-        assert model.input_held is None and lpv_kernel(model) is None
+        assert model.decomposition.input_held is None and lpv_kernel(model) is None
         inputs = _random_inputs(4, 100)
         _assert_same_bits(
             simulate_nonlinear(decomposition, [0.8, -1.2], inputs, ts=1e-2).states,
@@ -577,7 +577,8 @@ class TestKernels:
             calls.append(1)
             return model.factored_input(x, u)
 
-        counting = dataclasses.replace(model, factored_input=counted)
+        counting = dataclasses.replace(model)
+        counting.factored_input = counted
         simulate_lpv(counting, x0=[1.0, 1.0], inputs=_random_inputs(6, 50), ts=1e-3)
         assert calls == []
 
@@ -585,7 +586,10 @@ class TestKernels:
         _, model = ct_model
         big = monomial_dictionary(2, 3)  # 9 observables: A has 81 entries
         assert lpv_kernel(dataclasses.replace(model, A=np.eye(9), dictionary=big)) is None
-        assert lpv_kernel(dataclasses.replace(model, input_held=None)) is None
+        # the same system with its input part as a polynomial map
+        g = PolynomialMap(4, [{(0, 0, 1, 0): 1.0}, {(0, 0, 0, 1): 1.0}])
+        polynomial = dataclasses.replace(model.decomposition, input_held=None, input_polynomial=g)
+        assert lpv_kernel(dataclasses.replace(model, decomposition=polynomial)) is None
 
     def test_code_cached_by_source(self, ct_model):
         _, model = ct_model
@@ -646,7 +650,7 @@ def _preset_inputs(preset="ct-example-whitenoise", seconds=0.2):
 def _counting_held(model):
     """``model`` with its held form's ``jacobian`` and ``ray_jacobians``
     recording their arguments, and the two records."""
-    held = model.input_held
+    held = model.decomposition.input_held
     exact, rays = [], []
 
     def jacobian(u):
@@ -658,7 +662,10 @@ def _counting_held(model):
         return held.ray_jacobians(U, nodes, weights)
 
     counting = dataclasses.replace(held, jacobian=jacobian, ray_jacobians=ray_jacobians)
-    return dataclasses.replace(model, input_held=counting), exact, rays
+    decomposition = dataclasses.replace(model.decomposition, input_held=counting)
+    # the decomposition's construction probes the form once; only later calls count
+    exact.clear()
+    return dataclasses.replace(model, decomposition=decomposition), exact, rays
 
 
 class TestRayTable:
@@ -687,7 +694,7 @@ class TestRayTable:
         )
         exact.clear()
         values = table(inputs)
-        held = model.input_held
+        held = model.decomposition.input_held
         nodes, weights = model.quad.rule()
         zero = [0, 1, 4]
         assert exact == [tuple(inputs[k].tolist()) for k in zero]
@@ -740,7 +747,7 @@ class TestRayTable:
         inputs = _preset_inputs(preset, seconds=0.05)
         inputs[:3] = [[0.0, 0.0], [-0.0, 0.2], [0.0, -0.0]]
         table = lpv_kernel(model).table(inputs)
-        held = model.input_held
+        held = model.decomposition.input_held
         X = np.random.default_rng(12).uniform(-2.0, 2.0, (inputs.shape[0], 2))
         for x, u, h in zip(X, inputs, table):
             S = np.reshape(held.jacobian_at(tuple(x.tolist()), tuple(h.tolist())), (2, 2))

@@ -217,6 +217,24 @@ class TestDecompositionChecks:
             replace(ct_example().decomposition, n_u=n_u)
 
 
+    @pytest.mark.parametrize(
+        "offset",
+        [lambda x: 1.0, lambda x: x[0]],
+        ids=["one-everywhere", "zero-at-the-origin-only"],
+    )
+    def test_held_form_must_vanish_at_zero_input(self, offset):
+        # ct-example's g with an input-free offset in row 1: its lift's input
+        # term at u = 0 would not be the zero that B(x, u) u is there
+        split = ct_example().decomposition
+        driven_at = split.input_held.driven_at
+        shifted = replace(
+            split.input_held,
+            driven_at=lambda x, h: (driven_at(x, h)[0] + offset(x), driven_at(x, h)[1]),
+        )
+        with pytest.raises(ValueError, match=r"g\(x, 0\) = 0") as exc:
+            replace(split, input_held=shifted)
+        assert not isinstance(exc.value, DimensionError)
+
 class TestBuiltinBundles:
     def test_dt_control_affine_columns(self):
         # the one column [1, x1^2] enters the joint map with u to the first power
