@@ -49,7 +49,6 @@ from .lifting import (
 )
 from .lpv import LTIKoopmanModel, make_lti, output_matrix
 from .polynomials import Monomial, PolynomialMap
-from .quadrature import QuadratureSpec, unit_gauss_legendre
 from .sim import (
     ErrorReport,
     SignalSpec,

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .lifting import build_lifted_model
 from .lpv import make_lti, output_matrix
-from .quadrature import QuadratureSpec
 from .serialize import write_csv, write_json, write_trajectory_csv
 from .sim import (
     build_inputs,
@@ -65,7 +64,6 @@ def _echo_config(c: dict) -> dict:
         "seed": c["seed"],
         "x0": [float(v) for v in c["x0"]],
         "signals": [s.to_document() for s in c["signals"]],
-        "quad_nodes": c["quad_nodes"],
         "span_tolerance": c["span_tolerance"],
         "divergence_limit": c["divergence_limit"],
     }
@@ -81,7 +79,6 @@ def _lift(c: dict):
     return build_lifted_model(
         c["system"].decomposition,
         c["dictionary"],
-        quad=QuadratureSpec(c["quad_nodes"]),
         span_tolerance=c["span_tolerance"],
     )
 

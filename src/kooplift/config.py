@@ -338,7 +338,6 @@ TOP = {
     "ts": (_positive, None),
     "horizon_seconds": (_positive, None),
     "horizon_steps": (_integer(1, MAX_STEPS), 100),
-    "quad_nodes": (_integer(1), 16),
     "span_tolerance": (_non_negative, DEFAULT_SPAN_TOLERANCE),
     "divergence_limit": (_positive, DEFAULT_DIVERGENCE_LIMIT),
     "fits": (_fits, []),

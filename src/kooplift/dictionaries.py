@@ -84,18 +84,12 @@ class ObservableDictionary:
             self.n_x, [{o.exponents: 1.0} for o in self.observables]
         ).jacobian()
 
-    @property
-    def small_jacobian(self):
-        """The Jacobian template of a small dictionary, else None.
-
-        A pair: the (n_f, n_x) Jacobian with its constant entries set, and
-        the varying entries, each (row, column, coefficient, ((variable,
-        exponent), ...)) and evaluated as the coefficient times each power
-        in variable order.
-        """
-        return self._jac_small
-
     def _small_jacobian_template(self):
+        """The Jacobian template of a small dictionary, else None: the
+        (n_f, n_x) Jacobian with its constant entries set, and the varying
+        entries, each (row, column, coefficient, ((variable, exponent), ...))
+        and evaluated as the coefficient times each power in variable
+        order."""
         if self.n_f * self.n_x > SMALL_JACOBIAN_ENTRIES:
             return None
         template = np.zeros((self.n_f, self.n_x))

@@ -16,11 +16,8 @@ Both are exactly liftable with the dictionary [x1, x2, x1^2].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
-
-import numpy as np
 
 from .dictionaries import Monomial, ObservableDictionary
 from .polynomials import PolynomialMap
@@ -29,7 +26,6 @@ from .systems import (
     DISCRETE,
     Decomposition,
     DomainBox,
-    HeldInput,
     control_affine_decomposition,
 )
 
@@ -71,37 +67,15 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         ],
     )
 
-    # g(x, u) and its input Jacobian, defined with the input held: the
-    # input-only factors first, then the products and sums at the state
-    def held_driven(u):
-        # expm1 keeps x*exp(u) - x accurate near u = 0
-        return (math.expm1(u[0]), math.expm1(u[1]), u[0] * u[1])
-
-    def held_driven_at(x, h):
-        return (x[0] * h[0], h[2] + x[1] * h[1])
-
-    def held_jacobian(u):
-        return (math.exp(u[0]), math.exp(u[1]), u[1], u[0])
-
-    def held_ray_jacobians(U, nodes, weights):
-        # weighted node sums of dg/du(x, nodes_q * u), one row per input row;
-        # only the exp entries vary with the node. numpy hands each stacked
-        # (1, q) @ (q, 1) product to the dot routine that the 1-D
-        # weights @ exp(nodes * u) uses, so every row has the bits of the
-        # one-input sum whatever the number of rows
-        half = weights @ nodes
-        column = weights[:, None]
-        rays = np.empty((U.shape[0], 4))
-        for j in range(2):
-            E = np.exp(np.multiply.outer(U[:, j], nodes))
-            rays[:, j] = (E[:, None, :] @ column)[:, 0, 0]
-        rays[:, 2] = half * U[:, 1]
-        rays[:, 3] = half * U[:, 0]
-        return rays
-
-    def held_jacobian_at(x, h):
-        return (x[0] * h[0], 0.0, h[2], h[3] + x[1] * h[1])
-
+    # g over (x1, x2, u1, u2, E1, E2) with E_j = expm1(u_j): the rows
+    # x1 E1 and u1 u2 + x2 E2; expm1 keeps x exp(u) - x accurate near u = 0
+    g = PolynomialMap(
+        6,
+        [
+            {(1, 0, 0, 0, 1, 0): 1.0},
+            {(0, 0, 1, 1, 0, 0): 1.0, (0, 1, 0, 0, 0, 1): 1.0},
+        ],
+    )
     state_box = DomainBox([-2.0, -2.0], [2.0, 2.0])
     input_box = DomainBox([-1.0, -1.0], [1.0, 1.0])
     decomposition = Decomposition(
@@ -109,13 +83,8 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         n_u=2,
         time_domain=CONTINUOUS,
         autonomous=f_c,
-        input_held=HeldInput(
-            driven=held_driven,
-            driven_at=held_driven_at,
-            jacobian=held_jacobian,
-            ray_jacobians=held_ray_jacobians,
-            jacobian_at=held_jacobian_at,
-        ),
+        input_polynomial=g,
+        exponentials=((0, 1.0), (1, 1.0)),
         name="ct-example",
     )
 

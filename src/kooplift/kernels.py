@@ -10,27 +10,32 @@ each model is compiled once per process and the runtime stays numpy-only.
 The generated code does the numpy path's floating-point operations in the
 same order:
 
-- polynomial rows are summed term by term from 0.0, as the term loop of
-  :class:`~kooplift.polynomials.PolynomialMap` sums them, each term
-  multiplying its powers ``x ** e`` onto its coefficient in variable order
-  (``x ** 1`` is exactly ``x``, so the power is left out);
-- dictionary Jacobian entries are the constants of the dictionary's small
-  template or its varying monomials, evaluated the same way;
-- the products ``A z``, ``dPhi/dx S`` and ``B u`` are summed left to right
-  over every entry, zeros included, so a zero entry still turns an infinite
-  factor into NaN;
+- polynomial rows are summed term by term from 0.0, in the term order in
+  which both evaluation forms of :class:`~kooplift.polynomials.PolynomialMap`
+  sum them, each term multiplying its powers ``x ** e`` onto its
+  coefficient in variable order (``x ** 1`` is exactly ``x``, so the power
+  is left out);
+- the products ``A z`` and ``B u`` are summed left to right over every
+  entry, zeros included, so a zero entry still turns an infinite factor
+  into NaN;
 - the stages are combined as ``_rk4`` combines them, and the divergence
   check runs inline, handing the state to ``check`` whenever a coordinate
   is not within the limit, so the numpy check decides with the same step
   and message.
 
-The input term comes from the held-input form that defines ``g``
-(``Decomposition.input_held``): the work that depends only on the held input
-runs once per step instead of once per stage. The LPV kernel goes further
-and reads it from one table per run: ``Kernel.table`` is the form's
-``ray_table`` of every step's input, built before the loop starts, so no
-step makes a Python call for it. Models with a polynomial input part,
-control-affine systems among them, keep the numpy path.
+The input part is data, so nothing in a step calls back into Python code
+of the library:
+
+- the input features are formed once per step, as
+  :meth:`~kooplift.systems.Decomposition.features` forms them:
+  ``z_k = d_k * u_j``, ``E_k = expm1(z_k)`` with the same helper
+  (:func:`kooplift.systems.expm1`), and ``F_k = d_k * (E_k / z_k)``, or
+  ``d_k`` at ``z_k = 0``;
+- ``g(x, u)`` and the entries of ``B(x, u)`` are the rows of the
+  decomposition's ``input_polynomial`` over (x, u, E) and of the lift's
+  ``input_columns`` over (x, u, F), written out as polynomial rows.
+
+A step calls ``expm1`` once per feature; no RK4 stage makes a call.
 
 numpy takes matrix products through BLAS, which may fuse a multiply and an
 add into one rounding (OpenBLAS does on x86-64 with FMA3, in an order that
@@ -38,10 +43,11 @@ depends on the shape). Where a row of a product has two or more inexact
 terms, a stage derivative of the numpy path can then differ from the
 kernel's in its last bit; for ``ct-example`` that is one entry of
 ``B(x, u) u``. RK4 scales a stage by ``ts / 2`` or ``ts`` before adding it to
-the state, which absorbs almost every such difference at the presets' step:
-the trajectory files of both continuous-time presets are byte-identical on
-the two paths over all 2 x 250k steps. The kernel's own order is the plain
-one, and tests hold it to a plain-order reference bit for bit.
+the state, which absorbs most such differences at the presets' step: over
+250k steps the multisine preset's lifted run is byte-identical on the two
+paths, the white-noise preset's differs in the last bit at 10,368 rows. The
+kernel's own order is the plain one, and tests hold it to a plain-order
+reference bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +56,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .dictionaries import SMALL_JACOBIAN_ENTRIES
-from .systems import CONTINUOUS, Decomposition
+from .systems import CONTINUOUS, Decomposition, expm1
+
+# a model gets a kernel while each of its matrices has at most this many
+# entries; larger ones take the numpy path
+MAX_ENTRIES = 64
 
 # code objects by source text
 _CODE: Dict[str, object] = {}
@@ -61,96 +70,67 @@ _CODE: Dict[str, object] = {}
 class Kernel:
     """A generated RK4 run for states of width ``n`` under ``n_u`` inputs.
 
-    ``run(rec, inp, tab, n_steps, ts, limit, check)`` reads the initial
-    state from the flat record ``rec``, the inputs from the flat ``inp``
-    (row k held over step k) and, for a kernel with a ``table``, the held
-    values of step k from row k of the flat ``tab``, which
-    ``table(inputs)`` builds from the rows of the steps; it writes state k
-    into row k of ``rec`` and calls ``check(k, state)`` when a coordinate
-    of state k is not within ``limit``.
+    ``run(rec, inp, n_steps, ts, limit, check)`` reads the initial state
+    from the flat record ``rec`` and the inputs from the flat ``inp`` (row
+    k held over step k); it writes state k into row k of ``rec`` and calls
+    ``check(k, state)`` when a coordinate of state k is not within
+    ``limit``.
     """
 
     run: Callable
     n: int
     n_u: int
-    table: Optional[Callable] = None
 
 
 def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
     """The RK4 kernel of ``f(x) + g(x, u)``, or None.
 
-    Needs a small continuous-time system (``n_x * n_x`` and ``n_x * n_u``
-    at most ``SMALL_JACOBIAN_ENTRIES``) with ``f`` a term-loop polynomial map
-    and ``g`` given by its held-input form.
+    Needs a small continuous-time system: ``n_x * n_x`` and ``n_x * n_u``
+    at most ``MAX_ENTRIES``.
     """
     n_x, n_u = decomposition.n_x, decomposition.n_u
-    f = decomposition.autonomous
-    held = decomposition.input_held
-    if not (
-        decomposition.time_domain == CONTINUOUS
-        and held is not None
-        and _small(n_x * n_x, n_x * n_u)
-        and f.scalar_terms is not None
-    ):
+    if decomposition.time_domain != CONTINUOUS or not _small(n_x * n_x, n_x * n_u):
         return None
-    prologue = ["driven = HELD.driven", "driven_at = HELD.driven_at"]
-    step = [f"h = driven(({', '.join(_names('u', n_u))},))"]
+    inputs = _names("u", n_u) + _names("e", len(decomposition.exponentials))
 
     def stage(v, out):
-        g = _names("g", n_x)
-        return [f"{', '.join(g)}, = driven_at(({', '.join(v)},), h)"] + [
-            f"{o} = ({_row(terms, v)}) + {gi}"
-            for o, terms, gi in zip(out, f.scalar_terms, g)
-        ]
+        f = _rows(decomposition.autonomous, v)
+        g = _rows(decomposition.input_polynomial, v + inputs)
+        return [f"{o} = ({fr}) + ({gr})" for o, fr, gr in zip(out, f, g)]
 
-    return _build(n_x, n_u, prologue, step, stage, {"HELD": held})
+    return _build(n_x, n_u, _features(decomposition.exponentials, "e"), stage)
 
 
 def lpv_kernel(model) -> Optional[Kernel]:
     """The RK4 kernel of the lifted model ``A z + B(x, u) u``, or None.
 
-    Needs a small continuous-time model (``n_f * n_x``, ``n_f * n_f`` and
-    ``n_f * n_u`` at most ``SMALL_JACOBIAN_ENTRIES``), the dictionary's small
-    Jacobian template, and the held-input form of its decomposition
-    (``input_held``); the ray quadrature is the model's own (``quad``).
+    Needs a small continuous-time model: ``n_f * n_f`` and ``n_f * n_u`` at
+    most ``MAX_ENTRIES``. ``B`` is read from the lift's ``input_columns``
+    at ``x = z[state_selector]``.
     """
-    held = model.decomposition.input_held
-    dictionary = model.dictionary
     n_f, n_u = model.n_f, model.n_u
-    u = _names("u", n_u)
-    if (
-        held is None
-        or model.time_domain != CONTINUOUS
-        or dictionary.small_jacobian is None
-        or not _small(n_f * dictionary.n_x, n_f * n_f, n_f * n_u)
-    ):
+    if model.time_domain != CONTINUOUS or not _small(n_f * n_f, n_f * n_u):
         return None
-    factored = _held_factored(dictionary, n_u)
-    nodes, weights = model.quad.rule()
-    width = len(held.jacobian((0.0,) * n_u))
-    step = [
-        f"h = ({', '.join(f'tab[t + {j}]' for j in range(width))},)",
-        f"t += {width}",
-    ]
+    exponentials = model.decomposition.exponentials
+    u = _names("u", n_u)
+    inputs = u + _names("f", len(exponentials))
     A = [[_literal(a) for a in row] for row in model.A.tolist()]
-    selector = dictionary.state_selector
+    selector = model.dictionary.state_selector
+    B = [[f"b{r}_{j}" for j in range(n_u)] for r in range(n_f)]
 
     def stage(v, out):
-        lines, B = factored([v[i] for i in selector])
+        x = [v[i] for i in selector]
+        lines = [
+            f"{B[r][j]} = {entry}"
+            for j, column in enumerate(model.input_columns)
+            for r, entry in enumerate(_rows(column, x + inputs))
+        ]
         return lines + [
             f"{o} = ({_dot(a_row, v)}) + ({_dot(b_row, u)})"
             for o, a_row, b_row in zip(out, A, B)
         ]
 
-    return _build(
-        n_f,
-        n_u,
-        ["jacobian_at = HELD.jacobian_at", "t = 0"],
-        step,
-        stage,
-        {"HELD": held},
-        table=lambda inputs: held.ray_table(inputs, nodes, weights),
-    )
+    return _build(n_f, n_u, _features(exponentials, "f"), stage)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +139,7 @@ def lpv_kernel(model) -> Optional[Kernel]:
 
 
 def _small(*entries: int) -> bool:
-    return all(e <= SMALL_JACOBIAN_ENTRIES for e in entries)
+    return all(e <= MAX_ENTRIES for e in entries)
 
 
 def _names(prefix: str, n: int) -> List[str]:
@@ -175,45 +155,35 @@ def _literal(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _monomial(coeff: float, powers, names: Sequence[str]) -> str:
-    """The coefficient times each power, in variable order."""
-    factors = [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in powers]
-    return " * ".join([_literal(coeff)] + factors)
+def _rows(poly, names: Sequence[str]) -> List[str]:
+    """Each row of ``poly`` over the variables ``names``, summed from 0.0
+    in term order; each term multiplies its powers onto its coefficient in
+    variable order."""
+    terms = poly.arrays
+    rows = [["0.0"] for _ in range(terms.n_rows)]
+    for r, exps, c in zip(terms.row.tolist(), terms.exps.T.tolist(), terms.coeff.tolist()):
+        factors = [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in enumerate(exps) if e]
+        rows[r].append(" * ".join([_literal(c)] + factors))
+    return [" + ".join(row) for row in rows]
 
 
-def _row(terms, names: Sequence[str]) -> str:
-    """One polynomial row, summed from 0.0 in term order."""
-    return " + ".join(["0.0"] + [_monomial(c, powers, names) for c, powers in terms])
+def _features(exponentials, kind: str) -> List[str]:
+    """Per-step source of the input features ``e_k`` (``kind`` "e") or
+    ``f_k`` ("f"), as ``Decomposition.features`` forms them."""
+    lines = []
+    for k, (j, d) in enumerate(exponentials):
+        d = _literal(d)
+        lines += [f"z{k} = {d} * u{j}", f"e{k} = expm1(z{k})"]
+        if kind == "f":
+            lines.append(f"f{k} = {d} * (e{k} / z{k}) if z{k} else {d}")
+    return lines
 
 
 def _dot(left: Sequence[str], right: Sequence[str]) -> str:
     return " + ".join(f"{a} * {b}" for a, b in zip(left, right))
 
 
-def _held_factored(dictionary, n_u):
-    """Emitter of B = dPhi/dx(x) S(x, u), S from the held-input form."""
-    n_x, n_f = dictionary.n_x, dictionary.n_f
-    template, varying = dictionary.small_jacobian
-    S = [[f"s{i}_{j}" for j in range(n_u)] for i in range(n_x)]
-    B = [[f"b{r}_{j}" for j in range(n_u)] for r in range(n_f)]
-
-    def emit(x):
-        flat = [name for row in S for name in row]
-        lines = [f"{', '.join(flat)}, = jacobian_at(({', '.join(x)},), h)"]
-        J = [[_literal(v) for v in row] for row in template.tolist()]
-        for r, i, coeff, powers in varying:
-            J[r][i] = f"j{r}_{i}"
-            lines.append(f"j{r}_{i} = {_monomial(coeff, powers, x)}")
-        for r in range(n_f):
-            for j in range(n_u):
-                column = [S[i][j] for i in range(n_x)]
-                lines.append(f"{B[r][j]} = {_dot(J[r], column)}")
-        return lines, B
-
-    return emit
-
-
-def _build(n, n_u, prologue, step, stage, names, table=None) -> Kernel:
+def _build(n, n_u, step, stage) -> Kernel:
     """The whole RK4 run around ``stage(inputs, outputs)``, compiled."""
     x, y = _names("x", n), _names("y", n)
     k1, k2, k3, k4 = (_names(f"k{s}_", n) for s in range(1, 5))
@@ -237,8 +207,7 @@ def _build(n, n_u, prologue, step, stage, names, table=None) -> Kernel:
         f"i += {n_u}",
     ]
     lines = [
-        "def rk4(rec, inp, tab, n_steps, ts, limit, check):",
-        *(f"    {line}" for line in prologue),
+        "def rk4(rec, inp, n_steps, ts, limit, check):",
         "    half = 0.5 * ts",
         "    sixth = ts / 6.0",
         *(f"    {xi} = rec[{j}]" for j, xi in enumerate(x)),
@@ -250,6 +219,6 @@ def _build(n, n_u, prologue, step, stage, names, table=None) -> Kernel:
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<kooplift.kernels>", "exec")
-    namespace = dict(names)
+    namespace = {"expm1": expm1}
     exec(code, namespace)
-    return Kernel(namespace["rk4"], n, n_u, table)
+    return Kernel(namespace["rk4"], n, n_u)

@@ -11,23 +11,22 @@ term B_in is factorised as B_in(x, u) = B(x, u) u by integrating its
 input-Jacobian along the ray from 0 to u, which is what turns the lifted
 model into a linear parameter-varying system.
 
-A polynomial input part g(x, u), one map over the joint variables (x, u),
-takes a fully symbolic path in both time domains: one joint expansion,
-Phi(f + g) in discrete time and (dPhi/dx)(f + g) in continuous time, gives
-A from its input-free terms, the input term from the rest and the columns
-of B(x, u) by lowering each input exponent. All three are computed on
-coefficients, so they are exact. A continuous-time input part given in its
-held-input form takes A from the same expansion with no inputs, the input
-term as (dPhi/dx)(x) g(x, u) and B(x, u) by Gauss-Legendre quadrature of
-the ray integral.
+The input part g is one polynomial map over the joint variables (x, u, E),
+E_k = expm1(d_k u_{j_k}) being continuous-time input features. One joint
+expansion, Phi(f + g) in discrete time and (dPhi/dx)(f + g) in continuous
+time, gives A from its input-free terms, the input term from the rest and
+the columns of B(x, u) in closed form: a term with input exponents is
+lowered in each of them, and an E_k term moves to column j_k with E_k
+replaced by F_k = d_k phi1(d_k u_{j_k}), phi1(z) = expm1(z) / z. All three
+are computed on coefficients, so they are exact.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .polynomials import (
     graded,
     multiply_rows,
 )
-from .quadrature import QuadratureSpec
 from .systems import CONTINUOUS, DISCRETE, Decomposition
 
 log = logging.getLogger(__name__)
@@ -159,14 +157,15 @@ def _lifted_rows(
     time_domain: str,
 ) -> TermArrays:
     """Rows of Phi(f + g) in discrete time, of (dPhi/dx)(f + g) in
-    continuous time, over the joint variables (x, u) of ``g``.
+    continuous time, over the joint variables (x, u, E) of ``g``.
 
     The components f + g are the terms of both, f's padded with zero input
-    exponents; no key is in both, since every term of g has an input
-    exponent. Discrete time composes every observable with the components
-    (:func:`compose_rows`). Continuous time forms row r as
-    sum_i e_i x^(e - 1_i) (f + g)[i], summed over i in order, as one
-    :func:`multiply_rows` call.
+    and feature exponents; no key is in both, since every term of g has an
+    input exponent or an E factor. Discrete time composes every observable
+    with the components (:func:`compose_rows`). Continuous time forms row r
+    as sum_i e_i x^(e - 1_i) (f + g)[i], summed over i in order, as one
+    :func:`multiply_rows` call; it is linear in g, so each E factor stays
+    to the first power.
     """
     free, driven = f.arrays, g.arrays
     components = TermArrays(
@@ -193,26 +192,34 @@ def _symbolic_lift(
     time_domain: str,
     span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
     strict: bool = True,
+    exponentials: Sequence[Tuple[int, float]] = (),
 ) -> Tuple[np.ndarray, float, PolynomialMap, List[PolynomialMap]]:
     """A, its span residual, the input term and the columns of B(x, u) of a
-    polynomial system f(x) + g(x, u), from one joint expansion.
+    system f(x) + g(x, u, E), from one joint expansion.
 
     The lifted rows (:func:`_lifted_rows`) are expanded once over the joint
-    variables (x, u). Their input-free terms are the rows of Phi o f (or of
-    (dPhi/dx) f) bit for bit: no product with an input exponent has an
-    input-free key, and the input-free products of a key are summed in the
-    order the separate expansion sums them. So they give A by span matching. Their input terms
-    are the input term, with B_in(x, 0) = 0 holding identically. The ray
-    integral of the factorisation has a closed form on monomials: a term
-    c x^a u^b of the input term contributes c * (b_j / |b|) * x^a u^(b - e_j)
-    to column j. The input term and the columns are maps over (x, u).
+    variables (x, u, E), E being the features of ``exponentials``. Their
+    input-free terms are the rows of Phi o f (or of (dPhi/dx) f) bit for
+    bit: no product with an input exponent or an E factor has an input-free
+    key, and the input-free products of a key are summed in the order the
+    separate expansion sums them. So they give A by span matching. Their
+    other terms are the input term, with B_in(x, 0) = 0 holding
+    identically. The ray integral of the factorisation has a closed form on
+    each term:
+
+    - c x^a u^b contributes c * (b_j / |b|) * x^a u^(b - e_j) to column j;
+    - c x^a E_k, E_k = expm1(d u_j), contributes c x^a F_k to column j,
+      F_k = expm1(d u_j) / u_j = d phi1(d u_j) taking the variable of E_k.
+
+    The input term is a map over (x, u, E), the columns over (x, u, F).
 
     Dropping terms keeps the graded order of the lifted rows, and so does
     lowering u_j in every term of a column; each lowered exponent comes from
-    one term alone. So every row is already canonical, and the maps are
-    built from the arrays as they are.
+    one term alone. So a column without E terms is already canonical and is
+    built from the arrays as they are; one with E terms is sorted once.
     """
-    n_x, n_u = dictionary.n_x, g.n_vars - dictionary.n_x
+    n_x, n_e = dictionary.n_x, len(exponentials)
+    n_u = g.n_vars - n_x - n_e
     if f.n_vars != n_x or f.n_out != n_x:
         raise DimensionError("autonomous dynamics and dictionary dimensions differ")
     rows = _lifted_rows(f, g, dictionary, time_domain)
@@ -227,20 +234,24 @@ def _symbolic_lift(
             missing=missing,
         )
     inputs = rows.select(driven)
-    beta = inputs.exps[n_x:]
-    deg_u = beta.sum(axis=0)
+    beta = inputs.exps[n_x : n_x + n_u]
+    # an E term has no input exponent: it goes whole to the column of its input
+    deg_u = np.maximum(beta.sum(axis=0), 1)
+    target = np.full(inputs.coeff.shape[0], -1)
+    for k, (j, _) in enumerate(exponentials):
+        target[inputs.exps[n_x + n_u + k] > 0] = j
     columns = []
     for j in range(n_u):
-        value = inputs.coeff * (beta[j] / deg_u)
-        keep = (beta[j] > 0) & (value != 0.0)
+        fed = target == j
+        value = np.where(fed, inputs.coeff, inputs.coeff * (beta[j] / deg_u))
+        keep = ((beta[j] > 0) | fed) & (value != 0.0)
         exps = np.compress(keep, inputs.exps, axis=1)
-        exps[n_x + j] -= 1
-        columns.append(
-            PolynomialMap._from_arrays(
-                n_x + n_u, TermArrays(inputs.row[keep], exps, value[keep], inputs.n_rows)
-            )
-        )
-    return A, residual, PolynomialMap._from_arrays(n_x + n_u, inputs), columns
+        exps[n_x + j] -= (beta[j, keep] > 0).astype(exps.dtype)
+        column = TermArrays(inputs.row[keep], exps, value[keep], inputs.n_rows)
+        if fed.any():
+            column = column.canonical()
+        columns.append(PolynomialMap._from_arrays(g.n_vars, column))
+    return A, residual, PolynomialMap._from_arrays(g.n_vars, inputs), columns
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +261,6 @@ def _symbolic_lift(
 
 STACK_ZU = "stack-zu"
 STACK_Z = "stack-z"
-
-
-def _joint(x, u) -> np.ndarray:
-    """The joint point [x; u] at which the maps over (x, u) are evaluated."""
-    return np.concatenate([np.asarray(x, dtype=float), np.asarray(u, dtype=float)])
 
 
 @dataclass
@@ -270,14 +276,11 @@ class LiftedModel:
     scheduled on [z; u] (``scheduling`` "stack-zu"), or on z alone
     ("stack-z") when B is state-only. :meth:`input_term` evaluates the
     lifted forcing and :meth:`factored_input` the matrix B with
-    ``B(x, u) u = input_term(x, u)``. A symbolic lift holds both as maps
-    over the joint variables (x, u), evaluated at ``[x; u]`` in either time
-    domain: ``input_map`` and ``input_columns``, one map per column of B.
-    Both are None when the decomposition gives its input part in the
-    held-input form (see :class:`~kooplift.systems.HeldInput`): the input
-    term is then (dPhi/dx)(x) g(x, u), and ``factored_input`` and the
-    continuous-time simulation kernels take B from the form's ray table on
-    the quadrature ``quad``.
+    ``B(x, u) u = input_term(x, u)``. The lift holds both as maps over the
+    joint variables, in either time domain: ``input_map`` over (x, u, E),
+    evaluated at ``[x; u; E]``, and ``input_columns``, one map per column of
+    B over (x, u, F), evaluated at ``[x; u; F]`` (see
+    :meth:`~kooplift.systems.Decomposition.features`).
 
     Every simulation, fit and bound takes B through ``factored_input``,
     looked up on the model when it is used, so a function assigned to that
@@ -290,9 +293,8 @@ class LiftedModel:
     exact: bool
     dictionary: ObservableDictionary
     decomposition: Decomposition
-    input_map: Optional[PolynomialMap] = None
-    input_columns: Optional[List[PolynomialMap]] = None
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
+    input_map: PolynomialMap
+    input_columns: List[PolynomialMap]
     name: str = "lifted-model"
 
     @property
@@ -313,10 +315,8 @@ class LiftedModel:
 
     @cached_property
     def input_dependent(self) -> bool:
-        """Whether B depends on u: always for a held-input form; for a
-        symbolic lift, when a column of B has an input exponent."""
-        if self.input_columns is None:
-            return True
+        """Whether B depends on u: whether a column of B has an input
+        exponent or an F factor."""
         return any(c.arrays.exps[self.n_x :].any() for c in self.input_columns)
 
     @cached_property
@@ -333,35 +333,17 @@ class LiftedModel:
 
     def input_term(self, x, u) -> np.ndarray:
         """The lifted forcing B_in(x, u), of length n_f."""
-        if self.input_map is None:
-            return self.dictionary.jacobian(x) @ self.decomposition.input_driven(x, u)
-        return self.input_map.evaluate(_joint(x, u))
+        return self.input_map.evaluate(self.decomposition.joint(x, u))
 
     def factored_input(self, x, u) -> np.ndarray:
-        """B(x, u), of shape (n_f, n_u).
-
-        For a held-input form the ray integral reduces to the dictionary
-        Jacobian times the integrated input-Jacobian S of g, since the
-        dictionary Jacobian does not depend on u. S is finished from a
-        one-row ``ray_table``: bit for bit the row the LPV kernel's table
-        holds.
-        """
-        if self.input_columns is None:
-            held = self.decomposition.input_held
-            x = np.asarray(x, dtype=float)
-            h = held.ray_table(np.asarray(u, dtype=float)[None], *self.quad.rule())[0].tolist()
-            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (self.n_x, self.n_u))
-            return self.dictionary.jacobian(x) @ S
-        point = _joint(x, u)
+        """B(x, u), of shape (n_f, n_u)."""
+        point = self.decomposition.joint(x, u, 1)
         return np.stack([c.evaluate(point) for c in self.input_columns], axis=1)
 
     def factored_batch(self, X, U) -> np.ndarray:
         """B(x_i, u_i) of the point rows of ``X`` and ``U``, of shape
-        (M, n_f, n_u). A held-input form stacks :meth:`factored_input` of
-        each point."""
-        if self.input_columns is None:
-            return np.stack([self.factored_input(x, u) for x, u in zip(X, U)])
-        points = np.hstack([np.asarray(X, dtype=float), np.asarray(U, dtype=float)])
+        (M, n_f, n_u)."""
+        points = self.decomposition.joint_batch(X, U, 1)
         return np.stack([c.evaluate_batch(points) for c in self.input_columns], axis=2)
 
     def to_document(self) -> dict:
@@ -375,7 +357,6 @@ class LiftedModel:
             "residual": float(self.residual),
             "exact": bool(self.exact),
             "dictionary": self.dictionary.describe(),
-            "quadrature_nodes": self.quad.nodes,
             "input_dependent": bool(self.input_dependent),
         }
 
@@ -396,28 +377,25 @@ class LiftedModel:
 def build_lifted_model(
     decomposition: Decomposition,
     dictionary: ObservableDictionary,
-    quad: QuadratureSpec = QuadratureSpec(),
     span_tolerance: float = DEFAULT_SPAN_TOLERANCE,
     strict: bool = True,
     name: Optional[str] = None,
 ) -> LiftedModel:
     """Assemble the lifted model for a decomposed system.
 
-    A comes from the symbolic lift and the model is exact when the span
-    residual is at (floating point) zero; with ``strict`` a span violation
-    raises instead of marking the model approximate. The input term and
-    B(x, u) come from the same expansion when the decomposition has its
-    ``input_polynomial``; otherwise (continuous time only) from its
-    ``input_held`` form, scheduled on [z; u].
+    A, the input term and B(x, u) come from one symbolic expansion, and the
+    model is exact when the span residual is at (floating point) zero; with
+    ``strict`` a span violation raises instead of marking the model
+    approximate.
     """
-    g = decomposition.input_polynomial
     A, residual, input_map, columns = _symbolic_lift(
         decomposition.autonomous,
-        g if g is not None else _no_input(dictionary.n_x),
+        decomposition.input_polynomial,
         dictionary,
         decomposition.time_domain,
         span_tolerance,
         strict,
+        decomposition.exponentials,
     )
     return LiftedModel(
         A=A,
@@ -425,8 +403,7 @@ def build_lifted_model(
         exact=residual <= span_tolerance,
         dictionary=dictionary,
         decomposition=decomposition,
-        input_map=None if g is None else input_map,
-        input_columns=None if g is None else columns,
-        quad=quad,
+        input_map=input_map,
+        input_columns=columns,
         name=name or decomposition.name,
     )

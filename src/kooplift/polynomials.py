@@ -486,12 +486,6 @@ class PolynomialMap:
             self._arrays = TermArrays.from_rows(self._rows, self.n_vars)
         return self._arrays
 
-    @property
-    def scalar_terms(self):
-        """Per row, the ``(coeff, ((variable, exponent), ...))`` terms the
-        scalar loop evaluates, in its order; None for a compiled map."""
-        return self._terms
-
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         if len(x) != self.n_vars:
             raise DimensionError(

@@ -247,13 +247,9 @@ def _kernel_rk4(kernel, x0, ts, inputs, n_steps, divergence_limit, label, select
     def check(step, state):
         _check_state(np.array(state), step, divergence_limit, label, selector)
 
-    table = None
-    if kernel.table is not None:
-        table = memoryview(kernel.table(inputs[:n_steps]).reshape(-1))
     kernel.run(
         memoryview(states.reshape(-1)),
         memoryview(np.ascontiguousarray(inputs).reshape(-1)),
-        table,
         n_steps,
         float(ts),
         float(divergence_limit),

@@ -5,15 +5,18 @@ autonomous part and an input-driven remainder that vanishes at zero input,
 
     f_d(x, u) = f(x) + g(x, u),        g(x, 0) = 0.
 
-``g`` is held once, in one of two forms: one polynomial map over (x, u),
-which the symbolic lift reads, or, in continuous time, a held-input form
-(:class:`HeldInput`) that defines ``g`` and its input Jacobian.
+``g`` is held once, as one polynomial map over the joint variables
+(x, u, E): the states, the inputs and, in continuous time, the input
+features E_k = expm1(d_k u_{j_k}). Every term carries an input exponent or
+exactly one feature to the first power, so g(x, 0) = 0 holds term by term.
+The symbolic lift reads the map in both time domains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +26,16 @@ from .polynomials import PolynomialMap
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
-# a held form's ray sums are formed this many input rows at a time, so a long
-# run never holds the (rows, nodes) values of all its steps at once
-RAY_BLOCK_ROWS = 512
+
+def expm1(z: float) -> float:
+    """``math.expm1(z)``, with inf where that overflows (z above about
+    709.78) instead of an OverflowError, so such an input diverges like any
+    other. The numpy path and the generated kernels take every input feature
+    from this one function, so the two agree bit for bit."""
+    try:
+        return math.expm1(z)
+    except OverflowError:
+        return math.inf
 
 
 def _check_time_domain(time_domain: str) -> str:
@@ -86,122 +96,103 @@ class DomainBox:
         return cls(lo - pad, hi + pad)
 
 
-@dataclass(frozen=True)
-class HeldInput:
-    """A continuous-time input part ``g(x, u)`` and its input Jacobian, split
-    for an input held fixed.
-
-    Under a zero-order hold everything that depends on the input alone is
-    fixed across the Runge-Kutta stages of a step, so it is computed once
-    per step: ``driven(u)`` returns those values ``h`` for ``g(x, u)`` and
-    ``jacobian(u)`` those for ``dg/du(x, u)``; ``driven_at(x, h)`` and
-    ``jacobian_at(x, h)`` finish the evaluation at a state. States and
-    inputs are tuples of floats and results are flat tuples of floats, the
-    Jacobian row-major. These four functions are ``g`` and its Jacobian.
-
-    ``ray_jacobians(U, nodes, weights)`` takes the values for the ray sum
-    ``sum_q w_q dg/du(x, nodes_q * u)`` of many held inputs at once: an
-    (N, n_u) array of inputs in, an (N, k) float array out, row i being the
-    ``h`` that ``jacobian_at`` finishes for input row i, with k the length
-    of ``jacobian``'s tuple. Each row must not depend on the other rows, so
-    a run's rows give the same bits in any blocking, and must equal the
-    node-by-node sum of ``jacobian`` up to rounding. The factorisation and
-    the continuous-time LPV kernel both read the ray integral from
-    :meth:`ray_table`.
-    """
-
-    driven: Callable
-    driven_at: Callable
-    jacobian: Callable
-    ray_jacobians: Callable
-    jacobian_at: Callable
-
-    def ray_table(self, inputs: np.ndarray, nodes, weights) -> np.ndarray:
-        """Row k: the held ray-sum values of input row k, formed by
-        ``ray_jacobians`` ``RAY_BLOCK_ROWS`` rows per call. A row whose
-        inputs are all zero takes ``jacobian`` of it instead, ``dg/du(x, 0)``
-        itself, since every node of the ray collapses to the origin there."""
-        first = self.ray_jacobians(inputs[:RAY_BLOCK_ROWS], nodes, weights)
-        table = np.empty((inputs.shape[0], first.shape[1]))
-        table[:RAY_BLOCK_ROWS] = first
-        for start in range(RAY_BLOCK_ROWS, inputs.shape[0], RAY_BLOCK_ROWS):
-            stop = start + RAY_BLOCK_ROWS
-            table[start:stop] = self.ray_jacobians(inputs[start:stop], nodes, weights)
-        for k in np.flatnonzero(~inputs.any(axis=1)).tolist():
-            table[k] = self.jacobian(tuple(inputs[k].tolist()))
-        return table
-
-
 @dataclass
 class Decomposition:
     """Autonomous + input-driven split of controlled dynamics.
 
-    ``autonomous`` is the polynomial map ``f`` over the ``n_x`` states. The
-    input part ``g`` is given in exactly one form:
+    ``autonomous`` is the polynomial map ``f`` over the ``n_x`` states.
+    ``input_polynomial`` is ``g``: one :class:`PolynomialMap` with ``n_x``
+    rows over the joint variables ``(x, u, E)``, the ``n_x`` states, the
+    ``n_u`` inputs and one feature per entry ``(j, d)`` of
+    ``exponentials``, ``E_k = expm1(d u_j)`` (continuous time only). Every
+    term has an input exponent or one ``E`` factor to the first power, not
+    both, so ``g(x, 0) = 0`` holds identically.
 
-    - ``input_polynomial``: one :class:`PolynomialMap` over the ``n_x +
-      n_u`` joint variables ``(x, u)``, with ``n_x`` rows and an input
-      exponent in every term, so ``g(x, 0) = 0`` holds identically. The
-      lift reads it in both time domains;
-    - ``input_held``: the :class:`HeldInput` form, continuous time only.
-      Construction probes it: it must give ``n_x`` values of ``g`` and
-      ``n_x * n_u`` of its Jacobian, and ``g(x, 0) = 0`` exactly at ``x = 0``
-      and at ``x = (1, ..., 1)``.
-
-    :meth:`input_driven` evaluates whichever is set.
+    :meth:`features` gives, per held input, the features ``E_k`` and the
+    factors ``F_k = d phi1(d u_j)`` that the lift's ``B(x, u)`` carries in
+    their place, with ``phi1(z) = expm1(z) / z`` and ``phi1(0) = 1``.
     """
 
     n_x: int
     n_u: int
     time_domain: str
     autonomous: PolynomialMap
-    input_polynomial: Optional[PolynomialMap] = None
-    input_held: Optional[HeldInput] = None
+    input_polynomial: PolynomialMap
+    exponentials: Tuple[Tuple[int, float], ...] = ()
     name: str = "system"
 
     def __post_init__(self):
         _check_time_domain(self.time_domain)
-        f, g, held = self.autonomous, self.input_polynomial, self.input_held
+        f, g = self.autonomous, self.input_polynomial
         if not isinstance(f, PolynomialMap):
             raise TypeError("the autonomous part must be a PolynomialMap")
+        if not isinstance(g, PolynomialMap):
+            raise TypeError("the input part input_polynomial must be a PolynomialMap")
         if f.n_vars != self.n_x or f.n_out != self.n_x:
             raise DimensionError("the autonomous part must map the n_x states to n_x outputs")
-        if (g is None) == (held is None):
-            raise TypeError("give the input part as exactly one of input_polynomial and input_held")
-        if held is not None:
-            if self.time_domain == DISCRETE:
-                raise TypeError("a discrete-time input part must be input_polynomial")
-            x, u = (0.0,) * self.n_x, (0.0,) * self.n_u
-            try:
-                h = held.driven(u)
-                at_rest = [held.driven_at(p, h) for p in (x, (1.0,) * self.n_x)]
-                sizes = (*map(len, at_rest), len(held.jacobian_at(x, held.jacobian(u))))
-            except (IndexError, ValueError) as exc:
-                raise DimensionError(
-                    f"input_held fails on n_x states and n_u inputs: {exc}"
-                ) from exc
-            if sizes != (self.n_x, self.n_x, self.n_x * self.n_u):
-                raise DimensionError(
-                    "input_held must give n_x values of g and n_x * n_u of its Jacobian"
-                )
-            if any(v != 0.0 for g0 in at_rest for v in g0):
-                raise ValueError(
-                    f"input_held must give g(x, 0) = 0; at x = 0 and x = 1 it gives {at_rest}"
-                )
-        elif g.n_vars != self.n_x + self.n_u or g.n_out != self.n_x:
-            raise DimensionError(
-                "input_polynomial must map the n_x + n_u joint variables to n_x outputs"
+        self.exponentials = tuple((int(j), float(d)) for j, d in self.exponentials)
+        if self.exponentials and self.time_domain == DISCRETE:
+            raise TypeError(
+                "exponential input features are continuous-time only: a discrete-time "
+                "composition would multiply expm1 factors"
             )
-        elif not g.arrays.exps[self.n_x :].any(axis=0).all():
-            raise DimensionError("every term of input_polynomial needs an input exponent")
+        for j, d in self.exponentials:
+            if not 0 <= j < self.n_u:
+                raise DimensionError(f"an exponential feature reads input {j} of {self.n_u}")
+            if not math.isfinite(d) or d == 0.0:
+                raise ValueError(f"an exponential feature needs a finite nonzero rate, got {d}")
+        n_in = self.n_x + self.n_u
+        if g.n_vars != n_in + len(self.exponentials) or g.n_out != self.n_x:
+            raise DimensionError(
+                "input_polynomial must map the joint variables (n_x states, n_u inputs, "
+                "one per exponential feature) to n_x outputs"
+            )
+        exps = g.arrays.exps
+        powers, count = exps[n_in:], (exps[n_in:] > 0).sum(axis=0)
+        driven = exps[self.n_x : n_in].any(axis=0)
+        for bad, message in (
+            (powers.max(axis=0, initial=0) > 1, "takes an exponential feature squared"),
+            (count > 1, "multiplies two exponential features"),
+            (driven & (count > 0), "has an input exponent and an exponential feature"),
+            (~driven & (count == 0), "needs an input exponent or one exponential feature"),
+        ):
+            if bad.any():
+                term = tuple(exps[:, int(np.argmax(bad))].tolist())
+                raise DimensionError(f"a term of input_polynomial {message}: exponents {term}")
+
+    def features(self, u: Sequence[float]) -> Tuple[List[float], List[float]]:
+        """``E_k = expm1(z_k)`` and ``F_k = d_k (E_k / z_k)``, or ``d_k`` at
+        ``z_k = 0``, with ``z_k = d_k u_{j_k}``, of the input ``u`` (a
+        sequence of floats). ``F_k u_{j_k} = E_k``."""
+        E, F = [], []
+        for j, d in self.exponentials:
+            z = d * u[j]
+            e = expm1(z)
+            E.append(e)
+            F.append(d * (e / z) if z else d)
+        return E, F
+
+    def joint(self, x, u, feature: int = 0) -> np.ndarray:
+        """The point ``[x; u; E]`` (``feature`` 0) or ``[x; u; F]`` (1) at
+        which maps over the joint variables are evaluated."""
+        u = np.asarray(u, dtype=float)
+        parts = [np.asarray(x, dtype=float), u]
+        if self.exponentials:
+            parts.append(self.features(u.tolist())[feature])
+        return np.concatenate(parts)
+
+    def joint_batch(self, X, U, feature: int = 0) -> np.ndarray:
+        """:meth:`joint` of the point rows of ``X`` and ``U``, as rows."""
+        U = np.asarray(U, dtype=float)
+        parts = [np.asarray(X, dtype=float), U]
+        if self.exponentials:
+            rows = [self.features(u)[feature] for u in U.tolist()]
+            parts.append(np.array(rows, dtype=float).reshape(U.shape[0], len(self.exponentials)))
+        return np.hstack(parts)
 
     def input_driven(self, x, u) -> np.ndarray:
-        """``g(x, u)``, from whichever form is set."""
-        x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-        if self.input_polynomial is not None:
-            return self.input_polynomial.evaluate(np.concatenate([x, u]))
-        held = self.input_held
-        return np.array(held.driven_at(tuple(x.tolist()), held.driven(tuple(u.tolist()))))
+        """``g(x, u)``."""
+        return self.input_polynomial.evaluate(self.joint(x, u))
 
     def eval_full(self, x, u) -> np.ndarray:
         return self.autonomous.evaluate(x) + self.input_driven(x, u)

@@ -221,9 +221,9 @@ class TestBetaScans:
 
 
     def test_held_model_scans_are_the_pointwise_gap_norms(self):
-        # ct-example's lift has no polynomial columns: its factored_batch
-        # stacks factored_input point by point, and both scans take the
-        # maximum of the per-point induced 2-norms, bit for bit
+        # ct-example's lift has exponential columns: factored_batch takes
+        # their features row by row with factored_input's helper, and both
+        # scans take the maximum of the per-point induced 2-norms, bit for bit
         bundle = ct_example()
         lpv = build_lifted_model(bundle.decomposition, bundle.dictionary)
         rng = np.random.default_rng(19)

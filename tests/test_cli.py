@@ -21,7 +21,7 @@ from kooplift.cli import (
     run_reproduce,
     run_simulate,
 )
-from kooplift import config, edmd
+from kooplift import config, edmd, sim
 from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
 from kooplift.edmd import (
@@ -263,6 +263,24 @@ class TestSimulate:
         path = _write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 3
 
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    @pytest.mark.parametrize("variance", [2.5e5, 4e6])
+    def test_large_ct_input_exits_3(self, tmp_path, monkeypatch, capsys, path, variance):
+        # at variance 4e6 an input passes 709.78, where expm1(u) overflows:
+        # that was an OverflowError traceback (exit 1) where 2.5e5 exits 3
+        if path == "numpy":
+            monkeypatch.setattr(sim, "nonlinear_kernel", lambda decomposition: None)
+            monkeypatch.setattr(sim, "lpv_kernel", lambda model: None)
+        signal = {"kind": "white_noise", "variance": variance}
+        cfg = {"system": "ct-example", "ts": 1e-3, "horizon_seconds": 0.05, "signals": [signal] * 2}
+        inputs = sim.build_inputs(resolve_config(cfg)["signals"], 1e-3, 50)
+        assert (np.abs(inputs[0]).max() > 709.8) == (variance == 4e6)
+        path = _write_config(tmp_path, cfg)
+        # the numpy path adds the infinities as arrays, which numpy flags
+        with np.errstate(invalid="ignore"):
+            assert main(["simulate", "--config", path]) == 3
+        assert "'nonlinear' diverged at step 1" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         path = _write_config(tmp_path, {"system": "dt-example"})
         assert main(["simulate", "--config", path]) == 2
@@ -438,6 +456,9 @@ class TestSimulate:
         "dt-horizon-seconds": (
             "'horizon_seconds' is not read: a discrete-time system reads 'horizon_steps'"
         ),
+        # the quadrature is gone: every ray integral has a closed form
+        "lift-quad-nodes-0": "unknown config key 'quad_nodes'",
+        "quad-nodes-0": "unknown config key 'quad_nodes'",
         "dt-ts": "'ts' is not read: a discrete-time system reads 'horizon_steps'",
     }
 

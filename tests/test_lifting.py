@@ -14,7 +14,6 @@ from kooplift import (
     Monomial,
     ObservableDictionary,
     PolynomialMap,
-    QuadratureSpec,
     build_lifted_model,
     compute_A_ct,
     compute_A_dt,
@@ -55,16 +54,45 @@ CLOSED = ObservableDictionary(
 )
 
 
-def factorize_input(input_term_jacobian, x, u, quad=QuadratureSpec()):
+def _ct_exponential():
+    """Two inputs, exponential features at the rates 0.5 and -3:
+    dx1/dt = -0.5 x1 + x1 expm1(0.5 u1) + u2,
+    dx2/dt = -x2 + x1^2 + 0.25 x2 expm1(-3 u2) - x1 expm1(0.5 u1) + x1 u1 u2;
+    [x1, x2, x1^2] is closed under its autonomous part."""
+    f = PolynomialMap(2, [{(1, 0): -0.5}, {(0, 1): -1.0, (2, 0): 1.0}])
+    g = PolynomialMap(
+        6,
+        [
+            {(1, 0, 0, 0, 1, 0): 1.0, (0, 0, 0, 1, 0, 0): 1.0},
+            {(0, 1, 0, 0, 0, 1): 0.25, (1, 0, 0, 0, 1, 0): -1.0, (1, 0, 1, 1, 0, 0): 1.0},
+        ],
+    )
+    return Decomposition(2, 2, "continuous", f, g, ((0, 0.5), (1, -3.0)), "ct-exponential")
+
+
+def _ct_exponential_input_jacobian(x, u):
+    """dg/du of :func:`_ct_exponential`, written out."""
+    e1, e2 = 0.5 * math.exp(0.5 * u[0]), -3.0 * math.exp(-3.0 * u[1])
+    return np.array(
+        [[x[0] * e1, 1.0], [-x[0] * e1 + x[0] * u[1], 0.25 * x[1] * e2 + x[0] * u[0]]]
+    )
+
+
+def _ct_example_input_jacobian(x, u):
+    """dg/du of ct-example, written out."""
+    return np.array([[x[0] * math.exp(u[0]), 0.0], [u[1], u[0] + x[1] * math.exp(u[1])]])
+
+
+def factorize_input(input_term_jacobian, x, u, nodes=16):
     """Reference factorisation B(x, u) with B_in(x, u) = B(x, u) u: the
     input-Jacobian of the input term summed node by node along the ray from
-    0 to u, and the Jacobian at (x, 0) itself at u = 0, where every node
-    collapses to the origin."""
+    0 to u on the ``nodes``-point Gauss-Legendre rule, and the Jacobian at
+    (x, 0) itself at u = 0, where every node collapses to the origin."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if not u.any():
         return np.asarray(input_term_jacobian(x, u), dtype=float)
-    lam, w = quad.rule()
+    lam, w = unit_gauss_legendre(nodes)
     acc = w[0] * np.asarray(input_term_jacobian(x, lam[0] * u), dtype=float)
     for q in range(1, lam.shape[0]):
         acc += w[q] * np.asarray(input_term_jacobian(x, lam[q] * u), dtype=float)
@@ -333,14 +361,18 @@ class TestFactorization:
         np.testing.assert_allclose(B, expect, rtol=0, atol=1e-10)
 
     def test_linear_term_recovers_matrix(self):
-        M = np.array([[1.0, 2.0], [0.5, -1.0], [3.0, 0.0]])
-        # the input term M u has the input-Jacobian M at every point of the ray
-        jacobian = lambda x, u: M
+        # constant input columns M on the identity dictionary: the input term
+        # is M u, and the lift's B(x, u) is M itself at every point
+        M = np.array([[1.0, 2.0], [0.5, -1.0]])
+        f = PolynomialMap(2, [{(0, 1): 1.0}, {(1, 0): -0.25}])
+        columns = [PolynomialMap(2, [{(0, 0): M[0, j]}, {(0, 0): M[1, j]}]) for j in range(2)]
+        split = control_affine_decomposition(f, columns, "continuous")
+        model = build_lifted_model(split, monomial_dictionary(2, 1))
+        assert not model.input_dependent
         rng = np.random.default_rng(8)
         for _ in range(10):
-            u = rng.normal(size=2)
-            B = factorize_input(jacobian, np.zeros(2), u)
-            np.testing.assert_allclose(B, M, rtol=0, atol=1e-9)
+            x, u = rng.normal(size=2), rng.normal(size=2)
+            np.testing.assert_array_equal(model.factored_input(x, u), M)
 
     def test_zero_input_returns_jacobian(self):
         bundle = ct_example()
@@ -365,29 +397,28 @@ class TestFactorization:
             assert gaps[0] > gaps[1] > gaps[2]
 
     def test_ct_oracle_node_loop_matches_ray(self):
-        # the held ray table, finished at x, and the model's B against the
-        # node-by-node sum of the held Jacobian dg/du(x, lam_q u)
-        bundle = ct_example()
-        held = bundle.decomposition.input_held
-        model = build_lifted_model(bundle.decomposition, BENCH_DICT)
-        nodes, weights = model.quad.rule()
+        # the lift's closed-form B(x, u) against the 32-node sum, node by
+        # node, of the input term's input-Jacobian dPhi/dx(x) dg/du(x, lam_q u),
+        # for ct-example and for two inputs at the rates 0.5 and -3
+        for split, input_jacobian in (
+            (ct_example().decomposition, _ct_example_input_jacobian),
+            (_ct_exponential(), _ct_exponential_input_jacobian),
+        ):
+            model = build_lifted_model(split, BENCH_DICT)
+            assert model.residual == 0.0 and model.input_dependent
 
-        def jacobian(x, v):
-            h = held.jacobian(tuple(v.tolist()))
-            return np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
+            def jacobian(x, v):
+                return BENCH_DICT.jacobian(x) @ input_jacobian(x, v)
 
-        rng = np.random.default_rng(12)
-        X = bundle.state_box.sample(rng, 200)
-        U = bundle.input_box.sample(rng, 200)
-        U[0] = 0.0
-        table = held.ray_table(U, nodes, weights)
-        for x, u, h in zip(X, U, table):
-            expect = factorize_input(jacobian, x, u)
-            ray = np.reshape(held.jacobian_at(tuple(x.tolist()), tuple(h.tolist())), (2, 2))
-            assert np.all(np.abs(ray - expect) <= 1e-13 * np.abs(expect).max())
-            B = BENCH_DICT.jacobian(x) @ expect
-            got = model.factored_input(x, u)
-            assert np.all(np.abs(got - B) <= 1e-13 * np.abs(B).max())
+            rng = np.random.default_rng(12)
+            X = rng.uniform(-2.0, 2.0, (200, 2))
+            U = rng.uniform(-1.0, 1.0, (200, 2))
+            U[0] = 0.0
+            U[1, 0] = 0.0
+            for x, u in zip(X, U):
+                expect = factorize_input(jacobian, x, u, nodes=32)
+                got = model.factored_input(x, u)
+                assert np.all(np.abs(got - expect) <= 1e-13 * np.abs(expect).max())
 
     def test_dt_oracle_paths_match_symbolic(self):
         # B(x, u) by the ray quadrature of a central-difference input-Jacobian
@@ -469,7 +500,7 @@ class TestQuadrature:
 
     def test_node_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(0)
+            unit_gauss_legendre(0)
 
 
 class TestSpanMatching:

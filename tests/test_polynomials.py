@@ -151,7 +151,7 @@ class TestEvaluation:
         # other axis would be summed pairwise; n_out is padded to keep it
         rng = np.random.default_rng(n_terms)
         p = _map_with_terms(rng, 3, 1, 12, n_terms)
-        assert p.scalar_terms is None
+        assert p._kernel is not None
         X = rng.normal(size=(40, 3))
         X[0] = 0.0
         _assert_matches_oracles(p, X)

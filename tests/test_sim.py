@@ -35,9 +35,9 @@ from kooplift.errors import DimensionError, DivergenceError
 from kooplift.kernels import lpv_kernel, nonlinear_kernel
 from kooplift.lpv import lifted_step, lti_step, make_lti
 from kooplift.polynomials import PolynomialMap
-from kooplift.quadrature import QuadratureSpec
 from kooplift.sim import multisine_frequencies
 from kooplift.systems import CONTINUOUS, control_affine_decomposition
+from test_lifting import _ct_exponential
 
 
 class TestRk4:
@@ -433,27 +433,13 @@ def _plain_nonlinear(decomposition, x0, inputs, ts, **options):
     return simulate_ct(lambda x, u: f(x) + g(x, u), x0, inputs, ts, **options)
 
 
-def _plain_lpv(model, z0, inputs, ts, decomposition, **options):
-    """simulate_lpv on the numpy _rk4 path, with every product in plain order.
-
-    B = dPhi/dx S is rebuilt as the factorisation builds it, from the
-    decomposition's held ray sum (the held Jacobian at u = 0).
-    """
+def _plain_lpv(model, z0, inputs, ts, **options):
+    """simulate_lpv on the numpy _rk4 path, with every product in plain order
+    and B(x, u) from the model's factored_input."""
     selector = list(model.dictionary.state_selector)
-    nodes, weights = QuadratureSpec().rule()
-    held = decomposition.input_held
-
-    def factored(x, u):
-        if u.any():
-            h = held.ray_jacobians(u[None], nodes, weights)[0].tolist()
-            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
-        else:
-            h = held.jacobian(tuple(u.tolist()))
-            S = np.reshape(held.jacobian_at(tuple(x.tolist()), h), (2, 2))
-        return _plain_matmul(model.dictionary.jacobian(x), S)
 
     def step(z, u):
-        return _plain_dot(model.A, z) + _plain_dot(factored(z[selector], u), u)
+        return _plain_dot(model.A, z) + _plain_dot(model.factored_input(z[selector], u), u)
 
     return simulate_ct(step, z0, inputs, ts, state_selector=selector, **options)
 
@@ -513,19 +499,18 @@ class TestKernels:
         inputs = _random_inputs(seed, 400)
         z0 = bundle.dictionary.evaluate(np.array([1.0, -0.5]))
         fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
-        slow = _plain_lpv(model, z0, inputs, ts, decomposition=bundle.decomposition)
+        slow = _plain_lpv(model, z0, inputs, ts)
         _assert_same_bits(fast.states, slow.states)
 
-    def test_control_affine_keeps_the_numpy_path(self):
-        # polynomial input columns have no held-input form: no kernel, and the
-        # states are the numpy loop's
+    def test_control_affine_gets_the_kernel(self):
+        # a polynomial input part is data as well: both runs take the kernel,
+        # with the states of the plain-order numpy loops
         decomposition = _synthetic_control_affine()
         dictionary = ObservableDictionary(
             2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
         )
         model = build_lifted_model(decomposition, dictionary)
-        assert nonlinear_kernel(decomposition) is None
-        assert model.decomposition.input_held is None and lpv_kernel(model) is None
+        assert nonlinear_kernel(decomposition) is not None and lpv_kernel(model) is not None
         inputs = _random_inputs(4, 100)
         _assert_same_bits(
             simulate_nonlinear(decomposition, [0.8, -1.2], inputs, ts=1e-2).states,
@@ -534,7 +519,30 @@ class TestKernels:
         z0 = dictionary.evaluate(np.array([0.8, -1.2]))
         _assert_same_bits(
             simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-2)[0].states,
-            _numpy_lpv(model, z0, inputs, 1e-2).states,
+            _plain_lpv(model, z0, inputs, 1e-2).states,
+        )
+
+    @pytest.mark.parametrize("seed, ts", [(11, 1e-2), (12, 1e-3), (13, 0.05)])
+    def test_feature_rates_bit_for_bit(self, seed, ts):
+        # features at the rates 0.5 and -3, whose z = d u and F = d (E / z)
+        # round, unlike ct-example's rate 1: both kernels against the
+        # plain-order numpy loops
+        decomposition = _ct_exponential()
+        dictionary = ObservableDictionary(
+            2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
+        )
+        model = build_lifted_model(decomposition, dictionary)
+        inputs = _random_inputs(seed, 300)
+        inputs[50:60] = [-0.0, 0.0]
+        x0 = np.array([0.8, -1.2])
+        _assert_same_bits(
+            simulate_nonlinear(decomposition, x0, inputs, ts=ts).states,
+            _plain_nonlinear(decomposition, x0, inputs, ts).states,
+        )
+        z0 = dictionary.evaluate(x0)
+        _assert_same_bits(
+            simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)[0].states,
+            _plain_lpv(model, z0, inputs, ts).states,
         )
 
     @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
@@ -550,24 +558,17 @@ class TestKernels:
         slow = _numpy_lpv(model, bundle.dictionary.evaluate(x0), inputs, ts)
         _assert_same_bits(fast.states, slow.states)
 
-    @pytest.mark.parametrize("nodes", [8, 2])
-    def test_kernel_takes_the_models_quadrature(self, ct_model, nodes):
-        # the kernel's ray sum runs on model.quad's rule: a lift with fewer
-        # nodes gives the numpy path's states of that lift, not the default's
-        bundle, default = ct_model
-        model = build_lifted_model(
-            bundle.decomposition, bundle.dictionary, quad=QuadratureSpec(nodes)
-        )
-        assert lpv_kernel(model) is not None
-        cfg = dict(preset_runs("ct-example-whitenoise")[0][2], horizon_seconds=0.2)
-        c = resolve_config(cfg)
-        ts = c["ts"]
-        inputs = build_inputs(c["signals"], ts, c["n_steps"])
-        z0 = bundle.dictionary.evaluate(np.array([1.0, 1.0]))
-        fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=ts)
-        _assert_same_bits(fast.states, _numpy_lpv(model, z0, inputs, ts).states)
-        sixteen, _ = simulate_lpv(default, z0=z0, inputs=inputs, ts=ts)
-        assert fast.states.tobytes() != sixteen.states.tobytes()
+    def test_kernels_call_only_expm1(self, ct_model):
+        # the input part is written into the code: apart from the builtins
+        # of the loop and the limit test, the only global either kernel
+        # calls is the feature helper; check, the divergence hook, is an
+        # argument
+        bundle, model = ct_model
+        for kernel in (nonlinear_kernel(bundle.decomposition), lpv_kernel(model)):
+            code = kernel.run.__code__
+            assert set(code.co_names) == {"range", "abs", "expm1"}
+            assert kernel.run.__globals__["expm1"] is systems.expm1
+            assert "check" in code.co_varnames[: code.co_argcount]
 
     def test_kernel_does_not_call_the_numpy_pieces(self, ct_model):
         bundle, model = ct_model
@@ -586,10 +587,10 @@ class TestKernels:
         _, model = ct_model
         big = monomial_dictionary(2, 3)  # 9 observables: A has 81 entries
         assert lpv_kernel(dataclasses.replace(model, A=np.eye(9), dictionary=big)) is None
-        # the same system with its input part as a polynomial map
-        g = PolynomialMap(4, [{(0, 0, 1, 0): 1.0}, {(0, 0, 0, 1): 1.0}])
-        polynomial = dataclasses.replace(model.decomposition, input_held=None, input_polynomial=g)
-        assert lpv_kernel(dataclasses.replace(model, decomposition=polynomial)) is None
+        # nine states: f's Jacobian would have 81 entries
+        f = PolynomialMap(9, [{tuple(int(i == r) for i in range(9)): -1.0} for r in range(9)])
+        column = PolynomialMap(9, [{(0,) * 9: 1.0}] * 9)
+        assert nonlinear_kernel(control_affine_decomposition(f, [column], CONTINUOUS)) is None
 
     def test_code_cached_by_source(self, ct_model):
         _, model = ct_model
@@ -640,116 +641,44 @@ class TestKernels:
             messages.append((exc.value.step, str(exc.value)))
         assert messages[0] == messages[1] == (1, messages[0][1])
 
-
-def _preset_inputs(preset="ct-example-whitenoise", seconds=0.2):
-    cfg = dict(preset_runs(preset)[0][2], horizon_seconds=seconds)
-    c = resolve_config(cfg)
-    return build_inputs(c["signals"], c["ts"], c["n_steps"])
-
-
-def _counting_held(model):
-    """``model`` with its held form's ``jacobian`` and ``ray_jacobians``
-    recording their arguments, and the two records."""
-    held = model.decomposition.input_held
-    exact, rays = [], []
-
-    def jacobian(u):
-        exact.append(u)
-        return held.jacobian(u)
-
-    def ray_jacobians(U, nodes, weights):
-        rays.append(U.shape[0])
-        return held.ray_jacobians(U, nodes, weights)
-
-    counting = dataclasses.replace(held, jacobian=jacobian, ray_jacobians=ray_jacobians)
-    decomposition = dataclasses.replace(model.decomposition, input_held=counting)
-    # the decomposition's construction probes the form once; only later calls count
-    exact.clear()
-    return dataclasses.replace(model, decomposition=decomposition), exact, rays
-
-
-class TestRayTable:
-    """The LPV kernel's per-run table of held ray-sum values."""
-
-    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
-    def test_blocks_of_three_rows_equal_one_block(self, ct_model, monkeypatch, preset):
-        bundle, model = ct_model
-        inputs = _preset_inputs(preset)
-        table = lpv_kernel(model).table
-        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", 3)
-        blocked = table(inputs)
-        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", inputs.shape[0])
-        whole = table(inputs)
-        assert blocked.shape == (inputs.shape[0], 4)
-        _assert_same_bits(blocked, whole)
-
-    def test_all_zero_rows_take_the_exact_jacobian(self, ct_model):
-        # the if-u0-or-u1 rule: only rows with every input zero (either sign)
-        # take dg/du(x, u) itself; a NaN counts as non-zero, as in u.any()
-        _, model = ct_model
-        counting, exact, rays = _counting_held(model)
-        table = lpv_kernel(counting).table
-        inputs = np.array(
-            [[0.0, 0.0], [-0.0, 0.0], [0.3, 0.0], [0.0, -0.2], [-0.0, -0.0], [np.nan, 0.0], [0.5, -0.5]]
-        )
-        exact.clear()
-        values = table(inputs)
-        held = model.decomposition.input_held
-        nodes, weights = model.quad.rule()
-        zero = [0, 1, 4]
-        assert exact == [tuple(inputs[k].tolist()) for k in zero]
-        assert rays == [inputs.shape[0]]
-        for k, u in enumerate(inputs):
-            if k in zero:
-                expect = np.array(held.jacobian(tuple(u.tolist())))
-            else:
-                expect = held.ray_jacobians(u[None], nodes, weights)[0]
-            _assert_same_bits(values[k], expect)
-        # dg/du(x, 0) keeps the sign of each zero input
-        assert math.copysign(1.0, values[1, 3]) == -1.0
-        assert math.copysign(1.0, values[4, 2]) == -1.0
-
-    def test_signed_zero_rows_match_the_numpy_path(self, ct_model):
+    def test_signed_zero_rows_match_the_plain_path(self, ct_model):
+        # F_k = d_k at z_k = +0 and -0 alike; E_k keeps the sign of zero
         bundle, model = ct_model
         inputs = _random_inputs(9, 300)
         inputs[50:60] = [-0.0, 0.0]
         inputs[60:70, 0] = 0.0
         inputs[70:80, 1] = -0.0
-        # the numpy _rk4 path in plain order: BLAS's B u may differ from it in
-        # the last bit on random inputs (see the kernels module docstring)
         z0 = bundle.dictionary.evaluate(np.array([1.0, -0.5]))
         fast, _ = simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-2)
-        slow = _plain_lpv(model, z0, inputs, 1e-2, decomposition=bundle.decomposition)
+        _assert_same_bits(fast.states, _plain_lpv(model, z0, inputs, 1e-2).states)
+        fast = simulate_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, ts=1e-2)
+        slow = _plain_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, 1e-2)
         _assert_same_bits(fast.states, slow.states)
 
-    @pytest.mark.parametrize("block_rows", [100, 512])
-    def test_ray_form_called_once_per_block(self, ct_model, monkeypatch, block_rows):
+    def test_overflowing_input_same_step_and_message(self, ct_model):
+        # expm1(u) overflows past u = 709.78: E_k and F_k are inf, and both
+        # paths stop at step 1 with the divergence message, not an
+        # OverflowError
         bundle, model = ct_model
-        monkeypatch.setattr(systems, "RAY_BLOCK_ROWS", block_rows)
-        counting, exact, rays = _counting_held(model)
-        inputs = _random_inputs(10, 1050)
-        x0 = [1.0, 1.0]
-        counted, _ = simulate_lpv(counting, x0=x0, inputs=inputs, ts=1e-3)
-        # 1050 steps; the last input row is never applied
-        n_blocks = -(-1050 // block_rows)
-        assert rays == [block_rows] * (n_blocks - 1) + [1050 - block_rows * (n_blocks - 1)]
-        # one probe of the table's width, then the six all-zero rows
-        assert len(exact) == 1 + int(np.sum(~inputs[:-1].any(axis=1)))
-        _assert_same_bits(counted.states, simulate_lpv(model, x0=x0, inputs=inputs, ts=1e-3)[0].states)
-
-    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
-    def test_oracle_factored_equals_the_kernels_B(self, ct_model, preset):
-        # B = dPhi/dx(x) S with S finished from the kernel's table row: the
-        # numpy oracle takes the same ray sums through a one-row ray_jacobians
-        # (its product is numpy's, which sums from +0.0 where the kernel's
-        # plain order keeps a -0.0)
-        bundle, model = ct_model
-        inputs = _preset_inputs(preset, seconds=0.05)
-        inputs[:3] = [[0.0, 0.0], [-0.0, 0.2], [0.0, -0.0]]
-        table = lpv_kernel(model).table(inputs)
-        held = model.decomposition.input_held
-        X = np.random.default_rng(12).uniform(-2.0, 2.0, (inputs.shape[0], 2))
-        for x, u, h in zip(X, inputs, table):
-            S = np.reshape(held.jacobian_at(tuple(x.tolist()), tuple(h.tolist())), (2, 2))
-            expect = model.dictionary.jacobian(x) @ S
-            _assert_same_bits(model.factored_input(x, u), expect)
+        inputs = np.zeros((5, 2))
+        inputs[0] = [800.0, -0.5]
+        x0 = np.array([1.0, 1.0])
+        z0 = model.dictionary.evaluate(x0)
+        options = dict(label="run")
+        pairs = [
+            (
+                lambda: simulate_nonlinear(bundle.decomposition, x0, inputs, 1e-3, **options),
+                lambda: _plain_nonlinear(bundle.decomposition, x0, inputs, 1e-3, **options),
+            ),
+            (
+                lambda: simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-3, **options),
+                lambda: _numpy_lpv(model, z0, inputs, 1e-3, **options),
+            ),
+        ]
+        for kernel_run, numpy_run in pairs:
+            raised = []
+            for run in (kernel_run, numpy_run):
+                with pytest.raises(DivergenceError) as exc, np.errstate(invalid="ignore"):
+                    run()
+                raised.append((exc.value.step, str(exc.value)))
+            assert raised[0] == raised[1] and raised[0][0] == 1

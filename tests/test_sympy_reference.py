@@ -2,11 +2,12 @@
 
 sympy expands Phi(f + g) (discrete time) or (dPhi/dx)(f + g) (continuous
 time) on its own, with g(x, u) read from the decomposition's joint input
-polynomial and the exact values of the float coefficients. A is read off
-the input-free part, the input term is the rest, and B(x, u) is the ray
-integral of the input term's input-Jacobian, int_0^1 dB_in/du (x, lam u)
-dlam, taken by sympy. The systems' coefficients are dyadic, or a single
-product per entry of A, so the lift's A is exact.
+polynomial and the exact values of the float coefficients, each feature
+E_k standing for exp(d_k u_{j_k}) - 1. A is read off the input-free part,
+the input term is the rest, and B(x, u) is the ray integral of the input
+term's input-Jacobian, int_0^1 dB_in/du (x, lam u) dlam, taken by sympy.
+The systems' coefficients are dyadic, or a single product per entry of A,
+so the lift's A is exact.
 
 These are the only references for the discrete-time input term and B(x, u)
 that do not share the library's expansion, so sympy is a hard requirement
@@ -24,6 +25,7 @@ from kooplift import (
     PolynomialMap,
     build_lifted_model,
     control_affine_decomposition,
+    ct_example,
     dt_example,
 )
 
@@ -79,8 +81,9 @@ def _reference(system, dictionary):
     x = sympy.symbols(f"x1:{system.n_x + 1}")
     u = sympy.symbols(f"u1:{system.n_u + 1}")
     lam = sympy.Symbol("lam")
+    E = tuple(sympy.exp(sympy.Rational(d) * u[j]) - 1 for j, d in system.exponentials)
     f = _rows(system.autonomous, x)
-    g = _rows(system.input_polynomial, x + u)
+    g = _rows(system.input_polynomial, x + u + E)
     successor = [fi + gi for fi, gi in zip(f, g)]
     phi = [sympy.Mul(*(xi**e for xi, e in zip(x, o.exponents))) for o in dictionary.observables]
     if system.time_domain == "discrete":
@@ -109,9 +112,9 @@ def _reference(system, dictionary):
 
 
 def _value(expr, symbols, point):
-    return np.array(
-        expr.xreplace({s: sympy.Rational(v) for s, v in zip(symbols, point)}), dtype=float
-    )
+    """``expr`` at the exact value of ``point``, to 40 digits."""
+    exact = expr.xreplace({s: sympy.Rational(v) for s, v in zip(symbols, point)})
+    return np.array(exact.evalf(40, maxn=2000), dtype=float)
 
 
 @pytest.mark.parametrize(
@@ -160,3 +163,57 @@ def test_non_affine_lift_is_input_scheduled_and_factorises(system):
         term = model.input_term(x, u)
         gap = np.abs(model.factored_input(x, u) @ u - term).max()
         assert gap <= 1e-14 * max(1.0, np.abs(term).max())
+
+
+# dx1/dt = 0.5 x1 + x1 expm1(u1 / 2) + u2,
+# dx2/dt = -0.75 x2 + 0.25 x1^2 + 0.25 x2 expm1(-3 u2) + x1 u1 u2 - 0.5 expm1(u1 / 2)
+CT_EXPONENTIAL = Decomposition(
+    n_x=2,
+    n_u=2,
+    time_domain="continuous",
+    autonomous=PolynomialMap(2, [{(1, 0): 0.5}, {(0, 1): -0.75, (2, 0): 0.25}]),
+    input_polynomial=PolynomialMap(
+        6,
+        [
+            {(1, 0, 0, 0, 1, 0): 1.0, (0, 0, 0, 1, 0, 0): 1.0},
+            {(0, 1, 0, 0, 0, 1): 0.25, (1, 0, 1, 1, 0, 0): 1.0, (0, 0, 0, 0, 1, 0): -0.5},
+        ],
+    ),
+    exponentials=((0, 0.5), (1, -3.0)),
+)
+
+
+def _exponential_inputs(rng):
+    """Box inputs, then inputs with u_j = 0, |u_j| < 1e-8 and u_j
+    subnormal, each for one input and for both."""
+    special = [0.0, -0.0, 3e-9, -7.5e-10, 5e-324, -2.5e-310]
+    U = [rng.uniform(-1.0, 1.0, 2) for _ in range(20)]
+    for v in special:
+        U += [np.array([v, rng.uniform(-1.0, 1.0)]), np.array([rng.uniform(-1.0, 1.0), v])]
+        U.append(np.array([v, v]))
+    return U
+
+
+@pytest.mark.parametrize(
+    "system, dictionary",
+    [(ct_example().decomposition, ct_example().dictionary), (CT_EXPONENTIAL, CLOSED)],
+    ids=["ct-example", "rates-0.5-and-minus-3"],
+)
+def test_exponential_lift_matches_sympy(system, dictionary):
+    # B(x, u) in closed form, d phi1(d u_j) per feature, against sympy's own
+    # ray integral of exp(d lam u_j), to 1e-15 of the largest entry
+    A, term, B, symbols = _reference(system, dictionary)
+    model = build_lifted_model(system, dictionary)
+    assert model.residual == 0.0
+    assert np.array_equal(model.A, np.array(A, dtype=float))
+    assert model.input_dependent
+    rng = np.random.default_rng(33)
+    for u in _exponential_inputs(rng):
+        x = rng.uniform(-2.0, 2.0, system.n_x)
+        point = np.concatenate([x, u])
+        want_B = _value(B, symbols, point)
+        got_B = model.factored_input(x, u)
+        assert np.abs(got_B - want_B).max() <= 1e-15 * np.abs(want_B).max()
+        want_term = _value(term, symbols, point)[:, 0]
+        got_term = model.input_term(x, u)
+        assert np.abs(got_term - want_term).max() <= 1e-15 * max(np.abs(want_term).max(), 1e-300)

@@ -10,16 +10,12 @@ from kooplift import (
     Decomposition,
     DomainBox,
     PolynomialMap,
-    QuadratureSpec,
     control_affine_decomposition,
     ct_example,
     dt_example,
 )
-from kooplift.cli import preset_runs
-from kooplift.config import resolve_config
 from kooplift.errors import DimensionError
-from kooplift.sim import build_inputs
-from test_lifting import factorize_input
+from test_lifting import _ct_example_input_jacobian
 
 
 def _old_step(v):
@@ -37,12 +33,6 @@ def _central_difference(func, v):
         vm[j] -= _old_step(v[j])
         cols.append((np.asarray(func(vp)) - np.asarray(func(vm))) / (vp[j] - vm[j]))
     return np.stack(cols, axis=-1)
-
-
-def _held_jacobian(held, x, u):
-    """dg/du(x, u) of a held-input form, as an (n_x, n_u) array."""
-    h = held.jacobian(tuple(u.tolist()))
-    return np.reshape(held.jacobian_at(tuple(x.tolist()), h), (x.shape[0], u.shape[0]))
 
 
 def _columns_at(columns, x):
@@ -167,11 +157,47 @@ class TestDecompose:
                 full = full_of(x, u)
                 tol = 1e-14 * (1 + np.abs(full))
                 assert np.all(np.abs(split.eval_full(x, u) - full) <= tol)
-                if split.input_polynomial is not None:
-                    joint = split.autonomous.evaluate(x) + split.input_polynomial.evaluate(
-                        np.concatenate([x, u])
-                    )
-                    assert np.all(np.abs(joint - full) <= tol)
+                # the features written out: E_k = expm1(d_k u_{j_k})
+                E = [math.expm1(d * u[j]) for j, d in split.exponentials]
+                joint = split.autonomous.evaluate(x) + split.input_polynomial.evaluate(
+                    np.concatenate([x, u, E])
+                )
+                assert np.all(np.abs(joint - full) <= tol)
+
+
+class TestFeatures:
+    """E = expm1(d u) and F = d (E / z), z = d u, of one input."""
+
+    @pytest.mark.parametrize(
+        "d, u, E, F",
+        [
+            (0.5, 0.0, 0.0, 0.5),
+            (0.5, -0.0, -0.0, 0.5),
+            # z = 0.5 * 5e-324 rounds to 0; at -3 it is a subnormal, E = z
+            (0.5, 5e-324, 0.0, 0.5),
+            (-3.0, 5e-324, -1.5e-323, -3.0),
+            # past z = 709.78 expm1 overflows: inf, not an OverflowError
+            (1.0, 800.0, math.inf, math.inf),
+            (-3.0, -300.0, math.inf, -math.inf),
+            (1.0, -800.0, -1.0, 1.0 / 800.0),
+            (0.5, math.nan, math.nan, math.nan),
+        ],
+        ids=[
+            "zero",
+            "negative-zero",
+            "subnormal-rounds-to-zero",
+            "subnormal",
+            "overflow",
+            "overflow-negative-rate",
+            "underflow-to-minus-one",
+            "nan",
+        ],
+    )
+    def test_features_of_one_input(self, d, u, E, F):
+        f = PolynomialMap(1, [{(1,): -1.0}])
+        split = Decomposition(1, 1, "continuous", f, PolynomialMap(3, [{(1, 0, 1): 1.0}]), ((0, d),))
+        (e,), (phi,) = split.features([u])
+        assert np.array([e, phi]).tobytes() == np.array([E, F]).tobytes()
 
 
 class TestDecompositionChecks:
@@ -196,44 +222,53 @@ class TestDecompositionChecks:
         with pytest.raises(DimensionError, match=message):
             replace(dt_example().decomposition, input_polynomial=g)
 
-    @pytest.mark.parametrize("form", ["both", "neither", "held-in-discrete-time"])
+    @pytest.mark.parametrize("form", ["both", "neither"])
     def test_input_part_in_exactly_one_form(self, form):
-        # ct-example's held form beside a polynomial g of the same shape
+        # each term of g has an input exponent or one E factor, not both and
+        # not neither: the term added to ct-example's row 1 breaks that
         split = ct_example().decomposition
-        g = PolynomialMap(4, [{(0, 0, 1, 0): 1.0}, {(0, 0, 0, 1): 1.0}])
-        time_domain, forms = {
-            "both": ("continuous", dict(input_polynomial=g, input_held=split.input_held)),
-            "neither": ("continuous", {}),
-            "held-in-discrete-time": ("discrete", dict(input_held=split.input_held)),
-        }[form]
-        with pytest.raises(TypeError, match="input_polynomial"):
-            Decomposition(2, 2, time_domain, split.autonomous, **forms)
-
-    @pytest.mark.parametrize("n_u", [1, 3])
-    def test_held_form_checked_against_the_dimensions(self, n_u):
-        # n_u = 1: ct-example's held driven(u) reads u[1]; n_u = 3: its
-        # Jacobian has 4 entries, not n_x * n_u = 6
-        with pytest.raises(DimensionError, match="input_held"):
-            replace(ct_example().decomposition, n_u=n_u)
-
+        term = {"both": (0, 0, 1, 0, 1, 0), "neither": (1, 0, 0, 0, 0, 0)}[form]
+        rows = list(split.input_polynomial.rows)
+        rows[0] = {**rows[0], term: 1.0}
+        with pytest.raises(DimensionError, match="a term of input_polynomial") as exc:
+            replace(split, input_polynomial=PolynomialMap(6, rows))
+        assert str(term) in str(exc.value)
 
     @pytest.mark.parametrize(
-        "offset",
-        [lambda x: 1.0, lambda x: x[0]],
-        ids=["one-everywhere", "zero-at-the-origin-only"],
+        "change, error, message",
+        [
+            (dict(term=(1, 0, 0, 0, 2, 0)), DimensionError, "feature squared"),
+            (dict(term=(1, 0, 0, 0, 1, 1)), DimensionError, "two exponential features"),
+            (dict(exponentials=((0, 1.0), (2, 1.0))), DimensionError, "reads input 2 of 2"),
+            (dict(exponentials=((0, 1.0),)), DimensionError, "joint variables"),
+            (dict(exponentials=((0, 1.0), (1, math.inf))), ValueError, "finite nonzero rate"),
+            (dict(exponentials=((0, math.nan), (1, 1.0))), ValueError, "finite nonzero rate"),
+            (dict(exponentials=((0, 1.0), (1, 0.0))), ValueError, "finite nonzero rate"),
+            (dict(time_domain="discrete"), TypeError, "continuous-time only"),
+        ],
+        ids=[
+            "feature-squared",
+            "two-features",
+            "input-out-of-range",
+            "feature-without-a-variable",
+            "rate-inf",
+            "rate-nan",
+            "rate-zero",
+            "discrete-time",
+        ],
     )
-    def test_held_form_must_vanish_at_zero_input(self, offset):
-        # ct-example's g with an input-free offset in row 1: its lift's input
-        # term at u = 0 would not be the zero that B(x, u) u is there
+    def test_exponential_terms_checked(self, change, error, message):
+        # ct-example's input part, with one thing changed
         split = ct_example().decomposition
-        driven_at = split.input_held.driven_at
-        shifted = replace(
-            split.input_held,
-            driven_at=lambda x, h: (driven_at(x, h)[0] + offset(x), driven_at(x, h)[1]),
-        )
-        with pytest.raises(ValueError, match=r"g\(x, 0\) = 0") as exc:
-            replace(split, input_held=shifted)
-        assert not isinstance(exc.value, DimensionError)
+        term = change.pop("term", None)
+        if term is not None:
+            rows = list(split.input_polynomial.rows)
+            rows[1] = {**rows[1], term: 1.0}
+            change["input_polynomial"] = PolynomialMap(6, rows)
+        with pytest.raises(error, match=message) as exc:
+            replace(split, **change)
+        assert type(exc.value) is error
+
 
 class TestBuiltinBundles:
     def test_dt_control_affine_columns(self):
@@ -249,66 +284,24 @@ class TestBuiltinBundles:
         x_next = bundle.decomposition.eval_full(np.array([1.0, 1.0]), np.array([0.5]))
         assert x_next[0] == 1.2
 
+    def test_ct_example_is_data(self):
+        # x1 E1 and u1 u2 + x2 E2 over (x1, x2, u1, u2, E1, E2), E_j = expm1(u_j)
+        split = ct_example().decomposition
+        assert split.exponentials == ((0, 1.0), (1, 1.0))
+        assert split.input_polynomial.rows == (
+            {(1, 0, 0, 0, 1, 0): 1.0},
+            {(0, 1, 0, 0, 0, 1): 1.0, (0, 0, 1, 1, 0, 0): 1.0},
+        )
+
     def test_ct_input_jacobian_matches_finite_differences(self):
         bundle = ct_example()
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             u = rng.uniform(-1, 1, 2)
-            analytic = _held_jacobian(bundle.decomposition.input_held, x, u)
+            analytic = _ct_example_input_jacobian(x, u)
             fd = _central_difference(lambda v: bundle.decomposition.input_driven(x, v), u)
             assert np.all(np.abs(analytic - fd) <= 1e-6 * (1 + np.abs(analytic)))
-
-    def test_ct_held_ray_matches_node_sum(self):
-        bundle = ct_example()
-        lam, w = np.polynomial.legendre.leggauss(16)
-        lam = 0.5 * (lam + 1.0)
-        w = 0.5 * w
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, 2)
-            u = rng.uniform(-1, 1, 2)
-            held = bundle.decomposition.input_held
-            h = held.ray_jacobians(u[None], lam, w)[0]
-            ray = np.reshape(held.jacobian_at(tuple(x), tuple(h)), (2, 2))
-            explicit = sum(wq * _held_jacobian(held, x, lq * u) for lq, wq in zip(lam, w))
-            np.testing.assert_allclose(ray, explicit, rtol=1e-13, atol=1e-14)
-
-    @pytest.mark.parametrize("preset", ["ct-example-whitenoise", "ct-example-multisine"])
-    def test_ct_ray_jacobians_match_the_per_row_sum(self, preset):
-        # every input row of the preset's full 25 s run: the batched ray sums
-        # have the bits of the one-input sum weights @ exp(nodes * u)
-        bundle = ct_example()
-        cfg = preset_runs(preset)[0][2]
-        c = resolve_config(cfg)
-        n_steps = c["n_steps"]
-        U = build_inputs(c["signals"], c["ts"], n_steps)
-        nodes, weights = QuadratureSpec().rule()
-        rays = bundle.decomposition.input_held.ray_jacobians(U, nodes, weights)
-        half = float(weights @ nodes)
-        exp, dot = np.exp, weights.dot
-        expect = np.empty_like(rays)
-        for j in range(2):
-            # row i of the outer product is nodes * u_i; exp and the dot run
-            # on each 16-entry row by itself
-            expect[:, j] = [dot(exp(row)) for row in np.multiply.outer(U[:, j], nodes)]
-        expect[:, 2] = [half * u for u in U[:, 1].tolist()]
-        expect[:, 3] = [half * u for u in U[:, 0].tolist()]
-        assert rays.shape == (n_steps + 1, 4)
-        assert rays.tobytes() == expect.tobytes()
-
-    @pytest.mark.parametrize("n_nodes", [1, 2, 8, 16])
-    def test_ct_ray_jacobians_rows_do_not_depend_on_each_other(self, n_nodes):
-        held = ct_example().decomposition.input_held
-        nodes, weights = QuadratureSpec(n_nodes).rule()
-        U = np.random.default_rng(3).uniform(-1.5, 1.5, (257, 2))
-        U[5] = [-0.0, 0.0]
-        U[6] = [np.inf, -np.inf]
-        rays = held.ray_jacobians(U, nodes, weights)
-        for k, u in enumerate(U):
-            one = held.ray_jacobians(u[None], nodes, weights)
-            assert one.tobytes() == rays[k : k + 1].tobytes()
-            assert float(rays[k, 0]) == float(weights @ np.exp(nodes * u[0]))
 
     def test_unknown_builtin(self):
         from kooplift import builtin_system
@@ -347,28 +340,3 @@ class TestDomainBox:
         func = lambda x, u: np.array([u[0] ** 2 + 3 * u[1], u[0] * u[1]])
         J = _central_difference(lambda u: func(np.zeros(1), u), np.array([1.0, 2.0]))
         np.testing.assert_allclose(J, [[2.0, 3.0], [2.0, 1.0]], rtol=1e-9)
-
-
-class TestCentralDifference:
-    def test_vector_input_term_factorisation_keeps_its_bits(self):
-        term = lambda x, v: np.array(
-            [x[0] * math.expm1(v[0]), v[0] * v[1] + x[1] * math.sin(v[1]), v[1] ** 3]
-        )
-
-        def old_jacobian(x, v):
-            cols = []
-            for j in range(v.shape[0]):
-                vp, vm = v.copy(), v.copy()
-                vp[j] += _old_step(v[j])
-                vm[j] -= _old_step(v[j])
-                cols.append((term(x, vp) - term(x, vm)) / (vp[j] - vm[j]))
-            return np.stack(cols, axis=1)
-
-        x, u = np.array([1.3, -0.6]), np.array([0.8, -2.5])
-        quad = QuadratureSpec(5)
-        lam, w = quad.rule()
-        expect = w[0] * old_jacobian(x, lam[0] * u)
-        for q in range(1, lam.shape[0]):
-            expect += w[q] * old_jacobian(x, lam[q] * u)
-        got = factorize_input(old_jacobian, x, u, quad=quad)
-        np.testing.assert_array_equal(got, expect)
