@@ -23,7 +23,12 @@ the bounds built on it are not certified for the box.
 
 Each ||A^m|| is taken block by block: A is block diagonal, up to a
 permutation, over the connected components of its coupling graph, and the
-largest singular value of A^m is the largest over its blocks.
+largest singular value of A^m is the largest over its blocks. Only the
+blocks that can hold that largest value get an SVD: a block whose Frobenius
+norm is below another block's largest column norm, with a slack for
+rounding and for LAPACK's error, is skipped. The largest value is a
+selection among the blocks that remain, so the curve keeps the bits of one
+SVD per block power.
 """
 
 from __future__ import annotations
@@ -211,8 +216,8 @@ def _input_linf(inputs: np.ndarray, n_steps: int) -> float:
     return float(np.max(np.linalg.norm(used, axis=1))) if used.size else 0.0
 
 
-# matrix entries of stacked block powers held, and passed to one batched SVD,
-# at a time; 131072 float64 entries are 1 MiB
+# matrix entries of block powers, over all block sizes, held at a time;
+# 131072 float64 entries are 1 MiB
 CURVE_CHUNK_ENTRIES = 131_072
 
 
@@ -221,21 +226,38 @@ def _decoupled_blocks(A: np.ndarray) -> List[np.ndarray]:
 
     Indices i and j are coupled when A[i, j] or A[j, i] is nonzero, so A is
     block diagonal over the returned sets up to a permutation, and so is
-    every power of A.
+    every power of A. The sets come in the order of their smallest index.
     """
     coupled = (A != 0) | (A.T != 0)
-    unseen = np.ones(A.shape[0], dtype=bool)
-    blocks = []
-    while unseen.any():
-        members = np.zeros_like(unseen)
-        members[np.argmax(unseen)] = True
-        frontier = members
-        while frontier.any():
-            frontier = coupled[frontier].any(axis=0) & ~members
-            members |= frontier
-        unseen &= ~members
-        blocks.append(np.flatnonzero(members))
-    return blocks
+    n = A.shape[0]
+    # each index takes the smallest label among its own and its neighbours',
+    # then its label's label, until no label moves; every component then
+    # carries its smallest index
+    label = np.arange(n)
+    while True:
+        moved = np.minimum(label, np.where(coupled, label, n).min(axis=1, initial=n))
+        moved = moved[moved]
+        if (moved == label).all():
+            roots = np.flatnonzero(label == np.arange(n))
+            return [np.flatnonzero(label == root) for root in roots]
+        label = moved
+
+
+def _norm_brackets(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Frobenius norm and largest column 2-norm of each matrix in a stack.
+
+    They bracket the largest singular value from above and below. Each
+    matrix is scaled by its largest entry before squaring, so no square
+    overflows and none that matters underflows; a matrix holding an infinity
+    or a NaN gets NaN brackets.
+    """
+    q = np.abs(stack)
+    scale = q.max(axis=(-2, -1))
+    scale[scale == 0] = 1.0
+    q /= scale[..., None, None]
+    q *= q
+    columns = q.sum(axis=-2)
+    return scale * np.sqrt(columns.sum(axis=-1)), scale * np.sqrt(columns.max(axis=-1))
 
 
 def _power_norms(A: np.ndarray, n_powers: int) -> np.ndarray:
@@ -244,29 +266,63 @@ def _power_norms(A: np.ndarray, n_powers: int) -> np.ndarray:
     The singular values of a permuted block-diagonal matrix are the union of
     its blocks' singular values, so each ||A^m||_2 is the largest over the
     blocks of :func:`_decoupled_blocks`. Blocks of one size are stacked and
-    advance together through the recurrence ``power = A_b @ power``; their
-    powers go through batched SVDs of at most ``CURVE_CHUNK_ENTRIES``
-    entries. Each matrix still gets its own product and LAPACK call, and a
-    matrix that is one block runs the recurrence on A itself, so its norms
-    keep the bits of one SVD per full power.
+    advance together through the recurrence ``power = A_b @ power``; a
+    window of powers of every size group, at most ``CURVE_CHUNK_ENTRIES``
+    entries in all, is held at a time.
+
+    Only the block powers that can hold the maximum go to an SVD. For each
+    power m, every block's Frobenius norm bounds its top singular value from
+    above and its largest column 2-norm from below (:func:`_norm_brackets`);
+    a block whose upper bound, raised by ``slack``, is below the largest
+    lower bound at that m, lowered by ``slack``, is skipped. ``slack`` is
+    ``8 (size + 1)**2 eps`` for the largest block order ``size``. The
+    rounding of both bounds (scaling, squaring, two sums, a square root and
+    the rescaling) stays under ``2 size + 8`` half-ulps, and the rest covers
+    LAPACK's error bound ``p(size) eps ||M||_2`` on a top singular value,
+    ``p`` a modestly growing function. So a skipped block's computed
+    singular value lies below the one computed for the block with the
+    largest lower bound, and the maximum, a selection, keeps its bits. A NaN
+    or infinite bound skips nothing. Each kept matrix still gets its own
+    product and LAPACK call, and a matrix that is one block runs the
+    recurrence on A itself with no bounds, so its norms keep the bits of one
+    SVD per full power. Overflowing powers give inf or NaN norms without a
+    warning; a NaN power stops LAPACK with ``LinAlgError``, as it would
+    without the skipping.
     """
-    n = A.shape[0]
     norms = np.zeros(n_powers)
     blocks = _decoupled_blocks(A)
+    groups = []
     for size in sorted({idx.size for idx in blocks}):
         idx = np.stack([b for b in blocks if b.size == size])
-        group = A[None] if size == n else A[idx[:, :, None], idx[:, None, :]]
-        per_chunk = max(1, CURVE_CHUNK_ENTRIES // group.size)
-        stack = np.empty((min(per_chunk, n_powers),) + group.shape)
-        power = np.repeat(np.eye(size)[None], len(idx), axis=0)
+        groups.append(A[None] if size == A.shape[0] else A[idx[:, :, None], idx[:, None, :]])
+    slack = 8 * (groups[-1].shape[-1] + 1) ** 2 * np.finfo(float).eps
+    per_chunk = max(1, CURVE_CHUNK_ENTRIES // sum(group.size for group in groups))
+    rows = min(per_chunk, n_powers)
+    # one allocation holds every group's stack: a dozen small ones would stay
+    # on the heap and raise the process's peak resident memory
+    sizes = [rows * group.size for group in groups]
+    parts = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    stacks = [part.reshape((rows,) + group.shape) for part, group in zip(parts, groups)]
+    powers = [np.repeat(np.eye(group.shape[1])[None], len(group), axis=0) for group in groups]
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_powers, per_chunk):
             count = min(per_chunk, n_powers - start)
-            for j in range(count):
-                stack[j] = power
-                power = group @ power
-            top = np.linalg.svd(stack[:count], compute_uv=False)[..., 0].max(axis=1)
-            window = norms[start : start + count]
-            np.maximum(window, top, out=window)
+            windows = [stack[:count] for stack in stacks]
+            for k, (group, window) in enumerate(zip(groups, windows)):
+                window[0] = powers[k]
+                for previous, current in zip(window, window[1:]):
+                    np.matmul(group, previous, out=current)
+                if start + count < n_powers:
+                    powers[k] = group @ window[-1]
+            if len(blocks) == 1:
+                norms[start : start + count] = np.linalg.svd(windows[0], compute_uv=False)[:, 0, 0]
+                continue
+            upper, lower = zip(*map(_norm_brackets, windows))
+            reach = np.max([bound.max(axis=1) for bound in lower], axis=0) * (1 - slack)
+            for window, bound in zip(windows, upper):
+                m, b = np.nonzero(~(bound * (1 + slack) < reach[:, None]))
+                top = np.linalg.svd(window[m, b], compute_uv=False)[:, 0]
+                np.maximum.at(norms, start + m, top)
     return norms
 
 

@@ -88,8 +88,9 @@ def run_lift(cfg: dict, out_dir: Optional[str] = None) -> dict:
     lifted = _lift(c)
     print(f"lifted model for {c['system'].name!r} ({lifted.time_domain})")
     print(f"  dictionary: {lifted.n_f} observables, span residual {lifted.residual:.3e}")
+    row_format = "  A | " + "  ".join(["% .17g"] * lifted.n_f)
     for row in lifted.A:
-        print("  A | " + "  ".join(f"{v: .17g}" for v in row))
+        print(row_format % tuple(row.tolist()))
     result = {"lifted": lifted, "lpv": lifted}
     if out_dir:
         path = write_json(

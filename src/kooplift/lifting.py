@@ -353,7 +353,7 @@ class LiftedModel:
             "time_domain": self.time_domain,
             "n_f": self.n_f,
             "n_u": self.n_u,
-            "A": [[float(v) for v in row] for row in self.A],
+            "A": self.A.tolist(),
             "residual": float(self.residual),
             "exact": bool(self.exact),
             "dictionary": self.dictionary.describe(),
@@ -368,8 +368,8 @@ class LiftedModel:
             "scheduling": self.scheduling,
             "n_f": self.n_f,
             "n_u": self.n_u,
-            "A": [[float(v) for v in row] for row in self.A],
-            "C": [[float(v) for v in row] for row in self.C],
+            "A": self.A.tolist(),
+            "C": self.C.tolist(),
             "dictionary": self.dictionary.describe(),
         }
 

@@ -43,9 +43,9 @@ class LTIKoopmanModel:
             "time_domain": self.time_domain,
             "n_f": self.n_f,
             "n_u": self.n_u,
-            "A": [[float(v) for v in row] for row in self.A],
-            "B": [[float(v) for v in row] for row in self.B],
-            "C": [[float(v) for v in row] for row in self.C],
+            "A": self.A.tolist(),
+            "B": self.B.tolist(),
+            "C": self.C.tolist(),
         }
 
 

@@ -152,7 +152,7 @@ def _check_state(
     x: np.ndarray, step: int, limit: float, label: str, selector=None
 ) -> None:
     # NaN fails the comparison too, so one check covers overflow and NaN
-    if np.all(np.abs(x) <= limit):
+    if np.abs(x).max() <= limit:
         return
     # with a selector only x[selector] is held to the limit; the other
     # coordinates need only stay finite
@@ -182,14 +182,16 @@ def _rk4(rhs, x0, ts, stages, n_steps, divergence_limit, label, selector=None):
     states[0] = x
     half = 0.5 * ts
     sixth = ts / 6.0
-    for k, (start, mid, end) in enumerate(stages):
-        k1 = rhs(x, start)
-        k2 = rhs(x + half * k1, mid)
-        k3 = rhs(x + half * k2, mid)
-        k4 = rhs(x + ts * k3, end)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_state(x, k + 1, divergence_limit, label, selector)
-        states[k + 1] = x
+    # an overflow or NaN reaches x, where _check_state stops the run
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (start, mid, end) in enumerate(stages):
+            k1 = rhs(x, start)
+            k2 = rhs(x + half * k1, mid)
+            k3 = rhs(x + half * k2, mid)
+            k4 = rhs(x + ts * k3, end)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            _check_state(x, k + 1, divergence_limit, label, selector)
+            states[k + 1] = x
     return states
 
 
@@ -284,10 +286,12 @@ def dt_simulate(
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((n_steps + 1, x.shape[0]))
     states[0] = x
-    for k in range(n_steps):
-        x = np.asarray(step(x, inputs[k]), dtype=float)
-        _check_state(x, k + 1, divergence_limit, label, state_selector)
-        states[k + 1] = x
+    # as in _rk4, _check_state alone decides on an overflow or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            x = np.asarray(step(x, inputs[k]), dtype=float)
+            _check_state(x, k + 1, divergence_limit, label, state_selector)
+            states[k + 1] = x
     times = np.arange(n_steps + 1, dtype=float)
     return Trajectory(times, states, inputs=inputs[: n_steps + 1], label=label)
 

@@ -439,6 +439,33 @@ def _reducible(rng):
     return _permuted_block_diagonal(blocks, rng)
 
 
+def _per_block_norms(A, n_powers):
+    """||A^m||_2 from one SVD of every block power, each block advanced by its
+    own recurrence: the curve with nothing skipped."""
+    from kooplift.bounds import _decoupled_blocks
+
+    norms = np.zeros(n_powers)
+    for idx in _decoupled_blocks(A):
+        block = A[np.ix_(idx, idx)]
+        power = np.eye(idx.size)
+        for m in range(n_powers):
+            norms[m] = np.maximum(norms[m], np.linalg.svd(power, compute_uv=False)[0])
+            power = block @ power
+    return norms
+
+
+def _weighted_lift_A(degree):
+    """A of dt-example's lift on {x1^a x2^b : 0 < a + 2b <= degree}."""
+    monomials = [
+        Monomial((a, b))
+        for b in range(degree // 2 + 1)
+        for a in range(degree - 2 * b + 1)
+        if a + b
+    ]
+    lifted = build_lifted_model(dt_example().decomposition, ObservableDictionary(2, monomials))
+    return lifted.A
+
+
 class TestBlockCurve:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_dense_matrix_keeps_every_bit(self, order):
@@ -511,6 +538,105 @@ class TestBlockCurve:
             tracemalloc.stop()
         assert peak < 3 * 8 * CURVE_CHUNK_ENTRIES
         assert tv[-1] == pytest.approx(sum(0.999**m for m in range(2000)), rel=1e-9)
+
+    @pytest.mark.parametrize("degree", [2, 12, 16, 20])
+    def test_skipped_blocks_keep_bits_on_weighted_lifts(self, degree):
+        # D = 2 is the default dictionary [x1, x2, x1^2] as [x1, x1^2, x2]
+        from kooplift.bounds import _power_norms
+
+        A = _weighted_lift_A(degree)
+        assert np.array_equal(_power_norms(A, 100), _per_block_norms(A, 100))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 1000])
+    def test_skipped_blocks_keep_bits_in_every_window(self, monkeypatch, chunk):
+        import kooplift.bounds as bounds_module
+
+        A, _ = _reducible(np.random.default_rng(3))
+        monkeypatch.setattr(bounds_module, "CURVE_CHUNK_ENTRIES", chunk)
+        assert np.array_equal(bounds_module._power_norms(A, 60), _per_block_norms(A, 60))
+
+    def test_near_tie_keeps_bits(self):
+        # a block and its transpose have equal norms; their computed top
+        # singular values may differ in the last bits, and the larger is kept
+        from kooplift.bounds import _power_norms
+
+        rng = np.random.default_rng(12)
+        M = rng.normal(size=(4, 4))
+        M *= 0.9 / np.linalg.norm(M, 2)
+        A, _ = _permuted_block_diagonal([M, M.T, 0.5 * M], rng)
+        assert np.array_equal(_power_norms(A, 80), _per_block_norms(A, 80))
+
+    def test_brackets_hold_within_the_slack(self):
+        # the skipping rests on lower (1 - slack) <= computed sigma_max <=
+        # upper (1 + slack), slack = 8 (size + 1)**2 eps; rank-one and
+        # one-column matrices have sigma_max equal to a bound, and the tiny
+        # and huge scales would underflow or overflow unscaled squares
+        from kooplift.bounds import _norm_brackets
+
+        rng = np.random.default_rng(21)
+        for size in range(1, 12):
+            slack = 8 * (size + 1) ** 2 * np.finfo(float).eps
+            column = np.zeros((40, size, size))
+            column[:, :, 0] = rng.normal(size=(40, size))
+            stacks = [
+                rng.normal(size=(40, size, size)),
+                rng.normal(size=(40, size, 1)) * rng.normal(size=(40, 1, size)),
+                column,
+            ]
+            for stack in stacks:
+                for scale in (1.0, 1e-170, 1e300):
+                    M = stack * scale
+                    upper, lower = _norm_brackets(M)
+                    top = np.linalg.svd(M, compute_uv=False)[:, 0]
+                    assert np.all(top <= upper * (1 + slack))
+                    assert np.all(lower * (1 - slack) <= top)
+
+    def test_only_candidate_blocks_reach_the_svd(self, monkeypatch):
+        # D = 20: 20 blocks, so 2000 block powers over 100 steps
+        from kooplift.bounds import _decoupled_blocks, _power_norms
+
+        A = _weighted_lift_A(20)
+        assert len(_decoupled_blocks(A)) == 20
+        svd = np.linalg.svd
+        passed = []
+
+        def counting_svd(a, *args, **kwargs):
+            passed.append(int(np.prod(a.shape[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        norms = _power_norms(A, 100)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert 0 < sum(passed) <= 200
+        assert np.array_equal(norms, _per_block_norms(A, 100))
+
+    def test_overflowing_powers_match_without_warning(self):
+        # powers of the 1e100 block overflow to inf from m = 4 on, whose SVD
+        # is NaN: the curve is the per-block result that ignores the
+        # overflows, and no warning is raised
+        from kooplift.bounds import _power_norms
+
+        rng = np.random.default_rng(8)
+        blocks = [
+            np.array([[1e100]]),
+            np.array([[0.9, 1.0], [0.0, 0.9]]),
+            np.array([[-3.0]]),
+        ]
+        A, _ = _permuted_block_diagonal(blocks, rng)
+        with np.errstate(all="ignore"):
+            expected = _per_block_norms(A, 12)
+        assert np.isfinite(expected[3]) and np.isnan(expected[4:]).all()
+        assert np.array_equal(_power_norms(A, 12), expected, equal_nan=True)
+        tv, _ = bounds_curve(A, 1.0, np.ones((13, 1)), sigma=1e100)
+        assert np.array_equal(tv[1:], np.cumsum(expected), equal_nan=True)
+        # a scaled rotation's powers reach inf - inf = NaN, on which LAPACK
+        # does not converge: both curves raise that error
+        c, s = np.cos(0.3), np.sin(0.3)
+        A, _ = _permuted_block_diagonal(blocks + [1e60 * np.array([[c, -s], [s, c]])], rng)
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            _per_block_norms(A, 12)
+        with pytest.raises(np.linalg.LinAlgError):
+            _power_norms(A, 12)
 
 
 class TestBoundReport:

@@ -636,7 +636,7 @@ class TestKernels:
             lambda: simulate_lpv(model, z0=z0, inputs=inputs, ts=1e-2, label="ct"),
             lambda: _numpy_lpv(model, z0, inputs, 1e-2),
         ):
-            with pytest.raises(DivergenceError) as exc, np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as exc:
                 run()
             messages.append((exc.value.step, str(exc.value)))
         assert messages[0] == messages[1] == (1, messages[0][1])
@@ -678,7 +678,7 @@ class TestKernels:
         for kernel_run, numpy_run in pairs:
             raised = []
             for run in (kernel_run, numpy_run):
-                with pytest.raises(DivergenceError) as exc, np.errstate(invalid="ignore"):
+                with pytest.raises(DivergenceError) as exc:
                     run()
                 raised.append((exc.value.step, str(exc.value)))
             assert raised[0] == raised[1] and raised[0][0] == 1
