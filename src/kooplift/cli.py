@@ -35,6 +35,7 @@ from .edmd import (
     default_alpha_grid,
     edmd_tikhonov,
     edmdc_input_fit,
+    tikhonov_objective,
 )
 from .errors import (
     ConfigError,
@@ -134,23 +135,18 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
     reports = {"koopman_lpv": error_metrics(nonlinear, lpv_output)}
 
     z0 = dictionary.evaluate(x0)
-    C = lifted.C
+    # every fit reads the one snapshot set, and Tikhonov fits its one SVD
+    data = build_snapshots(nonlinear, dictionary) if c["fits"] else None
     fitted = {}
     for fit in c["fits"]:
-        label, lti = _fit_lti(
-            fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit
-        )
+        label, lti, outputs, step = _fit_lti(fit, data, lifted, nonlinear, z0, inputs, limit)
         fitted[label] = lti
-        try:
-            _, lti_output = simulate_lti(
-                lti, z0, inputs, ts=sim_ts, divergence_limit=limit
-            )
-            lti_output.label = f"{label}_output"
-            trajectories[label] = lti_output
-            reports[label] = error_metrics(nonlinear, lti_output)
-        except DivergenceError as exc:
-            print(f"  {label}: diverged at step {exc.step}")
+        if step:
+            print(f"  {label}: diverged at step {step}")
             reports[label] = None
+        else:
+            trajectories[label] = nonlinear.with_states(outputs, label=f"{label}_output")
+            reports[label] = error_metrics(nonlinear, trajectories[label])
 
     meta = _echo_config(c)
     for label, report in reports.items():
@@ -190,101 +186,41 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
     }
 
 
-def _fit_lti(fit, nonlinear, dictionary, lifted, C, bundle, x0, inputs, limit):
-    data = build_snapshots(nonlinear, dictionary)
-    kind = fit["kind"]
-    if kind == "edmdc":
+def _fit_lti(fit, data, lifted, nonlinear, z0, inputs, limit):
+    """(label, model, outputs, divergence step) of one discrete-time fit:
+    the outputs C z_k of its run from ``z0``, and the step at which that
+    run diverged, 0 when it did not.
+
+    An edmdc fit keeps the exact A and runs through :func:`simulate_lti`.
+    A Tikhonov fit reports its member of :func:`tikhonov_runs`: the chosen
+    candidate's run of the search, or for a fixed alpha (0 for edmd_full)
+    the run of a one-member grid.
+    """
+    if fit["kind"] == "edmdc":
         B_hat, _ = edmdc_input_fit(data, lifted.A)
-        return "koopman_lti_edmdc", make_lti(
-            lifted.A, B_hat, C, time_domain=bundle.time_domain, name="lti-edmdc"
-        )
-    if kind == "edmd_full":
-        A_hat, B_hat = edmd_tikhonov(data, 0.0)
-        return "koopman_lti_edmd", make_lti(
-            A_hat, B_hat, C, time_domain=bundle.time_domain, name="lti-edmd"
-        )
-    # edmd_tikhonov
-    alpha = fit["alpha"]
-    if alpha == "search":
-        objective = _alpha_objective(
-            data, nonlinear, C, dictionary.evaluate(x0), inputs, limit, {}
-        )
-        alpha = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
-    A_hat, B_hat = edmd_tikhonov(data, alpha)
-    return "koopman_lti_tikhonov", make_lti(
-        A_hat, B_hat, C, time_domain=bundle.time_domain, name="lti-tikhonov"
-    )
-
-
-def _search_runs(data, filters, z0, inputs, limit, read):
-    """Simulate the Tikhonov fits [A_m B_m] = W diag(f_m) U_Y^T of the
-    filter rows f_m of ``filters`` in the coordinates of the snapshot SVD.
-
-    With U_Y = [U_z; U_u], W = Z+ V_Y and q_k = U_z^T z_k + U_u^T u_k, a
-    member steps as
-
-        z_{k+1} = W (f_m * q_k),    q_{k+1} = K (f_m * q_k) + U_u^T u_{k+1},
-
-    with K = U_z^T W, so every member shares [W; K] and no fit is formed.
-    Each member's step is its own (1, r) @ (r, n_f + r) product, so its
-    bits do not depend on the members beside it. Every lifted coordinate is
-    held to ``limit``, the test :func:`dt_simulate` makes without a
-    selector. Returns ``(states, diverged_at)``: the ``read`` coordinates of
-    z, (M, n_steps + 1, len(read)), NaN from a member's divergence step on,
-    and the (M,) divergence steps, 0 for a member that never diverged.
-    """
-    U_Y, _, W = data.tikhonov_svd()
-    n_f = data.n_f
-    U_z = U_Y[:n_f]
-    shared = np.hstack([W.T, W.T @ U_z])
-    driven = inputs @ U_Y[n_f:]
-    n_steps = inputs.shape[0] - 1
-    states = np.full((len(filters), n_steps + 1, len(read)), np.nan)
-    states[:, 0] = z0[read]
-    diverged_at = np.zeros(len(filters), dtype=int)
-    members = np.arange(len(filters))
-    rows = slice(None)  # the rows of ``states`` the stack still fills
-    fq = filters * (z0 @ U_z + driven[0])
-    for k in range(n_steps):
-        zq = (fq[:, None, :] @ shared)[:, 0]
-        # NaN fails the test too, and members are tested one by one only
-        # when the whole stack fails
-        if not np.abs(zq[:, :n_f]).max() <= limit:
-            within = np.all(np.abs(zq[:, :n_f]) <= limit, axis=1)
-            diverged_at[members[~within]] = k + 1
-            members, zq, filters = members[within], zq[within], filters[within]
-            if members.size == 0:
-                break
-            rows = members
-        states[rows, k + 1] = zq[:, read]
-        fq = filters * (zq[:, n_f:] + driven[k + 1])
-    return states, diverged_at
-
-
-def _alpha_objective(data, nonlinear, C, z0, inputs, limit, reports):
-    """Alpha-search objective on ``data``: summed l2 output errors of the
-    discrete-time LTI fits of the filter rows it is handed.
-
-    One call simulates its candidates together (``_search_runs``),
-    recording only the lifted coordinates that C reads. Each candidate's
-    per-state l2 errors are recorded in ``reports`` under its alpha, or None
-    when its simulation diverged (cost inf), so callers can reuse the
-    simulation instead of repeating it.
-    """
-    read = np.flatnonzero(np.any(C, axis=0))
-    C_read = C[:, read]
-
-    def objective(alphas, filters):
-        states, diverged_at = _search_runs(data, filters, z0, inputs, limit, read)
-        eps = nonlinear.states - states @ C_read.T
-        l2s = np.sqrt(np.sum(eps * eps, axis=1))
-        costs = []
-        for alpha, l2, step in zip(alphas, l2s, diverged_at):
-            reports[alpha] = None if step else l2
-            costs.append(np.inf if step else float(np.sum(l2)))
-        return costs
-
-    return objective
+        lti = make_lti(lifted.A, B_hat, lifted.C, name="lti-edmdc")
+        try:
+            _, output = simulate_lti(lti, z0, inputs, divergence_limit=limit)
+        except DivergenceError as exc:
+            return "koopman_lti_edmdc", lti, None, exc.step
+        return "koopman_lti_edmdc", lti, output.states, 0
+    if fit["kind"] == "edmd_full":
+        label, name, grid = "koopman_lti_edmd", "lti-edmd", [0.0]
+    elif fit["alpha"] == "search":
+        label, name, grid = "koopman_lti_tikhonov", "lti-tikhonov", default_alpha_grid()
+    else:
+        label, name, grid = "koopman_lti_tikhonov", "lti-tikhonov", [fit["alpha"]]
+    runs = {}
+    objective = tikhonov_objective(data, nonlinear, lifted.C, z0, inputs, limit, runs)
+    try:
+        alpha = alpha_grid_search(data, grid, objective).best_alpha
+    except DivergenceError:
+        if len(grid) > 1:
+            raise  # every candidate of the search diverged
+        (alpha,) = grid
+    run = runs[alpha]
+    lti = make_lti(*edmd_tikhonov(data, alpha), lifted.C, name=name)
+    return label, lti, run["outputs"], run["diverged_at"]
 
 
 def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
@@ -339,9 +275,9 @@ def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search,
     for degree in range(lo, hi + 1):
         n_f = comb(n_x + degree, degree) - 1
         data = snapshots.leading(n_f)
-        reports = {}
-        objective = _alpha_objective(
-            data, nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, reports
+        runs = {}
+        objective = tikhonov_objective(
+            data, nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, runs
         )
         # the grid starts at alpha = 0, which fills that row too
         grid = default_alpha_grid() if alpha_search else [0.0]
@@ -349,13 +285,13 @@ def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search,
         try:
             best_alpha = alpha_grid_search(data, grid, objective).best_alpha
         except DivergenceError:
-            pass  # the objective has recorded every candidate as None
-        rows.append(_sweep_row([degree, 0.0], reports[0.0], n_x))
+            pass  # the objective has recorded every candidate as diverged
+        rows.append(_sweep_row([degree, 0.0], runs[0.0]["l2"], n_x))
         if alpha_search:
             if best_alpha is None:
                 rows.append(_sweep_row([degree, float("nan")], None, n_x))
             else:
-                rows.append(_sweep_row([degree, best_alpha], reports[best_alpha], n_x))
+                rows.append(_sweep_row([degree, best_alpha], runs[best_alpha]["l2"], n_x))
     base_degree = max(sum(o.exponents) for o in dictionary.observables)
     lpv_report = base["reports"]["koopman_lpv"]
     baselines = [_sweep_row(["exact_lpv", base_degree, 0.0], lpv_report.l2, n_x)]

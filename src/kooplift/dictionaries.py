@@ -19,11 +19,6 @@ from .errors import DimensionError, NumericEvaluationError
 from .polynomials import Monomial, PolynomialMap, graded
 
 
-# up to this many entries a Jacobian template with the constant derivatives
-# filled in beats evaluating the Jacobian map
-SMALL_JACOBIAN_ENTRIES = 64
-
-
 class ObservableDictionary:
     """Ordered set of monomial observables with evaluation and state-Jacobian.
 
@@ -67,7 +62,6 @@ class ObservableDictionary:
             [o.exponents for o in self.observables], dtype=np.int64
         ).reshape(self.n_f, self.n_x)
         self.exponents.setflags(write=False)
-        self._jac_small = self._small_jacobian_template()
 
     @property
     def n_f(self) -> int:
@@ -83,26 +77,6 @@ class ObservableDictionary:
         return PolynomialMap(
             self.n_x, [{o.exponents: 1.0} for o in self.observables]
         ).jacobian()
-
-    def _small_jacobian_template(self):
-        """The Jacobian template of a small dictionary, else None: the
-        (n_f, n_x) Jacobian with its constant entries set, and the varying
-        entries, each (row, column, coefficient, ((variable, exponent), ...))
-        and evaluated as the coefficient times each power in variable
-        order."""
-        if self.n_f * self.n_x > SMALL_JACOBIAN_ENTRIES:
-            return None
-        template = np.zeros((self.n_f, self.n_x))
-        varying = []
-        for r, row in enumerate(self.jacobian_map.rows):
-            j, i = divmod(r, self.n_x)
-            for exps, coeff in row.items():
-                nz = tuple((k, e) for k, e in enumerate(exps) if e)
-                if nz:
-                    varying.append((j, i, coeff, nz))
-                else:
-                    template[j, i] = coeff
-        return template, tuple(varying)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -129,17 +103,7 @@ class ObservableDictionary:
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
         """Exact state-Jacobian at ``x``: shape (n_f, n_x)."""
-        x = np.asarray(x, dtype=float)
-        if self._jac_small is not None:
-            template, varying = self._jac_small
-            jac = template.copy()
-            for j, i, coeff, nz in varying:
-                v = coeff
-                for k, e in nz:
-                    v *= float(x[k]) ** e
-                jac[j, i] = v
-            return jac
-        return self.jacobian_map.evaluate(x).reshape(-1, self.n_x)
+        return self.jacobian_map.evaluate(np.asarray(x, dtype=float)).reshape(-1, self.n_x)
 
     def describe(self) -> dict:
         return {

@@ -21,9 +21,11 @@ squared-conditioned Gramian. alpha = 0 is the least-squares fit: its
 filter s / (s * s) is zeroed wherever s <= sqrt((n_f + n_u) * eps) * s_max,
 the cutoff a Gramian pseudoinverse applies to s^2. Every fit of a grid
 shares Z+ V_Y and U_Y, so the search hands its objective the filter rows,
-one per distinct filter, instead of fits: an objective can simulate all of
-them in the SVD's coordinates without forming any (A, B). U^+ uses an SVD
-cutoff of max(m, n) * eps relative to the largest singular value.
+one per distinct filter, instead of fits: :func:`tikhonov_objective`
+simulates all of them in the SVD's coordinates (:func:`tikhonov_runs`)
+without forming any (A, B), and that run is the one reported for every
+Tikhonov fit. U^+ uses an SVD cutoff of max(m, n) * eps relative to the
+largest singular value.
 """
 
 from __future__ import annotations
@@ -264,3 +266,82 @@ def alpha_grid_search(
             step=None,
         )
     return AlphaSearchResult(best_alpha=best_alpha, costs=rows)
+
+
+def tikhonov_runs(data, filters, z0, inputs, limit, read):
+    """Simulate the Tikhonov fits [A_m B_m] = W diag(f_m) U_Y^T of the
+    filter rows f_m of ``filters`` in the coordinates of the snapshot SVD.
+
+    With U_Y = [U_z; U_u], W = Z+ V_Y and q_k = U_z^T z_k + U_u^T u_k, a
+    member steps as
+
+        z_{k+1} = W (f_m * q_k),    q_{k+1} = K (f_m * q_k) + U_u^T u_{k+1},
+
+    with K = U_z^T W, so every member shares [W; K] and no fit is formed.
+    Each member's step is its own (1, r) @ (r, n_f + r) product, so its
+    bits do not depend on the members beside it. Every lifted coordinate is
+    held to ``limit``, the test :func:`~kooplift.sim.dt_simulate` makes
+    without a selector. Returns ``(states, diverged_at)``: the ``read``
+    coordinates of z, (M, n_steps + 1, len(read)), NaN from a member's
+    divergence step on, and the (M,) divergence steps, 0 for a member that
+    never diverged.
+    """
+    U_Y, _, W = data.tikhonov_svd()
+    n_f = data.n_f
+    U_z = U_Y[:n_f]
+    shared = np.hstack([W.T, W.T @ U_z])
+    driven = inputs @ U_Y[n_f:]
+    n_steps = inputs.shape[0] - 1
+    states = np.full((len(filters), n_steps + 1, len(read)), np.nan)
+    states[:, 0] = z0[read]
+    diverged_at = np.zeros(len(filters), dtype=int)
+    members = np.arange(len(filters))
+    rows = slice(None)  # the rows of ``states`` the stack still fills
+    fq = filters * (z0 @ U_z + driven[0])
+    for k in range(n_steps):
+        zq = (fq[:, None, :] @ shared)[:, 0]
+        # NaN fails the test too, and members are tested one by one only
+        # when the whole stack fails
+        if not np.abs(zq[:, :n_f]).max() <= limit:
+            within = np.all(np.abs(zq[:, :n_f]) <= limit, axis=1)
+            diverged_at[members[~within]] = k + 1
+            members, zq, filters = members[within], zq[within], filters[within]
+            if members.size == 0:
+                break
+            rows = members
+        states[rows, k + 1] = zq[:, read]
+        fq = filters * (zq[:, n_f:] + driven[k + 1])
+    return states, diverged_at
+
+
+def tikhonov_objective(data, nonlinear, C, z0, inputs, limit, runs):
+    """Alpha-search objective on ``data``: summed l2 output errors of the
+    discrete-time LTI fits of the filter rows it is handed.
+
+    One call simulates its candidates together (:func:`tikhonov_runs`),
+    recording only the lifted coordinates that C reads. Each candidate's
+    run is recorded in ``runs`` under its alpha, as a dict of its
+    ``outputs`` C z_k (NaN from its divergence step on), its per-state
+    ``l2`` errors against ``nonlinear`` (None when it diverged, cost inf)
+    and its divergence step ``diverged_at`` (0 when it did not), so the
+    chosen fit's run is reported without simulating it again.
+    """
+    read = np.flatnonzero(np.any(C, axis=0))
+    C_read = C[:, read]
+
+    def objective(alphas, filters):
+        states, diverged_at = tikhonov_runs(data, filters, z0, inputs, limit, read)
+        outputs = states @ C_read.T
+        eps = nonlinear.states - outputs
+        l2s = np.sqrt(np.sum(eps * eps, axis=1))
+        costs = []
+        for alpha, output, l2, step in zip(alphas, outputs, l2s, diverged_at):
+            runs[alpha] = {
+                "outputs": output,
+                "l2": None if step else l2,
+                "diverged_at": int(step),
+            }
+            costs.append(np.inf if step else float(np.sum(l2)))
+        return costs
+
+    return objective

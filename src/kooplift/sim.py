@@ -129,8 +129,8 @@ class ErrorReport:
     reference_label: str = "reference"
     test_label: str = "test"
 
-    def to_document(self, meta: Optional[dict] = None) -> dict:
-        doc = {
+    def to_document(self) -> dict:
+        return {
             "reference": self.reference_label,
             "test": self.test_label,
             "errors": [
@@ -138,9 +138,6 @@ class ErrorReport:
                 for i, (l2, linf) in enumerate(zip(self.l2, self.linf))
             ],
         }
-        if meta:
-            doc["meta"] = meta
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -502,25 +499,19 @@ def simulate_lti(
 # ---------------------------------------------------------------------------
 
 
-def error_metrics(
-    reference: Trajectory,
-    test: Trajectory,
-    output_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> ErrorReport:
+def error_metrics(reference: Trajectory, test: Trajectory) -> ErrorReport:
     """Per-state l2 and l-infinity norms of the trajectory difference.
 
-    ``output_map`` maps the test states into the reference coordinates (for
-    lifted trajectories pass the model output map); by default states are
-    compared directly. Time grids must match exactly.
+    The states are compared directly, so a lifted trajectory is mapped to
+    the reference's coordinates first. Time grids must match exactly.
     """
     if not np.array_equal(reference.times, test.times):
         raise DimensionError("trajectories live on different time grids")
-    test_states = output_map(test.states) if output_map is not None else test.states
-    if test_states.shape != reference.states.shape:
+    if test.states.shape != reference.states.shape:
         raise DimensionError(
-            f"state shapes differ: {reference.states.shape} vs {test_states.shape}"
+            f"state shapes differ: {reference.states.shape} vs {test.states.shape}"
         )
-    eps = reference.states - test_states
+    eps = reference.states - test.states
     return ErrorReport(
         l2=np.sqrt(np.sum(eps * eps, axis=0)),
         linf=np.max(np.abs(eps), axis=0),

@@ -979,7 +979,7 @@ class TestEdmdCommand:
                 base["inputs"],
                 divergence_limit=1e12,
             )
-            l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
+            l2 = error_metrics(nonlinear, run.with_states(run.states @ C.T, label="output")).l2
             assert row[:2] == [degree, 0.0] and row[-1] == 0
             tol = _fit_tolerance(data, 0.0, len(base["inputs"]) - 1)
             _assert_l2_close(row[2:-1], l2, nonlinear.states, tol)
@@ -1013,7 +1013,7 @@ class TestEdmdCommand:
             dictionary = monomial_dictionary(2, degree)
             reports = {}
             data = build_snapshots(nonlinear, dictionary)
-            objective = cli._alpha_objective(
+            objective = edmd.tikhonov_objective(
                 data,
                 nonlinear,
                 output_matrix(dictionary),
@@ -1024,8 +1024,8 @@ class TestEdmdCommand:
             )
             best = alpha_grid_search(data, default_alpha_grid(), objective).best_alpha
             expected += [
-                cli._sweep_row([degree, 0.0], reports[0.0], 2),
-                cli._sweep_row([degree, best], reports[best], 2),
+                cli._sweep_row([degree, 0.0], reports[0.0]["l2"], 2),
+                cli._sweep_row([degree, best], reports[best]["l2"], 2),
             ]
         assert result["sweep_rows"] == expected
 
@@ -1040,7 +1040,7 @@ class TestEdmdCommand:
             states = np.full((len(filters), inputs.shape[0], len(read)), np.nan)
             return states, np.ones(len(filters), dtype=int)
 
-        monkeypatch.setattr(cli, "_search_runs", diverge)
+        monkeypatch.setattr(edmd, "tikhonov_runs", diverge)
         rows, _ = cli._degree_sweep(
             c["dictionary"],
             base,
@@ -1072,7 +1072,7 @@ class TestEdmdCommand:
         C = output_matrix(dictionary)
         z0 = dictionary.evaluate(c["x0"])
         reports = {}
-        objective = cli._alpha_objective(
+        objective = edmd.tikhonov_objective(
             data, nonlinear, C, z0, base["inputs"], 1e12, reports
         )
         least_squares = edmd._filters(data, np.zeros(1))[0]
@@ -1080,9 +1080,9 @@ class TestEdmdCommand:
             [0.5, 0.7], np.stack([np.zeros_like(least_squares), 1e7 * least_squares])
         )
         expected = np.sqrt(np.sum(nonlinear.states[1:] ** 2, axis=0))
-        np.testing.assert_array_equal(reports[0.5], expected)
+        np.testing.assert_array_equal(reports[0.5]["l2"], expected)
         assert costs[0] == float(np.sum(expected))
-        assert reports[0.7] is None and costs[1] == np.inf
+        assert reports[0.7]["l2"] is None and costs[1] == np.inf
 
     def test_tikhonov_search_matches_a_per_alpha_reference(self, monkeypatch):
         # weighted-degree-12 dictionary (n_f = 48): 6 of the 37 candidates
@@ -1159,15 +1159,15 @@ class TestEdmdCommand:
         limit = resolve_config(cfg)["divergence_limit"]
 
         simulated = []
-        runs = cli._search_runs
+        runs = edmd.tikhonov_runs
 
         def runs_spy(data, filters, *args):
             simulated.append(len(filters))
             return runs(data, filters, *args)
 
-        monkeypatch.setattr(cli, "_search_runs", runs_spy)
+        monkeypatch.setattr(edmd, "tikhonov_runs", runs_spy)
         reports, seen = {}, []
-        objective = cli._alpha_objective(data, nonlinear, C, z0, inputs, limit, reports)
+        objective = edmd.tikhonov_objective(data, nonlinear, C, z0, inputs, limit, reports)
 
         def counted(alphas, filters):
             seen.extend(alphas)
@@ -1182,7 +1182,7 @@ class TestEdmdCommand:
             # the candidate this alpha shares its filter with: filters fall
             # monotonically in alpha, so it is the largest candidate below
             shared = max(a for a in seen if a <= alpha)
-            l2 = reports[shared]
+            l2 = reports[shared]["l2"]
             cost = np.inf if l2 is None else float(np.sum(l2))
             rows.append({"alpha": alpha, "cost": cost, "diverged": l2 is None})
             if cost < best[1]:
@@ -1195,7 +1195,8 @@ class TestEdmdCommand:
                     kept_finite.append(alpha)
                 continue
             assert l2 is not None
-            explicit_l2 = error_metrics(nonlinear, run, output_map=lambda z: z @ C.T).l2
+            output = run.with_states(run.states @ C.T, label="output")
+            explicit_l2 = error_metrics(nonlinear, output).l2
             _assert_matches_the_fit(
                 l2, explicit_l2, data, alpha, C, z0, inputs, nonlinear.states
             )
@@ -1210,7 +1211,7 @@ class TestEdmdCommand:
             eps = nonlinear.states - outputs
             extended_l2 = np.sqrt(np.sum(eps * eps, axis=0)).astype(float)
             tol = _fit_tolerance(data, alpha, len(inputs) - 1)
-            _assert_l2_close(reports[alpha], extended_l2, nonlinear.states, tol)
+            _assert_l2_close(reports[alpha]["l2"], extended_l2, nonlinear.states, tol)
 
         # alpha = 0 drops every s at or below sqrt((n_f + n_u) eps) s_max
         s = data.tikhonov_svd()[1]
@@ -1226,7 +1227,8 @@ class TestEdmdCommand:
 
     def test_search_then_fit_on_weighted_dictionaries(self, monkeypatch):
         # simulate with alpha "search" on {x1^a x2^b : a + 2b <= D}: the
-        # explicit run of the chosen fit costs what the search found
+        # reported run is the chosen candidate's, so it costs what the
+        # search found, bit for bit
         searches = []
         search = cli.alpha_grid_search
 
@@ -1252,12 +1254,68 @@ class TestEdmdCommand:
                 chosen = searches[-1].best_alpha
                 cost = {row["alpha"]: row["cost"] for row in searches[-1].costs}[chosen]
                 l2 = result["reports"]["koopman_lti_tikhonov"].l2
-                _assert_matches_the_fit(
-                    cost, l2, build_snapshots(nonlinear, dictionary), chosen,
-                    output_matrix(dictionary), dictionary.evaluate(cfg["x0"]),
-                    result["inputs"], nonlinear.states,
-                )
+                assert float(np.sum(l2)) == cost
         assert len(searches) == 8
+
+    def test_fixed_alpha_fits_report_their_one_member_run(self, tmp_path, monkeypatch, capsys):
+        # edmd_full (alpha = 0) and a fixed alpha report the run of their
+        # one-member tikhonov_runs stack, and only edmdc runs simulate_lti;
+        # on the weighted-degree-12 dictionary alpha = 1e-12 diverges, and
+        # is listed and printed at its recurrence step
+        monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
+        simulated = []
+        simulate = cli.simulate_lti
+
+        def spy(model, *args, **kwargs):
+            simulated.append(model.name)
+            return simulate(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_lti", spy)
+        fits = [
+            {"kind": "edmdc"},
+            {"kind": "edmd_full"},
+            {"kind": "edmd_tikhonov", "alpha": 1e-3},
+        ]
+        result = run_simulate(dict(DT_CFG, dictionary={"monomials": monomials}, fits=fits))
+        assert simulated == ["lti-edmdc"]
+        nonlinear, dictionary = result["trajectories"]["nonlinear"], result["dictionary"]
+        data = build_snapshots(nonlinear, dictionary)
+        z0 = dictionary.evaluate(nonlinear.states[0])
+        limit = resolve_config(DT_CFG)["divergence_limit"]
+
+        def one_member(alpha):
+            states, diverged_at = edmd.tikhonov_runs(
+                data, edmd._filters(data, np.array([alpha])), z0, result["inputs"],
+                limit, np.arange(data.n_f),
+            )
+            return states[0][:, list(dictionary.state_selector)], int(diverged_at[0])
+
+        for label, alpha in (("koopman_lti_edmd", 0.0), ("koopman_lti_tikhonov", 1e-3)):
+            outputs, step = one_member(alpha)
+            assert step == 0
+            np.testing.assert_array_equal(result["trajectories"][label].states, outputs)
+            expected = error_metrics(nonlinear, nonlinear.with_states(outputs, label=label))
+            assert result["reports"][label].l2.tobytes() == expected.l2.tobytes()
+            assert result["reports"][label].linf.tobytes() == expected.linf.tobytes()
+            A, B = edmd_tikhonov(data, alpha)
+            assert result["fitted"][label].A.tobytes() == A.tobytes()
+            assert result["fitted"][label].B.tobytes() == B.tobytes()
+
+        _, step = one_member(1e-12)
+        assert step > 0
+        cfg = dict(
+            DT_CFG,
+            dictionary={"monomials": monomials},
+            fits=[{"kind": "edmd_tikhonov", "alpha": 1e-12}],
+        )
+        out = tmp_path / "diverged"
+        capsys.readouterr()
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert f"koopman_lti_tikhonov: diverged at step {step}\n" in capsys.readouterr().out
+        doc = json.loads((out / "errors.json").read_text())
+        assert doc["diverged"] == ["koopman_lti_tikhonov"]
+        assert [model["label"] for model in doc["models"]] == ["koopman_lpv"]
+        assert not (out / "traj_koopman_lti_tikhonov.csv").exists()
 
     def test_alpha_grid_span(self):
         from kooplift import default_alpha_grid

@@ -128,22 +128,21 @@ class TestJacobian:
 
     def test_small_and_map_paths_agree(self):
         rng = np.random.default_rng(4)
-        small = monomial_dictionary(2, 3)  # template path
-        big = monomial_dictionary(2, 12)  # Jacobian-map path (n_f * n_x > 64)
-        assert small._jac_small is not None
-        assert big._jac_small is None
-        for _ in range(5):
-            x = rng.normal(size=2)
-            J = big.jacobian(x)
-            for j, obs in enumerate(big.observables):
-                a, b = obs.exponents
-                expect = np.array(
-                    [
-                        a * x[0] ** (a - 1) * x[1] ** b if a else 0.0,
-                        b * x[0] ** a * x[1] ** (b - 1) if b else 0.0,
-                    ]
-                )
-                np.testing.assert_allclose(J[j], expect, rtol=1e-12, atol=1e-12)
+        small = monomial_dictionary(2, 3)
+        big = monomial_dictionary(2, 12)
+        for d in (small, big):
+            for _ in range(5):
+                x = rng.normal(size=2)
+                J = d.jacobian(x)
+                for j, obs in enumerate(d.observables):
+                    a, b = obs.exponents
+                    expect = np.array(
+                        [
+                            a * x[0] ** (a - 1) * x[1] ** b if a else 0.0,
+                            b * x[0] ** a * x[1] ** (b - 1) if b else 0.0,
+                        ]
+                    )
+                    np.testing.assert_allclose(J[j], expect, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "observables",

@@ -449,9 +449,9 @@ class TestAlphaSearch:
             filters = edmd._filters(data, alphas)
             z0 = dictionary.evaluate(traj.states[0])
             read = np.arange(data.n_f)
-            stacked, stacked_at = cli._search_runs(data, filters, z0, traj.inputs, 1e12, read)
+            stacked, stacked_at = edmd.tikhonov_runs(data, filters, z0, traj.inputs, 1e12, read)
             for m in range(len(alphas)):
-                own, own_at = cli._search_runs(
+                own, own_at = edmd.tikhonov_runs(
                     data, filters[m : m + 1], z0, traj.inputs, 1e12, read
                 )
                 assert stacked[m].tobytes() == own[0].tobytes(), (degree, m)
@@ -519,14 +519,14 @@ class TestAlphaSearch:
         dictionary = monomial_dictionary(2, 14)
         data = build_snapshots(traj, dictionary)
         z0 = dictionary.evaluate(traj.states[0])
-        objective = cli._alpha_objective(
+        objective = edmd.tikhonov_objective(
             data, traj, output_matrix(dictionary), z0, traj.inputs, 1e12, {}
         )
         grid = default_alpha_grid()
         result = alpha_grid_search(data, grid, objective)
         costs = {row["alpha"]: row["cost"] for row in result.costs}
         filters = edmd._filters(data, grid)
-        _, diverged_at = cli._search_runs(
+        _, diverged_at = edmd.tikhonov_runs(
             data, filters, z0, traj.inputs, 1e12, np.arange(data.n_f)
         )
         steps = diverged_at[diverged_at > 0]

@@ -26,8 +26,8 @@ from kooplift import (
     simulate_nonlinear,
     white_noise,
 )
-from kooplift import cli, systems
-from kooplift.edmd import SnapshotData, _filters
+from kooplift import systems
+from kooplift.edmd import SnapshotData, _filters, tikhonov_runs
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
@@ -180,12 +180,12 @@ def _fit_of(data, f):
 
 
 class TestLtiStack:
-    """The alpha search's recurrence in SVD coordinates (cli._search_runs)
+    """The alpha search's recurrence in SVD coordinates (edmd.tikhonov_runs)
     against dt_simulate(lti_step(A_m, B_m)) of each member's explicit fit."""
 
     @staticmethod
     def _assert_members_match(data, filters, z0, inputs, limit):
-        states, diverged_at = cli._search_runs(
+        states, diverged_at = tikhonov_runs(
             data, filters, z0, inputs, limit, np.arange(data.n_f)
         )
         assert states.shape == (len(filters), inputs.shape[0], len(z0))
@@ -248,8 +248,8 @@ class TestLtiStack:
         filters = np.linspace(0.6, 1.8, 12)[:, None] * _filters(data, np.zeros(1))
         z0 = rng.normal(size=6)
         inputs = rng.normal(size=(81, 2))
-        full, full_at = cli._search_runs(data, filters, z0, inputs, 1e6, np.arange(6))
-        part, part_at = cli._search_runs(data, filters, z0, inputs, 1e6, np.array([4, 1]))
+        full, full_at = tikhonov_runs(data, filters, z0, inputs, 1e6, np.arange(6))
+        part, part_at = tikhonov_runs(data, filters, z0, inputs, 1e6, np.array([4, 1]))
         assert part.shape == (12, 81, 2)
         assert part.tobytes() == full[:, :, [4, 1]].tobytes()
         assert part_at.tolist() == full_at.tolist()
@@ -265,7 +265,7 @@ class TestLtiStack:
         z0 = rng.normal(size=4)
         inputs = rng.normal(size=(31, 1))
         lifted, _ = simulate_lti(make_lti(*_fit_of(data, f[0]), np.eye(4)), z0, inputs)
-        states, diverged_at = cli._search_runs(data, f, z0, inputs, 1e12, np.arange(4))
+        states, diverged_at = tikhonov_runs(data, f, z0, inputs, 1e12, np.arange(4))
         s = data.tikhonov_svd()[1]
         tol = 30 * np.finfo(float).eps * max(1.0, s[0] * f.max())
         assert np.abs(states[0] - lifted.states).max() <= tol * np.abs(lifted.states).max()
@@ -380,7 +380,7 @@ class TestErrorMetrics:
         t = np.arange(3.0)
         ref = Trajectory(t, np.arange(6.0).reshape(3, 2))
         lifted = Trajectory(t, np.hstack([ref.states, np.ones((3, 1))]))
-        report = error_metrics(ref, lifted, output_map=lambda Z: Z[:, :2])
+        report = error_metrics(ref, lifted.with_states(lifted.states[:, :2], label="output"))
         np.testing.assert_array_equal(report.l2, [0.0, 0.0])
 
 
