@@ -272,12 +272,23 @@ def _x0(value, name, scope):
 
 
 def _fits(value, name, scope):
+    """The fits, at most one of each kind: a fit's kind names its outputs."""
     if _list(value, name) and scope["system"].time_domain != DISCRETE:
         raise ConfigError(f"{name} work on shifted snapshots and need a discrete-time system")
-    return [
-        _object(FIT)({"kind": fit} if isinstance(fit, str) else fit, f"'fits[{i}]'", scope)
-        for i, fit in enumerate(value)
-    ]
+    fits = []
+    for i, raw in enumerate(value):
+        raw = {"kind": raw} if isinstance(raw, str) else raw
+        fit = _object(FIT)(raw, f"'fits[{i}]'", scope)
+        if "alpha" in raw and fit["kind"] != "edmd_tikhonov":
+            raise ConfigError(
+                f"'fits[{i}].alpha' is read by an edmd_tikhonov fit only, not {fit['kind']!r}"
+            )
+        if any(f["kind"] == fit["kind"] for f in fits):
+            raise ConfigError(
+                f"'fits[{i}]' repeats the kind {fit['kind']!r}: a run fits each kind once"
+            )
+        fits.append(fit)
+    return fits
 
 
 def _degrees(value, name, scope):

@@ -1,6 +1,6 @@
 """Observable dictionaries: ordered scalar functions lifting the state.
 
-A dictionary is an ordered list of monomial observables
+A dictionary is an ordered list of distinct monomial observables
 (:class:`~kooplift.polynomials.Monomial`), with exact batched evaluation
 and exact Jacobians.
 """
@@ -21,6 +21,8 @@ from .polynomials import Monomial, PolynomialMap, graded
 
 class ObservableDictionary:
     """Ordered set of monomial observables with evaluation and state-Jacobian.
+
+    Each monomial appears once; a repeated one raises ``ValueError``.
 
     ``state_selector`` lists, per state coordinate, the index of the
     observable that is the identity on that coordinate; it is detected
@@ -44,6 +46,11 @@ class ObservableDictionary:
                     f"monomial {entry.exponents} does not match state dimension {self.n_x}"
                 )
         self.observables: Tuple[Monomial, ...] = tuple(observables)
+        seen = set()
+        for entry in self.observables:
+            if entry in seen:
+                raise ValueError(f"monomial {entry} appears more than once in the dictionary")
+            seen.add(entry)
         if state_selector is None:
             state_selector = _detect_state_selector(self.observables, self.n_x)
         elif not _selector_is_identity(self.observables, self.n_x, state_selector):

@@ -23,10 +23,9 @@ are computed on coefficients, so they are exact.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .polynomials import (
     multiply_rows,
 )
 from .systems import CONTINUOUS, DISCRETE, Decomposition
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SPAN_TOLERANCE = 1e-9
 
@@ -59,50 +56,18 @@ def match_rows_to_span(
 
     Returns the coefficient matrix (one row per input polynomial, one column
     per observable), the largest absolute coefficient that could not be
-    matched, and the offending monomials. With distinct monomial observables
-    the matching is a direct assignment and therefore exact; dictionaries
-    with repeated monomials fall back to a least-squares solve and the
-    linear dependence is reported.
+    matched, and the offending monomials in graded order. A dictionary
+    holds each monomial once, so each term goes to the column of its
+    monomial: the matching is a direct assignment and therefore exact.
     """
-    positions: Dict[tuple, List[int]] = {}
-    for k, obs in enumerate(dictionary.observables):
-        positions.setdefault(obs.exponents, []).append(k)
-    n_f = dictionary.n_f
-    coeffs = np.zeros((rows.n_rows, n_f))
-    if all(len(v) == 1 for v in positions.values()):
-        keys = list(map(tuple, rows.exps.T.tolist()))
-        column = np.array([positions.get(k, (-1,))[0] for k in keys], dtype=np.intp)
-        hit = column >= 0
-        coeffs[rows.row[hit], column[hit]] = rows.coeff[hit]
-        residual = float(np.abs(rows.coeff[~hit]).max(initial=0.0))
-        return coeffs, residual, graded({k for k, c in zip(keys, column.tolist()) if c < 0})
-
-    log.warning(
-        "dictionary contains repeated monomials; span matching uses a "
-        "minimum-norm least-squares solve"
-    )
-    rows = rows.to_rows()
-    union = graded({exps for row in rows for exps in row} | set(positions))
-    mono_index = {exps: m for m, exps in enumerate(union)}
-    incidence = np.zeros((len(union), n_f))
-    for exps, ks in positions.items():
-        for k in ks:
-            incidence[mono_index[exps], k] = 1.0
-    targets = np.zeros((len(union), len(rows)))
-    for r, row in enumerate(rows):
-        for exps, c in row.items():
-            targets[mono_index[exps], r] = c
-    solution, _, rank, _ = np.linalg.lstsq(incidence, targets, rcond=None)
-    if rank < n_f:
-        log.warning("span matching is rank deficient (rank %d < %d)", rank, n_f)
-    leftover = targets - incidence @ solution
-    residual = float(np.max(np.abs(leftover))) if leftover.size else 0.0
-    missing = [
-        union[m]
-        for m in range(len(union))
-        if np.max(np.abs(leftover[m])) > 1e-14
-    ]
-    return solution.T, residual, missing
+    position = {obs.exponents: k for k, obs in enumerate(dictionary.observables)}
+    keys = list(map(tuple, rows.exps.T.tolist()))
+    column = np.array([position.get(k, -1) for k in keys], dtype=np.intp)
+    hit = column >= 0
+    coeffs = np.zeros((rows.n_rows, dictionary.n_f))
+    coeffs[rows.row[hit], column[hit]] = rows.coeff[hit]
+    residual = float(np.abs(rows.coeff[~hit]).max(initial=0.0))
+    return coeffs, residual, graded({k for k, c in zip(keys, column.tolist()) if c < 0})
 
 
 def compute_A_ct(

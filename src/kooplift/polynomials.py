@@ -1,20 +1,23 @@
 """Sparse multivariate polynomials with exact coefficient arithmetic.
 
-A polynomial is a mapping from exponent tuples to coefficients; a
+A polynomial is a sum of terms ``coeff * prod_i x_i ** e_i``; a
 :class:`PolynomialMap` is a vector of such polynomials sharing one variable
 set. Jacobians, products and compositions are carried out on the
 coefficients directly, so the symbolic lifting path introduces no sampling
 or differencing error: matrices derived from polynomial dynamics are exact
 up to floating-point arithmetic on the coefficients themselves.
 
-Terms are kept in graded order (total degree, then reverse-lexicographic
-exponents) so evaluation order, serialisation and reported residuals are
-deterministic.
-
-Products and compositions work on a set of rows held as arrays
+A map stores its rows in one form, canonical term arrays
 (:class:`TermArrays`): per term, its row, its exponents and its
-coefficient. :func:`multiply_rows` multiplies every row of a set by a row
-of another in one call, and :func:`compose_rows` substitutes polynomials
+coefficient, each row's exponents distinct, with nonzero coefficients, in
+graded order (total degree, then reverse-lexicographic exponents), so
+evaluation order, serialisation and reported residuals are deterministic.
+The constructor merges the terms it is given in their order by
+:meth:`TermArrays.canonical`, as products merge theirs (below), and
+``rows`` reads the arrays back as one dict per row.
+
+:func:`multiply_rows` multiplies every row of a set by a row of another in
+one call, and :func:`compose_rows` substitutes polynomials
 into every monomial of a dictionary with one such call per power and per
 variable. A product forms all its term pairs, walked left term by left
 term, drops the products equal to 0.0, sorts the pairs' (row, exponents)
@@ -28,16 +31,17 @@ the stable sort leaves each key's products in walk order, and
 it. The keys are compared field by field, so no packed integer key can
 overflow.
 
-Evaluation has two forms, chosen per map by its term count. A map with
-fewer than ``KERNEL_MIN_TERMS`` terms keeps a flat ``(coeff, ((i, e), ...))``
-tuple per term and is evaluated by a Python loop. A larger map is compiled
-once into arrays: per term, its coefficient ``c``, its gather indices into a
-power table ``P[i, e] = x_i ** e`` and its slot in a zero-padded
-``(width, n_pad)`` layout, ``width`` being the longest row and
-``n_pad = max(n_out, 2)``; term ``j`` of row ``r`` sits in slot
-``j * n_pad + r``. The term values ``c * P[0, e_0] * P[1, e_1] * ...`` are
-gathered into that layout, the padding taking a 0.0, and summed over its
-``width`` axis by ``np.add.reduce``.
+Evaluation at many points goes through one array kernel, compiled once per
+map: per term, its coefficient ``c``, its gather indices into a power table
+``P[i, e] = x_i ** e`` and its slot in a zero-padded ``(width, n_pad)``
+layout, ``width`` being the longest row and ``n_pad = max(n_out, 2)``; term
+``j`` of row ``r`` sits in slot ``j * n_pad + r``. The term values
+``c * P[0, e_0] * P[1, e_1] * ...`` are gathered into that layout, the
+padding taking a 0.0, and summed over its ``width`` axis by
+``np.add.reduce``. A single point is evaluated by the same kernel on a map
+with at least ``KERNEL_MIN_TERMS`` terms; a smaller map keeps a flat
+``(coeff, ((i, e), ...))`` tuple per term and is evaluated by a Python
+loop.
 
 Both forms give the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
@@ -56,6 +60,7 @@ exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -65,13 +70,15 @@ from .errors import DimensionError
 Exponents = Tuple[int, ...]
 TermDict = Dict[Exponents, float]
 
-# Maps with at least this many terms are evaluated by the array kernel. On
-# 4-row, 3-variable maps with exponents up to 9 (median of five maps), one
-# evaluate took 2.6 us in the tuple loop and 19.7 us in the kernel at 3
-# terms, 14.4 and 31.5 us at 32, 19.5 and 21.7 us at 48, and 27.7 and 28.5 us
-# at 64; a 100-point evaluate_batch took 0.90 and 0.34 ms at 32 terms
-# (Python 3.11, numpy 2.4, one core of a shared x86-64 VM whose repeated
-# runs differ by up to 1.5x).
+# Maps with at least this many terms are evaluated at a single point by the
+# array kernel, smaller ones by a loop over term tuples. On 4-row, 3-variable
+# maps with exponents up to 9 (median of five maps), one evaluate took 2.6 us
+# in the tuple loop and 19.7 us in the kernel at 3 terms, 14.4 and 31.5 us at
+# 32, 19.5 and 21.7 us at 48, and 27.7 and 28.5 us at 64. A batch always
+# takes the kernel: a 100-point batch took 0.34 ms in it against 0.90 ms in a
+# term loop at 32 terms, and 68 against 21 us at 4, a few tens of us that buy
+# one batch path (Python 3.11, numpy 2.4, one core of a shared x86-64 VM
+# whose repeated runs differ by up to 1.5x).
 KERNEL_MIN_TERMS = 32
 
 # evaluate_batch takes as many points at a time as keep the padded
@@ -151,20 +158,6 @@ class Monomial:
         return "*".join(parts)
 
 
-def _add_term(terms: TermDict, exponents: Exponents, coeff: float) -> None:
-    if coeff == 0.0:
-        return
-    new = terms.get(exponents, 0.0) + coeff
-    if new == 0.0:
-        terms.pop(exponents, None)
-    else:
-        terms[exponents] = new
-
-
-def _sorted_terms(terms: TermDict) -> TermDict:
-    return {k: terms[k] for k in graded(terms)}
-
-
 class TermArrays(NamedTuple):
     """A set of polynomial rows as arrays, one entry per term.
 
@@ -182,17 +175,6 @@ class TermArrays(NamedTuple):
     exps: np.ndarray
     coeff: np.ndarray
     n_rows: int
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[TermDict], n_vars: int) -> "TermArrays":
-        """The arrays of dict rows over ``n_vars`` variables, in their order."""
-        coeff = np.array([c for row in rows for c in row.values()], dtype=float)
-        exps = np.array([e for row in rows for e in row], dtype=np.intp)
-        row = np.repeat(
-            np.arange(len(rows)), np.array([len(r) for r in rows], dtype=np.intp)
-        )
-        exps = np.ascontiguousarray(exps.reshape(coeff.shape[0], n_vars).T)
-        return cls(row, exps, coeff, len(rows))
 
     @classmethod
     def constant(cls, n_rows: int, n_vars: int) -> "TermArrays":
@@ -225,6 +207,9 @@ class TermArrays(NamedTuple):
         another from 0.0: the bits of the loop
         ``out[k] = out.get(k, 0.0) + v``. Exact-zero sums are dropped.
         """
+        if not self.row.shape[0]:
+            # np.bincount of no values would give int64 coefficients
+            return self
         n_vars = self.exps.shape[0]
         degree = self.exps.sum(axis=0)
         # numpy sorts 16-bit keys by radix, about ten times faster than
@@ -355,7 +340,7 @@ class _Kernel:
         self.n_out = terms.n_rows
         n_terms = terms.coeff.shape[0]
         starts = terms.row_starts()
-        self.width = int(np.diff(starts).max())
+        self.width = int(np.diff(starts).max(initial=0))
         self.n_pad = max(self.n_out, 2)
         self.fill = np.full(self.width * self.n_pad, n_terms, dtype=np.intp)
         self.fill[(np.arange(n_terms) - starts[terms.row]) * self.n_pad + terms.row] = np.arange(
@@ -391,7 +376,7 @@ class _Kernel:
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty((pts.shape[0], self.n_out))
-        step = max(1, _BATCH_BLOCK_FLOATS // (self.width * self.n_pad))
+        step = max(1, _BATCH_BLOCK_FLOATS // max(self.width * self.n_pad, 1))
         for start in range(0, pts.shape[0], step):
             block = pts[start : start + step]
             table = np.stack(
@@ -406,92 +391,67 @@ class PolynomialMap:
     """Vector-valued sparse polynomial over a shared variable set.
 
     Rows are independent polynomials; ``evaluate`` returns the stacked row
-    values. Zero coefficients are never stored and duplicate exponent keys
-    are merged on construction.
-
-    A map holds its rows as dicts (``rows``), as arrays (``arrays``) or both;
-    the form it was not built from is made on first read.
+    values. The map stores its rows as canonical term arrays (``arrays``,
+    see :class:`TermArrays`) and nothing else: zero coefficients are never
+    stored, and duplicate exponent keys are merged on construction, summed
+    in the order given. ``rows`` is a dict per row, built from the arrays on
+    each read.
     """
 
     def __init__(self, n_vars: int, rows: Sequence[TermDict | Iterable]):
-        self.n_vars = int(n_vars)
-        canon: List[TermDict] = []
-        for row in rows:
-            items = row.items() if isinstance(row, dict) else row
-            terms: TermDict = {}
-            for exps, coeff in items:
-                exps = _canonical_exponents(exps)
-                if len(exps) != self.n_vars:
-                    raise DimensionError(
-                        f"exponent tuple {exps} does not match {self.n_vars} variables"
-                    )
-                _add_term(terms, exps, float(coeff))
-            canon.append(_sorted_terms(terms))
-        self._set_rows(tuple(canon), None)
-
-    @classmethod
-    def _from_graded(cls, n_vars: int, rows: Sequence[TermDict]) -> "PolynomialMap":
-        """A map over rows the library built itself, taken as they are.
-
-        Each row must already be what the constructor would make of it:
-        non-negative int exponent tuples of length ``n_vars``, distinct, in
-        graded order, with nonzero float coefficients. Nothing is checked.
-        """
-        poly = cls.__new__(cls)
-        poly.n_vars = n_vars
-        poly._set_rows(tuple(rows), None)
-        return poly
+        n_vars = int(n_vars)
+        row, exps, coeff = [], [], []
+        n_rows = 0
+        for terms in rows:
+            for e, c in terms.items() if isinstance(terms, dict) else terms:
+                e = _canonical_exponents(e)
+                if len(e) != n_vars:
+                    raise DimensionError(f"exponent tuple {e} does not match {n_vars} variables")
+                row.append(n_rows)
+                exps.append(e)
+                coeff.append(float(c))
+            n_rows += 1
+        arrays = TermArrays(
+            np.array(row, dtype=np.intp),
+            np.array(exps, dtype=np.intp).reshape(len(coeff), n_vars).T.copy(),
+            np.array(coeff, dtype=float),
+            n_rows,
+        )
+        self._set(n_vars, arrays.canonical())
 
     @classmethod
     def _from_arrays(cls, n_vars: int, arrays: TermArrays) -> "PolynomialMap":
-        """A map over canonical term arrays (see :class:`TermArrays`), taken
-        as they are; its ``rows`` dicts are built only when read."""
+        """A map over canonical term arrays, taken as they are."""
         poly = cls.__new__(cls)
-        poly.n_vars = n_vars
-        poly._set_rows(None, arrays)
+        poly._set(n_vars, arrays)
         return poly
 
-    def _set_rows(self, rows, arrays) -> None:
-        self._rows: Tuple[TermDict, ...] | None = rows
-        self._arrays: TermArrays | None = arrays
-        if rows is not None:
-            self.n_out = len(rows)
-            n_terms = sum(len(row) for row in rows)
-        else:
-            self.n_out = arrays.n_rows
-            n_terms = arrays.coeff.shape[0]
-        # one evaluation form per map: arrays for large maps, else a flat
-        # term list per row for the scalar loop
-        self._kernel = self._terms = None
-        if n_terms >= KERNEL_MIN_TERMS:
-            self._kernel = _Kernel(self.arrays)
-        else:
-            self._terms = tuple(
-                tuple(
-                    (c, tuple((i, e) for i, e in enumerate(exps) if e))
-                    for exps, c in row.items()
-                )
-                for row in self.rows
-            )
+    def _set(self, n_vars: int, arrays: TermArrays) -> None:
+        self.n_vars = n_vars
+        self.arrays = arrays
+        self.n_out = arrays.n_rows
+        # a small map's single-point form: a flat term tuple list per row
+        self._terms = None
+        if arrays.coeff.shape[0] < KERNEL_MIN_TERMS:
+            terms: List[list] = [[] for _ in range(self.n_out)]
+            for r, e, c in zip(arrays.row.tolist(), arrays.exps.T.tolist(), arrays.coeff.tolist()):
+                terms[r].append((c, tuple((i, k) for i, k in enumerate(e) if k)))
+            self._terms = tuple(map(tuple, terms))
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self.arrays)
 
     @property
     def rows(self) -> Tuple[TermDict, ...]:
-        if self._rows is None:
-            self._rows = self._arrays.to_rows()
-        return self._rows
-
-    @property
-    def arrays(self) -> TermArrays:
-        if self._arrays is None:
-            self._arrays = TermArrays.from_rows(self._rows, self.n_vars)
-        return self._arrays
+        return self.arrays.to_rows()
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         if len(x) != self.n_vars:
             raise DimensionError(
                 f"map over {self.n_vars} variables evaluated at point of length {len(x)}"
             )
-        if self._kernel is not None:
+        if self._terms is None:
             return self._kernel.evaluate(x)
         out = np.empty(self.n_out)
         for r, terms in enumerate(self._terms):
@@ -513,37 +473,27 @@ class PolynomialMap:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_vars}), got {pts.shape}"
             )
-        if self._kernel is not None:
-            return self._kernel.evaluate_batch(pts)
-        out = np.zeros((pts.shape[0], self.n_out))
-        for r, row in enumerate(self.rows):
-            for exps, coeff in row.items():
-                vals = np.full(pts.shape[0], coeff)
-                for i, e in enumerate(exps):
-                    if e:
-                        vals *= pts[:, i] ** e
-                out[:, r] += vals
-        return out
+        return self._kernel.evaluate_batch(pts)
 
     def jacobian(self) -> "PolynomialMap":
         """Exact partial derivatives, flattened row-major.
 
-        Row ``j * n_vars + i`` holds d(row j)/d(x_i). Lowering one exponent
+        Row ``j * n_vars + i`` holds d(row j)/d(x_i): the terms of row j
+        with ``e_i > 0``, in their order, each with ``e_i`` lowered by one
+        and its coefficient multiplied by ``e_i``. Lowering one exponent
         maps distinct terms to distinct terms and keeps their graded order,
-        and ``coeff * e`` with ``e >= 1`` is never zero, so the rows need no
-        merging or sorting.
+        and ``coeff * e_i`` with ``e_i >= 1`` is never zero, so the rows
+        need no merging or sorting.
         """
-        rows: List[TermDict] = []
-        for row in self.rows:
-            for i in range(self.n_vars):
-                rows.append(
-                    {
-                        exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff * exps[i]
-                        for exps, coeff in row.items()
-                        if exps[i]
-                    }
-                )
-        return PolynomialMap._from_graded(self.n_vars, rows)
+        t, n = self.arrays, self.n_vars
+        term, var = np.nonzero(t.exps.T > 0)
+        order = np.argsort(t.row[term] * n + var, kind="stable")
+        term, var = term[order], var[order]
+        exps = np.take(t.exps, term, axis=1)
+        exps[var, np.arange(term.shape[0])] -= 1
+        coeff = t.coeff[term] * t.exps[var, term]
+        rows = TermArrays(t.row[term] * n + var, exps, coeff, t.n_rows * n)
+        return PolynomialMap._from_arrays(n, rows)
 
     @classmethod
     def from_terms(cls, n_vars: int, rows: Sequence[Sequence[dict]]) -> "PolynomialMap":

@@ -1,16 +1,19 @@
-"""The benchmark's tracer still finds every library name it wraps."""
+"""The benchmark's tracer still finds every library name it wraps, and one
+pass of every workload passes the benchmark's own checks."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import kooplift
 import kooplift.cli  # noqa: F401 - the tracer wraps names at their cli bindings
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -19,10 +22,25 @@ def _load_spans():
 def test_tracer_finds_every_wrapped_name():
     # a refactor that drops or rebinds a name the benchmark wraps would
     # leave a traced run's metrics silently incomplete
-    tracer = _load_spans().Tracer(kooplift)
+    tracer = _load("spans").Tracer(kooplift)
     tracer.install()
     try:
         assert tracer.missing == []
     finally:
         tracer.uninstall()
     assert kooplift.cli.simulate_lti is kooplift.sim.simulate_lti
+
+
+@pytest.mark.parametrize("name", ["ct-exact", "dt-degree-sweep", "dt-lift-scale"])
+def test_one_workload_pass_passes_its_checks(tmp_path, capsys, name):
+    # a change that trips the benchmark's correctness checks fails here, in
+    # the suite, and not only in a benchmark run
+    workloads = _load("workloads")
+    workload = workloads.WORKLOADS[name](kooplift, workloads.DEFAULT_SEED, tmp_path)
+    assert workload.operations
+    failures = {}
+    for op in workload.operations:
+        found = workload.check(op, op.call())
+        if found:
+            failures[op.name] = found
+    assert failures == {}

@@ -191,6 +191,10 @@ class TestLift:
     def test_negative_exponent_text_is_config_error(self):
         assert main(["lift", "--system", "dt-example", "--dict", "x1^-1"]) == 2
 
+    def test_repeated_monomial_is_config_error(self, capsys):
+        assert main(["lift", "--system", "dt-example", "--dict", "x1,x2,x1"]) == 2
+        assert "more than once" in capsys.readouterr().err
+
     def test_negative_exponent_list_is_config_error(self, tmp_path):
         cfg = {
             "system": "dt-example",
@@ -620,6 +624,27 @@ class TestConfigKeys:
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
         assert all(repr(key) in err for key in named), err
+
+    @pytest.mark.parametrize("kind", ["edmdc", "edmd_full"])
+    def test_alpha_on_a_fit_without_one_exits_2(self, tmp_path, monkeypatch, capsys, kind):
+        # only a Tikhonov fit reads alpha: edmd_full with alpha 1e-3 ran at
+        # alpha = 0, the key unread
+        _forbid_simulating(monkeypatch)
+        path = _write_config(tmp_path, dict(DT_CFG, fits=[{"kind": kind, "alpha": 1e-3}]))
+        assert main(["simulate", "--config", path]) == 2
+        assert "'fits[0].alpha'" in capsys.readouterr().err
+        assert resolve_config(dict(DT_CFG, fits=[kind]))["fits"][0]["kind"] == kind
+
+    def test_two_fits_of_one_kind_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a fit's kind names its outputs: the second of these took the first's
+        # label and overwrote its entries in errors.json and fits.json
+        _forbid_simulating(monkeypatch)
+        fits = [{"kind": "edmd_tikhonov", "alpha": 1e-3}, {"kind": "edmd_tikhonov"}]
+        path = _write_config(tmp_path, dict(DT_CFG, fits=fits))
+        assert main(["simulate", "--config", path]) == 2
+        assert "'fits[1]' repeats the kind 'edmd_tikhonov'" in capsys.readouterr().err
+        kinds = ["edmdc", "edmd_full", "edmd_tikhonov"]
+        assert [f["kind"] for f in resolve_config(dict(DT_CFG, fits=kinds))["fits"]] == kinds
 
     @pytest.mark.parametrize(
         "signal, named",

@@ -504,17 +504,23 @@ class TestQuadrature:
 
 
 class TestSpanMatching:
-    def test_duplicate_monomials_fall_back_to_least_squares(self, caplog):
-        d = ObservableDictionary(
-            2,
-            [Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 0))],
-            state_selector=[0, 1],
-        )
-        rows = PolynomialMap(2, [{(1, 0): 2.0}, {(0, 1): 1.0}]).arrays
-        coeffs, residual, missing = match_rows_to_span(rows, d)
-        assert residual <= 1e-12 and not missing
-        # minimum-norm solution splits the weight across the duplicates
-        np.testing.assert_allclose(coeffs[0], [1.0, 0.0, 1.0], atol=1e-12)
+    def test_repeated_monomial_is_rejected(self):
+        # a dictionary holds each monomial once, so span matching is one
+        # direct assignment of each term to its monomial's column
+        with pytest.raises(ValueError, match="more than once"):
+            ObservableDictionary(
+                2,
+                [Monomial((1, 0)), Monomial((0, 1)), Monomial((1, 0))],
+                state_selector=[0, 1],
+            )
+
+    def test_direct_assignment_reports_the_unmatched_terms(self):
+        d = ObservableDictionary(2, [Monomial((0, 1)), Monomial((1, 0))])
+        rows = PolynomialMap(2, [{(1, 0): 2.0, (0, 2): -3.0}, {(0, 1): 1.0, (2, 1): 0.5}])
+        coeffs, residual, missing = match_rows_to_span(rows.arrays, d)
+        np.testing.assert_array_equal(coeffs, [[0.0, 2.0], [1.0, 0.0]])
+        assert residual == 3.0
+        assert missing == [(0, 2), (2, 1)]
 
 
 class TestSerialization:

@@ -10,6 +10,7 @@ from kooplift.polynomials import (
     KERNEL_MIN_TERMS,
     TermArrays,
     compose_rows,
+    graded,
     multiply_rows,
 )
 
@@ -52,6 +53,29 @@ def _naive_eval_batch(p, X):
                 v *= X[:, i] ** e
             out[:, r] += v
     return out
+
+
+def _term_bits(rows):
+    # each row's terms in order, coefficients by their bits
+    return [[(exps, float(c).hex()) for exps, c in row.items()] for row in rows]
+
+
+def _arrays_of(rows, n_vars):
+    # the term arrays of dict rows, in their order
+    terms = [(r, exps, c) for r, row in enumerate(rows) for exps, c in row.items()]
+    return TermArrays(
+        np.array([t[0] for t in terms], dtype=np.intp),
+        np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), n_vars).T,
+        np.array([t[2] for t in terms], dtype=float),
+        len(rows),
+    )
+
+
+def _assert_arrays_equal(got, want):
+    assert got.n_rows == want.n_rows
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def _assert_bits_equal(got, want):
@@ -151,7 +175,7 @@ class TestEvaluation:
         # other axis would be summed pairwise; n_out is padded to keep it
         rng = np.random.default_rng(n_terms)
         p = _map_with_terms(rng, 3, 1, 12, n_terms)
-        assert p._kernel is not None
+        assert p._terms is None  # the kernel evaluates single points too
         X = rng.normal(size=(40, 3))
         X[0] = 0.0
         _assert_matches_oracles(p, X)
@@ -235,6 +259,29 @@ class TestJacobian:
         # row j*n_vars + i is d(row j)/d(x_i)
         assert jac.rows[0] == {(0, 1): 2.0}
         assert jac.rows[1] == {(1, 0): 2.0}
+
+    def test_matches_the_dict_comprehension(self):
+        # the term arrays give the rows the per-row dict comprehension gave,
+        # in order and bit for bit, on maps on both sides of the kernel
+        # threshold, with empty and constant rows
+        rng = np.random.default_rng(19)
+        for n_terms in (1, 5, KERNEL_MIN_TERMS, 4 * KERNEL_MIN_TERMS):
+            base = _map_with_terms(rng, 3, 4, 9, n_terms).rows
+            for rows in (base, ({},) + base + ({(0, 0, 0): 2.5},)):
+                p = PolynomialMap(3, rows)
+                want = [
+                    {
+                        exps[:i] + (exps[i] - 1,) + exps[i + 1 :]: coeff * exps[i]
+                        for exps, coeff in row.items()
+                        if exps[i]
+                    }
+                    for row in rows
+                    for i in range(3)
+                ]
+                jac = p.jacobian()
+                assert jac.n_out == 3 * len(rows)
+                assert _term_bits(jac.rows) == _term_bits(want)
+                _assert_arrays_equal(jac.arrays, _arrays_of(want, 3))
 
 
 def _dict_product(a, b):
@@ -343,6 +390,54 @@ class TestAlgebra:
     def test_duplicate_terms_merge(self):
         p = PolynomialMap(1, [[((1,), 2.0), ((1,), 3.0)]])
         assert p.rows[0] == {(1,): 5.0}
+
+    def test_constructor_matches_the_dict_loop(self):
+        # each row's items added in the order given, as the dict loop the
+        # arrays replaced added them: a zero coefficient of either sign
+        # skipped, a key dropped whenever its sum reaches 0.0, then the keys
+        # sorted into graded order
+        def dict_loop(rows):
+            out = []
+            for row in rows:
+                terms = {}
+                for exps, coeff in row.items() if isinstance(row, dict) else row:
+                    if coeff == 0.0:
+                        continue
+                    new = terms.get(exps, 0.0) + coeff
+                    if new == 0.0:
+                        terms.pop(exps, None)
+                    else:
+                        terms[exps] = new
+                out.append({k: terms[k] for k in graded(terms)})
+            return out
+
+        rng = np.random.default_rng(23)
+        # values whose sums cancel to 0.0, round, or keep a -0.0 alone
+        values = [0.1, 0.2, -0.3, 0.3, -0.1, 1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 2.5]
+        keys = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]
+        cases = [
+            [[((1, 0), 0.5), ((1, 0), -0.5)]],
+            [[((1, 0), 0.5), ((1, 0), -0.5), ((1, 0), 0.25)], []],
+            [{(0, 1): -0.0, (2, 0): 0.0}, {}],
+            [[((0, 0), -0.0), ((0, 0), 3.0)]],
+            [[((0, 1), 1e16), ((0, 1), 1.0), ((0, 1), -1e16)]],
+            [[((0, 1), 1e16), ((0, 1), -1e16), ((0, 1), 1.0)]],
+            [[((0, 1), 0.1), ((0, 1), 0.2), ((0, 1), -0.3)]],
+            [{}, {}, {}],
+        ]
+        for _ in range(40):
+            rows = []
+            for _ in range(int(rng.integers(0, 5))):
+                n = int(rng.integers(0, 12))
+                picks = zip(rng.integers(0, len(keys), n), rng.integers(0, len(values), n))
+                rows.append([(keys[k], values[v]) for k, v in picks])
+            cases.append(rows)
+        for rows in cases:
+            p = PolynomialMap(2, rows)
+            want = dict_loop(rows)
+            assert p.n_out == len(rows)
+            assert _term_bits(p.rows) == _term_bits(want)
+            _assert_arrays_equal(p.arrays, _arrays_of(want, 2))
 
     def test_zero_coefficients_dropped(self):
         p = PolynomialMap(1, [{(1,): 0.0, (2,): 1.0}])
