@@ -191,9 +191,9 @@ def error_trajectory(
 
     ``exact_run`` is the lifted trajectory of ``exact`` (``simulate_lpv``).
     The approximate model is simulated from the same initial lift under the
-    same inputs, with ``divergence_limit`` as in
-    :func:`~kooplift.sim.dt_simulate`, and the gap is the difference of the
-    two runs.
+    same inputs, and the gap is the difference of the two runs. Its run
+    holds the dictionary's state coordinates to ``divergence_limit`` and
+    needs the others finite, the rule of the exact run.
     """
     if exact.time_domain != DISCRETE or approx.time_domain != DISCRETE:
         raise ValueError("error bounds are formulated for discrete-time models")
@@ -205,6 +205,7 @@ def error_trajectory(
         n_steps=n_steps,
         divergence_limit=divergence_limit,
         label="approx-lti",
+        state_selector=list(exact.dictionary.state_selector),
     )
     errors = exact_run.states - approx_traj.states
     return ErrorEvolution(norms=np.linalg.norm(errors, axis=1), errors=errors)

@@ -210,17 +210,25 @@ def _fit_lti(fit, data, lifted, nonlinear, z0, inputs, limit):
         label, name, grid = "koopman_lti_tikhonov", "lti-tikhonov", default_alpha_grid()
     else:
         label, name, grid = "koopman_lti_tikhonov", "lti-tikhonov", [fit["alpha"]]
-    runs = {}
-    objective = tikhonov_objective(data, nonlinear, lifted.C, z0, inputs, limit, runs)
-    try:
-        alpha = alpha_grid_search(data, grid, objective).best_alpha
-    except DivergenceError:
+    alpha, runs = _alpha_search(data, grid, nonlinear, lifted.C, z0, inputs, limit)
+    if alpha is None:
         if len(grid) > 1:
-            raise  # every candidate of the search diverged
+            raise DivergenceError(f"all {len(grid)} alphas of the search diverged", step=None)
         (alpha,) = grid
     run = runs[alpha]
     lti = make_lti(*edmd_tikhonov(data, alpha), lifted.C, name=name)
     return label, lti, run["outputs"], run["diverged_at"]
+
+
+def _alpha_search(data, grid, nonlinear, C, z0, inputs, limit):
+    """(best alpha or None if every candidate diverged, every candidate's
+    run by its alpha) of the Tikhonov search over ``grid``."""
+    runs = {}
+    objective = tikhonov_objective(data, nonlinear, C, z0, inputs, limit, runs)
+    try:
+        return alpha_grid_search(data, grid, objective).best_alpha, runs
+    except DivergenceError:
+        return None, runs
 
 
 def run_edmd(cfg: dict, out_dir: Optional[str] = None) -> dict:
@@ -275,17 +283,11 @@ def _degree_sweep(dictionary, base, nonlinear, inputs, x0, lo, hi, alpha_search,
     for degree in range(lo, hi + 1):
         n_f = comb(n_x + degree, degree) - 1
         data = snapshots.leading(n_f)
-        runs = {}
-        objective = tikhonov_objective(
-            data, nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit, runs
-        )
         # the grid starts at alpha = 0, which fills that row too
         grid = default_alpha_grid() if alpha_search else [0.0]
-        best_alpha = None
-        try:
-            best_alpha = alpha_grid_search(data, grid, objective).best_alpha
-        except DivergenceError:
-            pass  # the objective has recorded every candidate as diverged
+        best_alpha, runs = _alpha_search(
+            data, grid, nonlinear, C_top[:, :n_f], z0_top[:n_f], inputs, limit
+        )
         rows.append(_sweep_row([degree, 0.0], runs[0.0]["l2"], n_x))
         if alpha_search:
             if best_alpha is None:

@@ -185,7 +185,7 @@ def _system(value, name, scope):
     try:
         f = PolynomialMap.from_terms(s["n_x"], s["f"])
         columns = [PolynomialMap.from_terms(s["n_x"], c) for c in s["input_columns"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid 'system.f' or 'system.input_columns': {exc}")
     return SystemBundle(
         name=s["name"],
@@ -196,7 +196,6 @@ def _system(value, name, scope):
         dictionary=monomial_dictionary(s["n_x"], s["default_degree"]),
         state_box=s["state_box"],
         input_box=s["input_box"],
-        coefficients={},
     )
 
 
@@ -230,7 +229,7 @@ def _monomials(value, name, scope):
         if isinstance(value, str):
             return parse_dictionary(value, n_x)
         return ObservableDictionary(n_x, [Monomial(e) for e in value])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid dictionary specification {value!r}: {exc}")
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dictionaries import ObservableDictionary
 from .errors import DimensionError, DivergenceError, NumericEvaluationError
-from .sim import Trajectory
+from .sim import Trajectory, diverged
 
 log = logging.getLogger(__name__)
 
@@ -278,21 +278,21 @@ def tikhonov_runs(data, filters, z0, inputs, limit, read):
         z_{k+1} = W (f_m * q_k),    q_{k+1} = K (f_m * q_k) + U_u^T u_{k+1},
 
     with K = U_z^T W, so every member shares [W; K] and no fit is formed.
-    Each member's step is its own (1, r) @ (r, n_f + r) product, so its
-    bits do not depend on the members beside it. Every lifted coordinate is
-    held to ``limit``, the test :func:`~kooplift.sim.dt_simulate` makes
-    without a selector. Returns ``(states, diverged_at)``: the ``read``
-    coordinates of z, (M, n_steps + 1, len(read)), NaN from a member's
-    divergence step on, and the (M,) divergence steps, 0 for a member that
-    never diverged.
+    Only the state rows ``read`` of z are formed, and each member's step is
+    its own (1, r) @ (r, len(read) + r) product, so its bits do not depend
+    on the members beside it. As in every lifted run
+    (:func:`~kooplift.sim.diverged`), the state is held to ``limit`` and q
+    must stay finite. Returns ``(states, diverged_at)``: the state,
+    (M, n_steps + 1, len(read)), NaN from a member's divergence step on,
+    and the (M,) divergence steps, 0 for a member that never diverged.
     """
     U_Y, _, W = data.tikhonov_svd()
-    n_f = data.n_f
+    n_f, n_read = data.n_f, len(read)
     U_z = U_Y[:n_f]
-    shared = np.hstack([W.T, W.T @ U_z])
+    shared = np.hstack([W[read].T, W.T @ U_z])
     driven = inputs @ U_Y[n_f:]
     n_steps = inputs.shape[0] - 1
-    states = np.full((len(filters), n_steps + 1, len(read)), np.nan)
+    states = np.full((len(filters), n_steps + 1, n_read), np.nan)
     states[:, 0] = z0[read]
     diverged_at = np.zeros(len(filters), dtype=int)
     members = np.arange(len(filters))
@@ -300,17 +300,15 @@ def tikhonov_runs(data, filters, z0, inputs, limit, read):
     fq = filters * (z0 @ U_z + driven[0])
     for k in range(n_steps):
         zq = (fq[:, None, :] @ shared)[:, 0]
-        # NaN fails the test too, and members are tested one by one only
-        # when the whole stack fails
-        if not np.abs(zq[:, :n_f]).max() <= limit:
-            within = np.all(np.abs(zq[:, :n_f]) <= limit, axis=1)
-            diverged_at[members[~within]] = k + 1
-            members, zq, filters = members[within], zq[within], filters[within]
+        broken = diverged(zq, limit, slice(n_read))
+        if broken.any():
+            diverged_at[members[broken]] = k + 1
+            members, zq, filters = members[~broken], zq[~broken], filters[~broken]
             if members.size == 0:
                 break
             rows = members
-        states[rows, k + 1] = zq[:, read]
-        fq = filters * (zq[:, n_f:] + driven[k + 1])
+        states[rows, k + 1] = zq[:, :n_read]
+        fq = filters * (zq[:, n_read:] + driven[k + 1])
     return states, diverged_at
 
 
@@ -318,13 +316,13 @@ def tikhonov_objective(data, nonlinear, C, z0, inputs, limit, runs):
     """Alpha-search objective on ``data``: summed l2 output errors of the
     discrete-time LTI fits of the filter rows it is handed.
 
-    One call simulates its candidates together (:func:`tikhonov_runs`),
-    recording only the lifted coordinates that C reads. Each candidate's
-    run is recorded in ``runs`` under its alpha, as a dict of its
-    ``outputs`` C z_k (NaN from its divergence step on), its per-state
-    ``l2`` errors against ``nonlinear`` (None when it diverged, cost inf)
-    and its divergence step ``diverged_at`` (0 when it did not), so the
-    chosen fit's run is reported without simulating it again.
+    One call simulates its candidates together (:func:`tikhonov_runs`) on
+    the lifted coordinates that C reads, the state. Each candidate's run is
+    recorded in ``runs`` under its alpha, as a dict of its ``outputs`` C z_k
+    (NaN from its divergence step on), its per-state ``l2`` errors against
+    ``nonlinear`` (None when it diverged, cost inf) and its divergence step
+    ``diverged_at`` (0 when it did not), so the chosen fit's run is
+    reported without simulating it again.
     """
     read = np.flatnonzero(np.any(C, axis=0))
     C_read = C[:, read]

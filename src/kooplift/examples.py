@@ -17,7 +17,6 @@ Both are exactly liftable with the dictionary [x1, x2, x1^2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from .dictionaries import Monomial, ObservableDictionary
 from .polynomials import PolynomialMap
@@ -40,7 +39,6 @@ class SystemBundle:
     dictionary: ObservableDictionary
     state_box: DomainBox
     input_box: DomainBox
-    coefficients: Dict[str, float]
 
     @property
     def n_x(self) -> int:
@@ -95,7 +93,6 @@ def ct_example(coef_mu: float = -0.05, coef_lam: float = -1.0) -> SystemBundle:
         dictionary=_default_dictionary(),
         state_box=state_box,
         input_box=input_box,
-        coefficients={"coef_mu": coef_mu, "coef_lam": coef_lam},
     )
 
 
@@ -121,7 +118,6 @@ def dt_example(a1: float = 0.7, a2: float = 0.7, a3: float = 0.5) -> SystemBundl
         dictionary=_default_dictionary(),
         state_box=state_box,
         input_box=input_box,
-        coefficients={"a1": a1, "a2": a2, "a3": a3},
     )
 
 

@@ -18,10 +18,10 @@ same order:
 - the products ``A z`` and ``B u`` are summed left to right over every
   entry, zeros included, so a zero entry still turns an infinite factor
   into NaN;
-- the stages are combined as ``_rk4`` combines them, and the divergence
-  check runs inline, handing the state to ``check`` whenever a coordinate
-  is not within the limit, so the numpy check decides with the same step
-  and message.
+- the stages are combined as ``_rk4`` combines them, and an inline
+  prefilter hands the state to ``check`` whenever a coordinate is not
+  within the (finite) limit, so the numpy rule,
+  :func:`kooplift.sim.diverged`, decides with the same step and message.
 
 The input part is data, so nothing in a step calls back into Python code
 of the library:

@@ -145,19 +145,20 @@ class ErrorReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_state(
-    x: np.ndarray, step: int, limit: float, label: str, selector=None
-) -> None:
-    # NaN fails the comparison too, so one check covers overflow and NaN
-    if np.abs(x).max() <= limit:
-        return
-    # with a selector only x[selector] is held to the limit; the other
-    # coordinates need only stay finite
-    if (
-        selector is None
-        or not np.all(np.isfinite(x))
-        or not np.all(np.abs(x[selector]) <= limit)
-    ):
+def diverged(values: np.ndarray, limit: float, selector=None) -> np.ndarray:
+    """One flag per state of ``values`` (a state, or a stack of them by row):
+    whether a coordinate in ``selector`` (every one for None) is above
+    ``limit`` or any coordinate is not finite. The one divergence rule."""
+    magnitudes = np.abs(values)
+    # NaN fails the comparison, so within a finite limit all is finite
+    if magnitudes.max() <= limit < np.inf:
+        return np.zeros(magnitudes.shape[:-1], dtype=bool)
+    held = magnitudes if selector is None else magnitudes[..., selector]
+    return np.any(held > limit, axis=-1) | ~np.all(np.isfinite(magnitudes), axis=-1)
+
+
+def _check_state(x: np.ndarray, step: int, limit: float, label: str, selector=None) -> None:
+    if diverged(x, limit, selector):
         raise DivergenceError(
             f"simulation {label!r} diverged at step {step} "
             f"(|state| exceeded {limit:g} or became non-finite)",
@@ -251,7 +252,8 @@ def _kernel_rk4(kernel, x0, ts, inputs, n_steps, divergence_limit, label, select
         memoryview(np.ascontiguousarray(inputs).reshape(-1)),
         n_steps,
         float(ts),
-        float(divergence_limit),
+        # a finite prefilter hands every non-finite state on to the check
+        min(float(divergence_limit), np.finfo(float).max),
         check,
     )
     return states
@@ -449,8 +451,8 @@ def simulate_lpv(
 
     Returns (lifted trajectory, output trajectory); the output trajectory
     gathers the identity observables, i.e. x = C z. The divergence limit
-    applies to those state coordinates: higher-degree observables of a
-    bounded state may exceed it, so they need only stay finite.
+    holds those state coordinates, as in every lifted run: higher-degree
+    observables of a bounded state may exceed it and need only stay finite.
     """
     if z0 is None:
         if x0 is None:
@@ -480,7 +482,8 @@ def simulate_lti(
     divergence_limit: float = DEFAULT_DIVERGENCE_LIMIT,
     label: str = "koopman_lti",
 ):
-    """Simulate an LTI lifted model; returns (lifted, output) trajectories."""
+    """Simulate an LTI lifted model; returns (lifted, output) trajectories.
+    As in every lifted run, the divergence limit holds the state (what C reads)."""
     lifted = _simulate(
         model.time_domain,
         lti_step(model.A, model.B),
@@ -489,6 +492,7 @@ def simulate_lti(
         ts,
         divergence_limit,
         label,
+        state_selector=np.flatnonzero(np.any(model.C, axis=0)),
     )
     output = lifted.with_states(lifted.states @ model.C.T, label=f"{label}_output")
     return lifted, output

@@ -44,3 +44,26 @@ def test_one_workload_pass_passes_its_checks(tmp_path, capsys, name):
         if found:
             failures[op.name] = found
     assert failures == {}
+
+
+def test_traced_operations_record_the_layer_spans(tmp_path):
+    # a call moved out of the binding the tracer wraps would zero a
+    # per-layer metric without showing up under missing
+    workloads = _load("workloads")
+    sweep = workloads.WORKLOADS["dt-degree-sweep"](kooplift, workloads.DEFAULT_SEED, tmp_path)
+    lift = workloads.WORKLOADS["dt-lift-scale"](kooplift, workloads.DEFAULT_SEED, tmp_path)
+    bounds = next(op for op in lift.operations if op.name.startswith("bounds-"))
+    tracer = _load("spans").Tracer(kooplift)
+    tracer.install()
+    try:
+        for op in (sweep.operations[0], bounds):
+            op.call()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    spans = [(span["name"], span.get("label")) for span in tracer.spans]
+    assert ("edmd.alpha_grid_search", None) in spans
+    assert ("sim.dt_simulate", "approx-lti") in spans
+    metrics = tracer.metrics()
+    assert metrics["edmd.alpha_search_s"] > 0
+    assert metrics["sim.dt_lti_us_per_step"] > 0

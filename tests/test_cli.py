@@ -93,20 +93,21 @@ def _assert_l2_close(l2, reference, states, tol):
 
 
 def _extended_run(data, alpha, C, z0, inputs):
-    """(largest |z_k|, outputs) of the fit of ``alpha`` simulated in
-    np.longdouble: a reference for both float64 roundings of it."""
+    """(largest |x_k|, outputs x_k = C z_k) of the fit of ``alpha``
+    simulated in np.longdouble: a reference for both float64 roundings of
+    it."""
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("np.longdouble carries no extra precision here")
     U_Y, _, W = (np.asarray(M, dtype=np.longdouble) for M in data.tikhonov_svd())
     f = edmd._filters(data, np.array([alpha]))[0].astype(np.longdouble)
     fit = (W * f) @ U_Y.T
     A, B = fit[:, : data.n_f], fit[:, data.n_f :]
-    z, largest, outputs = np.asarray(z0, dtype=np.longdouble), 0.0, [C @ z0]
+    z, outputs = np.asarray(z0, dtype=np.longdouble), [C @ z0]
     for u in np.asarray(inputs[:-1], dtype=np.longdouble):
         z = A @ z + B @ u
-        largest = max(largest, float(np.max(np.abs(z))))
         outputs.append(C @ z)
-    return largest, np.array(outputs)
+    outputs = np.array(outputs)
+    return float(np.max(np.abs(outputs))), outputs
 
 
 def _assert_matches_the_fit(l2, explicit_l2, data, alpha, C, z0, inputs, states):
@@ -202,6 +203,23 @@ class TestLift:
         }
         path = _write_config(tmp_path, cfg)
         assert main(["lift", "--config", path]) == 2
+
+    def test_dictionary_exponent_past_int64_is_config_error(self, tmp_path, capsys):
+        # that was an OverflowError traceback (exit 1)
+        cfg = {
+            "system": "dt-example",
+            "dictionary": {"monomials": [[1, 0], [0, 1], [10**20, 0]]},
+        }
+        assert main(["lift", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "invalid dictionary specification" in capsys.readouterr().err
+
+    def test_system_exponent_past_int64_is_config_error(self, tmp_path, capsys):
+        # that was an OverflowError traceback (exit 1)
+        term = [{"exponents": [10**20], "coeff": 0.5}]
+        for key, value in (("f", [term]), ("input_columns", [[term]])):
+            cfg = {"system": dict(INLINE_1D, **{key: value}), "signals": {"kind": "zero"}}
+            assert main(["lift", "--config", _write_config(tmp_path, cfg)]) == 2
+            assert "invalid 'system.f' or 'system.input_columns'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["lift", "simulate"])
     def test_dictionary_without_state_observables_is_config_error(
@@ -1083,6 +1101,40 @@ class TestEdmdCommand:
             float("inf"), float("inf"), 1
         ]
 
+    def test_a_search_whose_every_candidate_diverges_exits_3(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def diverge(data, filters, z0, inputs, limit, read):
+            states = np.full((len(filters), inputs.shape[0], len(read)), np.nan)
+            return states, np.ones(len(filters), dtype=int)
+
+        monkeypatch.setattr(edmd, "tikhonov_runs", diverge)
+        cfg = dict(DT_CFG, fits=[{"kind": "edmd_tikhonov", "alpha": "search"}])
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "all 37 alphas of the search diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_degree_sweep_criterion_holds_at_more_seeds(self, seed):
+        # the four clauses of acceptance criterion 7 at two seeds besides
+        # the default at which they hold: no fit within 1e6x of the exact
+        # model, an alpha = 0 row flagged diverged, alpha = 0 errors that do
+        # not fall monotonically in the degree, and both baselines emitted
+        gap_ok, any_diverged, non_monotone, baselines_present = True, False, False, True
+        for _, _, cfg in preset_runs("degree-sweep"):
+            result = run_edmd(dict(cfg, seed=seed))
+            exact_l2_e2 = result["base"]["reports"]["koopman_lpv"].l2[1]
+            for degree, alpha, l2_e1, l2_e2, diverged in result["sweep_rows"]:
+                if diverged:
+                    any_diverged = any_diverged or alpha == 0.0
+                elif l2_e2 <= 1e6 * exact_l2_e2:
+                    gap_ok = False
+            finite = [r[3] for r in result["sweep_rows"] if r[1] == 0.0 and not r[4]]
+            if len(finite) > 2 and not all(b < a for a, b in zip(finite, finite[1:])):
+                non_monotone = True
+            methods = {row[0] for row in result["baseline_rows"]}
+            baselines_present = baselines_present and {"exact_lpv", "edmdc_exact_A"} <= methods
+        assert (gap_ok, any_diverged, non_monotone, baselines_present) == (True,) * 4
+
     def test_alpha_objective_simulates_the_fit_it_receives(self):
         # a zero filter's fit outputs x0 and then zeros; a refit at the
         # handed alpha would not. The second candidate, 1e7 times the
@@ -1110,15 +1162,20 @@ class TestEdmdCommand:
         assert reports[0.7]["l2"] is None and costs[1] == np.inf
 
     def test_tikhonov_search_matches_a_per_alpha_reference(self, monkeypatch):
-        # weighted-degree-12 dictionary (n_f = 48): 6 of the 37 candidates
-        # diverge, so the reference takes its DivergenceError branch too;
-        # the fits below alpha = 10 are unstable, and there the explicit
-        # run's rounding grows past the fits' tolerance
+        # weighted-degree-12 dictionary (n_f = 48) under a 1e6 limit: the
+        # fits below alpha = 1e-8 carry the state past it, so the reference
+        # (simulate_lti, which holds the state coordinates) takes its
+        # DivergenceError branch too, and fits that keep the state within
+        # it carry higher observables past it; the fits below alpha = 10
+        # are unstable, and there the explicit run's rounding grows past
+        # the fits' tolerance
         monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
+        limit = 1e6
         cfg = dict(
             DT_CFG,
             dictionary={"monomials": monomials},
             fits=[{"kind": "edmd_tikhonov"}],
+            divergence_limit=limit,
         )
         searches = []
         search = cli.alpha_grid_search
@@ -1136,22 +1193,23 @@ class TestEdmdCommand:
         z0 = dictionary.evaluate(resolve_config(cfg)["x0"])
         inputs = result["inputs"]
         costs = {row["alpha"]: row["cost"] for row in searches[0].costs}
-        best_alpha, best_cost, diverged = None, np.inf, 0
+        best_alpha, best_cost, diverged, past_limit = None, np.inf, 0, 0
         for alpha in default_alpha_grid():
             lti = make_lti(*edmd_tikhonov(data, alpha), C)
             try:
-                _, output = simulate_lti(lti, z0, inputs)
+                lifted, output = simulate_lti(lti, z0, inputs, divergence_limit=limit)
             except DivergenceError:
                 diverged += 1
                 assert costs[alpha] == np.inf
                 continue
+            past_limit += np.abs(lifted.states).max() > limit
             l2 = error_metrics(nonlinear, output).l2
             _assert_matches_the_fit(
                 costs[alpha], l2, data, alpha, C, z0, inputs, nonlinear.states
             )
             if costs[alpha] < best_cost:
                 best_alpha, best_cost = alpha, costs[alpha]
-        assert diverged == 6
+        assert diverged > 0 and past_limit > 0
         assert searches[0].best_alpha == best_alpha
         fitted = result["fitted"]["koopman_lti_tikhonov"]
         A_ref, B_ref = edmd_tikhonov(data, best_alpha)
@@ -1167,13 +1225,14 @@ class TestEdmdCommand:
         self, monkeypatch, excitation, degree
     ):
         # the sweep's search, which simulates one alpha per distinct filter,
-        # against edmd_tikhonov and dt_simulate for every alpha. The
-        # multisine run has 12, 6 and 3 distinct alpha > 0 filters at
-        # degrees 14-16 and one at 17-20; white noise keeps all 36. At
-        # degrees 14-16 the multisine snapshots reach 1e29-1e33, and the
-        # explicit product A z loses the fits below the divergence limit:
-        # it diverges for every alpha > 0 at 14 and 15 and for 1e20 at 16,
-        # while the search's run, like a np.longdouble run, stays finite.
+        # against edmd_tikhonov and dt_simulate for every alpha, both
+        # holding the state coordinates to the limit. The multisine run has
+        # 12, 6 and 3 distinct alpha > 0 filters at degrees 14-16 and one
+        # at 17-20; white noise keeps all 36. At degrees 14-16 the
+        # multisine snapshots reach 1e29-1e33, and the explicit product A z
+        # loses the fits: at 14 its state passes the limit by step 58-66
+        # for every alpha > 0, while the search's run, like a np.longdouble
+        # run, keeps the state within 1.
         cfg = {label: cfg for label, _, cfg in preset_runs("degree-sweep")}[excitation]
         base = run_simulate(cfg)
         nonlinear, inputs = base["trajectories"]["nonlinear"], base["inputs"]
@@ -1214,7 +1273,13 @@ class TestEdmdCommand:
                 best = (alpha, cost)
             A, B = edmd_tikhonov(data, alpha)
             try:
-                run = dt_simulate(lti_step(A, B), z0, inputs, divergence_limit=limit)
+                run = dt_simulate(
+                    lti_step(A, B),
+                    z0,
+                    inputs,
+                    divergence_limit=limit,
+                    state_selector=list(dictionary.state_selector),
+                )
             except DivergenceError:
                 if l2 is not None:
                     kept_finite.append(alpha)
@@ -1227,8 +1292,7 @@ class TestEdmdCommand:
             )
         assert result == AlphaSearchResult(best_alpha=best[0], costs=rows)
 
-        expected_kept = {("multisine", 14): grid[1:], ("multisine", 15): grid[1:]}
-        expected_kept[("multisine", 16)] = grid[-1:]
+        expected_kept = {("multisine", 14): grid[1:]}
         assert kept_finite == list(expected_kept.get((excitation, degree), []))
         for alpha in {max(a for a in seen if a <= alpha) for alpha in kept_finite}:
             largest, outputs = _extended_run(data, alpha, C, z0, inputs)
@@ -1285,8 +1349,9 @@ class TestEdmdCommand:
     def test_fixed_alpha_fits_report_their_one_member_run(self, tmp_path, monkeypatch, capsys):
         # edmd_full (alpha = 0) and a fixed alpha report the run of their
         # one-member tikhonov_runs stack, and only edmdc runs simulate_lti;
-        # on the weighted-degree-12 dictionary alpha = 1e-12 diverges, and
-        # is listed and printed at its recurrence step
+        # on the weighted-degree-12 dictionary under a 1e6 limit alpha =
+        # 1e-12 carries the state past the limit, and is listed and printed
+        # at the step at which simulate_lti of its fit diverges
         monomials = [[a, b] for b in range(7) for a in range(13 - 2 * b) if a + b]
         simulated = []
         simulate = cli.simulate_lti
@@ -1303,20 +1368,21 @@ class TestEdmdCommand:
         ]
         result = run_simulate(dict(DT_CFG, dictionary={"monomials": monomials}, fits=fits))
         assert simulated == ["lti-edmdc"]
+        monkeypatch.undo()
         nonlinear, dictionary = result["trajectories"]["nonlinear"], result["dictionary"]
         data = build_snapshots(nonlinear, dictionary)
         z0 = dictionary.evaluate(nonlinear.states[0])
         limit = resolve_config(DT_CFG)["divergence_limit"]
 
-        def one_member(alpha):
+        def one_member(alpha, limit):
             states, diverged_at = edmd.tikhonov_runs(
                 data, edmd._filters(data, np.array([alpha])), z0, result["inputs"],
-                limit, np.arange(data.n_f),
+                limit, np.array(dictionary.state_selector),
             )
-            return states[0][:, list(dictionary.state_selector)], int(diverged_at[0])
+            return states[0], int(diverged_at[0])
 
         for label, alpha in (("koopman_lti_edmd", 0.0), ("koopman_lti_tikhonov", 1e-3)):
-            outputs, step = one_member(alpha)
+            outputs, step = one_member(alpha, limit)
             assert step == 0
             np.testing.assert_array_equal(result["trajectories"][label].states, outputs)
             expected = error_metrics(nonlinear, nonlinear.with_states(outputs, label=label))
@@ -1326,17 +1392,23 @@ class TestEdmdCommand:
             assert result["fitted"][label].A.tobytes() == A.tobytes()
             assert result["fitted"][label].B.tobytes() == B.tobytes()
 
-        _, step = one_member(1e-12)
-        assert step > 0
+        lti = make_lti(*edmd_tikhonov(data, 1e-12), output_matrix(dictionary))
+        with pytest.raises(DivergenceError) as exc:
+            simulate_lti(lti, z0, result["inputs"], divergence_limit=1e6)
+        assert one_member(1e-12, 1e6)[1] == exc.value.step > 0
         cfg = dict(
             DT_CFG,
             dictionary={"monomials": monomials},
             fits=[{"kind": "edmd_tikhonov", "alpha": 1e-12}],
+            divergence_limit=1e6,
         )
         out = tmp_path / "diverged"
         capsys.readouterr()
         assert main(["simulate", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        assert f"koopman_lti_tikhonov: diverged at step {step}\n" in capsys.readouterr().out
+        assert (
+            f"koopman_lti_tikhonov: diverged at step {exc.value.step}\n"
+            in capsys.readouterr().out
+        )
         doc = json.loads((out / "errors.json").read_text())
         assert doc["diverged"] == ["koopman_lti_tikhonov"]
         assert [model["label"] for model in doc["models"]] == ["koopman_lpv"]

@@ -26,7 +26,8 @@ from kooplift import (
     simulate_nonlinear,
     white_noise,
 )
-from kooplift import systems
+from kooplift import sim, systems
+from kooplift.bounds import error_trajectory
 from kooplift.edmd import SnapshotData, _filters, tikhonov_runs
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
@@ -36,7 +37,7 @@ from kooplift.kernels import lpv_kernel, nonlinear_kernel
 from kooplift.lpv import lifted_step, lti_step, make_lti
 from kooplift.polynomials import PolynomialMap
 from kooplift.sim import multisine_frequencies
-from kooplift.systems import CONTINUOUS, control_affine_decomposition
+from kooplift.systems import CONTINUOUS, DISCRETE, control_affine_decomposition
 from test_lifting import _ct_exponential
 
 
@@ -179,6 +180,26 @@ def _fit_of(data, f):
     return fit[:, : data.n_f], fit[:, data.n_f :]
 
 
+def _state_rows_run(data, f, z0, inputs, limit, read):
+    """(recorded z[read], divergence step) of the fit of the filter row f,
+    stepped as the alpha search's recurrence steps one member: the ``read``
+    rows of W beside K in one (1, r) product, those rows held to ``limit``
+    and q needed finite."""
+    U_Y, _, W = data.tikhonov_svd()
+    U_z = U_Y[: data.n_f]
+    shared = np.hstack([W[read].T, W.T @ U_z])
+    driven = inputs @ U_Y[data.n_f :]
+    fq = f * (z0 @ U_z + driven[0])
+    recorded = [z0[read]]
+    for k in range(1, len(inputs)):
+        zq = (fq[None, None, :] @ shared)[0, 0]
+        if np.any(np.abs(zq[: len(read)]) > limit) or not np.all(np.isfinite(zq)):
+            return np.array(recorded), k
+        recorded.append(zq[: len(read)])
+        fq = f * (zq[len(read) :] + driven[k])
+    return np.array(recorded), 0
+
+
 class TestLtiStack:
     """The alpha search's recurrence in SVD coordinates (edmd.tikhonov_runs)
     against dt_simulate(lti_step(A_m, B_m)) of each member's explicit fit."""
@@ -242,17 +263,28 @@ class TestLtiStack:
         assert len(set(diverged_at[diverged_at > 0])) >= 3
 
     def test_recorded_coordinates_are_those_of_the_full_record(self):
+        # the recurrence forms only the recorded rows of z, and holds them
+        # to the limit: each member against its own step-by-step run of the
+        # same products, whichever coordinates are recorded
         rng = np.random.default_rng(11)
         A = np.linalg.qr(rng.normal(size=(6, 6)))[0]
         data = _fitted(A, rng.normal(size=(6, 2)), rng)
         filters = np.linspace(0.6, 1.8, 12)[:, None] * _filters(data, np.zeros(1))
         z0 = rng.normal(size=6)
         inputs = rng.normal(size=(81, 2))
-        full, full_at = tikhonov_runs(data, filters, z0, inputs, 1e6, np.arange(6))
-        part, part_at = tikhonov_runs(data, filters, z0, inputs, 1e6, np.array([4, 1]))
-        assert part.shape == (12, 81, 2)
-        assert part.tobytes() == full[:, :, [4, 1]].tobytes()
-        assert part_at.tolist() == full_at.tolist()
+        steps = {}
+        for read in (np.arange(6), np.array([4, 1])):
+            states, diverged_at = tikhonov_runs(data, filters, z0, inputs, 1e6, read)
+            assert states.shape == (12, 81, len(read))
+            for m, f in enumerate(filters):
+                ref, step = _state_rows_run(data, f, z0, inputs, 1e6, read)
+                assert diverged_at[m] == step
+                assert states[m, : len(ref)].tobytes() == ref.tobytes()
+                assert np.isnan(states[m, len(ref) :]).all()
+            steps[len(read)] = diverged_at
+        # holding two coordinates stops no member sooner than holding all six
+        assert np.all((steps[2] == 0) | (steps[2] >= steps[6]) & (steps[6] > 0))
+        assert len(set(steps[2][steps[2] > 0])) >= 3
 
     def test_one_member_matches_simulate_lti(self):
         # the alpha = 0 fit of a stable system, against simulate_lti of that
@@ -270,6 +302,102 @@ class TestLtiStack:
         tol = 30 * np.finfo(float).eps * max(1.0, s[0] * f.max())
         assert np.abs(states[0] - lifted.states).max() <= tol * np.abs(lifted.states).max()
         assert diverged_at.tolist() == [0]
+
+
+def _scalar_lift(a):
+    """The exact lift of x+ = a x + u on the monomials x, x^2, ..., x^20."""
+    decomposition = control_affine_decomposition(
+        PolynomialMap(1, [{(1,): a}]), [PolynomialMap(1, [{(0,): 1.0}])], DISCRETE
+    )
+    return build_lifted_model(decomposition, monomial_dictionary(1, 20))
+
+
+def _exact_member(lti):
+    """Snapshots Y = I, whose alpha = 0 fit is [A B] of ``lti`` bit for bit,
+    and that fit's filter row."""
+    n = lti.n_f + lti.n_u
+    data = SnapshotData(
+        Z=np.eye(n)[: lti.n_f], Zp=np.hstack([lti.A, lti.B]), U=np.eye(n)[lti.n_f :]
+    )
+    f = _filters(data, np.zeros(1))
+    A, B = _fit_of(data, f[0])
+    assert A.tobytes() == lti.A.tobytes() and B.tobytes() == lti.B.tobytes()
+    return data, f
+
+
+class TestOneDivergenceRule:
+    """Every lifted run holds its state coordinates to the divergence limit
+    and needs the others finite: the exact LPV run, simulate_lti, the
+    approximate run of error_trajectory and the alpha search's recurrence.
+    On x+ = a x + u under zero inputs the lift of x^j grows as a^(j k)."""
+
+    inputs = np.zeros((31, 1))
+
+    def _lti(self, lifted):
+        return make_lti(lifted.A, np.eye(lifted.n_f)[:, :1], lifted.C)
+
+    def test_large_observables_of_a_bounded_state_survive(self):
+        # x = 5 stays put while x^20 = 5^20 ~ 9.5e13 sits past 1e12
+        lifted = _scalar_lift(1.0)
+        lti = self._lti(lifted)
+        z0 = lifted.dictionary.evaluate(np.array([5.0]))
+        assert z0[0] == 5.0 and z0[-1] > 1e12
+        exact, _ = simulate_lpv(lifted, z0=z0, inputs=self.inputs)
+        assert np.all(exact.states == z0)
+        lifted_lti, output = simulate_lti(lti, z0, self.inputs)
+        assert np.all(lifted_lti.states == z0) and np.all(output.states == 5.0)
+        evolution = error_trajectory(lifted, lti, exact)
+        assert np.all(evolution.norms == 0.0)
+        data, f = _exact_member(lti)
+        states, diverged_at = tikhonov_runs(data, f, z0, self.inputs, 1e12, np.array([0]))
+        assert diverged_at.tolist() == [0] and np.all(states == 5.0)
+        # holding every lifted coordinate would have stopped each run at once
+        _, held_all = tikhonov_runs(data, f, z0, self.inputs, 1e12, np.arange(20))
+        assert held_all.tolist() == [1]
+        with pytest.raises(DivergenceError) as exc:
+            dt_simulate(lti_step(lti.A, lti.B), z0, self.inputs)
+        assert exc.value.step == 1
+
+    def test_a_state_past_the_limit_diverges_at_the_same_step(self):
+        # x_k = 4^k passes 1e12 at k = 20, where x^20 = 4^400 is finite
+        lifted = _scalar_lift(4.0)
+        lti = self._lti(lifted)
+        z0 = lifted.dictionary.evaluate(np.array([1.0]))
+        steps = []
+        for run in (
+            lambda: simulate_lpv(lifted, z0=z0, inputs=self.inputs),
+            lambda: simulate_lti(lti, z0, self.inputs),
+        ):
+            with pytest.raises(DivergenceError) as exc:
+                run()
+            steps.append(exc.value.step)
+        # the approximate run from the exact run of x+ = x + u, which stays
+        # at x = 1
+        steady = _scalar_lift(1.0)
+        exact, _ = simulate_lpv(steady, z0=z0, inputs=self.inputs)
+        with pytest.raises(DivergenceError) as exc:
+            error_trajectory(steady, lti, exact)
+        steps.append(exc.value.step)
+        data, f = _exact_member(lti)
+        _, diverged_at = tikhonov_runs(data, f, z0, self.inputs, 1e12, np.array([0]))
+        steps.append(int(diverged_at[0]))
+        assert steps == [20] * 4
+        assert 4.0**19 <= 1e12 < 4.0**20
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_an_infinite_state_diverges_under_an_infinite_limit(self, monkeypatch, path):
+        # dx/dt = 1e300 x from 1e10 overflows to inf, not NaN, in the first
+        # step; the kernel's prefilter hands it on although inf <= inf
+        if path == "numpy":
+            monkeypatch.setattr(sim, "nonlinear_kernel", lambda decomposition: None)
+        decomposition = control_affine_decomposition(
+            PolynomialMap(1, [{(1,): 1e300}]), [PolynomialMap(1, [{(0,): 1.0}])], CONTINUOUS
+        )
+        with pytest.raises(DivergenceError) as exc:
+            simulate_nonlinear(
+                decomposition, [1e10], np.zeros((3, 1)), ts=1e-3, divergence_limit=np.inf
+            )
+        assert exc.value.step == 1
 
 
 class TestMultisine:
