@@ -268,6 +268,11 @@ def alpha_grid_search(
     return AlphaSearchResult(best_alpha=best_alpha, costs=rows)
 
 
+# steps of the Tikhonov recurrence between two applications of the
+# divergence rule; a block of 37 members 102 wide is 242 KB
+BLOCK_STEPS = 8
+
+
 def tikhonov_runs(data, filters, z0, inputs, limit, read):
     """Simulate the Tikhonov fits [A_m B_m] = W diag(f_m) U_Y^T of the
     filter rows f_m of ``filters`` in the coordinates of the snapshot SVD.
@@ -285,6 +290,13 @@ def tikhonov_runs(data, filters, z0, inputs, limit, read):
     must stay finite. Returns ``(states, diverged_at)``: the state,
     (M, n_steps + 1, len(read)), NaN from a member's divergence step on,
     and the (M,) divergence steps, 0 for a member that never diverged.
+
+    The stack steps ``BLOCK_STEPS`` steps at a time with no bookkeeping,
+    and the divergence rule is applied once to the whole block: a member
+    diverges at its first broken step in it, and only then leaves the
+    stack. Until the block ends, such a member steps on through its own
+    inf or NaN; since its product is its own, that reaches no neighbour,
+    and every member keeps the bits of a run checked step by step.
     """
     U_Y, _, W = data.tikhonov_svd()
     n_f, n_read = data.n_f, len(read)
@@ -298,17 +310,28 @@ def tikhonov_runs(data, filters, z0, inputs, limit, read):
     members = np.arange(len(filters))
     rows = slice(None)  # the rows of ``states`` the stack still fills
     fq = filters * (z0 @ U_z + driven[0])
-    for k in range(n_steps):
-        zq = (fq[:, None, :] @ shared)[:, 0]
-        broken = diverged(zq, limit, slice(n_read))
-        if broken.any():
-            diverged_at[members[broken]] = k + 1
-            members, zq, filters = members[~broken], zq[~broken], filters[~broken]
+    # row j of a block: each member's [z[read], q] at step k + 1 + j
+    buffer = np.empty((min(BLOCK_STEPS, n_steps), len(filters), 1, shared.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n_steps, BLOCK_STEPS):
+            block = buffer[: min(BLOCK_STEPS, n_steps - k), : members.size]
+            stack = fq[:, None, :]  # fq is updated in place within a block
+            for zq, q, u in zip(block, block[:, :, 0, n_read:], driven[k + 1 :]):
+                np.matmul(stack, shared, out=zq)
+                np.add(q, u, out=fq)
+                fq *= filters
+            states[rows, k + 1 : k + 1 + len(block)] = block[:, :, 0, :n_read].swapaxes(0, 1)
+            broken = diverged(block[:, :, 0], limit, slice(n_read))
+            if not broken.any():
+                continue
+            hit = broken.any(axis=0)
+            for m, first in zip(members[hit], broken.argmax(axis=0)[hit] + k + 1):
+                diverged_at[m] = first
+                states[m, first:] = np.nan
+            members, filters, fq = members[~hit], filters[~hit], fq[~hit]
             if members.size == 0:
                 break
             rows = members
-        states[rows, k + 1] = zq[:, :n_read]
-        fq = filters * (zq[:, n_read:] + driven[k + 1])
     return states, diverged_at
 
 

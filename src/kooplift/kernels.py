@@ -21,7 +21,11 @@ same order:
 - the stages are combined as ``_rk4`` combines them, and an inline
   prefilter hands the state to ``check`` whenever a coordinate is not
   within the (finite) limit, so the numpy rule,
-  :func:`kooplift.sim.diverged`, decides with the same step and message.
+  :func:`kooplift.sim.diverged`, decides with the same step and message;
+- a power ``x ** e`` past the float range raises ``OverflowError`` where
+  the numpy path's power (:func:`kooplift.polynomials.power`) gives a
+  signed inf, which turns that step's state non-finite; the kernel catches
+  it and hands ``check`` an infinite state at that step.
 
 The input part is data, so nothing in a step calls back into Python code
 of the library:
@@ -213,12 +217,17 @@ def _build(n, n_u, step, stage) -> Kernel:
         *(f"    {xi} = rec[{j}]" for j, xi in enumerate(x)),
         "    i = 0",
         "    for k in range(n_steps):",
-        *(f"        {line}" for line in body),
+        "        try:",
+        *(f"            {line}" for line in body),
+        # a power past the float range, where numpy's gives inf and the
+        # numpy path's state turns non-finite in this step
+        "        except OverflowError:",
+        f"            check(k + 1, (inf,) * {n})",
     ]
     source = "\n".join(lines) + "\n"
     code = _CODE.get(source)
     if code is None:
         code = _CODE[source] = compile(source, "<kooplift.kernels>", "exec")
-    namespace = {"expm1": expm1}
+    namespace = {"expm1": expm1, "inf": math.inf}
     exec(code, namespace)
     return Kernel(namespace["rk4"], n, n_u)

@@ -55,11 +55,14 @@ terms gives the loop's bits; that is also why ``n_out`` is padded to 2 (see
 ``float(x_i) ** e`` and ``evaluate_batch`` with numpy's ``pts[:, i] ** e``.
 These two power functions can differ in the last bit, so ``evaluate`` and
 ``evaluate_batch`` agree only to rounding, while each matches its own loop
-exactly.
+exactly. Where Python's power overflows it raises; ``evaluate`` takes the
+signed inf numpy's power gives instead (:func:`power`), so a run whose
+state grows past the float range diverges rather than failing.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -69,6 +72,16 @@ from .errors import DimensionError
 
 Exponents = Tuple[int, ...]
 TermDict = Dict[Exponents, float]
+
+
+def power(x: float, e: int) -> float:
+    """``x ** e`` of a Python float, or the signed inf of numpy's power
+    where Python's overflows and raises; a finite power keeps its bits."""
+    try:
+        return x ** e
+    except OverflowError:
+        return -math.inf if x < 0 and e % 2 else math.inf
+
 
 # Maps with at least this many terms are evaluated at a single point by the
 # array kernel, smaller ones by a loop over term tuples. On 4-row, 3-variable
@@ -368,11 +381,12 @@ class _Kernel:
         return sums[..., : self.n_out] + 0.0
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
-        return self._sum_terms(
-            np.array(
-                [xi ** e for xi, m in zip(map(float, x), self.max_exp) for e in range(m + 1)]
-            )
-        )
+        x = tuple(map(float, x))
+        try:
+            table = [xi ** e for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
+        except OverflowError:
+            table = [power(xi, e) for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
+        return self._sum_terms(np.array(table))
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty((pts.shape[0], self.n_out))
@@ -459,7 +473,10 @@ class PolynomialMap:
             for coeff, nz in terms:
                 v = coeff
                 for i, e in nz:
-                    v *= float(x[i]) ** e
+                    try:
+                        v *= float(x[i]) ** e
+                    except OverflowError:
+                        v *= power(float(x[i]), e)
                 acc += v
             out[r] = acc
         return out

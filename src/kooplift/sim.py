@@ -146,9 +146,13 @@ class ErrorReport:
 
 
 def diverged(values: np.ndarray, limit: float, selector=None) -> np.ndarray:
-    """One flag per state of ``values`` (a state, or a stack of them by row):
-    whether a coordinate in ``selector`` (every one for None) is above
-    ``limit`` or any coordinate is not finite. The one divergence rule."""
+    """One flag per state of ``values``: whether a coordinate in
+    ``selector`` (every one for None) is above ``limit`` or any coordinate
+    is not finite. The one divergence rule.
+
+    ``values`` is a state or a stack of states of any leading shape, each
+    state along the last axis: a ``(b, M, n)`` block of ``b`` steps of
+    ``M`` runs gives ``(b, M)`` flags, each that of its own state."""
     magnitudes = np.abs(values)
     # NaN fails the comparison, so within a finite limit all is finite
     if magnitudes.max() <= limit < np.inf:

@@ -301,6 +301,26 @@ class TestSimulate:
         assert main(["simulate", "--config", path]) == 3
         assert "'nonlinear' diverged at step 1" in capsys.readouterr().err
 
+    def test_overflowing_dt_power_exits_3(self, tmp_path, capsys):
+        # x1^2 at 1e200 is past the float range: Python's power raised an
+        # OverflowError (exit 1), where numpy's gives inf, a diverged state
+        cfg = {"system": "dt-example", "horizon_steps": 5, "x0": [1e200, 0.0],
+               "signals": [{"kind": "zero"}]}
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "'nonlinear' diverged at step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_overflowing_ct_power_exits_3(self, tmp_path, monkeypatch, capsys, path):
+        # the generated kernel's x ** e raised an OverflowError (exit 1); it
+        # now stops at the step at which the numpy path's state turns inf
+        if path == "numpy":
+            monkeypatch.setattr(sim, "nonlinear_kernel", lambda decomposition: None)
+            monkeypatch.setattr(sim, "lpv_kernel", lambda model: None)
+        cfg = {"system": "ct-example", "ts": 1e-3, "horizon_seconds": 0.01,
+               "x0": [1e200, 0.0], "signals": [{"kind": "zero"}] * 2}
+        assert main(["simulate", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "'nonlinear' diverged at step 1" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         path = _write_config(tmp_path, {"system": "dt-example"})
         assert main(["simulate", "--config", path]) == 2

@@ -141,6 +141,26 @@ class TestEvaluation:
                 X[0] = 0.0  # zero powers and signed-zero terms
                 _assert_matches_oracles(p, X)
 
+    @pytest.mark.parametrize("kernel", [False, True], ids=["term-loop", "kernel"])
+    def test_overflowing_power_gives_a_signed_inf(self, kernel):
+        # Python's float power raises past the float range; both single-point
+        # forms take numpy's signed inf instead, as evaluate_batch does, and
+        # a row that no overflow reaches keeps its bits
+        rows = [{(3, 0): 1.0}, {(2, 0): 2.0}, {(3, 0): 1.0, (2, 0): 1.0}, {(0, 1): 0.5}]
+        if kernel:
+            rows[3].update({(0, e): 1.0 / e for e in range(2, KERNEL_MIN_TERMS + 1)})
+        p = PolynomialMap(2, rows)
+        assert (p._terms is None) == kernel
+        x = np.array([-1e200, 0.75])
+        # numpy warns on the kernel's inf - inf, as on the batch form's; the
+        # runs hold both under np.errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = p.evaluate(x)
+            batch = p.evaluate_batch(x[None])[0]
+        assert values[0] == -np.inf and values[1] == np.inf and np.isnan(values[2])
+        _assert_bits_equal(values[:3], batch[:3])
+        _assert_bits_equal(values[3:], _naive_eval(p, [1.0, 0.75])[3:])
+
     def test_empty_rows_match_term_oracle(self):
         rng = np.random.default_rng(9)
         big = _map_with_terms(rng, 2, 3, 12, 2 * KERNEL_MIN_TERMS)

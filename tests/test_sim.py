@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kooplift import (
     Monomial,
@@ -28,7 +30,7 @@ from kooplift import (
 )
 from kooplift import sim, systems
 from kooplift.bounds import error_trajectory
-from kooplift.edmd import SnapshotData, _filters, tikhonov_runs
+from kooplift.edmd import BLOCK_STEPS, SnapshotData, _filters, tikhonov_runs
 from kooplift.cli import preset_runs
 from kooplift.config import resolve_config
 from kooplift.dictionaries import monomial_dictionary
@@ -302,6 +304,167 @@ class TestLtiStack:
         tol = 30 * np.finfo(float).eps * max(1.0, s[0] * f.max())
         assert np.abs(states[0] - lifted.states).max() <= tol * np.abs(lifted.states).max()
         assert diverged_at.tolist() == [0]
+
+
+def _per_step_runs(data, filters, z0, inputs, limit, read):
+    """tikhonov_runs as it ran before its block screen: the divergence rule
+    applied to the whole stack after every step, and a broken member
+    dropped at once."""
+    U_Y, _, W = data.tikhonov_svd()
+    n_f, n_read = data.n_f, len(read)
+    U_z = U_Y[:n_f]
+    shared = np.hstack([W[read].T, W.T @ U_z])
+    driven = inputs @ U_Y[n_f:]
+    n_steps = inputs.shape[0] - 1
+    states = np.full((len(filters), n_steps + 1, n_read), np.nan)
+    states[:, 0] = z0[read]
+    diverged_at = np.zeros(len(filters), dtype=int)
+    members = np.arange(len(filters))
+    rows = slice(None)
+    fq = filters * (z0 @ U_z + driven[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            zq = (fq[:, None, :] @ shared)[:, 0]
+            broken = sim.diverged(zq, limit, slice(n_read))
+            if broken.any():
+                diverged_at[members[broken]] = k + 1
+                members, zq, filters = members[~broken], zq[~broken], filters[~broken]
+                if members.size == 0:
+                    break
+                rows = members
+            states[rows, k + 1] = zq[:, :n_read]
+            fq = filters * (zq[:, n_read:] + driven[k + 1])
+    return states, diverged_at
+
+
+def _assert_screen_matches(data, filters, z0, inputs, limit, read):
+    """tikhonov_runs against the per-step loop, bit for bit; returns its
+    ``(states, diverged_at)``."""
+    states, diverged_at = tikhonov_runs(data, filters, z0, inputs, limit, read)
+    want_states, want_at = _per_step_runs(data, filters, z0, inputs, limit, read)
+    _assert_same_bits(states, want_states)
+    assert diverged_at.dtype == want_at.dtype
+    assert diverged_at.tolist() == want_at.tolist()
+    return states, diverged_at
+
+
+def _breaking_at(steps, n_steps):
+    """Snapshots of z+ = z + u and members growing from z0 = 1 under zero
+    inputs so that each passes the limit 1e12 first at its step of
+    ``steps`` (0: a member that decays and never does)."""
+    data = _fitted(np.eye(1), np.ones((1, 1)), np.random.default_rng(17))
+    growth = [10.0 ** (12.0 / (s - 0.5)) if s else 0.5 for s in steps]
+    filters = np.array(growth)[:, None] * _filters(data, np.zeros(1))
+    return data, filters, np.ones(1), np.zeros((n_steps + 1, 1))
+
+
+def _decades(low, high):
+    """10 ** e for e drawn from [low, high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _screen_cases(draw):
+    """Random snapshot data, filter rows, initial state, inputs, recorded
+    coordinates and limit for tikhonov_runs. Entries are multiples of 0.01,
+    so no singular value squares to 0; the members' scales and the limits
+    spread over decades, so members break at any step or not at all."""
+    n_f, n_u = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    n_cols = draw(st.integers(1, 8))
+
+    def matrix(rows, bound):
+        hundredths = st.integers(-bound, bound).map(lambda i: i / 100)
+        return draw(hnp.arrays(float, (rows, n_cols), elements=hundredths))
+
+    data = SnapshotData(Z=matrix(n_f, 400), Zp=matrix(n_f, 4000), U=matrix(n_u, 400))
+    n_members = draw(st.integers(1, 6))
+    alphas = st.one_of(st.just(0.0), _decades(-6, 2))
+    alphas = draw(st.lists(alphas, min_size=n_members, max_size=n_members))
+    scales = draw(st.lists(_decades(-2, 3), min_size=n_members, max_size=n_members))
+    n_steps = draw(st.integers(0, 3 * BLOCK_STEPS + 2))
+    z0 = draw(hnp.arrays(float, n_f, elements=st.floats(-10.0, 10.0)))
+    inputs = draw(hnp.arrays(float, (n_steps + 1, n_u), elements=st.floats(-10.0, 10.0)))
+    read = draw(st.lists(st.integers(0, n_f - 1), min_size=1, max_size=n_f, unique=True))
+    limit = draw(st.one_of(_decades(-2, 12), st.just(np.inf)))
+    filters = np.array(scales)[:, None] * _filters(data, np.array(alphas))
+    return data, filters, z0, inputs, limit, np.array(read)
+
+
+class TestBlockScreen:
+    """edmd.tikhonov_runs steps its stack BLOCK_STEPS steps at a time and
+    applies the divergence rule once per block: every member against the
+    per-step loop (_per_step_runs), bit for bit."""
+
+    def test_breaks_at_the_block_edges(self):
+        n_steps = 3 * BLOCK_STEPS + 5
+        steps = [1, BLOCK_STEPS, BLOCK_STEPS + 1, n_steps, 0]
+        data, filters, z0, inputs = _breaking_at(steps, n_steps)
+        _, diverged_at = _assert_screen_matches(data, filters, z0, inputs, 1e12, np.arange(1))
+        assert diverged_at.tolist() == steps
+
+    def test_every_member_broken_in_the_first_block(self):
+        n_steps = 3 * BLOCK_STEPS + 5
+        steps = [BLOCK_STEPS, 1, 2, BLOCK_STEPS - 1]
+        data, filters, z0, inputs = _breaking_at(steps, n_steps)
+        _, diverged_at = _assert_screen_matches(data, filters, z0, inputs, 1e12, np.arange(1))
+        assert diverged_at.tolist() == steps
+
+    @pytest.mark.parametrize(
+        "n_steps", [0, 1, 2, BLOCK_STEPS - 1, BLOCK_STEPS, 2 * BLOCK_STEPS + 3]
+    )
+    def test_short_and_ragged_runs(self, n_steps):
+        # members scaling an orthogonal A by radii 0.6..1.8, and members
+        # breaking at the last step and one step past it
+        rng = np.random.default_rng(11)
+        A = np.linalg.qr(rng.normal(size=(6, 6)))[0]
+        data = _fitted(A, rng.normal(size=(6, 2)), rng)
+        filters = np.linspace(0.6, 1.8, 12)[:, None] * _filters(data, np.zeros(1))
+        inputs = rng.normal(size=(n_steps + 1, 2))
+        z0 = rng.normal(size=6)
+        for limit in (1e6, 3.0, np.inf):
+            _assert_screen_matches(data, filters, z0, inputs, limit, np.array([4, 1]))
+        steps = [max(n_steps, 1), n_steps + 1]
+        _assert_screen_matches(*_breaking_at(steps, n_steps), 1e12, np.arange(1))
+
+    def test_a_member_whose_q_turns_inf_within_the_limit(self):
+        # z+ = diag(1, 1e100) z on exact snapshots, only z_1 recorded: q
+        # carries z_2 = 1e100^k, inf at step 4, while the state stays at 1;
+        # a member scaled by 1e-100 holds z_2 at 1 and never diverges
+        lti = make_lti(np.diag([1.0, 1e100]), np.zeros((2, 1)), np.eye(2)[:1])
+        data, f = _exact_member(lti)
+        filters = np.array([[1.0], [1e-100]]) * f
+        inputs = np.zeros((3 * BLOCK_STEPS, 1))
+        states, diverged_at = _assert_screen_matches(
+            data, filters, np.ones(2), inputs, 1e12, np.array([0])
+        )
+        assert diverged_at.tolist() == [4, 0]
+        assert np.all(states[0, :4] == 1.0) and np.isnan(states[0, 4:]).all()
+
+    @pytest.mark.parametrize(
+        "selector", [None, slice(2), np.array([3, 0])], ids=["all", "leading", "indices"]
+    )
+    def test_diverged_on_a_block_equals_the_per_state_calls(self, selector):
+        # (b, M, n) = (5, 7, 4) blocks against the limit 100: all within it
+        # (the fast path), then some coordinates past it or not finite
+        rng = np.random.default_rng(23)
+        for spread in (90.0, 150.0):
+            block = rng.uniform(-spread, spread, size=(5, 7, 4))
+            if spread > 100:
+                block[1, 2, 3] = np.nan
+                block[4, 0, 1] = -np.inf
+                block[2, 6] = np.inf
+            flags = sim.diverged(block, 100.0, selector)
+            assert flags.shape == (5, 7) and flags.dtype == bool
+            per_state = [[bool(sim.diverged(v, 100.0, selector)) for v in step] for step in block]
+            assert flags.tolist() == per_state
+            assert flags.any() == (spread > 100) and not flags.all()
+            stacked = sim.diverged(block.reshape(35, 4), 100.0, selector)
+            assert stacked.tolist() == flags.reshape(35).tolist()
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(_screen_cases())
+    def test_random_cases_match_the_per_step_loop(self, case):
+        _assert_screen_matches(*case)
 
 
 def _scalar_lift(a):
@@ -690,12 +853,14 @@ class TestKernels:
         # the input part is written into the code: apart from the builtins
         # of the loop and the limit test, the only global either kernel
         # calls is the feature helper; check, the divergence hook, is an
-        # argument
+        # argument. An overflowing power is caught, and hands check an
+        # infinite state
         bundle, model = ct_model
         for kernel in (nonlinear_kernel(bundle.decomposition), lpv_kernel(model)):
             code = kernel.run.__code__
-            assert set(code.co_names) == {"range", "abs", "expm1"}
+            assert set(code.co_names) == {"range", "abs", "expm1", "OverflowError", "inf"}
             assert kernel.run.__globals__["expm1"] is systems.expm1
+            assert kernel.run.__globals__["inf"] == math.inf
             assert "check" in code.co_varnames[: code.co_argcount]
 
     def test_kernel_does_not_call_the_numpy_pieces(self, ct_model):
@@ -782,6 +947,44 @@ class TestKernels:
         fast = simulate_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, ts=1e-2)
         slow = _plain_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, 1e-2)
         _assert_same_bits(fast.states, slow.states)
+
+    def test_overflowing_power_same_step_and_message(self):
+        # dx/dt = 0.5 x + x^30 u under u = 0, lifted on [x, x^2], whose B
+        # holds x^30 and 2 x^31: x grows from 2e9, well within the limit,
+        # until a power passes the float range. The kernel's x ** e raises
+        # there, and the numpy path's power gives inf, times u = 0 NaN: both
+        # stop at the same step
+        decomposition = control_affine_decomposition(
+            PolynomialMap(1, [{(1,): 0.5}]), [PolynomialMap(1, [{(30,): 1.0}])], CONTINUOUS
+        )
+        dictionary = monomial_dictionary(1, 2)
+        model = build_lifted_model(decomposition, dictionary)
+        assert nonlinear_kernel(decomposition) and lpv_kernel(model)
+        x0 = np.array([2e9])
+        z0 = dictionary.evaluate(x0)
+        inputs = np.zeros((40, 1))
+        pairs = [
+            (
+                lambda: simulate_nonlinear(decomposition, x0, inputs, 0.5, label="run"),
+                lambda: _plain_nonlinear(decomposition, x0, inputs, 0.5, label="run"),
+            ),
+            (
+                lambda: simulate_lpv(model, z0=z0, inputs=inputs, ts=0.5, label="run"),
+                lambda: _numpy_lpv(model, z0, inputs, 0.5, label="run"),
+            ),
+        ]
+        steps = []
+        for kernel_run, numpy_run in pairs:
+            raised = []
+            for run in (kernel_run, numpy_run):
+                with pytest.raises(DivergenceError) as exc:
+                    run()
+                raised.append((exc.value.step, str(exc.value)))
+            assert raised[0] == raised[1]
+            steps.append(raised[0][0])
+        # 2 x^31 passes the float range before x^30 does, both below 1e12
+        assert 1 < steps[1] < steps[0]
+        assert 2e9 * np.exp(0.5 * 0.5 * steps[0]) < 1e12
 
     def test_overflowing_input_same_step_and_message(self, ct_model):
         # expm1(u) overflows past u = 709.78: E_k and F_k are inf, and both
