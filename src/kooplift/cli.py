@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lifting import build_lifted_model
 from .lpv import make_lti, output_matrix
-from .serialize import write_csv, write_json, write_trajectory_csv
+from .serialize import distinct_cells, write_csv, write_json, write_trajectory_csv
 from .sim import (
     build_inputs,
     error_metrics,
@@ -89,9 +89,9 @@ def run_lift(cfg: dict, out_dir: Optional[str] = None) -> dict:
     lifted = _lift(c)
     print(f"lifted model for {c['system'].name!r} ({lifted.time_domain})")
     print(f"  dictionary: {lifted.n_f} observables, span residual {lifted.residual:.3e}")
-    row_format = "  A | " + "  ".join(["% .17g"] * lifted.n_f)
-    for row in lifted.A:
-        print(row_format % tuple(row.tolist()))
+    cells, n = distinct_cells(lifted.A, "% .17g".__mod__), lifted.n_f
+    for row in range(n):
+        print("  A | " + "  ".join(cells[row * n : (row + 1) * n]))
     result = {"lifted": lifted, "lpv": lifted}
     if out_dir:
         path = write_json(

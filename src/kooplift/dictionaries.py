@@ -89,7 +89,7 @@ class ObservableDictionary:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_x,):
             raise DimensionError(f"expected state of shape ({self.n_x},), got {x.shape}")
-        out = np.prod(x[None, :] ** self.exponents, axis=1)
+        out = self._monomials(x)
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             raise NumericEvaluationError(
@@ -106,7 +106,30 @@ class ObservableDictionary:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_x}), got {pts.shape}"
             )
-        return np.prod(pts[:, None, :] ** self.exponents[None, :, :], axis=2)
+        return self._monomials(pts)
+
+    @cached_property
+    def _power_columns(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Per variable, the exponents ``0..top`` of its power table and each
+        observable's exponent of it."""
+        return tuple(
+            (np.arange(int(column.max(initial=0)) + 1), np.ascontiguousarray(column))
+            for column in self.exponents.T
+        )
+
+    def _monomials(self, x: np.ndarray) -> np.ndarray:
+        """The observables at the point(s) ``x``, shape (..., n_x).
+
+        One power table ``x_i ** [0, 1, ..., top_i]`` per variable, numpy's
+        power over an exponent array as in ``x ** exponents``, and one gather
+        from it per observable. The factors are multiplied onto 1.0, which is
+        exact, in variable order, as ``np.prod`` over the variables multiplies
+        them.
+        """
+        out = np.ones(x.shape[:-1] + (self.n_f,))
+        for i, (powers, column) in enumerate(self._power_columns):
+            out *= np.take(x[..., i, None] ** powers, column, axis=-1)
+        return out
 
     def jacobian(self, x: Sequence[float]) -> np.ndarray:
         """Exact state-Jacobian at ``x``: shape (n_f, n_x)."""

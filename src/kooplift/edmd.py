@@ -43,6 +43,7 @@ from .sim import Trajectory, diverged
 log = logging.getLogger(__name__)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -202,11 +203,15 @@ def _filters(data: SnapshotData, alphas: np.ndarray) -> np.ndarray:
     of alpha = 0 is 0 wherever s <= sqrt((n_f + n_u) * eps) * s_max."""
     s = data.tikhonov_svd()[1]
     cutoff = np.sqrt((data.n_f + data.n_u) * _EPS) * s[:1]
-    denominators = s * s + alphas[:, None]
+    squares = s * s
+    denominators = squares + alphas[:, None]
+    # an alpha = 0 entry whose s^2 falls below the normal float range takes
+    # 1 / s: s / s^2 would lose digits there, or divide by zero
+    underflow = (s > cutoff) & (squares < _TINY) & (alphas[:, None] == 0)
     filters = np.zeros(denominators.shape)
-    return np.divide(
-        s, denominators, out=filters, where=(s > cutoff) | (alphas[:, None] > 0)
-    )
+    kept = ((s > cutoff) | (alphas[:, None] > 0)) & ~underflow
+    np.divide(s, denominators, out=filters, where=kept)
+    return np.divide(1.0, s, out=filters, where=underflow)
 
 
 @dataclass

@@ -318,7 +318,7 @@ class LiftedModel:
             "time_domain": self.time_domain,
             "n_f": self.n_f,
             "n_u": self.n_u,
-            "A": self.A.tolist(),
+            "A": self.A,
             "residual": float(self.residual),
             "exact": bool(self.exact),
             "dictionary": self.dictionary.describe(),
@@ -333,8 +333,8 @@ class LiftedModel:
             "scheduling": self.scheduling,
             "n_f": self.n_f,
             "n_u": self.n_u,
-            "A": self.A.tolist(),
-            "C": self.C.tolist(),
+            "A": self.A,
+            "C": self.C,
             "dictionary": self.dictionary.describe(),
         }
 

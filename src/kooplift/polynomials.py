@@ -32,32 +32,36 @@ it. The keys are compared field by field, so no packed integer key can
 overflow.
 
 Evaluation at many points goes through one array kernel, compiled once per
-map: per term, its coefficient ``c``, its gather indices into a power table
-``P[i, e] = x_i ** e`` and its slot in a zero-padded ``(width, n_pad)``
-layout, ``width`` being the longest row and ``n_pad = max(n_out, 2)``; term
-``j`` of row ``r`` sits in slot ``j * n_pad + r``. The term values
-``c * P[0, e_0] * P[1, e_1] * ...`` are gathered into that layout, the
-padding taking a 0.0, and summed over its ``width`` axis by
-``np.add.reduce``. A single point is evaluated by the same kernel on a map
-with at least ``KERNEL_MIN_TERMS`` terms; a smaller map keeps a flat
-``(coeff, ((i, e), ...))`` tuple per term and is evaluated by a Python
-loop.
+map: per term, its coefficient ``c`` and its gather indices into a power
+table ``P[i, e] = x_i ** e``, stored once in ranked slot order. The rows are
+ranked by term count, longest first, and slot ``j`` holds the ``j``-th term
+of every row with more than ``j`` terms, so it covers a prefix of the ranked
+rows. The term values ``c * P[0, e_0] * P[1, e_1] * ...`` are gathered in that
+order and added slot after slot, in place, into an accumulator of the ranked
+rows that starts at 0.0, with no padding. A single point is evaluated by the
+same kernel on a map with at least ``KERNEL_MIN_TERMS`` terms, its term
+values scattered into a zero-padded ``(width, n_pad)`` layout, ``width``
+being the longest row and ``n_pad = max(n_out, 2)``, and summed over its
+``width`` axis by ``np.add.reduce``; a smaller map keeps a flat
+``(coeff, ((i, e), ...))`` tuple per term and is evaluated by a Python loop.
 
-Both forms give the bits of a term-by-term loop. Each term multiplies its
+Every form gives the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
 an exact 1.0), and each row is summed sequentially in term order starting
-from 0.0. numpy reduces an axis that is not the innermost one by adding
-whole rows of the layout elementwise, term position after term position,
-which is that order. Along the innermost axis numpy sums pairwise, in
-another order, so neither ``np.sum`` nor ``np.add.reduceat`` over a row's
-terms gives the loop's bits; that is also why ``n_out`` is padded to 2 (see
-:class:`_Kernel`). ``evaluate`` takes its powers with Python's
-``float(x_i) ** e`` and ``evaluate_batch`` with numpy's ``pts[:, i] ** e``.
-These two power functions can differ in the last bit, so ``evaluate`` and
-``evaluate_batch`` agree only to rounding, while each matches its own loop
-exactly. Where Python's power overflows it raises; ``evaluate`` takes the
-signed inf numpy's power gives instead (:func:`power`), so a run whose
-state grows past the float range diverges rather than failing.
+from 0.0. The slot-after-slot additions are that order, and so is numpy's
+reduce of an axis that is not the innermost one, which adds whole rows of
+the padded layout elementwise, term position after term position. Along the
+innermost axis numpy sums pairwise, in another order, so neither ``np.sum``
+nor ``np.add.reduceat`` over a row's terms gives the loop's bits; that is
+also why ``n_out`` is padded to 2 (see :class:`_Kernel`).
+
+``evaluate`` takes its powers with Python's ``float(x_i) ** e`` and
+``evaluate_batch`` with numpy's ``pts[:, i] ** e``. These two power
+functions can differ in the last bit, so ``evaluate`` and ``evaluate_batch``
+agree only to rounding, while each matches its own loop exactly. Where
+Python's power overflows it raises; ``evaluate`` takes the signed inf
+numpy's power gives instead (:func:`power`), so a run whose state grows past
+the float range diverges rather than failing.
 """
 
 from __future__ import annotations
@@ -94,8 +98,8 @@ def power(x: float, e: int) -> float:
 # whose repeated runs differ by up to 1.5x).
 KERNEL_MIN_TERMS = 32
 
-# evaluate_batch takes as many points at a time as keep the padded
-# (points, width, n_pad) block near 1 MB of float64
+# evaluate_batch takes as many points at a time as keep its live
+# temporaries, the term values and one gathered factor, near 1 MB of float64
 _BATCH_BLOCK_FLOATS = 1 << 17
 
 
@@ -144,7 +148,7 @@ class Monomial:
         value = 1.0
         for xi, e in zip(x, self.exponents):
             if e:
-                value *= float(xi) ** e
+                value *= power(float(xi), e)
         return value
 
     def __call__(self, x):
@@ -329,56 +333,74 @@ def compose_rows(exponents: np.ndarray, components: TermArrays) -> TermArrays:
 
 
 class _Kernel:
-    """Array form of a polynomial map's terms, in row-major term order.
+    """Array form of a polynomial map's terms, in ranked slot order.
 
-    ``index[i]`` holds each term's column in the flat power table for
-    variable ``i`` (offset past the columns of earlier variables) and
-    ``coeffs`` the coefficients. One more term with coefficient 0.0 and no
-    variables follows them; since ``x ** 0`` is 1.0 for every ``x``, its
-    value is 0.0. ``fill`` lays the term values out in the ``(width,
-    n_pad)`` layout: term ``j`` of row ``r`` sits at ``j * n_pad + r``, and
-    the padding takes the trailing 0.0.
+    Rows are ranked by term count, longest first, ties in row order
+    (``rank[r]`` is the rank of row ``r``). Slot ``j`` holds the ``j``-th
+    term of every row with more than ``j`` terms, in rank order, so it covers
+    the first ``counts[j]`` ranks; the slots follow one another, and the
+    terms are stored in that one order with no padding. ``index[i]`` holds
+    each term's column in the flat power table for variable ``i`` (offset
+    past the columns of earlier variables), ``coeffs`` the coefficients and
+    ``slots`` each term's place ``j * n_pad + r`` in the zero-padded ``(width,
+    n_pad)`` layout of a single point, ``width`` being the longest row.
 
-    ``np.add.reduce`` over the ``width`` axis adds the layout's rows
+    A batch adds the slots one after another, in place, into the first
+    ``counts[j]`` ranks of an accumulator that starts at 0.0: each row sums
+    its terms left to right from 0.0, as the term loop does. A single point
+    scatters its term values into the padded layout and sums them with
+    ``np.add.reduce`` over the ``width`` axis, which adds the layout's rows
     ``[j, :]`` elementwise in ``j`` order, so each output sums its terms left
-    to right as the term loop does, then its padding, which changes nothing
-    but the sign of a zero. That holds only while ``width`` is not the
-    innermost axis, which numpy would sum pairwise. A one-row map would have a
-    unit last axis, which numpy drops; ``n_pad = max(n_out, 2)`` keeps it.
+    to right, then its padding, which changes nothing but the sign of a zero.
+    That holds only while ``width`` is not the innermost axis, which numpy
+    would sum pairwise. A one-row map would have a unit last axis, which numpy
+    drops; ``n_pad = max(n_out, 2)`` keeps it.
     """
 
-    __slots__ = ("max_exp", "index", "coeffs", "fill", "n_out", "n_pad", "width")
+    __slots__ = ("max_exp", "index", "coeffs", "slots", "counts", "rank", "n_out", "n_pad", "width")
 
     def __init__(self, terms: TermArrays):
         self.n_out = terms.n_rows
-        n_terms = terms.coeff.shape[0]
         starts = terms.row_starts()
-        self.width = int(np.diff(starts).max(initial=0))
+        lengths = np.diff(starts)
+        self.width = int(lengths.max(initial=0))
         self.n_pad = max(self.n_out, 2)
-        self.fill = np.full(self.width * self.n_pad, n_terms, dtype=np.intp)
-        self.fill[(np.arange(n_terms) - starts[terms.row]) * self.n_pad + terms.row] = np.arange(
-            n_terms
-        )
-        self.coeffs = np.append(terms.coeff, 0.0)
+        self.rank = np.empty(self.n_out, dtype=np.intp)
+        self.rank[np.argsort(-lengths, kind="stable")] = np.arange(self.n_out)
+        # rows with more than j terms: all but those with at most j
+        shorter = np.cumsum(np.bincount(lengths, minlength=self.width + 1))
+        self.counts = tuple((self.n_out - shorter[: self.width]).tolist())
+        slot = np.arange(terms.coeff.shape[0]) - starts[terms.row]
+        order = np.lexsort((self.rank[terms.row], slot))
+        self.slots = slot[order] * self.n_pad + terms.row[order]
+        self.coeffs = terms.coeff[order]
         self.max_exp = tuple(terms.exps.max(axis=1, initial=0).tolist())
         offsets = np.cumsum((0,) + tuple(m + 1 for m in self.max_exp[:-1]))
-        # the trailing term takes column e = 0 of every variable
-        index = np.empty((len(self.max_exp), n_terms + 1), dtype=np.intp)
-        np.add(terms.exps, offsets[:, None], out=index[:, :n_terms])
-        index[:, n_terms] = offsets
-        self.index = tuple(index)
+        self.index = tuple(np.take(terms.exps, order, axis=1) + offsets[:, None])
+
+    def _values(self, table: np.ndarray) -> np.ndarray:
+        """Term values from a power table of shape (columns, ...), one row
+        per term: the coefficient times each variable's power, in variable
+        order."""
+        vals = np.take(table, self.index[0], axis=0)
+        vals *= self.coeffs.reshape(self.coeffs.shape + (1,) * (table.ndim - 1))
+        for index in self.index[1:]:
+            vals *= np.take(table, index, axis=0)
+        return vals
 
     def _sum_terms(self, table: np.ndarray) -> np.ndarray:
         """Row values from a power table of shape (..., columns)."""
-        # np.take gathers along the last axis faster than table[..., index]
-        vals = np.take(table, self.index[0], axis=-1) * self.coeffs
-        for index in self.index[1:]:
-            vals *= np.take(table, index, axis=-1)
-        padded = np.take(vals, self.fill, axis=-1)
-        sums = np.add.reduce(padded.reshape(table.shape[:-1] + (self.width, self.n_pad)), axis=-2)
-        # the loop starts each row from 0.0, which turns an all -0.0 row into
-        # +0.0; adding 0.0 does the same and leaves every other value alone
-        return sums[..., : self.n_out] + 0.0
+        # terms along the first axis, so that each slot adds whole
+        # contiguous rows; a table built (columns, points) and passed
+        # transposed moves back without a copy
+        table = np.moveaxis(table, -1, 0)
+        vals = self._values(table)
+        acc = np.zeros((self.n_out,) + table.shape[1:])
+        start = 0
+        for n in self.counts:
+            acc[:n] += vals[start : start + n]
+            start += n
+        return np.moveaxis(np.take(acc, self.rank, axis=0), 0, -1)
 
     def evaluate(self, x: Sequence[float]) -> np.ndarray:
         x = tuple(map(float, x))
@@ -386,18 +408,22 @@ class _Kernel:
             table = [xi ** e for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
         except OverflowError:
             table = [power(xi, e) for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
-        return self._sum_terms(np.array(table))
+        padded = np.zeros(self.width * self.n_pad)
+        padded[self.slots] = self._values(np.array(table))
+        sums = np.add.reduce(padded.reshape(self.width, self.n_pad), axis=0)
+        # the loop starts each row from 0.0, which turns an all -0.0 row into
+        # +0.0; adding 0.0 does the same and leaves every other value alone
+        return sums[: self.n_out] + 0.0
 
     def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty((pts.shape[0], self.n_out))
-        step = max(1, _BATCH_BLOCK_FLOATS // max(self.width * self.n_pad, 1))
+        step = max(1, _BATCH_BLOCK_FLOATS // max(2 * self.coeffs.shape[0], 1))
         for start in range(0, pts.shape[0], step):
             block = pts[start : start + step]
             table = np.stack(
-                [block[:, i] ** e for i, m in enumerate(self.max_exp) for e in range(m + 1)],
-                axis=1,
+                [block[:, i] ** e for i, m in enumerate(self.max_exp) for e in range(m + 1)]
             )
-            out[start : start + step] = self._sum_terms(table)
+            out[start : start + step] = self._sum_terms(table.T)
         return out
 
 

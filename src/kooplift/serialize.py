@@ -53,7 +53,10 @@ def _emit(obj, out: list) -> None:
             _emit(value, out)
         out.append("}")
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
+        if obj.dtype == np.float64 and obj.size:
+            out.append(_nested(distinct_cells(obj, fmt_float), obj.shape))
+        else:
+            _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
         # a list of finite floats, a float array's row among them, takes one
         # %.17g template, which writes what fmt_float writes for finite
@@ -73,6 +76,23 @@ def _emit(obj, out: list) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
+
+
+def distinct_cells(values: np.ndarray, fmt) -> list:
+    """``fmt`` of every cell of a float64 array, in C order, called once per
+    distinct bit pattern: a model matrix repeats few values, mostly 0.0."""
+    bits = np.ascontiguousarray(values).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = [fmt(value) for value in distinct.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
+
+
+def _nested(cells: list, shape: Sequence[int]) -> str:
+    """The JSON nested list of shape ``shape`` (no zero extent) holding the
+    C-order ``cells``."""
+    for n in reversed(shape):
+        cells = ["[" + ", ".join(cells[k : k + n]) + "]" for k in range(0, len(cells), n)]
+    return cells[0]
 
 
 def dumps_json(obj) -> str:

@@ -1485,6 +1485,19 @@ class TestEdmdCommand:
         assert main(["edmd", "--config", path]) == 2
 
 
+# a quiet NaN whose payload differs from np.nan's
+_NAN_PAYLOAD = np.array([0x7FF8000000000123]).view(np.float64)[0]
+
+
+def _sparse_repeated(n):
+    """An n x n matrix like a lifted A: mostly 0.0, a few values repeated."""
+    rng = np.random.default_rng(n)
+    out = np.zeros((n, n))
+    cells = rng.choice(n * n, size=4 * n, replace=False)
+    out.flat[cells] = rng.choice([0.7, -0.35, 0.49, 1 / 3, -0.0, 1e-17], size=cells.size)
+    return out
+
+
 def _cell_by_cell_json(obj) -> str:
     """dumps_json as one recursive call per scalar: the byte reference."""
     from kooplift.serialize import fmt_float
@@ -1519,6 +1532,18 @@ class TestSerializationFormat:
         written = (tmp_path / "model.json").read_text()
         assert written == _cell_by_cell_json(doc) + "\n"
 
+    def test_lift_printout_matches_row_formatting(self, capsys):
+        # each row of A printed with one "% .17g" template per cell
+        exponents = [
+            [a, b] for b in range(7) for a in range(13 - 2 * b) if a + b
+        ]
+        lifted = run_lift(dict(DT_CFG, dictionary={"monomials": exponents}))["lifted"]
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line for line in printed if line.startswith("  A | ")]
+        template = "  A | " + "  ".join(["% .17g"] * lifted.n_f)
+        assert rows == [template % tuple(row) for row in lifted.A.tolist()]
+        assert len(rows) == 48
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -1536,6 +1561,11 @@ class TestSerializationFormat:
             [0.1, 1, 2.0, True],
             [[0.1, float("nan")], [], [-0.0, float("-inf")], [np.float64(0.5)]],
             {"a": (0.5, float("inf")), "b": [[1.0, 2.0], [3.0, -0.0]], "c": []},
+            _sparse_repeated(120),
+            np.array([-0.0, 0.0, np.nan, -np.nan, _NAN_PAYLOAD, 1.5, _NAN_PAYLOAD, -0.0]),
+            np.array([[np.inf, -np.inf, 5e-324], [-5e-324, 2.5e-310, np.inf]]),
+            _sparse_repeated(24).reshape(4, 3, 48),
+            np.array([[0.1]]),
         ],
         ids=[
             "non-finite-rows",
@@ -1552,6 +1582,11 @@ class TestSerializationFormat:
             "list-mixed",
             "nested-lists",
             "dict",
+            "sparse-repeated",
+            "signed-zeros-nan-payloads",
+            "infinities-subnormals",
+            "sparse-3d",
+            "one-cell",
         ],
     )
     def test_dumps_json_matches_cell_formatting(self, value):

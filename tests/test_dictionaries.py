@@ -113,6 +113,49 @@ class TestEvaluation:
             d.evaluate([2.0, np.inf])
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize(
+        "dictionary",
+        [
+            monomial_dictionary(2, 20),
+            monomial_dictionary(3, 6),
+            ObservableDictionary(
+                2,
+                [Monomial((a, b)) for b in range(11) for a in range(21 - 2 * b) if a + b],
+            ),
+        ],
+        ids=["full-2-20", "full-3-6", "weighted-20"],
+    )
+    def test_power_tables_keep_the_bits_of_elementwise_powers(self, dictionary):
+        # one power table per variable gives the bits of x ** exponents
+        # multiplied over the variables, at signed zeros, negatives, powers
+        # that underflow or overflow, and NaN
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, -1.5, 1e-200, -1e-200, 1e30, -1e30, np.nan, 0.7, -2.0]
+        X = np.vstack(
+            [
+                rng.choice(special, size=(300, dictionary.n_x)),
+                rng.normal(size=(40, dictionary.n_x)),
+            ]
+        )
+        E = dictionary.exponents
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+            got = dictionary.evaluate_batch(X)
+        assert got.tobytes() == want.tobytes()
+        n_raised = 0
+        for x in X:
+            with np.errstate(over="ignore", invalid="ignore"):
+                single = np.prod(x ** E, axis=1)
+                bad = np.flatnonzero(~np.isfinite(single))
+                if not bad.size:
+                    assert dictionary.evaluate(x).tobytes() == single.tobytes()
+                    continue
+                with pytest.raises(NumericEvaluationError) as exc:
+                    dictionary.evaluate(x)
+            assert exc.value.index == bad[0]
+            n_raised += 1
+        assert 0 < n_raised < len(X)
+
     def test_dimension_mismatch(self):
         d = monomial_dictionary(2, 2)
         with pytest.raises(DimensionError):

@@ -1,5 +1,7 @@
 """Snapshot construction and least-squares matrix fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,31 @@ class TestUnfittableSnapshots:
         snapshots[name][1, 3] = value
         with pytest.raises(NumericEvaluationError, match="non-finite"):
             edmd_full(SnapshotData(**snapshots))
+
+
+    def test_singular_values_squaring_below_the_float_range(self):
+        # s ~ 1e-170 squares to 0.0 and s / s^2 would divide by zero; those
+        # alpha = 0 entries take 1 / s, and the fit is the pseudoinverse's
+        data = SnapshotData(
+            Z=np.array([[1e-170, 2e-170]]),
+            Zp=np.array([[1e-170, 3e-170]]),
+            U=np.array([[3e-170, 1e-170]]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = np.hstack(edmd_full(data))
+        reference = data.Zp @ np.linalg.pinv(np.vstack([data.Z, data.U]))
+        np.testing.assert_allclose(reference, [[1.6, -0.2]], rtol=1e-12)
+        np.testing.assert_allclose(fit, reference, rtol=1e-12, atol=0)
+
+    def test_normal_singular_values_keep_their_filter_bits(self):
+        # every entry whose s^2 is a normal float keeps s / (s * s)
+        rng = np.random.default_rng(20)
+        _, _, data = _random_lti_data(rng, n_f=4, n_u=2, n=30)
+        s = data.tikhonov_svd()[1]
+        filters = edmd._filters(data, np.array([0.0, 1e-3]))
+        assert filters[0].tobytes() == (s / (s * s)).tobytes()
+        assert filters[1].tobytes() == (s / (s * s + 1e-3)).tobytes()
 
 
 class TestTikhonov:

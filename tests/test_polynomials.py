@@ -1,5 +1,7 @@
 """Sparse polynomial maps: evaluation, Jacobians, composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,48 @@ class TestEvaluation:
             assert [len(row) for row in p.rows].count(1) == 9
             X = rng.normal(size=(20, 3))
             _assert_matches_oracles(p, X)
+
+    @pytest.mark.parametrize("shape", ["empty-rows", "one-row", "long-row-among-single-terms"])
+    def test_batch_blocks_match_term_loop(self, monkeypatch, shape):
+        import kooplift.polynomials as polynomials
+
+        # a batch of three whole blocks and a remainder, on ragged maps; the
+        # kernel stores each term once, slot by slot over a prefix of the
+        # rows ranked longest first
+        rng = np.random.default_rng(12)
+        if shape == "empty-rows":
+            rows = [{}, *_map_with_terms(rng, 3, 4, 9, 90).rows, {}, {}]
+        elif shape == "one-row":
+            rows = _map_with_terms(rng, 3, 1, 12, 150).rows
+        else:
+            long_row = _map_with_terms(rng, 3, 1, 12, 300).rows[0]
+            rows = [*_map_with_terms(rng, 3, 6, 12, 6).rows, long_row]
+            rows += _map_with_terms(rng, 3, 3, 12, 3).rows
+        p = PolynomialMap(3, rows)
+        kernel = p._kernel
+        n_terms = p.arrays.coeff.shape[0]
+        lengths = sorted((len(row) for row in p.rows), reverse=True)
+        assert kernel.counts == tuple(sum(n > j for n in lengths) for j in range(lengths[0]))
+        assert sum(kernel.counts) == n_terms == kernel.coeffs.shape[0]
+        monkeypatch.setattr(polynomials, "_BATCH_BLOCK_FLOATS", 2 * n_terms * 4)
+        X = rng.normal(size=(3 * 4 + 3, 3))
+        X[5] = 0.0
+        _assert_matches_oracles(p, X)
+
+    def test_batch_memory_stays_within_its_block(self):
+        # the D = 20 input column over 125 points: the live temporaries of
+        # one block, term values and a gathered factor, stay near 1 MB
+        _, column = _weighted_input_column(20)
+        rng = np.random.default_rng(4)
+        X = np.hstack([rng.uniform(-1.5, 1.5, (125, 2)), rng.uniform(-1.0, 1.0, (125, 1))])
+        column.evaluate_batch(X[:1])  # builds the kernel
+        tracemalloc.start()
+        try:
+            out = column.evaluate_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20 + out.nbytes
 
     @pytest.mark.parametrize("lead", [(3, 5), (1, 1), (15,), (1, 15), (5, 1, 3)])
     @pytest.mark.parametrize("n_out", [1, 2, 4])
@@ -473,6 +517,20 @@ class TestMonomial:
         m = Monomial((2, 1))
         assert m.degree == 3
         assert m.evaluate([2.0, 3.0]) == 12.0
+
+    def test_overflowing_power_gives_a_signed_inf(self):
+        # as PolynomialMap.evaluate: numpy's signed inf where Python's float
+        # power raises, and the bits of Python's power below the float range
+        assert Monomial((2,)).evaluate([1e200]) == np.inf
+        assert Monomial((3,)).evaluate([-1e200]) == -np.inf
+        assert Monomial((2, 0)).evaluate([-1e200, np.nan]) == np.inf
+        x = (1.7, -0.3, 1e-100)
+        for exps in ((3, 0, 0), (5, 7, 1), (0, 2, 3)):
+            want = 1.0
+            for xi, e in zip(x, exps):
+                if e:
+                    want *= xi**e
+            assert Monomial(exps).evaluate(x).hex() == want.hex()
 
     def test_terms_roundtrip(self):
         p = PolynomialMap(2, [{(1, 0): 0.7}, {(0, 1): 0.7, (2, 0): -0.5}])
