@@ -16,28 +16,40 @@ same order:
   coefficient in variable order (``x ** 1`` is exactly ``x``, so the power
   is left out);
 - the products ``A z`` and ``B u`` are summed left to right over every
-  entry, zeros included, so a zero entry still turns an infinite factor
-  into NaN;
+  entry, zeros included: ``0.0 * y`` carries the sign of zero and turns an
+  infinite factor into NaN;
+- exact unit factors are left out, since ``1.0 * y`` is ``y`` bit for bit:
+  a coefficient or an entry of ``A`` of 1.0, and a feature rate
+  ``d = 1.0``; one of -1.0 becomes a negation, ``s + (-1.0) * y`` the
+  subtraction ``s - y``;
 - the stages are combined as ``_rk4`` combines them, and an inline
-  prefilter hands the state to ``check`` whenever a coordinate is not
-  within the (finite) limit, so the numpy rule,
-  :func:`kooplift.sim.diverged`, decides with the same step and message;
+  prefilter, ``-limit <= x <= limit`` for each coordinate, hands the state
+  to ``check`` whenever a coordinate is not within the (finite) limit, NaN
+  included, so the numpy rule, :func:`kooplift.sim.diverged`, decides with
+  the same step and message;
 - a power ``x ** e`` past the float range raises ``OverflowError`` where
   the numpy path's power (:func:`kooplift.polynomials.power`) gives a
   signed inf, which turns that step's state non-finite; the kernel catches
   it and hands ``check`` an infinite state at that step.
 
 The input part is data, so nothing in a step calls back into Python code
-of the library:
+of the library. Each step has a preamble, and the four RK4 stages compute
+only what reads the stage's state:
 
-- the input features are formed once per step, as
+- the preamble forms the input features as
   :meth:`~kooplift.systems.Decomposition.features` forms them:
   ``z_k = d_k * u_j``, ``E_k = expm1(z_k)`` with the same helper
   (:func:`kooplift.systems.expm1`), and ``F_k = d_k * (E_k / z_k)``, or
   ``d_k`` at ``z_k = 0``;
 - ``g(x, u)`` and the entries of ``B(x, u)`` are the rows of the
   decomposition's ``input_polynomial`` over (x, u, E) and of the lift's
-  ``input_columns`` over (x, u, F), written out as polynomial rows.
+  ``input_columns`` over (x, u, F), written out as polynomial rows;
+- the preamble also forms every value of a stage that reads no state
+  coordinate: each input-only term of those rows (``u0 * u1`` in the
+  source of ``ct-example``'s ``g``), each input-only entry of ``B`` with
+  its product ``B[r, j] * u_j`` (``0.5 * u1``), and the leading run of
+  input-only items of a sum. Each is named once, keeps its place in its
+  sum, and rounds as it would within the stage.
 
 A step calls ``expm1`` once per feature; no RK4 stage makes a call.
 
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .systems import CONTINUOUS, Decomposition, expm1
 
@@ -84,6 +96,7 @@ class Kernel:
     run: Callable
     n: int
     n_u: int
+    source: str
 
 
 def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
@@ -97,10 +110,12 @@ def nonlinear_kernel(decomposition: Decomposition) -> Optional[Kernel]:
         return None
     inputs = _names("u", n_u) + _names("e", len(decomposition.exponentials))
 
-    def stage(v, out):
-        f = _rows(decomposition.autonomous, v)
-        g = _rows(decomposition.input_polynomial, v + inputs)
-        return [f"{o} = ({fr}) + ({gr})" for o, fr, gr in zip(out, f, g)]
+    def stage(v, out, hoist):
+        f = _rows(decomposition.autonomous, v, n_x, hoist)
+        g = _rows(decomposition.input_polynomial, v + inputs, n_x, hoist)
+        return [
+            f"{o} = {_sum([_item(fr), _item(gr)], hoist)[0]}" for o, fr, gr in zip(out, f, g)
+        ]
 
     return _build(n_x, n_u, _features(decomposition.exponentials, "e"), stage)
 
@@ -118,21 +133,22 @@ def lpv_kernel(model) -> Optional[Kernel]:
     exponentials = model.decomposition.exponentials
     u = _names("u", n_u)
     inputs = u + _names("f", len(exponentials))
-    A = [[_literal(a) for a in row] for row in model.A.tolist()]
+    A = model.A.tolist()
     selector = model.dictionary.state_selector
-    B = [[f"b{r}_{j}" for j in range(n_u)] for r in range(n_f)]
 
-    def stage(v, out):
+    def stage(v, out, hoist):
         x = [v[i] for i in selector]
-        lines = [
-            f"{B[r][j]} = {entry}"
-            for j, column in enumerate(model.input_columns)
-            for r, entry in enumerate(_rows(column, x + inputs))
-        ]
-        return lines + [
-            f"{o} = ({_dot(a_row, v)}) + ({_dot(b_row, u)})"
-            for o, a_row, b_row in zip(out, A, B)
-        ]
+        columns = [_rows(column, x + inputs, len(x), hoist) for column in model.input_columns]
+        lines = []
+        for r, (o, a_row) in enumerate(zip(out, A)):
+            Az = _sum([(*_product(a, [vi]), True) for a, vi in zip(a_row, v)], hoist)
+            entries = (column[r] for column in columns)
+            Bu = _sum(
+                [("+", f"{_group(b)} * {uj}", varying) for uj, (b, varying) in zip(u, entries)],
+                hoist,
+            )
+            lines.append(f"{o} = {_sum([_item(Az), _item(Bu)], hoist)[0]}")
+        return lines
 
     return _build(n_f, n_u, _features(exponentials, "f"), stage)
 
@@ -159,52 +175,126 @@ def _literal(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _rows(poly, names: Sequence[str]) -> List[str]:
-    """Each row of ``poly`` over the variables ``names``, summed from 0.0
-    in term order; each term multiplies its powers onto its coefficient in
-    variable order."""
+def _atomic(text: str) -> bool:
+    """Whether ``text`` is a name or a literal: nothing to compute."""
+    return " " not in text and not text.startswith(("-", "float("))
+
+
+def _group(text: str) -> str:
+    return text if _atomic(text) else f"({text})"
+
+
+def _item(summed: Tuple[str, bool]) -> Tuple[str, str, bool]:
+    """A sum from :func:`_sum` as one item of another sum."""
+    text, varying = summed
+    return "+", _group(text), varying
+
+
+class _Preamble:
+    """The values of a step that read no state coordinate, each formed once
+    per step under the name ``p0, p1, ...`` and read by every RK4 stage."""
+
+    def __init__(self):
+        self.names: Dict[str, str] = {}
+
+    def __call__(self, text: str) -> str:
+        """The name of the per-step value ``text``, or ``text`` itself when it
+        is a name or a literal."""
+        if _atomic(text):
+            return text
+        if text not in self.names:
+            self.names[text] = f"p{len(self.names)}"
+        return self.names[text]
+
+    def lines(self) -> List[str]:
+        return [f"{name} = {text}" for text, name in self.names.items()]
+
+
+def _product(c: float, factors: List[str]) -> Tuple[str, str]:
+    """``(sign, body)`` of the coefficient ``c`` times ``factors``: a unit
+    coefficient is left out (``1.0 * y`` is ``y`` exactly) or becomes the
+    sign (``(-1.0) * y`` is ``-y``, and ``s + (-y)`` is ``s - y``)."""
+    if factors and c in (1.0, -1.0):
+        return ("+" if c > 0 else "-"), " * ".join(factors)
+    return "+", " * ".join([_literal(c)] + factors)
+
+
+def _sum(items, hoist: _Preamble) -> Tuple[str, bool]:
+    """Source of the left-to-right sum of ``items``, ``(sign, body,
+    varying)`` triples whose ``varying`` says whether the body reads a state
+    coordinate, and whether the sum does. The sum's leading run of
+    input-only items, and every later input-only body, are formed once per
+    step by ``hoist``; they round as they would within the sum."""
+    n = next((i for i, item in enumerate(items) if item[2]), len(items))
+    head = [("+", hoist(_join(items[:n])), False)] if n else []
+    rest = [(s, body if varying else hoist(body), varying) for s, body, varying in items[n:]]
+    return _join(head + rest), n < len(items)
+
+
+def _join(items) -> str:
+    first = _signed(*items[0][:2])
+    return " ".join([first] + [f"{sign} {body}" for sign, body, _ in items[1:]])
+
+
+def _signed(sign: str, body: str) -> str:
+    return body if sign == "+" else f"-{body}"
+
+
+def _rows(poly, names: Sequence[str], n_state: int, hoist: _Preamble) -> List[Tuple[str, bool]]:
+    """Each row of ``poly`` over the variables ``names``, of which the first
+    ``n_state`` are state coordinates, summed from 0.0 in term order, with
+    whether it reads the state (see :func:`_sum`); each term multiplies its
+    powers onto its coefficient in variable order."""
     terms = poly.arrays
-    rows = [["0.0"] for _ in range(terms.n_rows)]
+    rows = [[("+", "0.0", False)] for _ in range(terms.n_rows)]
     for r, exps, c in zip(terms.row.tolist(), terms.exps.T.tolist(), terms.coeff.tolist()):
         factors = [names[i] if e == 1 else f"{names[i]} ** {e}" for i, e in enumerate(exps) if e]
-        rows[r].append(" * ".join([_literal(c)] + factors))
-    return [" + ".join(row) for row in rows]
+        varying = any(exps[:n_state])
+        rows[r].append((*_product(c, factors), varying))
+    return [_sum(row, hoist) for row in rows]
 
 
 def _features(exponentials, kind: str) -> List[str]:
     """Per-step source of the input features ``e_k`` (``kind`` "e") or
-    ``f_k`` ("f"), as ``Decomposition.features`` forms them."""
+    ``f_k`` ("f"), as ``Decomposition.features`` forms them; a unit rate
+    ``d`` is left out as :func:`_product` leaves it out."""
     lines = []
     for k, (j, d) in enumerate(exponentials):
-        d = _literal(d)
-        lines += [f"z{k} = {d} * u{j}", f"e{k} = expm1(z{k})"]
+        z = f"u{j}"
+        if d != 1.0:
+            z = f"z{k}"
+            lines.append(f"{z} = {_signed(*_product(d, [f'u{j}']))}")
+        lines.append(f"e{k} = expm1({z})")
         if kind == "f":
-            lines.append(f"f{k} = {d} * (e{k} / z{k}) if z{k} else {d}")
+            ratio = f"e{k} / {z}" if d == 1.0 else _signed(*_product(d, [f"(e{k} / {z})"]))
+            lines.append(f"f{k} = {ratio} if {z} else {_literal(d)}")
     return lines
 
 
-def _dot(left: Sequence[str], right: Sequence[str]) -> str:
-    return " + ".join(f"{a} * {b}" for a, b in zip(left, right))
+def _build(n, n_u, features, stage) -> Kernel:
+    """The whole RK4 run around ``stage(inputs, outputs, hoist)``, compiled.
 
-
-def _build(n, n_u, step, stage) -> Kernel:
-    """The whole RK4 run around ``stage(inputs, outputs)``, compiled."""
+    The per-step preamble reads the inputs, forms the ``features`` and then
+    every value the stages hand to ``hoist``."""
     x, y = _names("x", n), _names("y", n)
     k1, k2, k3, k4 = (_names(f"k{s}_", n) for s in range(1, 5))
-    body = [f"u{j} = inp[i + {j}]" for j in range(n_u)] + step
-    body += stage(x, k1)
+    hoist = _Preamble()
+    stages = [stage(v, k, hoist) for v, k in ((x, k1), (y, k2), (y, k3), (y, k4))]
+    body = [f"u{j} = inp[i + {j}]" for j in range(n_u)] + features + hoist.lines()
+    body += stages[0]
     body += [f"{a} = {b} + half * {c}" for a, b, c in zip(y, x, k1)]
-    body += stage(y, k2)
+    body += stages[1]
     body += [f"{a} = {b} + half * {c}" for a, b, c in zip(y, x, k2)]
-    body += stage(y, k3)
+    body += stages[2]
     body += [f"{a} = {b} + ts * {c}" for a, b, c in zip(y, x, k3)]
-    body += stage(y, k4)
+    body += stages[3]
     body += [
         f"{xi} = {xi} + sixth * ({a} + 2.0 * ({b} + {c}) + {d})"
         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
     ]
     body += [
-        f"if not ({' and '.join(f'abs({xi}) <= limit' for xi in x)}):",
+        # -limit <= x <= limit is abs(x) <= limit, NaN included
+        f"if not ({' and '.join(f'low <= {xi} <= limit' for xi in x)}):",
         f"    check(k + 1, ({', '.join(x)},))",
         f"r = (k + 1) * {n}",
         *(f"rec[r + {j}] = {xi}" for j, xi in enumerate(x)),
@@ -214,6 +304,7 @@ def _build(n, n_u, step, stage) -> Kernel:
         "def rk4(rec, inp, n_steps, ts, limit, check):",
         "    half = 0.5 * ts",
         "    sixth = ts / 6.0",
+        "    low = -limit",
         *(f"    {xi} = rec[{j}]" for j, xi in enumerate(x)),
         "    i = 0",
         "    for k in range(n_steps):",
@@ -230,4 +321,4 @@ def _build(n, n_u, step, stage) -> Kernel:
         code = _CODE[source] = compile(source, "<kooplift.kernels>", "exec")
     namespace = {"expm1": expm1, "inf": math.inf}
     exec(code, namespace)
-    return Kernel(namespace["rk4"], n, n_u)
+    return Kernel(namespace["rk4"], n, n_u, source)

@@ -58,15 +58,17 @@ def _emit(obj, out: list) -> None:
         else:
             _emit(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
         # a list of finite floats, a float array's row among them, takes one
         # %.17g template, which writes what fmt_float writes for finite
         # floats; one with a NaN or an infinity goes cell by cell below
-        if (
-            obj
-            and set(map(type, obj)) == {float}
-            and all(map(math.isfinite, obj))
-        ):
+        if kinds == {float} and all(map(math.isfinite, obj)):
             out.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
+            return
+        # a list of ints takes one join of their str; a bool's type is bool,
+        # so a list holding one goes cell by cell
+        if kinds == {int}:
+            out.append("[" + ", ".join(map(str, obj)) + "]")
             return
         out.append("[")
         for i, value in enumerate(obj):
@@ -130,8 +132,11 @@ def _csv_cell(cell) -> str:
 
 
 # a run's trajectory CSVs are written this many rows at a time: memory holds
-# one block of formatted cells per file and does not grow with the run
-CSV_BLOCK_ROWS = 64
+# one block of formatted cells per file and does not grow with the run. At
+# 1024 rows a ct-example run's two files (t, two states, two inputs each,
+# sharing t and the inputs) peak at about 0.85 MB; 64 rows paid the
+# per-block cost 16 times as often, and 4096 rows were slower again
+CSV_BLOCK_ROWS = 1024
 
 
 def write_trajectory_csv(files) -> list:

@@ -108,9 +108,10 @@ class Decomposition:
     term has an input exponent or one ``E`` factor to the first power, not
     both, so ``g(x, 0) = 0`` holds identically.
 
-    :meth:`features` gives, per held input, the features ``E_k`` and the
+    :meth:`features` gives, per held input, the features ``E_k`` or the
     factors ``F_k = d phi1(d u_j)`` that the lift's ``B(x, u)`` carries in
-    their place, with ``phi1(z) = expm1(z) / z`` and ``phi1(0) = 1``.
+    their place, with ``phi1(z) = expm1(z) / z`` and ``phi1(0) = 1``; it
+    forms only the kind asked for.
     """
 
     n_x: int
@@ -160,33 +161,30 @@ class Decomposition:
                 term = tuple(exps[:, int(np.argmax(bad))].tolist())
                 raise DimensionError(f"a term of input_polynomial {message}: exponents {term}")
 
-    def features(self, u: Sequence[float]) -> Tuple[List[float], List[float]]:
-        """``E_k = expm1(z_k)`` and ``F_k = d_k (E_k / z_k)``, or ``d_k`` at
-        ``z_k = 0``, with ``z_k = d_k u_{j_k}``, of the input ``u`` (a
-        sequence of floats). ``F_k u_{j_k} = E_k``."""
-        E, F = [], []
+    def features(self, u: Sequence[float], feature: int = 0) -> List[float]:
+        """``E_k = expm1(z_k)`` (``feature`` 0), or ``F_k = d_k (E_k / z_k)``,
+        and ``d_k`` at ``z_k = 0`` (1), with ``z_k = d_k u_{j_k}``, of the
+        input ``u`` (a sequence of floats). ``F_k u_{j_k} = E_k``."""
+        if not feature:
+            return [expm1(d * u[j]) for j, d in self.exponentials]
+        F = []
         for j, d in self.exponentials:
             z = d * u[j]
-            e = expm1(z)
-            E.append(e)
-            F.append(d * (e / z) if z else d)
-        return E, F
+            F.append(d * (expm1(z) / z) if z else d)
+        return F
 
     def joint(self, x, u, feature: int = 0) -> np.ndarray:
         """The point ``[x; u; E]`` (``feature`` 0) or ``[x; u; F]`` (1) at
         which maps over the joint variables are evaluated."""
-        u = np.asarray(u, dtype=float)
-        parts = [np.asarray(x, dtype=float), u]
-        if self.exponentials:
-            parts.append(self.features(u.tolist())[feature])
-        return np.concatenate(parts)
+        u = np.asarray(u, dtype=float).tolist()
+        return np.array(np.asarray(x, dtype=float).tolist() + u + self.features(u, feature))
 
     def joint_batch(self, X, U, feature: int = 0) -> np.ndarray:
         """:meth:`joint` of the point rows of ``X`` and ``U``, as rows."""
         U = np.asarray(U, dtype=float)
         parts = [np.asarray(X, dtype=float), U]
         if self.exponentials:
-            rows = [self.features(u)[feature] for u in U.tolist()]
+            rows = [self.features(u, feature) for u in U.tolist()]
             parts.append(np.array(rows, dtype=float).reshape(U.shape[0], len(self.exponentials)))
         return np.hstack(parts)
 

@@ -1566,6 +1566,11 @@ class TestSerializationFormat:
             np.array([[np.inf, -np.inf, 5e-324], [-5e-324, 2.5e-310, np.inf]]),
             _sparse_repeated(24).reshape(4, 3, 48),
             np.array([[0.1]]),
+            list(range(101)),
+            [[2, 0], [1, 1], [0, 2], (3, -1, 2**70)],
+            [True, False, True],
+            [1, True, 0, False],
+            {"k": [0, 1, 2], "exponents": [[[1, 0], [0, 1]], []], "flags": [False]},
         ],
         ids=[
             "non-finite-rows",
@@ -1587,6 +1592,11 @@ class TestSerializationFormat:
             "infinities-subnormals",
             "sparse-3d",
             "one-cell",
+            "int-list",
+            "nested-int-lists",
+            "bool-list",
+            "mixed-int-bool",
+            "config-echo",
         ],
     )
     def test_dumps_json_matches_cell_formatting(self, value):
@@ -1664,6 +1674,34 @@ class TestSerializationFormat:
                     tmp_path / "grid_b.csv": Trajectory(np.arange(5.0), states),
                 }
             )
+
+    @pytest.mark.parametrize("n_rows", [25_000, 250_000])
+    def test_trajectory_csv_memory_stays_within_one_block(self, tmp_path, n_rows):
+        # a ct-example run's two files, sharing t and the inputs: what the
+        # writer holds is one block of formatted cells per file, about
+        # 0.85 MB at 1024 rows, whatever the length of the run
+        import tracemalloc
+
+        from kooplift.serialize import write_trajectory_csv
+        from kooplift.sim import Trajectory
+
+        rng = np.random.default_rng(5)
+        times = np.arange(n_rows) * 1e-4
+        inputs = rng.standard_normal((n_rows, 2))
+        files = {
+            tmp_path / name: Trajectory(times, rng.standard_normal((n_rows, 2)), inputs=inputs)
+            for name in ("traj_nonlinear.csv", "traj_koopman_lpv.csv")
+        }
+        tracemalloc.start()
+        try:
+            paths = write_trajectory_csv(files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [path.read_bytes().count(b"\n") for path in paths] == [n_rows + 1] * 2
+        for path in paths:
+            path.unlink()
+        assert peak < 2 * 2**20
 
     def test_run_formats_each_shared_column_block_once(self, tmp_path, monkeypatch):
         from kooplift import serialize

@@ -1,7 +1,9 @@
 """Integrators, excitation signals and error metrics."""
 
+import ast
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ from kooplift.kernels import lpv_kernel, nonlinear_kernel
 from kooplift.lpv import lifted_step, lti_step, make_lti
 from kooplift.polynomials import PolynomialMap
 from kooplift.sim import multisine_frequencies
-from kooplift.systems import CONTINUOUS, DISCRETE, control_affine_decomposition
+from kooplift.systems import CONTINUOUS, DISCRETE, Decomposition, control_affine_decomposition
 from test_lifting import _ct_exponential
 
 
@@ -766,6 +768,51 @@ def _assert_same_bits(a, b):
     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _unit_control_affine():
+    """dx1/dt = x1 + u1 + x2 u2, dx2/dt = -x2 + x1^2 - u1 + x1 u1 + u2:
+    input-only terms with the coefficients 1.0 and -1.0 in both rows of g
+    and in B, and on [x1, x2, x1^2] an A of 1.0, -1.0, 2.0 and zeros."""
+    f = PolynomialMap(2, [{(1, 0): 1.0}, {(0, 1): -1.0, (2, 0): 1.0}])
+    columns = [
+        PolynomialMap(2, [{(0, 0): 1.0}, {(0, 0): -1.0, (1, 0): 1.0}]),
+        PolynomialMap(2, [{(0, 1): 1.0}, {(0, 0): 1.0}]),
+    ]
+    return control_affine_decomposition(f, columns, CONTINUOUS, name="unit-coefficients")
+
+
+def _unit_rates():
+    """Features at the rates 1.0 and -1.0 over (x1, x2, u1, u2, E1, E2):
+    dx1/dt = x1 + E1 - x1 E2, dx2/dt = -x2 + x1^2 - u1 u2 + x2 E1 + E2."""
+    f = PolynomialMap(2, [{(1, 0): 1.0}, {(0, 1): -1.0, (2, 0): 1.0}])
+    g = PolynomialMap(
+        6,
+        [
+            {(0, 0, 0, 0, 1, 0): 1.0, (1, 0, 0, 0, 0, 1): -1.0},
+            {(0, 0, 1, 1, 0, 0): -1.0, (0, 1, 0, 0, 1, 0): 1.0, (0, 0, 0, 0, 0, 1): 1.0},
+        ],
+    )
+    return Decomposition(2, 2, CONTINUOUS, f, g, ((0, 1.0), (1, -1.0)), "unit-rates")
+
+
+_SIGNED_ZERO_INPUTS = {
+    "zeros": np.zeros((30, 2)),
+    "negative-zeros": np.full((30, 2), -0.0),
+    "mixed": np.tile([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]], (10, 1)),
+}
+
+
+def _stage_lines(source):
+    """The statements of the generated source that form an RK4 stage."""
+    tree = ast.parse(source)
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and re.fullmatch(r"k\d_\d+", node.targets[0].id)
+    ]
+
+
 @pytest.fixture(scope="module")
 def ct_model():
     bundle = ct_example()
@@ -850,15 +897,15 @@ class TestKernels:
         _assert_same_bits(fast.states, slow.states)
 
     def test_kernels_call_only_expm1(self, ct_model):
-        # the input part is written into the code: apart from the builtins
-        # of the loop and the limit test, the only global either kernel
-        # calls is the feature helper; check, the divergence hook, is an
-        # argument. An overflowing power is caught, and hands check an
-        # infinite state
+        # the input part is written into the code: apart from the loop's
+        # range, the only global either kernel calls is the feature helper,
+        # and the limit test is a chained comparison; check, the divergence
+        # hook, is an argument. An overflowing power is caught, and hands
+        # check an infinite state
         bundle, model = ct_model
         for kernel in (nonlinear_kernel(bundle.decomposition), lpv_kernel(model)):
             code = kernel.run.__code__
-            assert set(code.co_names) == {"range", "abs", "expm1", "OverflowError", "inf"}
+            assert set(code.co_names) == {"range", "expm1", "OverflowError", "inf"}
             assert kernel.run.__globals__["expm1"] is systems.expm1
             assert kernel.run.__globals__["inf"] == math.inf
             assert "check" in code.co_varnames[: code.co_argcount]
@@ -947,6 +994,59 @@ class TestKernels:
         fast = simulate_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, ts=1e-2)
         slow = _plain_nonlinear(bundle.decomposition, [1.0, -0.5], inputs, 1e-2)
         _assert_same_bits(fast.states, slow.states)
+
+    @pytest.mark.parametrize(
+        "system", [_unit_control_affine, _unit_rates], ids=["control-affine", "unit-rates"]
+    )
+    @pytest.mark.parametrize("inputs", list(_SIGNED_ZERO_INPUTS))
+    @pytest.mark.parametrize(
+        "x0", [[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]], ids=["x0=+0,+0", "x0=-0,-0", "x0=-0,+0"]
+    )
+    def test_signed_zeros_under_unit_coefficients(self, system, inputs, x0):
+        # the kernels leave out unit factors and form input-only values once
+        # per step; from zero states under zero inputs every sum is a sum of
+        # signed zeros, whose sign a dropped zero entry of A or a dropped
+        # 0.0 row start would change
+        decomposition = system()
+        dictionary = ObservableDictionary(
+            2, [Monomial((1, 0)), Monomial((0, 1)), Monomial((2, 0))]
+        )
+        model = build_lifted_model(decomposition, dictionary)
+        assert nonlinear_kernel(decomposition) and lpv_kernel(model)
+        assert {1.0, -1.0, 0.0} <= set(model.A.ravel().tolist())
+        inputs, x0 = _SIGNED_ZERO_INPUTS[inputs], np.array(x0)
+        _assert_same_bits(
+            simulate_nonlinear(decomposition, x0, inputs, ts=0.1).states,
+            _plain_nonlinear(decomposition, x0, inputs, 0.1).states,
+        )
+        z0 = dictionary.evaluate(x0)
+        _assert_same_bits(
+            simulate_lpv(model, z0=z0, inputs=inputs, ts=0.1)[0].states,
+            _plain_lpv(model, z0, inputs, 0.1).states,
+        )
+
+    def test_stages_compute_only_state_dependent_products(self, ct_model):
+        # input-only terms and B entries, such as u0 * u1 in g and 0.5 * u1
+        # in B, are formed once per step: every product or power in a stage
+        # reads a state coordinate (x or y). No unit factor is written, the
+        # limit test takes no abs, and every zero entry of A stays
+        bundle, model = ct_model
+        lpv = lpv_kernel(model)
+        for kernel in (nonlinear_kernel(bundle.decomposition), lpv):
+            stages = _stage_lines(kernel.source)
+            assert len(stages) == 4 * kernel.n
+            for stage in stages:
+                for node in ast.walk(stage.value):
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow)):
+                        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                        assert any(re.fullmatch(r"[xy]\d+", n) for n in names), ast.unparse(node)
+            assert not re.search(r"(?<![\w.])1\.0 \*", kernel.source)
+            assert "abs(" not in kernel.source
+        # the first stage of the lifted run reads x: all five zeros of A
+        first = {node.targets[0].id: ast.unparse(node.value) for node in _stage_lines(lpv.source)}
+        zeros = list(zip(*np.nonzero(model.A == 0.0)))
+        assert len(zeros) == 5
+        assert all(f"0.0 * x{c}" in first[f"k1_{r}"] for r, c in zeros)
 
     def test_overflowing_power_same_step_and_message(self):
         # dx/dt = 0.5 x + x^30 u under u = 0, lifted on [x, x^2], whose B

@@ -196,7 +196,7 @@ class TestFeatures:
     def test_features_of_one_input(self, d, u, E, F):
         f = PolynomialMap(1, [{(1,): -1.0}])
         split = Decomposition(1, 1, "continuous", f, PolynomialMap(3, [{(1, 0, 1): 1.0}]), ((0, d),))
-        (e,), (phi,) = split.features([u])
+        (e,), (phi,) = split.features([u]), split.features([u], 1)
         assert np.array([e, phi]).tobytes() == np.array([E, F]).tobytes()
 
 
