@@ -1708,13 +1708,13 @@ class TestSerializationFormat:
 
         monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", 4)
         calls = []
-        format_column = serialize._format_column
+        format_cells = serialize._format_cells
 
-        def spy(values):
-            calls.append(len(values))
-            return format_column(values)
+        def spy(values, out):
+            calls.append(values.shape)
+            return format_cells(values, out)
 
-        monkeypatch.setattr(serialize, "_format_column", spy)
+        monkeypatch.setattr(serialize, "_format_cells", spy)
         cfg = {
             "system": "ct-example",
             "ts": 1e-3,
@@ -1723,9 +1723,12 @@ class TestSerializationFormat:
         }
         run_simulate(cfg, out_dir=str(tmp_path / "one"))
         # 11 rows in blocks of 4; each block has 10 column blocks, t, x1, x2,
-        # u1 and u2 in both files, and the files share t, u1 and u2
+        # u1 and u2 in both files, and the files share t, u1 and u2: one call
+        # per block formats its distinct column blocks
         blocks = 3
-        assert len(calls) <= 7 * blocks and sum(calls) <= 7 * 11
+        assert len(calls) == blocks
+        assert all(columns <= 7 for columns, _ in calls)
+        assert sum(columns * rows for columns, rows in calls) <= 7 * 11
         first = len(calls)
         # nothing is kept past the call: an identical run formats again
         run_simulate(cfg, out_dir=str(tmp_path / "two"))

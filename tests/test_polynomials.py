@@ -180,8 +180,8 @@ class TestEvaluation:
 
     def test_weighted_degree_input_column_matches_term_oracle(self):
         # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u);
-        # its padded 245 x 120 block gives 4 points per 2**17-float chunk, so
-        # the 30-point batch takes 8 chunks with a short last one
+        # a batch block holds 2**17 // (2 * 8503) = 7 points, so the 30-point
+        # batch takes 5 blocks with a short last one
         dictionary, column = _weighted_input_column(20)
         assert dictionary.n_f == 120
         assert sum(len(row) for row in column.rows) == 8503
