@@ -22,10 +22,10 @@ filter s / (s * s) is zeroed wherever s <= sqrt((n_f + n_u) * eps) * s_max,
 the cutoff a Gramian pseudoinverse applies to s^2. Every fit of a grid
 shares Z+ V_Y and U_Y, so the search hands its objective the filter rows,
 one per distinct filter, instead of fits: :func:`tikhonov_objective`
-simulates all of them in the SVD's coordinates (:func:`tikhonov_runs`)
-without forming any (A, B), and that run is the one reported for every
-Tikhonov fit. U^+ uses an SVD cutoff of max(m, n) * eps relative to the
-largest singular value.
+simulates all of them, one stack of :func:`~kooplift.sim.run_stack` in the
+SVD's coordinates (:func:`tikhonov_runs`), without forming any (A, B), and
+that run is the one reported for every Tikhonov fit. U^+ uses an SVD cutoff
+of max(m, n) * eps relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .dictionaries import ObservableDictionary
 from .errors import DimensionError, DivergenceError, NumericEvaluationError
-from .sim import Trajectory, diverged
+from .sim import BLOCK_STEPS, Trajectory, run_stack  # noqa: F401 (re-exported)
 
 log = logging.getLogger(__name__)
 
@@ -273,11 +273,6 @@ def alpha_grid_search(
     return AlphaSearchResult(best_alpha=best_alpha, costs=rows)
 
 
-# steps of the Tikhonov recurrence between two applications of the
-# divergence rule; a block of 37 members 102 wide is 242 KB
-BLOCK_STEPS = 8
-
-
 def tikhonov_runs(data, filters, z0, inputs, limit, read):
     """Simulate the Tikhonov fits [A_m B_m] = W diag(f_m) U_Y^T of the
     filter rows f_m of ``filters`` in the coordinates of the snapshot SVD.
@@ -288,56 +283,35 @@ def tikhonov_runs(data, filters, z0, inputs, limit, read):
         z_{k+1} = W (f_m * q_k),    q_{k+1} = K (f_m * q_k) + U_u^T u_{k+1},
 
     with K = U_z^T W, so every member shares [W; K] and no fit is formed.
-    Only the state rows ``read`` of z are formed, and each member's step is
+    The members are a :func:`~kooplift.sim.run_stack` of [z[read], U_z^T z]:
+    only the state rows ``read`` of z are formed, and each member's step is
     its own (1, r) @ (r, len(read) + r) product, so its bits do not depend
     on the members beside it. As in every lifted run
-    (:func:`~kooplift.sim.diverged`), the state is held to ``limit`` and q
-    must stay finite. Returns ``(states, diverged_at)``: the state,
+    (:func:`~kooplift.sim.diverged`), the state is held to ``limit`` and the
+    rest must stay finite. Returns ``(states, diverged_at)``: the state,
     (M, n_steps + 1, len(read)), NaN from a member's divergence step on,
     and the (M,) divergence steps, 0 for a member that never diverged.
-
-    The stack steps ``BLOCK_STEPS`` steps at a time with no bookkeeping,
-    and the divergence rule is applied once to the whole block: a member
-    diverges at its first broken step in it, and only then leaves the
-    stack. Until the block ends, such a member steps on through its own
-    inf or NaN; since its product is its own, that reaches no neighbour,
-    and every member keeps the bits of a run checked step by step.
     """
     U_Y, _, W = data.tikhonov_svd()
     n_f, n_read = data.n_f, len(read)
     U_z = U_Y[:n_f]
     shared = np.hstack([W[read].T, W.T @ U_z])
     driven = inputs @ U_Y[n_f:]
-    n_steps = inputs.shape[0] - 1
-    states = np.full((len(filters), n_steps + 1, n_read), np.nan)
-    states[:, 0] = z0[read]
-    diverged_at = np.zeros(len(filters), dtype=int)
-    members = np.arange(len(filters))
-    rows = slice(None)  # the rows of ``states`` the stack still fills
-    fq = filters * (z0 @ U_z + driven[0])
-    # row j of a block: each member's [z[read], q] at step k + 1 + j
-    buffer = np.empty((min(BLOCK_STEPS, n_steps), len(filters), 1, shared.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, n_steps, BLOCK_STEPS):
-            block = buffer[: min(BLOCK_STEPS, n_steps - k), : members.size]
-            stack = fq[:, None, :]  # fq is updated in place within a block
-            for zq, q, u in zip(block, block[:, :, 0, n_read:], driven[k + 1 :]):
-                np.matmul(stack, shared, out=zq)
-                np.add(q, u, out=fq)
-                fq *= filters
-            states[rows, k + 1 : k + 1 + len(block)] = block[:, :, 0, :n_read].swapaxes(0, 1)
-            broken = diverged(block[:, :, 0], limit, slice(n_read))
-            if not broken.any():
-                continue
-            hit = broken.any(axis=0)
-            for m, first in zip(members[hit], broken.argmax(axis=0)[hit] + k + 1):
-                diverged_at[m] = first
-                states[m, first:] = np.nan
-            members, filters, fq = members[~hit], filters[~hit], fq[~hit]
-            if members.size == 0:
-                break
-            rows = members
-    return states, diverged_at
+    # the live members' filter rows and f_m * q_k, renewed when one leaves
+    members = f = fq = stack = None
+
+    def step(zq, k, live, out):
+        nonlocal members, f, fq, stack
+        if live is not members:
+            members, f = live, filters[live]
+            fq = np.empty(f.shape)
+            stack = fq[:, None, :]
+        np.add(zq[:, n_read:], driven[k], out=fq)
+        fq *= f
+        np.matmul(stack, shared, out=out[:, None])
+
+    start = np.tile(np.concatenate([z0[read], z0 @ U_z]), (len(filters), 1))
+    return run_stack(step, start, inputs.shape[0] - 1, limit, slice(n_read), slice(n_read))
 
 
 def tikhonov_objective(data, nonlinear, C, z0, inputs, limit, runs):

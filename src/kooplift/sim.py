@@ -2,9 +2,11 @@
 
 Continuous-time models are integrated with classical fixed-step RK4; input
 signals are generated on the integration grid t_k = k * Ts and zero-order
-held across each macro step (the sub-stages reuse the held value). Discrete
-time is plain iteration. All randomness flows through explicitly seeded
-generators so identical configurations reproduce bit-identical results.
+held across each macro step (the sub-stages reuse the held value). One loop,
+:func:`run_stack`, steps every numpy-path run, a discrete-time map or an RK4
+step, alone or stacked, and applies the divergence rule once per block. All
+randomness flows through explicitly seeded generators so identical
+configurations reproduce bit-identical results.
 """
 
 from __future__ import annotations
@@ -161,40 +163,81 @@ def diverged(values: np.ndarray, limit: float, selector=None) -> np.ndarray:
     return np.any(held > limit, axis=-1) | ~np.all(np.isfinite(magnitudes), axis=-1)
 
 
-def _check_state(x: np.ndarray, step: int, limit: float, label: str, selector=None) -> None:
-    if diverged(x, limit, selector):
-        raise DivergenceError(
-            f"simulation {label!r} diverged at step {step} "
-            f"(|state| exceeded {limit:g} or became non-finite)",
-            step=step,
-        )
+def _divergence(label: str, step: int, limit: float) -> DivergenceError:
+    reason = f"|state| exceeded {limit:g} or became non-finite"
+    return DivergenceError(f"simulation {label!r} diverged at step {step} ({reason})", step=step)
 
 
-def _rk4(rhs, x0, ts, stages, n_steps, divergence_limit, label, selector=None):
-    """Classical fourth-order Runge-Kutta with fixed step ``ts``.
+# steps between two applications of the divergence rule; a block of 37
+# members 102 wide is 242 KB
+BLOCK_STEPS = 8
 
-    ``stages`` yields, per step, the second arguments ``rhs(x, v)`` takes
-    at the step's start, midpoint and end. Returns the (n_steps + 1, n)
-    state record.
+
+def run_stack(step, start, n_steps, limit, selector, record):
+    """Step the (M, n) stack ``start`` of M runs ``n_steps`` times.
+
+    ``step(states, k, live, out)`` writes into ``out`` the successors of the
+    step-k ``states`` of the members ``live``, indices into the stack (one
+    object until a member leaves), and does not write to ``states``. The
+    columns ``selector`` are held to ``limit`` and all must stay finite
+    (:func:`diverged`). Returns ``(states, diverged_at)``: each member's
+    columns ``record``, (M, n_steps + 1, recorded), NaN from its divergence
+    step on, and the (M,) divergence steps, 0 for a member that never did.
+
+    The stack steps ``BLOCK_STEPS`` steps at a time with no bookkeeping, and
+    the divergence rule is applied once per block: a member diverges at its
+    first broken step in it, and only then leaves the stack. Until then
+    ``step`` may see its inf or NaN up to ``BLOCK_STEPS - 1`` more times; a
+    step whose arithmetic is each member's own keeps that from the others,
+    and every member keeps the bits of a run checked step by step.
     """
+    states = np.full((len(start), n_steps + 1, start[:, record].shape[1]), np.nan)
+    states[:, 0] = start[:, record]
+    diverged_at = np.zeros(len(start), dtype=int)
+    live = np.arange(len(start))
+    rows = slice(None)  # the rows of ``states`` the stack still fills
+    # row j of a block: the live members' states at step k + 1 + j
+    buffer = np.empty((min(BLOCK_STEPS, n_steps),) + start.shape)
+    now = start
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, n_steps, BLOCK_STEPS):
+            block = buffer[: min(BLOCK_STEPS, n_steps - k), : live.size]
+            for j, out in enumerate(block, k):
+                step(now, j, live, out)
+                now = out
+            states[rows, k + 1 : k + 1 + len(block)] = block[:, :, record].swapaxes(0, 1)
+            broken = diverged(block, limit, selector)
+            if not broken.any():
+                continue
+            hit = broken.any(axis=0)
+            for m, first in zip(live[hit], broken.argmax(axis=0)[hit] + k + 1):
+                diverged_at[m] = first
+                states[m, first:] = np.nan
+            live, now = live[~hit], now[~hit]
+            if live.size == 0:
+                break
+            rows = live
+    return states, diverged_at
+
+
+def _rk4(rhs, ts, stages):
+    """The classical fourth-order Runge-Kutta step of fixed size ``ts``, the
+    map ``(x, row) -> x_next``: ``stages(row)`` gives the second arguments
+    ``rhs(x, v)`` takes at the step's start, midpoint and end."""
     if ts <= 0:
         raise ValueError(f"step size must be positive, got {ts}")
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_steps + 1, x.shape[0]))
-    states[0] = x
     half = 0.5 * ts
     sixth = ts / 6.0
-    # an overflow or NaN reaches x, where _check_state stops the run
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (start, mid, end) in enumerate(stages):
-            k1 = rhs(x, start)
-            k2 = rhs(x + half * k1, mid)
-            k3 = rhs(x + half * k2, mid)
-            k4 = rhs(x + ts * k3, end)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            _check_state(x, k + 1, divergence_limit, label, selector)
-            states[k + 1] = x
-    return states
+
+    def step(x, row):
+        start, mid, end = stages(row)
+        k1 = rhs(x, start)
+        k2 = rhs(x + half * k1, mid)
+        k3 = rhs(x + half * k2, mid)
+        k4 = rhs(x + ts * k3, end)
+        return x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+    return step
 
 
 def rk4_integrate(
@@ -207,18 +250,9 @@ def rk4_integrate(
     label: str = "rk4",
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta for a time-dependent field(t, x)."""
-    half = 0.5 * ts
-    starts = (t0 + k * ts for k in range(n_steps))
-    states = _rk4(
-        lambda x, t: field(t, x),
-        x0,
-        ts,
-        ((t, t + half, t + ts) for t in starts),
-        n_steps,
-        divergence_limit,
-        label,
-    )
     times = t0 + np.arange(n_steps + 1) * ts
+    step = _rk4(lambda x, t: field(t, x), ts, lambda t: (t[0], t[0] + 0.5 * ts, t[0] + ts))
+    states = dt_simulate(step, x0, times[:, None], n_steps, divergence_limit, label).states
     return Trajectory(times, states, label=label)
 
 
@@ -242,14 +276,15 @@ def simulate_ct(
 
 
 def _kernel_rk4(kernel, x0, ts, inputs, n_steps, divergence_limit, label, selector):
-    """The (n_steps + 1, n) state record of :func:`_rk4`, from a kernel."""
+    """The (n_steps + 1, n) state record of the :func:`_rk4` run, from a kernel."""
     if ts <= 0:
         raise ValueError(f"step size must be positive, got {ts}")
     states = np.empty((n_steps + 1, kernel.n))
     states[0] = x0
 
     def check(step, state):
-        _check_state(np.array(state), step, divergence_limit, label, selector)
+        if diverged(np.array(state), divergence_limit, selector):
+            raise _divergence(label, step, divergence_limit)
 
     kernel.run(
         memoryview(states.reshape(-1)),
@@ -277,7 +312,10 @@ def dt_simulate(
     ``step(x, u)`` returns the successor of state ``x`` under input row
     ``u``, the same contract as the right-hand side ``rhs(x, u)`` of
     :func:`simulate_ct`. ``state_selector`` restricts the divergence limit
-    to those coordinates; the rest must stay finite.
+    to those coordinates; the rest must stay finite. The run is the
+    one-member case of :func:`run_stack`: ``step`` may be called on a
+    broken state up to ``BLOCK_STEPS - 1`` more times before the run stops,
+    and the :class:`DivergenceError` names the first broken step.
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     if n_steps is None:
@@ -286,17 +324,18 @@ def dt_simulate(
         raise DimensionError(
             f"need {n_steps + 1} input rows for {n_steps} steps, got {inputs.shape[0]}"
         )
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((n_steps + 1, x.shape[0]))
-    states[0] = x
-    # as in _rk4, _check_state alone decides on an overflow or NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            x = np.asarray(step(x, inputs[k]), dtype=float)
-            _check_state(x, k + 1, divergence_limit, label, state_selector)
-            states[k + 1] = x
+
+    def member_step(x, k, live, out):
+        out[0] = step(x[0], inputs[k])
+
+    x0 = np.asarray(x0, dtype=float)
+    states, (diverged_at,) = run_stack(
+        member_step, x0[None], n_steps, divergence_limit, state_selector, slice(None)
+    )
+    if diverged_at:
+        raise _divergence(label, int(diverged_at), divergence_limit)
     times = np.arange(n_steps + 1, dtype=float)
-    return Trajectory(times, states, inputs=inputs[: n_steps + 1], label=label)
+    return Trajectory(times, states[0], inputs=inputs[: n_steps + 1], label=label)
 
 
 def _simulate(
@@ -329,16 +368,9 @@ def _simulate(
                 kernel, x0, ts, inputs, n_steps, divergence_limit, label, state_selector
             )
         else:
-            states = _rk4(
-                step,
-                x0,
-                ts,
-                ((u, u, u) for u in inputs[:n_steps]),
-                n_steps,
-                divergence_limit,
-                label,
-                state_selector,
-            )
+            step = _rk4(step, ts, lambda u: (u, u, u))
+            run = dt_simulate(step, x0, inputs, n_steps, divergence_limit, label, state_selector)
+            states = run.states
         times = np.arange(n_steps + 1) * ts
         return Trajectory(times, states, inputs=inputs, label=label)
     return dt_simulate(
@@ -428,11 +460,9 @@ def simulate_nonlinear(
     label: str = "nonlinear",
 ) -> Trajectory:
     """Simulate the original nonlinear system f(x) + g(x, u)."""
-    f = decomposition.autonomous.evaluate
-    g = decomposition.input_driven
     return _simulate(
         decomposition.time_domain,
-        lambda x, u: f(x) + g(x, u),
+        decomposition.eval_full,
         x0,
         inputs,
         ts,

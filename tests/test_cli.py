@@ -1679,7 +1679,8 @@ class TestSerializationFormat:
     def test_trajectory_csv_memory_stays_within_one_block(self, tmp_path, n_rows):
         # a ct-example run's two files, sharing t and the inputs: what the
         # writer holds is one block of formatted cells per file, about
-        # 0.85 MB at 1024 rows, whatever the length of the run
+        # 0.44 MB at 256 rows (0.59 MB on a first call, which builds the
+        # formatter's tables), whatever the length of the run
         import tracemalloc
 
         from kooplift.serialize import write_trajectory_csv

@@ -469,6 +469,150 @@ class TestBlockScreen:
         _assert_screen_matches(*case)
 
 
+def _rk4_step(rhs, ts):
+    """One classical RK4 step written out, ``(x, (start, mid, end)) -> x_next``."""
+    half, sixth = 0.5 * ts, ts / 6.0
+
+    def step(x, stages):
+        start, mid, end = stages
+        k1 = rhs(x, start)
+        k2 = rhs(x + half * k1, mid)
+        k3 = rhs(x + half * k2, mid)
+        k4 = rhs(x + ts * k3, end)
+        return x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+    return step
+
+
+def _checked_run(step, x0, rows, limit, label):
+    """A run with the divergence rule applied after every step: its states
+    up to the first broken one, and that step with the DivergenceError
+    message (None for a run that never breaks)."""
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, row in enumerate(rows, 1):
+            x = np.asarray(step(x, row), dtype=float)
+            if np.any(np.abs(x) > limit) or not np.all(np.isfinite(x)):
+                reason = f"|state| exceeded {limit:g} or became non-finite"
+                return np.array(states), (k, f"simulation {label!r} diverged at step {k} ({reason})")
+            states.append(x)
+    return np.array(states), None
+
+
+class TestOneMemberScreen:
+    """dt_simulate, numpy-path simulate_ct and rk4_integrate are one-member
+    runs of sim.run_stack, screened once per block: each against a run
+    checked after every step, and a step called at most BLOCK_STEPS - 1
+    times past the first broken state. Each run grows x1 from 1 about 2.7x
+    per step and holds x2 at 0.5."""
+
+    n_steps = 3 * BLOCK_STEPS + 5
+    breaks = [1, BLOCK_STEPS, BLOCK_STEPS + 1, n_steps, 0]
+    ts = 0.1
+    x0 = [1.0, 0.5]
+
+    @staticmethod
+    def dt_map(x, u):
+        return x * np.array([2.7, 1.0]) + u * np.array([1.0, 0.0])
+
+    @staticmethod
+    def ct_field(x, u):
+        return x * np.array([10.0, 0.0]) + u * np.array([1.0, 0.0])
+
+    @staticmethod
+    def t_field(t, x):
+        return x * np.array([9.0 + t, 0.0])
+
+    def _path(self, path, rows=None):
+        """(run(rows, limit, wrap), rows, reference step, reference rows):
+        ``wrap`` wraps the map or field the run is handed."""
+        n, ts, x0 = self.n_steps, self.ts, self.x0
+        if path == "rk4":
+            rows = 0.5 + ts * np.arange(n + 1)[:, None]
+            field = lambda x, t: self.t_field(t, x)
+            return (
+                lambda rows, limit, wrap: rk4_integrate(
+                    wrap(self.t_field), x0, ts, len(rows) - 1, t0=0.5,
+                    divergence_limit=limit, label="screened",
+                ),
+                rows,
+                _rk4_step(field, ts),
+                [(t, t + 0.5 * ts, t + ts) for t in rows[:n, 0]],
+            )
+        rows = np.full((n + 1, 1), 0.25) if rows is None else rows
+        if path == "dt":
+            return (
+                lambda rows, limit, wrap: dt_simulate(
+                    wrap(self.dt_map), x0, rows, divergence_limit=limit, label="screened"
+                ),
+                rows,
+                self.dt_map,
+                list(rows[:n]),
+            )
+        return (
+            lambda rows, limit, wrap: simulate_ct(
+                wrap(self.ct_field), x0, rows, ts, divergence_limit=limit, label="screened"
+            ),
+            rows,
+            _rk4_step(self.ct_field, ts),
+            [(u, u, u) for u in rows[:n]],
+        )
+
+    @pytest.mark.parametrize("path", ["dt", "ct", "rk4"])
+    @pytest.mark.parametrize("broken_at", breaks)
+    def test_first_broken_step_states_and_calls(self, path, broken_at):
+        run, rows, ref_step, ref_rows = self._path(path)
+        # a limit between the states at steps broken_at - 1 and broken_at of
+        # the run without one, or above all of it for a run that never breaks
+        grown = _checked_run(ref_step, self.x0, ref_rows, np.inf, "screened")[0][:, 0]
+        assert np.all(np.diff(grown) > 0)
+        if broken_at:
+            limit = np.sqrt(grown[broken_at - 1] * grown[broken_at])
+        else:
+            limit = 2.0 * grown[-1]
+        want_states, want_error = _checked_run(ref_step, self.x0, ref_rows, limit, "screened")
+        calls = []
+
+        def wrap(f):
+            def counted(*args):
+                calls.append(1)
+                return f(*args)
+
+            return counted
+
+        # one RK4 step makes four calls of its field
+        per_step = 1 if path == "dt" else 4
+        if not broken_at:
+            assert want_error is None
+            _assert_same_bits(run(rows, limit, wrap).states, want_states)
+            assert len(calls) == self.n_steps * per_step
+            return
+        with pytest.raises(DivergenceError) as exc:
+            run(rows, limit, wrap)
+        assert want_error[0] == broken_at
+        assert (exc.value.step, str(exc.value)) == want_error
+        assert broken_at * per_step <= len(calls) <= (broken_at + BLOCK_STEPS - 1) * per_step
+        # the states before the break, from a run that stops there
+        if broken_at > 1:
+            before = run(rows[:broken_at], limit, lambda f: f)
+            _assert_same_bits(before.states, want_states)
+
+    @pytest.mark.parametrize("path", ["dt", "ct"])
+    @pytest.mark.parametrize("broken_at", breaks[:-1])
+    def test_a_nan_input_breaks_at_its_step(self, path, broken_at):
+        # input row k - 1 is NaN, so the state at step k is, and fails even
+        # an infinite limit
+        rows = np.full((self.n_steps + 1, 1), 0.25)
+        rows[broken_at - 1] = np.nan
+        run, rows, ref_step, ref_rows = self._path(path, rows)
+        _, want_error = _checked_run(ref_step, self.x0, ref_rows, np.inf, "screened")
+        assert want_error[0] == broken_at
+        with pytest.raises(DivergenceError) as exc:
+            run(rows, np.inf, lambda f: f)
+        assert (exc.value.step, str(exc.value)) == want_error
+
+
 def _scalar_lift(a):
     """The exact lift of x+ = a x + u on the monomials x, x^2, ..., x^20."""
     decomposition = control_affine_decomposition(
