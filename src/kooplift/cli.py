@@ -115,6 +115,13 @@ def _simulate(c: dict, out_dir: Optional[str] = None) -> dict:
         raise ConfigError(
             "a run needs 'signals', and in continuous time 'ts' and 'horizon_seconds'"
         )
+    for channel, spec in enumerate(specs):
+        # a run reads one input sample per grid point, n_steps + 1 in all
+        if spec.kind == "custom" and spec.samples.shape[0] <= n_steps:
+            raise ConfigError(
+                f"invalid signal for channel {channel}: custom signal has "
+                f"{spec.samples.shape[0]} samples, need {n_steps + 1}"
+            )
 
     inputs = build_inputs(specs, ts, n_steps)
     if not np.any(inputs[:-1]) and any(fit["kind"] == "edmdc" for fit in c["fits"]):

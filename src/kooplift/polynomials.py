@@ -31,29 +31,24 @@ the stable sort leaves each key's products in walk order, and
 it. The keys are compared field by field, so no packed integer key can
 overflow.
 
-Evaluation at many points goes through one array kernel, compiled once per
-map: per term, its coefficient ``c`` and its gather indices into a power
-table ``P[i, e] = x_i ** e``, stored once in ranked slot order. The rows are
-ranked by term count, longest first, and slot ``j`` holds the ``j``-th term
-of every row with more than ``j`` terms, so it covers a prefix of the ranked
-rows. The term values ``c * P[0, e_0] * P[1, e_1] * ...`` are gathered in that
-order and added slot after slot, in place, into an accumulator of the ranked
-rows that starts at 0.0, with no padding. A single point is evaluated by the
-same kernel on a map with at least ``KERNEL_MIN_TERMS`` terms, its term
-values scattered into a zero-padded ``(width, n_pad)`` layout, ``width``
-being the longest row and ``n_pad = max(n_out, 2)``, and summed over its
-``width`` axis by ``np.add.reduce``; a smaller map keeps a flat
-``(coeff, ((i, e), ...))`` tuple per term and is evaluated by a Python loop.
+A map is evaluated in its own canonical term order. Its gather, built on
+first use, holds each variable's top exponent and, per variable, each
+term's column in a power table ``P[i, e] = x_i ** e``. The term values
+``c * P[0, e_0] * P[1, e_1] * ...`` are gathered from the table, and each
+row is summed by one ``np.bincount`` over the terms' rows, as
+:meth:`TermArrays.canonical` sums its keys; a batch of ``n`` points gives
+bin ``r * n + p`` to row ``r`` at point ``p``. A single point takes this
+array form on a map with at least ``KERNEL_MIN_TERMS`` terms; a smaller map
+keeps a flat ``(coeff, ((i, e), ...))`` tuple per term and is evaluated by
+a Python loop.
 
 Every form gives the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
 an exact 1.0), and each row is summed sequentially in term order starting
-from 0.0. The slot-after-slot additions are that order, and so is numpy's
-reduce of an axis that is not the innermost one, which adds whole rows of
-the padded layout elementwise, term position after term position. Along the
-innermost axis numpy sums pairwise, in another order, so neither ``np.sum``
-nor ``np.add.reduceat`` over a row's terms gives the loop's bits; that is
-also why ``n_out`` is padded to 2 (see :class:`_Kernel`).
+from 0.0. ``np.bincount`` adds each bin's weights one after another from
+0.0, which is that order, and so turns a row of -0.0 terms into +0.0 as
+the loop does; numpy's ``np.sum`` and ``np.add.reduceat`` sum pairwise, in
+another order, and do not give the loop's bits.
 
 ``evaluate`` takes its powers with Python's ``float(x_i) ** e`` and
 ``evaluate_batch`` with numpy's ``pts[:, i] ** e``. These two power
@@ -87,19 +82,23 @@ def power(x: float, e: int) -> float:
         return -math.inf if x < 0 and e % 2 else math.inf
 
 
-# Maps with at least this many terms are evaluated at a single point by the
-# array kernel, smaller ones by a loop over term tuples. On 4-row, 3-variable
-# maps with exponents up to 9 (median of five maps), one evaluate took 2.6 us
-# in the tuple loop and 19.7 us in the kernel at 3 terms, 14.4 and 31.5 us at
-# 32, 19.5 and 21.7 us at 48, and 27.7 and 28.5 us at 64. A batch always
-# takes the kernel: a 100-point batch took 0.34 ms in it against 0.90 ms in a
-# term loop at 32 terms, and 68 against 21 us at 4, a few tens of us that buy
-# one batch path (Python 3.11, numpy 2.4, one core of a shared x86-64 VM
-# whose repeated runs differ by up to 1.5x).
+# Maps with at least this many terms are evaluated at a single point in the
+# array form, smaller ones by a loop over term tuples. On 4-row, 3-variable
+# maps with exponents up to 9 (median of five maps), one evaluate took 2.3 us
+# in the tuple loop and 11.7 us in the array form at 3 terms, 8.0 and 12.2 us
+# at 16, 12.6 and 11.7 us at 24, 14.9 and 11.9 us at 32, and 29.7 and 12.8 us
+# at 64: the two cross between 16 and 24 terms. The maps the benchmark
+# workloads evaluate have at most 4 terms, 6-9x faster in the loop, or at
+# least 1,078. A batch always takes the array form: a 100-point batch took
+# 0.21 ms in it against 0.68 ms in a term loop at 32 terms, and 0.13 against
+# 0.06 ms at 3, a few tens of us that buy one batch path (Python 3.11, numpy
+# 2.4, one core of a shared 2-core x86-64 VM whose repeated runs differ by
+# up to 1.5x).
 KERNEL_MIN_TERMS = 32
 
 # evaluate_batch takes as many points at a time as keep its live
-# temporaries, the term values and one gathered factor, near 1 MB of float64
+# temporaries near 1 MB of float64: the term values, and with them one
+# gathered factor or, once the values are formed, the bin index
 _BATCH_BLOCK_FLOATS = 1 << 17
 
 
@@ -332,101 +331,6 @@ def compose_rows(exponents: np.ndarray, components: TermArrays) -> TermArrays:
     return result
 
 
-class _Kernel:
-    """Array form of a polynomial map's terms, in ranked slot order.
-
-    Rows are ranked by term count, longest first, ties in row order
-    (``rank[r]`` is the rank of row ``r``). Slot ``j`` holds the ``j``-th
-    term of every row with more than ``j`` terms, in rank order, so it covers
-    the first ``counts[j]`` ranks; the slots follow one another, and the
-    terms are stored in that one order with no padding. ``index[i]`` holds
-    each term's column in the flat power table for variable ``i`` (offset
-    past the columns of earlier variables), ``coeffs`` the coefficients and
-    ``slots`` each term's place ``j * n_pad + r`` in the zero-padded ``(width,
-    n_pad)`` layout of a single point, ``width`` being the longest row.
-
-    A batch adds the slots one after another, in place, into the first
-    ``counts[j]`` ranks of an accumulator that starts at 0.0: each row sums
-    its terms left to right from 0.0, as the term loop does. A single point
-    scatters its term values into the padded layout and sums them with
-    ``np.add.reduce`` over the ``width`` axis, which adds the layout's rows
-    ``[j, :]`` elementwise in ``j`` order, so each output sums its terms left
-    to right, then its padding, which changes nothing but the sign of a zero.
-    That holds only while ``width`` is not the innermost axis, which numpy
-    would sum pairwise. A one-row map would have a unit last axis, which numpy
-    drops; ``n_pad = max(n_out, 2)`` keeps it.
-    """
-
-    __slots__ = ("max_exp", "index", "coeffs", "slots", "counts", "rank", "n_out", "n_pad", "width")
-
-    def __init__(self, terms: TermArrays):
-        self.n_out = terms.n_rows
-        starts = terms.row_starts()
-        lengths = np.diff(starts)
-        self.width = int(lengths.max(initial=0))
-        self.n_pad = max(self.n_out, 2)
-        self.rank = np.empty(self.n_out, dtype=np.intp)
-        self.rank[np.argsort(-lengths, kind="stable")] = np.arange(self.n_out)
-        # rows with more than j terms: all but those with at most j
-        shorter = np.cumsum(np.bincount(lengths, minlength=self.width + 1))
-        self.counts = tuple((self.n_out - shorter[: self.width]).tolist())
-        slot = np.arange(terms.coeff.shape[0]) - starts[terms.row]
-        order = np.lexsort((self.rank[terms.row], slot))
-        self.slots = slot[order] * self.n_pad + terms.row[order]
-        self.coeffs = terms.coeff[order]
-        self.max_exp = tuple(terms.exps.max(axis=1, initial=0).tolist())
-        offsets = np.cumsum((0,) + tuple(m + 1 for m in self.max_exp[:-1]))
-        self.index = tuple(np.take(terms.exps, order, axis=1) + offsets[:, None])
-
-    def _values(self, table: np.ndarray) -> np.ndarray:
-        """Term values from a power table of shape (columns, ...), one row
-        per term: the coefficient times each variable's power, in variable
-        order."""
-        vals = np.take(table, self.index[0], axis=0)
-        vals *= self.coeffs.reshape(self.coeffs.shape + (1,) * (table.ndim - 1))
-        for index in self.index[1:]:
-            vals *= np.take(table, index, axis=0)
-        return vals
-
-    def _sum_terms(self, table: np.ndarray) -> np.ndarray:
-        """Row values from a power table of shape (..., columns)."""
-        # terms along the first axis, so that each slot adds whole
-        # contiguous rows; a table built (columns, points) and passed
-        # transposed moves back without a copy
-        table = np.moveaxis(table, -1, 0)
-        vals = self._values(table)
-        acc = np.zeros((self.n_out,) + table.shape[1:])
-        start = 0
-        for n in self.counts:
-            acc[:n] += vals[start : start + n]
-            start += n
-        return np.moveaxis(np.take(acc, self.rank, axis=0), 0, -1)
-
-    def evaluate(self, x: Sequence[float]) -> np.ndarray:
-        x = tuple(map(float, x))
-        try:
-            table = [xi ** e for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
-        except OverflowError:
-            table = [power(xi, e) for xi, m in zip(x, self.max_exp) for e in range(m + 1)]
-        padded = np.zeros(self.width * self.n_pad)
-        padded[self.slots] = self._values(np.array(table))
-        sums = np.add.reduce(padded.reshape(self.width, self.n_pad), axis=0)
-        # the loop starts each row from 0.0, which turns an all -0.0 row into
-        # +0.0; adding 0.0 does the same and leaves every other value alone
-        return sums[: self.n_out] + 0.0
-
-    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty((pts.shape[0], self.n_out))
-        step = max(1, _BATCH_BLOCK_FLOATS // max(2 * self.coeffs.shape[0], 1))
-        for start in range(0, pts.shape[0], step):
-            block = pts[start : start + step]
-            table = np.stack(
-                [block[:, i] ** e for i, m in enumerate(self.max_exp) for e in range(m + 1)]
-            )
-            out[start : start + step] = self._sum_terms(table.T)
-        return out
-
-
 class PolynomialMap:
     """Vector-valued sparse polynomial over a shared variable set.
 
@@ -479,8 +383,26 @@ class PolynomialMap:
             self._terms = tuple(map(tuple, terms))
 
     @cached_property
-    def _kernel(self) -> _Kernel:
-        return _Kernel(self.arrays)
+    def _gather(self) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
+        """Each variable's top exponent, and per variable each term's column
+        in the flat power table (offset past the columns of earlier
+        variables), the terms in the map's own order."""
+        exps = self.arrays.exps
+        top = tuple(exps.max(axis=1, initial=0).tolist())
+        offsets = np.cumsum((0,) + tuple(m + 1 for m in top[:-1]))
+        return top, tuple(exps + offsets[:, None])
+
+    def _values(self, table: np.ndarray) -> np.ndarray:
+        """Term values from a power table of shape (columns,) or (columns,
+        points), one row per term: the coefficient times each variable's
+        power, in variable order."""
+        index = self._gather[1]
+        coeff = self.arrays.coeff
+        vals = np.take(table, index[0], axis=0)
+        vals *= coeff.reshape(coeff.shape + (1,) * (table.ndim - 1))
+        for columns in index[1:]:
+            vals *= np.take(table, columns, axis=0)
+        return vals
 
     @property
     def rows(self) -> Tuple[TermDict, ...]:
@@ -492,7 +414,13 @@ class PolynomialMap:
                 f"map over {self.n_vars} variables evaluated at point of length {len(x)}"
             )
         if self._terms is None:
-            return self._kernel.evaluate(x)
+            x = tuple(map(float, x))
+            top = self._gather[0]
+            try:
+                table = [xi ** e for xi, m in zip(x, top) for e in range(m + 1)]
+            except OverflowError:
+                table = [power(xi, e) for xi, m in zip(x, top) for e in range(m + 1)]
+            return np.bincount(self.arrays.row, self._values(np.array(table)), self.n_out)
         out = np.empty(self.n_out)
         for r, terms in enumerate(self._terms):
             acc = 0.0
@@ -516,7 +444,20 @@ class PolynomialMap:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_vars}), got {pts.shape}"
             )
-        return self._kernel.evaluate_batch(pts)
+        top = self._gather[0]
+        row = self.arrays.row
+        out = np.empty((pts.shape[0], self.n_out))
+        step = max(1, _BATCH_BLOCK_FLOATS // max(2 * row.shape[0], 1))
+        for start in range(0, pts.shape[0], step):
+            block = pts[start : start + step]
+            n = block.shape[0]
+            table = np.stack([block[:, i] ** e for i, m in enumerate(top) for e in range(m + 1)])
+            vals = self._values(table)
+            # bin r * n + p takes row r at point p, its terms in their order
+            bins = row[:, None] * n + np.arange(n)
+            sums = np.bincount(bins.ravel(), vals.ravel(), self.n_out * n)
+            out[start : start + n] = sums.reshape(self.n_out, n).T
+        return out
 
     def jacobian(self) -> "PolynomialMap":
         """Exact partial derivatives, flattened row-major.

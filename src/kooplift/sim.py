@@ -102,7 +102,15 @@ class SignalSpec:
         elif self.kind == "custom":
             if self.samples is None:
                 raise ValueError("custom signal needs samples")
-            self.samples = np.asarray(self.samples, dtype=float)
+            samples = np.asarray(self.samples, dtype=float)
+            if samples.ndim != 1:
+                raise ValueError(
+                    f"custom samples must be a list of numbers, got shape {samples.shape}"
+                )
+            broken = np.flatnonzero(~np.isfinite(samples))
+            if broken.shape[0]:
+                raise ValueError(f"custom sample {broken[0]} is {samples[broken[0]]}, not finite")
+            self.samples = samples
         elif self.kind != "zero":
             raise ValueError(f"unknown signal kind {self.kind!r}")
 

@@ -710,6 +710,32 @@ class TestConfigKeys:
         without = {k: v for k, v in signal.items() if k not in named}
         assert resolve_config(dict(DT_CFG, signals=[without]))["signals"][0].kind == signal["kind"]
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ("[0.1, 0.2, 0.3]", "custom signal has 3 samples, need 6"),
+            ("[[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]", "must be a list of numbers"),
+            ("0.5", "must be a list of numbers"),
+            ("[0.1, NaN, 0.3, 0.4, 0.5, 0.6]", "custom sample 1 is nan"),
+            ("[1e400, 0.2, 0.3, 0.4, 0.5, 0.6]", "custom sample 0 is inf"),
+        ],
+        ids=["short", "two-dimensional", "scalar", "nan", "overflowing"],
+    )
+    def test_malformed_custom_samples_exit_2(
+        self, tmp_path, monkeypatch, capsys, samples, message
+    ):
+        # these ended in a traceback (exit 1) or ran until the bad sample
+        # diverged (exit 3)
+        _forbid_simulating(monkeypatch)
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"system": "dt-example", "horizon_steps": 5, '
+            f'"signals": [{{"kind": "custom", "samples": {samples}}}]}}'
+        )
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid signal for channel 0" in err and message in err, err
+
     def test_readme_lists_every_key(self):
         # the README's configuration list and the table name the same keys
         readme = Path(__file__).resolve().parents[1] / "README.md"

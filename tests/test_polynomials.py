@@ -178,6 +178,22 @@ class TestEvaluation:
         ):
             _assert_matches_oracles(PolynomialMap(2, rows), X)
 
+    def test_bincount_adds_each_bin_in_order(self):
+        # canonical() and both array forms of evaluation sum their rows with
+        # np.bincount, which adds a bin's weights one after another from 0.0:
+        # each 1e-16 is lost against 1.0, while a pairwise sum keeps them
+        values = np.array([1.0] + [1e-16] * 1000)
+        bins = np.zeros(values.shape[0], dtype=np.intp)
+        assert np.bincount(bins, values)[0] == 1.0
+        assert np.sum(values) == 1.0000000000000988
+
+    def test_zero_term_batch_is_float_zeros(self):
+        # np.bincount of no weights gives int64
+        p = PolynomialMap(2, [{}, {}, {}])
+        out = p.evaluate_batch(np.ones((4, 2)))
+        assert out.dtype == np.float64 and out.shape == (4, 3)
+        _assert_bits_equal(out, np.zeros((4, 3)))
+
     def test_weighted_degree_input_column_matches_term_oracle(self):
         # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u);
         # a batch block holds 2**17 // (2 * 8503) = 7 points, so the 30-point
@@ -193,8 +209,8 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("n_terms", [KERNEL_MIN_TERMS, 40, 200])
     def test_one_row_map_matches_term_oracle(self, n_terms):
-        # numpy drops a unit axis, and a one-row layout summed over its only
-        # other axis would be summed pairwise; n_out is padded to keep it
+        # every term lands in one bin, which np.bincount adds in term order;
+        # a pairwise sum of the row would round differently
         rng = np.random.default_rng(n_terms)
         p = _map_with_terms(rng, 3, 1, 12, n_terms)
         assert p._terms is None  # the kernel evaluates single points too
@@ -203,8 +219,8 @@ class TestEvaluation:
         _assert_matches_oracles(p, X)
 
     def test_one_long_row_among_short_ones(self):
-        # rows of 300, 1, 1, ..., 1 terms: nine of ten rows are almost all
-        # padding
+        # rows of 300, 1, 1, ..., 1 terms: one long bin among nine of one
+        # term, the long row first and last
         rng = np.random.default_rng(11)
         long_row = _map_with_terms(rng, 3, 1, 12, 300).rows[0]
         short = _map_with_terms(rng, 3, 9, 12, 9).rows
@@ -218,9 +234,8 @@ class TestEvaluation:
     def test_batch_blocks_match_term_loop(self, monkeypatch, shape):
         import kooplift.polynomials as polynomials
 
-        # a batch of three whole blocks and a remainder, on ragged maps; the
-        # kernel stores each term once, slot by slot over a prefix of the
-        # rows ranked longest first
+        # a batch of three whole blocks and a remainder, on ragged maps; each
+        # block sums its terms into one bin per row and point
         rng = np.random.default_rng(12)
         if shape == "empty-rows":
             rows = [{}, *_map_with_terms(rng, 3, 4, 9, 90).rows, {}, {}]
@@ -231,11 +246,7 @@ class TestEvaluation:
             rows = [*_map_with_terms(rng, 3, 6, 12, 6).rows, long_row]
             rows += _map_with_terms(rng, 3, 3, 12, 3).rows
         p = PolynomialMap(3, rows)
-        kernel = p._kernel
         n_terms = p.arrays.coeff.shape[0]
-        lengths = sorted((len(row) for row in p.rows), reverse=True)
-        assert kernel.counts == tuple(sum(n > j for n in lengths) for j in range(lengths[0]))
-        assert sum(kernel.counts) == n_terms == kernel.coeffs.shape[0]
         monkeypatch.setattr(polynomials, "_BATCH_BLOCK_FLOATS", 2 * n_terms * 4)
         X = rng.normal(size=(3 * 4 + 3, 3))
         X[5] = 0.0
@@ -255,22 +266,6 @@ class TestEvaluation:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20 + out.nbytes
-
-    @pytest.mark.parametrize("lead", [(3, 5), (1, 1), (15,), (1, 15), (5, 1, 3)])
-    @pytest.mark.parametrize("n_out", [1, 2, 4])
-    def test_sum_terms_over_leading_dimensions(self, lead, n_out):
-        # a power table of shape lead + (columns,) puts the reduced axis in
-        # the middle of the padded block; each point keeps its batch bits
-        rng = np.random.default_rng(13)
-        p = _map_with_terms(rng, 3, n_out, 9, 4 * KERNEL_MIN_TERMS)
-        kernel = p._kernel
-        X = rng.normal(size=(int(np.prod(lead)), 3))
-        table = np.stack(
-            [X[:, i] ** e for i, m in enumerate(kernel.max_exp) for e in range(m + 1)],
-            axis=1,
-        )
-        got = kernel._sum_terms(table.reshape(lead + table.shape[1:]))
-        _assert_bits_equal(got, _naive_eval_batch(p, X).reshape(lead + (n_out,)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
