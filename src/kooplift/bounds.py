@@ -113,12 +113,15 @@ def beta_grid(
     and generated chunk by chunk from their flat indices, so memory stays
     proportional to ``GRID_CHUNK_POINTS``; the first point reaching the
     maximum is reported. A gap norm that is not finite raises
-    :class:`NumericEvaluationError` naming its point.
+    :class:`NumericEvaluationError` naming its point, and a
+    ``grid_density`` below 1, which leaves no point, :class:`DimensionError`.
     """
+    if grid_density < 1:
+        raise DimensionError(
+            f"beta_grid over an empty point set: grid_density {grid_density} gives no grid points"
+        )
     B_hat = np.asarray(B_hat, dtype=float)
     axes = state_box.grid(grid_density) + input_box.grid(grid_density)
-    if any(a.size == 0 for a in axes):
-        raise ValueError("empty grid")
     shape = tuple(a.size for a in axes)
     n_points = math.prod(shape)
     n_x = state_box.dim
@@ -154,12 +157,17 @@ def beta_trajectory(
 
     Restricting the scan to the observed (x_k, u_k) pairs is exactly what
     the partial-sum bound needs to dominate that run's error. A gap norm
-    that is not finite raises :class:`NumericEvaluationError`.
+    that is not finite raises :class:`NumericEvaluationError`, and a run of
+    no (x, u) pairs :class:`DimensionError`.
     """
     B_hat = np.asarray(B_hat, dtype=float)
     X = np.asarray(states, dtype=float)
     U = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = min(X.shape[0], U.shape[0])
+    if not n:
+        raise DimensionError(
+            f"beta_trajectory over an empty point set: {X.shape[0]} states and {U.shape[0]} inputs"
+        )
     X, U = X[:n], U[:n]
     norms = _gap_norms(model, B_hat, X, U)
     _check_finite(norms, X, U)

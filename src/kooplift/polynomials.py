@@ -32,15 +32,25 @@ it. The keys are compared field by field, so no packed integer key can
 overflow.
 
 A map is evaluated in its own canonical term order. Its gather, built on
-first use, holds each variable's top exponent and, per variable, each
-term's column in a power table ``P[i, e] = x_i ** e``. The term values
+first use, holds each variable's top exponent, per variable each term's
+column in a power table ``P[i, e] = x_i ** e``, each row's first term and
+the length of the longest row. The term values
 ``c * P[0, e_0] * P[1, e_1] * ...`` are gathered from the table, and each
 row is summed by one ``np.bincount`` over the terms' rows, as
-:meth:`TermArrays.canonical` sums its keys; a batch of ``n`` points gives
-bin ``r * n + p`` to row ``r`` at point ``p``. A single point takes this
+:meth:`TermArrays.canonical` sums its keys. A single point takes this
 array form on a map with at least ``KERNEL_MIN_TERMS`` terms; a smaller map
 keeps a flat ``(coeff, ((i, e), ...))`` tuple per term and is evaluated by
 a Python loop.
+
+A batch is taken in point blocks as wide as one chunk of
+``_BATCH_CHUNK_FLOATS`` term values allows next to the longest row: one
+power table of shape (columns, n) per block of ``n`` points. The block's
+terms are walked in chunks of whole rows that hold at most that many
+values, a longer row a chunk of its own; each chunk gathers its term values
+as (terms, n) rows and sums them with one ``np.bincount``, bin
+``(r - lo) * n + p`` holding row ``r`` at point ``p`` for a chunk starting
+at row ``lo``. A row never spans two chunks, so each output is its row's
+terms added in term order from 0.0, whatever the block and chunk sizes.
 
 Every form gives the bits of a term-by-term loop. Each term multiplies its
 powers onto its coefficient in variable order (a zero exponent contributes
@@ -48,7 +58,8 @@ an exact 1.0), and each row is summed sequentially in term order starting
 from 0.0. ``np.bincount`` adds each bin's weights one after another from
 0.0, which is that order, and so turns a row of -0.0 terms into +0.0 as
 the loop does; numpy's ``np.sum`` and ``np.add.reduceat`` sum pairwise, in
-another order, and do not give the loop's bits.
+another order, and do not give the loop's bits, nor does
+``np.add.reduce(..., axis=0)`` over a one-point block.
 
 ``evaluate`` takes its powers with Python's ``float(x_i) ** e`` and
 ``evaluate_batch`` with numpy's ``pts[:, i] ** e``. These two power
@@ -61,9 +72,10 @@ the float range diverges rather than failing.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -96,10 +108,18 @@ def power(x: float, e: int) -> float:
 # up to 1.5x).
 KERNEL_MIN_TERMS = 32
 
-# evaluate_batch takes as many points at a time as keep its live
-# temporaries near 1 MB of float64: the term values, and with them one
-# gathered factor or, once the values are formed, the bin index
-_BATCH_BLOCK_FLOATS = 1 << 17
+# evaluate_batch forms about this many term values at a time. A block of
+# max(1, _BATCH_CHUNK_FLOATS // longest row) points shares one power table,
+# and its terms are walked in chunks of whole rows of at most
+# _BATCH_CHUNK_FLOATS // points terms, a longer row a chunk of its own, each
+# chunk summed by one np.bincount. A row never leaves its chunk, so its
+# terms are added in their order and the sizes change no bit. A chunk's live
+# temporaries, its values beside one gathered factor or the bin index, take
+# 0.5 MB; over 125 or 4,000 points of the n_f = 120 input column a batch
+# held 0.7 MB beside its output (tracemalloc). On that column 2**14 to 2**16
+# ran within 10% of one another and 2**13 and 2**17 slower (one core of a
+# shared 2-core x86-64 VM, numpy 2.4).
+_BATCH_CHUNK_FLOATS = 1 << 15
 
 
 def graded(exponents: Iterable[Exponents]) -> List[Exponents]:
@@ -255,6 +275,17 @@ def _stack(parts: Sequence[TermArrays], n_rows: int) -> TermArrays:
     )
 
 
+def _row_chunks(starts: List[int], budget: int) -> Iterator[Tuple[int, int]]:
+    """Consecutive runs ``(lo, hi)`` of whole rows, row ``r`` holding items
+    ``starts[r]`` to ``starts[r + 1]``: each run takes as many rows as keep
+    it within ``budget`` items, and a longer row is a run of its own."""
+    lo = 0
+    while lo < len(starts) - 1:
+        hi = max(lo + 1, bisect.bisect_right(starts, starts[lo] + budget) - 1)
+        yield lo, hi
+        lo = hi
+
+
 # multiply_rows forms the pairs of as many whole left rows at a time as keep
 # a block near this many pairs; a row with more pairs is a block of its own.
 # A pair takes about 100 bytes of working arrays at three variables, so a
@@ -284,10 +315,7 @@ def multiply_rows(left: TermArrays, right: TermArrays, pick: np.ndarray) -> Term
     left_starts = left.row_starts()
     before = np.concatenate(([0], counts.cumsum()))[left_starts]
     parts = []
-    lo = 0
-    while lo < left.n_rows:
-        end = before.searchsorted(before[lo] + _PRODUCT_BLOCK_PAIRS, side="right")
-        hi = max(lo + 1, int(end) - 1)
+    for lo, hi in _row_chunks(before.tolist(), _PRODUCT_BLOCK_PAIRS):
         a, b = left_starts[lo], left_starts[hi]
         n = counts[a:b]
         lt = np.arange(a, b).repeat(n)
@@ -298,7 +326,6 @@ def multiply_rows(left: TermArrays, right: TermArrays, pick: np.ndarray) -> Term
             lt, rt, vals = lt[nonzero], rt[nonzero], vals[nonzero]
         exps = np.take(left.exps, lt, axis=1) + np.take(right.exps, rt, axis=1)
         parts.append(TermArrays(left.row[lt], exps, vals, left.n_rows).canonical())
-        lo = hi
     return parts[0] if len(parts) == 1 else _stack(parts, left.n_rows)
 
 
@@ -329,6 +356,33 @@ def compose_rows(exponents: np.ndarray, components: TermArrays) -> TermArrays:
     for i in range(n):
         result = multiply_rows(result, powers, exponents[result.row, i] * n + i)
     return result
+
+
+class _Gather(NamedTuple):
+    """How a map's terms are read from a power table.
+
+    ``top`` is each variable's top exponent. ``columns`` holds, per
+    variable, each term's column in the flat power table ``P[i, e] =
+    x_i ** e`` (offset past the columns of earlier variables), the terms in
+    the map's own order. Row ``r`` holds terms ``starts[r]`` to
+    ``starts[r + 1]``, and ``longest`` is the most terms of a row.
+    """
+
+    top: Tuple[int, ...]
+    columns: Tuple[np.ndarray, ...]
+    starts: List[int]
+    longest: int
+
+
+def _term_values(table: np.ndarray, columns: Sequence[np.ndarray], coeff: np.ndarray) -> np.ndarray:
+    """Term values from a power table of shape (columns,) or (columns,
+    points), one row per term: the coefficient, shaped to broadcast against
+    a gathered row, times each variable's power, in variable order."""
+    vals = np.take(table, columns[0], axis=0)
+    vals *= coeff
+    for c in columns[1:]:
+        vals *= np.take(table, c, axis=0)
+    return vals
 
 
 class PolynomialMap:
@@ -383,26 +437,15 @@ class PolynomialMap:
             self._terms = tuple(map(tuple, terms))
 
     @cached_property
-    def _gather(self) -> Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]:
-        """Each variable's top exponent, and per variable each term's column
-        in the flat power table (offset past the columns of earlier
-        variables), the terms in the map's own order."""
+    def _gather(self) -> "_Gather":
+        """The layout evaluation reads, built on first use (see
+        :class:`_Gather`)."""
         exps = self.arrays.exps
         top = tuple(exps.max(axis=1, initial=0).tolist())
         offsets = np.cumsum((0,) + tuple(m + 1 for m in top[:-1]))
-        return top, tuple(exps + offsets[:, None])
-
-    def _values(self, table: np.ndarray) -> np.ndarray:
-        """Term values from a power table of shape (columns,) or (columns,
-        points), one row per term: the coefficient times each variable's
-        power, in variable order."""
-        index = self._gather[1]
-        coeff = self.arrays.coeff
-        vals = np.take(table, index[0], axis=0)
-        vals *= coeff.reshape(coeff.shape + (1,) * (table.ndim - 1))
-        for columns in index[1:]:
-            vals *= np.take(table, columns, axis=0)
-        return vals
+        starts = self.arrays.row_starts()
+        longest = int(np.diff(starts).max(initial=0))
+        return _Gather(top, tuple(exps + offsets[:, None]), starts.tolist(), longest)
 
     @property
     def rows(self) -> Tuple[TermDict, ...]:
@@ -415,12 +458,13 @@ class PolynomialMap:
             )
         if self._terms is None:
             x = tuple(map(float, x))
-            top = self._gather[0]
+            top = self._gather.top
             try:
                 table = [xi ** e for xi, m in zip(x, top) for e in range(m + 1)]
             except OverflowError:
                 table = [power(xi, e) for xi, m in zip(x, top) for e in range(m + 1)]
-            return np.bincount(self.arrays.row, self._values(np.array(table)), self.n_out)
+            values = _term_values(np.array(table), self._gather.columns, self.arrays.coeff)
+            return np.bincount(self.arrays.row, values, self.n_out)
         out = np.empty(self.n_out)
         for r, terms in enumerate(self._terms):
             acc = 0.0
@@ -444,20 +488,29 @@ class PolynomialMap:
             raise DimensionError(
                 f"expected points of shape (N, {self.n_vars}), got {pts.shape}"
             )
-        top = self._gather[0]
-        row = self.arrays.row
+        g = self._gather
         out = np.empty((pts.shape[0], self.n_out))
-        step = max(1, _BATCH_BLOCK_FLOATS // max(2 * row.shape[0], 1))
+        step = max(1, _BATCH_CHUNK_FLOATS // max(g.longest, 1))
         for start in range(0, pts.shape[0], step):
             block = pts[start : start + step]
             n = block.shape[0]
-            table = np.stack([block[:, i] ** e for i, m in enumerate(top) for e in range(m + 1)])
-            vals = self._values(table)
-            # bin r * n + p takes row r at point p, its terms in their order
-            bins = row[:, None] * n + np.arange(n)
-            sums = np.bincount(bins.ravel(), vals.ravel(), self.n_out * n)
-            out[start : start + n] = sums.reshape(self.n_out, n).T
+            table = np.array([block[:, i] ** e for i, m in enumerate(g.top) for e in range(m + 1)])
+            for lo, hi in _row_chunks(g.starts, _BATCH_CHUNK_FLOATS // n):
+                out[start : start + n, lo:hi] = self._row_sums(table, lo, hi).reshape(hi - lo, n).T
         return out
+
+    def _row_sums(self, table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo`` to ``hi`` at the ``n`` points of a (columns, n) power
+        table: bin ``(r - lo) * n + p`` of the sums holds row ``r`` at point
+        ``p``, its terms added in their order."""
+        g = self._gather
+        a, b = g.starts[lo], g.starts[hi]
+        columns = [c[a:b] for c in g.columns]
+        coeff, row = self.arrays.coeff[a:b], self.arrays.row[a:b] - lo
+        n = table.shape[1]
+        vals = _term_values(table, columns, coeff[:, None])
+        bins = (row * n)[:, None] + np.arange(n)
+        return np.bincount(bins.ravel(), vals.ravel(), (hi - lo) * n)
 
     def jacobian(self) -> "PolynomialMap":
         """Exact partial derivatives, flattened row-major.

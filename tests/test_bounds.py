@@ -244,6 +244,20 @@ class TestBetaScans:
         assert scan.n_points == 81
         assert scan.beta == worst(grid.reshape(-1, 4))
 
+    def test_empty_trajectory_raises_a_dimension_error(self):
+        # zero (x, u) pairs, or inputs cut short to none, leave no gap to
+        # maximise
+        bundle, lpv, lti, inputs, traj = _dt_setup()
+        for states, us in ((traj.states[:0], inputs[:0]), (traj.states[:-1], inputs[:0])):
+            with pytest.raises(DimensionError, match="empty point set"):
+                beta_trajectory(lpv, lti.B, states, us)
+
+    @pytest.mark.parametrize("density", [0, -3])
+    def test_empty_grid_raises_a_dimension_error(self, density):
+        bundle, lpv, lti, inputs, traj = _dt_setup()
+        with pytest.raises(DimensionError, match=f"empty point set: grid_density {density}"):
+            beta_grid(lpv, lti.B, bundle.state_box, bundle.input_box, grid_density=density)
+
     def test_nan_in_a_later_chunk_raises(self, monkeypatch):
         # np.argmax picks a NaN, and NaN > beta is False: the chunk holding
         # the first NaN point (100, x1 = 1) was skipped, finite points and all

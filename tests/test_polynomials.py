@@ -11,6 +11,7 @@ from kooplift.lifting import _symbolic_lift
 from kooplift.polynomials import (
     KERNEL_MIN_TERMS,
     TermArrays,
+    _row_chunks,
     compose_rows,
     graded,
     multiply_rows,
@@ -195,14 +196,16 @@ class TestEvaluation:
         _assert_bits_equal(out, np.zeros((4, 3)))
 
     def test_weighted_degree_input_column_matches_term_oracle(self):
-        # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u);
-        # a batch block holds 2**17 // (2 * 8503) = 7 points, so the 30-point
-        # batch takes 5 blocks with a short last one
+        # the largest benchmark column: n_f = 120, 8503 terms over (x1, x2, u),
+        # at most 245 in a row; a point block holds 2**15 // 245 = 133 points,
+        # so the 140-point batch takes a full block, walked in chunks of whole
+        # rows of at most 2**15 // 133 = 246 terms, and a short one of 7
         dictionary, column = _weighted_input_column(20)
         assert dictionary.n_f == 120
         assert sum(len(row) for row in column.rows) == 8503
+        assert column._gather.longest == 245
         rng = np.random.default_rng(3)
-        X = np.hstack([rng.uniform(-1.5, 1.5, (30, 2)), rng.uniform(-1.0, 1.0, (30, 1))])
+        X = np.hstack([rng.uniform(-1.5, 1.5, (140, 2)), rng.uniform(-1.0, 1.0, (140, 1))])
         for x in X[:3]:
             _assert_bits_equal(column.evaluate(x), _naive_eval(column, x))
         _assert_bits_equal(column.evaluate_batch(X), _naive_eval_batch(column, X))
@@ -234,8 +237,9 @@ class TestEvaluation:
     def test_batch_blocks_match_term_loop(self, monkeypatch, shape):
         import kooplift.polynomials as polynomials
 
-        # a batch of three whole blocks and a remainder, on ragged maps; each
-        # block sums its terms into one bin per row and point
+        # a batch of three whole point blocks and a short one, on ragged
+        # maps; each block walks its terms in chunks of whole rows and sums
+        # each chunk into one bin per row and point
         rng = np.random.default_rng(12)
         if shape == "empty-rows":
             rows = [{}, *_map_with_terms(rng, 3, 4, 9, 90).rows, {}, {}]
@@ -246,26 +250,109 @@ class TestEvaluation:
             rows = [*_map_with_terms(rng, 3, 6, 12, 6).rows, long_row]
             rows += _map_with_terms(rng, 3, 3, 12, 3).rows
         p = PolynomialMap(3, rows)
-        n_terms = p.arrays.coeff.shape[0]
-        monkeypatch.setattr(polynomials, "_BATCH_BLOCK_FLOATS", 2 * n_terms * 4)
+        monkeypatch.setattr(polynomials, "_BATCH_CHUNK_FLOATS", 4 * p._gather.longest)
         X = rng.normal(size=(3 * 4 + 3, 3))
         X[5] = 0.0
         _assert_matches_oracles(p, X)
 
+    def test_row_chunks(self):
+        # whole rows share a chunk up to the budget; a longer row is a chunk
+        # of its own; empty rows join the chunk they border
+        assert list(_row_chunks([0, 2, 4, 6], 4)) == [(0, 2), (2, 3)]
+        assert list(_row_chunks([0, 1, 11, 12], 3)) == [(0, 1), (1, 2), (2, 3)]
+        assert list(_row_chunks([0, 0, 2, 2, 5, 5], 2)) == [(0, 3), (3, 4), (4, 5)]
+        assert list(_row_chunks([0, 0, 0], 1)) == [(0, 2)]
+        assert list(_row_chunks([0], 8)) == []
+
+    @pytest.mark.parametrize("chunk", [8, 80])
+    def test_chunk_edges_match_term_loop(self, monkeypatch, chunk):
+        import kooplift.polynomials as polynomials
+
+        # rows of 0, 3, 2, 0, 40, 0, 0, 1, 0 terms. At 8 floats a chunk, a
+        # point block is one point, the 40-term row a chunk of its own and
+        # the rows around it share chunks with empty rows at both edges; at
+        # 80, blocks of 2 points and a short last block of 1, which holds
+        # the whole map in one chunk
+        rng = np.random.default_rng(21)
+        long_row = _map_with_terms(rng, 3, 1, 12, 40).rows[0]
+        rows = [{}, *_map_with_terms(rng, 3, 2, 9, 5).rows, {}, long_row, {}, {}]
+        rows += [*_map_with_terms(rng, 3, 1, 9, 1).rows, {}]
+        p = PolynomialMap(3, rows)
+        assert [len(row) for row in p.rows] == [0, 3, 2, 0, 40, 0, 0, 1, 0]
+        monkeypatch.setattr(polynomials, "_BATCH_CHUNK_FLOATS", chunk)
+        if chunk == 8:
+            assert list(_row_chunks(p._gather.starts, 8)) == [(0, 4), (4, 5), (5, 9)]
+        else:
+            assert list(_row_chunks(p._gather.starts, 40)) == [(0, 4), (4, 7), (7, 9)]
+        X = rng.normal(size=(5, 3))
+        X[1] = 0.0
+        X[3] = -0.0
+        _assert_bits_equal(p.evaluate_batch(X), _naive_eval_batch(p, X))
+        # empty rows before and after the long row: at 8 floats a chunk the
+        # long row, holding every term, is a chunk of its own after row 0
+        lead = PolynomialMap(3, [{}, {}, long_row, {}])
+        _assert_bits_equal(lead.evaluate_batch(X), _naive_eval_batch(lead, X))
+
+    @pytest.mark.parametrize("n_points", [0, 1, 2])
+    def test_tiny_batches_match_term_loop(self, n_points):
+        # a small map, a map over the single-point kernel threshold and the
+        # D = 12 input column, at no, one and two points
+        rng = np.random.default_rng(22)
+        _, column = _weighted_input_column(12)
+        for p in (
+            _map_with_terms(rng, 3, 3, 4, 5),
+            _map_with_terms(rng, 3, 4, 9, 4 * KERNEL_MIN_TERMS),
+            column,
+        ):
+            X = rng.uniform(-1.5, 1.5, (n_points, 3))
+            out = p.evaluate_batch(X)
+            assert out.shape == (n_points, p.n_out) and out.dtype == np.float64
+            _assert_bits_equal(out, _naive_eval_batch(p, X))
+
+    def test_signed_zero_and_inf_terms_match_term_loop(self, monkeypatch):
+        import kooplift.polynomials as polynomials
+
+        # at x = -0.0 odd powers give -0.0 terms and a row of them sums to
+        # +0.0; at x = -1e200 odd powers overflow to -inf, even ones to
+        # +inf, and a row holding both gives NaN; small chunks put the
+        # special points in several blocks and chunks
+        rows = [
+            {(1, 0): -1.0, (3, 0): 2.0},
+            {(3, 0): 1.0},
+            {(2, 0): -2.0},
+            {(3, 0): 1.0, (2, 0): 1.0},
+            {(0, 1): 0.5, (1, 1): 1.0},
+            {(0, 0): 1.0, (5, 0): -1.0},
+        ]
+        p = PolynomialMap(2, rows)
+        X = np.array(
+            [[-0.0, 0.75], [0.0, -0.0], [-1e200, 0.75], [1e200, -2.0], [-0.0, -0.0], [-1e200, 0.0]]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _naive_eval_batch(p, X)
+            for chunk in (4, 2**15):
+                monkeypatch.setattr(polynomials, "_BATCH_CHUNK_FLOATS", chunk)
+                _assert_bits_equal(p.evaluate_batch(X), want)
+        assert want[0, 1] == 0.0 and not np.signbit(want[0, 1])
+        assert want[2, 1] == -np.inf and want[2, 2] == -np.inf and np.isnan(want[2, 3])
+
     def test_batch_memory_stays_within_its_block(self):
-        # the D = 20 input column over 125 points: the live temporaries of
-        # one block, term values and a gathered factor, stay near 1 MB
+        # the D = 20 input column over 125 and 4000 points: the live
+        # temporaries, one block's power table and one chunk's term values
+        # with a gathered factor or the bin index, stay under 1 MiB however
+        # many points the batch holds
         _, column = _weighted_input_column(20)
         rng = np.random.default_rng(4)
-        X = np.hstack([rng.uniform(-1.5, 1.5, (125, 2)), rng.uniform(-1.0, 1.0, (125, 1))])
-        column.evaluate_batch(X[:1])  # builds the kernel
-        tracemalloc.start()
-        try:
-            out = column.evaluate_batch(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20 + out.nbytes
+        X = np.hstack([rng.uniform(-1.5, 1.5, (4000, 2)), rng.uniform(-1.0, 1.0, (4000, 1))])
+        column.evaluate_batch(X[:1])  # builds the gather
+        for n_points in (125, 4000):
+            tracemalloc.start()
+            try:
+                out = column.evaluate_batch(X[:n_points])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20 + out.nbytes
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
